@@ -8,9 +8,12 @@
 #   clang-tidy         bugprone/concurrency/performance checks over src/
 #   bench-smoke        Release (-O2) build, every benchmark 1 iteration, all
 #                      self-checking tables must pass, bench JSONs must be
-#                      emitted, tracked top-level BENCH_*.json refreshed; the
-#                      obs-overhead bench must also emit a Perfetto trace that
-#                      parses as JSON and covers the major data-path stages
+#                      emitted; the obs-overhead bench must also emit a
+#                      Perfetto trace that parses as JSON and covers the major
+#                      data-path stages
+#   udrbench-smoke     bench/udrbench/run.py --smoke: every workload at 1/50
+#                      scale, traced and untraced — SLO rows, matching model
+#                      digests and the sharded op-stream check
 #   asan-ubsan         Debug+ASan/UBSan ctest (-LE slow)
 #   tsan               ThreadSanitizer over the concurrent surface: exec_test,
 #                      obs_test, scenario_smoke, heat_test, migration_test
@@ -212,18 +215,11 @@ assert not missing, f"trace is missing stages: {sorted(missing)}"
 print(f"-- obs trace OK: {len(events)} events, "
       f"{len(names)} distinct span names")
 PYEOF
-# Refresh the tracked top-level copies from the fresh run so they can never
-# drift stale relative to the code (git diff surfaces the delta for review).
-for tracked in BENCH_*.json; do
-  [[ -f "${tracked}" ]] || continue
-  if [[ -s "build-release/${tracked}" ]]; then
-    if ! cmp -s "build-release/${tracked}" "${tracked}"; then
-      echo "-- refreshing tracked ${tracked} from this run"
-      cp "build-release/${tracked}" "${tracked}"
-    fi
-  fi
-done
 echo "== benchmark smoke: all green (bench JSON files emitted) =="
+pass_stage
+
+begin_stage "udrbench-smoke"
+python3 bench/udrbench/run.py --smoke
 pass_stage
 
 # ---- sanitizers -------------------------------------------------------------

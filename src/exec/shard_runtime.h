@@ -65,7 +65,7 @@ struct ShardRuntimeReport {
   int64_t ops_done = 0;
   int64_t ops_failed = 0;
   int64_t order_violations = 0;
-  int64_t wall_ns = 0;  ///< Provision-to-join wall time of the whole run.
+  int64_t wall_ns = 0;  ///< Wall time from the provisioning barrier to join.
   /// End-to-end throughput over wall time (time-shared on few cores).
   double wall_ops_per_sec = 0.0;
   /// Sum of per-shard CPU-time service rates: the capacity with a core per

@@ -460,47 +460,26 @@ const Record* ReplicaSet::ReadRecordOn(uint32_t id, RecordKey key,
 ReadResult ReplicaSet::ReadAttribute(sim::SiteId client_site, RecordKey key,
                                      const std::string& attr,
                                      ReadPreference pref) {
-  ReadResult out;
-  auto picked = PickReadReplica(client_site, pref);
-  if (!picked.ok()) {
-    out.status = picked.status();
-    out.latency = network_->rpc_timeout();
-    return out;
-  }
-  uint32_t id = *picked;
-  CatchUp(id);
-  out.latency = network_->topology().Rtt(client_site, replica_site(id)) +
-                network_->topology().HopOverhead();
-  ReadAttrOn(id, key, attr, &out);
+  GroupReadResult gr = ReadBatch(client_site, {BatchReadOp{key, attr, pref}});
+  ReadResult out = std::move(gr.per_op.front());
+  out.latency = gr.latency;
   return out;
 }
 
 StatusOr<Record> ReplicaSet::ReadRecord(sim::SiteId client_site, RecordKey key,
                                         ReadPreference pref, ReadResult* meta) {
-  auto picked = PickReadReplica(client_site, pref);
-  if (!picked.ok()) {
-    if (meta != nullptr) {
-      meta->status = picked.status();
-      meta->latency = network_->rpc_timeout();
-    }
-    return picked.status();
-  }
-  uint32_t id = *picked;
-  CatchUp(id);
-  if (meta != nullptr) {
-    meta->latency = network_->topology().Rtt(client_site, replica_site(id)) +
-                    network_->topology().HopOverhead();
-  }
-  const Record* rec = ReadRecordOn(id, key, meta);
-  if (rec == nullptr) return Status::NotFound("record " + std::to_string(key));
-  return *rec;
+  GroupReadResult gr = ReadBatch(client_site, {BatchReadOp{key, "", pref}});
+  ReadResult& one = gr.per_op.front();
+  one.latency = gr.latency;
+  if (meta != nullptr) *meta = one;
+  if (!one.status.ok()) return one.status;
+  return *std::move(one.record);
 }
 
 GroupReadResult ReplicaSet::ReadBatch(sim::SiteId client_site,
                                       const std::vector<BatchReadOp>& ops) {
   GroupReadResult out;
   out.per_op.resize(ops.size());
-  out.records.resize(ops.size());
   MicroDuration slowest_transit = 0;
   for (size_t i = 0; i < ops.size(); ++i) {
     ReadResult& meta = out.per_op[i];
@@ -524,7 +503,7 @@ GroupReadResult ReplicaSet::ReadBatch(sim::SiteId client_site,
         meta.status =
             Status::NotFound("record " + std::to_string(ops[i].key));
       } else {
-        out.records[i] = *rec;
+        meta.record = *rec;
       }
     } else {
       ReadAttrOn(id, ops[i].key, ops[i].attr, &meta);

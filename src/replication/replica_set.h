@@ -91,7 +91,8 @@ struct WriteResult {
 struct ReadResult {
   Status status;
   MicroDuration latency = 0;
-  std::optional<storage::Value> value;
+  std::optional<storage::Value> value;   ///< Single-attribute reads.
+  std::optional<storage::Record> record; ///< Whole-record reads.
   bool stale = false;     ///< Value older than the master's current state.
   uint32_t served_by = 0; ///< Replica that served the read.
 };
@@ -117,10 +118,9 @@ struct GroupWriteResult {
 /// Outcome of a grouped read: replicas are probed in one fan-out (transit
 /// charged once per group, not once per op).
 struct GroupReadResult {
-  std::vector<ReadResult> per_op;  ///< Latency = engine service share only.
-  /// Whole-record payloads, index-aligned with per_op (ops with a non-empty
-  /// attr leave their slot empty and fill per_op[i].value instead).
-  std::vector<std::optional<storage::Record>> records;
+  /// Latency = engine service share only. Whole-record ops (empty attr) fill
+  /// `record`, attribute ops fill `value`.
+  std::vector<ReadResult> per_op;
   MicroDuration latency = 0;  ///< Slowest replica transit + summed service.
   MicroDuration transit = 0;  ///< The slowest-replica share of `latency`.
 };
@@ -225,11 +225,13 @@ class ReplicaSet {
   GroupReadResult ReadBatch(sim::SiteId client_site,
                             const std::vector<BatchReadOp>& ops);
 
-  /// Reads one attribute according to the read preference.
+  /// Reads one attribute according to the read preference: a one-op
+  /// ReadBatch whose latency is the whole group's (transit included). As in
+  /// BatchReadOp, an empty `attr` reads the whole record instead.
   ReadResult ReadAttribute(sim::SiteId client_site, storage::RecordKey key,
                            const std::string& attr, ReadPreference pref);
 
-  /// Reads a whole record snapshot.
+  /// Reads a whole record snapshot (a one-op ReadBatch, like ReadAttribute).
   StatusOr<storage::Record> ReadRecord(sim::SiteId client_site,
                                        storage::RecordKey key,
                                        ReadPreference pref,

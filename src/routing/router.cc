@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "replication/write_builder.h"
@@ -82,17 +81,6 @@ void Router::BumpPartitionEpoch(uint32_t partition) {
                     "partition=" + std::to_string(partition) + " epoch=" +
                         std::to_string(partition_epochs_[partition]));
   }
-}
-
-const storage::Record* Router::CacheLookup(storage::RecordKey key,
-                                           uint32_t partition,
-                                           sim::SiteId poa_site) {
-  PoaCache* cache = poa_cache_at(poa_site);
-  if (cache == nullptr) return nullptr;
-  const storage::Record* rec =
-      cache->Lookup(key, partition, partition_epoch(partition));
-  (rec != nullptr ? cache_hits_ : cache_misses_).Add();
-  return rec;
 }
 
 void Router::CachePopulate(storage::RecordKey key, uint32_t partition,
@@ -240,35 +228,27 @@ RouteResult Router::ResolveOne(const Identity& id, sim::SiteId poa_site,
 
 RouteResult Router::Route(const Identity& id, sim::SiteId poa_site,
                           RouteIntent intent) {
-  BatchRequest one;
-  one.Add(intent == RouteIntent::kRead ? Operation::ReadRecord(id)
-                                       : Operation::Write(id, {}));
-  return ResolveStage(one, poa_site, nullptr).front();
+  return ResolveOne(id, poa_site, intent == RouteIntent::kRead);
 }
 
-std::vector<RouteResult> Router::ResolveStage(const BatchRequest& batch,
-                                              sim::SiteId poa_site,
-                                              BatchResult* result) {
-  std::vector<RouteResult> routes;
-  routes.reserve(batch.ops.size());
+void Router::ResolveStage(const BatchRequest& batch, sim::SiteId poa_site,
+                          BatchResult* result,
+                          std::vector<RouteResult>* routes) {
+  routes->clear();
   for (const Operation& op : batch.ops) {
-    RouteResult r = ResolveOne(op.identity, poa_site, op.IsRead());
-    if (result != nullptr) {
-      result->resolve_cost += r.resolve_cost;
-      if (r.bypassed_location) ++result->bypass_hits;
-    }
-    routes.push_back(std::move(r));
+    routes->push_back(ResolveOne(op.identity, poa_site, op.IsRead()));
+    result->resolve_cost += routes->back().resolve_cost;
+    if (routes->back().bypassed_location) ++result->bypass_hits;
   }
-  return routes;
 }
 
 MicroDuration Router::DispatchGroup(const BatchRequest& batch,
                                     const std::vector<RouteResult>& routes,
-                                    const std::vector<size_t>& members,
+                                    uint32_t partition,
                                     sim::SiteId poa_site, BatchResult* result,
                                     const obs::TraceContext& span_parent,
                                     MicroTime dispatch_start) {
-  replication::ReplicaSet* rs = routes[members.front()].rs;
+  replication::ReplicaSet* rs = map_->partition(partition);
   PoaCache* cache = poa_cache_at(poa_site);
   // The whole group ships to its replica set as one message: runs within it
   // execute in order, but their transits overlap in a single round-trip
@@ -283,10 +263,11 @@ MicroDuration Router::DispatchGroup(const BatchRequest& batch,
   MicroTime span_cursor = dispatch_start;
 
   // Pending run of consecutive same-kind ops (one grouped dispatch each).
+  // Only one kind is ever pending, so `run` holds the batch op index of each
+  // entry of whichever run that is.
   std::vector<std::vector<storage::WriteOp>> write_txns;
-  std::vector<size_t> write_idx;
-  std::vector<replication::BatchReadOp> read_ops;
-  std::vector<size_t> read_idx;
+  std::vector<replication::BatchReadOp>& read_ops = read_ops_;
+  std::vector<size_t>& run = run_;
 
   auto flush_writes = [&]() {
     if (write_txns.empty()) return;
@@ -300,18 +281,18 @@ MicroDuration Router::DispatchGroup(const BatchRequest& batch,
     }
     span_cursor += gw.latency - gw.transit;
     for (size_t j = 0; j < gw.per_op.size(); ++j) {
-      OpOutcome& o = result->outcomes[write_idx[j]];
-      o.status = gw.per_op[j].status;
+      OpOutcome& o = result->outcomes[run[j]];
+      o.status = std::move(gw.per_op[j].status);
       o.latency = gw.per_op[j].latency;
       o.seq = gw.per_op[j].seq;
       o.served_by = gw.per_op[j].served_by;
       if (!o.status.ok()) ++result->failed_ops;
       // Synchronous invalidation: a committed write must never leave a
       // cached copy behind, at this PoA or any other.
-      if (o.status.ok()) InvalidateCached(routes[write_idx[j]].key);
+      if (o.status.ok()) InvalidateCached(routes[run[j]].key);
     }
     write_txns.clear();
-    write_idx.clear();
+    run.clear();
   };
   auto flush_reads = [&]() {
     if (read_ops.empty()) return;
@@ -324,14 +305,15 @@ MicroDuration Router::DispatchGroup(const BatchRequest& batch,
     }
     span_cursor += gr.latency - gr.transit;
     for (size_t j = 0; j < gr.per_op.size(); ++j) {
-      const size_t idx = read_idx[j];
+      const size_t idx = run[j];
+      replication::ReadResult& read = gr.per_op[j];
       OpOutcome& o = result->outcomes[idx];
-      o.status = gr.per_op[j].status;
-      o.latency = gr.per_op[j].latency;
-      o.stale = gr.per_op[j].stale;
-      o.served_by = gr.per_op[j].served_by;
-      o.value = gr.per_op[j].value;
-      o.record = std::move(gr.records[j]);
+      o.status = std::move(read.status);
+      o.latency = read.latency;
+      o.stale = read.stale;
+      o.served_by = read.served_by;
+      o.value = std::move(read.value);
+      o.record = std::move(read.record);
       if (!o.status.ok()) ++result->failed_ops;
       // Read-through population: a fresh whole-record read of a hot key
       // seeds this PoA's cache (admission filtered by the heat sketch).
@@ -343,13 +325,14 @@ MicroDuration Router::DispatchGroup(const BatchRequest& batch,
       }
     }
     read_ops.clear();
-    read_idx.clear();
+    run.clear();
   };
 
   // Walk the group's ops in request order; consecutive writes commit as one
   // log-append window, consecutive reads probe as one fan-out. A kind switch
   // flushes the pending run first, preserving per-key op order.
-  for (size_t i : members) {
+  for (size_t i = 0; i < batch.ops.size(); ++i) {
+    if (!routes[i].status.ok() || routes[i].partition != partition) continue;
     const Operation& op = batch.ops[i];
     if (op.kind == Operation::Kind::kWrite) {
       flush_reads();
@@ -368,7 +351,7 @@ MicroDuration Router::DispatchGroup(const BatchRequest& batch,
         }
       }
       write_txns.push_back(std::move(wb).Build());
-      write_idx.push_back(i);
+      run.push_back(i);
     } else {
       // Flushing pending writes FIRST both preserves per-key order and makes
       // the cache check below read-your-writes safe: any earlier write of
@@ -385,7 +368,7 @@ MicroDuration Router::DispatchGroup(const BatchRequest& batch,
       if (op.kind == Operation::Kind::kReadAttribute) ro.attr = op.attr;
       ro.pref = op.read_pref;
       read_ops.push_back(std::move(ro));
-      read_idx.push_back(i);
+      run.push_back(i);
     }
   }
   flush_writes();
@@ -441,15 +424,17 @@ BatchResult Router::RouteBatch(const BatchRequest& batch,
   const obs::TraceContext batch_ctx = batch_span.context();
 
   // Stage 1: resolve every identity at the PoA (or via the hash bypass).
-  std::vector<RouteResult> routes = ResolveStage(batch, poa_site, &result);
+  std::vector<RouteResult>& routes = routes_;
+  ResolveStage(batch, poa_site, &result, &routes);
   if (tracer_ != nullptr) {
     tracer_->RecordSpan("resolve", batch_ctx, t0, t0 + result.resolve_cost);
   }
 
-  // Stage 2: group resolved ops by owning partition, keeping request order
-  // inside each group (stable grouping = per-key order preserved).
-  std::vector<std::pair<uint32_t, std::vector<size_t>>> groups;
-  std::unordered_map<uint32_t, size_t> group_of;
+  // Stage 2: the owning partitions, in first-seen order. A batch spans a
+  // handful of partitions, so a linear scan beats a map; each group keeps
+  // request order inside it (stable grouping = per-key order preserved).
+  std::vector<uint32_t>& groups = groups_;
+  groups.clear();
   for (size_t i = 0; i < routes.size(); ++i) {
     OpOutcome& o = result.outcomes[i];
     o.bypassed_location = routes[i].bypassed_location;
@@ -461,9 +446,9 @@ BatchResult Router::RouteBatch(const BatchRequest& batch,
     }
     o.partition = routes[i].partition;
     o.key = routes[i].key;
-    auto [it, fresh] = group_of.try_emplace(routes[i].partition, groups.size());
-    if (fresh) groups.push_back({routes[i].partition, {}});
-    groups[it->second].second.push_back(i);
+    if (std::find(groups.begin(), groups.end(), o.partition) == groups.end()) {
+      groups.push_back(o.partition);
+    }
   }
   result.partition_groups = static_cast<int>(groups.size());
 
@@ -471,13 +456,13 @@ BatchResult Router::RouteBatch(const BatchRequest& batch,
   // concurrently from the PoA, so the batch pays the slowest one.
   const MicroTime dispatch_start = t0 + result.resolve_cost;
   MicroDuration slowest_group = 0;
-  for (const auto& [partition, members] : groups) {
+  for (uint32_t partition : groups) {
     obs::Span dispatch_span =
         tracer_ != nullptr
             ? tracer_->StartSpanAt("dispatch", batch_ctx, dispatch_start)
             : obs::Span();
     const MicroDuration group_latency =
-        DispatchGroup(batch, routes, members, poa_site, &result,
+        DispatchGroup(batch, routes, partition, poa_site, &result,
                       dispatch_span.context(), dispatch_start);
     dispatch_span.EndAt(dispatch_start + group_latency);
     slowest_group = std::max(slowest_group, group_latency);

@@ -140,8 +140,8 @@ class Router {
                                     sim::SiteId poa_site);
 
   /// Full data-path hop: identity -> location entry -> owning replica set.
-  /// A thin wrapper over the resolution stage of a size-1 batch; reads may
-  /// take the hash bypass when it is enabled.
+  /// The resolution stage's per-op step; reads may take the hash bypass
+  /// when it is enabled.
   RouteResult Route(const location::Identity& id, sim::SiteId poa_site,
                     RouteIntent intent = RouteIntent::kWrite);
 
@@ -167,11 +167,10 @@ class Router {
 
   /// Stage 1 of the pipeline: resolves every op of the batch at the location
   /// stage local to `poa_site` (or via the hash bypass for eligible reads).
-  /// Returns one RouteResult per op and accounts resolution cost and bypass
-  /// hits into `result` when non-null.
-  std::vector<RouteResult> ResolveStage(const BatchRequest& batch,
-                                        sim::SiteId poa_site,
-                                        BatchResult* result);
+  /// Replaces `*routes` with one RouteResult per op and accounts resolution
+  /// cost and bypass hits into `result`.
+  void ResolveStage(const BatchRequest& batch, sim::SiteId poa_site,
+                    BatchResult* result, std::vector<RouteResult>* routes);
 
   /// The staged batch pipeline: (1) resolve all identities at the PoA,
   /// (2) group ops by owning partition, (3) dispatch one grouped
@@ -212,12 +211,6 @@ class Router {
   /// re-home), so a cached record never outlives a committed write.
   void InvalidateCached(storage::RecordKey key);
 
-  /// Serves a solo-path kNearest read from the PoA cache when the record is
-  /// cached under the current (partition, epoch); nullptr otherwise. The
-  /// pointer stays valid until the next router call.
-  const storage::Record* CacheLookup(storage::RecordKey key,
-                                     uint32_t partition, sim::SiteId poa_site);
-
   /// Offers a freshly read record for caching; admitted only if the key is
   /// hot enough in the sketch (and `stale` is false — a cache entry must
   /// equal newest committed master state).
@@ -247,12 +240,13 @@ class Router {
   RouteResult ResolveOne(const location::Identity& id, sim::SiteId poa_site,
                          bool read_intent);
 
-  /// Stage 3 helper: dispatches one partition-group, walking its ops in
-  /// request order and flushing consecutive same-kind runs as one grouped
-  /// ReplicaSet call. Returns the group's modelled latency.
+  /// Stage 3 helper: dispatches one partition-group — the resolved ops
+  /// owned by `partition` — walking them in request order and flushing
+  /// consecutive same-kind runs as one grouped ReplicaSet call. Returns the
+  /// group's modelled latency.
   MicroDuration DispatchGroup(const BatchRequest& batch,
                               const std::vector<RouteResult>& routes,
-                              const std::vector<size_t>& members,
+                              uint32_t partition,
                               sim::SiteId poa_site, BatchResult* result,
                               const obs::TraceContext& span_parent,
                               MicroTime dispatch_start);
@@ -287,6 +281,13 @@ class Router {
   std::unordered_map<location::Identity, location::LocationEntry,
                      location::IdentityHasher>
       authoritative_;
+  // RouteBatch scratch, reused across calls so a one-op batch (every per-op
+  // LDAP request) allocates little beyond its result. RouteBatch is not
+  // reentrant: nothing it calls routes another batch.
+  std::vector<RouteResult> routes_;
+  std::vector<uint32_t> groups_;
+  std::vector<replication::BatchReadOp> read_ops_;
+  std::vector<size_t> run_;
 };
 
 }  // namespace udr::routing

@@ -19,7 +19,6 @@ using location::LocationEntry;
 using replication::ReadPreference;
 using replication::ReplicaSet;
 using replication::WriteBuilder;
-using routing::RouteResult;
 using storage::Record;
 
 namespace {
@@ -42,6 +41,8 @@ routing::PartitionMapConfig MapConfigFrom(const UdrConfig& config) {
 UdrNf::UdrNf(UdrConfig config, sim::Network* network)
     : config_(std::move(config)),
       network_(network),
+      batch_count_(metrics_.RegisterCounter("udr.batch.count")),
+      batch_ops_(metrics_.RegisterCounter("udr.batch.ops")),
       map_(MapConfigFrom(config_), network),
       router_(&map_, network, &metrics_),
       placement_(routing::MakePlacementPolicy(config_.placement)),
@@ -735,36 +736,22 @@ ReadPreference UdrNf::ReadPrefFor(const LdapRequest& request) const {
 }
 
 LdapResult UdrNf::Process(const LdapRequest& request, uint32_t poa_site) {
-  migration_->OnForegroundOps(1);
-  auto dispatch = [&]() -> LdapResult {
-    switch (request.op) {
-      case ldap::LdapOp::kSearch:
-        return DoSearch(request, poa_site);
-      case ldap::LdapOp::kAdd:
-        return DoAdd(request, poa_site);
-      case ldap::LdapOp::kModify:
-        return DoModify(request, poa_site);
-      case ldap::LdapOp::kDelete:
-        return DoDelete(request, poa_site);
-      case ldap::LdapOp::kCompare:
-        return DoCompare(request, poa_site);
-    }
-    LdapResult r;
-    r.code = LdapResultCode::kProtocolError;
-    r.diagnostic = "unsupported operation";
-    return r;
-  };
-  LdapResult result = dispatch();
-  // Root "event" span for the single-op path, spanning the op's whole
-  // modelled latency — unbatched deployments trace their signaling events
-  // too (the batched path opens its root in ProcessBatch instead).
-  if (tracer_ != nullptr) {
-    const obs::TraceContext trace = tracer_->StartTrace();
-    if (trace.active()) {
-      tracer_->RecordSpan("event", trace, Now(), Now() + result.latency);
-    }
-  }
+  int64_t charged = 0;
+  LdapBatchResult out = ProcessRequests(&request, 1, poa_site, &charged);
+  // A per-op call is one foreground op even when it failed to translate.
+  if (charged == 0) migration_->OnForegroundOps(1);
+  LdapResult result = std::move(out.results.front());
+  result.latency = out.latency;
   return result;
+}
+
+LdapResult UdrNf::ProcessInline(const LdapRequest& request, uint32_t poa_site) {
+  migration_->OnForegroundOps(1);
+  if (request.op == ldap::LdapOp::kAdd) return DoAdd(request, poa_site);
+  LdapResult r;
+  r.code = LdapResultCode::kProtocolError;
+  r.diagnostic = "unsupported operation";
+  return r;
 }
 
 LdapResult UdrNf::SearchResultFor(const LdapRequest& request,
@@ -796,40 +783,6 @@ LdapResult UdrNf::SearchResultFor(const LdapRequest& request,
     r.entries.push_back(std::move(entry));
   }
   r.code = LdapResultCode::kSuccess;
-  return r;
-}
-
-LdapResult UdrNf::DoSearch(const LdapRequest& request, uint32_t poa_site) {
-  LdapResult r;
-  auto identity = RequestIdentity(request);
-  if (!identity.ok()) {
-    r.code = StatusToLdapCode(identity.status());
-    r.diagnostic = identity.status().message();
-    return r;
-  }
-  RouteResult route =
-      router_.Route(*identity, poa_site, routing::RouteIntent::kRead);
-  r.latency += route.resolve_cost;
-  if (!route.status.ok()) {
-    r.code = StatusToLdapCode(route.status);
-    r.diagnostic = route.status.message();
-    return r;
-  }
-  replication::ReadResult meta;
-  auto record =
-      route.rs->ReadRecord(poa_site, route.key, ReadPrefFor(request), &meta);
-  if (!record.ok()) {
-    r.latency += meta.latency;
-    r.stale = meta.stale;
-    r.code = StatusToLdapCode(record.status());
-    r.diagnostic = record.status().message();
-    return r;
-  }
-  MicroDuration resolve_and_read = r.latency + meta.latency;
-  r = SearchResultFor(request, *record);
-  r.latency += resolve_and_read;
-  r.stale = meta.stale;
-  if (r.ok()) metrics_.Add("udr.search.ok");
   return r;
 }
 
@@ -892,117 +845,6 @@ StatusOr<std::vector<routing::Mutation>> UdrNf::MutationsFrom(
     muts.push_back(std::move(m));
   }
   return muts;
-}
-
-LdapResult UdrNf::DoModify(const LdapRequest& request, uint32_t poa_site) {
-  LdapResult r;
-  auto identity = RequestIdentity(request);
-  if (!identity.ok()) {
-    r.code = StatusToLdapCode(identity.status());
-    r.diagnostic = identity.status().message();
-    return r;
-  }
-  auto muts = MutationsFrom(request);
-  if (!muts.ok()) {
-    r.code = StatusToLdapCode(muts.status());
-    r.diagnostic = muts.status().message();
-    return r;
-  }
-  RouteResult route = router_.Route(*identity, poa_site);
-  r.latency += route.resolve_cost;
-  if (!route.status.ok()) {
-    r.code = StatusToLdapCode(route.status);
-    r.diagnostic = route.status.message();
-    return r;
-  }
-  WriteBuilder wb;
-  for (const routing::Mutation& m : *muts) {
-    switch (m.kind) {
-      case routing::Mutation::Kind::kSet:
-        wb.Set(route.key, m.attr, m.value);
-        break;
-      case routing::Mutation::Kind::kRemove:
-        wb.Remove(route.key, m.attr);
-        break;
-      case routing::Mutation::Kind::kDeleteRecord:
-        wb.Delete(route.key);
-        break;
-    }
-  }
-  replication::WriteResult write =
-      route.rs->Write(poa_site, std::move(wb).Build());
-  r.latency += write.latency;
-  if (!write.status.ok()) {
-    r.code = StatusToLdapCode(write.status);
-    r.diagnostic = write.status.message();
-    metrics_.Add("udr.modify.failed");
-    return r;
-  }
-  // Same synchronous invalidation the batched write path does in its flush:
-  // a committed write must never leave a stale PoA-cached copy behind.
-  router_.InvalidateCached(route.key);
-  r.code = LdapResultCode::kSuccess;
-  metrics_.Add("udr.modify.ok");
-  return r;
-}
-
-LdapResult UdrNf::DoDelete(const LdapRequest& request, uint32_t poa_site) {
-  LdapResult r;
-  auto identity = RequestIdentity(request);
-  if (!identity.ok()) {
-    r.code = StatusToLdapCode(identity.status());
-    r.diagnostic = identity.status().message();
-    return r;
-  }
-  RouteResult route = router_.Route(*identity, poa_site);
-  r.latency += route.resolve_cost;
-  if (!route.status.ok()) {
-    r.code = StatusToLdapCode(route.status);
-    r.diagnostic = route.status.message();
-    return r;
-  }
-  Status st = DeleteSubscriber(*identity, poa_site);
-  if (!st.ok()) {
-    r.code = StatusToLdapCode(st);
-    r.diagnostic = st.message();
-    return r;
-  }
-  // Latency: one master read + one replicated delete, both at the partition.
-  r.latency += network_->topology().Rtt(poa_site, route.rs->master_site()) +
-               config_.se_template.write_service_time;
-  r.code = LdapResultCode::kSuccess;
-  return r;
-}
-
-LdapResult UdrNf::DoCompare(const LdapRequest& request, uint32_t poa_site) {
-  LdapResult r;
-  auto identity = RequestIdentity(request);
-  if (!identity.ok()) {
-    r.code = StatusToLdapCode(identity.status());
-    r.diagnostic = identity.status().message();
-    return r;
-  }
-  RouteResult route =
-      router_.Route(*identity, poa_site, routing::RouteIntent::kRead);
-  r.latency += route.resolve_cost;
-  if (!route.status.ok()) {
-    r.code = StatusToLdapCode(route.status);
-    r.diagnostic = route.status.message();
-    return r;
-  }
-  replication::ReadResult read = route.rs->ReadAttribute(
-      poa_site, route.key, request.compare_attr, ReadPrefFor(request));
-  r.latency += read.latency;
-  r.stale = read.stale;
-  if (!read.status.ok()) {
-    r.code = StatusToLdapCode(read.status);
-    r.diagnostic = read.status.message();
-    return r;
-  }
-  r.code = storage::ValueToString(*read.value) == request.compare_value
-               ? LdapResultCode::kCompareTrue
-               : LdapResultCode::kCompareFalse;
-  return r;
 }
 
 // ---------------------------------------------------------------------------
@@ -1154,8 +996,19 @@ UdrNf::RequestSlot UdrNf::SlotFor(const LdapRequest& request,
 
 ldap::LdapBatchResult UdrNf::ProcessBatch(
     const std::vector<LdapRequest>& requests, uint32_t poa_site) {
-  ldap::LdapBatchResult out;
-  out.results.resize(requests.size());
+  LdapBatchResult out =
+      ProcessRequests(requests.data(), requests.size(), poa_site, nullptr);
+  batch_count_.Add();
+  batch_ops_.Add(static_cast<int64_t>(requests.size()));
+  if (!out.ok()) metrics_.Add("udr.batch.failed_ops", out.failed_ops());
+  return out;
+}
+
+ldap::LdapBatchResult UdrNf::ProcessRequests(const LdapRequest* requests,
+                                             size_t count, uint32_t poa_site,
+                                             int64_t* foreground_ops) {
+  LdapBatchResult out;
+  out.results.resize(count);
 
   // One trace per signaling event; the root "event" span covers the whole
   // modelled latency and the pipeline spans hang off it.
@@ -1167,7 +1020,10 @@ ldap::LdapBatchResult UdrNf::ProcessBatch(
     batch.trace = event_span.context();
   }
   std::vector<std::pair<size_t, RequestSlot>> slots;  // request idx -> slot.
-  int64_t pipeline_requests = 0;  // Inline ops count via Process() instead.
+  // Pipeline requests are charged to the migration scheduler below; inline
+  // ones charged themselves in ProcessInline.
+  int64_t pipeline_requests = 0;
+  int64_t inline_requests = 0;
   auto flush = [&]() {
     if (batch.empty()) return;
     routing::BatchResult br = router_.RouteBatch(batch, poa_site);
@@ -1185,7 +1041,7 @@ ldap::LdapBatchResult UdrNf::ProcessBatch(
     slots.clear();
   };
 
-  for (size_t i = 0; i < requests.size(); ++i) {
+  for (size_t i = 0; i < count; ++i) {
     bool executed_inline = false;
     RequestSlot slot = SlotFor(requests[i], &batch,
                                [&](const LdapRequest& req) {
@@ -1193,10 +1049,13 @@ ldap::LdapBatchResult UdrNf::ProcessBatch(
                                  // holds, then execute in place.
                                  flush();
                                  executed_inline = true;
-                                 return Process(req, poa_site);
+                                 return ProcessInline(req, poa_site);
                                });
     if (slot.kind == RequestSlot::Kind::kInline) {
-      if (executed_inline) out.latency += slot.inline_result.latency;
+      if (executed_inline) {
+        ++inline_requests;
+        out.latency += slot.inline_result.latency;
+      }
       out.results[i] = std::move(slot.inline_result);
     } else {
       ++pipeline_requests;
@@ -1206,12 +1065,12 @@ ldap::LdapBatchResult UdrNf::ProcessBatch(
   flush();
   event_span.EndAt(event_start + out.latency);
 
-  metrics_.Add("udr.batch.count");
-  metrics_.Add("udr.batch.ops", static_cast<int64_t>(requests.size()));
-  if (!out.ok()) metrics_.Add("udr.batch.failed_ops", out.failed_ops());
   // Priority coupling: foreground ops displace migration budget from the
   // scheduler's pacing window (no-op unless the knob is configured).
   migration_->OnForegroundOps(pipeline_requests);
+  if (foreground_ops != nullptr) {
+    *foreground_ops = pipeline_requests + inline_requests;
+  }
   return out;
 }
 
@@ -1255,7 +1114,7 @@ uint64_t UdrNf::EnqueueBatch(const std::vector<LdapRequest>& requests,
     event.slots.push_back(SlotFor(req, &batch, [&](const LdapRequest& r) {
       // Unreachable for Add (handled above); anything else landing here is
       // an unsupported verb whose error resolves at enqueue.
-      LdapResult res = Process(r, poa_site);
+      LdapResult res = ProcessInline(r, poa_site);
       event.inline_latency += res.latency;
       return res;
     }));
@@ -1323,10 +1182,10 @@ ldap::LdapBatchResult UdrNf::FinalizeEvent(PendingEvent& event,
   out.partition_groups = outcome.partition_groups;
   out.bypass_hits = outcome.bypass_hits;
   out.coalesced_events = outcome.coalesced_events;
-  metrics_.Add("udr.batch.count");
-  metrics_.Add("udr.batch.ops", static_cast<int64_t>(event.requests.size()));
+  batch_count_.Add();
+  batch_ops_.Add(static_cast<int64_t>(event.requests.size()));
   if (!out.ok()) metrics_.Add("udr.batch.failed_ops", out.failed_ops());
-  int64_t pipeline_requests = 0;  // Inline ops counted via Process() already.
+  int64_t pipeline_requests = 0;  // Inline ops counted in ProcessInline.
   for (const RequestSlot& slot : event.slots) {
     if (slot.kind != RequestSlot::Kind::kInline) ++pipeline_requests;
   }

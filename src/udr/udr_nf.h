@@ -359,7 +359,9 @@ class UdrNf : public ldap::LdapBackend {
 
   // -- ldap::LdapBackend ----------------------------------------------------------
 
-  /// Request semantics, entered at the PoA of `poa_site`.
+  /// Request semantics, entered at the PoA of `poa_site`: the ProcessBatch
+  /// pipeline for one request (same PoA cache and spans). The result carries
+  /// the batch latency, transit included; it counts as one foreground op.
   ldap::LdapResult Process(const ldap::LdapRequest& request,
                            uint32_t poa_site) override;
 
@@ -367,7 +369,7 @@ class UdrNf : public ldap::LdapBackend {
   /// ride the routing::Router::RouteBatch pipeline; Delete rides it too, as
   /// a master-only read plus a delete-record write sharing the grouped
   /// windows (population/bind bookkeeping applied from the outcomes); Add
-  /// flushes the pending run and executes per-op in place, preserving
+  /// flushes the pending run and executes inline in place, preserving
   /// request order.
   ldap::LdapBatchResult ProcessBatch(const std::vector<ldap::LdapRequest>& requests,
                                      uint32_t poa_site) override;
@@ -461,11 +463,23 @@ class UdrNf : public ldap::LdapBackend {
   /// agrees — the task is then a successful no-op).
   StatusOr<int64_t> RehomeOne(const migration::MigrationTaskSpec& spec);
 
-  ldap::LdapResult DoSearch(const ldap::LdapRequest& request, uint32_t poa_site);
   ldap::LdapResult DoAdd(const ldap::LdapRequest& request, uint32_t poa_site);
-  ldap::LdapResult DoModify(const ldap::LdapRequest& request, uint32_t poa_site);
-  ldap::LdapResult DoDelete(const ldap::LdapRequest& request, uint32_t poa_site);
-  ldap::LdapResult DoCompare(const ldap::LdapRequest& request, uint32_t poa_site);
+
+  /// The requests that never ride the pipeline: Add (placement side effects)
+  /// and the protocol-error reply of an unknown verb. Counts one foreground
+  /// op before executing, so a throttled migration sees the displacement
+  /// before an Add can enqueue re-home work.
+  ldap::LdapResult ProcessInline(const ldap::LdapRequest& request,
+                                 uint32_t poa_site);
+
+  /// The one verb path behind Process and ProcessBatch, over `count`
+  /// requests at `requests` (pointer + count, so the per-op path never
+  /// copies its request). When non-null, `*foreground_ops` gets how many
+  /// requests were charged to the migration scheduler: pipeline ones and
+  /// inline-executed ones, not requests that failed to translate.
+  ldap::LdapBatchResult ProcessRequests(const ldap::LdapRequest* requests,
+                                        size_t count, uint32_t poa_site,
+                                        int64_t* foreground_ops);
 
   /// Resolves the identity named by a request's DN (or filter) at the PoA.
   StatusOr<location::Identity> RequestIdentity(
@@ -517,9 +531,9 @@ class UdrNf : public ldap::LdapBackend {
 
   /// Translates one request of an event into a slot, appending pipeline ops
   /// to `batch`. Batchable verbs map 1:1; Delete maps to its read + write
-  /// pair; anything else (or a translation failure) resolves inline via
-  /// `inline_exec` — ProcessBatch uses it to flush-then-execute, the enqueue
-  /// path to execute immediately.
+  /// pair; a translation failure resolves inline with its error; Add and
+  /// unknown verbs go to `inline_exec` — ProcessRequests uses it to
+  /// flush-then-execute, the enqueue path to execute immediately.
   template <typename InlineExec>
   RequestSlot SlotFor(const ldap::LdapRequest& request,
                       routing::BatchRequest* batch, InlineExec&& inline_exec);
@@ -544,6 +558,8 @@ class UdrNf : public ldap::LdapBackend {
   UdrConfig config_;
   sim::Network* network_;
   Metrics metrics_;
+  Metrics::Counter batch_count_;  ///< udr.batch.count
+  Metrics::Counter batch_ops_;    ///< udr.batch.ops
   std::unique_ptr<obs::Tracer> tracer_;
   std::unique_ptr<obs::FlightRecorder> flight_;
   std::unique_ptr<obs::TimeSeriesSampler> sampler_;

@@ -1,11 +1,13 @@
 // Tests for the batched data path: the routing::Router::RouteBatch staged
 // pipeline (per-key op-order preservation, partition grouping, per-op error
 // isolation), the replication-layer grouped entry points, the hash-routed
-// location bypass (equivalence with the location-stage path), and the LDAP
-// multi-op adapter end to end.
+// location bypass (equivalence with the location-stage path), the LDAP
+// multi-op adapter end to end, and the per-op path as a one-op batch.
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -205,7 +207,7 @@ TEST(GroupReadTest, MixedPreferencesAndMissingKeysAreIsolated) {
   replication::GroupReadResult group = rs->ReadBatch(0, ops);
   ASSERT_EQ(group.per_op.size(), 3u);
   EXPECT_TRUE(group.per_op[0].status.ok());
-  EXPECT_TRUE(group.records[0].has_value());
+  EXPECT_TRUE(group.per_op[0].record.has_value());
   EXPECT_TRUE(group.per_op[1].status.ok());
   EXPECT_TRUE(group.per_op[1].value.has_value());
   EXPECT_TRUE(group.per_op[2].status.IsNotFound());
@@ -589,6 +591,122 @@ TEST(LdapBatchTest, BadOpInBatchIsIsolated) {
   EXPECT_EQ(batch.results[0].code, ldap::LdapResultCode::kUnwillingToPerform);
   EXPECT_EQ(batch.results[1].code, ldap::LdapResultCode::kSuccess);
   EXPECT_EQ(batch.failed_ops(), 1);
+}
+
+// ---------------------------------------------------------------------------
+// One verb path: Submit(req) is SubmitBatch({req})
+// ---------------------------------------------------------------------------
+
+TEST(PerOpPathTest, DeleteLatencyIsTheOneOpBatchLatency) {
+  workload::Testbed per_op(BaseOptions(10));
+  workload::Testbed batched(BaseOptions(10));
+  Settle(per_op);
+  Settle(batched);
+  const std::string imsi = per_op.factory().Make(3).imsi;
+  ldap::LdapResult one = per_op.udr().Submit(DeleteOf(imsi), 0);
+  ldap::LdapBatchResult batch = batched.udr().SubmitBatch({DeleteOf(imsi)}, 0);
+  ASSERT_EQ(one.code, ldap::LdapResultCode::kSuccess);
+  ASSERT_EQ(batch.results[0].code, ldap::LdapResultCode::kSuccess);
+  EXPECT_EQ(one.latency, batch.latency);
+}
+
+/// One random request against subscribers [0, 12) of a 10-subscriber bed:
+/// every verb, plus malformed DNs, malformed filters and an unknown verb.
+ldap::LdapRequest RandomRequest(std::mt19937_64& rng,
+                                const telecom::SubscriberFactory& factory) {
+  const telecom::Subscriber sub = factory.Make(rng() % 12);
+  const std::string vlr = "vlr" + std::to_string(rng() % 3);
+  ldap::LdapRequest req;
+  req.dn = ldap::SubscriberDn("imsi", sub.imsi);
+  req.master_only = rng() % 4 == 0;
+  switch (rng() % 9) {
+    case 0:
+      req.op = ldap::LdapOp::kSearch;
+      if (rng() % 2 == 0) req.requested_attrs = {"serving-vlr", "msisdn"};
+      break;
+    case 1:
+      req.op = ldap::LdapOp::kSearch;
+      req.filter = rng() % 2 == 0 ? "(serving-vlr=" + vlr + ")"
+                                  : "(serving-vlr=" + vlr;  // Malformed.
+      break;
+    case 2:
+      req.op = ldap::LdapOp::kSearch;
+      req.dn = ldap::SubscribersBase();
+      req.scope = ldap::SearchScope::kSingleLevel;
+      req.filter = rng() % 2 == 0 ? "(msisdn=" + sub.msisdn + ")"
+                                  : "(msisdn" + sub.msisdn;  // Malformed.
+      break;
+    case 3:
+      req.op = ldap::LdapOp::kCompare;
+      req.compare_attr = rng() % 4 == 0 ? "no-such-attr" : "serving-vlr";
+      req.compare_value = vlr;
+      break;
+    case 4:
+      req.op = ldap::LdapOp::kModify;
+      req.mods.push_back({ldap::ModType::kReplace,
+                          rng() % 5 == 0 ? "msisdn" : "serving-vlr", vlr});
+      break;
+    case 5:
+      req.op = ldap::LdapOp::kDelete;
+      break;
+    case 6:
+      req.op = ldap::LdapOp::kAdd;
+      req.add_entry = sub.profile;
+      break;
+    case 7:  // Malformed DN: the leaf names no subscriber identity.
+      req.op = static_cast<ldap::LdapOp>(rng() % 5);
+      req.dn = ldap::SubscriberDn("cn", "nobody");
+      req.add_entry = sub.profile;
+      req.compare_attr = "serving-vlr";
+      break;
+    default:
+      req.op = static_cast<ldap::LdapOp>(42);  // Unknown verb.
+      break;
+  }
+  return req;
+}
+
+/// Every partition's master copy, key -> record.
+std::map<storage::RecordKey, storage::Record> MasterState(
+    workload::Testbed& bed) {
+  std::map<storage::RecordKey, storage::Record> state;
+  for (uint32_t p = 0; p < bed.udr().partition_count(); ++p) {
+    const replication::ReplicaSet* rs = bed.udr().partition(p);
+    rs->replica_store(rs->master_id())
+        .ForEach([&](storage::RecordKey key, const storage::Record& record) {
+          state.emplace(key, record);
+        });
+  }
+  return state;
+}
+
+TEST(PerOpPathTest, SubmitEqualsOneOpSubmitBatchOverRandomRequests) {
+  workload::Testbed per_op(BaseOptions(10));
+  workload::Testbed batched(BaseOptions(10));
+  std::mt19937_64 rng(2024);
+  for (int i = 0; i < 400; ++i) {
+    const ldap::LdapRequest req = RandomRequest(rng, per_op.factory());
+    const sim::SiteId site = static_cast<sim::SiteId>(rng() % 3);
+    const ldap::LdapResult one = per_op.udr().Submit(req, site);
+    const ldap::LdapBatchResult batch = batched.udr().SubmitBatch({req}, site);
+    ASSERT_EQ(batch.results.size(), 1u);
+    const ldap::LdapResult& b = batch.results[0];
+    ASSERT_EQ(one.code, b.code) << "request " << i << ": " << one.diagnostic;
+    EXPECT_EQ(one.diagnostic, b.diagnostic) << "request " << i;
+    EXPECT_EQ(one.latency, batch.latency) << "request " << i;
+    EXPECT_EQ(one.stale, b.stale) << "request " << i;
+    ASSERT_EQ(one.entries.size(), b.entries.size()) << "request " << i;
+    for (size_t e = 0; e < one.entries.size(); ++e) {
+      EXPECT_EQ(one.entries[e].dn.ToString(), b.entries[e].dn.ToString());
+      EXPECT_TRUE(one.entries[e].record == b.entries[e].record)
+          << "request " << i;
+    }
+    const MicroDuration step = Micros(200 + static_cast<int64_t>(rng() % 800));
+    per_op.clock().Advance(step);
+    batched.clock().Advance(step);
+  }
+  EXPECT_EQ(per_op.udr().SubscriberCount(), batched.udr().SubscriberCount());
+  EXPECT_TRUE(MasterState(per_op) == MasterState(batched));
 }
 
 TEST(FrontEndBatchTest, BatchedProcedureMatchesSequentialEffects) {

@@ -1,13 +1,15 @@
 // Tests for the sharded multi-threaded execution mode (src/exec/): SPSC ring
 // ordering under a real producer/consumer thread pair, Metrics registry
 // thread safety, shard confinement + per-key order through the runtime, and
-// sharded-vs-single-shard end-state equivalence. This file is the TSan
+// sharded-vs-single-shard end-state equivalence, and wall-clock accounting
+// that leaves provisioning out. This file is the TSan
 // target of ci.sh: every test here must be race-free under
 // -fsanitize=thread.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -266,6 +268,23 @@ TEST(ShardRuntimeTest, PartitionAlignedShardingRunsUnderScenarioMap) {
     provisioned += shard.provisioned;
   }
   EXPECT_EQ(provisioned, 200);
+}
+
+TEST(ShardRuntimeTest, WallClockExcludesProvisioning) {
+  // wall_ns is the traffic phase only: with nothing submitted after a large
+  // provisioning pass, it must stay below the time Start() itself took.
+  exec::ShardRuntimeOptions ro;
+  ro.num_shards = 2;
+  ro.shard.total_subscribers = 20000;
+  exec::ShardRuntime runtime(ro);
+  const auto t0 = std::chrono::steady_clock::now();
+  runtime.Start();
+  const int64_t start_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+  const auto& report = runtime.Finish();
+  EXPECT_EQ(report.ops_done, 0);
+  EXPECT_LT(report.wall_ns, start_ns);
 }
 
 TEST(ShardRuntimeTest, BackpressureSurvivesTinyRings) {

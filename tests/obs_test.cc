@@ -4,11 +4,13 @@
 // recorder (per-component ring eviction, SLO-failure dumps), the
 // pre-registered Metrics handle API, and the end-to-end contracts — a traced
 // scenario replays byte-identically, tracing never perturbs the modelled
-// run, and per-shard tracers merge race-free after the workers join (this
+// run, a per-op submit records the same span tree as a batch, and per-shard
+// tracers merge race-free after the workers join (this
 // file runs under TSan in ci.sh alongside exec_test).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "common/metrics.h"
 #include "exec/shard.h"
 #include "exec/shard_runtime.h"
+#include "ldap/dn.h"
 #include "obs/flight_recorder.h"
 #include "obs/time_series.h"
 #include "obs/trace.h"
@@ -478,6 +481,60 @@ TEST(ObsScenarioTest, TraceCoversEveryMajorStage) {
         "\"replica.write\"", "\"replica.read\"", "\"coalesce.park\"",
         "\"coalesce.flush\"", "\"migration.chunk\"", "\"migration.cutover\""}) {
     EXPECT_NE(json.find(stage), std::string::npos) << "missing " << stage;
+  }
+}
+
+/// The name of `span`'s parent within its trace ("" for a root span).
+std::string ParentName(const std::vector<SpanRecord>& spans,
+                       const SpanRecord& span) {
+  for (const SpanRecord& s : spans) {
+    if (s.trace_id == span.trace_id && s.span_id == span.parent_id) {
+      return s.name;
+    }
+  }
+  return "";
+}
+
+TEST(ObsTraceTest, PerOpSubmitRecordsTheFullSpanTree) {
+  workload::TestbedOptions o;
+  o.sites = 3;
+  o.subscribers = 5;
+  o.udr.trace_sample_rate = 1.0;
+  workload::Testbed bed(o);
+  bed.clock().Advance(Seconds(120));
+  bed.udr().CatchUpAllPartitions();
+  Tracer* tracer = bed.udr().tracer();
+  ASSERT_NE(tracer, nullptr);
+  const ldap::Dn dn = ldap::SubscriberDn("imsi", bed.factory().Make(2).imsi);
+
+  // One traced per-op event per verb kind: the read and the write leg.
+  ldap::LdapRequest search;
+  search.op = ldap::LdapOp::kSearch;
+  search.dn = dn;
+  ldap::LdapRequest modify;
+  modify.op = ldap::LdapOp::kModify;
+  modify.dn = dn;
+  modify.mods.push_back(
+      {ldap::ModType::kReplace, "serving-vlr", std::string("vlr7")});
+  for (const ldap::LdapRequest& req : {search, modify}) {
+    const size_t before = tracer->spans().size();
+    ASSERT_TRUE(bed.udr().Submit(req, 0).ok());
+    const std::vector<SpanRecord> spans(tracer->spans().begin() + before,
+                                        tracer->spans().end());
+    std::vector<std::string> edges;  // "parent>child", in record order.
+    for (const SpanRecord& s : spans) {
+      edges.push_back(ParentName(spans, s) + ">" + s.name);
+    }
+    const std::string leaf = req.op == ldap::LdapOp::kSearch
+                                 ? "dispatch>replica.read"
+                                 : "dispatch>replica.write";
+    for (const std::string& edge :
+         {std::string(">event"), std::string("event>route.batch"),
+          std::string("route.batch>resolve"),
+          std::string("route.batch>dispatch"), leaf}) {
+      EXPECT_NE(std::find(edges.begin(), edges.end(), edge), edges.end())
+          << "missing " << edge << " for " << ldap::LdapOpName(req.op);
+    }
   }
 }
 

@@ -353,6 +353,38 @@ TEST_F(UdrLdapTest, SubmitUnreachableEverythingIsUnavailable) {
   EXPECT_EQ(r.code, LdapResultCode::kSuccess);
 }
 
+TEST_F(UdrNfTest, PerOpReadsConsultThePoaCache) {
+  // Process() is a one-request batch, so per-op Searches and Compares share
+  // the pipeline's PoA read-through cache.
+  UdrConfig cfg;
+  cfg.poa_cache_bytes = 1 << 20;
+  Build(cfg);
+  clock_.AdvanceTo(Seconds(1));
+  ASSERT_TRUE(udr_->CreateSubscriber(SpecFor("214", "+34600"), 0).ok());
+  clock_.Advance(Seconds(1));
+  udr_->CatchUpAllPartitions();
+
+  LdapRequest search;
+  search.op = LdapOp::kSearch;
+  search.dn = ldap::SubscriberDn("imsi", "214");
+  // The admission filter wants a few sketch hits before the record enters.
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_EQ(udr_->Submit(search, 0).code, LdapResultCode::kSuccess);
+  }
+  const int64_t search_hits = udr_->metrics().Get("router.cache.hits");
+  EXPECT_GT(search_hits, 0);
+
+  LdapRequest cmp;
+  cmp.op = LdapOp::kCompare;
+  cmp.dn = ldap::SubscriberDn("imsi", "214");
+  cmp.compare_attr = "msisdn";
+  cmp.compare_value = "+34600";
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(udr_->Submit(cmp, 0).code, LdapResultCode::kCompareTrue);
+  }
+  EXPECT_EQ(udr_->metrics().Get("router.cache.hits"), search_hits + 3);
+}
+
 // ---------------------------------------------------------------------------
 // Scale-out (§3.4.2)
 // ---------------------------------------------------------------------------
