@@ -63,12 +63,15 @@ struct Modification {
 /// Search scope (RFC 2251 §4.5.1).
 enum class SearchScope : uint8_t { kBaseObject = 0, kSingleLevel = 1 };
 
+/// The default Search filter: matches every entry (a base-object read).
+inline constexpr char kPresenceFilter[] = "(objectclass=*)";
+
 /// A northbound request to the UDR.
 struct LdapRequest {
   LdapOp op = LdapOp::kSearch;
   Dn dn;                                ///< Target entry / search base.
   SearchScope scope = SearchScope::kBaseObject;
-  std::string filter = "(objectclass=*)";
+  std::string filter = kPresenceFilter;
   std::vector<std::string> requested_attrs;  ///< Empty = all.
   std::vector<Modification> mods;       ///< Modify payload.
   storage::Record add_entry;            ///< Add payload.

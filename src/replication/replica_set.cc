@@ -502,6 +502,8 @@ GroupReadResult ReplicaSet::ReadBatch(sim::SiteId client_site,
       if (rec == nullptr) {
         meta.status =
             Status::NotFound("record " + std::to_string(ops[i].key));
+      } else if (ops[i].projection != nullptr) {
+        meta.record = rec->Projected(*ops[i].projection);
       } else {
         meta.record = *rec;
       }

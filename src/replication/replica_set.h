@@ -102,6 +102,9 @@ struct BatchReadOp {
   storage::RecordKey key = 0;
   std::string attr;  ///< Empty: whole-record snapshot.
   ReadPreference pref = ReadPreference::kNearest;
+  /// Whole-record reads only: copy just these attributes into the result
+  /// (nullptr = all). Staleness is still judged on the whole record.
+  const std::vector<storage::AttrId>* projection = nullptr;
 };
 
 /// Outcome of a grouped write: the partition-group commits as one log-append

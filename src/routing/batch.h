@@ -82,6 +82,14 @@ struct Operation {
 /// A multi-op request entering the pipeline as one unit.
 struct BatchRequest {
   std::vector<Operation> ops;
+  /// Advisory read projections, either empty or 1:1 with `ops`: a non-empty
+  /// entry lists the only attributes a kReadRecord op's caller will look at,
+  /// so the replica may copy just those out of the record. A side table and
+  /// not an Operation field: every op of every batch pays for Operation's
+  /// size, only projected Searches pay for this. Dropping a projection is
+  /// always correct (the whole record is a superset), and the pipeline does
+  /// so wherever it needs the whole record (see Router::DispatchGroup).
+  std::vector<std::vector<storage::AttrId>> projections;
   /// Trace identity of the signaling event this batch serves; default
   /// (inactive) means every pipeline span is a no-op.
   obs::TraceContext trace;
@@ -90,7 +98,27 @@ struct BatchRequest {
   bool empty() const { return ops.empty(); }
   BatchRequest& Add(Operation op) {
     ops.push_back(std::move(op));
+    if (!projections.empty()) projections.emplace_back();
     return *this;
+  }
+  /// Adds a whole-record read restricted to `projection` (empty = none).
+  BatchRequest& Add(Operation op, std::vector<storage::AttrId> projection) {
+    if (!projection.empty()) projections.resize(ops.size());
+    ops.push_back(std::move(op));
+    if (!projections.empty()) projections.push_back(std::move(projection));
+    return *this;
+  }
+  void Clear() {
+    ops.clear();
+    projections.clear();
+  }
+  /// Projection of op `i`; nullptr when it has none (or the side table is
+  /// not 1:1 with `ops`, which drops every projection).
+  const std::vector<storage::AttrId>* ProjectionOf(size_t i) const {
+    if (projections.size() != ops.size() || projections[i].empty()) {
+      return nullptr;
+    }
+    return &projections[i];
   }
 };
 

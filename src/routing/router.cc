@@ -357,7 +357,9 @@ MicroDuration Router::DispatchGroup(const BatchRequest& batch,
       // the cache check below read-your-writes safe: any earlier write of
       // this batch has already committed and invalidated its key.
       flush_writes();
-      if (TryServeFromCache(op, routes[i], cache, &result->outcomes[i])) {
+      const std::vector<storage::AttrId>* projection = batch.ProjectionOf(i);
+      if (TryServeFromCache(op, routes[i], projection, cache,
+                            &result->outcomes[i])) {
         cache_cost += cache->hit_cost();
         ++result->cache_hits;
         if (!result->outcomes[i].ok()) ++result->failed_ops;
@@ -367,6 +369,12 @@ MicroDuration Router::DispatchGroup(const BatchRequest& batch,
       ro.key = routes[i].key;
       if (op.kind == Operation::Kind::kReadAttribute) ro.attr = op.attr;
       ro.pref = op.read_pref;
+      // A kNearest miss at a caching PoA may seed the cache, which needs the
+      // whole record: the projection is dropped for it.
+      if (cache == nullptr ||
+          op.read_pref != replication::ReadPreference::kNearest) {
+        ro.projection = projection;
+      }
       read_ops.push_back(std::move(ro));
       run.push_back(i);
     }
@@ -377,6 +385,7 @@ MicroDuration Router::DispatchGroup(const BatchRequest& batch,
 }
 
 bool Router::TryServeFromCache(const Operation& op, const RouteResult& route,
+                               const std::vector<storage::AttrId>* projection,
                                PoaCache* cache, OpOutcome* out) {
   if (cache == nullptr || op.kind == Operation::Kind::kWrite) return false;
   // Policy boundary: only kNearest reads are cache-eligible. Master-only
@@ -403,7 +412,7 @@ bool Router::TryServeFromCache(const Operation& op, const RouteResult& route,
     }
   } else {
     out->status = Status::Ok();
-    out->record = *rec;
+    out->record = projection != nullptr ? rec->Projected(*projection) : *rec;
   }
   cache_hits_.Add();
   return true;

@@ -252,8 +252,10 @@ class Router {
                               MicroTime dispatch_start);
 
   /// Serves one read op from `cache` when possible (same status/value
-  /// semantics as the replica-set read path). Returns false on miss.
+  /// semantics as the replica-set read path; a whole-record hit copies only
+  /// `projection` when non-null). Returns false on miss.
   bool TryServeFromCache(const Operation& op, const RouteResult& route,
+                         const std::vector<storage::AttrId>* projection,
                          PoaCache* cache, OpOutcome* out);
 
   PartitionMap* map_;

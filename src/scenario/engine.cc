@@ -116,11 +116,16 @@ void Engine::Collect() {
 }
 
 void Engine::FeTick(MicroTime now) {
+  using location::IdentityType;
   const bool storm = now < storm_until_ && storm_events_ > 0;
   const int burst = storm ? storm_events_ : 1;
   for (int b = 0; b < burst; ++b) {
     uint64_t index = subscriber_pick_.Next(rng_);
-    telecom::Subscriber sub = bed_.factory().Make(index);
+    // A procedure names its subscriber by one identity: derive only that one,
+    // never the whole profile (Make's profile Rng is its own, not rng_).
+    auto id = [&](IdentityType type) {
+      return bed_.factory().IdentityOf(index, type);
+    };
     sim::SiteId serving = bed_.HomeSiteOf(index);
     if (now < wave_until_ && rng_.Bernoulli(wave_fraction_)) {
       serving = wave_site_;
@@ -133,8 +138,8 @@ void Engine::FeTick(MicroTime now) {
       fe.set_deferred(true);
       int64_t stamp = ++next_stamp_;
       Dispatch(&fe,
-               fe.UpdateLocation(sub.ImsiId(), "vlr" + std::to_string(serving),
-                                 stamp),
+               fe.UpdateLocation(id(IdentityType::kImsi),
+                                 "vlr" + std::to_string(serving), stamp),
                /*is_write=*/true, /*storm=*/true, index, stamp);
       fe.set_deferred(was_deferred);
       continue;
@@ -143,32 +148,38 @@ void Engine::FeTick(MicroTime now) {
       telecom::HssFe& fe = *hss_fes_[serving];
       double pick = rng_.NextDouble();
       if (pick < 0.55) {
-        Dispatch(&fe, fe.ImsLocate(sub.ImpuId()), false, false, index, 0);
+        Dispatch(&fe, fe.ImsLocate(id(IdentityType::kImpu)), false, false,
+                 index, 0);
       } else if (pick < 0.80) {
         Dispatch(&fe,
-                 fe.ImsRegister(sub.ImpuId(), "scscf" + std::to_string(serving)),
+                 fe.ImsRegister(id(IdentityType::kImpu),
+                                "scscf" + std::to_string(serving)),
                  true, false, index, 0);
       } else {
-        Dispatch(&fe, fe.ImsDeregister(sub.ImpuId()), true, false, index, 0);
+        Dispatch(&fe, fe.ImsDeregister(id(IdentityType::kImpu)), true, false,
+                 index, 0);
       }
     } else {
       telecom::HlrFe& fe = *hlr_fes_[serving];
       double pick = rng_.NextDouble();
       if (pick < 0.35) {
-        Dispatch(&fe, fe.Authenticate(sub.ImsiId()), false, false, index, 0);
+        Dispatch(&fe, fe.Authenticate(id(IdentityType::kImsi)), false, false,
+                 index, 0);
       } else if (pick < 0.55) {
-        Dispatch(&fe, fe.SendRoutingInfo(sub.MsisdnId()), false, false, index,
-                 0);
+        Dispatch(&fe, fe.SendRoutingInfo(id(IdentityType::kMsisdn)), false,
+                 false, index, 0);
       } else if (pick < 0.70) {
-        Dispatch(&fe, fe.SmsRouting(sub.MsisdnId()), false, false, index, 0);
+        Dispatch(&fe, fe.SmsRouting(id(IdentityType::kMsisdn)), false, false,
+                 index, 0);
       } else if (pick < 0.80) {
-        Dispatch(&fe, fe.InterrogateSs(sub.MsisdnId()), false, false, index, 0);
+        Dispatch(&fe, fe.InterrogateSs(id(IdentityType::kMsisdn)), false,
+                 false, index, 0);
       } else {
         // The stamped FE write channel: the acked stamp IS the location
         // area, so the ledger audit can read it back from the master copy.
         int64_t stamp = ++next_stamp_;
         Dispatch(&fe,
-                 fe.UpdateLocation(sub.ImsiId(),
+                 fe.UpdateLocation(id(IdentityType::kImsi),
                                    "vlr" + std::to_string(serving), stamp),
                  true, false, index, stamp);
       }

@@ -137,6 +137,17 @@ const Attribute* Record::FindById(AttrId id) const {
   return &attrs_[pos].attr;
 }
 
+Record Record::Projected(const std::vector<AttrId>& ids) const {
+  Record out;
+  out.attrs_.reserve(ids.size());
+  for (AttrId id : ids) {
+    if (const Attribute* a = FindById(id)) {
+      out.SetById(id, a->value, a->modified_at, a->writer);
+    }
+  }
+  return out;
+}
+
 std::optional<Value> Record::Get(std::string_view name) const {
   const Attribute* attr = Find(name);
   if (attr == nullptr) return std::nullopt;

@@ -106,6 +106,10 @@ class Record {
 
   bool Has(std::string_view name) const { return Find(name) != nullptr; }
 
+  /// Copy of just the attributes named by `ids` that this record holds
+  /// (version 0; unknown and duplicate ids are harmless).
+  Record Projected(const std::vector<AttrId>& ids) const;
+
   /// Packed entries, sorted by interned name id.
   const std::vector<PackedAttr>& entries() const { return attrs_; }
   size_t attribute_count() const { return attrs_.size(); }

@@ -34,7 +34,7 @@ ldap::LdapRequest FrontEnd::MakeRead(
   req.op = ldap::LdapOp::kSearch;
   req.dn = DnFor(id);
   req.scope = ldap::SearchScope::kBaseObject;
-  req.filter = "(objectclass=*)";
+  req.filter = ldap::kPresenceFilter;
   req.requested_attrs = attrs;
   return req;
 }
@@ -68,11 +68,8 @@ void FrontEnd::Fold(const ldap::LdapResult& r, ProcedureResult* out) {
 
 void FrontEnd::FoldBatch(const ldap::LdapBatchResult& batch,
                          ProcedureResult* out) {
-  for (const ldap::LdapResult& r : batch.results) {
-    ldap::LdapResult shadow = r;
-    shadow.latency = 0;  // The batch latency is not a per-op sum.
-    Fold(shadow, out);
-  }
+  for (const ldap::LdapResult& r : batch.results) Fold(r, out);
+  // The batch latency is not a per-op sum: it replaces what Fold summed.
   out->latency = batch.latency;
   out->queue_delay = batch.queue_delay;
 }

@@ -18,14 +18,35 @@ std::string SubscriberFactory::MsisdnOf(uint64_t index) const {
                    static_cast<unsigned long long>(index + 1));
 }
 
+std::string SubscriberFactory::ImsDomain() const {
+  return StrFormat("@ims.mnc%03d.mcc%03d.3gppnetwork.org", mnc_, mcc_);
+}
+
+std::string SubscriberFactory::ImpuOf(uint64_t index) const {
+  return "sip:" + MsisdnOf(index) + ImsDomain();
+}
+
+location::Identity SubscriberFactory::IdentityOf(
+    uint64_t index, location::IdentityType type) const {
+  switch (type) {
+    case location::IdentityType::kImsi:
+      return {type, ImsiOf(index)};
+    case location::IdentityType::kMsisdn:
+      return {type, MsisdnOf(index)};
+    case location::IdentityType::kImpu:
+      return {type, ImpuOf(index)};
+    case location::IdentityType::kImpi:
+      return {type, ImsiOf(index) + ImsDomain()};
+  }
+  return {type, ImsiOf(index)};
+}
+
 Subscriber SubscriberFactory::Make(uint64_t index) const {
   Subscriber s;
   s.imsi = ImsiOf(index);
   s.msisdn = MsisdnOf(index);
-  s.impi = s.imsi + StrFormat("@ims.mnc%03d.mcc%03d.3gppnetwork.org", mnc_, mcc_);
-  s.impus = {"sip:" + s.msisdn + StrFormat("@ims.mnc%03d.mcc%03d.3gppnetwork.org",
-                                           mnc_, mcc_),
-             "tel:" + s.msisdn};
+  s.impi = s.imsi + ImsDomain();
+  s.impus = {"sip:" + s.msisdn + ImsDomain(), "tel:" + s.msisdn};
 
   Rng rng(seed_ ^ (index * 0x9E3779B97F4A7C15ULL + 1));
   storage::Record& p = s.profile;

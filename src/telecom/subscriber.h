@@ -78,8 +78,19 @@ class SubscriberFactory {
   std::string ImsiOf(uint64_t index) const;
   /// MSISDN of subscriber `index`.
   std::string MsisdnOf(uint64_t index) const;
+  /// First (SIP) IMPU of subscriber `index`: `Make(index).impus.front()`.
+  std::string ImpuOf(uint64_t index) const;
+
+  /// Subscriber `index`'s identity of one type, derived without building the
+  /// profile — what a traffic tick needs to name the subscriber of an FE
+  /// procedure (kImpu is the first IMPU).
+  location::Identity IdentityOf(uint64_t index,
+                                location::IdentityType type) const;
 
  private:
+  /// Home IMS domain suffix of the IMPI and the SIP IMPU.
+  std::string ImsDomain() const;
+
   uint64_t seed_;
   int mcc_;
   int mnc_;

@@ -23,6 +23,19 @@ using storage::Record;
 
 namespace {
 
+/// True when every attribute `record` holds is one of `names`: the record is
+/// then its own projection onto `names`.
+bool HoldsOnly(const Record& record, const std::vector<std::string>& names) {
+  if (record.attribute_count() > names.size()) return false;
+  for (const storage::PackedAttr& e : record.entries()) {
+    if (std::find(names.begin(), names.end(),
+                  storage::AttrNameOf(e.name_id)) == names.end()) {
+      return false;
+    }
+  }
+  return true;
+}
+
 routing::PartitionMapConfig MapConfigFrom(const UdrConfig& config) {
   routing::PartitionMapConfig mc;
   mc.replication_factor = config.replication_factor;
@@ -43,6 +56,11 @@ UdrNf::UdrNf(UdrConfig config, sim::Network* network)
       network_(network),
       batch_count_(metrics_.RegisterCounter("udr.batch.count")),
       batch_ops_(metrics_.RegisterCounter("udr.batch.ops")),
+      submit_ok_(metrics_.RegisterCounter("udr.submit.ok")),
+      submit_failed_(metrics_.RegisterCounter("udr.submit.failed")),
+      search_ok_(metrics_.RegisterCounter("udr.search.ok")),
+      modify_ok_(metrics_.RegisterCounter("udr.modify.ok")),
+      modify_failed_(metrics_.RegisterCounter("udr.modify.failed")),
       map_(MapConfigFrom(config_), network),
       router_(&map_, network, &metrics_),
       placement_(routing::MakePlacementPolicy(config_.placement)),
@@ -698,7 +716,7 @@ LdapResult UdrNf::Submit(const LdapRequest& request, sim::SiteId client_site) {
   // Client <-> PoA leg (LAN when the client is co-located, §3.3.2 measure 1).
   result.latency += network_->topology().Rtt(client_site, cluster->site()) +
                     network_->topology().HopOverhead();
-  metrics_.Add(result.ok() ? "udr.submit.ok" : "udr.submit.failed");
+  (result.ok() ? submit_ok_ : submit_failed_).Add();
   return result;
 }
 
@@ -755,23 +773,30 @@ LdapResult UdrNf::ProcessInline(const LdapRequest& request, uint32_t poa_site) {
 }
 
 LdapResult UdrNf::SearchResultFor(const LdapRequest& request,
-                                  const storage::Record& record) const {
+                                  storage::Record record) const {
   LdapResult r;
-  auto filter = ldap::Filter::Parse(request.filter);
-  if (!filter.ok()) {
-    r.code = LdapResultCode::kProtocolError;
-    r.diagnostic = filter.status().message();
-    return r;
+  // The default presence filter matches every entry: no parse needed.
+  bool matches = true;
+  if (request.filter != ldap::kPresenceFilter) {
+    auto filter = ldap::Filter::Parse(request.filter);
+    if (!filter.ok()) {
+      r.code = LdapResultCode::kProtocolError;
+      r.diagnostic = filter.status().message();
+      return r;
+    }
+    matches = (filter->kind() == ldap::Filter::Kind::kPresence &&
+               filter->attr() == "objectclass") ||
+              filter->Matches(record);
   }
-  bool matches = filter->kind() == ldap::Filter::Kind::kPresence &&
-                         filter->attr() == "objectclass"
-                     ? true
-                     : filter->Matches(record);
   if (matches) {
     ldap::SearchEntry entry;
     entry.dn = request.dn;
     if (request.requested_attrs.empty()) {
-      entry.record = record;
+      entry.record = std::move(record);
+    } else if (HoldsOnly(record, request.requested_attrs)) {
+      // Already the projection (the replica projected it): no second copy.
+      entry.record = std::move(record);
+      entry.record.set_version(0);
     } else {
       for (const std::string& attr : request.requested_attrs) {
         const storage::Attribute* a = record.Find(attr);
@@ -784,6 +809,23 @@ LdapResult UdrNf::SearchResultFor(const LdapRequest& request,
   }
   r.code = LdapResultCode::kSuccess;
   return r;
+}
+
+std::vector<storage::AttrId> UdrNf::SearchProjection(
+    const LdapRequest& request) {
+  std::vector<storage::AttrId> ids;
+  if (request.op != ldap::LdapOp::kSearch ||
+      request.scope != ldap::SearchScope::kBaseObject ||
+      request.filter != ldap::kPresenceFilter) {
+    return ids;
+  }
+  ids.reserve(request.requested_attrs.size());
+  for (const std::string& attr : request.requested_attrs) {
+    const storage::AttrId id = storage::LookupAttr(attr);
+    if (id == storage::kInvalidAttrId) return {};
+    ids.push_back(id);
+  }
+  return ids;
 }
 
 LdapResult UdrNf::DoAdd(const LdapRequest& request, uint32_t poa_site) {
@@ -874,12 +916,12 @@ StatusOr<routing::Operation> UdrNf::OperationFrom(
 }
 
 LdapResult UdrNf::ResultFromOutcome(const LdapRequest& request,
-                                    const routing::OpOutcome& outcome) {
+                                    routing::OpOutcome& outcome) {
   LdapResult r;
   r.latency = outcome.latency;
   r.stale = outcome.stale;
   if (!outcome.ok()) {
-    if (request.op == ldap::LdapOp::kModify) metrics_.Add("udr.modify.failed");
+    if (request.op == ldap::LdapOp::kModify) modify_failed_.Add();
     r.code = StatusToLdapCode(outcome.status);
     r.diagnostic = outcome.status.message();
     return r;
@@ -892,10 +934,10 @@ LdapResult UdrNf::ResultFromOutcome(const LdapRequest& request,
         return r;
       }
       MicroDuration latency = r.latency;
-      r = SearchResultFor(request, *outcome.record);
+      r = SearchResultFor(request, *std::move(outcome.record));
       r.latency = latency;
       r.stale = outcome.stale;
-      if (r.ok()) metrics_.Add("udr.search.ok");
+      if (r.ok()) search_ok_.Add();
       return r;
     }
     case ldap::LdapOp::kCompare:
@@ -907,7 +949,7 @@ LdapResult UdrNf::ResultFromOutcome(const LdapRequest& request,
       return r;
     case ldap::LdapOp::kModify:
       r.code = LdapResultCode::kSuccess;
-      metrics_.Add("udr.modify.ok");
+      modify_ok_.Add();
       return r;
     default:
       r.code = LdapResultCode::kOperationsError;
@@ -946,7 +988,7 @@ ldap::LdapResult UdrNf::FinishBatchedDelete(const Identity& id,
 
 template <typename InlineExec>
 UdrNf::RequestSlot UdrNf::SlotFor(const LdapRequest& request,
-                                  routing::BatchRequest* batch,
+                                  routing::BatchRequest* batch, bool project,
                                   InlineExec&& inline_exec) {
   RequestSlot slot;
   switch (request.op) {
@@ -961,7 +1003,11 @@ UdrNf::RequestSlot UdrNf::SlotFor(const LdapRequest& request,
       }
       slot.kind = RequestSlot::Kind::kPipeline;
       slot.op = batch->size();
-      batch->Add(*std::move(op));
+      if (project) {
+        batch->Add(*std::move(op), SearchProjection(request));
+      } else {
+        batch->Add(*std::move(op));
+      }
       return slot;
     }
     case ldap::LdapOp::kDelete: {
@@ -1037,13 +1083,13 @@ ldap::LdapBatchResult UdrNf::ProcessRequests(const LdapRequest* requests,
                                     br.outcomes[slot.write_op])
               : ResultFromOutcome(requests[idx], br.outcomes[slot.op]);
     }
-    batch.ops.clear();
+    batch.Clear();
     slots.clear();
   };
 
   for (size_t i = 0; i < count; ++i) {
     bool executed_inline = false;
-    RequestSlot slot = SlotFor(requests[i], &batch,
+    RequestSlot slot = SlotFor(requests[i], &batch, /*project=*/true,
                                [&](const LdapRequest& req) {
                                  // Flush the pending run so per-key order
                                  // holds, then execute in place.
@@ -1110,14 +1156,17 @@ uint64_t UdrNf::EnqueueBatch(const std::vector<LdapRequest>& requests,
   event.requests = requests;
   routing::BatchRequest batch;
   event.slots.reserve(requests.size());
+  // The window's aggregate batch drops projections: ask for none.
+  auto enqueue_inline = [&](const LdapRequest& r) {
+    // Unreachable for Add (handled above); anything else landing here is
+    // an unsupported verb whose error resolves at enqueue.
+    LdapResult res = ProcessInline(r, poa_site);
+    event.inline_latency += res.latency;
+    return res;
+  };
   for (const LdapRequest& req : requests) {
-    event.slots.push_back(SlotFor(req, &batch, [&](const LdapRequest& r) {
-      // Unreachable for Add (handled above); anything else landing here is
-      // an unsupported verb whose error resolves at enqueue.
-      LdapResult res = ProcessInline(r, poa_site);
-      event.inline_latency += res.latency;
-      return res;
-    }));
+    event.slots.push_back(
+        SlotFor(req, &batch, /*project=*/false, enqueue_inline));
   }
 
   if (batch.empty()) {
@@ -1264,7 +1313,7 @@ std::optional<ldap::LdapBatchResult> UdrNf::TakeEvent(uint64_t handle) {
   result->latency +=
       network_->topology().Rtt(it->second.first, cluster->site()) +
       network_->topology().HopOverhead();
-  metrics_.Add(result->ok() ? "udr.submit.ok" : "udr.submit.failed");
+  (result->ok() ? submit_ok_ : submit_failed_).Add();
   event_clients_.erase(it);
   return result;
 }
@@ -1290,7 +1339,7 @@ LdapBatchResult UdrNf::SubmitBatch(const std::vector<LdapRequest>& requests,
   // per-request transit the batch saves over Submit-per-op.
   result.latency += network_->topology().Rtt(client_site, cluster->site()) +
                     network_->topology().HopOverhead();
-  metrics_.Add(result.ok() ? "udr.submit.ok" : "udr.submit.failed");
+  (result.ok() ? submit_ok_ : submit_failed_).Add();
   return result;
 }
 

@@ -488,10 +488,19 @@ class UdrNf : public ldap::LdapBackend {
   replication::ReadPreference ReadPrefFor(const ldap::LdapRequest& request) const;
 
   /// Filter match + attribute projection over a fetched record (the verb
-  /// semantics of Search after the data path returned the record). Latency
+  /// semantics of Search after the data path returned the record). A record
+  /// the data path already projected moves into the entry uncopied. Latency
   /// and staleness are the caller's to fill.
   ldap::LdapResult SearchResultFor(const ldap::LdapRequest& request,
-                                   const storage::Record& record) const;
+                                   storage::Record record) const;
+
+  /// The attribute ids a Search may push down to the replica as its read
+  /// projection: a base-object Search with the default presence filter (so
+  /// no other attribute is needed to match) and requested attributes. Empty
+  /// when any requested name was never interned — a Modify earlier in the
+  /// same batch could intern it, and the projection would then miss it.
+  static std::vector<storage::AttrId> SearchProjection(
+      const ldap::LdapRequest& request);
 
   /// Translates a Modify request into pipeline mutations; FailedPrecondition
   /// when it touches an immutable identity attribute.
@@ -503,9 +512,10 @@ class UdrNf : public ldap::LdapBackend {
       const ldap::LdapRequest& request) const;
 
   /// Maps one pipeline outcome back onto the request's LDAP result,
-  /// keeping the per-verb metrics in parity with the per-op path.
+  /// keeping the per-verb metrics in parity with the per-op path. A Search
+  /// takes the outcome's record.
   ldap::LdapResult ResultFromOutcome(const ldap::LdapRequest& request,
-                                     const routing::OpOutcome& outcome);
+                                     routing::OpOutcome& outcome);
 
   /// How one request of a multi-op event maps onto the pipeline batch.
   struct RequestSlot {
@@ -530,13 +540,15 @@ class UdrNf : public ldap::LdapBackend {
                                        const routing::OpOutcome& write);
 
   /// Translates one request of an event into a slot, appending pipeline ops
-  /// to `batch`. Batchable verbs map 1:1; Delete maps to its read + write
-  /// pair; a translation failure resolves inline with its error; Add and
-  /// unknown verbs go to `inline_exec` — ProcessRequests uses it to
-  /// flush-then-execute, the enqueue path to execute immediately.
+  /// to `batch`. Batchable verbs map 1:1 (a Search with its projection when
+  /// `project`); Delete maps to its read + write pair; a translation failure
+  /// resolves inline with its error; Add and unknown verbs go to
+  /// `inline_exec` — ProcessRequests uses it to flush-then-execute, the
+  /// enqueue path to execute immediately.
   template <typename InlineExec>
   RequestSlot SlotFor(const ldap::LdapRequest& request,
-                      routing::BatchRequest* batch, InlineExec&& inline_exec);
+                      routing::BatchRequest* batch, bool project,
+                      InlineExec&& inline_exec);
 
   /// One event parked in a cluster's dispatch window, waiting for its flush.
   struct PendingEvent {
@@ -558,8 +570,13 @@ class UdrNf : public ldap::LdapBackend {
   UdrConfig config_;
   sim::Network* network_;
   Metrics metrics_;
-  Metrics::Counter batch_count_;  ///< udr.batch.count
-  Metrics::Counter batch_ops_;    ///< udr.batch.ops
+  Metrics::Counter batch_count_;     ///< udr.batch.count
+  Metrics::Counter batch_ops_;       ///< udr.batch.ops
+  Metrics::Counter submit_ok_;       ///< udr.submit.ok
+  Metrics::Counter submit_failed_;   ///< udr.submit.failed
+  Metrics::Counter search_ok_;       ///< udr.search.ok
+  Metrics::Counter modify_ok_;       ///< udr.modify.ok
+  Metrics::Counter modify_failed_;   ///< udr.modify.failed
   std::unique_ptr<obs::Tracer> tracer_;
   std::unique_ptr<obs::FlightRecorder> flight_;
   std::unique_ptr<obs::TimeSeriesSampler> sampler_;

@@ -9,6 +9,7 @@
 
 namespace udr::workload {
 
+using location::IdentityType;
 using telecom::HlrFe;
 using telecom::HssFe;
 using telecom::ProcedureResult;
@@ -122,7 +123,10 @@ TrafficReport RunTraffic(Testbed& bed, const TrafficOptions& opts) {
       next_fe += fe_gap;
       for (int b = 0; b < burst; ++b) {
         uint64_t index = subscriber_pick.Next(rng);
-        telecom::Subscriber sub = bed.factory().Make(index);
+        // Only the identity the drawn procedure uses, never the profile.
+        auto id = [&](IdentityType type) {
+          return bed.factory().IdentityOf(index, type);
+        };
         sim::SiteId home = bed.HomeSiteOf(index);
         sim::SiteId serving = home;
         if (bed.options().sites > 1 && rng.Bernoulli(opts.roaming_fraction)) {
@@ -134,29 +138,35 @@ TrafficReport RunTraffic(Testbed& bed, const TrafficOptions& opts) {
           HssFe& fe = *hss_fes[serving];
           double pick = rng.NextDouble();
           if (pick < 0.55) {
-            dispatch(report.fe_read, fe, fe.ImsLocate(sub.ImpuId()));
+            dispatch(report.fe_read, fe, fe.ImsLocate(id(IdentityType::kImpu)));
           } else if (pick < 0.80) {
             dispatch(report.fe_write, fe,
-                     fe.ImsRegister(sub.ImpuId(),
+                     fe.ImsRegister(id(IdentityType::kImpu),
                                     "scscf" + std::to_string(serving)));
           } else {
-            dispatch(report.fe_write, fe, fe.ImsDeregister(sub.ImpuId()));
+            dispatch(report.fe_write, fe,
+                     fe.ImsDeregister(id(IdentityType::kImpu)));
           }
         } else {
           HlrFe& fe = *hlr_fes[serving];
           double pick = rng.NextDouble();
           if (pick < 0.35) {
-            dispatch(report.fe_read, fe, fe.Authenticate(sub.ImsiId()));
+            dispatch(report.fe_read, fe,
+                     fe.Authenticate(id(IdentityType::kImsi)));
           } else if (pick < 0.55) {
-            dispatch(report.fe_read, fe, fe.SendRoutingInfo(sub.MsisdnId()));
+            dispatch(report.fe_read, fe,
+                     fe.SendRoutingInfo(id(IdentityType::kMsisdn)));
           } else if (pick < 0.70) {
-            dispatch(report.fe_read, fe, fe.SmsRouting(sub.MsisdnId()));
+            dispatch(report.fe_read, fe,
+                     fe.SmsRouting(id(IdentityType::kMsisdn)));
           } else if (pick < 0.80) {
-            dispatch(report.fe_read, fe, fe.InterrogateSs(sub.MsisdnId()));
+            dispatch(report.fe_read, fe,
+                     fe.InterrogateSs(id(IdentityType::kMsisdn)));
           } else {
             dispatch(report.fe_write, fe,
                      fe.UpdateLocation(
-                         sub.ImsiId(), "vlr" + std::to_string(serving),
+                         id(IdentityType::kImsi),
+                         "vlr" + std::to_string(serving),
                          static_cast<int64_t>(serving * 100 + rng.Uniform(100))));
           }
         }

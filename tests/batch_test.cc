@@ -2,10 +2,13 @@
 // pipeline (per-key op-order preservation, partition grouping, per-op error
 // isolation), the replication-layer grouped entry points, the hash-routed
 // location bypass (equivalence with the location-stage path), the LDAP
-// multi-op adapter end to end, and the per-op path as a one-op batch.
+// multi-op adapter end to end, the per-op path as a one-op batch, and the
+// Search projection push-down (entries equal the master record's requested
+// projection on every client entry point, with and without a PoA cache).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <random>
 #include <set>
@@ -13,6 +16,7 @@
 #include <vector>
 
 #include "ldap/dn.h"
+#include "ldap/filter.h"
 #include "routing/batch.h"
 #include "routing/router.h"
 #include "telecom/front_end.h"
@@ -737,6 +741,244 @@ TEST(FrontEndBatchTest, BatchedProcedureMatchesSequentialEffects) {
   }
   // The multi-op message is cheaper end to end.
   EXPECT_LT(bat.latency, seq.latency);
+}
+
+// ---------------------------------------------------------------------------
+// Search projection push-down
+// ---------------------------------------------------------------------------
+
+// Per-op side data (the Search projection) lives in BatchRequest side tables,
+// never in Operation: every op of every batch pays for Operation's size, and
+// growing it by one vector measurably slowed the sharded op stream.
+struct OperationLayout {
+  Operation::Kind kind;
+  Identity identity;
+  std::string attr;
+  std::vector<Mutation> mutations;
+  ReadPreference read_pref;
+};
+static_assert(sizeof(Operation) == sizeof(OperationLayout),
+              "routing::Operation grew: put per-op side data in a "
+              "BatchRequest side table instead");
+
+TEST(BatchProjectionTest, SideTableStaysEmptyOrOneToOne) {
+  const storage::AttrId vlr = storage::InternAttr("serving-vlr");
+  BatchRequest batch;
+  batch.Add(Operation::ReadRecord({IdentityType::kImsi, "1"}));
+  EXPECT_TRUE(batch.projections.empty());
+  EXPECT_EQ(batch.ProjectionOf(0), nullptr);
+  batch.Add(Operation::ReadRecord({IdentityType::kImsi, "2"}), {vlr});
+  batch.Add(Operation::ReadRecord({IdentityType::kImsi, "3"}));
+  ASSERT_EQ(batch.projections.size(), batch.ops.size());
+  EXPECT_EQ(batch.ProjectionOf(0), nullptr);
+  ASSERT_NE(batch.ProjectionOf(1), nullptr);
+  EXPECT_EQ(*batch.ProjectionOf(1), std::vector<storage::AttrId>{vlr});
+  EXPECT_EQ(batch.ProjectionOf(2), nullptr);
+  // A side table out of step with the ops is dropped as a whole.
+  batch.ops.push_back(Operation::ReadRecord({IdentityType::kImsi, "4"}));
+  EXPECT_EQ(batch.ProjectionOf(1), nullptr);
+  batch.Clear();
+  EXPECT_TRUE(batch.empty());
+  EXPECT_TRUE(batch.projections.empty());
+}
+
+/// One seeded Search and the identity its DN names.
+struct SeededSearch {
+  ldap::LdapRequest request;
+  Identity identity;
+};
+
+/// Interned (CheckSearchStream interns it) but held by no record.
+constexpr char kInternedAbsentAttr[] = "projection-interned-absent-attr";
+
+/// A base-object Search of subscriber [0, 10) under one of its identities:
+/// a random requested-attribute subset (identity attributes included, and
+/// names no record holds: one interned, one never interned; sometimes none,
+/// i.e. the whole record), now and then a non-presence filter on an
+/// attribute it did not request, and master_only on a quarter.
+SeededSearch RandomSearch(std::mt19937_64& rng,
+                          const telecom::SubscriberFactory& factory) {
+  static const char* const kNames[] = {
+      "serving-vlr",  "msisdn",  "imsi",     "impu",
+      "impi",         "authkey", "sqn",      "category",
+      "teleservices", kInternedAbsentAttr,   "projection-never-interned-attr"};
+  static const IdentityType kTypes[] = {
+      IdentityType::kImsi, IdentityType::kMsisdn, IdentityType::kImpu};
+  const uint64_t index = rng() % 10;
+  SeededSearch out;
+  out.identity = factory.IdentityOf(index, kTypes[rng() % 3]);
+  ldap::LdapRequest& req = out.request;
+  req.op = ldap::LdapOp::kSearch;
+  req.dn = ldap::SubscriberDn(
+      location::IdentityTypeName(out.identity.type), out.identity.value);
+  req.master_only = rng() % 4 == 0;
+  if (rng() % 5 != 0) {
+    for (const char* name : kNames) {
+      if (rng() % 3 == 0) req.requested_attrs.push_back(name);
+    }
+  }
+  if (rng() % 5 == 0) {
+    // Matching needs an attribute the projection would not carry.
+    req.filter = "(category=ordinary)";
+    req.requested_attrs.erase(
+        std::remove(req.requested_attrs.begin(), req.requested_attrs.end(),
+                    "category"),
+        req.requested_attrs.end());
+  }
+  return out;
+}
+
+/// What `search` must return: the master record (when the filter matches)
+/// projected onto the requested attributes.
+std::vector<storage::Record> ExpectedEntries(workload::Testbed& bed,
+                                             const SeededSearch& search) {
+  auto loc = bed.udr().AuthoritativeLookup(search.identity);
+  EXPECT_TRUE(loc.ok());
+  if (!loc.ok()) return {};
+  const replication::ReplicaSet* rs = bed.udr().partition(loc->partition);
+  const storage::Record* master =
+      rs->replica_store(rs->master_id()).Find(loc->key);
+  EXPECT_NE(master, nullptr);
+  if (master == nullptr) return {};
+  auto filter = ldap::Filter::Parse(search.request.filter);
+  EXPECT_TRUE(filter.ok());
+  if (!filter.ok()) return {};
+  const bool matches = filter->kind() == ldap::Filter::Kind::kPresence ||
+                       filter->Matches(*master);
+  if (!matches) return {};
+  if (search.request.requested_attrs.empty()) return {*master};
+  storage::Record want;
+  for (const std::string& name : search.request.requested_attrs) {
+    if (const storage::Attribute* a = master->Find(name)) {
+      want.Set(name, a->value, a->modified_at, a->writer);
+    }
+  }
+  return {want};
+}
+
+enum class SearchPath { kSubmit, kSubmitBatch, kSubmitEvent };
+
+/// A 10-subscriber bed for `path` (the event path needs a PoA window).
+workload::TestbedOptions SearchOptions(SearchPath path,
+                                       int64_t poa_cache_bytes = 0) {
+  workload::TestbedOptions opts = BaseOptions(10);
+  if (path == SearchPath::kSubmitEvent) {
+    opts.udr.coalesce_window_us = Micros(200);
+  }
+  opts.udr.poa_cache_bytes = poa_cache_bytes;
+  opts.udr.poa_cache_admit_min = 2;
+  return opts;
+}
+
+/// Sends a seeded Search stream through one client entry point of `bed`
+/// (settled first) and checks every result against the master copy. The
+/// event path parks 1-3 events per PoA window before flushing it.
+void CheckSearchStream(workload::Testbed& bed, SearchPath path) {
+  storage::InternAttr(kInternedAbsentAttr);
+  Settle(bed);
+  std::mt19937_64 rng(1313);
+  for (int round = 0; round < 150; ++round) {
+    const sim::SiteId site = static_cast<sim::SiteId>(rng() % 3);
+    const size_t events = path == SearchPath::kSubmitEvent ? 1 + rng() % 3 : 1;
+    std::vector<std::vector<SeededSearch>> searches(events);
+    std::vector<std::vector<ldap::LdapResult>> results(events);
+    std::vector<uint64_t> handles;
+    for (size_t e = 0; e < events; ++e) {
+      const size_t n = path == SearchPath::kSubmit ? 1 : 1 + rng() % 6;
+      std::vector<ldap::LdapRequest> requests;
+      for (size_t i = 0; i < n; ++i) {
+        searches[e].push_back(RandomSearch(rng, bed.factory()));
+        requests.push_back(searches[e].back().request);
+      }
+      switch (path) {
+        case SearchPath::kSubmit:
+          results[e].push_back(bed.udr().Submit(requests.front(), site));
+          break;
+        case SearchPath::kSubmitBatch:
+          results[e] = bed.udr().SubmitBatch(requests, site).results;
+          break;
+        case SearchPath::kSubmitEvent: {
+          auto handle = bed.udr().SubmitEvent(requests, site);
+          ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+          handles.push_back(*handle);
+          break;
+        }
+      }
+    }
+    if (path == SearchPath::kSubmitEvent) {
+      bed.udr().FlushEvents();
+      for (size_t e = 0; e < events; ++e) {
+        auto out = bed.udr().TakeEvent(handles[e]);
+        ASSERT_TRUE(out.has_value());
+        results[e] = out->results;
+      }
+    }
+    for (size_t e = 0; e < events; ++e) {
+      ASSERT_EQ(results[e].size(), searches[e].size());
+      for (size_t i = 0; i < results[e].size(); ++i) {
+        const ldap::LdapResult& r = results[e][i];
+        const std::string what = "round " + std::to_string(round) + " op " +
+                                 std::to_string(i) + " " +
+                                 searches[e][i].request.dn.ToString();
+        ASSERT_EQ(r.code, ldap::LdapResultCode::kSuccess)
+            << what << ": " << r.diagnostic;
+        const std::vector<storage::Record> want =
+            ExpectedEntries(bed, searches[e][i]);
+        ASSERT_EQ(r.entries.size(), want.size()) << what;
+        for (size_t k = 0; k < want.size(); ++k) {
+          EXPECT_TRUE(r.entries[k].record == want[k]) << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(SearchProjectionTest, EntriesEqualTheMasterProjectionOnEveryPath) {
+  for (SearchPath path : {SearchPath::kSubmit, SearchPath::kSubmitBatch,
+                          SearchPath::kSubmitEvent}) {
+    SCOPED_TRACE(static_cast<int>(path));
+    workload::Testbed bed(SearchOptions(path));
+    CheckSearchStream(bed, path);
+  }
+}
+
+TEST(SearchProjectionTest, PoaCacheServesTheSameEntries) {
+  // A kNearest miss at a caching PoA reads the whole record (it may seed the
+  // cache); a hit projects from the cached copy. Both must match the master.
+  for (SearchPath path : {SearchPath::kSubmit, SearchPath::kSubmitBatch,
+                          SearchPath::kSubmitEvent}) {
+    SCOPED_TRACE(static_cast<int>(path));
+    workload::Testbed bed(SearchOptions(path, /*poa_cache_bytes=*/1 << 20));
+    CheckSearchStream(bed, path);
+    EXPECT_GT(bed.udr().metrics().Get("router.cache.insertions"), 0);
+    EXPECT_GT(bed.udr().metrics().Get("router.cache.hits"), 0);
+  }
+}
+
+TEST(SearchProjectionTest, SearchSeesAnAttributeAModifyInternedEarlier) {
+  // The name is interned by the Modify's dispatch, after the Search was
+  // translated: the Search must still return it (no projection may drop it).
+  workload::Testbed bed(BaseOptions(3));
+  Settle(bed);
+  const std::string fresh = "projection-fresh-attr";
+  ASSERT_EQ(storage::LookupAttr(fresh), storage::kInvalidAttrId);
+  const ldap::Dn dn = ldap::SubscriberDn("imsi", bed.factory().ImsiOf(1));
+  ldap::LdapRequest modify;
+  modify.op = ldap::LdapOp::kModify;
+  modify.dn = dn;
+  modify.mods.push_back({ldap::ModType::kReplace, fresh, std::string("x")});
+  ldap::LdapRequest search;
+  search.dn = dn;
+  search.master_only = true;
+  search.requested_attrs = {fresh, "msisdn"};
+  ldap::LdapBatchResult out = bed.udr().SubmitBatch({modify, search}, 0);
+  ASSERT_TRUE(out.ok());
+  ASSERT_EQ(out.results[1].entries.size(), 1u);
+  const storage::Record& got = out.results[1].entries[0].record;
+  ASSERT_TRUE(got.Has(fresh));
+  EXPECT_EQ(storage::ValueToString(*got.Get(fresh)), "x");
+  EXPECT_EQ(*got.Get("msisdn"), storage::Value(bed.factory().MsisdnOf(1)));
+  EXPECT_EQ(got.attribute_count(), 2u);
 }
 
 }  // namespace

@@ -47,6 +47,32 @@ TEST(SubscriberFactoryTest, UniqueAcrossIndices) {
   EXPECT_NE(f.MsisdnOf(1), f.MsisdnOf(2));
 }
 
+TEST(SubscriberFactoryTest, IdentityOnlyDerivationsMatchMake) {
+  // The traffic loops name an FE event's subscriber through these instead of
+  // building the profile: they must agree with Make under any numbering plan.
+  const SubscriberFactory plans[] = {
+      SubscriberFactory(42),
+      SubscriberFactory(7, /*mcc=*/310, /*mnc=*/260, /*cc=*/1),
+      SubscriberFactory(1, /*mcc=*/1, /*mnc=*/99, /*cc=*/886),
+  };
+  Rng rng(2026);
+  for (const SubscriberFactory& f : plans) {
+    std::vector<uint64_t> indices = {0, 1, 9, 99999, 9999999999ULL};
+    for (int i = 0; i < 50; ++i) indices.push_back(rng.Uniform(1 << 30));
+    for (uint64_t i : indices) {
+      const Subscriber s = f.Make(i);
+      EXPECT_EQ(f.ImsiOf(i), s.imsi) << i;
+      EXPECT_EQ(f.MsisdnOf(i), s.msisdn) << i;
+      EXPECT_EQ(f.ImpuOf(i), s.impus.front()) << i;
+      EXPECT_EQ(f.IdentityOf(i, location::IdentityType::kImsi), s.ImsiId());
+      EXPECT_EQ(f.IdentityOf(i, location::IdentityType::kMsisdn),
+                s.MsisdnId());
+      EXPECT_EQ(f.IdentityOf(i, location::IdentityType::kImpu), s.ImpuId());
+      EXPECT_EQ(f.IdentityOf(i, location::IdentityType::kImpi).value, s.impi);
+    }
+  }
+}
+
 TEST(SubscriberFactoryTest, ProfileHasServiceData) {
   SubscriberFactory f(42);
   Subscriber s = f.Make(3);

@@ -31,6 +31,14 @@ concurrency statically checkable — the ones a generic linter can't know:
                      REQUIRED_BENCHES list, so a bench falling out of the
                      build fails CI instead of being silently skipped.
 
+  subscriber-make    src/ must not call SubscriberFactory::Make outside
+                     src/telecom/subscriber.cc. Make builds a whole synthetic
+                     profile (~18 attributes); provisioning goes through
+                     MakeSpec, and a traffic loop names the subscriber of an
+                     FE event by the one identity it needs (ImsiOf /
+                     MsisdnOf / ImpuOf / IdentityOf). The rule keeps a
+                     per-event full-profile build out of the traffic loops.
+
   metric-name        every dotted metric-name string literal passed to
                      Add/Observe/RegisterCounter/RegisterHist in src/ must
                      appear (backticked) in the docs/METRICS.md table, and
@@ -76,6 +84,11 @@ RAW_MUTEX_PATTERNS = [
 ]
 
 TSA_ESCAPE_RE = re.compile(r"\bNO_THREAD_SAFETY_ANALYSIS\b")
+
+# A call of the method named exactly Make (member access or qualified name);
+# MakeSpec and the other Make* helpers do not match.
+SUBSCRIBER_MAKE_RE = re.compile(r"(?:\.|->|SubscriberFactory::)Make\s*\(")
+SUBSCRIBER_MAKE_HOME = "src/telecom/subscriber.cc"
 
 # Metric registry call sites and the dotted-name shape they must use.
 METRIC_CALL_RE = re.compile(
@@ -145,6 +158,13 @@ def lint_file(path: str, rel: str, allowlist_doc: str, violations: list):
                 if pat.search(code):
                     violations.append(f"{rel}:{lineno}: [raw-mutex] {what}")
                     break
+
+        if (rel != SUBSCRIBER_MAKE_HOME and "subscriber-make" not in active
+                and SUBSCRIBER_MAKE_RE.search(code)):
+            violations.append(
+                f"{rel}:{lineno}: [subscriber-make] SubscriberFactory::Make "
+                f"builds a whole profile — provision through MakeSpec and "
+                f"name an FE event's subscriber by identity (IdentityOf)")
 
         if TSA_ESCAPE_RE.search(code) and "tsa-escape" not in active:
             context = lines[max(0, lineno - 6):lineno]
