@@ -179,13 +179,7 @@ M2Row RunM2(int64_t bps) {
   auto progress = bed.udr().StartMigration();
   row.bytes_estimated = progress.bytes_estimated;
   const MicroTime start = bed.clock().Now();
-  int guard = 0;
-  while (bed.udr().MigrationActive() && guard++ < 200000) {
-    MicroTime at = bed.udr().NextMigrationDeadline();
-    if (at == kTimeInfinity) break;
-    bed.clock().AdvanceTo(std::max(at, bed.clock().Now()));
-    bed.udr().PumpMigration();
-  }
+  bed.DrainMigration();
   auto done = bed.udr().MigrationStatus();
   row.move_time = bed.clock().Now() - start;
   row.bytes_moved = done.bytes_moved;

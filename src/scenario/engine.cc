@@ -76,116 +76,45 @@ Engine::Engine(const ScenarioSpec& spec)
       rng_(spec.testbed.seed ^ 0x5ce7a7105ce7a710ULL),
       subscriber_pick_(
           std::max<uint64_t>(1, static_cast<uint64_t>(spec.testbed.subscribers)),
-          spec.zipf_theta) {
-  for (uint32_t s = 0; s < bed_.options().sites; ++s) {
-    hlr_fes_.push_back(
-        std::make_unique<telecom::HlrFe>(s, &bed_.udr(), spec_.batched));
-    hss_fes_.push_back(
-        std::make_unique<telecom::HssFe>(s, &bed_.udr(), spec_.batched));
-  }
-  ps_ = std::make_unique<telecom::ProvisioningSystem>(
-      telecom::ProvisioningConfig{spec_.ps_site, 0, spec_.batched}, &bed_.udr(),
-      &bed_.factory());
-}
+          spec.zipf_theta),
+      fleet_(bed_, spec.batched),
+      ps_({spec.ps_site, 0, spec.batched}, &bed_.udr(), &bed_.factory()) {}
 
-void Engine::Dispatch(telecom::FrontEnd* fe, ProcedureResult r, bool is_write,
-                      bool storm, uint64_t subscriber, int64_t stamp) {
-  if (r.deferred()) {
-    in_flight_.push_back({*r.pending, fe, is_write, storm, subscriber, stamp});
-    return;
-  }
-  verifier_.FoldFe(r, is_write, storm);
-  if (stamp != 0 && r.ok() && r.failed_ops == 0) {
-    verifier_.RecordAck(subscriber, Channel::kLocationArea, stamp);
-  }
-}
-
-void Engine::Collect() {
-  for (auto it = in_flight_.begin(); it != in_flight_.end();) {
-    std::optional<ProcedureResult> done = it->fe->TakeDeferred(it->handle);
-    if (!done.has_value()) {
-      ++it;
-      continue;
-    }
-    verifier_.FoldFe(*done, it->is_write, it->storm);
-    if (it->stamp != 0 && done->ok() && done->failed_ops == 0) {
-      verifier_.RecordAck(it->subscriber, Channel::kLocationArea, it->stamp);
-    }
-    it = in_flight_.erase(it);
+void Engine::ScoreFe(const workload::FeEvent& e, const ProcedureResult& r) {
+  // Only storm events are deferred.
+  verifier_.FoldFe(r, workload::IsWriteProcedure(e.procedure),
+                   /*storm=*/e.defer);
+  if (e.procedure == workload::FeProcedure::kUpdateLocation && r.ok() &&
+      r.failed_ops == 0) {
+    verifier_.RecordAck(e.subscriber, Channel::kLocationArea, e.location_area);
   }
 }
 
 void Engine::FeTick(MicroTime now) {
-  using location::IdentityType;
   const bool storm = now < storm_until_ && storm_events_ > 0;
   const int burst = storm ? storm_events_ : 1;
   for (int b = 0; b < burst; ++b) {
-    uint64_t index = subscriber_pick_.Next(rng_);
-    // A procedure names its subscriber by one identity: derive only that one,
-    // never the whole profile (Make's profile Rng is its own, not rng_).
-    auto id = [&](IdentityType type) {
-      return bed_.factory().IdentityOf(index, type);
-    };
-    sim::SiteId serving = bed_.HomeSiteOf(index);
+    workload::FeEvent e;
+    e.subscriber = subscriber_pick_.Next(rng_);
+    e.serving = bed_.HomeSiteOf(e.subscriber);
     if (now < wave_until_ && rng_.Bernoulli(wave_fraction_)) {
-      serving = wave_site_;
+      e.serving = wave_site_;
     }
     if (storm) {
       // Mass re-registration: every event is a stamped location update (the
       // re-attach write) enqueued into the PoA's dispatch window.
-      telecom::HlrFe& fe = *hlr_fes_[serving];
-      bool was_deferred = fe.deferred();
-      fe.set_deferred(true);
-      int64_t stamp = ++next_stamp_;
-      Dispatch(&fe,
-               fe.UpdateLocation(id(IdentityType::kImsi),
-                                 "vlr" + std::to_string(serving), stamp),
-               /*is_write=*/true, /*storm=*/true, index, stamp);
-      fe.set_deferred(was_deferred);
-      continue;
-    }
-    if (rng_.Bernoulli(spec_.ims_fraction)) {
-      telecom::HssFe& fe = *hss_fes_[serving];
-      double pick = rng_.NextDouble();
-      if (pick < 0.55) {
-        Dispatch(&fe, fe.ImsLocate(id(IdentityType::kImpu)), false, false,
-                 index, 0);
-      } else if (pick < 0.80) {
-        Dispatch(&fe,
-                 fe.ImsRegister(id(IdentityType::kImpu),
-                                "scscf" + std::to_string(serving)),
-                 true, false, index, 0);
-      } else {
-        Dispatch(&fe, fe.ImsDeregister(id(IdentityType::kImpu)), true, false,
-                 index, 0);
-      }
+      e.procedure = workload::FeProcedure::kUpdateLocation;
+      e.defer = true;
     } else {
-      telecom::HlrFe& fe = *hlr_fes_[serving];
-      double pick = rng_.NextDouble();
-      if (pick < 0.35) {
-        Dispatch(&fe, fe.Authenticate(id(IdentityType::kImsi)), false, false,
-                 index, 0);
-      } else if (pick < 0.55) {
-        Dispatch(&fe, fe.SendRoutingInfo(id(IdentityType::kMsisdn)), false,
-                 false, index, 0);
-      } else if (pick < 0.70) {
-        Dispatch(&fe, fe.SmsRouting(id(IdentityType::kMsisdn)), false, false,
-                 index, 0);
-      } else if (pick < 0.80) {
-        Dispatch(&fe, fe.InterrogateSs(id(IdentityType::kMsisdn)), false,
-                 false, index, 0);
-      } else {
-        // The stamped FE write channel: the acked stamp IS the location
-        // area, so the ledger audit can read it back from the master copy.
-        int64_t stamp = ++next_stamp_;
-        Dispatch(&fe,
-                 fe.UpdateLocation(id(IdentityType::kImsi),
-                                   "vlr" + std::to_string(serving), stamp),
-                 true, false, index, stamp);
-      }
+      e.procedure = workload::DrawFeProcedure(rng_, spec_.ims_fraction);
     }
+    if (e.procedure == workload::FeProcedure::kUpdateLocation) {
+      // The stamped FE write channel: the acked stamp IS the location area,
+      // so the ledger audit can read it back from the master copy.
+      e.location_area = ++next_stamp_;
+    }
+    if (auto r = fleet_.Issue(e)) ScoreFe(e, *r);
   }
-  if (!in_flight_.empty()) Collect();
 }
 
 void Engine::PsTick() {
@@ -195,13 +124,13 @@ void Engine::PsTick() {
   if (pick < 0.6) {
     // The stamped PS write channel (master-only read-modify-write).
     int64_t stamp = ++next_stamp_;
-    ProcedureResult r = ps_->SetCallForwarding(index, CfuNumberOf(stamp));
+    ProcedureResult r = ps_.SetCallForwarding(index, CfuNumberOf(stamp));
     verifier_.FoldPs(r);
     if (r.ok() && r.failed_ops == 0) {
       verifier_.RecordAck(index, Channel::kCallForwarding, stamp);
     }
   } else {
-    verifier_.FoldPs(ps_->SetPremiumBarring(index, rng_.Bernoulli(0.5)));
+    verifier_.FoldPs(ps_.SetPremiumBarring(index, rng_.Bernoulli(0.5)));
   }
 }
 
@@ -321,69 +250,32 @@ ScenarioReport Engine::Run() {
     }
   }
 
-  const MicroDuration fe_gap =
-      spec_.fe_rate_per_sec > 0
-          ? static_cast<MicroDuration>(1e6 / spec_.fe_rate_per_sec)
-          : kTimeInfinity;
-  const MicroDuration ps_gap =
-      spec_.ps_rate_per_sec > 0
-          ? static_cast<MicroDuration>(1e6 / spec_.ps_rate_per_sec)
-          : kTimeInfinity;
+  const MicroDuration fe_gap = workload::ArrivalGap(spec_.fe_rate_per_sec);
+  const MicroDuration ps_gap = workload::ArrivalGap(spec_.ps_rate_per_sec);
   MicroTime next_fe = start + fe_gap;
   MicroTime next_ps = start + ps_gap;
   size_t step_i = 0;
+  auto next_step = [&] {
+    return step_i < steps.size() ? start + steps[step_i].at : kTimeInfinity;
+  };
 
-  while (true) {
-    MicroTime next_step =
-        step_i < steps.size() ? start + steps[step_i].at : kTimeInfinity;
-    MicroTime next = std::min({next_fe, next_ps, next_step});
+  fleet_.Drive(
+      horizon, [&] { return std::min({next_fe, next_ps, next_step()}); },
+      [&](MicroTime now) {
+        if (next_step() <= next_fe && next_step() <= next_ps) {
+          ExecuteStep(steps[step_i], &report);
+          ++step_i;
+        } else if (next_fe <= next_ps) {
+          next_fe += fe_gap;
+          FeTick(now);
+        } else {
+          next_ps += ps_gap;
+          PsTick();
+        }
+      },
+      [this](const auto& e, const auto& r) { ScoreFe(e, r); });
 
-    // Wake exactly at the earliest open PoA window's deadline — or the
-    // time-series sampler's next due tick (PumpEvents drives both).
-    MicroTime flush_at =
-        std::min(udr.NextEventDeadline(), udr.NextObsSampleDue());
-    if (flush_at <= std::min(next, horizon)) {
-      clock.AdvanceTo(std::max(flush_at, clock.Now()));
-      udr.PumpEvents();
-      Collect();
-      continue;
-    }
-    // Wake at the migration scheduler's next chunk deadline.
-    MicroTime mig_at = udr.NextMigrationDeadline();
-    if (mig_at <= std::min(next, horizon)) {
-      clock.AdvanceTo(std::max(mig_at, clock.Now()));
-      udr.PumpMigration();
-      continue;
-    }
-    if (next > horizon) break;
-    clock.AdvanceTo(next);
-
-    if (next_step <= next_fe && next_step <= next_ps) {
-      ExecuteStep(steps[step_i], &report);
-      ++step_i;
-    } else if (next_fe <= next_ps) {
-      next_fe += fe_gap;
-      FeTick(next);
-    } else {
-      next_ps += ps_gap;
-      PsTick();
-    }
-  }
-
-  clock.AdvanceTo(horizon);
-  udr.FlushEvents();
-  Collect();
-
-  if (spec_.drain_migration_at_end) {
-    // Drain background tasks at the scheduler's own pace so end-of-run SLOs
-    // judge the completed move. Bounded: a stuck scheduler cannot hang us.
-    for (int guard = 0; udr.MigrationActive() && guard < 1000000; ++guard) {
-      MicroTime at = udr.NextMigrationDeadline();
-      if (at == kTimeInfinity) break;
-      clock.AdvanceTo(std::max(at, clock.Now()));
-      udr.PumpMigration();
-    }
-  }
+  bed_.DrainMigration();
   udr.CatchUpAllPartitions();
 
   // Post-horizon steps (scenarios put their SLO rows just past the traffic

@@ -1,23 +1,23 @@
 // Scenario engine: compiles a scenario::Script against a workload::Testbed
-// and executes it — one deterministic sim-clock loop interleaving the FE/PS
-// traffic mix, the PoA dispatch-window flushes, background-migration pacing
-// and the script's timed steps — while a scenario::Verifier continuously
-// folds every outcome and checks the harness invariants. The result is a
+// and executes it — the shared sim driver loop (workload::FeFleet::Drive)
+// interleaving the FE/PS traffic mix and the script's timed steps with the
+// PoA dispatch-window flushes and background-migration pacing, then a full
+// migration drain — while a scenario::Verifier continuously folds every
+// outcome and checks the harness invariants. The result is a
 // ScenarioReport whose Serialize() output is byte-identical for the same
 // spec + seed (the replay-determinism contract the harness tests assert).
 
 #ifndef UDR_SCENARIO_ENGINE_H_
 #define UDR_SCENARIO_ENGINE_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "scenario/script.h"
 #include "scenario/verifier.h"
-#include "telecom/front_end.h"
 #include "telecom/provisioning.h"
+#include "workload/fe_fleet.h"
 #include "workload/testbed.h"
 #include "workload/zipf.h"
 
@@ -37,10 +37,6 @@ struct ScenarioSpec {
   double zipf_theta = 0.0;
   sim::SiteId ps_site = 0;
   bool batched = false;
-  /// After the traffic horizon, keep advancing the clock at the migration
-  /// scheduler's pace until every background task drained (so end-of-run
-  /// SLOs judge the completed move).
-  bool drain_migration_at_end = true;
 };
 
 /// Outcome of one scenario run.
@@ -79,37 +75,21 @@ class Engine {
   ScenarioReport Run();
 
   workload::Testbed& testbed() { return bed_; }
-  Verifier& verifier() { return verifier_; }
 
  private:
-  /// A deferred FE procedure parked in a PoA window.
-  struct InFlight {
-    uint64_t handle = 0;
-    telecom::FrontEnd* fe = nullptr;
-    bool is_write = false;
-    bool storm = false;
-    uint64_t subscriber = 0;
-    int64_t stamp = 0;  ///< 0: unstamped procedure.
-  };
-
   void ExecuteStep(const Step& step, ScenarioReport* report);
   void FeTick(MicroTime now);
   void PsTick();
-  /// Scores one FE outcome (or parks it while deferred).
-  void Dispatch(telecom::FrontEnd* fe, telecom::ProcedureResult r,
-                bool is_write, bool storm, uint64_t subscriber, int64_t stamp);
-  /// Collects every deferred procedure whose window flushed.
-  void Collect();
+  /// Scores one FE outcome, inline or collected from a flushed window.
+  void ScoreFe(const workload::FeEvent& e, const telecom::ProcedureResult& r);
 
   ScenarioSpec spec_;
   workload::Testbed bed_;
   Verifier verifier_;
   Rng rng_;
   workload::ZipfGenerator subscriber_pick_;
-  std::vector<std::unique_ptr<telecom::HlrFe>> hlr_fes_;
-  std::vector<std::unique_ptr<telecom::HssFe>> hss_fes_;
-  std::unique_ptr<telecom::ProvisioningSystem> ps_;
-  std::vector<InFlight> in_flight_;
+  workload::FeFleet fleet_;
+  telecom::ProvisioningSystem ps_;
 
   int64_t next_stamp_ = 0;  ///< Monotonic acked-write stamp source.
 

@@ -59,7 +59,6 @@ class FrontEnd {
   /// coalescing window (UdrNf::SubmitEvent) instead of executing inline and
   /// return a ProcedureResult whose `pending` handle names the parked event.
   /// Collect the real outcome with TakeDeferred once the window flushed.
-  bool deferred() const { return deferred_; }
   void set_deferred(bool deferred) { deferred_ = deferred; }
 
   /// Collects a deferred procedure's outcome; nullopt while its dispatch

@@ -1,5 +1,6 @@
 #include "workload/testbed.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace udr::workload {
@@ -24,6 +25,32 @@ StatusOr<routing::RebalanceReport> Testbed::ScaleOut(sim::SiteId site) {
   auto cluster = udr_->AddCluster(site);
   if (!cluster.ok()) return cluster.status();
   return udr_->Rebalance();
+}
+
+bool Testbed::PumpDue(MicroTime until) {
+  udrnf::UdrNf& udr = *udr_;
+  const MicroTime flush_at =
+      std::min(udr.NextEventDeadline(), udr.NextObsSampleDue());
+  const bool events = flush_at <= until;
+  const MicroTime at = events ? flush_at : udr.NextMigrationDeadline();
+  if (at > until) return false;
+  clock_.AdvanceTo(std::max(at, clock_.Now()));
+  if (events) {
+    udr.PumpEvents();
+  } else {
+    udr.PumpMigration();
+  }
+  return true;
+}
+
+void Testbed::DrainMigration() {
+  // Bounded: a stuck scheduler cannot hang the caller.
+  for (int guard = 0; udr_->MigrationActive() && guard < 1000000; ++guard) {
+    const MicroTime at = udr_->NextMigrationDeadline();
+    if (at == kTimeInfinity) break;
+    clock_.AdvanceTo(std::max(at, clock_.Now()));
+    udr_->PumpMigration();
+  }
 }
 
 int64_t Testbed::ProvisionDirect(uint64_t first, int64_t count) {

@@ -56,6 +56,15 @@ class Testbed {
   /// acknowledged write lost). Returns the migration report.
   StatusOr<routing::RebalanceReport> ScaleOut(sim::SiteId site);
 
+  /// The sim driver loop's deadline wake-up: advances to the first PoA window
+  /// close or sampler tick due by `until` and pumps events; else to the first
+  /// migration chunk due by `until` and pumps migration; else returns false.
+  /// Not earliest-deadline-first: that would move migration chunks.
+  bool PumpDue(MicroTime until);
+
+  /// Advances at the migration scheduler's pace until every task drained.
+  void DrainMigration();
+
  private:
   TestbedOptions opts_;
   sim::SimClock clock_;

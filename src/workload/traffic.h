@@ -45,13 +45,6 @@ struct TrafficOptions {
   /// flush and collects the demuxed per-event results. Only meaningful when
   /// the UDR deploys `coalesce_window_us > 0`; 1 = the inline drivers above.
   int concurrent_events = 1;
-  /// Drive background migration concurrently with the traffic: the run loop
-  /// wakes at the scheduler's chunk deadlines (NextMigrationDeadline) and
-  /// pumps it, so throttled moves interleave with foreground procedures.
-  /// Foreground procedures issued while a migration is in flight are
-  /// additionally folded into TrafficReport::fe_during_migration and the
-  /// `migration.foreground_latency_during` metrics histogram.
-  bool pump_migration = false;
   /// Sharded multi-threaded execution mode (RunShardedTraffic, src/exec/):
   /// split the subscriber space over this many shards, each a complete
   /// data-path slice on its own worker thread behind an SPSC handoff ring.
@@ -107,7 +100,7 @@ struct TrafficReport {
   ClassStats ps;        ///< Provisioning-system operations.
   /// FE procedures that ran while a background migration was in flight
   /// (also counted in fe_read/fe_write) — the foreground-impact view the
-  /// bandwidth model is judged by. Empty unless pump_migration drove one.
+  /// bandwidth model is judged by. Empty unless a migration was in flight.
   ClassStats fe_during_migration;
   /// Queueing delay of deferred FE events (time parked in the PoA dispatch
   /// window, µs) — empty unless the concurrent-event driver ran.

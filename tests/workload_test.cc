@@ -1,8 +1,11 @@
-// Tests for src/workload: testbed construction and the traffic-mix runner,
-// including the paper's partition-availability asymmetry (FE vs PS).
+// Tests for src/workload: testbed construction, the FE procedure mix, and
+// the traffic-mix runner, including the paper's partition-availability
+// asymmetry (FE vs PS).
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "workload/fe_fleet.h"
 #include "workload/testbed.h"
 #include "workload/traffic.h"
 
@@ -159,6 +162,66 @@ TEST(TrafficTest, DeterministicGivenSeed) {
       EXPECT_EQ(rep.FeAll().ok, first_ok);
     }
   }
+}
+
+TEST(TrafficTest, ObsSamplerTicksAcrossTheRun) {
+  TestbedOptions o;
+  o.sites = 2;
+  o.subscribers = 50;
+  o.udr.obs_sample_interval_us = Millis(100);
+  Testbed bed(o);
+  ASSERT_NE(bed.udr().sampler(), nullptr);
+  TrafficOptions t;
+  t.duration = Seconds(5);
+  t.fe_rate_per_sec = 20;
+  t.subscriber_count = 50;
+  RunTraffic(bed, t);
+  // The run loop wakes at every due sampler tick: ~duration / interval.
+  EXPECT_NEAR(static_cast<double>(bed.udr().sampler()->samples_taken()), 50.0,
+              2.0);
+}
+
+TEST(FeProcedureTest, DrawConsumesExactlyBernoulliThenNextDouble) {
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    const double ims_fraction = 0.02 * static_cast<double>(seed % 50);
+    Rng rng(seed);
+    Rng twin(seed);
+    for (int i = 0; i < 20; ++i) {
+      const FeProcedure drawn = DrawFeProcedure(rng, ims_fraction);
+      const bool ims = twin.Bernoulli(ims_fraction);
+      const double pick = twin.NextDouble();
+      EXPECT_EQ(drawn, FeProcedureAt(ims, pick));
+    }
+    EXPECT_EQ(rng.Next(), twin.Next()) << "seed " << seed;
+  }
+}
+
+TEST(FeProcedureTest, BoundaryPicksMapToTheTable) {
+  EXPECT_EQ(FeProcedureAt(true, 0.0), FeProcedure::kImsLocate);
+  EXPECT_EQ(FeProcedureAt(true, 0.5499), FeProcedure::kImsLocate);
+  EXPECT_EQ(FeProcedureAt(true, 0.55), FeProcedure::kImsRegister);
+  EXPECT_EQ(FeProcedureAt(true, 0.7999), FeProcedure::kImsRegister);
+  EXPECT_EQ(FeProcedureAt(true, 0.80), FeProcedure::kImsDeregister);
+  EXPECT_EQ(FeProcedureAt(true, 0.9999), FeProcedure::kImsDeregister);
+  EXPECT_EQ(FeProcedureAt(false, 0.0), FeProcedure::kAuthenticate);
+  EXPECT_EQ(FeProcedureAt(false, 0.3499), FeProcedure::kAuthenticate);
+  EXPECT_EQ(FeProcedureAt(false, 0.35), FeProcedure::kSendRoutingInfo);
+  EXPECT_EQ(FeProcedureAt(false, 0.55), FeProcedure::kSmsRouting);
+  EXPECT_EQ(FeProcedureAt(false, 0.70), FeProcedure::kInterrogateSs);
+  EXPECT_EQ(FeProcedureAt(false, 0.7999), FeProcedure::kInterrogateSs);
+  EXPECT_EQ(FeProcedureAt(false, 0.80), FeProcedure::kUpdateLocation);
+  EXPECT_EQ(FeProcedureAt(false, 0.9999), FeProcedure::kUpdateLocation);
+}
+
+TEST(FeProcedureTest, WritesAreLocationUpdateAndImsRegistration) {
+  EXPECT_TRUE(IsWriteProcedure(FeProcedure::kUpdateLocation));
+  EXPECT_TRUE(IsWriteProcedure(FeProcedure::kImsRegister));
+  EXPECT_TRUE(IsWriteProcedure(FeProcedure::kImsDeregister));
+  EXPECT_FALSE(IsWriteProcedure(FeProcedure::kImsLocate));
+  EXPECT_FALSE(IsWriteProcedure(FeProcedure::kAuthenticate));
+  EXPECT_FALSE(IsWriteProcedure(FeProcedure::kSendRoutingInfo));
+  EXPECT_FALSE(IsWriteProcedure(FeProcedure::kSmsRouting));
+  EXPECT_FALSE(IsWriteProcedure(FeProcedure::kInterrogateSs));
 }
 
 }  // namespace

@@ -39,6 +39,15 @@ concurrency statically checkable — the ones a generic linter can't know:
                      MsisdnOf / ImpuOf / IdentityOf). The rule keeps a
                      per-event full-profile build out of the traffic loops.
 
+  driver-deadline    src/ may call UdrNf::NextEventDeadline /
+                     NextMigrationDeadline / NextObsSampleDue only from the
+                     shared sim driver helper (src/workload/testbed.cc:
+                     Testbed::PumpDue and Testbed::DrainMigration) and from
+                     src/udr/. RunTraffic and scenario::Engine once each
+                     hand-rolled the wake-up loop and drifted (only one woke
+                     for the sampler); every driver now wakes through
+                     PumpDue, so the wake-up priority has one home.
+
   metric-name        every dotted metric-name string literal passed to
                      Add/Observe/RegisterCounter/RegisterHist in src/ must
                      appear (backticked) in the docs/METRICS.md table, and
@@ -89,6 +98,11 @@ TSA_ESCAPE_RE = re.compile(r"\bNO_THREAD_SAFETY_ANALYSIS\b")
 # MakeSpec and the other Make* helpers do not match.
 SUBSCRIBER_MAKE_RE = re.compile(r"(?:\.|->|SubscriberFactory::)Make\s*\(")
 SUBSCRIBER_MAKE_HOME = "src/telecom/subscriber.cc"
+
+# Deadline queries of the sim driver loop and the files allowed to make them.
+DRIVER_DEADLINE_RE = re.compile(
+    r"\b(NextEventDeadline|NextMigrationDeadline|NextObsSampleDue)\s*\(")
+DRIVER_DEADLINE_HOMES = ("src/workload/testbed.cc", "src/udr/")
 
 # Metric registry call sites and the dotted-name shape they must use.
 METRIC_CALL_RE = re.compile(
@@ -165,6 +179,16 @@ def lint_file(path: str, rel: str, allowlist_doc: str, violations: list):
                 f"{rel}:{lineno}: [subscriber-make] SubscriberFactory::Make "
                 f"builds a whole profile — provision through MakeSpec and "
                 f"name an FE event's subscriber by identity (IdentityOf)")
+
+        if (not rel.startswith(DRIVER_DEADLINE_HOMES)
+                and "driver-deadline" not in active):
+            m = DRIVER_DEADLINE_RE.search(code)
+            if m:
+                violations.append(
+                    f"{rel}:{lineno}: [driver-deadline] {m.group(1)}() "
+                    f"outside the shared driver helper — wake the sim loop "
+                    f"through Testbed::PumpDue (FeFleet::Drive) or drain "
+                    f"with Testbed::DrainMigration")
 
         if TSA_ESCAPE_RE.search(code) and "tsa-escape" not in active:
             context = lines[max(0, lineno - 6):lineno]
