@@ -7,8 +7,12 @@
 //     system (cost grows with #SE);
 //   * consistent hashing: O(1), near-zero state — but no selective placement
 //     and one data replica per identity type (the paper's impracticality).
+//
+// Every number here is modelled. The host cost of a resolution is timed by
+// udrbench (`location.resolve_ns`, Router::ResolveAt).
 
-#include <benchmark/benchmark.h>
+#include <map>
+#include <string>
 
 #include "common/table.h"
 #include "location/location_stage.h"
@@ -97,44 +101,9 @@ void PrintLocationTables() {
   t4.Print();
 }
 
-// --- Measured lookup costs (real data structures, not the cost model) ------
-
-void BM_ProvisionedMapLookup(benchmark::State& state) {
-  location::ProvisionedLocationStage stage;
-  telecom::SubscriberFactory factory(42);
-  const int64_t n = state.range(0);
-  for (int64_t i = 0; i < n; ++i) {
-    stage.Bind({IdentityType::kImsi, factory.ImsiOf(i)}, {1, 0});
-  }
-  uint64_t i = 0;
-  for (auto _ : state) {
-    auto r = stage.Resolve({IdentityType::kImsi, factory.ImsiOf(i % n)}, 0);
-    benchmark::DoNotOptimize(r);
-    ++i;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ProvisionedMapLookup)->Arg(1000)->Arg(100000)->Arg(1000000);
-
-void BM_ConsistentHashLookup(benchmark::State& state) {
-  location::ConsistentHashLocationStage stage(256, 128);
-  telecom::SubscriberFactory factory(42);
-  uint64_t i = 0;
-  for (auto _ : state) {
-    auto r = stage.Resolve({IdentityType::kImsi, factory.ImsiOf(i % 1000)}, 0);
-    benchmark::DoNotOptimize(r);
-    ++i;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ConsistentHashLookup);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   PrintLocationTables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -7,6 +7,27 @@ namespace udr::location {
 
 namespace {
 
+/// Bindings across one index per identity type.
+int64_t IndexEntries(const IdentityIndex (&indexes)[kIdentityTypeCount]) {
+  int64_t total = 0;
+  for (const IdentityIndex& index : indexes) {
+    total += static_cast<int64_t>(index.size());
+  }
+  return total;
+}
+
+/// Modelled RAM of identity maps: bytes_per_entry plus the identity's length
+/// per binding.
+int64_t IndexBytes(const IdentityIndex (&indexes)[kIdentityTypeCount],
+                   const LocationCostModel& model) {
+  int64_t bytes = 0;
+  for (const IdentityIndex& index : indexes) {
+    bytes += static_cast<int64_t>(index.size()) * model.bytes_per_entry +
+             index.key_bytes();
+  }
+  return bytes;
+}
+
 /// log2(n) rounded up, minimum 1 (cost model for tree descent).
 double Log2Ceil(int64_t n) {
   if (n <= 2) return 1.0;
@@ -37,44 +58,35 @@ ResolveResult ProvisionedLocationStage::Resolve(const Identity& id,
              static_cast<MicroDuration>(
                  static_cast<double>(model_.map_per_log2) *
                  Log2Ceil(static_cast<int64_t>(index.size())));
-  auto it = index.find(id.value);
-  if (it == index.end()) {
+  std::optional<LocationEntry> found = index.Find(id.value);
+  if (!found) {
     out.status = Status::NotFound("identity " + id.ToString());
     return out;
   }
   out.status = Status::Ok();
-  out.entry = it->second;
+  out.entry = *found;
   return out;
 }
 
 Status ProvisionedLocationStage::Bind(const Identity& id,
                                       const LocationEntry& entry) {
-  index_[static_cast<int>(id.type)][id.value] = entry;
+  index_[static_cast<int>(id.type)].Put(id.value, entry);
   return Status::Ok();
 }
 
 Status ProvisionedLocationStage::Unbind(const Identity& id) {
-  auto& index = index_[static_cast<int>(id.type)];
-  if (index.erase(id.value) == 0) {
+  if (!index_[static_cast<int>(id.type)].Erase(id.value)) {
     return Status::NotFound("identity " + id.ToString());
   }
   return Status::Ok();
 }
 
 int64_t ProvisionedLocationStage::EntryCount() const {
-  int64_t total = 0;
-  for (const auto& index : index_) total += static_cast<int64_t>(index.size());
-  return total;
+  return IndexEntries(index_);
 }
 
 int64_t ProvisionedLocationStage::ApproxBytes() const {
-  int64_t bytes = 0;
-  for (const auto& index : index_) {
-    for (const auto& [value, _] : index) {
-      bytes += model_.bytes_per_entry + static_cast<int64_t>(value.size());
-    }
-  }
-  return bytes;
+  return IndexBytes(index_, model_);
 }
 
 MicroDuration ProvisionedLocationStage::BeginSyncFrom(
@@ -102,11 +114,11 @@ CachedLocationStage::CachedLocationStage(
 ResolveResult CachedLocationStage::Resolve(const Identity& id, MicroTime now) {
   (void)now;
   ResolveResult out;
-  auto it = cache_.find(id);
-  if (it != cache_.end()) {
+  IdentityIndex& cache = cache_[static_cast<int>(id.type)];
+  if (std::optional<LocationEntry> hit = cache.Find(id.value)) {
     ++hits_;
     out.status = Status::Ok();
-    out.entry = it->second;
+    out.entry = *hit;
     out.cost = model_.map_base;
     return out;
   }
@@ -122,7 +134,7 @@ ResolveResult CachedLocationStage::Resolve(const Identity& id, MicroTime now) {
     out.status = found.status();
     return out;
   }
-  cache_[id] = *found;
+  cache.Put(id.value, *found);
   out.status = Status::Ok();
   out.entry = *found;
   return out;
@@ -130,28 +142,26 @@ ResolveResult CachedLocationStage::Resolve(const Identity& id, MicroTime now) {
 
 Status CachedLocationStage::Bind(const Identity& id,
                                  const LocationEntry& entry) {
-  cache_[id] = entry;
+  cache_[static_cast<int>(id.type)].Put(id.value, entry);
   return Status::Ok();
 }
 
 Status CachedLocationStage::Unbind(const Identity& id) {
-  cache_.erase(id);
+  cache_[static_cast<int>(id.type)].Erase(id.value);
   return Status::Ok();
 }
 
 int64_t CachedLocationStage::EntryCount() const {
-  return static_cast<int64_t>(cache_.size());
+  return IndexEntries(cache_);
 }
 
 int64_t CachedLocationStage::ApproxBytes() const {
-  int64_t bytes = 0;
-  for (const auto& [id, _] : cache_) {
-    bytes += model_.bytes_per_entry + static_cast<int64_t>(id.value.size());
-  }
-  return bytes;
+  return IndexBytes(cache_, model_);
 }
 
-void CachedLocationStage::InvalidateAll() { cache_.clear(); }
+void CachedLocationStage::InvalidateAll() {
+  for (IdentityIndex& cache : cache_) cache.Clear();
+}
 
 // ---------------------------------------------------------------------------
 // ConsistentHashLocationStage

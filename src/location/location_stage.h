@@ -3,9 +3,10 @@
 //
 // The paper discusses three realizations (§3.3.1, §3.4.2, §3.5):
 //   * ProvisionedLocationStage — identity-location maps provisioned by the
-//     PS. State-full, O(log N) lookups, supports multiple indexes and
-//     selective placement; on scale-out a new stage instance must copy every
-//     map entry from a peer, during which its PoA cannot serve (S-R link).
+//     PS. State-full, modelled O(log N) lookups, supports multiple indexes
+//     and selective placement; on scale-out a new stage instance must copy
+//     every map entry from a peer, during which its PoA cannot serve (S-R
+//     link).
 //   * CachedLocationStage — maps built on the fly: a miss broadcasts a
 //     location query to every storage element (cost grows with #SE), but
 //     scale-out needs no sync window.
@@ -18,28 +19,16 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/hash_ring.h"
 #include "common/status.h"
 #include "common/time.h"
 #include "location/identity.h"
-#include "storage/record.h"
+#include "location/identity_index.h"
 
 namespace udr::location {
-
-/// Where one subscriber's data lives.
-struct LocationEntry {
-  storage::RecordKey key = 0;  ///< Record key inside the partition.
-  uint32_t partition = 0;      ///< Data partition / replica-set id.
-
-  bool operator==(const LocationEntry& o) const {
-    return key == o.key && partition == o.partition;
-  }
-};
 
 /// Cost-model constants for the location stage realizations.
 struct LocationCostModel {
@@ -88,7 +77,9 @@ class LocationStage {
   virtual std::string Name() const = 0;
 };
 
-/// Identity-location maps, one ordered index per identity type (O(log N)).
+/// Identity-location maps, one flat hash index per identity type. The host
+/// lookup is O(1); the modelled cost is still the paper's O(log N) descent
+/// (map_base + map_per_log2 * ceil(log2 N), N = entries of that type).
 class ProvisionedLocationStage : public LocationStage {
  public:
   explicit ProvisionedLocationStage(LocationCostModel model = LocationCostModel());
@@ -114,7 +105,7 @@ class ProvisionedLocationStage : public LocationStage {
 
  private:
   LocationCostModel model_;
-  std::map<std::string, LocationEntry> index_[kIdentityTypeCount];
+  IdentityIndex index_[kIdentityTypeCount];
   MicroTime sync_done_at_ = 0;
 };
 
@@ -145,7 +136,7 @@ class CachedLocationStage : public LocationStage {
   std::function<StatusOr<LocationEntry>(const Identity&)> authoritative_;
   std::function<int()> se_count_fn_;
   LocationCostModel model_;
-  std::unordered_map<Identity, LocationEntry, IdentityHasher> cache_;
+  IdentityIndex cache_[kIdentityTypeCount];
   int64_t hits_ = 0;
   int64_t misses_ = 0;
 };

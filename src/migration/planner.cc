@@ -1,6 +1,8 @@
 #include "migration/planner.h"
 
 #include <algorithm>
+#include <string>
+#include <string_view>
 
 namespace udr::migration {
 
@@ -115,15 +117,16 @@ MigrationPlan MigrationPlanner::PlanRehome(const routing::Router& router,
                                            location::IdentityType type) {
   MigrationPlan plan;
   if (map.partition_count() == 0) return plan;
-  for (const auto& [id, entry] : router.bindings()) {
-    if (id.type != type) continue;
-    uint32_t owner = map.PartitionOfIdentity(id);
-    if (owner == entry.partition) {
-      plan.already_homed.push_back(id);
-      continue;
-    }
-    plan.tasks.push_back(RehomeSpec(map, id, entry, owner));
-  }
+  router.bindings(type).ForEach(
+      [&](std::string_view value, const location::LocationEntry& entry) {
+        location::Identity id{type, std::string(value)};
+        uint32_t owner = map.PartitionOfIdentity(id);
+        if (owner == entry.partition) {
+          plan.already_homed.push_back(std::move(id));
+          return;
+        }
+        plan.tasks.push_back(RehomeSpec(map, id, entry, owner));
+      });
   FinalizeRehomePlan(&plan);
   return plan;
 }
@@ -134,12 +137,14 @@ MigrationPlan MigrationPlanner::PlanSplit(const routing::Router& router,
                                           uint32_t parent, uint32_t sibling) {
   MigrationPlan plan;
   if (map.partition_count() == 0) return plan;
-  for (const auto& [id, entry] : router.bindings()) {
-    if (id.type != type || entry.partition != parent) continue;
-    uint32_t owner = map.PartitionOfIdentity(id);
-    if (owner != sibling) continue;  // The split did not claim this arc half.
-    plan.tasks.push_back(RehomeSpec(map, id, entry, owner));
-  }
+  router.bindings(type).ForEach(
+      [&](std::string_view value, const location::LocationEntry& entry) {
+        if (entry.partition != parent) return;
+        location::Identity id{type, std::string(value)};
+        uint32_t owner = map.PartitionOfIdentity(id);
+        if (owner != sibling) return;  // The split did not claim this arc half.
+        plan.tasks.push_back(RehomeSpec(map, id, entry, owner));
+      });
   FinalizeRehomePlan(&plan);
   return plan;
 }
@@ -150,12 +155,14 @@ MigrationPlan MigrationPlanner::PlanMerge(const routing::Router& router,
                                           uint32_t sibling) {
   MigrationPlan plan;
   if (map.partition_count() == 0) return plan;
-  for (const auto& [id, entry] : router.bindings()) {
-    if (id.type != type || entry.partition != sibling) continue;
-    uint32_t owner = map.PartitionOfIdentity(id);
-    if (owner == sibling) continue;  // Defensive: points should be gone.
-    plan.tasks.push_back(RehomeSpec(map, id, entry, owner));
-  }
+  router.bindings(type).ForEach(
+      [&](std::string_view value, const location::LocationEntry& entry) {
+        if (entry.partition != sibling) return;
+        location::Identity id{type, std::string(value)};
+        uint32_t owner = map.PartitionOfIdentity(id);
+        if (owner == sibling) return;  // Defensive: points should be gone.
+        plan.tasks.push_back(RehomeSpec(map, id, entry, owner));
+      });
   FinalizeRehomePlan(&plan);
   return plan;
 }

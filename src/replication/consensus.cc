@@ -40,9 +40,7 @@ std::vector<uint32_t> ConsensusReplicaSet::ReachableFrom(uint32_t id) const {
 void ConsensusReplicaSet::ApplyUpTo(Replica* r, CommitSeq seq) {
   while (r->applied < seq) {
     CommitSeq next = r->applied + 1;
-    for (const WriteOp& op : log_.At(next).ops) {
-      storage::ApplyWriteOp(&r->se->store(), op);
-    }
+    storage::ApplyWriteOps(&r->se->store(), log_.At(next).ops);
     r->applied = next;
   }
 }

@@ -75,9 +75,7 @@ MicroTime ReplicaSet::EntryDeliveryTime(CommitSeq seq, uint32_t id) const {
 }
 
 void ReplicaSet::ApplyEntry(Replica* r, CommitSeq seq) {
-  for (const WriteOp& op : log_.At(seq).ops) {
-    storage::ApplyWriteOp(&r->se->store(), op);
-  }
+  storage::ApplyWriteOps(&r->se->store(), log_.At(seq).ops);
   r->applied = seq;
 }
 
@@ -210,9 +208,7 @@ WriteResult ReplicaSet::CommitOnMaster(std::vector<WriteOp> ops) {
     }
   }
   // Apply atomically to the master copy and append to the stream.
-  for (const WriteOp& op : ops) {
-    storage::ApplyWriteOp(&master.se->store(), op);
-  }
+  storage::ApplyWriteOps(&master.se->store(), ops);
   int op_count = static_cast<int>(ops.size());
   CommitSeq seq = log_.Append(now, master_, std::move(ops));
   master.applied = seq;
@@ -353,9 +349,7 @@ WriteResult ReplicaSet::WriteDiverged(sim::SiteId client_site, uint32_t id,
     }
   }
   int op_count = static_cast<int>(ops.size());
-  for (const WriteOp& op : ops) {
-    storage::ApplyWriteOp(&r.se->store(), op);
-  }
+  storage::ApplyWriteOps(&r.se->store(), ops);
   r.divergence.Append(now, id, std::move(ops));
   ++diverged_writes_;
   ++writes_accepted_;
@@ -727,9 +721,7 @@ StatusOr<int64_t> ReplicaSet::ShipMigrationChunk(MigrationStream* stream,
     if (stream->promote_existing) {
       ApplyEntry(&replicas_[stream->target_replica], next);
     } else {
-      for (const WriteOp& op : e.ops) {
-        storage::ApplyWriteOp(&stream->target->store(), op);
-      }
+      storage::ApplyWriteOps(&stream->target->store(), e.ops);
     }
     stream->shipped_seq = next;
     shipped += EntryBytes(e);
@@ -920,9 +912,7 @@ RestorationReport ReplicaSet::RestoreConsistency() {
   }
 
   if (!merged.empty()) {
-    for (const WriteOp& op : merged) {
-      storage::ApplyWriteOp(&master_store, op);
-    }
+    storage::ApplyWriteOps(&master_store, merged);
     log_.Append(Now(), master_, std::move(merged));
     replicas_[master_].applied = log_.LastSeq();
   }

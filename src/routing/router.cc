@@ -141,22 +141,23 @@ location::LocationStage* Router::StageAtSite(sim::SiteId site) const {
 }
 
 StatusOr<LocationEntry> Router::AuthoritativeLookup(const Identity& id) const {
-  auto it = authoritative_.find(id);
-  if (it == authoritative_.end()) {
+  std::optional<LocationEntry> found =
+      authoritative_[static_cast<int>(id.type)].Find(id.value);
+  if (!found) {
     return Status::NotFound("identity " + id.ToString() + " not provisioned");
   }
-  return it->second;
+  return *found;
 }
 
 void Router::Bind(const Identity& id, const LocationEntry& entry) {
-  authoritative_[id] = entry;
+  authoritative_[static_cast<int>(id.type)].Put(id.value, entry);
   for (const Poa& poa : poas_) {
     if (poa.stage != nullptr) (void)poa.stage->Bind(id, entry);
   }
 }
 
 void Router::Unbind(const Identity& id) {
-  authoritative_.erase(id);
+  authoritative_[static_cast<int>(id.type)].Erase(id.value);
   // An unbound identity must not pin a bypass exception: the exception list
   // exists to protect live bindings the hash would misroute, and a leaked
   // entry would linger forever (and silently disable the fast path if the

@@ -20,7 +20,6 @@
 #define UDR_ROUTING_ROUTER_H_
 
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -116,15 +115,14 @@ class Router {
   StatusOr<location::LocationEntry> AuthoritativeLookup(
       const location::Identity& id) const;
   bool IsBound(const location::Identity& id) const {
-    return authoritative_.count(id) > 0;
+    return authoritative_[static_cast<int>(id.type)].Find(id.value).has_value();
   }
 
-  /// Read-only view of every authoritative binding (used by the deployment
-  /// layer to re-home hash-keyed subscribers after the ring grows).
-  const std::unordered_map<location::Identity, location::LocationEntry,
-                           location::IdentityHasher>&
-  bindings() const {
-    return authoritative_;
+  /// Read-only view of the authoritative bindings of one identity type (used
+  /// by the migration planner to re-home hash-keyed subscribers after the
+  /// ring grows, splits or merges).
+  const location::IdentityIndex& bindings(location::IdentityType type) const {
+    return authoritative_[static_cast<int>(type)];
   }
 
   /// Records a binding authoritatively and at every PoA stage.
@@ -280,9 +278,7 @@ class Router {
   std::unordered_set<location::Identity, location::IdentityHasher>
       bypass_exceptions_;
   std::vector<Poa> poas_;
-  std::unordered_map<location::Identity, location::LocationEntry,
-                     location::IdentityHasher>
-      authoritative_;
+  location::IdentityIndex authoritative_[location::kIdentityTypeCount];
   // RouteBatch scratch, reused across calls so a one-op batch (every per-op
   // LDAP request) allocates little beyond its result. RouteBatch is not
   // reentrant: nothing it calls routes another batch.

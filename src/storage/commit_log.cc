@@ -33,7 +33,7 @@ void CommitLog::ReplayRange(RecordStore* store, CommitSeq from_seq,
                             CommitSeq to_seq) const {
   assert(to_seq <= LastSeq());
   for (CommitSeq s = from_seq + 1; s <= to_seq; ++s) {
-    for (const WriteOp& op : At(s).ops) ApplyWriteOp(store, op);
+    ApplyWriteOps(store, At(s).ops);
   }
 }
 
@@ -54,6 +54,25 @@ void ApplyWriteOp(RecordStore* store, const WriteOp& op) {
     case WriteKind::kDeleteRecord:
       store->DeleteRecord(op.key);
       break;
+  }
+}
+
+void ApplyWriteOps(RecordStore* store, const std::vector<WriteOp>& ops) {
+  size_t i = 0;
+  while (i < ops.size()) {
+    const WriteOp& op = ops[i];
+    if (op.kind != WriteKind::kUpsertAttr) {
+      ApplyWriteOp(store, op);
+      ++i;
+      continue;
+    }
+    size_t end = i + 1;
+    while (end < ops.size() && ops[end].kind == WriteKind::kUpsertAttr &&
+           ops[end].key == op.key) {
+      ++end;
+    }
+    store->ApplyUpsertRun(&op, end - i);
+    i = end;
   }
 }
 

@@ -97,8 +97,17 @@ class CommitLog {
   std::vector<LogEntry> entries_;
 };
 
-/// Applies one write op to a store (shared by replay and replication).
+/// Applies one write op to a store. Inside src/ only ApplyWriteOps calls it
+/// (lint rule apply-write-ops); every apply path goes through ApplyWriteOps.
 void ApplyWriteOp(RecordStore* store, const WriteOp& op);
+
+/// Applies a write set in order — the one apply entry point of commit,
+/// replication, replay, migration and consistency restoration. A run of
+/// consecutive upserts to one key is one record mutation
+/// (RecordStore::ApplyUpsertRun); removes and deletes apply op by op. The
+/// resulting records, versions and byte accounting equal op-by-op
+/// ApplyWriteOp.
+void ApplyWriteOps(RecordStore* store, const std::vector<WriteOp>& ops);
 
 }  // namespace udr::storage
 

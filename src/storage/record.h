@@ -114,6 +114,11 @@ class Record {
   const std::vector<PackedAttr>& entries() const { return attrs_; }
   size_t attribute_count() const { return attrs_.size(); }
 
+  /// Reserves room for `n` attributes. A record built by one write run gets
+  /// exact capacity instead of growing one doubling at a time; ApproxBytes()
+  /// charges entries, not capacity, so the model is unaffected.
+  void Reserve(size_t n) { attrs_.reserve(n); }
+
   /// Iterates attributes as (name, attribute) pairs, resolving names through
   /// the pool (replaces the old std::map accessor for serialization layers).
   void ForEachAttribute(

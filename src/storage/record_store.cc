@@ -34,6 +34,22 @@ void RecordStore::SetAttribute(RecordKey key, AttrId attr_id, Value value,
   AccountAdd(rec);
 }
 
+void RecordStore::ApplyUpsertRun(const WriteOp* ops, size_t n) {
+  auto [it, inserted] = records_.try_emplace(ops[0].key);
+  Record& rec = it->second;
+  if (inserted) {
+    rec.Reserve(n);
+  } else {
+    AccountRemove(rec);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const Attribute& a = ops[i].attribute;
+    rec.SetById(ops[i].attr_id, a.value, a.modified_at, a.writer);
+    rec.bump_version();
+  }
+  AccountAdd(rec);
+}
+
 void RecordStore::RemoveAttribute(RecordKey key, std::string_view name) {
   AttrId id = AttrPool::Global().Lookup(name);
   if (id != kInvalidAttrId) RemoveAttribute(key, id);

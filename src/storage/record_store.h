@@ -10,6 +10,7 @@
 #include <unordered_map>
 
 #include "common/status.h"
+#include "storage/commit_log.h"
 #include "storage/record.h"
 
 namespace udr::storage {
@@ -35,6 +36,14 @@ class RecordStore {
                     MicroTime at, uint32_t writer);
   void SetAttribute(RecordKey key, AttrId attr_id, Value value, MicroTime at,
                     uint32_t writer);
+
+  /// Applies `n` consecutive kUpsertAttr ops that all target `ops[0].key` as
+  /// one mutation: one hash lookup and one byte re-accounting for the run
+  /// (the per-op subtract/add telescopes, so ApproxBytes() ends where op-by-
+  /// op application would), still one version bump per op. A record the run
+  /// creates is reserved to the run length; an existing record is not,
+  /// since reserving on every overwrite would reallocate it each time.
+  void ApplyUpsertRun(const WriteOp* ops, size_t n);
 
   /// Removes one attribute; removes nothing if absent.
   void RemoveAttribute(RecordKey key, std::string_view name);

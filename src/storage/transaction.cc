@@ -117,7 +117,7 @@ StatusOr<CommitSeq> Transaction::Commit(MicroTime commit_time) {
         op.attribute.writer = mgr->replica_id_;
       }
     }
-    for (const WriteOp& op : writes_) ApplyWriteOp(mgr->store_, op);
+    ApplyWriteOps(mgr->store_, writes_);
     seq = mgr->log_->Append(commit_time, mgr->replica_id_, std::move(writes_));
   }
   for (RecordKey key : locked_) mgr->lock_table_.erase(key);

@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "common/rng.h"
 #include "location/identity.h"
+#include "location/identity_index.h"
 #include "location/location_stage.h"
 
 namespace udr::location {
@@ -135,6 +140,159 @@ TEST(ProvisionedStageTest, SyncWindowScalesWithEntries) {
     big.Bind({IdentityType::kImsi, "b" + std::to_string(i)}, {1, 0});
   }
   EXPECT_EQ(fresh2.BeginSyncFrom(big, 0) / fresh1.BeginSyncFrom(small, 0), 100);
+}
+
+// ---------------------------------------------------------------------------
+// IdentityIndex (the flat host index behind every identity map)
+// ---------------------------------------------------------------------------
+
+/// Identity value `n` of `type`, shaped like the real numbering plans: 15
+/// IMSI digits, a shorter MSISDN, SIP URIs past the 15-char SSO boundary,
+/// and an IMPI that is empty for n == 0.
+std::string IdentityValue(IdentityType type, uint64_t n) {
+  switch (type) {
+    case IdentityType::kImsi:
+      return std::to_string(214050000000000ULL + n);
+    case IdentityType::kMsisdn:
+      return "+346" + std::to_string(10000000 + n);
+    case IdentityType::kImpu:
+      return "sip:+346" + std::to_string(n) + "@ims.mnc005.mcc214.org";
+    case IdentityType::kImpi:
+      return n == 0 ? std::string() : "u" + std::to_string(n) + "@realm";
+  }
+  return {};
+}
+
+TEST(IdentityIndexTest, StageMatchesMapOracleOnAllIdentityTypes) {
+  Rng rng(1616);
+  LocationCostModel model;
+  ProvisionedLocationStage stage(model);
+  std::map<Identity, LocationEntry> oracle;
+  for (int step = 0; step < 40000; ++step) {
+    const auto type =
+        static_cast<IdentityType>(rng.Uniform(kIdentityTypeCount));
+    const Identity id{type, IdentityValue(type, rng.Uniform(400))};
+    switch (rng.Uniform(4)) {
+      case 0:
+      case 1: {  // Bind, or rebind when already bound.
+        LocationEntry entry{rng.Next(),
+                            static_cast<uint32_t>(rng.Uniform(64))};
+        ASSERT_TRUE(stage.Bind(id, entry).ok());
+        oracle[id] = entry;
+        break;
+      }
+      case 2:
+        EXPECT_EQ(stage.Unbind(id).ok(), oracle.erase(id) == 1)
+            << id.ToString();
+        break;
+      default: {
+        ResolveResult r = stage.Resolve(id, 0);
+        auto it = oracle.find(id);
+        if (it == oracle.end()) {
+          EXPECT_TRUE(r.status.IsNotFound()) << id.ToString();
+        } else {
+          ASSERT_TRUE(r.status.ok()) << id.ToString();
+          EXPECT_EQ(r.entry, it->second) << id.ToString();
+        }
+        break;
+      }
+    }
+    ASSERT_EQ(stage.EntryCount(), static_cast<int64_t>(oracle.size()));
+  }
+
+  // The modelled RAM is the unchanged per-binding formula.
+  int64_t expected_bytes = 0;
+  for (const auto& [id, entry] : oracle) {
+    expected_bytes +=
+        model.bytes_per_entry + static_cast<int64_t>(id.value.size());
+  }
+  EXPECT_EQ(stage.ApproxBytes(), expected_bytes);
+
+  // A scale-out copy holds exactly the peer's bindings.
+  ProvisionedLocationStage copy(model);
+  MicroDuration window = copy.BeginSyncFrom(stage, 0);
+  EXPECT_EQ(copy.EntryCount(), stage.EntryCount());
+  EXPECT_EQ(copy.ApproxBytes(), stage.ApproxBytes());
+  for (int t = 0; t < kIdentityTypeCount; ++t) {
+    const auto type = static_cast<IdentityType>(t);
+    for (uint64_t n = 0; n < 400; ++n) {
+      const Identity id{type, IdentityValue(type, n)};
+      ResolveResult r = copy.Resolve(id, window);
+      auto it = oracle.find(id);
+      if (it == oracle.end()) {
+        EXPECT_TRUE(r.status.IsNotFound()) << id.ToString();
+      } else {
+        ASSERT_TRUE(r.status.ok()) << id.ToString();
+        EXPECT_EQ(r.entry, it->second) << id.ToString();
+      }
+    }
+  }
+}
+
+/// Index content as a map, via ForEach.
+std::map<std::string, LocationEntry> Contents(const IdentityIndex& index) {
+  std::map<std::string, LocationEntry> out;
+  index.ForEach([&out](std::string_view value, const LocationEntry& entry) {
+    EXPECT_TRUE(out.emplace(std::string(value), entry).second);
+  });
+  return out;
+}
+
+TEST(IdentityIndexTest, BackwardShiftDeleteWrapsPastTheEnd) {
+  // Eight slots hold up to six bindings. Pick values whose home is the last
+  // slot and one whose home is slot 0, so their probe run wraps around.
+  std::vector<std::string> last_home;
+  std::string first_home;
+  for (uint64_t n = 0; last_home.size() < 3 || first_home.empty(); ++n) {
+    std::string v = IdentityValue(IdentityType::kImsi, n);
+    uint32_t home = IdentityIndex::Hash(v) & 7;
+    if (home == 7 && last_home.size() < 3) last_home.push_back(v);
+    if (home == 0 && first_home.empty()) first_home = v;
+  }
+  IdentityIndex index;
+  index.Put(last_home[0], {1, 0});   // Slot 7.
+  index.Put(last_home[1], {2, 0});   // Wraps to slot 0.
+  index.Put(first_home, {3, 0});     // Home 0, displaced to slot 1.
+  index.Put(last_home[2], {4, 0});   // Wraps to slot 2.
+  ASSERT_EQ(index.slot_count(), 8u);
+
+  // Erasing the run's head shifts every wrapped member back across the end.
+  ASSERT_TRUE(index.Erase(last_home[0]));
+  EXPECT_FALSE(index.Find(last_home[0]));
+  EXPECT_EQ(index.Find(last_home[1]), (LocationEntry{2, 0}));
+  EXPECT_EQ(index.Find(first_home), (LocationEntry{3, 0}));
+  EXPECT_EQ(index.Find(last_home[2]), (LocationEntry{4, 0}));
+  ASSERT_TRUE(index.Erase(first_home));
+  EXPECT_EQ(index.Find(last_home[1]), (LocationEntry{2, 0}));
+  EXPECT_EQ(index.Find(last_home[2]), (LocationEntry{4, 0}));
+  EXPECT_FALSE(index.Erase(first_home));
+  EXPECT_EQ(index.size(), 2u);
+
+  // Random churn that never outgrows the eight slots, against an oracle.
+  Rng rng(77);
+  std::map<std::string, LocationEntry> oracle = Contents(index);
+  std::vector<std::string> universe = last_home;
+  universe.push_back(first_home);
+  universe.push_back(IdentityValue(IdentityType::kImpu, 1));
+  universe.push_back(IdentityValue(IdentityType::kImpi, 0));  // Empty value.
+  for (int step = 0; step < 5000; ++step) {
+    const std::string& v = universe[rng.Uniform(universe.size())];
+    if (rng.Uniform(2) == 0) {
+      LocationEntry entry{rng.Next(), static_cast<uint32_t>(step)};
+      index.Put(v, entry);
+      oracle[v] = entry;
+    } else {
+      EXPECT_EQ(index.Erase(v), oracle.erase(v) == 1);
+    }
+    ASSERT_EQ(index.slot_count(), 8u);
+    ASSERT_EQ(Contents(index), oracle) << "step " << step;
+    int64_t key_bytes = 0;
+    for (const auto& [value, entry] : oracle) {
+      key_bytes += static_cast<int64_t>(value.size());
+      EXPECT_EQ(index.Find(value), entry);
+    }
+    EXPECT_EQ(index.key_bytes(), key_bytes);
+  }
 }
 
 // ---------------------------------------------------------------------------

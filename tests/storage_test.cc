@@ -647,5 +647,78 @@ TEST(PackedLayoutPropertyTest, RecordsSurviveMigrationStreamChunks) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// ApplyWriteOps: applying upsert runs per record equals op-by-op apply
+// ---------------------------------------------------------------------------
+
+/// Random write set over a few keys: runs of upserts to one key (creating
+/// records, overwriting attributes and adding new ones), removes and record
+/// deletes inside and between runs, and ops of other keys interleaved.
+std::vector<WriteOp> RandomWriteSet(Rng& rng, MicroTime at) {
+  std::vector<WriteOp> ops;
+  const uint64_t runs = rng.Uniform(5) + 1;
+  for (uint64_t r = 0; r < runs; ++r) {
+    const RecordKey run_key = rng.Uniform(8) + 1;
+    const uint64_t len = rng.Uniform(12) + 1;
+    for (uint64_t i = 0; i < len; ++i) {
+      WriteOp op;
+      op.key = rng.Uniform(6) == 0 ? rng.Uniform(8) + 1 : run_key;
+      op.attr_id = InternAttr("attr-" + std::to_string(rng.Uniform(16)));
+      switch (rng.Uniform(12)) {
+        case 0:
+          op.kind = WriteKind::kRemoveAttr;
+          break;
+        case 1:
+          op.kind = WriteKind::kDeleteRecord;
+          break;
+        default:
+          op.kind = WriteKind::kUpsertAttr;
+          op.attribute = {RandomValue(rng), at,
+                          static_cast<uint32_t>(rng.Uniform(3))};
+          break;
+      }
+      ops.push_back(std::move(op));
+    }
+  }
+  return ops;
+}
+
+TEST(ApplyWriteOpsTest, MatchesOpByOpApply) {
+  Rng rng(4242);
+  RecordStore batched;
+  RecordStore single;
+  int creating_runs = 0;
+  int overwriting_runs = 0;
+  for (int entry = 0; entry < 3000; ++entry) {
+    const std::vector<WriteOp> ops = RandomWriteSet(rng, entry);
+    ApplyWriteOps(&batched, ops);
+    for (size_t i = 0; i < ops.size(); ++i) {
+      const WriteOp& op = ops[i];
+      const auto same_run = [&op](const WriteOp& other) {
+        return other.kind == WriteKind::kUpsertAttr && other.key == op.key;
+      };
+      // Coverage: count multi-op upsert runs by whether they create the
+      // record (the reserving path) or mutate an existing one.
+      if (op.kind == WriteKind::kUpsertAttr &&
+          (i == 0 || !same_run(ops[i - 1])) && i + 1 < ops.size() &&
+          same_run(ops[i + 1])) {
+        ++(single.Contains(op.key) ? overwriting_runs : creating_runs);
+      }
+      ApplyWriteOp(&single, op);
+    }
+    ASSERT_EQ(batched.Count(), single.Count()) << "entry " << entry;
+    ASSERT_EQ(batched.ApproxBytes(), single.ApproxBytes()) << "entry " << entry;
+    single.ForEach([&](RecordKey key, const Record& expected) {
+      const Record* got = batched.Find(key);
+      ASSERT_NE(got, nullptr) << "entry " << entry << " key " << key;
+      EXPECT_EQ(*got, expected) << "entry " << entry << " key " << key;
+      EXPECT_EQ(got->version(), expected.version())
+          << "entry " << entry << " key " << key;
+    });
+  }
+  EXPECT_GT(creating_runs, 100);
+  EXPECT_GT(overwriting_runs, 100);
+}
+
 }  // namespace
 }  // namespace udr::storage

@@ -48,6 +48,15 @@ concurrency statically checkable — the ones a generic linter can't know:
                      for the sampler); every driver now wakes through
                      PumpDue, so the wake-up priority has one home.
 
+  apply-write-ops    src/ may call storage::ApplyWriteOp only inside
+                     src/storage/commit_log.{h,cc} (its declaration and
+                     ApplyWriteOps, which it serves). Commit, replication,
+                     log replay, migration chunks and consistency restoration
+                     all apply a write set through ApplyWriteOps, which turns
+                     a run of upserts to one record into one mutation; an
+                     op-by-op loop elsewhere silently brings back the per-op
+                     lookup, byte re-accounting and vector regrowth.
+
   metric-name        every dotted metric-name string literal passed to
                      Add/Observe/RegisterCounter/RegisterHist in src/ must
                      appear (backticked) in the docs/METRICS.md table, and
@@ -103,6 +112,11 @@ SUBSCRIBER_MAKE_HOME = "src/telecom/subscriber.cc"
 DRIVER_DEADLINE_RE = re.compile(
     r"\b(NextEventDeadline|NextMigrationDeadline|NextObsSampleDue)\s*\(")
 DRIVER_DEADLINE_HOMES = ("src/workload/testbed.cc", "src/udr/")
+
+# Single-op apply and the files allowed to call it (the batch entry point
+# ApplyWriteOps does not match: the name must be followed by the paren).
+APPLY_WRITE_OP_RE = re.compile(r"\bApplyWriteOp\s*\(")
+APPLY_WRITE_OP_HOMES = ("src/storage/commit_log.h", "src/storage/commit_log.cc")
 
 # Metric registry call sites and the dotted-name shape they must use.
 METRIC_CALL_RE = re.compile(
@@ -189,6 +203,13 @@ def lint_file(path: str, rel: str, allowlist_doc: str, violations: list):
                     f"outside the shared driver helper — wake the sim loop "
                     f"through Testbed::PumpDue (FeFleet::Drive) or drain "
                     f"with Testbed::DrainMigration")
+
+        if (rel not in APPLY_WRITE_OP_HOMES and "apply-write-ops" not in active
+                and APPLY_WRITE_OP_RE.search(code)):
+            violations.append(
+                f"{rel}:{lineno}: [apply-write-ops] ApplyWriteOp() outside "
+                f"src/storage/commit_log.cc — apply a write set through "
+                f"storage::ApplyWriteOps (one record mutation per upsert run)")
 
         if TSA_ESCAPE_RE.search(code) and "tsa-escape" not in active:
             context = lines[max(0, lineno - 6):lineno]
