@@ -14,9 +14,9 @@
 //
 //   S1  throughput per shard count: wall ops/s, aggregate (CPU basis),
 //       ops/s/core.
-//   S2  gates: aggregate speedup at 4 shards >= 2.5x over 1 shard; zero
-//       per-key order violations; zero failed ops; zero end-state sequence
-//       mismatches.
+//   S2  gates: aggregate speedup (CPU basis) at 4 shards >= 2.5x over 1
+//       shard; zero per-key order violations; zero failed ops; zero
+//       end-state sequence mismatches.
 //
 // Emits BENCH_sharded_scale.json (to $UDR_BENCH_SHARDED_SCALE_JSON, or
 // ./BENCH_sharded_scale.json).
@@ -172,8 +172,9 @@ int main() {
 
   Table t2("S2: self-check (any failed row breaks the CI smoke)",
            {"check", "value", "target", "verdict"});
-  t2.AddRow({"aggregate speedup @ 4 shards", Table::Dbl(speedup4, 2) + "x",
-             ">= 2.5x", speedup_ok ? "PASS" : "FAIL"});
+  t2.AddRow({"aggregate speedup @ 4 shards (CPU basis)",
+             Table::Dbl(speedup4, 2) + "x", ">= 2.5x",
+             speedup_ok ? "PASS" : "FAIL"});
   t2.AddRow({"per-key order violations", Table::Num(violations), "0",
              order_ok ? "PASS" : "FAIL"});
   t2.AddRow({"failed ops", Table::Num(failed), "0",

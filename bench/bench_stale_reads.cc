@@ -6,8 +6,6 @@
 // and the replication distance: stale-read probability grows with
 // write_rate x lag, and is exactly zero for master-only (PS-style) reads.
 
-#include <benchmark/benchmark.h>
-
 #include <memory>
 
 #include "common/rng.h"
@@ -131,38 +129,9 @@ void PrintStaleTables() {
   t3.Print();
 }
 
-void BM_SlaveRead(benchmark::State& state) {
-  sim::SimClock clock;
-  auto network = std::make_unique<sim::Network>(sim::Topology(3), &clock);
-  std::vector<std::unique_ptr<storage::StorageElement>> ses;
-  std::vector<storage::StorageElement*> ptrs;
-  for (uint32_t s = 0; s < 3; ++s) {
-    storage::StorageElementConfig cfg;
-    cfg.site = s;
-    ses.push_back(std::make_unique<storage::StorageElement>(cfg, &clock, s));
-    ptrs.push_back(ses.back().get());
-  }
-  replication::ReplicaSet rs(replication::ReplicaSetConfig(), ptrs,
-                             network.get());
-  replication::WriteBuilder wb;
-  wb.Set(1, "v", int64_t{1});
-  rs.Write(0, std::move(wb).Build());
-  clock.Advance(Seconds(1));
-  rs.CatchUpAll();
-  for (auto _ : state) {
-    auto r = rs.ReadAttribute(2, 1, "v", replication::ReadPreference::kNearest);
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SlaveRead);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   PrintStaleTables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -433,12 +433,14 @@ const Record* ReplicaSet::ReadRecordOn(uint32_t id, RecordKey key,
                                        ReadResult* meta) {
   Replica& r = replicas_[id];
   ++reads_served_;
+  const Record* mine = r.se->store().Find(key);
   if (meta != nullptr) {
     meta->served_by = id;
     meta->latency += r.se->BackgroundQueueDelay(Now()) + r.se->ReadServiceTime();
     meta->status = Status::Ok();
     if (id != master_ && replicas_[master_].up) {
-      const Record* mine = r.se->store().Find(key);
+      // Full content comparison, not versions: a diverged slave can hold
+      // other content at the master's version count.
       const Record* mrec = replicas_[master_].se->store().Find(key);
       bool differs = (mine == nullptr) != (mrec == nullptr) ||
                      (mine != nullptr && mrec != nullptr && !(*mine == *mrec));
@@ -448,7 +450,7 @@ const Record* ReplicaSet::ReadRecordOn(uint32_t id, RecordKey key,
       }
     }
   }
-  return r.se->store().Find(key);
+  return mine;
 }
 
 ReadResult ReplicaSet::ReadAttribute(sim::SiteId client_site, RecordKey key,

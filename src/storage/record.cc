@@ -97,33 +97,42 @@ void Record::Set(std::string_view name, Value value, MicroTime at,
   SetById(AttrPool::Global().Intern(name), std::move(value), at, writer);
 }
 
-void Record::SetById(AttrId id, Value value, MicroTime at, uint32_t writer) {
+int64_t Record::SetById(AttrId id, Value value, MicroTime at,
+                       uint32_t writer) {
+  const int64_t new_heap = ValueHeapBytes(value);
   size_t pos = LowerBound(id);
   if (pos < attrs_.size() && attrs_[pos].name_id == id) {
     Attribute& attr = attrs_[pos].attr;
+    const int64_t delta = new_heap - ValueHeapBytes(attr.value);
     attr.value = std::move(value);
     attr.modified_at = at;
     attr.writer = writer;
-    return;
+    return delta;
   }
+  const int64_t delta = (attrs_.empty() ? kAllocHeader : 0) +
+                        static_cast<int64_t>(sizeof(PackedAttr)) + new_heap;
   PackedAttr entry;
   entry.name_id = id;
   entry.attr.value = std::move(value);
   entry.attr.modified_at = at;
   entry.attr.writer = writer;
   attrs_.insert(attrs_.begin() + pos, std::move(entry));
+  return delta;
 }
 
 bool Record::Remove(std::string_view name) {
   AttrId id = AttrPool::Global().Lookup(name);
-  return id == kInvalidAttrId ? false : RemoveById(id);
+  return id != kInvalidAttrId && RemoveById(id) != 0;
 }
 
-bool Record::RemoveById(AttrId id) {
+int64_t Record::RemoveById(AttrId id) {
   size_t pos = LowerBound(id);
-  if (pos >= attrs_.size() || attrs_[pos].name_id != id) return false;
+  if (pos >= attrs_.size() || attrs_[pos].name_id != id) return 0;
+  const int64_t delta = -(static_cast<int64_t>(sizeof(PackedAttr)) +
+                          ValueHeapBytes(attrs_[pos].attr.value) +
+                          (attrs_.size() == 1 ? kAllocHeader : 0));
   attrs_.erase(attrs_.begin() + pos);
-  return true;
+  return delta;
 }
 
 const Attribute* Record::Find(std::string_view name) const {
@@ -188,6 +197,7 @@ MicroTime Record::LastModified() const {
   return latest;
 }
 
+// SetById and RemoveById return their change to this sum; keep them in step.
 int64_t Record::ApproxBytes() const {
   int64_t total = kPackedRecordOverhead;
   if (!attrs_.empty()) {

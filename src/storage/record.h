@@ -89,11 +89,15 @@ class Record {
   /// Sets (or overwrites) an attribute by name (interned on first use).
   void Set(std::string_view name, Value value, MicroTime at, uint32_t writer);
   /// Sets (or overwrites) an attribute by interned id (the log-replay path).
-  void SetById(AttrId id, Value value, MicroTime at, uint32_t writer);
+  /// Returns the change in ApproxBytes(), so a store can keep its byte
+  /// count without re-summing the record.
+  int64_t SetById(AttrId id, Value value, MicroTime at, uint32_t writer);
 
   /// Removes an attribute. Returns true if it existed.
   bool Remove(std::string_view name);
-  bool RemoveById(AttrId id);
+  /// Removes an attribute by interned id. Returns the change in
+  /// ApproxBytes(): negative when it existed, 0 when absent.
+  int64_t RemoveById(AttrId id);
 
   /// Attribute lookup; nullptr when absent. Resolves the name through the
   /// intern pool (no per-call std::string construction), then binary-searches

@@ -4,9 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <memory>
+#include <string>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "common/rng.h"
+#include "location/identity.h"
 #include "replication/replica_set.h"
 #include "replication/write_builder.h"
 #include "sim/clock.h"
@@ -651,18 +657,22 @@ TEST(PackedLayoutPropertyTest, RecordsSurviveMigrationStreamChunks) {
 // ApplyWriteOps: applying upsert runs per record equals op-by-op apply
 // ---------------------------------------------------------------------------
 
-/// Random write set over a few keys: runs of upserts to one key (creating
+const std::vector<RecordKey> kFewKeys = {1, 2, 3, 4, 5, 6, 7, 8};
+
+/// Random write set over `keys`: runs of upserts to one key (creating
 /// records, overwriting attributes and adding new ones), removes and record
 /// deletes inside and between runs, and ops of other keys interleaved.
-std::vector<WriteOp> RandomWriteSet(Rng& rng, MicroTime at) {
+std::vector<WriteOp> RandomWriteSet(
+    Rng& rng, MicroTime at, const std::vector<RecordKey>& keys = kFewKeys) {
+  const auto any_key = [&] { return keys[rng.Uniform(keys.size())]; };
   std::vector<WriteOp> ops;
   const uint64_t runs = rng.Uniform(5) + 1;
   for (uint64_t r = 0; r < runs; ++r) {
-    const RecordKey run_key = rng.Uniform(8) + 1;
+    const RecordKey run_key = any_key();
     const uint64_t len = rng.Uniform(12) + 1;
     for (uint64_t i = 0; i < len; ++i) {
       WriteOp op;
-      op.key = rng.Uniform(6) == 0 ? rng.Uniform(8) + 1 : run_key;
+      op.key = rng.Uniform(6) == 0 ? any_key() : run_key;
       op.attr_id = InternAttr("attr-" + std::to_string(rng.Uniform(16)));
       switch (rng.Uniform(12)) {
         case 0:
@@ -718,6 +728,184 @@ TEST(ApplyWriteOpsTest, MatchesOpByOpApply) {
   }
   EXPECT_GT(creating_runs, 100);
   EXPECT_GT(overwriting_runs, 100);
+}
+
+// ---------------------------------------------------------------------------
+// RecordStore flat table: seeded random ops against a std::unordered_map
+// oracle (lookups, scan, byte accounting)
+// ---------------------------------------------------------------------------
+
+using Oracle = std::unordered_map<RecordKey, Record>;
+
+/// The oracle's reading of one write op, built on Record alone.
+void ApplyToOracle(Oracle* oracle, const WriteOp& op) {
+  switch (op.kind) {
+    case WriteKind::kUpsertAttr: {
+      Record& r = (*oracle)[op.key];
+      r.SetById(op.attr_id, op.attribute.value, op.attribute.modified_at,
+                op.attribute.writer);
+      r.bump_version();
+      break;
+    }
+    case WriteKind::kRemoveAttr: {
+      auto it = oracle->find(op.key);
+      if (it != oracle->end()) {
+        it->second.RemoveById(op.attr_id);
+        it->second.bump_version();
+      }
+      break;
+    }
+    case WriteKind::kDeleteRecord:
+      oracle->erase(op.key);
+      break;
+  }
+}
+
+/// Find, Contains, Count, ForEach and ApproxBytes of `store` agree with
+/// `oracle` over every key of `keys`.
+void ExpectMatchesOracle(const RecordStore& store, const Oracle& oracle,
+                         const std::vector<RecordKey>& keys,
+                         const std::string& where) {
+  ASSERT_EQ(store.Count(), static_cast<int64_t>(oracle.size())) << where;
+  int64_t bytes = 0;
+  for (const auto& [key, r] : oracle) bytes += r.ApproxBytes();
+  ASSERT_EQ(store.ApproxBytes(), bytes) << where;
+  for (RecordKey key : keys) {
+    auto it = oracle.find(key);
+    const Record* got = store.Find(key);
+    ASSERT_EQ(store.Contains(key), it != oracle.end()) << where << " " << key;
+    if (it == oracle.end()) {
+      ASSERT_EQ(got, nullptr) << where << " " << key;
+      continue;
+    }
+    ASSERT_NE(got, nullptr) << where << " " << key;
+    ASSERT_EQ(*got, it->second) << where << " " << key;
+    ASSERT_EQ(got->version(), it->second.version()) << where << " " << key;
+  }
+  std::unordered_set<RecordKey> visited;
+  store.ForEach([&](RecordKey key, const Record& r) {
+    EXPECT_TRUE(visited.insert(key).second) << where << " twice: " << key;
+    auto it = oracle.find(key);
+    ASSERT_NE(it, oracle.end()) << where << " dead key: " << key;
+    EXPECT_EQ(&r, store.Find(key)) << where << " " << key;
+  });
+  ASSERT_EQ(visited.size(), oracle.size()) << where;
+}
+
+/// `steps` random operations over `keys` on both `store` and `oracle`,
+/// checked after each one. Clear is rare so the table has time to grow.
+/// Returns the largest slot count the table reached.
+size_t RunAgainstOracle(Rng& rng, const std::vector<RecordKey>& keys,
+                        int steps, RecordStore* store, Oracle* oracle) {
+  size_t max_slots = 0;
+  const auto live_or_any = [&]() -> RecordKey {
+    if (oracle->empty() || rng.Uniform(4) == 0) {
+      return keys[rng.Uniform(keys.size())];
+    }
+    auto it = oracle->begin();
+    std::advance(it, rng.Uniform(oracle->size()));
+    return it->first;
+  };
+  for (int step = 0; step < steps; ++step) {
+    const std::string where = "step " + std::to_string(step);
+    const uint64_t pick = rng.Uniform(200);
+    if (pick < 100) {
+      const std::vector<WriteOp> ops = RandomWriteSet(rng, step, keys);
+      ApplyWriteOps(store, ops);
+      for (const WriteOp& op : ops) ApplyToOracle(oracle, op);
+    } else if (pick < 125) {
+      const RecordKey key = live_or_any();
+      Record r = RandomRecord(rng);
+      r.set_version(rng.Uniform(100));
+      store->PutRecord(key, r);
+      (*oracle)[key] = std::move(r);
+    } else if (pick < 150) {
+      const RecordKey key = live_or_any();
+      const AttrId attr = InternAttr("attr-" + std::to_string(rng.Uniform(16)));
+      const Value v = RandomValue(rng);
+      const bool remove = rng.Uniform(3) == 0;
+      const auto fn = [&](Record& r) {
+        if (remove) {
+          r.RemoveById(attr);
+        } else {
+          r.SetById(attr, v, step, 1);
+        }
+      };
+      auto it = oracle->find(key);
+      EXPECT_EQ(store->MutateRecord(key, fn), it != oracle->end()) << where;
+      if (it != oracle->end()) {
+        fn(it->second);
+        it->second.bump_version();
+      }
+    } else if (pick < 175) {
+      const RecordKey key = live_or_any();
+      EXPECT_EQ(store->DeleteRecord(key), oracle->erase(key) == 1) << where;
+    } else if (pick < 199) {
+      // Strip one record down to no attributes: the last removal also gives
+      // back the entry array's allocation header.
+      const RecordKey key = live_or_any();
+      auto it = oracle->find(key);
+      if (it == oracle->end()) continue;
+      while (it->second.attribute_count() > 0) {
+        const AttrId attr = it->second.entries().front().name_id;
+        store->RemoveAttribute(key, attr);
+        it->second.RemoveById(attr);
+        it->second.bump_version();
+      }
+    } else {
+      store->Clear();
+      oracle->clear();
+    }
+    ExpectMatchesOracle(*store, *oracle, keys, where);
+    if (::testing::Test::HasFatalFailure()) break;
+    max_slots = std::max(max_slots, store->slot_count());
+  }
+  return max_slots;
+}
+
+TEST(RecordStoreOracleTest, SequentialKeysThroughSeveralGrows) {
+  Rng rng(17);
+  std::vector<RecordKey> keys;
+  for (RecordKey k = 0; k < 600; ++k) keys.push_back(k);
+  RecordStore store;
+  Oracle oracle;
+  // 8 -> 16 -> ... -> 1024 slots at least.
+  EXPECT_GE(RunAgainstOracle(rng, keys, 3000, &store, &oracle), 1024u);
+}
+
+TEST(RecordStoreOracleTest, HashIdentityKeysThroughSeveralGrows) {
+  Rng rng(18);
+  std::vector<RecordKey> keys;
+  for (int i = 0; i < 600; ++i) {
+    keys.push_back(location::HashIdentity(
+        {location::IdentityType::kImsi, "21401" + std::to_string(1000000 + i)}));
+  }
+  RecordStore store;
+  Oracle oracle;
+  EXPECT_GE(RunAgainstOracle(rng, keys, 3000, &store, &oracle), 1024u);
+}
+
+TEST(RecordStoreOracleTest, EraseShiftsBackAcrossTheEndOfTheTable) {
+  // Six keys fit the first 8-slot table (3/4 load). Four of them are homed
+  // in the last slot and two in the one before, so the probe run wraps
+  // past the end and a backward-shift erase pulls records back across it.
+  std::vector<RecordKey> keys;
+  int homed_last = 0;
+  int homed_before = 0;
+  for (RecordKey k = 0; keys.size() < 6; ++k) {
+    const uint64_t home = RecordStore::Hash(k) & 7;
+    if (home == 7 && homed_last < 4) {
+      ++homed_last;
+      keys.push_back(k);
+    } else if (home == 6 && homed_before < 2) {
+      ++homed_before;
+      keys.push_back(k);
+    }
+  }
+  Rng rng(19);
+  RecordStore store;
+  Oracle oracle;
+  EXPECT_EQ(RunAgainstOracle(rng, keys, 3000, &store, &oracle), 8u);
 }
 
 }  // namespace
