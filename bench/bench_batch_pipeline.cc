@@ -12,8 +12,6 @@
 // B4 is the self-checking expected-shape table (acceptance: batched
 // throughput >= 2x per-op at batch size 16).
 
-#include <benchmark/benchmark.h>
-
 #include <string>
 #include <vector>
 
@@ -238,34 +236,9 @@ void PrintBatchTables() {
   t4.Print();
 }
 
-void BM_PerOpEvent16(benchmark::State& state) {
-  workload::Testbed bed = MakeBed(64);
-  telecom::Subscriber sub = bed.factory().Make(7);
-  BatchRequest event = EventOf(sub, 16);
-  for (auto _ : state) {
-    MicroDuration lat = RunPerOp(bed, event);
-    benchmark::DoNotOptimize(lat);
-  }
-}
-BENCHMARK(BM_PerOpEvent16)->Unit(benchmark::kMicrosecond)->Iterations(200);
-
-void BM_RouteBatch16(benchmark::State& state) {
-  workload::Testbed bed = MakeBed(64);
-  telecom::Subscriber sub = bed.factory().Make(7);
-  BatchRequest event = EventOf(sub, 16);
-  for (auto _ : state) {
-    BatchResult r = bed.udr().router().RouteBatch(event, 0);
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_RouteBatch16)->Unit(benchmark::kMicrosecond)->Iterations(200);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   PrintBatchTables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

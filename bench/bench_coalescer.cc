@@ -14,8 +14,6 @@
 // fewer grouped dispatches per op at 8+ concurrent events, p99 queueing
 // delay <= the configured window).
 
-#include <benchmark/benchmark.h>
-
 #include <string>
 #include <vector>
 
@@ -260,30 +258,9 @@ void PrintCoalescerTables() {
   t4.Print();
 }
 
-void BM_UncoalescedEvents8(benchmark::State& state) {
-  workload::Testbed bed = MakeBed(0);
-  for (auto _ : state) {
-    RunStats stats = RunEvents(bed, 8, 1, false);
-    benchmark::DoNotOptimize(stats);
-  }
-}
-BENCHMARK(BM_UncoalescedEvents8)->Unit(benchmark::kMicrosecond)->Iterations(100);
-
-void BM_CoalescedEvents8(benchmark::State& state) {
-  workload::Testbed bed = MakeBed(kWindow);
-  for (auto _ : state) {
-    RunStats stats = RunEvents(bed, 8, 1, true);
-    benchmark::DoNotOptimize(stats);
-  }
-}
-BENCHMARK(BM_CoalescedEvents8)->Unit(benchmark::kMicrosecond)->Iterations(100);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   PrintCoalescerTables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

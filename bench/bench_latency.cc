@@ -8,8 +8,6 @@
 //   * writes always travel to the master copy: a roaming write pays the
 //     backbone RTT.
 
-#include <benchmark/benchmark.h>
-
 #include "common/histogram.h"
 #include "common/table.h"
 #include "telecom/front_end.h"
@@ -91,29 +89,9 @@ void PrintLatencyTables() {
   t3.Print();
 }
 
-void BM_LocalAuthenticateProcedure(benchmark::State& state) {
-  workload::TestbedOptions opts;
-  opts.sites = 3;
-  opts.subscribers = 100;
-  opts.pin_home_sites = true;
-  workload::Testbed bed(opts);
-  telecom::HlrFe fe(0, &bed.udr());
-  uint64_t i = 0;
-  for (auto _ : state) {
-    auto r = fe.Authenticate(bed.factory().Make((i * 3) % 99).ImsiId());
-    benchmark::DoNotOptimize(r);
-    ++i;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_LocalAuthenticateProcedure);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   PrintLatencyTables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -86,7 +86,13 @@ Dn SubscribersBase() {
 }
 
 Dn SubscriberDn(const std::string& identity_attr, const std::string& value) {
-  return SubscribersBase().Child(identity_attr, value);
+  // SubscribersBase().Child(identity_attr, value) in one allocation.
+  std::vector<Rdn> rdns;
+  rdns.reserve(3);
+  rdns.push_back(Rdn{ToLower(identity_attr), value});
+  rdns.push_back(Rdn{"ou", "subscribers"});
+  rdns.push_back(Rdn{"dc", "udr"});
+  return Dn(std::move(rdns));
 }
 
 }  // namespace udr::ldap

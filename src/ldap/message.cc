@@ -60,7 +60,7 @@ LdapBatchResult LdapBackend::ProcessBatch(
   return out;
 }
 
-uint64_t LdapBackend::EnqueueBatch(const std::vector<LdapRequest>& requests,
+uint64_t LdapBackend::EnqueueBatch(std::vector<LdapRequest> requests,
                                    uint32_t client_site) {
   const uint64_t handle = NextEnqueueHandle();
   enqueued_results_.emplace(handle, ProcessBatch(requests, client_site));

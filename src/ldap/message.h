@@ -153,8 +153,9 @@ class LdapBackend {
   /// for collecting the result. The default realization executes immediately
   /// (ProcessBatch) and stashes the result — no coalescing gain; the UDR
   /// data path overrides it to park the event in the PoA's cross-event
-  /// dispatch window.
-  virtual uint64_t EnqueueBatch(const std::vector<LdapRequest>& requests,
+  /// dispatch window. The backend takes the op list: each hop of the
+  /// enqueue chain moves it down, so a parked event owns it uncopied.
+  virtual uint64_t EnqueueBatch(std::vector<LdapRequest> requests,
                                 uint32_t client_site);
 
   /// Claims the result of an enqueued request; nullopt while it is still

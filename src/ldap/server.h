@@ -11,6 +11,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -64,12 +65,12 @@ class LdapServer {
   /// Enqueues one multi-op request into the backend's dispatch window. The
   /// protocol processing happens at enqueue; its cost is charged onto the
   /// result when it is taken.
-  uint64_t EnqueueBatch(const std::vector<LdapRequest>& requests,
+  uint64_t EnqueueBatch(std::vector<LdapRequest> requests,
                         sim::SiteId client_site) {
-    uint64_t handle = backend_->EnqueueBatch(requests, client_site);
-    pending_cost_[handle] =
-        config_.per_op_cost * static_cast<int64_t>(requests.size());
-    ops_served_ += static_cast<int64_t>(requests.size());
+    const int64_t ops = static_cast<int64_t>(requests.size());
+    uint64_t handle = backend_->EnqueueBatch(std::move(requests), client_site);
+    pending_cost_[handle] = config_.per_op_cost * ops;
+    ops_served_ += ops;
     return handle;
   }
 
@@ -173,11 +174,11 @@ class L4Balancer {
   /// Enqueues a whole multi-op request through one server into the PoA's
   /// cross-event dispatch window (the event is one protocol message; the
   /// serving instance is remembered so the result can be claimed from it).
-  StatusOr<uint64_t> EnqueueBatch(const std::vector<LdapRequest>& requests,
+  StatusOr<uint64_t> EnqueueBatch(std::vector<LdapRequest> requests,
                                   sim::SiteId client_site) {
     auto picked = Pick();
     if (!picked.ok()) return picked.status();
-    uint64_t handle = (*picked)->EnqueueBatch(requests, client_site);
+    uint64_t handle = (*picked)->EnqueueBatch(std::move(requests), client_site);
     enqueued_[handle] = *picked;
     return handle;
   }

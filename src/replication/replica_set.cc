@@ -5,6 +5,8 @@
 #include <limits>
 #include <unordered_set>
 
+#include "common/scratch.h"
+
 namespace udr::replication {
 
 using storage::CommitSeq;
@@ -239,10 +241,19 @@ WriteResult ReplicaSet::CommitOnMaster(std::vector<WriteOp> ops) {
 GroupWriteResult ReplicaSet::WriteBatch(
     sim::SiteId client_site, std::vector<std::vector<WriteOp>> txns) {
   GroupWriteResult out;
-  out.per_op.reserve(txns.size());
-  if (txns.empty()) {
+  WriteBatch(client_site, &txns, &out);
+  return out;
+}
+
+void ReplicaSet::WriteBatch(sim::SiteId client_site,
+                            std::vector<std::vector<WriteOp>>* txns,
+                            GroupWriteResult* result) {
+  ResetKeepingCapacity(result, &GroupWriteResult::per_op)
+      .reserve(txns->size());
+  GroupWriteResult& out = *result;
+  if (txns->empty()) {
     out.status = Status::Ok();
-    return out;
+    return;
   }
 
   // Group admission: the fast path needs a cleanly writable master. Anything
@@ -257,13 +268,13 @@ GroupWriteResult ReplicaSet::WriteBatch(
     master_path = false;
   }
   if (!master_path) {
-    for (auto& ops : txns) {
+    for (auto& ops : *txns) {
       WriteResult r = Write(client_site, std::move(ops));
       out.latency += r.latency;
       if (out.status.ok() && !r.status.ok()) out.status = r.status;
       out.per_op.push_back(std::move(r));
     }
-    return out;
+    return;
   }
 
   // One log-append window: every transaction commits back-to-back on the
@@ -272,13 +283,12 @@ GroupWriteResult ReplicaSet::WriteBatch(
                 network_->topology().HopOverhead();
   out.latency = out.transit;
   out.status = Status::Ok();
-  for (auto& ops : txns) {
+  for (auto& ops : *txns) {
     WriteResult r = CommitOnMaster(std::move(ops));
     out.latency += r.latency;
     if (out.status.ok() && !r.status.ok()) out.status = r.status;
     out.per_op.push_back(std::move(r));
   }
-  return out;
 }
 
 Status ReplicaSet::SyncReplicate(CommitSeq seq, MicroDuration* extra_latency,
@@ -475,7 +485,15 @@ StatusOr<Record> ReplicaSet::ReadRecord(sim::SiteId client_site, RecordKey key,
 GroupReadResult ReplicaSet::ReadBatch(sim::SiteId client_site,
                                       const std::vector<BatchReadOp>& ops) {
   GroupReadResult out;
-  out.per_op.resize(ops.size());
+  ReadBatch(client_site, ops, &out);
+  return out;
+}
+
+void ReplicaSet::ReadBatch(sim::SiteId client_site,
+                           const std::vector<BatchReadOp>& ops,
+                           GroupReadResult* result) {
+  ResetKeepingCapacity(result, &GroupReadResult::per_op).resize(ops.size());
+  GroupReadResult& out = *result;
   MicroDuration slowest_transit = 0;
   for (size_t i = 0; i < ops.size(); ++i) {
     ReadResult& meta = out.per_op[i];
@@ -510,7 +528,6 @@ GroupReadResult ReplicaSet::ReadBatch(sim::SiteId client_site,
   }
   out.transit = slowest_transit;
   out.latency += slowest_transit;
-  return out;
 }
 
 void ReplicaSet::CrashReplica(uint32_t id) {

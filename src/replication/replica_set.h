@@ -221,12 +221,24 @@ class ReplicaSet {
   GroupWriteResult WriteBatch(sim::SiteId client_site,
                               std::vector<std::vector<storage::WriteOp>> txns);
 
+  /// WriteBatch into a caller-owned result whose per-op vector keeps its
+  /// capacity across calls. Each transaction is moved out of `*txns`, which
+  /// the caller clears and reuses.
+  void WriteBatch(sim::SiteId client_site,
+                  std::vector<std::vector<storage::WriteOp>>* txns,
+                  GroupWriteResult* result);
+
   /// Executes a group of reads in one fan-out: each op picks its replica per
   /// its own preference, transit is charged once per group (slowest replica),
   /// and each op pays only its engine service time on top. Per-op failures
   /// (e.g. master-only with the master partitioned) do not poison the group.
   GroupReadResult ReadBatch(sim::SiteId client_site,
                             const std::vector<BatchReadOp>& ops);
+
+  /// ReadBatch into a caller-owned result whose per-op vector keeps its
+  /// capacity across calls.
+  void ReadBatch(sim::SiteId client_site, const std::vector<BatchReadOp>& ops,
+                 GroupReadResult* result);
 
   /// Reads one attribute according to the read preference: a one-op
   /// ReadBatch whose latency is the whole group's (transit included). As in

@@ -62,6 +62,12 @@ class WriteBuilder {
     return *this;
   }
 
+  /// Reserves room for `n` ops (one allocation for a known-size write).
+  WriteBuilder& Reserve(size_t n) {
+    ops_.reserve(n);
+    return *this;
+  }
+
   size_t size() const { return ops_.size(); }
   bool empty() const { return ops_.empty(); }
 

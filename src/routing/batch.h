@@ -101,11 +101,13 @@ struct BatchRequest {
     if (!projections.empty()) projections.emplace_back();
     return *this;
   }
-  /// Adds a whole-record read restricted to `projection` (empty = none).
+  /// Adds a whole-record read restricted to `projection` (empty = none). A
+  /// projection holds at any index, the first op of the batch included.
   BatchRequest& Add(Operation op, std::vector<storage::AttrId> projection) {
-    if (!projection.empty()) projections.resize(ops.size());
+    if (projection.empty()) return Add(std::move(op));
+    projections.resize(ops.size());
+    projections.push_back(std::move(projection));
     ops.push_back(std::move(op));
-    if (!projections.empty()) projections.push_back(std::move(projection));
     return *this;
   }
   void Clear() {

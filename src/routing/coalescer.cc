@@ -57,7 +57,7 @@ void Coalescer::Flush(Metrics::Counter& reason) {
 
   // One aggregate batch in arrival order: per-key order across events is
   // arrival order, matching what serial execution of the events would do.
-  BatchRequest agg;
+  BatchRequest& agg = agg_;
   agg.ops.reserve(pending_ops_);
   for (Parked& parked : pending_) {
     for (Operation& op : parked.event.ops) agg.ops.push_back(std::move(op));
@@ -78,7 +78,8 @@ void Coalescer::Flush(Metrics::Counter& reason) {
   obs::Span flush_span = obs::StartSpan(tracer, "coalesce.flush", flush_parent);
   agg.trace = flush_span.context().active() ? flush_span.context()
                                             : flush_parent;
-  BatchResult flush = router_->RouteBatch(agg, config_.poa_site);
+  BatchResult& flush = flush_;
+  router_->RouteBatch(agg, config_.poa_site, &flush);
   const MicroTime now = clock_->Now();
   flush_span.EndAt(now + flush.latency);
 
@@ -116,6 +117,7 @@ void Coalescer::Flush(Metrics::Counter& reason) {
     completed_.emplace(parked.id, std::move(out));
   }
 
+  agg.Clear();
   pending_.clear();
   pending_ops_ = 0;
   deadline_ = kTimeInfinity;

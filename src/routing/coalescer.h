@@ -135,6 +135,10 @@ class Coalescer {
   EventId next_id_ = 1;
   int64_t flushes_ = 0;
   std::unordered_map<EventId, EventOutcome> completed_;
+  // Flush scratch, reused across flushes: the aggregate batch and its
+  // outcomes (moved out per event on demux).
+  BatchRequest agg_;
+  BatchResult flush_;
 };
 
 }  // namespace udr::routing

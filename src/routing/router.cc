@@ -4,6 +4,7 @@
 #include <string>
 #include <utility>
 
+#include "common/scratch.h"
 #include "replication/write_builder.h"
 
 namespace udr::routing {
@@ -266,14 +267,14 @@ MicroDuration Router::DispatchGroup(const BatchRequest& batch,
   // Pending run of consecutive same-kind ops (one grouped dispatch each).
   // Only one kind is ever pending, so `run` holds the batch op index of each
   // entry of whichever run that is.
-  std::vector<std::vector<storage::WriteOp>> write_txns;
+  std::vector<std::vector<storage::WriteOp>>& write_txns = write_txns_;
   std::vector<replication::BatchReadOp>& read_ops = read_ops_;
   std::vector<size_t>& run = run_;
 
   auto flush_writes = [&]() {
     if (write_txns.empty()) return;
-    replication::GroupWriteResult gw =
-        rs->WriteBatch(poa_site, std::move(write_txns));
+    replication::GroupWriteResult& gw = write_result_;
+    rs->WriteBatch(poa_site, &write_txns, &gw);
     service_total += gw.latency - gw.transit;
     window_transit = std::max(window_transit, gw.transit);
     if (tracer_ != nullptr) {
@@ -297,7 +298,8 @@ MicroDuration Router::DispatchGroup(const BatchRequest& batch,
   };
   auto flush_reads = [&]() {
     if (read_ops.empty()) return;
-    replication::GroupReadResult gr = rs->ReadBatch(poa_site, read_ops);
+    replication::GroupReadResult& gr = read_result_;
+    rs->ReadBatch(poa_site, read_ops, &gr);
     service_total += gr.latency - gr.transit;
     window_transit = std::max(window_transit, gr.transit);
     if (tracer_ != nullptr) {
@@ -338,6 +340,7 @@ MicroDuration Router::DispatchGroup(const BatchRequest& batch,
     if (op.kind == Operation::Kind::kWrite) {
       flush_reads();
       replication::WriteBuilder wb;
+      wb.Reserve(op.mutations.size());
       for (const Mutation& m : op.mutations) {
         switch (m.kind) {
           case Mutation::Kind::kSet:
@@ -422,8 +425,15 @@ bool Router::TryServeFromCache(const Operation& op, const RouteResult& route,
 BatchResult Router::RouteBatch(const BatchRequest& batch,
                                sim::SiteId poa_site) {
   BatchResult result;
-  result.outcomes.resize(batch.ops.size());
-  if (batch.empty()) return result;
+  RouteBatch(batch, poa_site, &result);
+  return result;
+}
+
+void Router::RouteBatch(const BatchRequest& batch, sim::SiteId poa_site,
+                        BatchResult* out) {
+  BatchResult& result = *out;
+  ResetKeepingCapacity(out, &BatchResult::outcomes).resize(batch.ops.size());
+  if (batch.empty()) return;
 
   // Pipeline root span: covers the batch's whole modelled latency. All
   // stage spans hang off it in modelled time (the clock does not advance
@@ -484,7 +494,6 @@ BatchResult Router::RouteBatch(const BatchRequest& batch,
   batch_ops_.Add(static_cast<int64_t>(batch.ops.size()));
   batch_size_.Observe(static_cast<int64_t>(batch.ops.size()));
   batch_groups_.Observe(result.partition_groups);
-  return result;
 }
 
 }  // namespace udr::routing

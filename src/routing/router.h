@@ -177,6 +177,12 @@ class Router {
   /// in request order); a failed op never poisons the rest of the batch.
   BatchResult RouteBatch(const BatchRequest& batch, sim::SiteId poa_site);
 
+  /// RouteBatch into a caller-owned result: `*out` is overwritten, and
+  /// its outcome vector keeps its capacity, so an internal caller that
+  /// holds one result across calls allocates no outcome vector per batch.
+  void RouteBatch(const BatchRequest& batch, sim::SiteId poa_site,
+                  BatchResult* out);
+
   PartitionMap* partition_map() { return map_; }
 
   // -- Observability -----------------------------------------------------------
@@ -285,7 +291,10 @@ class Router {
   std::vector<RouteResult> routes_;
   std::vector<uint32_t> groups_;
   std::vector<replication::BatchReadOp> read_ops_;
+  std::vector<std::vector<storage::WriteOp>> write_txns_;
   std::vector<size_t> run_;
+  replication::GroupReadResult read_result_;
+  replication::GroupWriteResult write_result_;
 };
 
 }  // namespace udr::routing

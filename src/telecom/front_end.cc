@@ -26,16 +26,26 @@ ldap::Dn DnFor(const location::Identity& id) {
   return ldap::SubscriberDn(DnAttrFor(id.type), id.value);
 }
 
+/// A procedure's op list with each request moved in. A braced list would
+/// copy every request out of its std::initializer_list.
+template <typename... Requests>
+std::vector<ldap::LdapRequest> OpList(Requests... requests) {
+  std::vector<ldap::LdapRequest> ops;
+  ops.reserve(sizeof...(requests));
+  (ops.push_back(std::move(requests)), ...);
+  return ops;
+}
+
 }  // namespace
 
-ldap::LdapRequest FrontEnd::MakeRead(
-    const location::Identity& id, const std::vector<std::string>& attrs) const {
+ldap::LdapRequest FrontEnd::MakeRead(const location::Identity& id,
+                                     std::vector<std::string> attrs) const {
   ldap::LdapRequest req;
   req.op = ldap::LdapOp::kSearch;
   req.dn = DnFor(id);
   req.scope = ldap::SearchScope::kBaseObject;
   req.filter = ldap::kPresenceFilter;
-  req.requested_attrs = attrs;
+  req.requested_attrs = std::move(attrs);
   return req;
 }
 
@@ -83,20 +93,20 @@ std::optional<ProcedureResult> FrontEnd::TakeDeferred(uint64_t handle) {
   return out;
 }
 
-ProcedureResult FrontEnd::RunOps(
-    const std::vector<ldap::LdapRequest>& requests) {
+ProcedureResult FrontEnd::RunOps(std::vector<ldap::LdapRequest> requests) {
   ProcedureResult out;
   if (deferred_) {
     // The whole op list parks in the PoA's cross-event dispatch window; the
     // procedure completes when the window flushes (TakeDeferred). Counting
     // happens at collection, so in-flight procedures are not yet scored.
-    auto handle = udr_->SubmitEvent(requests, site_);
+    const int ops = static_cast<int>(requests.size());
+    auto handle = udr_->SubmitEvent(std::move(requests), site_);
     if (handle.ok()) {
       out.pending = *handle;
       return out;
     }
     out.status = handle.status();
-    out.failed_ops = static_cast<int>(requests.size());
+    out.failed_ops = ops;
     Count(out);
     return out;
   }
@@ -117,7 +127,7 @@ ProcedureResult FrontEnd::RunOps(
 // ---------------------------------------------------------------------------
 
 ProcedureResult HlrFe::Authenticate(const location::Identity& id) {
-  return RunOps({MakeRead(id, {attr::kAuthKey, attr::kSqn})});
+  return RunOps(OpList(MakeRead(id, {attr::kAuthKey, attr::kSqn})));
 }
 
 ProcedureResult HlrFe::UpdateLocation(const location::Identity& id,
@@ -127,26 +137,28 @@ ProcedureResult HlrFe::UpdateLocation(const location::Identity& id,
   // serving VLR / location area.
   ldap::LdapRequest update;
   update.op = ldap::LdapOp::kModify;
-  update.dn = ldap::SubscriberDn(DnAttrFor(id.type), id.value);
+  update.dn = DnFor(id);
+  update.mods.reserve(2);
   update.mods.push_back(ldap::Modification{ldap::ModType::kReplace,
                                            attr::kServingVlr, vlr_address});
   update.mods.push_back(ldap::Modification{ldap::ModType::kReplace,
                                            attr::kLocationArea, location_area});
-  return RunOps(
-      {MakeRead(id, {attr::kRoamingAllowed, attr::kCategory}), update});
+  return RunOps(OpList(MakeRead(id, {attr::kRoamingAllowed, attr::kCategory}),
+                       std::move(update)));
 }
 
 ProcedureResult HlrFe::SendRoutingInfo(const location::Identity& id) {
-  return RunOps({MakeRead(id, {attr::kServingVlr, attr::kLocationArea}),
-                 MakeRead(id, {attr::kOdbPremium, attr::kCallForwardingUncond})});
+  return RunOps(
+      OpList(MakeRead(id, {attr::kServingVlr, attr::kLocationArea}),
+             MakeRead(id, {attr::kOdbPremium, attr::kCallForwardingUncond})));
 }
 
 ProcedureResult HlrFe::SmsRouting(const location::Identity& id) {
-  return RunOps({MakeRead(id, {attr::kServingVlr, attr::kTeleservices})});
+  return RunOps(OpList(MakeRead(id, {attr::kServingVlr, attr::kTeleservices})));
 }
 
 ProcedureResult HlrFe::InterrogateSs(const location::Identity& id) {
-  return RunOps({MakeRead(id, {attr::kCallForwardingUncond})});
+  return RunOps(OpList(MakeRead(id, {attr::kCallForwardingUncond})));
 }
 
 // ---------------------------------------------------------------------------
@@ -158,25 +170,24 @@ ProcedureResult HssFe::ImsRegister(const location::Identity& impu,
   // Cx UAR (authorization) + MAR (auth vectors) + SAR (S-CSCF assignment,
   // registration state) + service profile + charging info: the paper's
   // "somewhat heavier" 5-6 op IMS procedure as one op list.
-  return RunOps({
+  return RunOps(OpList(
       MakeRead(impu, {attr::kImpi, attr::kRegistrationState}),
       MakeRead(impu, {attr::kAuthKey, attr::kSqn}),
       MakeWrite(impu, attr::kServingCscf, scscf_name),
       MakeWrite(impu, attr::kRegistrationState, std::string("registered")),
       MakeRead(impu, {attr::kTeleservices, attr::kOdbPremium}),
-      MakeRead(impu, {attr::kChargingProfile}),
-  });
+      MakeRead(impu, {attr::kChargingProfile})));
 }
 
 ProcedureResult HssFe::ImsLocate(const location::Identity& impu) {
-  return RunOps({MakeRead(impu, {attr::kServingCscf}),
-                 MakeRead(impu, {attr::kRegistrationState})});
+  return RunOps(OpList(MakeRead(impu, {attr::kServingCscf}),
+                       MakeRead(impu, {attr::kRegistrationState})));
 }
 
 ProcedureResult HssFe::ImsDeregister(const location::Identity& impu) {
-  return RunOps({MakeRead(impu, {attr::kRegistrationState}),
-                 MakeWrite(impu, attr::kRegistrationState,
-                           std::string("deregistered"))});
+  return RunOps(OpList(MakeRead(impu, {attr::kRegistrationState}),
+                       MakeWrite(impu, attr::kRegistrationState,
+                                 std::string("deregistered"))));
 }
 
 }  // namespace udr::telecom

@@ -8,6 +8,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "common/time.h"
@@ -71,7 +72,7 @@ class FrontEnd {
  protected:
   /// Builds a read of the subscriber entry (projected to `attrs`, empty = all).
   ldap::LdapRequest MakeRead(const location::Identity& id,
-                             const std::vector<std::string>& attrs) const;
+                             std::vector<std::string> attrs) const;
   /// Builds a replace of one attribute of the subscriber entry.
   ldap::LdapRequest MakeWrite(const location::Identity& id,
                               const std::string& attr,
@@ -79,8 +80,9 @@ class FrontEnd {
 
   /// Executes one procedure's ops: one multi-op message when batched,
   /// sequential submits (aborting on first failure) otherwise. Counts the
-  /// procedure.
-  ProcedureResult RunOps(const std::vector<ldap::LdapRequest>& requests);
+  /// procedure. Takes the op list: the deferred path moves it down the
+  /// enqueue chain into the parked event.
+  ProcedureResult RunOps(std::vector<ldap::LdapRequest> requests);
 
   /// Folds an LDAP result into a procedure result.
   static void Fold(const ldap::LdapResult& r, ProcedureResult* out);

@@ -101,8 +101,11 @@ ProcedureResult ProvisioningSystem::SetCallForwarding(uint64_t index,
   if (config_.batched) {
     // One provisioning transaction = one multi-op message: both master-only
     // ops land in the same partition group and share one round trip.
-    ldap::LdapBatchResult batch =
-        udr_->SubmitBatch({read, write}, config_.site);
+    std::vector<ldap::LdapRequest> ops;
+    ops.reserve(2);
+    ops.push_back(std::move(read));
+    ops.push_back(std::move(write));
+    ldap::LdapBatchResult batch = udr_->SubmitBatch(ops, config_.site);
     out.ldap_ops = static_cast<int>(batch.results.size());
     out.latency = batch.latency;
     for (const ldap::LdapResult& r : batch.results) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/scratch.h"
 #include "ldap/filter.h"
 #include "replication/write_builder.h"
 
@@ -755,11 +756,11 @@ ReadPreference UdrNf::ReadPrefFor(const LdapRequest& request) const {
 
 LdapResult UdrNf::Process(const LdapRequest& request, uint32_t poa_site) {
   int64_t charged = 0;
-  LdapBatchResult out = ProcessRequests(&request, 1, poa_site, &charged);
+  ProcessRequests(&request, 1, poa_site, &charged, &process_result_);
   // A per-op call is one foreground op even when it failed to translate.
   if (charged == 0) migration_->OnForegroundOps(1);
-  LdapResult result = std::move(out.results.front());
-  result.latency = out.latency;
+  LdapResult result = std::move(process_result_.results.front());
+  result.latency = process_result_.latency;
   return result;
 }
 
@@ -813,16 +814,25 @@ LdapResult UdrNf::SearchResultFor(const LdapRequest& request,
 
 std::vector<storage::AttrId> UdrNf::SearchProjection(
     const LdapRequest& request) {
-  std::vector<storage::AttrId> ids;
   if (request.op != ldap::LdapOp::kSearch ||
       request.scope != ldap::SearchScope::kBaseObject ||
-      request.filter != ldap::kPresenceFilter) {
-    return ids;
+      request.filter != ldap::kPresenceFilter ||
+      request.requested_attrs.empty()) {
+    return {};
+  }
+  std::vector<storage::AttrId> ids;
+  if (!spare_ids_.empty()) {
+    ids = std::move(spare_ids_.back());
+    spare_ids_.pop_back();
+    ids.clear();
   }
   ids.reserve(request.requested_attrs.size());
   for (const std::string& attr : request.requested_attrs) {
     const storage::AttrId id = storage::LookupAttr(attr);
-    if (id == storage::kInvalidAttrId) return {};
+    if (id == storage::kInvalidAttrId) {
+      spare_ids_.push_back(std::move(ids));
+      return {};
+    }
     ids.push_back(id);
   }
   return ids;
@@ -1042,37 +1052,43 @@ UdrNf::RequestSlot UdrNf::SlotFor(const LdapRequest& request,
 
 ldap::LdapBatchResult UdrNf::ProcessBatch(
     const std::vector<LdapRequest>& requests, uint32_t poa_site) {
-  LdapBatchResult out =
-      ProcessRequests(requests.data(), requests.size(), poa_site, nullptr);
+  LdapBatchResult out;
+  ProcessRequests(requests.data(), requests.size(), poa_site, nullptr, &out);
   batch_count_.Add();
   batch_ops_.Add(static_cast<int64_t>(requests.size()));
   if (!out.ok()) metrics_.Add("udr.batch.failed_ops", out.failed_ops());
   return out;
 }
 
-ldap::LdapBatchResult UdrNf::ProcessRequests(const LdapRequest* requests,
-                                             size_t count, uint32_t poa_site,
-                                             int64_t* foreground_ops) {
-  LdapBatchResult out;
-  out.results.resize(count);
+void UdrNf::ProcessRequests(const LdapRequest* requests, size_t count,
+                            uint32_t poa_site, int64_t* foreground_ops,
+                            LdapBatchResult* result) {
+  // The scratch members below assume one ProcessRequests at a time: an
+  // inline Add places and binds, it never routes another request.
+  assert(!processing_ && "ProcessRequests re-entered");
+  processing_ = true;
+  LdapBatchResult& out = *result;
+  ResetKeepingCapacity(&out, &LdapBatchResult::results).resize(count);
+  routing::BatchRequest& batch = batch_;
+  std::vector<std::pair<size_t, RequestSlot>>& slots = slots_;
+  routing::BatchResult& br = route_result_;
 
   // One trace per signaling event; the root "event" span covers the whole
   // modelled latency and the pipeline spans hang off it.
   const MicroTime event_start = Now();
-  routing::BatchRequest batch;
   obs::Span event_span;
+  batch.trace = obs::TraceContext();
   if (tracer_ != nullptr) {
     event_span = tracer_->StartSpan("event", tracer_->StartTrace());
     batch.trace = event_span.context();
   }
-  std::vector<std::pair<size_t, RequestSlot>> slots;  // request idx -> slot.
   // Pipeline requests are charged to the migration scheduler below; inline
   // ones charged themselves in ProcessInline.
   int64_t pipeline_requests = 0;
   int64_t inline_requests = 0;
   auto flush = [&]() {
     if (batch.empty()) return;
-    routing::BatchResult br = router_.RouteBatch(batch, poa_site);
+    router_.RouteBatch(batch, poa_site, &br);
     out.latency += br.latency;
     out.partition_groups += br.partition_groups;
     out.bypass_hits += br.bypass_hits;
@@ -1082,6 +1098,10 @@ ldap::LdapBatchResult UdrNf::ProcessRequests(const LdapRequest* requests,
               ? FinishBatchedDelete(slot.identity, br.outcomes[slot.op],
                                     br.outcomes[slot.write_op])
               : ResultFromOutcome(requests[idx], br.outcomes[slot.op]);
+    }
+    // The projections' id buffers go back to the pool for the next batch.
+    for (std::vector<storage::AttrId>& ids : batch.projections) {
+      if (ids.capacity() != 0) spare_ids_.push_back(std::move(ids));
     }
     batch.Clear();
     slots.clear();
@@ -1117,14 +1137,14 @@ ldap::LdapBatchResult UdrNf::ProcessRequests(const LdapRequest* requests,
   if (foreground_ops != nullptr) {
     *foreground_ops = pipeline_requests + inline_requests;
   }
-  return out;
+  processing_ = false;
 }
 
 // ---------------------------------------------------------------------------
 // Cross-event coalescing (PoA dispatch window)
 // ---------------------------------------------------------------------------
 
-uint64_t UdrNf::EnqueueBatch(const std::vector<LdapRequest>& requests,
+uint64_t UdrNf::EnqueueBatch(std::vector<LdapRequest> requests,
                              uint32_t poa_site) {
   const uint64_t handle = NextEnqueueHandle();
   BladeCluster* cluster = ClusterAtSite(poa_site);
@@ -1153,9 +1173,9 @@ uint64_t UdrNf::EnqueueBatch(const std::vector<LdapRequest>& requests,
 
   PendingEvent event;
   event.cluster = cluster->id();
-  event.requests = requests;
+  event.requests = std::move(requests);
   routing::BatchRequest batch;
-  event.slots.reserve(requests.size());
+  event.slots.reserve(event.requests.size());
   // The window's aggregate batch drops projections: ask for none.
   auto enqueue_inline = [&](const LdapRequest& r) {
     // Unreachable for Add (handled above); anything else landing here is
@@ -1164,7 +1184,7 @@ uint64_t UdrNf::EnqueueBatch(const std::vector<LdapRequest>& requests,
     event.inline_latency += res.latency;
     return res;
   };
-  for (const LdapRequest& req : requests) {
+  for (const LdapRequest& req : event.requests) {
     event.slots.push_back(
         SlotFor(req, &batch, /*project=*/false, enqueue_inline));
   }
@@ -1259,7 +1279,7 @@ void UdrNf::DrainCoalescer(uint32_t cluster_id) {
   }
 }
 
-StatusOr<uint64_t> UdrNf::SubmitEvent(const std::vector<LdapRequest>& requests,
+StatusOr<uint64_t> UdrNf::SubmitEvent(std::vector<LdapRequest> requests,
                                       sim::SiteId client_site) {
   auto poa = router_.FindPoaCluster(client_site);
   if (!poa.ok()) {
@@ -1267,7 +1287,8 @@ StatusOr<uint64_t> UdrNf::SubmitEvent(const std::vector<LdapRequest>& requests,
     return poa.status();
   }
   BladeCluster* cluster = clusters_[*poa].get();
-  auto handle = cluster->balancer().EnqueueBatch(requests, cluster->site());
+  auto handle =
+      cluster->balancer().EnqueueBatch(std::move(requests), cluster->site());
   if (!handle.ok()) {
     metrics_.Add("udr.submit.unavailable");
     return handle.status();

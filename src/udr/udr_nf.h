@@ -330,8 +330,9 @@ class UdrNf : public ldap::LdapBackend {
   /// result is collected with TakeEvent once the window flushes (PumpEvents
   /// when the sim clock passes the deadline, FlushEvents as a barrier). With
   /// `coalesce_window_us == 0` the event executes immediately and TakeEvent
-  /// succeeds right away with a result identical to SubmitBatch.
-  StatusOr<uint64_t> SubmitEvent(const std::vector<ldap::LdapRequest>& requests,
+  /// succeeds right away with a result identical to SubmitBatch. The op
+  /// list moves down the enqueue chain into the parked event uncopied.
+  StatusOr<uint64_t> SubmitEvent(std::vector<ldap::LdapRequest> requests,
                                  sim::SiteId client_site);
 
   /// Flushes every PoA dispatch window whose sim-clock deadline has passed,
@@ -377,7 +378,7 @@ class UdrNf : public ldap::LdapBackend {
   /// Parks a multi-op request in this PoA's cross-event dispatch window
   /// (Adds and untranslatable requests resolve inline at enqueue time).
   /// With coalescing disabled this is ProcessBatch plus a stashed result.
-  uint64_t EnqueueBatch(const std::vector<ldap::LdapRequest>& requests,
+  uint64_t EnqueueBatch(std::vector<ldap::LdapRequest> requests,
                         uint32_t poa_site) override;
 
   /// Claims a completed enqueued request; nullopt while its window is open.
@@ -474,12 +475,14 @@ class UdrNf : public ldap::LdapBackend {
 
   /// The one verb path behind Process and ProcessBatch, over `count`
   /// requests at `requests` (pointer + count, so the per-op path never
-  /// copies its request). When non-null, `*foreground_ops` gets how many
+  /// copies its request), into `*result` (overwritten; its results vector
+  /// keeps its capacity). When non-null, `*foreground_ops` gets how many
   /// requests were charged to the migration scheduler: pipeline ones and
-  /// inline-executed ones, not requests that failed to translate.
-  ldap::LdapBatchResult ProcessRequests(const ldap::LdapRequest* requests,
-                                        size_t count, uint32_t poa_site,
-                                        int64_t* foreground_ops);
+  /// inline-executed ones, not requests that failed to translate. Not
+  /// reentrant: it runs on the per-instance scratch below.
+  void ProcessRequests(const ldap::LdapRequest* requests, size_t count,
+                       uint32_t poa_site, int64_t* foreground_ops,
+                       ldap::LdapBatchResult* result);
 
   /// Resolves the identity named by a request's DN (or filter) at the PoA.
   StatusOr<location::Identity> RequestIdentity(
@@ -498,8 +501,9 @@ class UdrNf : public ldap::LdapBackend {
   /// projection: a base-object Search with the default presence filter (so
   /// no other attribute is needed to match) and requested attributes. Empty
   /// when any requested name was never interned — a Modify earlier in the
-  /// same batch could intern it, and the projection would then miss it.
-  static std::vector<storage::AttrId> SearchProjection(
+  /// same batch could intern it, and the projection would then miss it. A
+  /// non-empty projection reuses an id buffer from `spare_ids_`.
+  std::vector<storage::AttrId> SearchProjection(
       const ldap::LdapRequest& request);
 
   /// Translates a Modify request into pipeline mutations; FailedPrecondition
@@ -603,6 +607,19 @@ class UdrNf : public ldap::LdapBackend {
   std::vector<HeatSibling> heat_siblings_;
   int runtime_splits_ = 0;
   int runtime_merges_ = 0;
+
+  // ProcessRequests scratch, reused across calls so a one-op request
+  // allocates little beyond what its result keeps. Each shard owns its own
+  // UdrNf, so the scratch stays on one thread; `processing_` backs the
+  // debug assert that nothing ProcessRequests calls re-enters it.
+  routing::BatchRequest batch_;
+  std::vector<std::pair<size_t, RequestSlot>> slots_;  ///< Request idx, slot.
+  routing::BatchResult route_result_;
+  /// Id buffers of flushed projections, handed to the next ones.
+  std::vector<std::vector<storage::AttrId>> spare_ids_;
+  /// Process's one-op result, moved out of on every call.
+  ldap::LdapBatchResult process_result_;
+  bool processing_ = false;
 };
 
 }  // namespace udr::udrnf

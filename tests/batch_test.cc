@@ -782,6 +782,32 @@ TEST(BatchProjectionTest, SideTableStaysEmptyOrOneToOne) {
   EXPECT_TRUE(batch.projections.empty());
 }
 
+TEST(BatchProjectionTest, ProjectionOfTheFirstOpSurvives) {
+  // Every one-op Search is a batch whose only op is projected: its
+  // projection must survive at index 0.
+  const storage::AttrId vlr = storage::InternAttr("serving-vlr");
+  BatchRequest batch;
+  batch.Add(Operation::ReadRecord({IdentityType::kImsi, "1"}), {vlr});
+  ASSERT_EQ(batch.projections.size(), batch.ops.size());
+  ASSERT_NE(batch.ProjectionOf(0), nullptr);
+  EXPECT_EQ(*batch.ProjectionOf(0), std::vector<storage::AttrId>{vlr});
+  batch.Add(Operation::ReadRecord({IdentityType::kImsi, "2"}));
+  batch.Add(Operation::ReadRecord({IdentityType::kImsi, "3"}), {});
+  ASSERT_EQ(batch.projections.size(), batch.ops.size());
+  EXPECT_NE(batch.ProjectionOf(0), nullptr);
+  EXPECT_EQ(batch.ProjectionOf(1), nullptr);
+  EXPECT_EQ(batch.ProjectionOf(2), nullptr);
+  // A side table out of step with the ops is still dropped as a whole.
+  batch.ops.push_back(Operation::ReadRecord({IdentityType::kImsi, "4"}));
+  EXPECT_EQ(batch.ProjectionOf(0), nullptr);
+  // A batch whose ops carry no projection keeps an empty side table.
+  batch.Clear();
+  batch.Add(Operation::ReadRecord({IdentityType::kImsi, "5"}), {});
+  batch.Add(Operation::ReadRecord({IdentityType::kImsi, "6"}));
+  EXPECT_TRUE(batch.projections.empty());
+  EXPECT_EQ(batch.ProjectionOf(0), nullptr);
+}
+
 /// One seeded Search and the identity its DN names.
 struct SeededSearch {
   ldap::LdapRequest request;

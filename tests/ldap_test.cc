@@ -73,6 +73,8 @@ TEST(DnTest, SubscriberDnHelper) {
   Dn dn = SubscriberDn("msisdn", "+34600000001");
   EXPECT_EQ(dn.leaf().attr, "msisdn");
   EXPECT_TRUE(dn.IsWithin(SubscribersBase()));
+  // The one-allocation build equals the base's child, attr lower-cased.
+  EXPECT_EQ(SubscriberDn("IMSI", "214"), SubscribersBase().Child("imsi", "214"));
 }
 
 // ---------------------------------------------------------------------------

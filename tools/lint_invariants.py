@@ -57,6 +57,14 @@ concurrency statically checkable — the ones a generic linter can't know:
                      op-by-op loop elsewhere silently brings back the per-op
                      lookup, byte re-accounting and vector regrowth.
 
+  request-list-copy  src/telecom/ must not pass a braced op list to RunOps(
+                     or SubmitBatch(. The braces build a
+                     std::initializer_list<LdapRequest>, and the vector
+                     copies every request out of it (its DN, requested
+                     attributes and mods); a procedure builds its op list by
+                     moving each request in (front_end.cc OpList), and the
+                     list then moves down the enqueue chain uncopied.
+
   metric-name        every dotted metric-name string literal passed to
                      Add/Observe/RegisterCounter/RegisterHist in src/ must
                      appear (backticked) in the docs/METRICS.md table, and
@@ -117,6 +125,11 @@ DRIVER_DEADLINE_HOMES = ("src/workload/testbed.cc", "src/udr/")
 # ApplyWriteOps does not match: the name must be followed by the paren).
 APPLY_WRITE_OP_RE = re.compile(r"\bApplyWriteOp\s*\(")
 APPLY_WRITE_OP_HOMES = ("src/storage/commit_log.h", "src/storage/commit_log.cc")
+
+# An op-list call whose argument opens with a brace, on the same line or the
+# next one (group 2 is "{" or empty at end of line).
+REQUEST_LIST_CALL_RE = re.compile(r"\b(RunOps|SubmitBatch)\s*\(\s*(\{|$)")
+REQUEST_LIST_SCOPE = "src/telecom/"
 
 # Metric registry call sites and the dotted-name shape they must use.
 METRIC_CALL_RE = re.compile(
@@ -210,6 +223,20 @@ def lint_file(path: str, rel: str, allowlist_doc: str, violations: list):
                 f"{rel}:{lineno}: [apply-write-ops] ApplyWriteOp() outside "
                 f"src/storage/commit_log.cc — apply a write set through "
                 f"storage::ApplyWriteOps (one record mutation per upsert run)")
+
+        if (rel.startswith(REQUEST_LIST_SCOPE)
+                and "request-list-copy" not in active):
+            m = REQUEST_LIST_CALL_RE.search(code)
+            braced = m is not None and (
+                m.group(2) == "{" or
+                (lineno < len(lines) and
+                 code_part(lines[lineno]).lstrip().startswith("{")))
+            if braced:
+                violations.append(
+                    f"{rel}:{lineno}: [request-list-copy] braced op list "
+                    f"passed to {m.group(1)}() — the initializer_list copies "
+                    f"every LdapRequest; move each request into a vector "
+                    f"(OpList) instead")
 
         if TSA_ESCAPE_RE.search(code) and "tsa-escape" not in active:
             context = lines[max(0, lineno - 6):lineno]
