@@ -17,8 +17,6 @@
 // $UDR_BENCH_JSON_PATH, or ./BENCH_migration.json) so the bench trajectory
 // can be tracked across commits.
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -399,29 +397,9 @@ void PrintMigrationTables() {
                 m2_scaling_ok && m3_ok);
 }
 
-void BM_ThrottledMigrationPump(benchmark::State& state) {
-  workload::Testbed bed = MakeBed(kThrottleBps, kChunkBytes);
-  (void)bed.udr().AddCluster(0);
-  bed.udr().StartMigration();
-  for (auto _ : state) {
-    MicroTime at = bed.udr().NextMigrationDeadline();
-    if (at == kTimeInfinity) {
-      state.SkipWithError("migration drained before the timing loop ended");
-      break;
-    }
-    bed.clock().AdvanceTo(std::max(at, bed.clock().Now()));
-    bed.udr().PumpMigration();
-    benchmark::DoNotOptimize(bed.udr().MigrationStatus().bytes_moved);
-  }
-}
-BENCHMARK(BM_ThrottledMigrationPump)->Unit(benchmark::kMicrosecond)->Iterations(50);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   PrintMigrationTables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -77,8 +77,21 @@ MicroTime ReplicaSet::EntryDeliveryTime(CommitSeq seq, uint32_t id) const {
 }
 
 void ReplicaSet::ApplyEntry(Replica* r, CommitSeq seq) {
-  storage::ApplyWriteOps(&r->se->store(), log_.At(seq).ops);
+  storage::ApplyWriteOps(&r->se->store(), log_.At(seq).ops,
+                         log_.BirthTag(seq));
   r->applied = seq;
+}
+
+void ReplicaSet::ApplyThrough(uint32_t id, CommitSeq to) {
+  Replica& r = replicas_[id];
+  const Replica& m = replicas_[master_];
+  // The master's store is an adoption source only while it and the replica
+  // hold exactly the log's writes: no divergence on either side.
+  const bool adopt = id != master_ && m.up && m.se != r.se &&
+                     r.divergence.empty() && m.divergence.empty();
+  storage::CatchUpRange(log_, r.applied, to, &r.se->store(),
+                        adopt ? &m.se->store() : nullptr);
+  r.applied = to;
 }
 
 void ReplicaSet::CatchUp(uint32_t id) {
@@ -88,11 +101,9 @@ void ReplicaSet::CatchUp(uint32_t id) {
     r.applied = log_.LastSeq();
     return;
   }
-  while (r.applied < log_.LastSeq()) {
-    CommitSeq next = r.applied + 1;
-    if (EntryDeliveryTime(next, id) > Now()) break;
-    ApplyEntry(&r, next);
-  }
+  CommitSeq to = r.applied;
+  while (to < log_.LastSeq() && EntryDeliveryTime(to + 1, id) <= Now()) ++to;
+  if (to > r.applied) ApplyThrough(id, to);
 }
 
 void ReplicaSet::CatchUpAll() {
@@ -209,10 +220,11 @@ WriteResult ReplicaSet::CommitOnMaster(std::vector<WriteOp> ops) {
       op.attribute.writer = master_;
     }
   }
-  // Apply atomically to the master copy and append to the stream.
-  storage::ApplyWriteOps(&master.se->store(), ops);
+  // Append to the stream and apply atomically to the master copy.
   int op_count = static_cast<int>(ops.size());
   CommitSeq seq = log_.Append(now, master_, std::move(ops));
+  storage::ApplyWriteOps(&master.se->store(), log_.At(seq).ops,
+                         log_.BirthTag(seq));
   master.applied = seq;
 
   // A foreground commit queues behind any in-flight background streaming
@@ -740,7 +752,8 @@ StatusOr<int64_t> ReplicaSet::ShipMigrationChunk(MigrationStream* stream,
     if (stream->promote_existing) {
       ApplyEntry(&replicas_[stream->target_replica], next);
     } else {
-      storage::ApplyWriteOps(&stream->target->store(), e.ops);
+      storage::ApplyWriteOps(&stream->target->store(), e.ops,
+                             log_.BirthTag(next));
     }
     stream->shipped_seq = next;
     shipped += EntryBytes(e);
@@ -931,9 +944,10 @@ RestorationReport ReplicaSet::RestoreConsistency() {
   }
 
   if (!merged.empty()) {
-    storage::ApplyWriteOps(&master_store, merged);
-    log_.Append(Now(), master_, std::move(merged));
-    replicas_[master_].applied = log_.LastSeq();
+    const CommitSeq seq = log_.Append(Now(), master_, std::move(merged));
+    storage::ApplyWriteOps(&master_store, log_.At(seq).ops,
+                           log_.BirthTag(seq));
+    replicas_[master_].applied = seq;
   }
 
   // Every up replica resyncs to the merged view (the paper's "consistency
@@ -946,8 +960,7 @@ RestorationReport ReplicaSet::RestoreConsistency() {
     if (!r.up) continue;
     DropPartitionKeys(&r);
     r.applied = 0;
-    log_.ReplayRange(&r.se->store(), 0, log_.LastSeq());
-    r.applied = log_.LastSeq();
+    ApplyThrough(id, log_.LastSeq());
   }
   return report;
 }
@@ -956,7 +969,7 @@ void ReplicaSet::ForceSyncAll() {
   for (uint32_t id = 0; id < replicas_.size(); ++id) {
     Replica& r = replicas_[id];
     if (!r.up || id == master_) continue;
-    while (r.applied < log_.LastSeq()) ApplyEntry(&r, r.applied + 1);
+    ApplyThrough(id, log_.LastSeq());
   }
   replicas_[master_].applied = log_.LastSeq();
 }

@@ -355,8 +355,15 @@ class ReplicaSet {
   /// surviving copy can ship it.
   MicroTime EntryDeliveryTime(storage::CommitSeq seq, uint32_t id) const;
 
-  /// Applies entry `seq` to the replica's store.
+  /// Applies entry `seq` to the replica's store (replay; the synchronous
+  /// commit and migration paths).
   void ApplyEntry(Replica* r, storage::CommitSeq seq);
+
+  /// Brings replica `id` from its applied prefix to `to` through
+  /// storage::CatchUpRange, adopting the master's records when neither side
+  /// holds divergent writes. The catch-up apply of CatchUp, ForceSyncAll and
+  /// RestoreConsistency's resync.
+  void ApplyThrough(uint32_t id, storage::CommitSeq to);
 
   /// Deletes every record this partition's log (and the replica's divergence
   /// log) ever touched from the replica's store, leaving co-hosted

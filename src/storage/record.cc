@@ -1,6 +1,7 @@
 #include "storage/record.h"
 
 #include <algorithm>
+#include <new>
 
 namespace udr::storage {
 namespace {
@@ -85,11 +86,107 @@ int64_t ValueHeapBytes(const Value& v) {
 
 bool ValueEquals(const Value& a, const Value& b) { return a == b; }
 
+static_assert(sizeof(Record) == 16, "payload pointer, entry count, version");
+
+Record::Payload* Record::Allocate(size_t capacity) {
+  static_assert(sizeof(Payload) % alignof(PackedAttr) == 0,
+                "entries follow the header without padding");
+  void* mem = ::operator new(sizeof(Payload) + capacity * sizeof(PackedAttr));
+  Payload* p = static_cast<Payload*>(mem);
+  p->refs = 1;
+  p->capacity = static_cast<uint32_t>(capacity);
+  p->heap_bytes = 0;
+  p->birth = 0;
+  return p;
+}
+
+void Record::Release() {
+  if (payload_ == nullptr) return;
+  if (--payload_->refs == 0) {
+    PackedAttr* e = payload_->entries();
+    for (uint32_t i = 0; i < size_; ++i) e[i].~PackedAttr();
+    ::operator delete(payload_);
+  }
+  payload_ = nullptr;
+  size_ = 0;
+}
+
+void Record::Relocate(size_t capacity, size_t gap) {
+  Payload* old = payload_;
+  Payload* p = Allocate(capacity);
+  if (old != nullptr) {
+    PackedAttr* src = old->entries();
+    PackedAttr* dst = p->entries();
+    const bool shared = old->refs > 1;
+    const uint32_t size = size_;
+    for (uint32_t i = 0; i < size; ++i) {
+      PackedAttr* to = dst + i + (i >= gap ? 1 : 0);
+      if (shared) {
+        new (to) PackedAttr(src[i]);
+      } else {
+        new (to) PackedAttr(std::move(src[i]));
+      }
+    }
+    p->heap_bytes = old->heap_bytes;
+    p->birth = old->birth;
+    Release();
+    size_ = size;
+  }
+  payload_ = p;
+}
+
+Record::Record(const Record& other) : version_(other.version_) {
+  const uint32_t n = other.size_;
+  if (n == 0) return;
+  payload_ = Allocate(n);
+  const PackedAttr* src = other.payload_->entries();
+  PackedAttr* dst = payload_->entries();
+  for (uint32_t i = 0; i < n; ++i) new (dst + i) PackedAttr(src[i]);
+  size_ = n;
+  payload_->heap_bytes = other.payload_->heap_bytes;
+}
+
+Record& Record::operator=(const Record& other) {
+  if (this != &other) *this = Record(other);
+  return *this;
+}
+
+Record& Record::operator=(Record&& other) noexcept {
+  if (this != &other) {
+    Release();
+    payload_ = other.payload_;
+    size_ = other.size_;
+    version_ = other.version_;
+    other.payload_ = nullptr;
+    other.size_ = 0;
+  }
+  return *this;
+}
+
+Record Record::Share() const {
+  Record out;
+  out.payload_ = payload_;
+  out.size_ = size_;
+  out.version_ = version_;
+  if (payload_ != nullptr) ++payload_->refs;
+  return out;
+}
+
+void Record::Reserve(size_t n) {
+  if (n == 0) return;
+  if (payload_ == nullptr || payload_->refs > 1 || payload_->capacity < n) {
+    const size_t size = attribute_count();
+    Relocate(std::max(n, size), size);
+  }
+}
+
 size_t Record::LowerBound(AttrId id) const {
-  auto it = std::lower_bound(
-      attrs_.begin(), attrs_.end(), id,
+  const PackedAttr* begin = data();
+  const PackedAttr* end = begin + attribute_count();
+  const PackedAttr* it = std::lower_bound(
+      begin, end, id,
       [](const PackedAttr& e, AttrId target) { return e.name_id < target; });
-  return static_cast<size_t>(it - attrs_.begin());
+  return static_cast<size_t>(it - begin);
 }
 
 void Record::Set(std::string_view name, Value value, MicroTime at,
@@ -100,23 +197,47 @@ void Record::Set(std::string_view name, Value value, MicroTime at,
 int64_t Record::SetById(AttrId id, Value value, MicroTime at,
                        uint32_t writer) {
   const int64_t new_heap = ValueHeapBytes(value);
-  size_t pos = LowerBound(id);
-  if (pos < attrs_.size() && attrs_[pos].name_id == id) {
-    Attribute& attr = attrs_[pos].attr;
+  const size_t size = attribute_count();
+  const size_t pos = LowerBound(id);
+  if (pos < size && payload_->entries()[pos].name_id == id) {
+    if (payload_->refs > 1) Relocate(size, size);
+    Attribute& attr = payload_->entries()[pos].attr;
     const int64_t delta = new_heap - ValueHeapBytes(attr.value);
     attr.value = std::move(value);
     attr.modified_at = at;
     attr.writer = writer;
+    payload_->heap_bytes += delta;
     return delta;
   }
-  const int64_t delta = (attrs_.empty() ? kAllocHeader : 0) +
+  const int64_t delta = (size == 0 ? kAllocHeader : 0) +
                         static_cast<int64_t>(sizeof(PackedAttr)) + new_heap;
   PackedAttr entry;
   entry.name_id = id;
   entry.attr.value = std::move(value);
   entry.attr.modified_at = at;
   entry.attr.writer = writer;
-  attrs_.insert(attrs_.begin() + pos, std::move(entry));
+  if (payload_ == nullptr || payload_->refs > 1 ||
+      payload_->capacity == size) {
+    // A new block: the entries land around the insert position.
+    const size_t capacity =
+        payload_ != nullptr && payload_->refs > 1 && payload_->capacity > size
+            ? size + 1
+            : std::max<size_t>(1, 2 * size);
+    Relocate(capacity, pos);
+    new (payload_->entries() + pos) PackedAttr(std::move(entry));
+  } else {
+    // Room in place: shift the tail up one, as std::vector::insert does.
+    PackedAttr* e = payload_->entries();
+    if (pos == size) {
+      new (e + size) PackedAttr(std::move(entry));
+    } else {
+      new (e + size) PackedAttr(std::move(e[size - 1]));
+      std::move_backward(e + pos, e + size - 1, e + size);
+      e[pos] = std::move(entry);
+    }
+  }
+  ++size_;
+  payload_->heap_bytes += new_heap;
   return delta;
 }
 
@@ -126,12 +247,18 @@ bool Record::Remove(std::string_view name) {
 }
 
 int64_t Record::RemoveById(AttrId id) {
-  size_t pos = LowerBound(id);
-  if (pos >= attrs_.size() || attrs_[pos].name_id != id) return 0;
-  const int64_t delta = -(static_cast<int64_t>(sizeof(PackedAttr)) +
-                          ValueHeapBytes(attrs_[pos].attr.value) +
-                          (attrs_.size() == 1 ? kAllocHeader : 0));
-  attrs_.erase(attrs_.begin() + pos);
+  const size_t size = attribute_count();
+  const size_t pos = LowerBound(id);
+  if (pos >= size || payload_->entries()[pos].name_id != id) return 0;
+  if (payload_->refs > 1) Relocate(size, size);
+  PackedAttr* e = payload_->entries();
+  const int64_t heap = ValueHeapBytes(e[pos].attr.value);
+  const int64_t delta = -(static_cast<int64_t>(sizeof(PackedAttr)) + heap +
+                          (size == 1 ? kAllocHeader : 0));
+  std::move(e + pos + 1, e + size, e + pos);
+  e[size - 1].~PackedAttr();
+  --size_;
+  payload_->heap_bytes -= heap;
   return delta;
 }
 
@@ -141,14 +268,16 @@ const Attribute* Record::Find(std::string_view name) const {
 }
 
 const Attribute* Record::FindById(AttrId id) const {
-  size_t pos = LowerBound(id);
-  if (pos >= attrs_.size() || attrs_[pos].name_id != id) return nullptr;
-  return &attrs_[pos].attr;
+  const size_t pos = LowerBound(id);
+  if (pos >= attribute_count() || payload_->entries()[pos].name_id != id) {
+    return nullptr;
+  }
+  return &payload_->entries()[pos].attr;
 }
 
 Record Record::Projected(const std::vector<AttrId>& ids) const {
   Record out;
-  out.attrs_.reserve(ids.size());
+  out.Reserve(ids.size());
   for (AttrId id : ids) {
     if (const Attribute* a = FindById(id)) {
       out.SetById(id, a->value, a->modified_at, a->writer);
@@ -165,7 +294,7 @@ std::optional<Value> Record::Get(std::string_view name) const {
 
 void Record::ForEachAttribute(
     const std::function<void(std::string_view, const Attribute&)>& fn) const {
-  for (const PackedAttr& e : attrs_) {
+  for (const PackedAttr& e : entries()) {
     fn(AttrPool::Global().NameOf(e.name_id), e.attr);
   }
 }
@@ -174,7 +303,7 @@ void Record::ForEachAttribute(
 std::map<std::string, Attribute> Record::ToMap() const {
   // lint:allow(storage-string-map): legacy-form shim, see record.h.
   std::map<std::string, Attribute> out;
-  for (const PackedAttr& e : attrs_) {
+  for (const PackedAttr& e : entries()) {
     out.emplace(std::string(AttrPool::Global().NameOf(e.name_id)), e.attr);
   }
   return out;
@@ -191,21 +320,26 @@ Record Record::FromMap(const std::map<std::string, Attribute>& attrs) {
 
 MicroTime Record::LastModified() const {
   MicroTime latest = 0;
-  for (const PackedAttr& e : attrs_) {
+  for (const PackedAttr& e : entries()) {
     latest = std::max(latest, e.attr.modified_at);
   }
   return latest;
 }
 
-// SetById and RemoveById return their change to this sum; keep them in step.
+// SetById and RemoveById return their change to this value and keep the
+// cached heap bytes in step; storage_test re-sums it entry by entry.
 int64_t Record::ApproxBytes() const {
-  int64_t total = kPackedRecordOverhead;
-  if (!attrs_.empty()) {
-    total += kAllocHeader +
-             static_cast<int64_t>(attrs_.size() * sizeof(PackedAttr));
-  }
-  for (const PackedAttr& e : attrs_) total += ValueHeapBytes(e.attr.value);
-  return total;
+  const size_t size = attribute_count();
+  if (size == 0) return kPackedRecordOverhead;
+  return kPackedRecordOverhead + kAllocHeader +
+         static_cast<int64_t>(size * sizeof(PackedAttr)) +
+         payload_->heap_bytes;
+}
+
+bool Record::operator==(const Record& o) const {
+  const PackedAttrSpan a = entries();
+  const PackedAttrSpan b = o.entries();
+  return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
 }
 
 int64_t Record::CacheFootprintBytes() const {
@@ -216,7 +350,7 @@ int64_t Record::CacheFootprintBytes() const {
 
 int64_t Record::MapLayoutBytes() const {
   int64_t total = kMapRecordOverhead;
-  for (const PackedAttr& e : attrs_) {
+  for (const PackedAttr& e : entries()) {
     std::string_view name = AttrPool::Global().NameOf(e.name_id);
     total += kRbNodeHeader + kAllocHeader + kStringObject;
     if (static_cast<int64_t>(name.size()) > kStringSso) {

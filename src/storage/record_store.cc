@@ -1,5 +1,7 @@
 #include "storage/record_store.h"
 
+#include <cassert>
+
 namespace udr::storage {
 
 std::pair<Record*, bool> RecordStore::FindOrInsert(RecordKey key) {
@@ -74,9 +76,13 @@ void RecordStore::SetAttribute(RecordKey key, AttrId attr_id, Value value,
   rec.bump_version();
 }
 
-void RecordStore::ApplyUpsertRun(const WriteOp* ops, size_t n) {
+void RecordStore::ApplyUpsertRun(const WriteOp* ops, size_t n,
+                                 uint64_t birth) {
   auto [rec, inserted] = FindOrInsert(ops[0].key);
-  if (inserted) rec->Reserve(n);
+  if (inserted) {
+    rec->Reserve(n);
+    rec->set_birth(birth);
+  }
   int64_t delta = 0;
   for (size_t i = 0; i < n; ++i) {
     const Attribute& a = ops[i].attribute;
@@ -110,6 +116,15 @@ void RecordStore::PutRecord(RecordKey key, Record record) {
   approx_bytes_ -= rec.ApproxBytes();
   rec = std::move(record);
   approx_bytes_ += rec.ApproxBytes();
+}
+
+void RecordStore::AdoptRecord(RecordKey key, const Record& source) {
+  auto [rec, inserted] = FindOrInsert(key);
+  assert(inserted);
+  (void)inserted;
+  approx_bytes_ -= rec->ApproxBytes();
+  *rec = source.Share();
+  approx_bytes_ += rec->ApproxBytes();
 }
 
 bool RecordStore::DeleteRecord(RecordKey key) {

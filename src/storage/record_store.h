@@ -19,21 +19,31 @@ namespace udr::storage {
 /// Hash-indexed in-memory record table with byte accounting.
 ///
 /// Records live inline in one power-of-two slot array with linear probing
-/// (40-byte slots: key + Record), at most 3/4 full; occupancy is a separate
-/// control-byte array so the flag costs no slot padding. Keys are hashed with
-/// a splitmix64 finalizer, since they are sequential under least-loaded
-/// placement. Erase is backward-shift deletion (no tombstones), and records
-/// move when the table grows.
+/// (24-byte slots: key + the 16-byte Record handle), at most 3/4 full;
+/// occupancy is a separate control-byte array so the flag costs no slot
+/// padding. Keys are hashed with a splitmix64 finalizer, since they are
+/// sequential under least-loaded placement. Erase is backward-shift deletion
+/// (no tombstones), and records move when the table grows.
 ///
-/// Pointer lifetime: a pointer or reference obtained from Find or
-/// FindAttribute stays valid only until the next insert or erase on this
-/// store (SetAttribute, ApplyUpsertRun, PutRecord, DeleteRecord, Clear, or an
-/// apply through them). Use it at once.
+/// Pointer lifetime: a Record pointer obtained from Find stays valid only
+/// until the next insert or erase on this store (SetAttribute,
+/// ApplyUpsertRun, AdoptRecord, PutRecord, DeleteRecord, Clear, or an apply
+/// through them); an Attribute pointer from FindAttribute or from the
+/// record, until that record is next written too. Use them at once.
+///
+/// Copy versus share: PutRecord moves in a record the caller owns (copying a
+/// Record is deep). Only AdoptRecord shares a payload with another store, and
+/// the first write to either holder clones it (see record.h).
 ///
 /// ApproxBytes() is kept by per-op deltas (Record::SetById/RemoveById return
 /// theirs), so an apply costs in proportion to its ops, not to the record it
-/// lands on; the rare whole-record paths (MutateRecord, PutRecord,
-/// DeleteRecord) re-account the whole record.
+/// lands on; the whole-record paths (MutateRecord, PutRecord, AdoptRecord,
+/// DeleteRecord) charge Record::ApproxBytes(), which is O(1).
+///
+/// A replica's store changes through its partition's commit log (the
+/// out-of-log-write lint rule keeps these writers inside src/storage/ and
+/// src/replication/). A record a log apply creates carries the entry's
+/// birth tag, which catch-up adoption checks (storage::CatchUpRange).
 class RecordStore {
  public:
   /// Looks up a record; nullptr when absent.
@@ -61,9 +71,10 @@ class RecordStore {
   /// Applies `n` consecutive kUpsertAttr ops that all target `ops[0].key` as
   /// one mutation: one hash lookup for the run and a byte delta per op, still
   /// one version bump per op. A record the run creates is reserved to the run
-  /// length; an existing record is not, since reserving on every overwrite
-  /// would reallocate it each time.
-  void ApplyUpsertRun(const WriteOp* ops, size_t n);
+  /// length and takes `birth` as its birth tag (Record::birth); an existing
+  /// record is not reserved, since reserving on every overwrite would
+  /// reallocate it each time.
+  void ApplyUpsertRun(const WriteOp* ops, size_t n, uint64_t birth = 0);
 
   /// Removes one attribute; removes nothing if absent.
   void RemoveAttribute(RecordKey key, std::string_view name);
@@ -77,6 +88,10 @@ class RecordStore {
 
   /// Inserts or replaces a whole record.
   void PutRecord(RecordKey key, Record record);
+
+  /// Inserts `key` holding a share of `source`'s payload and its version
+  /// (Record::Share): no entry is copied. `key` must be absent.
+  void AdoptRecord(RecordKey key, const Record& source);
 
   /// Deletes a record. Returns true if it existed.
   bool DeleteRecord(RecordKey key);
@@ -114,7 +129,7 @@ class RecordStore {
     RecordKey key = 0;
     Record record;
   };
-  static_assert(sizeof(Slot) == 40, "keep slots small: slack is RSS");
+  static_assert(sizeof(Slot) == 24, "keep slots small: slack is RSS");
 
   /// Slot holding `key`, or kNoSlot.
   size_t SlotOf(RecordKey key) const {

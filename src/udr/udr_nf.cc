@@ -575,6 +575,8 @@ StatusOr<int64_t> UdrNf::RehomeOne(const migration::MigrationTaskSpec& spec) {
         break;
       }
     }
+    // lint:allow(out-of-log-write): a surgical delete on SEs exclusive to
+    // the old partition (see above); catch-up's adoption check covers it.
     if (!shared) se->store().DeleteRecord(from_entry.key);
   }
   // The record changed homes: any PoA-cached copy carries the old partition

@@ -1,12 +1,18 @@
-// Heap-allocation ceilings of the per-op request path. A replaced global
-// operator new counts every allocation this binary makes (its own
-// executable, so no other test pays for the counter); each case takes the
-// mean over 1,000 calls after a warm-up on a settled 3-site, 200-subscriber
-// testbed. The ceilings hold the request path to what its result keeps: a
-// Search keeps its entry vector, the entry's DN and the projected record
-// (with any value too long for a short-string buffer); everything else (op
-// lists, slots, outcome vectors, projection ids) is moved or reused
-// per-instance scratch.
+// Heap-allocation ceilings of the per-op request path and of replica
+// catch-up. A replaced global operator new counts every allocation this
+// binary makes (its own executable, so no other test pays for the counter).
+//
+// Request path: each case takes the mean over 1,000 calls after a warm-up on
+// a settled 3-site, 200-subscriber testbed. The ceilings hold the request
+// path to what its result keeps: a Search keeps its entry vector, the entry's
+// DN and the projected record (with any value too long for a short-string
+// buffer); everything else (op lists, slots, outcome vectors, projection
+// ids) is moved or reused per-instance scratch.
+//
+// Catch-up: a slave that catches up on provisioning creates adopts the
+// master's records (storage::CatchUpRange) instead of rebuilding each one
+// from its 18 upserts, so the catch-up allocates for its tables, not per
+// record.
 
 #include <gtest/gtest.h>
 
@@ -15,11 +21,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "ldap/dn.h"
 #include "ldap/message.h"
+#include "replication/replica_set.h"
 #include "telecom/front_end.h"
 #include "telecom/subscriber.h"
 #include "workload/testbed.h"
@@ -169,6 +177,44 @@ TEST_F(AllocTest, HlrUpdateLocation) {
     ASSERT_TRUE(fe.UpdateLocation(ids[i % kSubscribers], vlr, i % 50).ok());
   });
   EXPECT_LE(mean, 18.0);
+}
+
+/// Records held by all of the deployment's storage elements.
+int64_t StoredRecords(udrnf::UdrNf& udr) {
+  std::set<const storage::StorageElement*> ses;
+  for (uint32_t p = 0; p < udr.partition_count(); ++p) {
+    const replication::ReplicaSet* rs = udr.partition(p);
+    for (uint32_t id = 0; id < rs->replica_count(); ++id) {
+      ses.insert(rs->replica_se(id));
+    }
+  }
+  int64_t records = 0;
+  for (const storage::StorageElement* se : ses) records += se->store().Count();
+  return records;
+}
+
+TEST(CatchUpAllocTest, AdoptingCatchUpAllocatesAtMostOncePerRecord) {
+  constexpr int64_t kCreates = 2000;
+  TestbedOptions o;
+  o.sites = 3;
+  Testbed bed(o);
+  ASSERT_EQ(bed.ProvisionDirect(0, kCreates), kCreates);
+  bed.clock().Advance(Seconds(1));
+  const int64_t records_before = StoredRecords(bed.udr());
+  const int64_t before = g_allocations.load(std::memory_order_relaxed);
+  bed.udr().CatchUpAllPartitions();
+  const int64_t allocations =
+      g_allocations.load(std::memory_order_relaxed) - before;
+  // Records the catch-up put on slaves: at least one slave per partition
+  // lagged on every create.
+  const int64_t records = StoredRecords(bed.udr()) - records_before;
+  ASSERT_GE(records, kCreates);
+  const double per_record =
+      static_cast<double>(allocations) / static_cast<double>(records);
+  std::printf("%-28s %6.2f allocations/record (%lld records)\n",
+              "CatchUpAllPartitions", per_record,
+              static_cast<long long>(records));
+  EXPECT_LE(per_record, 1.0);
 }
 
 }  // namespace

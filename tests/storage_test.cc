@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <iterator>
 #include <memory>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -654,6 +656,177 @@ TEST(PackedLayoutPropertyTest, RecordsSurviveMigrationStreamChunks) {
 }
 
 // ---------------------------------------------------------------------------
+// Record payload: deep copy, explicit share, copy-on-write, O(1) bytes
+// ---------------------------------------------------------------------------
+
+/// Record::ApproxBytes() re-summed entry by entry (record.cc's model: a
+/// 48-byte record overhead, then one 16-byte allocation header and the
+/// entry array when there are entries, plus each value's heap bytes).
+int64_t ResummedBytes(const Record& r) {
+  int64_t total = 48;
+  if (r.attribute_count() != 0) {
+    total += 16 + static_cast<int64_t>(r.attribute_count() *
+                                       sizeof(PackedAttr));
+  }
+  for (const PackedAttr& e : r.entries()) total += ValueHeapBytes(e.attr.value);
+  return total;
+}
+
+/// A record whose values spill to the heap (long strings, a list).
+Record SampleRecord() {
+  Record r;
+  r.Set("imsi", std::string("214010000000001"), 10, 0);
+  r.Set("msisdn", std::string("+34600000000001-with-a-long-tail"), 11, 0);
+  r.Set("impu", std::vector<std::string>{"sip:a@ims.example", "tel:+34"}, 12,
+        0);
+  r.Set("sqn", int64_t{42}, 13, 0);
+  r.set_version(4);
+  return r;
+}
+
+TEST(RecordPayloadTest, RecordIsSixteenBytes) {
+  EXPECT_EQ(sizeof(Record), 16u);
+  Record empty;
+  EXPECT_EQ(empty.ApproxBytes(), ResummedBytes(empty));
+  EXPECT_TRUE(empty.entries().empty());
+  EXPECT_FALSE(empty.payload_shared());
+}
+
+TEST(RecordPayloadTest, SharedPayloadIsReadableFromBothHolders) {
+  const Record a = SampleRecord();
+  const Record b = a.Share();
+  EXPECT_TRUE(a.SharesPayloadWith(b));
+  EXPECT_TRUE(a.payload_shared());
+  EXPECT_TRUE(b.payload_shared());
+  EXPECT_EQ(b.version(), a.version());
+  EXPECT_EQ(a, b);
+  // The same entries, not a copy of them.
+  EXPECT_EQ(a.Find("msisdn"), b.Find("msisdn"));
+  EXPECT_EQ(ValueToString(*b.Get("impu")), "[sip:a@ims.example, tel:+34]");
+  EXPECT_EQ(b.ApproxBytes(), a.ApproxBytes());
+}
+
+TEST(RecordPayloadTest, ShareKeepsTheBirthTagAndACopyDropsIt) {
+  Record a = SampleRecord();
+  a.set_birth(77);
+  EXPECT_EQ(a.Share().birth(), 77u);
+  EXPECT_EQ(Record(a).birth(), 0u);
+  Record b = a.Share();
+  b.Set("sqn", int64_t{43}, 50, 0);  // The clone is still the same row.
+  EXPECT_EQ(b.birth(), 77u);
+}
+
+TEST(RecordPayloadTest, SharedPayloadOutlivesEitherHolder) {
+  Record b;
+  {
+    const Record a = SampleRecord();
+    b = a.Share();
+  }
+  EXPECT_FALSE(b.payload_shared());
+  EXPECT_EQ(b, SampleRecord());
+}
+
+TEST(RecordPayloadTest, WriteToOneHolderClonesAndLeavesTheOther) {
+  const Record original = SampleRecord();
+  const AttrId msisdn = InternAttr("msisdn");
+  const AttrId fresh = InternAttr("payload-test-fresh");
+  const std::vector<std::function<int64_t(Record&)>> writes = {
+      [&](Record& r) {  // Overwrite in place.
+        return r.SetById(msisdn, std::string("+34999"), 20, 1);
+      },
+      [&](Record& r) {  // Insert a new attribute.
+        return r.SetById(fresh, std::string(30, 'f'), 21, 1);
+      },
+      [&](Record& r) { return r.RemoveById(msisdn); },  // Remove.
+      [&](Record& r) {  // Reserve makes room without changing content.
+        r.Reserve(64);
+        return int64_t{0};
+      },
+  };
+  for (size_t w = 0; w < writes.size(); ++w) {
+    Record a = SampleRecord();
+    Record b = a.Share();
+    const int64_t before = b.ApproxBytes();
+    const int64_t delta = writes[w](b);
+    EXPECT_FALSE(a.SharesPayloadWith(b)) << "write " << w;
+    EXPECT_FALSE(a.payload_shared()) << "write " << w;
+    EXPECT_FALSE(b.payload_shared()) << "write " << w;
+    EXPECT_EQ(a, original) << "write " << w;
+    EXPECT_EQ(a.ApproxBytes(), ResummedBytes(a)) << "write " << w;
+    EXPECT_EQ(b.ApproxBytes(), ResummedBytes(b)) << "write " << w;
+    EXPECT_EQ(b.ApproxBytes(), before + delta) << "write " << w;
+    EXPECT_EQ(b == original, w == 3) << "write " << w;
+  }
+}
+
+TEST(RecordPayloadTest, DeepCopyOfSharedRecordIsIndependent) {
+  Record a = SampleRecord();
+  const Record b = a.Share();
+  Record copied(b);
+  Record assigned;
+  assigned = b;
+  for (Record* c : {&copied, &assigned}) {
+    EXPECT_FALSE(c->SharesPayloadWith(a));
+    EXPECT_FALSE(c->payload_shared());
+    EXPECT_EQ(*c, a);
+    EXPECT_EQ(c->version(), a.version());
+    EXPECT_EQ(c->ApproxBytes(), a.ApproxBytes());
+    c->Set("msisdn", std::string("+34111"), 30, 2);
+    c->Remove("sqn");
+  }
+  // The copies' writes did not reach the two holders, which still share.
+  EXPECT_TRUE(a.SharesPayloadWith(b));
+  EXPECT_EQ(a, SampleRecord());
+  EXPECT_FALSE(copied == a);
+}
+
+TEST(RecordPayloadTest, ApproxBytesEqualsResumAfterRandomWrites) {
+  Rng rng(9191);
+  for (int trial = 0; trial < 200; ++trial) {
+    Record r;
+    Record holder;  // Now and then shares r's payload, forcing clones.
+    int64_t tracked = r.ApproxBytes();
+    for (int step = 0; step < 60; ++step) {
+      if (rng.Uniform(8) == 0) holder = r.Share();
+      const AttrId id = InternAttr("attr-" + std::to_string(rng.Uniform(16)));
+      if (rng.Uniform(3) == 0) {
+        tracked += r.RemoveById(id);
+      } else {
+        tracked += r.SetById(id, RandomValue(rng), step, 0);
+      }
+      ASSERT_EQ(r.ApproxBytes(), ResummedBytes(r))
+          << "trial " << trial << " step " << step;
+      ASSERT_EQ(r.ApproxBytes(), tracked)
+          << "trial " << trial << " step " << step;
+      ASSERT_EQ(holder.ApproxBytes(), ResummedBytes(holder))
+          << "trial " << trial << " step " << step;
+    }
+  }
+}
+
+TEST(RecordStoreTest, AdoptRecordSharesThePayloadAndCountsItsBytes) {
+  RecordStore master;
+  RecordStore replica;
+  replica.SetAttribute(9, "other", int64_t{1}, 0, 0);
+  master.PutRecord(1, SampleRecord());
+  const int64_t replica_before = replica.ApproxBytes();
+  replica.AdoptRecord(1, *master.Find(1));
+  const Record* adopted = replica.Find(1);
+  ASSERT_NE(adopted, nullptr);
+  EXPECT_TRUE(adopted->SharesPayloadWith(*master.Find(1)));
+  EXPECT_EQ(adopted->version(), 4u);
+  EXPECT_EQ(replica.ApproxBytes(),
+            replica_before + master.Find(1)->ApproxBytes());
+  // The master's next write clones; the replica keeps the adopted content.
+  master.SetAttribute(1, "sqn", int64_t{43}, 40, 0);
+  adopted = replica.Find(1);
+  EXPECT_FALSE(adopted->SharesPayloadWith(*master.Find(1)));
+  EXPECT_EQ(*adopted, SampleRecord());
+  EXPECT_EQ(adopted->version(), 4u);
+  EXPECT_EQ(master.Find(1)->version(), 5u);
+}
+
+// ---------------------------------------------------------------------------
 // ApplyWriteOps: applying upsert runs per record equals op-by-op apply
 // ---------------------------------------------------------------------------
 
@@ -728,6 +901,168 @@ TEST(ApplyWriteOpsTest, MatchesOpByOpApply) {
   }
   EXPECT_GT(creating_runs, 100);
   EXPECT_GT(overwriting_runs, 100);
+}
+
+// ---------------------------------------------------------------------------
+// CatchUpRange: adopting the source's records equals replaying the range
+// ---------------------------------------------------------------------------
+
+/// `got` and `want` hold the same records, versions, byte count and slot
+/// order.
+void ExpectSameStore(const RecordStore& got, const RecordStore& want,
+                     const std::string& where) {
+  ASSERT_EQ(got.Count(), want.Count()) << where;
+  ASSERT_EQ(got.ApproxBytes(), want.ApproxBytes()) << where;
+  std::vector<RecordKey> got_order;
+  std::vector<RecordKey> want_order;
+  got.ForEach([&](RecordKey key, const Record&) { got_order.push_back(key); });
+  want.ForEach([&](RecordKey key, const Record& r) {
+    want_order.push_back(key);
+    const Record* g = got.Find(key);
+    ASSERT_NE(g, nullptr) << where << " key " << key;
+    EXPECT_EQ(*g, r) << where << " key " << key;
+    EXPECT_EQ(g->version(), r.version()) << where << " key " << key;
+    EXPECT_EQ(g->ApproxBytes(), r.ApproxBytes()) << where << " key " << key;
+  });
+  EXPECT_EQ(got_order, want_order) << where;
+}
+
+/// A log mixing whole-record creates of fresh keys with random write sets
+/// over the keys created so far (overwrites, removes, deletes).
+CommitLog RandomCreateLog(Rng& rng, int entries) {
+  CommitLog log;
+  std::vector<RecordKey> keys = {1};
+  for (int e = 0; e < entries; ++e) {
+    std::vector<WriteOp> ops;
+    if (rng.Uniform(3) != 0) {
+      const RecordKey key = keys.back() + 1 + rng.Uniform(3);
+      keys.push_back(key);
+      for (int a = 0; a < 6; ++a) {
+        WriteOp op;
+        op.key = key;
+        op.attr_id = InternAttr("attr-" + std::to_string(rng.Uniform(16)));
+        op.attribute = {RandomValue(rng), e, 0};
+        ops.push_back(std::move(op));
+      }
+    } else {
+      ops = RandomWriteSet(rng, e, keys);
+    }
+    log.Append(e, 0, std::move(ops));
+  }
+  return log;
+}
+
+TEST(CatchUpRangeTest, AdoptionLeavesWhatReplayLeaves) {
+  Rng rng(5150);
+  int adopted = 0;
+  int replayed_creates = 0;
+  for (int trial = 0; trial < 150; ++trial) {
+    const CommitLog log = RandomCreateLog(rng, 40);
+    RecordStore source;
+    log.ReplayRange(&source, 0, log.LastSeq());
+    const CommitSeq from = rng.Uniform(log.LastSeq());
+    const CommitSeq to = from + rng.Uniform(log.LastSeq() - from + 1);
+    RecordStore replica;
+    log.ReplayRange(&replica, 0, from);
+    RecordStore replayed = replica;
+    log.ReplayRange(&replayed, from, to);
+    CatchUpRange(log, from, to, &replica, &source);
+    const std::string where = "trial " + std::to_string(trial);
+    ExpectSameStore(replica, replayed, where);
+    replica.ForEach([&](RecordKey key, const Record& r) {
+      const Record* m = source.Find(key);
+      if (m != nullptr && r.SharesPayloadWith(*m)) {
+        ++adopted;
+      } else if (m != nullptr) {
+        ++replayed_creates;
+      }
+    });
+  }
+  // Both branches ran: adoptions and records the rule sent to replay.
+  EXPECT_GT(adopted, 500);
+  EXPECT_GT(replayed_creates, 500);
+}
+
+TEST(CatchUpRangeTest, VersionGuardRejectsARecordChangedOutsideTheLog) {
+  CommitLog log;
+  std::vector<WriteOp> create;
+  for (const char* name : {"a", "b", "c"}) {
+    WriteOp op;
+    op.key = 7;
+    op.attr_id = InternAttr(name);
+    op.attribute = {Value(std::string(20, name[0])), 1, 0};
+    create.push_back(std::move(op));
+  }
+  log.Append(1, 0, create);
+  RecordStore source;
+  log.ReplayRange(&source, 0, 1);
+  RecordStore clean;
+  CatchUpRange(log, 0, 1, &clean, &source);
+  EXPECT_TRUE(clean.Find(7)->SharesPayloadWith(*source.Find(7)));
+
+  // A write that bypassed the log: the version no longer proves that the
+  // source's record is the replay, so the replica replays.
+  source.SetAttribute(7, "a", std::string("outside the log"), 2, 0);
+  RecordStore guarded;
+  CatchUpRange(log, 0, 1, &guarded, &source);
+  EXPECT_FALSE(guarded.Find(7)->SharesPayloadWith(*source.Find(7)));
+  RecordStore replayed;
+  log.ReplayRange(&replayed, 0, 1);
+  ExpectSameStore(guarded, replayed, "guarded");
+}
+
+TEST(CatchUpRangeTest, BirthTagRejectsARecordCreatedOutsideTheLog) {
+  // The same three upserts, applied to the source outside the log: same
+  // content and version as the log's replay, but no birth tag of the log.
+  CommitLog log;
+  std::vector<WriteOp> create;
+  for (const char* name : {"a", "b", "c"}) {
+    WriteOp op;
+    op.key = 7;
+    op.attr_id = InternAttr(name);
+    op.attribute = {Value(int64_t{1}), 1, 0};
+    create.push_back(std::move(op));
+  }
+  log.Append(1, 0, create);
+  RecordStore source;
+  ApplyWriteOps(&source, create);
+  EXPECT_EQ(source.Find(7)->version(), 3u);
+  EXPECT_EQ(source.Find(7)->birth(), 0u);
+  RecordStore replica;
+  CatchUpRange(log, 0, 1, &replica, &source);
+  EXPECT_FALSE(replica.Find(7)->SharesPayloadWith(*source.Find(7)));
+  EXPECT_EQ(replica.Find(7)->birth(), log.BirthTag(1));
+}
+
+TEST(CommitLogTest, BirthTagsAreUniqueAcrossLogsAndTruncations) {
+  CommitLog a;
+  CommitLog b;
+  for (int i = 0; i < 4; ++i) {
+    a.Append(i, 0, {});
+    b.Append(i, 0, {});
+  }
+  std::set<uint64_t> tags;
+  for (CommitSeq s = 1; s <= 4; ++s) {
+    EXPECT_NE(a.BirthTag(s), 0u);
+    EXPECT_TRUE(tags.insert(a.BirthTag(s)).second);
+    EXPECT_TRUE(tags.insert(b.BirthTag(s)).second);
+  }
+  // Kept entries keep their tags; entries that reuse a truncated sequence
+  // number get new ones, across repeated truncations.
+  const uint64_t kept = a.BirthTag(2);
+  a.TruncateAfter(2);
+  EXPECT_EQ(a.BirthTag(2), kept);
+  a.Append(10, 0, {});
+  a.Append(11, 0, {});
+  EXPECT_TRUE(tags.insert(a.BirthTag(3)).second);
+  EXPECT_TRUE(tags.insert(a.BirthTag(4)).second);
+  const uint64_t kept3 = a.BirthTag(3);
+  a.TruncateAfter(1);
+  EXPECT_NE(a.BirthTag(2), kept);
+  EXPECT_NE(a.BirthTag(3), kept3);
+  a.TruncateAfter(0);
+  a.Append(12, 0, {});
+  EXPECT_TRUE(tags.insert(a.BirthTag(1)).second);
 }
 
 // ---------------------------------------------------------------------------

@@ -57,6 +57,18 @@ concurrency statically checkable — the ones a generic linter can't know:
                      op-by-op loop elsewhere silently brings back the per-op
                      lookup, byte re-accounting and vector regrowth.
 
+  out-of-log-write   in src/, only src/storage/ and src/replication/ may
+                     call PutRecord, DeleteRecord, SetAttribute,
+                     RemoveAttribute, MutateRecord, ApplyUpsertRun or
+                     AdoptRecord on a RecordStore (a receiver named
+                     store(), store, store_ or *_store). A store changes
+                     through its partition's commit log; replica catch-up
+                     adopts the master's record when its birth tag and
+                     version show it is the replay of that log
+                     (storage::CatchUpRange), and a write that bypasses the
+                     log makes the catch-up replay instead. Each exception
+                     carries a marker saying why the log cannot carry it.
+
   request-list-copy  src/telecom/ must not pass a braced op list to RunOps(
                      or SubmitBatch(. The braces build a
                      std::initializer_list<LdapRequest>, and the vector
@@ -125,6 +137,15 @@ DRIVER_DEADLINE_HOMES = ("src/workload/testbed.cc", "src/udr/")
 # ApplyWriteOps does not match: the name must be followed by the paren).
 APPLY_WRITE_OP_RE = re.compile(r"\bApplyWriteOp\s*\(")
 APPLY_WRITE_OP_HOMES = ("src/storage/commit_log.h", "src/storage/commit_log.cc")
+
+# A write call on a RecordStore receiver, and the trees allowed to make it.
+# WriteBuilder::PutRecord and Transaction::SetAttribute share names with the
+# store's writers but go through the log, so the receiver must name a store.
+OUT_OF_LOG_WRITE_RE = re.compile(
+    r"\b(?:\w*_store|store_?)(?:\(\))?\s*(?:\.|->)\s*"
+    r"(PutRecord|DeleteRecord|SetAttribute|RemoveAttribute|MutateRecord|"
+    r"ApplyUpsertRun|AdoptRecord)\s*\(")
+OUT_OF_LOG_WRITE_HOMES = ("src/storage/", "src/replication/")
 
 # An op-list call whose argument opens with a brace, on the same line or the
 # next one (group 2 is "{" or empty at end of line).
@@ -223,6 +244,17 @@ def lint_file(path: str, rel: str, allowlist_doc: str, violations: list):
                 f"{rel}:{lineno}: [apply-write-ops] ApplyWriteOp() outside "
                 f"src/storage/commit_log.cc — apply a write set through "
                 f"storage::ApplyWriteOps (one record mutation per upsert run)")
+
+        if (not rel.startswith(OUT_OF_LOG_WRITE_HOMES)
+                and "out-of-log-write" not in active):
+            m = OUT_OF_LOG_WRITE_RE.search(code)
+            if m:
+                violations.append(
+                    f"{rel}:{lineno}: [out-of-log-write] RecordStore::"
+                    f"{m.group(1)}() outside src/storage/ and "
+                    f"src/replication/ — a store changes only through its "
+                    f"partition's commit log (catch-up adoption relies on "
+                    f"it); write through the ReplicaSet")
 
         if (rel.startswith(REQUEST_LIST_SCOPE)
                 and "request-list-copy" not in active):
