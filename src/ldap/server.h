@@ -10,10 +10,10 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/handle_table.h"
 #include "common/status.h"
 #include "common/time.h"
 #include "ldap/message.h"
@@ -69,7 +69,7 @@ class LdapServer {
                         sim::SiteId client_site) {
     const int64_t ops = static_cast<int64_t>(requests.size());
     uint64_t handle = backend_->EnqueueBatch(std::move(requests), client_site);
-    pending_cost_[handle] = config_.per_op_cost * ops;
+    pending_cost_.Put(handle, config_.per_op_cost * ops);
     ops_served_ += ops;
     return handle;
   }
@@ -78,10 +78,9 @@ class LdapServer {
   std::optional<LdapBatchResult> TakeBatch(uint64_t handle) {
     std::optional<LdapBatchResult> result = backend_->TakeBatchResult(handle);
     if (result.has_value()) {
-      auto it = pending_cost_.find(handle);
-      if (it != pending_cost_.end()) {
-        result->latency += it->second;
-        pending_cost_.erase(it);
+      if (const MicroDuration* cost = pending_cost_.Find(handle)) {
+        result->latency += *cost;
+        pending_cost_.Erase(handle);
       }
     }
     return result;
@@ -100,7 +99,7 @@ class LdapServer {
   bool healthy_ = true;
   int64_t ops_served_ = 0;
   /// Protocol cost owed per enqueued-but-not-yet-taken request.
-  std::unordered_map<uint64_t, MicroDuration> pending_cost_;
+  HandleTable<MicroDuration> pending_cost_;
 };
 
 /// L4-capable IP balancer realizing the Point of Access (PoA) to the UDR:
@@ -179,16 +178,16 @@ class L4Balancer {
     auto picked = Pick();
     if (!picked.ok()) return picked.status();
     uint64_t handle = (*picked)->EnqueueBatch(std::move(requests), client_site);
-    enqueued_[handle] = *picked;
+    enqueued_.Put(handle, *picked);
     return handle;
   }
 
   /// Claims the result of an enqueued request once its window flushed.
   std::optional<LdapBatchResult> TakeBatch(uint64_t handle) {
-    auto it = enqueued_.find(handle);
-    if (it == enqueued_.end()) return std::nullopt;
-    std::optional<LdapBatchResult> result = it->second->TakeBatch(handle);
-    if (result.has_value()) enqueued_.erase(it);
+    LdapServer* const* server = enqueued_.Find(handle);
+    if (server == nullptr) return std::nullopt;
+    std::optional<LdapBatchResult> result = (*server)->TakeBatch(handle);
+    if (result.has_value()) enqueued_.Erase(handle);
     return result;
   }
 
@@ -206,7 +205,7 @@ class L4Balancer {
   std::vector<LdapServer*> servers_;
   size_t next_ = 0;
   /// Server owning each in-flight enqueued request.
-  std::unordered_map<uint64_t, LdapServer*> enqueued_;
+  HandleTable<LdapServer*> enqueued_;
 };
 
 }  // namespace udr::ldap

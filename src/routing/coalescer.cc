@@ -24,10 +24,10 @@ EventId Coalescer::Submit(BatchRequest event) {
   const EventId id = next_id_++;
   if (event.empty()) {
     // Nothing to dispatch: complete immediately without opening a window.
-    EventOutcome out;
-    completed_.emplace(id, std::move(out));
+    completed_.Put(id, EventOutcome());
     return id;
   }
+  completed_.Put(id, std::nullopt);
   if (pending_.empty()) deadline_ = clock_->Now() + config_.window;
   pending_ops_ += event.size();
   pending_.push_back(Parked{id, std::move(event), clock_->Now()});
@@ -59,8 +59,26 @@ void Coalescer::Flush(Metrics::Counter& reason) {
   // arrival order, matching what serial execution of the events would do.
   BatchRequest& agg = agg_;
   agg.ops.reserve(pending_ops_);
+  bool projected = false;
   for (Parked& parked : pending_) {
     for (Operation& op : parked.event.ops) agg.ops.push_back(std::move(op));
+    projected = projected || !parked.event.projections.empty();
+  }
+  // Projections ride along as the aggregate's side table: each event's
+  // entries at its ops' offset, an empty entry for every unprojected op.
+  if (projected) {
+    agg.projections.resize(agg.ops.size());
+    size_t offset = 0;
+    for (Parked& parked : pending_) {
+      std::vector<std::vector<storage::AttrId>>& mine =
+          parked.event.projections;
+      if (mine.size() == parked.event.size()) {
+        for (size_t i = 0; i < mine.size(); ++i) {
+          agg.projections[offset + i] = std::move(mine[i]);
+        }
+      }
+      offset += parked.event.size();
+    }
   }
 
   // Trace attribution: the shared dispatch runs once for every event in the
@@ -114,7 +132,7 @@ void Coalescer::Flush(Metrics::Counter& reason) {
       tracer->RecordSpan("coalesce.park", parked.event.trace, parked.arrival,
                          now);
     }
-    completed_.emplace(parked.id, std::move(out));
+    *completed_.Find(parked.id) = std::move(out);
   }
 
   agg.Clear();
@@ -124,10 +142,10 @@ void Coalescer::Flush(Metrics::Counter& reason) {
 }
 
 std::optional<EventOutcome> Coalescer::Take(EventId id) {
-  auto it = completed_.find(id);
-  if (it == completed_.end()) return std::nullopt;
-  EventOutcome out = std::move(it->second);
-  completed_.erase(it);
+  std::optional<EventOutcome>* done = completed_.Find(id);
+  if (done == nullptr || !done->has_value()) return std::nullopt;
+  std::optional<EventOutcome> out = std::move(*done);
+  completed_.Erase(id);
   return out;
 }
 

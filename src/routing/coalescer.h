@@ -9,6 +9,10 @@
 // WriteBatch / ReadBatch per partition group across all coalesced events —
 // then demultiplexes per-op results back to their originating events.
 //
+// An event's read projections (BatchRequest::projections) ride the window:
+// the aggregate batch carries them as its own 1:1 side table, so a parked
+// Search copies only its requested attributes, as an inline one does.
+//
 // Accounting splits each event's latency into queueing delay (submit ->
 // window close) and service latency (the shared pipeline dispatch), so the
 // cost of waiting for the window is visible separately from the work. Error
@@ -20,9 +24,9 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "common/handle_table.h"
 #include "common/metrics.h"
 #include "common/time.h"
 #include "routing/batch.h"
@@ -134,9 +138,11 @@ class Coalescer {
   MicroTime deadline_ = kTimeInfinity;
   EventId next_id_ = 1;
   int64_t flushes_ = 0;
-  std::unordered_map<EventId, EventOutcome> completed_;
-  // Flush scratch, reused across flushes: the aggregate batch and its
-  // outcomes (moved out per event on demux).
+  /// One entry per submitted event still to be taken, in id order: empty
+  /// while parked, the outcome once its window flushed.
+  HandleTable<std::optional<EventOutcome>> completed_;
+  // Flush scratch, reused across flushes: the aggregate batch (with its
+  // projection side table) and its outcomes (moved out per event on demux).
   BatchRequest agg_;
   BatchResult flush_;
 };

@@ -9,8 +9,13 @@
 //     for the PoA read-through cache (only records the sketch has seen
 //     often enough are worth caching).
 //
-// Both are O(1) amortized per access and fully deterministic: decay runs on
-// the simulation clock, never on wall time.
+// Both are cheap per access and fully deterministic: decay runs on the
+// simulation clock, never on wall time. The sketch keeps its K slots in one
+// array, finds a key's slot through a FlatKeyIndex sized once for K, and
+// keeps the slots in a binary min-heap ordered by (count, slot index), so a
+// miss on a full sketch finds its victim at the root instead of scanning all
+// K slots. The victim is the lowest-index slot among the minimum counts.
+// Nothing is allocated per access after construction.
 //
 // Thread safety: sketch + partition heat are guarded by mu_ (annotated
 // common::Mutex). Each router's tracker is shard-confined today, so the
@@ -21,9 +26,9 @@
 #define UDR_ROUTING_HEAT_TRACKER_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_key_index.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "common/time.h"
@@ -86,13 +91,27 @@ class HeatTracker {
   /// 2^(-dt/halflife); 1.0 for dt <= 0.
   double Decay(MicroDuration dt) const;
 
+  /// Heap order: fewer accesses first, then the lower slot index.
+  bool Colder(uint32_t a, uint32_t b) const REQUIRES(mu_) {
+    if (sketch_[a].count != sketch_[b].count) {
+      return sketch_[a].count < sketch_[b].count;
+    }
+    return a < b;
+  }
+  /// Restores the heap after heap_[pos]'s slot got colder / hotter.
+  void SiftUp(size_t pos) REQUIRES(mu_);
+  void SiftDown(size_t pos) REQUIRES(mu_);
+
   HeatTrackerConfig config_;  ///< Immutable after construction.
   mutable common::Mutex mu_{"routing.heat_tracker"};
   std::vector<PartitionState> partitions_ GUARDED_BY(mu_);
-  /// Unordered; at most config_.top_k entries.
+  /// Slot array; at most config_.top_k entries, never reordered.
   std::vector<HotKey> sketch_ GUARDED_BY(mu_);
-  std::unordered_map<storage::RecordKey, size_t> index_
-      GUARDED_BY(mu_);  ///< key -> slot.
+  FlatKeyIndex index_ GUARDED_BY(mu_);  ///< key -> slot.
+  /// Slot numbers as a min-heap under Colder(); heap_pos_[slot] is the
+  /// slot's position in heap_.
+  std::vector<uint32_t> heap_ GUARDED_BY(mu_);
+  std::vector<uint32_t> heap_pos_ GUARDED_BY(mu_);
   int64_t total_ GUARDED_BY(mu_) = 0;
 };
 

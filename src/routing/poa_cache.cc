@@ -1,5 +1,7 @@
 #include "routing/poa_cache.h"
 
+#include <utility>
+
 namespace udr::routing {
 
 PoaCache::PoaCache(PoaCacheConfig config) : config_(config) {
@@ -10,65 +12,120 @@ PoaCache::PoaCache(PoaCacheConfig config) : config_(config) {
 const storage::Record* PoaCache::Lookup(storage::RecordKey key,
                                         uint32_t partition, uint64_t epoch) {
   common::MutexLock lock(mu_);
-  auto it = index_.find(key);
-  if (it == index_.end()) {
+  const uint32_t i = index_.Find(key);
+  if (i == kNil) {
     ++misses_;
     return nullptr;
   }
-  Entry& entry = *it->second;
-  if (entry.partition != partition || entry.epoch != epoch) {
+  Slot& slot = slots_[i];
+  if (slot.partition != partition || slot.epoch != epoch) {
     // Cached under an owner/epoch that has since moved on (split, merge,
     // migration cutover). Never serve across the boundary.
     ++epoch_drops_;
     ++misses_;
-    Erase(it->second);
+    Erase(i);
     return nullptr;
   }
-  lru_.splice(lru_.begin(), lru_, it->second);
+  if (head_ != i) {
+    Unlink(i);
+    PushFront(i);
+  }
   ++hits_;
-  return &lru_.front().record;
+  return &slot.record;
 }
 
 void PoaCache::Insert(storage::RecordKey key, uint32_t partition,
-                      uint64_t epoch, const storage::Record& record) {
+                      uint64_t epoch, storage::Record record) {
   common::MutexLock lock(mu_);
   const int64_t cost = record.CacheFootprintBytes();
   if (cost > config_.capacity_bytes) return;
 
-  auto it = index_.find(key);
-  if (it != index_.end()) Erase(it->second);
+  const uint32_t existing = index_.Find(key);
+  if (existing != kNil) Erase(existing);
 
-  while (bytes_ + cost > config_.capacity_bytes && !lru_.empty()) {
+  while (bytes_ + cost > config_.capacity_bytes && tail_ != kNil) {
     ++evictions_;
-    Erase(std::prev(lru_.end()));
+    Erase(tail_);
   }
 
-  lru_.push_front(Entry{key, partition, epoch, cost, record});
-  index_[key] = lru_.begin();
+  uint32_t i = free_;
+  if (i != kNil) {
+    free_ = slots_[i].next;
+  } else {
+    i = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  Slot& slot = slots_[i];
+  slot.key = key;
+  slot.partition = partition;
+  slot.epoch = epoch;
+  slot.bytes = cost;
+  slot.record = std::move(record);
+  PushFront(i);
+  index_.Insert(key, i);
   bytes_ += cost;
   ++insertions_;
 }
 
 bool PoaCache::Invalidate(storage::RecordKey key) {
   common::MutexLock lock(mu_);
-  auto it = index_.find(key);
-  if (it == index_.end()) return false;
+  const uint32_t i = index_.Find(key);
+  if (i == kNil) return false;
   ++invalidations_;
-  Erase(it->second);
+  Erase(i);
   return true;
 }
 
 void PoaCache::Clear() {
   common::MutexLock lock(mu_);
-  lru_.clear();
-  index_.clear();
+  slots_.clear();
+  index_.Clear();
+  head_ = tail_ = free_ = kNil;
   bytes_ = 0;
 }
 
-void PoaCache::Erase(std::list<Entry>::iterator it) {
-  bytes_ -= it->bytes;
-  index_.erase(it->key);
-  lru_.erase(it);
+std::vector<storage::RecordKey> PoaCache::KeysByRecency() const {
+  common::MutexLock lock(mu_);
+  std::vector<storage::RecordKey> keys;
+  keys.reserve(index_.size());
+  for (uint32_t i = head_; i != kNil; i = slots_[i].next) {
+    keys.push_back(slots_[i].key);
+  }
+  return keys;
+}
+
+void PoaCache::Erase(uint32_t i) {
+  Slot& slot = slots_[i];
+  bytes_ -= slot.bytes;
+  index_.Erase(slot.key);
+  Unlink(i);
+  slot.record = storage::Record();
+  slot.next = free_;
+  free_ = i;
+}
+
+void PoaCache::Unlink(uint32_t i) {
+  Slot& slot = slots_[i];
+  if (slot.prev != kNil) {
+    slots_[slot.prev].next = slot.next;
+  } else {
+    head_ = slot.next;
+  }
+  if (slot.next != kNil) {
+    slots_[slot.next].prev = slot.prev;
+  } else {
+    tail_ = slot.prev;
+  }
+  slot.prev = slot.next = kNil;
+}
+
+void PoaCache::PushFront(uint32_t i) {
+  Slot& slot = slots_[i];
+  slot.prev = kNil;
+  slot.next = head_;
+  if (head_ != kNil) slots_[head_].prev = i;
+  head_ = i;
+  if (tail_ == kNil) tail_ = i;
 }
 
 }  // namespace udr::routing

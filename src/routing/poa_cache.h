@@ -23,6 +23,14 @@
 // Capacity is bounded in BYTES (Record::CacheFootprintBytes — payload plus
 // per-entry bookkeeping), evicting least-recently-used entries.
 //
+// Layout: entries live in one slot array; the LRU order is a doubly linked
+// list threaded through the slots by index, freed slots go on a free list,
+// and a FlatKeyIndex maps a record key to its slot (the flat pattern of
+// RecordStore and IdentityIndex). Once the slot array and the index have
+// grown to the working set, no insert, hit, eviction or invalidation
+// allocates a node. An entry holds a share of the read result's payload
+// (Record::Share), not a deep copy; see the sharing rule in record.h.
+//
 // Thread safety: all state is guarded by mu_ (annotated common::Mutex).
 // Today each PoA's cache is shard-confined so the lock is uncontended; the
 // guard makes the structure safe to share when the multi-master replication
@@ -33,9 +41,9 @@
 #define UDR_ROUTING_POA_CACHE_H_
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
+#include "common/flat_key_index.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "common/time.h"
@@ -65,17 +73,21 @@ class PoaCache {
   const storage::Record* Lookup(storage::RecordKey key, uint32_t partition,
                                 uint64_t epoch) EXCLUDES(mu_);
 
-  /// Inserts (or refreshes) a record copy tagged (partition, epoch),
-  /// evicting LRU entries until the byte budget holds. A record bigger than
-  /// the whole budget is not admitted.
+  /// Inserts (or refreshes) `record` tagged (partition, epoch), evicting
+  /// LRU entries until the byte budget holds. A record bigger than the whole
+  /// budget is not admitted. The router passes a Share() of the read result,
+  /// so the entry and the reader hold one payload.
   void Insert(storage::RecordKey key, uint32_t partition, uint64_t epoch,
-              const storage::Record& record) EXCLUDES(mu_);
+              storage::Record record) EXCLUDES(mu_);
 
   /// Drops `key`; returns true when an entry existed. The write path calls
   /// this synchronously for every committed write/delete.
   bool Invalidate(storage::RecordKey key) EXCLUDES(mu_);
 
   void Clear() EXCLUDES(mu_);
+
+  /// Cached keys, most recently used first (introspection for tests).
+  std::vector<storage::RecordKey> KeysByRecency() const EXCLUDES(mu_);
 
   int64_t bytes() const EXCLUDES(mu_) {
     common::MutexLock lock(mu_);
@@ -114,21 +126,32 @@ class PoaCache {
   }
 
  private:
-  struct Entry {
+  static constexpr uint32_t kNil = FlatKeyIndex::kNone;
+
+  /// One entry; `prev`/`next` link the LRU list (or, for a free slot,
+  /// `next` links the free list).
+  struct Slot {
     storage::RecordKey key = 0;
-    uint32_t partition = 0;
     uint64_t epoch = 0;
     int64_t bytes = 0;
     storage::Record record;
+    uint32_t partition = 0;
+    uint32_t prev = kNil;
+    uint32_t next = kNil;
   };
 
-  void Erase(std::list<Entry>::iterator it) REQUIRES(mu_);
+  /// Drops the entry in slot `i` and frees the slot.
+  void Erase(uint32_t i) REQUIRES(mu_);
+  void Unlink(uint32_t i) REQUIRES(mu_);
+  void PushFront(uint32_t i) REQUIRES(mu_);
 
   PoaCacheConfig config_;  ///< Immutable after construction.
   mutable common::Mutex mu_{"routing.poa_cache"};
-  std::list<Entry> lru_ GUARDED_BY(mu_);  ///< Front = most recently used.
-  std::unordered_map<storage::RecordKey, std::list<Entry>::iterator> index_
-      GUARDED_BY(mu_);
+  std::vector<Slot> slots_ GUARDED_BY(mu_);
+  uint32_t head_ GUARDED_BY(mu_) = kNil;  ///< Most recently used.
+  uint32_t tail_ GUARDED_BY(mu_) = kNil;  ///< Least recently used.
+  uint32_t free_ GUARDED_BY(mu_) = kNil;  ///< First free slot.
+  FlatKeyIndex index_ GUARDED_BY(mu_);    ///< key -> slot.
   int64_t bytes_ GUARDED_BY(mu_) = 0;
   int64_t hits_ GUARDED_BY(mu_) = 0;
   int64_t misses_ GUARDED_BY(mu_) = 0;

@@ -21,6 +21,9 @@ Router::Router(PartitionMap* map, sim::Network* network, Metrics* metrics)
       bypass_hits_(metrics->RegisterCounter("router.bypass.hits")),
       cache_hits_(metrics->RegisterCounter("router.cache.hits")),
       cache_misses_(metrics->RegisterCounter("router.cache.misses")),
+      cache_insertions_(metrics->RegisterCounter("router.cache.insertions")),
+      cache_invalidations_(
+          metrics->RegisterCounter("router.cache.invalidations")),
       batch_count_(metrics->RegisterCounter("router.batch.count")),
       batch_ops_(metrics->RegisterCounter("router.batch.ops")),
       batch_size_(metrics->RegisterHist("router.batch.size")),
@@ -67,7 +70,7 @@ PoaCache* Router::poa_cache_at(sim::SiteId site) {
 void Router::InvalidateCached(storage::RecordKey key) {
   for (Poa& poa : poas_) {
     if (poa.cache != nullptr && poa.cache->Invalidate(key)) {
-      metrics_->Add("router.cache.invalidations");
+      cache_invalidations_.Add();
     }
   }
 }
@@ -84,6 +87,11 @@ void Router::BumpPartitionEpoch(uint32_t partition) {
   }
 }
 
+bool Router::WouldAdmit(storage::RecordKey key) const {
+  return heat_tracker_ == nullptr ||
+         heat_tracker_->KeyCount(key) >= heat_.cache_admit_min_count;
+}
+
 void Router::CachePopulate(storage::RecordKey key, uint32_t partition,
                            sim::SiteId poa_site, const storage::Record& record,
                            bool stale) {
@@ -92,13 +100,9 @@ void Router::CachePopulate(storage::RecordKey key, uint32_t partition,
   // window beyond what the replica set itself serves.
   if (stale) return;
   PoaCache* cache = poa_cache_at(poa_site);
-  if (cache == nullptr) return;
-  if (heat_tracker_ != nullptr &&
-      heat_tracker_->KeyCount(key) < heat_.cache_admit_min_count) {
-    return;
-  }
-  cache->Insert(key, partition, partition_epoch(partition), record);
-  metrics_->Add("router.cache.insertions");
+  if (cache == nullptr || !WouldAdmit(key)) return;
+  cache->Insert(key, partition, partition_epoch(partition), record.Share());
+  cache_insertions_.Add();
 }
 
 StatusOr<uint32_t> Router::FindPoaCluster(sim::SiteId client_site) const {
@@ -205,6 +209,7 @@ RouteResult Router::ResolveOne(const Identity& id, sim::SiteId poa_site,
   out.resolve_cost = loc.cost;
   if (!loc.status.ok()) {
     out.status = loc.status;
+    // lint:allow(hot-metric-literal): failure path only, never per routed op.
     metrics_->Add("router.resolve.failed");
     if (flight_ != nullptr) {
       flight_->Record(network_->Now(), "router", "resolve.fail",
@@ -319,12 +324,22 @@ MicroDuration Router::DispatchGroup(const BatchRequest& batch,
       o.record = std::move(read.record);
       if (!o.status.ok()) ++result->failed_ops;
       // Read-through population: a fresh whole-record read of a hot key
-      // seeds this PoA's cache (admission filtered by the heat sketch).
+      // seeds this PoA's cache (admission filtered by the heat sketch). A
+      // projected read never does: the dispatch below kept the projection
+      // only where the sketch would not admit the key.
+      const std::vector<storage::AttrId>* projection = batch.ProjectionOf(idx);
       if (cache != nullptr && o.ok() && !o.stale && o.record.has_value() &&
+          read_ops[j].projection == nullptr &&
           batch.ops[idx].kind == Operation::Kind::kReadRecord &&
           batch.ops[idx].read_pref == replication::ReadPreference::kNearest) {
         CachePopulate(routes[idx].key, routes[idx].partition, poa_site,
                       *o.record, o.stale);
+      }
+      // A read that fetched the whole record only to seed the cache is
+      // projected for its caller now that the cache holds its share.
+      if (projection != nullptr && read_ops[j].projection == nullptr &&
+          o.record.has_value()) {
+        o.record = o.record->Projected(*projection);
       }
     }
     read_ops.clear();
@@ -373,12 +388,15 @@ MicroDuration Router::DispatchGroup(const BatchRequest& batch,
       ro.key = routes[i].key;
       if (op.kind == Operation::Kind::kReadAttribute) ro.attr = op.attr;
       ro.pref = op.read_pref;
-      // A kNearest miss at a caching PoA may seed the cache, which needs the
-      // whole record: the projection is dropped for it.
-      if (cache == nullptr ||
-          op.read_pref != replication::ReadPreference::kNearest) {
-        ro.projection = projection;
-      }
+      // A kNearest miss at a caching PoA that the sketch admits seeds the
+      // cache, which needs the whole record: only its projection is
+      // dropped. The resolve stage sampled every op of the batch before
+      // any dispatch, so KeyCount here equals KeyCount at CachePopulate.
+      const bool seeds_cache =
+          projection != nullptr && cache != nullptr &&
+          op.read_pref == replication::ReadPreference::kNearest &&
+          WouldAdmit(routes[i].key);
+      if (!seeds_cache) ro.projection = projection;
       read_ops.push_back(std::move(ro));
       run.push_back(i);
     }
@@ -416,7 +434,8 @@ bool Router::TryServeFromCache(const Operation& op, const RouteResult& route,
     }
   } else {
     out->status = Status::Ok();
-    out->record = projection != nullptr ? rec->Projected(*projection) : *rec;
+    out->record = projection != nullptr ? rec->Projected(*projection)
+                                        : rec->Share();
   }
   cache_hits_.Add();
   return true;

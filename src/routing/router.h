@@ -217,7 +217,8 @@ class Router {
 
   /// Offers a freshly read record for caching; admitted only if the key is
   /// hot enough in the sketch (and `stale` is false — a cache entry must
-  /// equal newest committed master state).
+  /// equal newest committed master state). The cache takes a Share() of
+  /// `record`'s payload, not a copy.
   void CachePopulate(storage::RecordKey key, uint32_t partition,
                      sim::SiteId poa_site, const storage::Record& record,
                      bool stale);
@@ -255,9 +256,14 @@ class Router {
                               const obs::TraceContext& span_parent,
                               MicroTime dispatch_start);
 
+  /// The cache admission test: the sketch has seen `key` at least
+  /// cache_admit_min_count times (always true without a sketch).
+  bool WouldAdmit(storage::RecordKey key) const;
+
   /// Serves one read op from `cache` when possible (same status/value
   /// semantics as the replica-set read path; a whole-record hit copies only
-  /// `projection` when non-null). Returns false on miss.
+  /// `projection` when non-null and shares the cached payload otherwise).
+  /// Returns false on miss.
   bool TryServeFromCache(const Operation& op, const RouteResult& route,
                          const std::vector<storage::AttrId>* projection,
                          PoaCache* cache, OpOutcome* out);
@@ -273,6 +279,8 @@ class Router {
   Metrics::Counter bypass_hits_;
   Metrics::Counter cache_hits_;
   Metrics::Counter cache_misses_;
+  Metrics::Counter cache_insertions_;
+  Metrics::Counter cache_invalidations_;
   Metrics::Counter batch_count_;
   Metrics::Counter batch_ops_;
   Metrics::HistHandle batch_size_;

@@ -15,14 +15,19 @@
 // the name through the pool with zero per-call std::string construction.
 //
 // Copy versus share: copying a Record is a deep copy (its own block, birth
-// tag 0), as a PoA-cache insert, a full-record read or a side store needs.
-// Only Share() hands out a second holder of the same block; replica catch-up
-// uses it to adopt the master's record instead of rebuilding it from the log
-// (see storage::CatchUpRange). A write to a shared block clones it first, so
-// the other holders never see the change; a write to an unshared block
-// mutates it in place at the cost of a std::vector of the same entries.
-// Blocks are shared only inside one replica set, which one thread drives, so
-// the reference count is not atomic.
+// tag 0), as a full-record read or a side store needs. Only Share() hands
+// out a second holder of the same block. There are two kinds of sharer:
+//   * replica catch-up adopts the master's record instead of rebuilding it
+//     from the log (see storage::CatchUpRange);
+//   * a PoA cache holds a share of a read result (itself a deep copy the
+//     replica made) and hands out further shares on unprojected hits
+//     (routing::PoaCache). A cache-held payload never enters a
+//     RecordStore: the store side only adopts from another store.
+// A write to a shared block clones it first, so the other holders never see
+// the change; a write to an unshared block mutates it in place at the cost
+// of a std::vector of the same entries. Every holder of a block lives on the
+// thread that drives its UdrNf (one replica set's stores, one PoA's cache
+// and the results it serves), so the reference count is not atomic.
 //
 // Pointer lifetime: an Attribute pointer or an entries() view stays valid
 // until the record it came from is next written, moved or destroyed. A write

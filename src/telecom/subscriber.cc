@@ -4,26 +4,61 @@
 
 namespace udr::telecom {
 
+namespace {
+
+/// Appends `value` in decimal, zero padded to at least `width` digits
+/// (printf "%0<width>llu").
+void AppendPadded(std::string* out, uint64_t value, size_t width) {
+  char digits[20];
+  size_t n = 0;
+  do {
+    digits[n++] = static_cast<char>('0' + value % 10);
+    value /= 10;
+  } while (value != 0);
+  if (n < width) out->append(width - n, '0');
+  while (n > 0) out->push_back(digits[--n]);
+}
+
+/// Appends the low 32 bits of `value` as 8 lowercase hex digits (printf
+/// "%08llx" of a value below 2^32).
+void AppendHex32(std::string* out, uint64_t value) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  for (int shift = 28; shift >= 0; shift -= 4) {
+    out->push_back(kHex[(value >> shift) & 0xF]);
+  }
+}
+
+}  // namespace
+
 SubscriberFactory::SubscriberFactory(uint64_t seed, int mcc, int mnc, int cc)
-    : seed_(seed), mcc_(mcc), mnc_(mnc), cc_(cc) {}
+    : seed_(seed),
+      imsi_prefix_(StrFormat("%03d%02d", mcc, mnc)),
+      msisdn_prefix_(StrFormat("+%d6", cc)),
+      ims_domain_(
+          StrFormat("@ims.mnc%03d.mcc%03d.3gppnetwork.org", mnc, mcc)) {}
 
 std::string SubscriberFactory::ImsiOf(uint64_t index) const {
   // MCC (3) + MNC (2, zero padded) + 10-digit MSIN.
-  return StrFormat("%03d%02d%010llu", mcc_, mnc_,
-                   static_cast<unsigned long long>(index + 1));
+  std::string out;
+  out.reserve(imsi_prefix_.size() + 10);
+  out += imsi_prefix_;
+  AppendPadded(&out, index + 1, 10);
+  return out;
 }
 
 std::string SubscriberFactory::MsisdnOf(uint64_t index) const {
-  return StrFormat("+%d6%08llu", cc_,
-                   static_cast<unsigned long long>(index + 1));
-}
-
-std::string SubscriberFactory::ImsDomain() const {
-  return StrFormat("@ims.mnc%03d.mcc%03d.3gppnetwork.org", mnc_, mcc_);
+  std::string out;
+  out.reserve(msisdn_prefix_.size() + 8);
+  out += msisdn_prefix_;
+  AppendPadded(&out, index + 1, 8);
+  return out;
 }
 
 std::string SubscriberFactory::ImpuOf(uint64_t index) const {
-  return "sip:" + MsisdnOf(index) + ImsDomain();
+  std::string out = "sip:";
+  out += MsisdnOf(index);
+  out += ims_domain_;
+  return out;
 }
 
 location::Identity SubscriberFactory::IdentityOf(
@@ -36,7 +71,7 @@ location::Identity SubscriberFactory::IdentityOf(
     case location::IdentityType::kImpu:
       return {type, ImpuOf(index)};
     case location::IdentityType::kImpi:
-      return {type, ImsiOf(index) + ImsDomain()};
+      return {type, ImsiOf(index) + ims_domain_};
   }
   return {type, ImsiOf(index)};
 }
@@ -45,8 +80,8 @@ Subscriber SubscriberFactory::Make(uint64_t index) const {
   Subscriber s;
   s.imsi = ImsiOf(index);
   s.msisdn = MsisdnOf(index);
-  s.impi = s.imsi + ImsDomain();
-  s.impus = {"sip:" + s.msisdn + ImsDomain(), "tel:" + s.msisdn};
+  s.impi = s.imsi + ims_domain_;
+  s.impus = {"sip:" + s.msisdn + ims_domain_, "tel:" + s.msisdn};
 
   Rng rng(seed_ ^ (index * 0x9E3779B97F4A7C15ULL + 1));
   storage::Record& p = s.profile;
@@ -60,8 +95,8 @@ Subscriber SubscriberFactory::Make(uint64_t index) const {
 
   // 128-bit authentication key (Ki), hex encoded.
   std::string ki;
-  for (int i = 0; i < 4; ++i) ki += StrFormat("%08llx",
-      static_cast<unsigned long long>(rng.Next() & 0xFFFFFFFFULL));
+  ki.reserve(32);
+  for (int i = 0; i < 4; ++i) AppendHex32(&ki, rng.Next() & 0xFFFFFFFFULL);
   set(attr::kAuthKey, ki);
   set(attr::kSqn, static_cast<int64_t>(rng.Uniform(1 << 20)));
   set(attr::kCategory,

@@ -88,13 +88,12 @@ class SubscriberFactory {
                                 location::IdentityType type) const;
 
  private:
-  /// Home IMS domain suffix of the IMPI and the SIP IMPU.
-  std::string ImsDomain() const;
-
   uint64_t seed_;
-  int mcc_;
-  int mnc_;
-  int cc_;
+  // Per-factory identity parts, formatted once: a traffic loop derives one
+  // identity per event, so the per-index work is digits only.
+  std::string imsi_prefix_;    ///< MCC (3) + MNC (2, zero padded).
+  std::string msisdn_prefix_;  ///< "+" CC "6".
+  std::string ims_domain_;     ///< Home IMS domain suffix of IMPI / SIP IMPU.
 };
 
 }  // namespace udr::telecom

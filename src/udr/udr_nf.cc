@@ -62,6 +62,8 @@ UdrNf::UdrNf(UdrConfig config, sim::Network* network)
       search_ok_(metrics_.RegisterCounter("udr.search.ok")),
       modify_ok_(metrics_.RegisterCounter("udr.modify.ok")),
       modify_failed_(metrics_.RegisterCounter("udr.modify.failed")),
+      create_ok_(metrics_.RegisterCounter("udr.create.ok")),
+      event_enqueued_(metrics_.RegisterCounter("udr.event.enqueued")),
       map_(MapConfigFrom(config_), network),
       router_(&map_, network, &metrics_),
       placement_(routing::MakePlacementPolicy(config_.placement)),
@@ -203,6 +205,7 @@ StatusOr<BladeCluster*> UdrNf::AddCluster(sim::SiteId site) {
   cc.poa_site = site;
   coalescers_.push_back(std::make_unique<routing::Coalescer>(
       cc, &router_, network_->clock(), &metrics_));
+  window_events_.emplace_back();
 
   clusters_.push_back(std::move(cluster));
   return clusters_.back().get();
@@ -666,7 +669,7 @@ StatusOr<UdrNf::CreateOutcome> UdrNf::CreateSubscriber(const CreateSpec& spec,
   }
   map_.AddPopulation(pidx, 1);
   ++subscriber_count_;
-  metrics_.Add("udr.create.ok");
+  create_ok_.Add();
 
   CreateOutcome out;
   out.entry = entry;
@@ -1000,7 +1003,7 @@ ldap::LdapResult UdrNf::FinishBatchedDelete(const Identity& id,
 
 template <typename InlineExec>
 UdrNf::RequestSlot UdrNf::SlotFor(const LdapRequest& request,
-                                  routing::BatchRequest* batch, bool project,
+                                  routing::BatchRequest* batch,
                                   InlineExec&& inline_exec) {
   RequestSlot slot;
   switch (request.op) {
@@ -1015,11 +1018,7 @@ UdrNf::RequestSlot UdrNf::SlotFor(const LdapRequest& request,
       }
       slot.kind = RequestSlot::Kind::kPipeline;
       slot.op = batch->size();
-      if (project) {
-        batch->Add(*std::move(op), SearchProjection(request));
-      } else {
-        batch->Add(*std::move(op));
-      }
+      batch->Add(*std::move(op), SearchProjection(request));
       return slot;
     }
     case ldap::LdapOp::kDelete: {
@@ -1111,7 +1110,7 @@ void UdrNf::ProcessRequests(const LdapRequest* requests, size_t count,
 
   for (size_t i = 0; i < count; ++i) {
     bool executed_inline = false;
-    RequestSlot slot = SlotFor(requests[i], &batch, /*project=*/true,
+    RequestSlot slot = SlotFor(requests[i], &batch,
                                [&](const LdapRequest& req) {
                                  // Flush the pending run so per-key order
                                  // holds, then execute in place.
@@ -1153,7 +1152,7 @@ uint64_t UdrNf::EnqueueBatch(std::vector<LdapRequest> requests,
   if (config_.coalesce_window_us <= 0 || cluster == nullptr) {
     // Coalescing off: the enqueue path degenerates to the inline pipeline,
     // byte-identical to ProcessBatch (the PR 2 behavior).
-    ready_events_.emplace(handle, ProcessBatch(requests, poa_site));
+    CompleteEvent(handle, ProcessBatch(requests, poa_site));
     return handle;
   }
 
@@ -1168,17 +1167,16 @@ uint64_t UdrNf::EnqueueBatch(std::vector<LdapRequest> requests,
       window.FlushNow();
       DrainCoalescer(cluster->id());
       metrics_.Add("udr.event.inline_add");
-      ready_events_.emplace(handle, ProcessBatch(requests, poa_site));
+      CompleteEvent(handle, ProcessBatch(requests, poa_site));
       return handle;
     }
   }
 
   PendingEvent event;
-  event.cluster = cluster->id();
   event.requests = std::move(requests);
   routing::BatchRequest batch;
+  batch.ops.reserve(event.requests.size());
   event.slots.reserve(event.requests.size());
-  // The window's aggregate batch drops projections: ask for none.
   auto enqueue_inline = [&](const LdapRequest& r) {
     // Unreachable for Add (handled above); anything else landing here is
     // an unsupported verb whose error resolves at enqueue.
@@ -1186,9 +1184,11 @@ uint64_t UdrNf::EnqueueBatch(std::vector<LdapRequest> requests,
     event.inline_latency += res.latency;
     return res;
   };
+  // Projections ride the window (the coalescer carries them into its
+  // aggregate batch), so a parked Search copies only what it asked for.
   for (const LdapRequest& req : event.requests) {
     event.slots.push_back(
-        SlotFor(req, &batch, /*project=*/false, enqueue_inline));
+        SlotFor(req, &batch, enqueue_inline));
   }
 
   if (batch.empty()) {
@@ -1199,7 +1199,7 @@ uint64_t UdrNf::EnqueueBatch(std::vector<LdapRequest> requests,
       out.results.push_back(std::move(slot.inline_result));
     }
     out.latency = event.inline_latency;
-    ready_events_.emplace(handle, std::move(out));
+    CompleteEvent(handle, std::move(out));
     return handle;
   }
 
@@ -1208,19 +1208,25 @@ uint64_t UdrNf::EnqueueBatch(std::vector<LdapRequest> requests,
   // the first sampled trace of the window.
   if (tracer_ != nullptr) batch.trace = tracer_->StartTrace();
   event.event = window.Submit(std::move(batch));
-  pending_events_.emplace(handle, std::move(event));
-  metrics_.Add("udr.event.enqueued");
+  events_.Put(handle, EventEntry{std::move(event), {}, false});
+  window_events_[cluster->id()].push_back(handle);
+  event_enqueued_.Add();
   // Drain only when the submit itself closed the window (size cap hit) —
   // the common parked submit leaves nothing to take.
   if (!window.HasPending()) DrainCoalescer(cluster->id());
   return handle;
 }
 
+void UdrNf::CompleteEvent(uint64_t handle, ldap::LdapBatchResult result) {
+  events_.Put(handle, EventEntry{PendingEvent(), std::move(result), true});
+  ++event_completions_;
+}
+
 std::optional<ldap::LdapBatchResult> UdrNf::TakeBatchResult(uint64_t handle) {
-  auto it = ready_events_.find(handle);
-  if (it == ready_events_.end()) return std::nullopt;
-  LdapBatchResult out = std::move(it->second);
-  ready_events_.erase(it);
+  EventEntry* entry = events_.Find(handle);
+  if (entry == nullptr || !entry->ready) return std::nullopt;
+  LdapBatchResult out = std::move(entry->result);
+  events_.Erase(handle);
   return out;
 }
 
@@ -1266,19 +1272,23 @@ ldap::LdapBatchResult UdrNf::FinalizeEvent(PendingEvent& event,
 
 void UdrNf::DrainCoalescer(uint32_t cluster_id) {
   routing::Coalescer& window = *coalescers_[cluster_id];
-  for (auto it = pending_events_.begin(); it != pending_events_.end();) {
-    if (it->second.cluster != cluster_id) {
-      ++it;
-      continue;
-    }
-    auto outcome = window.Take(it->second.event);
+  // Only this window's parked events, in arrival order: a flush completes
+  // all of them at once.
+  std::vector<uint64_t>& parked = window_events_[cluster_id];
+  size_t kept = 0;
+  for (uint64_t handle : parked) {
+    EventEntry& entry = *events_.Find(handle);
+    auto outcome = window.Take(entry.parked.event);
     if (!outcome.has_value()) {
-      ++it;
+      parked[kept++] = handle;
       continue;
     }
-    ready_events_.emplace(it->first, FinalizeEvent(it->second, *outcome));
-    it = pending_events_.erase(it);
+    entry.result = FinalizeEvent(entry.parked, *outcome);
+    entry.parked = PendingEvent();
+    entry.ready = true;
+    ++event_completions_;
   }
+  parked.resize(kept);
 }
 
 StatusOr<uint64_t> UdrNf::SubmitEvent(std::vector<LdapRequest> requests,
@@ -1295,7 +1305,7 @@ StatusOr<uint64_t> UdrNf::SubmitEvent(std::vector<LdapRequest> requests,
     metrics_.Add("udr.submit.unavailable");
     return handle.status();
   }
-  event_clients_.emplace(*handle, std::make_pair(client_site, cluster->id()));
+  event_clients_.Put(*handle, EventClient{client_site, cluster->id()});
   return *handle;
 }
 
@@ -1327,17 +1337,17 @@ MicroTime UdrNf::NextEventDeadline() const {
 }
 
 std::optional<ldap::LdapBatchResult> UdrNf::TakeEvent(uint64_t handle) {
-  auto it = event_clients_.find(handle);
-  if (it == event_clients_.end()) return std::nullopt;
-  BladeCluster* cluster = clusters_[it->second.second].get();
+  const EventClient* client = event_clients_.Find(handle);
+  if (client == nullptr) return std::nullopt;
+  BladeCluster* cluster = clusters_[client->cluster].get();
   auto result = cluster->balancer().TakeBatch(handle);
   if (!result.has_value()) return std::nullopt;
   // One client <-> PoA round trip for the whole event, as on SubmitBatch.
   result->latency +=
-      network_->topology().Rtt(it->second.first, cluster->site()) +
+      network_->topology().Rtt(client->site, cluster->site()) +
       network_->topology().HopOverhead();
   (result->ok() ? submit_ok_ : submit_failed_).Add();
-  event_clients_.erase(it);
+  event_clients_.Erase(handle);
   return result;
 }
 

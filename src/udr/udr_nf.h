@@ -23,9 +23,9 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/handle_table.h"
 #include "common/metrics.h"
 #include "common/status.h"
 #include "ldap/message.h"
@@ -351,6 +351,11 @@ class UdrNf : public ldap::LdapBackend {
   /// the event is still parked in its window.
   std::optional<ldap::LdapBatchResult> TakeEvent(uint64_t handle);
 
+  /// Enqueued events completed so far (a flush, or an enqueue that ran
+  /// inline). A driver that collects parked events can skip its pass while
+  /// this has not moved since the last one.
+  uint64_t event_completions() const { return event_completions_; }
+
   /// The dispatch window of one cluster's PoA (introspection for tests and
   /// benches); nullptr for an unknown cluster.
   routing::Coalescer* coalescer(uint32_t cluster_id) {
@@ -544,19 +549,18 @@ class UdrNf : public ldap::LdapBackend {
                                        const routing::OpOutcome& write);
 
   /// Translates one request of an event into a slot, appending pipeline ops
-  /// to `batch`. Batchable verbs map 1:1 (a Search with its projection when
-  /// `project`); Delete maps to its read + write pair; a translation failure
+  /// to `batch`. Batchable verbs map 1:1 (a Search with its projection);
+  /// Delete maps to its read + write pair; a translation failure
   /// resolves inline with its error; Add and unknown verbs go to
   /// `inline_exec` — ProcessRequests uses it to flush-then-execute, the
   /// enqueue path to execute immediately.
   template <typename InlineExec>
   RequestSlot SlotFor(const ldap::LdapRequest& request,
-                      routing::BatchRequest* batch, bool project,
+                      routing::BatchRequest* batch,
                       InlineExec&& inline_exec);
 
   /// One event parked in a cluster's dispatch window, waiting for its flush.
   struct PendingEvent {
-    uint32_t cluster = 0;
     routing::EventId event = 0;
     std::vector<ldap::LdapRequest> requests;
     std::vector<RequestSlot> slots;    ///< 1:1 with `requests`.
@@ -567,9 +571,24 @@ class UdrNf : public ldap::LdapBackend {
   ldap::LdapBatchResult FinalizeEvent(PendingEvent& event,
                                       routing::EventOutcome& outcome);
 
-  /// Moves every completed event of one cluster's coalescer into the
-  /// ready-result map.
+  /// Marks the enqueued event `handle` complete with `result`.
+  void CompleteEvent(uint64_t handle, ldap::LdapBatchResult result);
+
+  /// Completes every event of one cluster's window that its coalescer has
+  /// flushed, in arrival order.
   void DrainCoalescer(uint32_t cluster_id);
+
+  /// One enqueued event: parked in a window until `ready`, then its result.
+  struct EventEntry {
+    PendingEvent parked;
+    ldap::LdapBatchResult result;
+    bool ready = false;
+  };
+  /// Client leg of one in-flight SubmitEvent.
+  struct EventClient {
+    sim::SiteId site = 0;
+    uint32_t cluster = 0;
+  };
 
   UdrConfig config_;
   sim::Network* network_;
@@ -581,6 +600,8 @@ class UdrNf : public ldap::LdapBackend {
   Metrics::Counter search_ok_;       ///< udr.search.ok
   Metrics::Counter modify_ok_;       ///< udr.modify.ok
   Metrics::Counter modify_failed_;   ///< udr.modify.failed
+  Metrics::Counter create_ok_;       ///< udr.create.ok
+  Metrics::Counter event_enqueued_;  ///< udr.event.enqueued
   std::unique_ptr<obs::Tracer> tracer_;
   std::unique_ptr<obs::FlightRecorder> flight_;
   std::unique_ptr<obs::TimeSeriesSampler> sampler_;
@@ -594,12 +615,14 @@ class UdrNf : public ldap::LdapBackend {
   std::vector<std::unique_ptr<BladeCluster>> clusters_;
   /// One cross-event dispatch window per cluster's PoA (1:1 with clusters_).
   std::vector<std::unique_ptr<routing::Coalescer>> coalescers_;
-  /// Events parked in a window, keyed by enqueue handle.
-  std::unordered_map<uint64_t, PendingEvent> pending_events_;
-  /// Flushed events awaiting TakeBatchResult.
-  std::unordered_map<uint64_t, ldap::LdapBatchResult> ready_events_;
-  /// Client leg of each in-flight SubmitEvent: {client_site, cluster id}.
-  std::unordered_map<uint64_t, std::pair<sim::SiteId, uint32_t>> event_clients_;
+  /// Every enqueued event not yet taken, by enqueue handle.
+  HandleTable<EventEntry> events_;
+  /// Handles parked in each cluster's window, in arrival order (1:1 with
+  /// coalescers_).
+  std::vector<std::vector<uint64_t>> window_events_;
+  uint64_t event_completions_ = 0;
+  /// Client leg of each in-flight SubmitEvent.
+  HandleTable<EventClient> event_clients_;
   storage::RecordKey next_key_ = 1;
   int64_t subscriber_count_ = 0;
   /// Live runtime splits, oldest first; StartMerge keeps the entry until the

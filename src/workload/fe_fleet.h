@@ -63,7 +63,8 @@ class FeFleet {
   std::optional<telecom::ProcedureResult> Issue(const FeEvent& e);
 
   /// Folds every parked event whose window flushed, in issue order, in one
-  /// stable compaction pass over the ledger.
+  /// stable compaction pass over the ledger. Returns at once when no event
+  /// has completed at the UDR since the last pass.
   template <typename Fold>
   void Collect(Fold&& fold);
 
@@ -92,11 +93,17 @@ class FeFleet {
   std::vector<std::unique_ptr<telecom::HlrFe>> hlr_;
   std::vector<std::unique_ptr<telecom::HssFe>> hss_;
   std::vector<Parked> parked_;
+  /// UdrNf::event_completions() when the last pass started.
+  uint64_t seen_completions_ = 0;
   Histogram queue_delay_;
 };
 
 template <typename Fold>
 void FeFleet::Collect(Fold&& fold) {
+  // Read before the pass: an event a fold completes forces the next one.
+  const uint64_t completions = bed_.udr().event_completions();
+  if (completions == seen_completions_) return;
+  seen_completions_ = completions;
   size_t kept = 0;
   for (size_t i = 0; i < parked_.size(); ++i) {
     const Parked& p = parked_[i];

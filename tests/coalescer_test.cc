@@ -2,8 +2,9 @@
 // mechanics (deadline close, size-cap close, passthrough), demultiplexed
 // per-event results with per-event error isolation and the queueing-delay /
 // service-latency split, the enqueue path through the LDAP layers
-// (UdrNf::SubmitEvent / PumpEvents / TakeEvent), the deferred front-end
-// mode, and the concurrent-event traffic driver.
+// (UdrNf::SubmitEvent / PumpEvents / TakeEvent), FeFleet's collection of
+// parked events, the deferred front-end mode, and the concurrent-event
+// traffic driver.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "routing/router.h"
 #include "telecom/front_end.h"
 #include "telecom/subscriber.h"
+#include "workload/fe_fleet.h"
 #include "workload/testbed.h"
 #include "workload/traffic.h"
 
@@ -369,6 +371,157 @@ TEST(SubmitEventTest, FlushEventsIsAnEndOfRunBarrier) {
   ASSERT_TRUE(out.has_value());
   EXPECT_TRUE(out->ok());
   EXPECT_EQ(out->queue_delay, 0);
+}
+
+TEST(SubmitEventTest, ParkedDeleteUnbindsAndAdjustsThePopulation) {
+  workload::Testbed bed(CoalesceOptions(8, Millis(1)));
+  Settle(bed);
+  telecom::Subscriber sub = bed.factory().Make(3);
+  const auto entry = bed.udr().AuthoritativeLookup(sub.ImsiId());
+  ASSERT_TRUE(entry.ok());
+  const int64_t subscribers = bed.udr().SubscriberCount();
+  const int64_t population =
+      bed.udr().partition_map().population(entry->partition);
+
+  ldap::LdapRequest del;
+  del.op = ldap::LdapOp::kDelete;
+  del.dn = ldap::SubscriberDn("imsi", sub.imsi);
+  del.master_only = true;
+  auto handle = bed.udr().SubmitEvent({del}, 0);
+  ASSERT_TRUE(handle.ok());
+  // Parked: nothing has happened to the subscriber yet.
+  EXPECT_FALSE(bed.udr().TakeEvent(*handle).has_value());
+  EXPECT_TRUE(bed.udr().router().IsBound(sub.ImsiId()));
+  EXPECT_EQ(bed.udr().SubscriberCount(), subscribers);
+
+  bed.clock().Advance(Millis(1));
+  bed.udr().PumpEvents();
+  auto out = bed.udr().TakeEvent(*handle);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(out->results[0].code, ldap::LdapResultCode::kSuccess)
+      << out->results[0].diagnostic;
+  EXPECT_FALSE(bed.udr().router().IsBound(sub.ImsiId()));
+  EXPECT_FALSE(bed.udr().router().IsBound(sub.MsisdnId()));
+  EXPECT_FALSE(bed.udr().router().IsBound(sub.ImpuId()));
+  EXPECT_EQ(bed.udr().SubscriberCount(), subscribers - 1);
+  EXPECT_EQ(bed.udr().partition_map().population(entry->partition),
+            population - 1);
+}
+
+// ---------------------------------------------------------------------------
+// FeFleet: collecting parked events
+// ---------------------------------------------------------------------------
+
+workload::FeEvent DeferredAuth(uint64_t subscriber, sim::SiteId site) {
+  workload::FeEvent e;
+  e.procedure = workload::FeProcedure::kAuthenticate;
+  e.subscriber = subscriber;
+  e.serving = site;
+  e.defer = true;
+  return e;
+}
+
+TEST(FeFleetCollectTest, FoldsInIssueOrderAcrossWindowsFlushingApart) {
+  workload::Testbed bed(CoalesceOptions(20, Micros(200)));
+  Settle(bed);
+  workload::FeFleet fleet(bed, /*batched=*/true);
+  std::vector<uint64_t> folded;
+  auto fold = [&](const workload::FeEvent& e,
+                  const telecom::ProcedureResult& r) {
+    EXPECT_TRUE(r.ok());
+    folded.push_back(e.subscriber);
+  };
+
+  // Site 0's window opens at t0 and closes at t0 + 200; site 1's opens 50
+  // later. Subscriber 3 joins site 0's window after site 1's opened.
+  const MicroTime t0 = bed.clock().Now();
+  ASSERT_FALSE(fleet.Issue(DeferredAuth(1, 0)).has_value());
+  bed.clock().AdvanceTo(t0 + Micros(50));
+  ASSERT_FALSE(fleet.Issue(DeferredAuth(2, 1)).has_value());
+  bed.clock().AdvanceTo(t0 + Micros(100));
+  ASSERT_FALSE(fleet.Issue(DeferredAuth(3, 0)).has_value());
+
+  fleet.Collect(fold);
+  EXPECT_TRUE(folded.empty());
+
+  // Site 0 flushes alone: its two events fold, in issue order.
+  bed.clock().AdvanceTo(t0 + Micros(200));
+  bed.udr().PumpEvents();
+  fleet.Collect(fold);
+  EXPECT_EQ(folded, (std::vector<uint64_t>{1, 3}));
+
+  // Site 1 flushes later.
+  bed.clock().AdvanceTo(t0 + Micros(250));
+  bed.udr().PumpEvents();
+  fleet.Collect(fold);
+  EXPECT_EQ(folded, (std::vector<uint64_t>{1, 3, 2}));
+
+  // Both windows due in one pump, site 1's opened first this time: the
+  // fold still follows issue order, not flush order.
+  folded.clear();
+  const MicroTime t1 = bed.clock().Now();
+  ASSERT_FALSE(fleet.Issue(DeferredAuth(4, 1)).has_value());
+  bed.clock().AdvanceTo(t1 + Micros(10));
+  ASSERT_FALSE(fleet.Issue(DeferredAuth(5, 0)).has_value());
+  ASSERT_FALSE(fleet.Issue(DeferredAuth(6, 1)).has_value());
+  bed.clock().AdvanceTo(t1 + Micros(400));
+  bed.udr().PumpEvents();
+  fleet.Collect(fold);
+  EXPECT_EQ(folded, (std::vector<uint64_t>{4, 5, 6}));
+}
+
+TEST(FeFleetCollectTest, AnAddClosingAWindowCompletesItsParkedEvents) {
+  workload::Testbed bed(CoalesceOptions(20, Millis(1)));
+  Settle(bed);
+  workload::FeFleet fleet(bed, /*batched=*/true);
+  std::vector<uint64_t> folded;
+  auto fold = [&](const workload::FeEvent& e,
+                  const telecom::ProcedureResult& r) {
+    EXPECT_TRUE(r.ok());
+    folded.push_back(e.subscriber);
+  };
+  ASSERT_FALSE(fleet.Issue(DeferredAuth(1, 0)).has_value());
+  ASSERT_FALSE(fleet.Issue(DeferredAuth(2, 1)).has_value());
+  ASSERT_FALSE(fleet.Issue(DeferredAuth(3, 0)).has_value());
+
+  // An Add at site 0 closes that window inline: its events complete with
+  // no clock advance and no pump, and the next Collect sees them.
+  telecom::Subscriber fresh = bed.factory().Make(50);
+  ldap::LdapRequest add;
+  add.op = ldap::LdapOp::kAdd;
+  add.dn = ldap::SubscriberDn("imsi", fresh.imsi);
+  add.add_entry = fresh.profile;
+  auto handle = bed.udr().SubmitEvent({add}, 0);
+  ASSERT_TRUE(handle.ok());
+  ASSERT_TRUE(bed.udr().TakeEvent(*handle).has_value());
+
+  fleet.Collect(fold);
+  EXPECT_EQ(folded, (std::vector<uint64_t>{1, 3}));
+  bed.udr().FlushEvents();
+  fleet.Collect(fold);
+  EXPECT_EQ(folded, (std::vector<uint64_t>{1, 3, 2}));
+}
+
+TEST(FeFleetCollectTest, CollectWithNothingCompletedFoldsNothing) {
+  workload::Testbed bed(CoalesceOptions(20, Millis(1)));
+  Settle(bed);
+  workload::FeFleet fleet(bed, /*batched=*/true);
+  int folds = 0;
+  auto fold = [&](const workload::FeEvent&, const telecom::ProcedureResult&) {
+    ++folds;
+  };
+  ASSERT_FALSE(fleet.Issue(DeferredAuth(1, 0)).has_value());
+  const uint64_t completions = bed.udr().event_completions();
+  for (int i = 0; i < 3; ++i) fleet.Collect(fold);
+  EXPECT_EQ(folds, 0);
+  EXPECT_EQ(bed.udr().event_completions(), completions);
+
+  bed.udr().FlushEvents();
+  EXPECT_EQ(bed.udr().event_completions(), completions + 1);
+  fleet.Collect(fold);
+  EXPECT_EQ(folds, 1);
+  fleet.Collect(fold);  // Nothing new since the last pass.
+  EXPECT_EQ(folds, 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 // Unit tests for src/common: Status/StatusOr, Rng, Histogram, strings,
-// time intervals, table formatting.
+// time intervals, table formatting, the handle table.
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
 
+#include "common/handle_table.h"
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -403,6 +406,58 @@ TEST(TableTest, PrintAlignsColumns) {
   EXPECT_NE(out.find("col-a"), std::string::npos);
   EXPECT_NE(out.find("333"), std::string::npos);
   EXPECT_EQ(t.row_count(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// HandleTable
+// ---------------------------------------------------------------------------
+
+TEST(HandleTableTest, MatchesAMapOracle) {
+  // Mostly increasing handles taken in about issue order, as on the
+  // enqueue/take chains, plus out-of-order puts, overwrites and takes from
+  // the middle, through several ring growths and wraparounds.
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    HandleTable<std::string> table;
+    std::map<uint64_t, std::string> oracle;
+    Rng rng(seed);
+    uint64_t next = 1;
+    for (int step = 0; step < 20000; ++step) {
+      const uint64_t pick = rng.Uniform(100);
+      if (pick < 55) {
+        const uint64_t handle = next;
+        next += 1 + rng.Uniform(3);  // Sparse runs too.
+        table.Put(handle, std::to_string(step));
+        oracle[handle] = std::to_string(step);
+      } else if (pick < 60 && next > 1) {
+        const uint64_t handle = 1 + rng.Uniform(next - 1);
+        table.Put(handle, "again" + std::to_string(step));
+        oracle[handle] = "again" + std::to_string(step);
+      } else if (!oracle.empty()) {
+        // Take the oldest live handle most of the time, else any.
+        auto it = oracle.begin();
+        if (rng.Uniform(4) == 0) {
+          it = oracle.lower_bound(1 + rng.Uniform(next));
+          if (it == oracle.end()) it = oracle.begin();
+        }
+        std::string* value = table.Find(it->first);
+        ASSERT_NE(value, nullptr) << "step " << step;
+        ASSERT_EQ(*value, it->second) << "step " << step;
+        ASSERT_TRUE(table.Erase(it->first)) << "step " << step;
+        ASSERT_FALSE(table.Erase(it->first)) << "step " << step;
+        oracle.erase(it);
+      }
+      ASSERT_EQ(table.size(), oracle.size()) << "step " << step;
+      const uint64_t probe = rng.Uniform(next + 2);
+      const auto it = oracle.find(probe);
+      std::string* found = table.Find(probe);
+      ASSERT_EQ(found != nullptr, it != oracle.end()) << "step " << step;
+      if (found != nullptr) ASSERT_EQ(*found, it->second) << "step " << step;
+    }
+    for (const auto& [handle, value] : oracle) {
+      ASSERT_NE(table.Find(handle), nullptr);
+      EXPECT_EQ(*table.Find(handle), value);
+    }
+  }
 }
 
 }  // namespace

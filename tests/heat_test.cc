@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <list>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -218,6 +221,265 @@ TEST(PoaCacheTest, InvalidateDropsTheKeySynchronously) {
   EXPECT_EQ(cache.Lookup(5, 0, 0), nullptr);
   EXPECT_FALSE(cache.Invalidate(5));
   EXPECT_EQ(cache.invalidations(), 1);
+}
+
+// ---------------------------------------------------------------------------
+// Differential tests: the flat PoaCache and HeatTracker against the
+// node-based structures they replaced, kept here as oracles.
+// ---------------------------------------------------------------------------
+
+/// The std::list + std::unordered_map byte-LRU cache the flat PoaCache
+/// replaced, reduced to its observable behavior.
+class ListPoaCache {
+ public:
+  explicit ListPoaCache(int64_t capacity) : capacity_(capacity) {}
+
+  const storage::Record* Lookup(storage::RecordKey key, uint32_t partition,
+                                uint64_t epoch) {
+    auto it = index_.find(key);
+    if (it == index_.end()) {
+      ++misses;
+      return nullptr;
+    }
+    Entry& entry = *it->second;
+    if (entry.partition != partition || entry.epoch != epoch) {
+      ++epoch_drops;
+      ++misses;
+      Erase(it->second);
+      return nullptr;
+    }
+    lru_.splice(lru_.begin(), lru_, it->second);
+    ++hits;
+    return &lru_.front().record;
+  }
+
+  void Insert(storage::RecordKey key, uint32_t partition, uint64_t epoch,
+              const storage::Record& record) {
+    const int64_t cost = record.CacheFootprintBytes();
+    if (cost > capacity_) return;
+    auto it = index_.find(key);
+    if (it != index_.end()) Erase(it->second);
+    while (bytes + cost > capacity_ && !lru_.empty()) {
+      ++evictions;
+      Erase(std::prev(lru_.end()));
+    }
+    lru_.push_front(Entry{key, partition, epoch, cost, record});
+    index_[key] = lru_.begin();
+    bytes += cost;
+    ++insertions;
+  }
+
+  bool Invalidate(storage::RecordKey key) {
+    auto it = index_.find(key);
+    if (it == index_.end()) return false;
+    ++invalidations;
+    Erase(it->second);
+    return true;
+  }
+
+  void Clear() {
+    lru_.clear();
+    index_.clear();
+    bytes = 0;
+  }
+
+  size_t size() const { return index_.size(); }
+  std::vector<storage::RecordKey> KeysByRecency() const {
+    std::vector<storage::RecordKey> keys;
+    for (const Entry& e : lru_) keys.push_back(e.key);
+    return keys;
+  }
+
+  int64_t bytes = 0;
+  int64_t hits = 0;
+  int64_t misses = 0;
+  int64_t insertions = 0;
+  int64_t invalidations = 0;
+  int64_t evictions = 0;
+  int64_t epoch_drops = 0;
+
+ private:
+  struct Entry {
+    storage::RecordKey key = 0;
+    uint32_t partition = 0;
+    uint64_t epoch = 0;
+    int64_t bytes = 0;
+    storage::Record record;
+  };
+
+  void Erase(std::list<Entry>::iterator it) {
+    bytes -= it->bytes;
+    index_.erase(it->key);
+    lru_.erase(it);
+  }
+
+  int64_t capacity_;
+  std::list<Entry> lru_;
+  std::unordered_map<storage::RecordKey, std::list<Entry>::iterator> index_;
+};
+
+/// The linear-scan space-saving sketch the heap-ordered HeatTracker
+/// replaced: a miss on a full sketch takes the first slot of minimum count.
+class ScanSketch {
+ public:
+  explicit ScanSketch(size_t top_k) : top_k_(top_k) {}
+
+  void RecordAccess(storage::RecordKey key) {
+    ++total;
+    auto it = index_.find(key);
+    if (it != index_.end()) {
+      ++sketch_[it->second].count;
+      return;
+    }
+    if (sketch_.size() < top_k_) {
+      index_[key] = sketch_.size();
+      sketch_.push_back(HeatTracker::HotKey{key, 1, 0});
+      return;
+    }
+    size_t coldest = 0;
+    for (size_t i = 1; i < sketch_.size(); ++i) {
+      if (sketch_[i].count < sketch_[coldest].count) coldest = i;
+    }
+    HeatTracker::HotKey& slot = sketch_[coldest];
+    index_.erase(slot.key);
+    index_[key] = coldest;
+    slot.error = slot.count;
+    slot.count = slot.count + 1;
+    slot.key = key;
+  }
+
+  int64_t KeyCount(storage::RecordKey key) const {
+    auto it = index_.find(key);
+    return it == index_.end() ? 0 : sketch_[it->second].count;
+  }
+
+  std::vector<HeatTracker::HotKey> TopKeys(size_t n) const {
+    std::vector<HeatTracker::HotKey> out = sketch_;
+    std::sort(out.begin(), out.end(),
+              [](const HeatTracker::HotKey& a, const HeatTracker::HotKey& b) {
+                if (a.count != b.count) return a.count > b.count;
+                return a.key < b.key;
+              });
+    if (out.size() > n) out.resize(n);
+    return out;
+  }
+
+  size_t tracked() const { return sketch_.size(); }
+  int64_t total = 0;
+
+ private:
+  size_t top_k_;
+  std::vector<HeatTracker::HotKey> sketch_;
+  std::unordered_map<storage::RecordKey, size_t> index_;
+};
+
+/// Records of increasing size, so inserts cost different byte amounts.
+std::vector<storage::Record> RecordsOfVaryingSize() {
+  std::vector<storage::Record> records;
+  for (int n = 1; n <= 8; ++n) {
+    storage::Record r;
+    for (int a = 0; a < n; ++a) {
+      r.Set("diff-attr-" + std::to_string(a),
+            std::string(static_cast<size_t>(8 * n + a), 'x'), a, 0);
+    }
+    records.push_back(std::move(r));
+  }
+  return records;
+}
+
+void ExpectSameCacheState(const PoaCache& flat, const ListPoaCache& oracle,
+                          int step) {
+  ASSERT_EQ(flat.KeysByRecency(), oracle.KeysByRecency()) << "op " << step;
+  ASSERT_EQ(flat.bytes(), oracle.bytes) << "op " << step;
+  ASSERT_EQ(flat.size(), oracle.size()) << "op " << step;
+  ASSERT_EQ(flat.hits(), oracle.hits) << "op " << step;
+  ASSERT_EQ(flat.misses(), oracle.misses) << "op " << step;
+  ASSERT_EQ(flat.insertions(), oracle.insertions) << "op " << step;
+  ASSERT_EQ(flat.invalidations(), oracle.invalidations) << "op " << step;
+  ASSERT_EQ(flat.evictions(), oracle.evictions) << "op " << step;
+  ASSERT_EQ(flat.epoch_drops(), oracle.epoch_drops) << "op " << step;
+}
+
+TEST(FlatPoaCacheDifferentialTest, MatchesTheListCacheOnZipfStreams) {
+  const std::vector<storage::Record> records = RecordsOfVaryingSize();
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    // Budget for roughly a dozen mid-size records: inserts run over it
+    // constantly, so eviction order is exercised on every seed.
+    const int64_t capacity = 12 * records[3].CacheFootprintBytes();
+    PoaCacheConfig cfg;
+    cfg.capacity_bytes = capacity;
+    PoaCache flat(cfg);
+    ListPoaCache oracle(capacity);
+    workload::ZipfGenerator keys(200, 0.99);
+    Rng rng(seed);
+    for (int step = 0; step < 20000; ++step) {
+      const storage::RecordKey key = keys.Next(rng);
+      const uint32_t partition = static_cast<uint32_t>(key % 4);
+      // One epoch in eight is a newer one: lookups then drop the entry.
+      const uint64_t epoch = rng.Uniform(8) == 0 ? 1 : 0;
+      const uint64_t pick = rng.Uniform(100);
+      if (pick < 45) {
+        const storage::Record* a = flat.Lookup(key, partition, epoch);
+        const storage::Record* b = oracle.Lookup(key, partition, epoch);
+        ASSERT_EQ(a == nullptr, b == nullptr) << "op " << step;
+        if (a != nullptr) ASSERT_TRUE(*a == *b) << "op " << step;
+      } else if (pick < 85) {
+        const storage::Record& r = records[rng.Uniform(records.size())];
+        flat.Insert(key, partition, epoch, r.Share());
+        oracle.Insert(key, partition, epoch, r);
+      } else if (pick < 99) {
+        ASSERT_EQ(flat.Invalidate(key), oracle.Invalidate(key))
+            << "op " << step;
+      } else if (rng.Uniform(20) == 0) {
+        flat.Clear();
+        oracle.Clear();
+      }
+      ASSERT_NO_FATAL_FAILURE(ExpectSameCacheState(flat, oracle, step));
+    }
+    EXPECT_GT(oracle.evictions, 0) << "seed " << seed;
+    EXPECT_GT(oracle.epoch_drops, 0) << "seed " << seed;
+  }
+}
+
+TEST(HeapSketchDifferentialTest, MatchesTheLinearScanOnZipfStreams) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    for (int top_k : {1, 8, 32}) {
+      HeatTrackerConfig cfg;
+      cfg.top_k = top_k;
+      HeatTracker heap(cfg);
+      ScanSketch oracle(static_cast<size_t>(top_k));
+      // A Zipf head plus a uniform tail: the tail keeps replacing cold
+      // slots, many of them tied at the minimum count.
+      workload::ZipfGenerator hot(300, 0.99);
+      Rng rng(seed);
+      std::vector<storage::RecordKey> seen;
+      std::unordered_set<storage::RecordKey> seen_set;
+      for (int step = 0; step < 6000; ++step) {
+        const storage::RecordKey key =
+            rng.Uniform(4) == 0 ? 1000 + rng.Uniform(700) : hot.Next(rng);
+        if (seen_set.insert(key).second) seen.push_back(key);
+        heap.RecordAccess(0, key, step);
+        oracle.RecordAccess(key);
+        ASSERT_EQ(heap.tracked_keys(), oracle.tracked()) << "op " << step;
+        ASSERT_EQ(heap.total_accesses(), oracle.total) << "op " << step;
+        ASSERT_EQ(heap.KeyCount(key), oracle.KeyCount(key)) << "op " << step;
+        if (step % 64 == 0 || step > 5900) {
+          for (storage::RecordKey k : seen) {
+            ASSERT_EQ(heap.KeyCount(k), oracle.KeyCount(k))
+                << "key " << k << " op " << step;
+          }
+          const auto a = heap.TopKeys(static_cast<size_t>(top_k));
+          const auto b = oracle.TopKeys(static_cast<size_t>(top_k));
+          ASSERT_EQ(a.size(), b.size()) << "op " << step;
+          for (size_t i = 0; i < a.size(); ++i) {
+            ASSERT_EQ(a[i].key, b[i].key) << "op " << step << " rank " << i;
+            ASSERT_EQ(a[i].count, b[i].count) << "op " << step;
+            ASSERT_EQ(a[i].error, b[i].error) << "op " << step;
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <variant>
+#include <vector>
+
+#include "common/rng.h"
+#include "common/strings.h"
 #include "telecom/front_end.h"
 #include "telecom/pre_udc.h"
 #include "telecom/provisioning.h"
@@ -69,6 +75,81 @@ TEST(SubscriberFactoryTest, IdentityOnlyDerivationsMatchMake) {
                 s.MsisdnId());
       EXPECT_EQ(f.IdentityOf(i, location::IdentityType::kImpu), s.ImpuId());
       EXPECT_EQ(f.IdentityOf(i, location::IdentityType::kImpi).value, s.impi);
+    }
+  }
+}
+
+/// The printf formats the identity strings were specified with; the
+/// factory formats them by hand and must match byte for byte.
+struct ReferenceIdentities {
+  int mcc;
+  int mnc;
+  int cc;
+  uint64_t seed;
+
+  std::string Imsi(uint64_t index) const {
+    return StrFormat("%03d%02d%010llu", mcc, mnc,
+                     static_cast<unsigned long long>(index + 1));
+  }
+  std::string Msisdn(uint64_t index) const {
+    return StrFormat("+%d6%08llu", cc,
+                     static_cast<unsigned long long>(index + 1));
+  }
+  std::string Domain() const {
+    return StrFormat("@ims.mnc%03d.mcc%03d.3gppnetwork.org", mnc, mcc);
+  }
+  std::string Ki(uint64_t index) const {
+    Rng rng(seed ^ (index * 0x9E3779B97F4A7C15ULL + 1));
+    std::string ki;
+    for (int i = 0; i < 4; ++i) {
+      ki += StrFormat("%08llx", static_cast<unsigned long long>(
+                                    rng.Next() & 0xFFFFFFFFULL));
+    }
+    return ki;
+  }
+};
+
+void ExpectIdentitiesMatchReference(const SubscriberFactory& f,
+                                    const ReferenceIdentities& ref,
+                                    uint64_t index, bool whole_profile) {
+  const std::string imsi = ref.Imsi(index);
+  const std::string msisdn = ref.Msisdn(index);
+  const std::string impu = "sip:" + msisdn + ref.Domain();
+  ASSERT_EQ(f.ImsiOf(index), imsi) << index;
+  ASSERT_EQ(f.MsisdnOf(index), msisdn) << index;
+  ASSERT_EQ(f.ImpuOf(index), impu) << index;
+  ASSERT_EQ(f.IdentityOf(index, location::IdentityType::kImpi).value,
+            imsi + ref.Domain())
+      << index;
+  if (!whole_profile) return;
+  Subscriber s = f.Make(index);
+  ASSERT_EQ(s.impi, imsi + ref.Domain()) << index;
+  ASSERT_EQ(s.impus, (std::vector<std::string>{impu, "tel:" + msisdn}))
+      << index;
+  ASSERT_EQ(std::get<std::string>(*s.profile.Get(attr::kAuthKey)),
+            ref.Ki(index))
+      << index;
+}
+
+TEST(SubscriberFactoryTest, HandFormattedIdentitiesMatchPrintf) {
+  const std::vector<ReferenceIdentities> plans = {
+      {214, 5, 34, 42},   // The default numbering plan.
+      {1, 123, 1, 7},     // Narrow MCC/CC, an MNC wider than its pad.
+      {999, 0, 999, 9},   // Wide CC, zero MNC.
+  };
+  for (const ReferenceIdentities& ref : plans) {
+    SubscriberFactory f(ref.seed, ref.mcc, ref.mnc, ref.cc);
+    for (uint64_t index = 0; index < 3000; ++index) {
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectIdentitiesMatchReference(f, ref, index, index < 300));
+    }
+    // Width overflow: index + 1 = 10^8 outgrows the 8-digit MSISDN field
+    // and 10^10 the 10-digit MSIN; the last index wraps index + 1 to 0.
+    for (uint64_t index :
+         {99999998ULL, 99999999ULL, 100000000ULL, 9999999998ULL,
+          9999999999ULL, 10000000000ULL, ~0ULL}) {
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectIdentitiesMatchReference(f, ref, index, true));
     }
   }
 }

@@ -77,6 +77,14 @@ concurrency statically checkable — the ones a generic linter can't know:
                      moving each request in (front_end.cc OpList), and the
                      list then moves down the enqueue chain uncopied.
 
+  hot-metric-literal src/routing/ and src/exec/ must not pass a string
+                     literal to a Metrics Add( or Observe(. Those layers run
+                     once per routed op or batch, and the string API builds a
+                     std::string and walks the registry's map on every call;
+                     register the name once (RegisterCounter /
+                     RegisterHist) and bump the handle. A failure-only call
+                     site carries a marker saying so.
+
   metric-name        every dotted metric-name string literal passed to
                      Add/Observe/RegisterCounter/RegisterHist in src/ must
                      appear (backticked) in the docs/METRICS.md table, and
@@ -151,6 +159,11 @@ OUT_OF_LOG_WRITE_HOMES = ("src/storage/", "src/replication/")
 # next one (group 2 is "{" or empty at end of line).
 REQUEST_LIST_CALL_RE = re.compile(r"\b(RunOps|SubmitBatch)\s*\(\s*(\{|$)")
 REQUEST_LIST_SCOPE = "src/telecom/"
+
+# A string-keyed metric bump (the literal may open the next line) and the
+# trees that run per op.
+HOT_METRIC_CALL_RE = re.compile(r"(?:\.|->)\s*(Add|Observe)\s*\(\s*(\"|$)")
+HOT_METRIC_SCOPES = ("src/routing/", "src/exec/")
 
 # Metric registry call sites and the dotted-name shape they must use.
 METRIC_CALL_RE = re.compile(
@@ -269,6 +282,20 @@ def lint_file(path: str, rel: str, allowlist_doc: str, violations: list):
                     f"passed to {m.group(1)}() — the initializer_list copies "
                     f"every LdapRequest; move each request into a vector "
                     f"(OpList) instead")
+
+        if (rel.startswith(HOT_METRIC_SCOPES)
+                and "hot-metric-literal" not in active):
+            m = HOT_METRIC_CALL_RE.search(code)
+            literal = m is not None and (
+                m.group(2) == '"' or
+                (lineno < len(lines) and
+                 code_part(lines[lineno]).lstrip().startswith('"')))
+            if literal:
+                violations.append(
+                    f"{rel}:{lineno}: [hot-metric-literal] string-keyed "
+                    f"Metrics::{m.group(1)}() in a per-op layer — register "
+                    f"the name once (RegisterCounter/RegisterHist) and use "
+                    f"the handle")
 
         if TSA_ESCAPE_RE.search(code) and "tsa-escape" not in active:
             context = lines[max(0, lineno - 6):lineno]
