@@ -188,6 +188,7 @@ int main() {
     row("traced 1% + sampler", r.traced);
     row("traced 100%", r.full);
   }
+  t1.SetBasis(4, Table::Basis::kHost);
   t1.Print();
   std::printf("\n");
 

@@ -241,6 +241,7 @@ int main() {
   t1.AddRow({"packed (interned ids)", Table::Num(layout.packed_model_per_sub),
              Table::Num(layout.packed_rss_per_sub)});
   t1.AddRow({"attrs/record", Table::Dbl(layout.attrs_per_record, 1), "-"});
+  t1.SetBasis(2, Table::Basis::kHost);
   t1.Print();
   std::printf("\n");
 
@@ -252,6 +253,7 @@ int main() {
              Table::Num(static_cast<int64_t>(lookup.packed_allocs))});
   t2.AddRow({"packed FindById (data path)",
              Table::Dbl(lookup.by_id_ns_per_op, 1), "0"});
+  t2.SetBasis(1, Table::Basis::kHost);
   t2.Print();
   std::printf("\n");
 

@@ -3,28 +3,28 @@
 // (workload::RunShardedTraffic -> exec::ShardRuntime) and reports throughput
 // per shard count.
 //
-// Core accounting: throughput is measured on per-shard CPU time
-// (CLOCK_THREAD_CPUTIME_ID around Execute, idle polling excluded), and the
-// aggregate is the sum of per-shard service rates — the capacity the fleet
-// sustains given one core per shard. This is deliberately NOT wall-clock
-// speedup: on a host with fewer cores than shards the workers time-share and
-// wall time cannot scale, but the CPU-time basis still exposes any
-// cross-shard contention (a shared lock or allocator raises busy-ns/op and
-// drags the aggregate down). Wall ops/sec is reported alongside for honesty.
+// Two throughput bases: per-shard CPU time (CLOCK_THREAD_CPUTIME_ID around
+// Execute, idle polling excluded; the aggregate is the sum of per-shard
+// service rates) and wall time. The CPU basis assumes one core per shard,
+// so it "scales" even when the workers time-share fewer cores than shards;
+// it is reported as information only. The gate reads wall time, which is
+// what the host actually sustained.
 //
-//   S1  throughput per shard count: wall ops/s, aggregate (CPU basis),
-//       ops/s/core.
-//   S2  gates: aggregate speedup (CPU basis) at 4 shards >= 2.5x over 1
-//       shard; zero per-key order violations; zero failed ops; zero
+//   S1  throughput per shard count: wall ops/s and speedup, aggregate (CPU
+//       basis), ops/s/core. Every number is a host measurement.
+//   S2  correctness: zero per-key order violations; zero failed ops; zero
 //       end-state sequence mismatches.
+//   S3  scaling gate: wall speedup at 4 shards >= 0.7 x min(4, nproc).
 //
 // Emits BENCH_sharded_scale.json (to $UDR_BENCH_SHARDED_SCALE_JSON, or
 // ./BENCH_sharded_scale.json).
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_json.h"
@@ -71,7 +71,8 @@ ScaleRow RunOne(int shards) {
   return row;
 }
 
-void WriteJson(const std::vector<ScaleRow>& rows, double speedup4, bool pass) {
+void WriteJson(const std::vector<ScaleRow>& rows, double speedup4,
+               double wall_speedup4, bool pass) {
   std::string path = bench::JsonPath("UDR_BENCH_SHARDED_SCALE_JSON",
                                      "BENCH_sharded_scale.json");
   const workload::TrafficOptions opts = RunOptions(/*shards=*/1);
@@ -124,6 +125,7 @@ void WriteJson(const std::vector<ScaleRow>& rows, double speedup4, bool pass) {
   }
   std::fprintf(f, "  ],\n  \"aggregate_speedup_at_4_shards\": %.2f,\n",
                speedup4);
+  std::fprintf(f, "  \"wall_speedup_at_4_shards\": %.2f,\n", wall_speedup4);
   bench::CloseJson(f, path, "bench_sharded_scale", pass);
 }
 
@@ -140,31 +142,38 @@ int main() {
   const ScaleRow& base = rows[0];
   Table t1("S1: sharded throughput, 60k ops over 4k subscribers "
            "(aggregate = sum of per-shard CPU-time service rates)",
-           {"shards", "wall ops/s", "aggregate ops/s", "ops/s/core",
-            "speedup"});
+           {"shards", "wall ops/s", "wall speedup", "aggregate ops/s",
+            "ops/s/core", "CPU speedup"});
   for (const ScaleRow& r : rows) {
     t1.AddRow({Table::Num(r.shards), Table::Dbl(r.wall_ops_per_sec, 0),
+               Table::Dbl(r.wall_ops_per_sec / base.wall_ops_per_sec, 2) + "x",
                Table::Dbl(r.aggregate_ops_per_sec, 0),
                Table::Dbl(r.ops_per_sec_per_core, 0),
                Table::Dbl(r.aggregate_ops_per_sec / base.aggregate_ops_per_sec,
                           2) +
                    "x"});
   }
+  for (size_t c = 1; c < 6; ++c) t1.SetBasis(c, Table::Basis::kHost);
   t1.Print();
   std::printf("\n");
 
-  double speedup4 = 0.0;
+  double speedup4 = 0.0, wall_speedup4 = 0.0;
   int64_t violations = 0, failed = 0, mismatches = 0;
   for (const ScaleRow& r : rows) {
     if (r.shards == 4) {
       speedup4 = r.aggregate_ops_per_sec / base.aggregate_ops_per_sec;
+      wall_speedup4 = r.wall_ops_per_sec / base.wall_ops_per_sec;
     }
     violations += r.order_violations;
     failed += r.failed;
     mismatches += r.seq_mismatches;
   }
 
-  const bool speedup_ok = speedup4 >= 2.5;
+  // Four shards cannot run faster than the cores they share.
+  const int cores =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  const double wall_target = 0.7 * std::min(4, cores);
+  const bool speedup_ok = wall_speedup4 >= wall_target;
   const bool order_ok = violations == 0;
   const bool failed_ok = failed == 0;
   const bool state_ok = mismatches == 0;
@@ -172,9 +181,6 @@ int main() {
 
   Table t2("S2: self-check (any failed row breaks the CI smoke)",
            {"check", "value", "target", "verdict"});
-  t2.AddRow({"aggregate speedup @ 4 shards (CPU basis)",
-             Table::Dbl(speedup4, 2) + "x", ">= 2.5x",
-             speedup_ok ? "PASS" : "FAIL"});
   t2.AddRow({"per-key order violations", Table::Num(violations), "0",
              order_ok ? "PASS" : "FAIL"});
   t2.AddRow({"failed ops", Table::Num(failed), "0",
@@ -182,7 +188,17 @@ int main() {
   t2.AddRow({"end-state seq mismatches", Table::Num(mismatches), "0",
              state_ok ? "PASS" : "FAIL"});
   t2.Print();
+  std::printf("\n");
 
-  WriteJson(rows, speedup4, pass);
+  Table t3("S3: scaling gate (wall basis; any failed row breaks the CI smoke)",
+           {"check", "value", "target", "verdict"});
+  t3.AddRow({"wall speedup @ 4 shards", Table::Dbl(wall_speedup4, 2) + "x",
+             ">= 0.7 x min(4, " + std::to_string(cores) + ") = " +
+                 Table::Dbl(wall_target, 2) + "x",
+             speedup_ok ? "PASS" : "FAIL"});
+  for (size_t c = 1; c < 4; ++c) t3.SetBasis(c, Table::Basis::kHost);
+  t3.Print();
+
+  WriteJson(rows, speedup4, wall_speedup4, pass);
   return pass ? 0 : 1;
 }

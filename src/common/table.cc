@@ -2,25 +2,51 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
 
 #include "common/time.h"
 
 namespace udr {
 
 Table::Table(std::string title, std::vector<std::string> headers)
-    : title_(std::move(title)), headers_(std::move(headers)) {}
+    : title_(std::move(title)),
+      headers_(std::move(headers)),
+      basis_(headers_.size(), Basis::kModelled) {}
+
+Table& Table::SetBasis(size_t column, Basis basis) {
+  if (column < basis_.size()) basis_[column] = basis;
+  return *this;
+}
 
 void Table::AddRow(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
 void Table::Print(std::ostream& os) const {
-  std::vector<size_t> widths(headers_.size(), 0);
-  for (size_t i = 0; i < headers_.size(); ++i) widths[i] = headers_[i].size();
-  for (const auto& row : rows_) {
-    for (size_t i = 0; i < row.size() && i < widths.size(); ++i) {
-      widths[i] = std::max(widths[i], row[i].size());
+  Render(os, /*modelled_only=*/false);
+  if (const char* golden = std::getenv("UDR_GOLDEN_TABLES")) {
+    std::ofstream out(golden, std::ios::app);
+    PrintModelled(out);
+  }
+}
+
+void Table::PrintModelled(std::ostream& os) const {
+  Render(os, /*modelled_only=*/true);
+}
+
+void Table::Render(std::ostream& os, bool modelled_only) const {
+  std::vector<size_t> columns;
+  for (size_t i = 0; i < headers_.size(); ++i) {
+    if (!modelled_only || basis_[i] == Basis::kModelled) columns.push_back(i);
+  }
+  std::vector<size_t> widths;
+  for (size_t i : columns) {
+    size_t w = headers_[i].size();
+    for (const auto& row : rows_) {
+      if (i < row.size()) w = std::max(w, row[i].size());
     }
+    widths.push_back(w);
   }
   size_t total = 0;
   for (size_t w : widths) total += w + 3;
@@ -28,11 +54,12 @@ void Table::Print(std::ostream& os) const {
 
   os << "\n== " << title_ << " ==\n";
   auto print_row = [&](const std::vector<std::string>& cells) {
-    for (size_t i = 0; i < widths.size(); ++i) {
-      const std::string& c = i < cells.size() ? cells[i] : std::string();
+    for (size_t k = 0; k < columns.size(); ++k) {
+      const std::string& c =
+          columns[k] < cells.size() ? cells[columns[k]] : std::string();
       os << "  ";
       os << c;
-      for (size_t pad = c.size(); pad < widths[i]; ++pad) os << ' ';
+      for (size_t pad = c.size(); pad < widths[k]; ++pad) os << ' ';
       os << ' ';
     }
     os << '\n';
