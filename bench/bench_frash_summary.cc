@@ -81,12 +81,16 @@ std::pair<double, double> MeasureRA() {
 /// H-F: provisioned map lookup cost at 10^4 vs 10^6 subscribers.
 std::pair<MicroDuration, MicroDuration> MeasureHF() {
   location::LocationCostModel model;
-  location::ProvisionedLocationStage small(model), large(model);
+  location::BindingSet small_set, large_set;
+  location::ProvisionedLocationStage small(&small_set, model),
+      large(&large_set, model);
   for (int i = 0; i < 10000; ++i) {
-    small.Bind({location::IdentityType::kImsi, "s" + std::to_string(i)}, {1, 0});
+    small_set.Put({location::IdentityType::kImsi, "s" + std::to_string(i)},
+                  {1, 0});
   }
   for (int i = 0; i < 1000000; ++i) {
-    large.Bind({location::IdentityType::kImsi, "l" + std::to_string(i)}, {1, 0});
+    large_set.Put({location::IdentityType::kImsi, "l" + std::to_string(i)},
+                  {1, 0});
   }
   return {small.Resolve({location::IdentityType::kImsi, "s1"}, 0).cost,
           large.Resolve({location::IdentityType::kImsi, "l1"}, 0).cost};

@@ -32,13 +32,14 @@ void PrintLocationTables() {
           "(modelled O(log N) lookup; 2 identities per subscriber)",
           {"N subscribers", "lookup cost", "stage RAM", "RAM vs 200GB SE"});
   for (int64_t n : {10'000LL, 100'000LL, 1'000'000LL}) {
-    location::ProvisionedLocationStage stage(model);
+    location::BindingSet bindings;
+    location::ProvisionedLocationStage stage(&bindings, model);
     telecom::SubscriberFactory factory(42);
     for (int64_t i = 0; i < n; ++i) {
       LocationEntry e{static_cast<storage::RecordKey>(i),
                       static_cast<uint32_t>(i % 16)};
-      stage.Bind({IdentityType::kImsi, factory.ImsiOf(i)}, e);
-      stage.Bind({IdentityType::kMsisdn, factory.MsisdnOf(i)}, e);
+      bindings.Put({IdentityType::kImsi, factory.ImsiOf(i)}, e);
+      bindings.Put({IdentityType::kMsisdn, factory.MsisdnOf(i)}, e);
     }
     auto r = stage.Resolve({IdentityType::kImsi, factory.ImsiOf(n / 2)}, 0);
     double se_fraction = static_cast<double>(stage.ApproxBytes()) /
@@ -82,12 +83,13 @@ void PrintLocationTables() {
 
   Table t4("E8d: expected shape", {"check", "result"});
   {
-    location::ProvisionedLocationStage s1(model), s2(model);
+    location::BindingSet b1, b2;
+    location::ProvisionedLocationStage s1(&b1, model), s2(&b2, model);
     for (int i = 0; i < 1000; ++i) {
-      s1.Bind({IdentityType::kImsi, "a" + std::to_string(i)}, {1, 0});
+      b1.Put({IdentityType::kImsi, "a" + std::to_string(i)}, {1, 0});
     }
     for (int i = 0; i < 1000000; ++i) {
-      s2.Bind({IdentityType::kImsi, "b" + std::to_string(i)}, {1, 0});
+      b2.Put({IdentityType::kImsi, "b" + std::to_string(i)}, {1, 0});
     }
     auto c1 = s1.Resolve({IdentityType::kImsi, "a5"}, 0).cost;
     auto c2 = s2.Resolve({IdentityType::kImsi, "b5"}, 0).cost;

@@ -1,6 +1,7 @@
 // Flat identity index: the host-side hash table behind every identity ->
-// location map (the provisioned stage's maps, the cache-on-miss stage's
-// cache and the router's authoritative bindings).
+// location map. A BindingSet holds one per identity type; a UDR keeps one
+// physical BindingSet (its router's), which every provisioned location
+// stage reads, while each cache-on-miss stage keeps its own.
 //
 // One index holds the identities of one type. Slots are 24 bytes in one
 // power-of-two array with linear probing; the identity bytes live in a
@@ -20,6 +21,7 @@
 #include <string_view>
 #include <vector>
 
+#include "location/identity.h"
 #include "storage/record.h"
 
 namespace udr::location {
@@ -72,9 +74,6 @@ class IdentityIndex {
       }
     }
   }
-
-  /// Unbinds everything and releases the table.
-  void Clear() { *this = IdentityIndex(); }
 
   /// Slots in the table (a power of two, or 0 before the first bind).
   size_t slot_count() const { return slots_.size(); }
@@ -140,6 +139,41 @@ class IdentityIndex {
   std::string bytes_;        ///< Arena of identity bytes.
   size_t size_ = 0;
   size_t dead_bytes_ = 0;    ///< Arena bytes of unbound identities.
+};
+
+/// Identity -> location bindings of every identity type.
+class BindingSet {
+ public:
+  const IdentityIndex& of(IdentityType type) const {
+    return index_[static_cast<int>(type)];
+  }
+  std::optional<LocationEntry> Find(const Identity& id) const {
+    return of(id.type).Find(id.value);
+  }
+  void Put(const Identity& id, const LocationEntry& entry) {
+    index_[static_cast<int>(id.type)].Put(id.value, entry);
+  }
+  /// Unbinds `id`; false when it was not bound.
+  bool Erase(const Identity& id) {
+    return index_[static_cast<int>(id.type)].Erase(id.value);
+  }
+  /// Unbinds everything and releases the tables.
+  void Clear() { *this = BindingSet(); }
+
+  /// Bindings, and their identity bytes, over every type.
+  int64_t size() const {
+    int64_t total = 0;
+    for (const IdentityIndex& i : index_) total += static_cast<int64_t>(i.size());
+    return total;
+  }
+  int64_t key_bytes() const {
+    int64_t total = 0;
+    for (const IdentityIndex& i : index_) total += i.key_bytes();
+    return total;
+  }
+
+ private:
+  IdentityIndex index_[kIdentityTypeCount];
 };
 
 }  // namespace udr::location

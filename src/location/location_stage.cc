@@ -7,27 +7,6 @@ namespace udr::location {
 
 namespace {
 
-/// Bindings across one index per identity type.
-int64_t IndexEntries(const IdentityIndex (&indexes)[kIdentityTypeCount]) {
-  int64_t total = 0;
-  for (const IdentityIndex& index : indexes) {
-    total += static_cast<int64_t>(index.size());
-  }
-  return total;
-}
-
-/// Modelled RAM of identity maps: bytes_per_entry plus the identity's length
-/// per binding.
-int64_t IndexBytes(const IdentityIndex (&indexes)[kIdentityTypeCount],
-                   const LocationCostModel& model) {
-  int64_t bytes = 0;
-  for (const IdentityIndex& index : indexes) {
-    bytes += static_cast<int64_t>(index.size()) * model.bytes_per_entry +
-             index.key_bytes();
-  }
-  return bytes;
-}
-
 /// log2(n) rounded up, minimum 1 (cost model for tree descent).
 double Log2Ceil(int64_t n) {
   if (n <= 2) return 1.0;
@@ -40,8 +19,9 @@ double Log2Ceil(int64_t n) {
 // ProvisionedLocationStage
 // ---------------------------------------------------------------------------
 
-ProvisionedLocationStage::ProvisionedLocationStage(LocationCostModel model)
-    : model_(model) {}
+ProvisionedLocationStage::ProvisionedLocationStage(const BindingSet* bindings,
+                                                   LocationCostModel model)
+    : bindings_(bindings), model_(model) {}
 
 ResolveResult ProvisionedLocationStage::Resolve(const Identity& id,
                                                 MicroTime now) {
@@ -53,7 +33,7 @@ ResolveResult ProvisionedLocationStage::Resolve(const Identity& id,
         "location stage syncing identity maps (scale-out in progress)");
     return out;
   }
-  const auto& index = index_[static_cast<int>(id.type)];
+  const IdentityIndex& index = bindings_->of(id.type);
   out.cost = model_.map_base +
              static_cast<MicroDuration>(
                  static_cast<double>(model_.map_per_log2) *
@@ -68,34 +48,13 @@ ResolveResult ProvisionedLocationStage::Resolve(const Identity& id,
   return out;
 }
 
-Status ProvisionedLocationStage::Bind(const Identity& id,
-                                      const LocationEntry& entry) {
-  index_[static_cast<int>(id.type)].Put(id.value, entry);
-  return Status::Ok();
-}
-
-Status ProvisionedLocationStage::Unbind(const Identity& id) {
-  if (!index_[static_cast<int>(id.type)].Erase(id.value)) {
-    return Status::NotFound("identity " + id.ToString());
-  }
-  return Status::Ok();
-}
-
-int64_t ProvisionedLocationStage::EntryCount() const {
-  return IndexEntries(index_);
-}
-
 int64_t ProvisionedLocationStage::ApproxBytes() const {
-  return IndexBytes(index_, model_);
+  return bindings_->size() * model_.bytes_per_entry + bindings_->key_bytes();
 }
 
 MicroDuration ProvisionedLocationStage::BeginSyncFrom(
     const ProvisionedLocationStage& peer, MicroTime now) {
-  for (int t = 0; t < kIdentityTypeCount; ++t) {
-    index_[t] = peer.index_[t];
-  }
-  MicroDuration window =
-      peer.EntryCount() * model_.sync_per_entry;
+  MicroDuration window = peer.EntryCount() * model_.sync_per_entry;
   sync_done_at_ = now + window;
   return window;
 }
@@ -114,8 +73,7 @@ CachedLocationStage::CachedLocationStage(
 ResolveResult CachedLocationStage::Resolve(const Identity& id, MicroTime now) {
   (void)now;
   ResolveResult out;
-  IdentityIndex& cache = cache_[static_cast<int>(id.type)];
-  if (std::optional<LocationEntry> hit = cache.Find(id.value)) {
+  if (std::optional<LocationEntry> hit = cache_.Find(id)) {
     ++hits_;
     out.status = Status::Ok();
     out.entry = *hit;
@@ -134,33 +92,14 @@ ResolveResult CachedLocationStage::Resolve(const Identity& id, MicroTime now) {
     out.status = found.status();
     return out;
   }
-  cache.Put(id.value, *found);
+  cache_.Put(id, *found);
   out.status = Status::Ok();
   out.entry = *found;
   return out;
 }
 
-Status CachedLocationStage::Bind(const Identity& id,
-                                 const LocationEntry& entry) {
-  cache_[static_cast<int>(id.type)].Put(id.value, entry);
-  return Status::Ok();
-}
-
-Status CachedLocationStage::Unbind(const Identity& id) {
-  cache_[static_cast<int>(id.type)].Erase(id.value);
-  return Status::Ok();
-}
-
-int64_t CachedLocationStage::EntryCount() const {
-  return IndexEntries(cache_);
-}
-
 int64_t CachedLocationStage::ApproxBytes() const {
-  return IndexBytes(cache_, model_);
-}
-
-void CachedLocationStage::InvalidateAll() {
-  for (IdentityIndex& cache : cache_) cache.Clear();
+  return cache_.size() * model_.bytes_per_entry + cache_.key_bytes();
 }
 
 // ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 //
 // The paper discusses three realizations (§3.3.1, §3.4.2, §3.5):
 //   * ProvisionedLocationStage — identity-location maps provisioned by the
-//     PS. State-full, modelled O(log N) lookups, supports multiple indexes
-//     and selective placement; on scale-out a new stage instance must copy
-//     every map entry from a peer, during which its PoA cannot serve (S-R
-//     link).
+//     PS, one copy per PoA. State-full, modelled O(log N) lookups, supports
+//     multiple indexes and selective placement; on scale-out a new stage
+//     instance must copy every map entry from a peer, during which its PoA
+//     cannot serve (S-R link). The host keeps one physical BindingSet per
+//     UDR (the router's) and every provisioned stage reads it: the per-PoA
+//     copy, its RAM and its sync window exist only in the cost model.
 //   * CachedLocationStage — maps built on the fly: a miss broadcasts a
 //     location query to every storage element (cost grows with #SE), but
 //     scale-out needs no sync window.
@@ -37,7 +39,7 @@ struct LocationCostModel {
   MicroDuration hash_lookup = Micros(2);     ///< O(1) consistent-hash lookup.
   MicroDuration broadcast_per_se = Micros(40); ///< Per-SE cost of a miss probe.
   MicroDuration broadcast_rtt = Millis(30);  ///< Worst backbone RTT of a probe.
-  int64_t bytes_per_entry = 64;              ///< RAM per identity-map entry.
+  int64_t bytes_per_entry = 64;  ///< RAM per identity-map entry (+ its bytes).
   MicroDuration sync_per_entry = Micros(2);  ///< Scale-out copy cost per entry.
 };
 
@@ -57,11 +59,12 @@ class LocationStage {
   /// Resolves an identity at virtual time `now`.
   virtual ResolveResult Resolve(const Identity& id, MicroTime now) = 0;
 
-  /// Registers an identity -> location binding (provisioning path).
-  virtual Status Bind(const Identity& id, const LocationEntry& entry) = 0;
-
-  /// Removes a binding.
-  virtual Status Unbind(const Identity& id) = 0;
+  /// Told of each identity -> location binding the provisioning path makes
+  /// or removes. A stage with no per-PoA binding state ignores both.
+  virtual Status Bind(const Identity&, const LocationEntry&) {
+    return Status::Ok();
+  }
+  virtual Status Unbind(const Identity&) { return Status::Ok(); }
 
   /// Number of bound identities.
   virtual int64_t EntryCount() const = 0;
@@ -77,25 +80,28 @@ class LocationStage {
   virtual std::string Name() const = 0;
 };
 
-/// Identity-location maps, one flat hash index per identity type. The host
-/// lookup is O(1); the modelled cost is still the paper's O(log N) descent
-/// (map_base + map_per_log2 * ceil(log2 N), N = entries of that type).
+/// A PoA's identity-location maps, read from the UDR's one BindingSet. The
+/// host lookup is O(1); the modelled cost is still the paper's O(log N)
+/// descent (map_base + map_per_log2 * ceil(log2 N), N = entries of that
+/// type). Every bind reaches every PoA, so EntryCount and ApproxBytes read
+/// the shared set's size() and key_bytes() as a private copy's.
 class ProvisionedLocationStage : public LocationStage {
  public:
-  explicit ProvisionedLocationStage(LocationCostModel model = LocationCostModel());
+  /// `bindings` (not owned) must outlive the stage.
+  explicit ProvisionedLocationStage(
+      const BindingSet* bindings, LocationCostModel model = LocationCostModel());
 
   ResolveResult Resolve(const Identity& id, MicroTime now) override;
-  Status Bind(const Identity& id, const LocationEntry& entry) override;
-  Status Unbind(const Identity& id) override;
-  int64_t EntryCount() const override;
+  int64_t EntryCount() const override { return bindings_->size(); }
   int64_t ApproxBytes() const override;
   bool SupportsSelectivePlacement() const override { return true; }
   std::string Name() const override { return "provisioned-maps"; }
 
   // -- Scale-out synchronization (§3.4.2) -------------------------------------
 
-  /// Starts copying all entries from `peer`; the stage is unavailable until
-  /// the copy completes. Returns the sync window duration.
+  /// Starts the modelled copy of every entry from `peer`; the stage is
+  /// unavailable until it completes. Nothing is copied on the host (both
+  /// stages read the same BindingSet). Returns the sync window duration.
   MicroDuration BeginSyncFrom(const ProvisionedLocationStage& peer,
                               MicroTime now);
 
@@ -104,8 +110,8 @@ class ProvisionedLocationStage : public LocationStage {
   MicroTime sync_done_at() const { return sync_done_at_; }
 
  private:
+  const BindingSet* bindings_;
   LocationCostModel model_;
-  IdentityIndex index_[kIdentityTypeCount];
   MicroTime sync_done_at_ = 0;
 };
 
@@ -120,9 +126,15 @@ class CachedLocationStage : public LocationStage {
       LocationCostModel model = LocationCostModel());
 
   ResolveResult Resolve(const Identity& id, MicroTime now) override;
-  Status Bind(const Identity& id, const LocationEntry& entry) override;
-  Status Unbind(const Identity& id) override;
-  int64_t EntryCount() const override;
+  Status Bind(const Identity& id, const LocationEntry& entry) override {
+    cache_.Put(id, entry);
+    return Status::Ok();
+  }
+  Status Unbind(const Identity& id) override {
+    cache_.Erase(id);
+    return Status::Ok();
+  }
+  int64_t EntryCount() const override { return cache_.size(); }
   int64_t ApproxBytes() const override;
   bool SupportsSelectivePlacement() const override { return true; }
   std::string Name() const override { return "cached-maps"; }
@@ -130,13 +142,13 @@ class CachedLocationStage : public LocationStage {
   int64_t cache_hits() const { return hits_; }
   int64_t cache_misses() const { return misses_; }
   /// Drops the whole cache (e.g. a freshly deployed stage instance).
-  void InvalidateAll();
+  void InvalidateAll() { cache_.Clear(); }
 
  private:
   std::function<StatusOr<LocationEntry>(const Identity&)> authoritative_;
   std::function<int()> se_count_fn_;
   LocationCostModel model_;
-  IdentityIndex cache_[kIdentityTypeCount];
+  BindingSet cache_;
   int64_t hits_ = 0;
   int64_t misses_ = 0;
 };
@@ -156,7 +168,6 @@ class ConsistentHashLocationStage : public LocationStage {
   /// placement; returns FailedPrecondition when the requested placement
   /// disagrees with the hash.
   Status Bind(const Identity& id, const LocationEntry& entry) override;
-  Status Unbind(const Identity& id) override { (void)id; return Status::Ok(); }
   int64_t EntryCount() const override { return 0; }
   int64_t ApproxBytes() const override;
   bool SupportsSelectivePlacement() const override { return false; }

@@ -31,9 +31,9 @@ Router::Router(PartitionMap* map, sim::Network* network, Metrics* metrics)
 
 void Router::RegisterPoa(uint32_t cluster_id, sim::SiteId site,
                          location::LocationStage* stage) {
-  // A freshly deployed stage starts with whatever its realization syncs on
-  // its own (§3.4.2 provisioned copy, or cache-on-miss); the router only
-  // fans out bindings made from now on.
+  // A provisioned stage reads bindings_ itself (its §3.4.2 copy is a
+  // modelled window only); a cache-on-miss stage starts empty. Either way
+  // the router only notifies it of bindings made from now on.
   Poa poa;
   poa.cluster_id = cluster_id;
   poa.site = site;
@@ -146,8 +146,7 @@ location::LocationStage* Router::StageAtSite(sim::SiteId site) const {
 }
 
 StatusOr<LocationEntry> Router::AuthoritativeLookup(const Identity& id) const {
-  std::optional<LocationEntry> found =
-      authoritative_[static_cast<int>(id.type)].Find(id.value);
+  std::optional<LocationEntry> found = bindings_.Find(id);
   if (!found) {
     return Status::NotFound("identity " + id.ToString() + " not provisioned");
   }
@@ -155,14 +154,14 @@ StatusOr<LocationEntry> Router::AuthoritativeLookup(const Identity& id) const {
 }
 
 void Router::Bind(const Identity& id, const LocationEntry& entry) {
-  authoritative_[static_cast<int>(id.type)].Put(id.value, entry);
+  bindings_.Put(id, entry);
   for (const Poa& poa : poas_) {
     if (poa.stage != nullptr) (void)poa.stage->Bind(id, entry);
   }
 }
 
 void Router::Unbind(const Identity& id) {
-  authoritative_[static_cast<int>(id.type)].Erase(id.value);
+  bindings_.Erase(id);
   // An unbound identity must not pin a bypass exception: the exception list
   // exists to protect live bindings the hash would misroute, and a leaked
   // entry would linger forever (and silently disable the fast path if the

@@ -7,8 +7,10 @@
 //   * PoA selection: nearest reachable Point of Access for a client site;
 //   * identity resolution at a PoA's data location stage instance (§3.3.1
 //     decision 1: resolution never leaves the PoA);
-//   * the authoritative identity -> location map (what a broadcast over all
-//     SEs would answer) and bind/unbind fan-out to every PoA stage;
+//   * the UDR's one identity -> location BindingSet: the authoritative map
+//     (what a broadcast over all SEs would answer), which every provisioned
+//     PoA stage also resolves through, plus bind/unbind fan-out to the
+//     stages that keep per-PoA state (the cache-on-miss stage's cache);
 //   * the final hop: LocationEntry -> owning replication::ReplicaSet via the
 //     PartitionMap.
 //
@@ -115,17 +117,19 @@ class Router {
   StatusOr<location::LocationEntry> AuthoritativeLookup(
       const location::Identity& id) const;
   bool IsBound(const location::Identity& id) const {
-    return authoritative_[static_cast<int>(id.type)].Find(id.value).has_value();
+    return bindings_.Find(id).has_value();
   }
 
-  /// Read-only view of the authoritative bindings of one identity type (used
-  /// by the migration planner to re-home hash-keyed subscribers after the
-  /// ring grows, splits or merges).
+  /// The authoritative bindings: the one physical binding set of the UDR.
+  /// Provisioned location stages resolve through it; the migration planner
+  /// walks it to re-home hash-keyed subscribers after the ring grows,
+  /// splits or merges.
+  const location::BindingSet& bindings() const { return bindings_; }
   const location::IdentityIndex& bindings(location::IdentityType type) const {
-    return authoritative_[static_cast<int>(type)];
+    return bindings_.of(type);
   }
 
-  /// Records a binding authoritatively and at every PoA stage.
+  /// Records a binding once, in the shared set, and notifies every PoA stage.
   void Bind(const location::Identity& id, const location::LocationEntry& entry);
 
   /// Removes a binding everywhere.
@@ -292,7 +296,7 @@ class Router {
   std::unordered_set<location::Identity, location::IdentityHasher>
       bypass_exceptions_;
   std::vector<Poa> poas_;
-  location::IdentityIndex authoritative_[location::kIdentityTypeCount];
+  location::BindingSet bindings_;
   // RouteBatch scratch, reused across calls so a one-op batch (every per-op
   // LDAP request) allocates little beyond its result. RouteBatch is not
   // reentrant: nothing it calls routes another batch.

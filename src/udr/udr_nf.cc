@@ -146,7 +146,7 @@ UdrNf::~UdrNf() = default;
 std::unique_ptr<location::LocationStage> UdrNf::MakeLocationStage() {
   if (config_.location_kind == LocationKind::kProvisioned) {
     return std::make_unique<location::ProvisionedLocationStage>(
-        config_.location_model);
+        &router_.bindings(), config_.location_model);
   }
   return std::make_unique<location::CachedLocationStage>(
       [this](const Identity& id) { return router_.AuthoritativeLookup(id); },

@@ -55,26 +55,28 @@ TEST(IdentityTest, ToStringIncludesType) {
 // ---------------------------------------------------------------------------
 
 TEST(ProvisionedStageTest, BindResolveUnbind) {
-  ProvisionedLocationStage stage;
+  BindingSet bindings;
+  ProvisionedLocationStage stage(&bindings);
   Identity id{IdentityType::kImsi, "214050000000001"};
   LocationEntry entry{42, 3};
-  ASSERT_TRUE(stage.Bind(id, entry).ok());
+  bindings.Put(id, entry);
   ResolveResult r = stage.Resolve(id, 0);
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(r.entry, entry);
   EXPECT_GT(r.cost, 0);
-  ASSERT_TRUE(stage.Unbind(id).ok());
+  ASSERT_TRUE(bindings.Erase(id));
   EXPECT_TRUE(stage.Resolve(id, 0).status.IsNotFound());
-  EXPECT_TRUE(stage.Unbind(id).IsNotFound());
+  EXPECT_FALSE(bindings.Erase(id));
 }
 
 TEST(ProvisionedStageTest, SupportsAllIdentityIndexes) {
-  ProvisionedLocationStage stage;
+  BindingSet bindings;
+  ProvisionedLocationStage stage(&bindings);
   LocationEntry e{1, 0};
-  ASSERT_TRUE(stage.Bind({IdentityType::kImsi, "214"}, e).ok());
-  ASSERT_TRUE(stage.Bind({IdentityType::kMsisdn, "+34600"}, e).ok());
-  ASSERT_TRUE(stage.Bind({IdentityType::kImpu, "sip:a"}, e).ok());
-  ASSERT_TRUE(stage.Bind({IdentityType::kImpi, "a@realm"}, e).ok());
+  bindings.Put({IdentityType::kImsi, "214"}, e);
+  bindings.Put({IdentityType::kMsisdn, "+34600"}, e);
+  bindings.Put({IdentityType::kImpu, "sip:a"}, e);
+  bindings.Put({IdentityType::kImpi, "a@realm"}, e);
   EXPECT_EQ(stage.EntryCount(), 4);
   // Same value under different types resolves independently.
   EXPECT_TRUE(stage.Resolve({IdentityType::kImsi, "214"}, 0).status.ok());
@@ -86,14 +88,15 @@ TEST(ProvisionedStageTest, LookupCostGrowsLogarithmically) {
   LocationCostModel model;
   model.map_base = Micros(2);
   model.map_per_log2 = Micros(1);
-  ProvisionedLocationStage stage(model);
+  BindingSet bindings;
+  ProvisionedLocationStage stage(&bindings, model);
   LocationEntry e{1, 0};
   for (int i = 0; i < 1024; ++i) {
-    stage.Bind({IdentityType::kImsi, "s" + std::to_string(i)}, e);
+    bindings.Put({IdentityType::kImsi, "s" + std::to_string(i)}, e);
   }
   MicroDuration cost_1k = stage.Resolve({IdentityType::kImsi, "s5"}, 0).cost;
   for (int i = 1024; i < 65536; ++i) {
-    stage.Bind({IdentityType::kImsi, "s" + std::to_string(i)}, e);
+    bindings.Put({IdentityType::kImsi, "s" + std::to_string(i)}, e);
   }
   MicroDuration cost_64k = stage.Resolve({IdentityType::kImsi, "s5"}, 0).cost;
   // log2(64k)=16 vs log2(1k)=10: +6 comparisons at 1us each.
@@ -101,23 +104,25 @@ TEST(ProvisionedStageTest, LookupCostGrowsLogarithmically) {
 }
 
 TEST(ProvisionedStageTest, MemoryGrowsPerEntry) {
-  ProvisionedLocationStage stage;
+  BindingSet bindings;
+  ProvisionedLocationStage stage(&bindings);
   EXPECT_EQ(stage.ApproxBytes(), 0);
-  stage.Bind({IdentityType::kImsi, "214050000000001"}, {1, 0});
+  bindings.Put({IdentityType::kImsi, "214050000000001"}, {1, 0});
   int64_t one = stage.ApproxBytes();
   EXPECT_GT(one, 64);
-  stage.Bind({IdentityType::kMsisdn, "+34600000001"}, {1, 0});
+  bindings.Put({IdentityType::kMsisdn, "+34600000001"}, {1, 0});
   EXPECT_GT(stage.ApproxBytes(), one);
 }
 
 TEST(ProvisionedStageTest, ScaleOutSyncWindowBlocksResolution) {
   LocationCostModel model;
   model.sync_per_entry = Micros(2);
-  ProvisionedLocationStage peer(model);
+  BindingSet bindings;
+  ProvisionedLocationStage peer(&bindings, model);
   for (int i = 0; i < 1000; ++i) {
-    peer.Bind({IdentityType::kImsi, "s" + std::to_string(i)}, {1, 0});
+    bindings.Put({IdentityType::kImsi, "s" + std::to_string(i)}, {1, 0});
   }
-  ProvisionedLocationStage fresh(model);
+  ProvisionedLocationStage fresh(&bindings, model);
   MicroDuration window = fresh.BeginSyncFrom(peer, /*now=*/Seconds(10));
   EXPECT_EQ(window, 1000 * Micros(2));
   EXPECT_TRUE(fresh.Syncing(Seconds(10)));
@@ -132,12 +137,14 @@ TEST(ProvisionedStageTest, ScaleOutSyncWindowBlocksResolution) {
 }
 
 TEST(ProvisionedStageTest, SyncWindowScalesWithEntries) {
-  ProvisionedLocationStage small, big, fresh1, fresh2;
+  BindingSet small_set, big_set;
+  ProvisionedLocationStage small(&small_set), big(&big_set),
+      fresh1(&small_set), fresh2(&big_set);
   for (int i = 0; i < 100; ++i) {
-    small.Bind({IdentityType::kImsi, "s" + std::to_string(i)}, {1, 0});
+    small_set.Put({IdentityType::kImsi, "s" + std::to_string(i)}, {1, 0});
   }
   for (int i = 0; i < 10000; ++i) {
-    big.Bind({IdentityType::kImsi, "b" + std::to_string(i)}, {1, 0});
+    big_set.Put({IdentityType::kImsi, "b" + std::to_string(i)}, {1, 0});
   }
   EXPECT_EQ(fresh2.BeginSyncFrom(big, 0) / fresh1.BeginSyncFrom(small, 0), 100);
 }
@@ -166,7 +173,8 @@ std::string IdentityValue(IdentityType type, uint64_t n) {
 TEST(IdentityIndexTest, StageMatchesMapOracleOnAllIdentityTypes) {
   Rng rng(1616);
   LocationCostModel model;
-  ProvisionedLocationStage stage(model);
+  BindingSet bindings;
+  ProvisionedLocationStage stage(&bindings, model);
   std::map<Identity, LocationEntry> oracle;
   for (int step = 0; step < 40000; ++step) {
     const auto type =
@@ -177,12 +185,12 @@ TEST(IdentityIndexTest, StageMatchesMapOracleOnAllIdentityTypes) {
       case 1: {  // Bind, or rebind when already bound.
         LocationEntry entry{rng.Next(),
                             static_cast<uint32_t>(rng.Uniform(64))};
-        ASSERT_TRUE(stage.Bind(id, entry).ok());
+        bindings.Put(id, entry);
         oracle[id] = entry;
         break;
       }
       case 2:
-        EXPECT_EQ(stage.Unbind(id).ok(), oracle.erase(id) == 1)
+        EXPECT_EQ(bindings.Erase(id), oracle.erase(id) == 1)
             << id.ToString();
         break;
       default: {
@@ -208,8 +216,9 @@ TEST(IdentityIndexTest, StageMatchesMapOracleOnAllIdentityTypes) {
   }
   EXPECT_EQ(stage.ApproxBytes(), expected_bytes);
 
-  // A scale-out copy holds exactly the peer's bindings.
-  ProvisionedLocationStage copy(model);
+  // A scale-out stage resolves exactly the peer's bindings once its
+  // modelled copy window closes.
+  ProvisionedLocationStage copy(&bindings, model);
   MicroDuration window = copy.BeginSyncFrom(stage, 0);
   EXPECT_EQ(copy.EntryCount(), stage.EntryCount());
   EXPECT_EQ(copy.ApproxBytes(), stage.ApproxBytes());

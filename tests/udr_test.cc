@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "ldap/dn.h"
 #include "sim/network.h"
 #include "udr/capacity_model.h"
@@ -414,6 +418,95 @@ TEST_F(UdrNfTest, ScaleOutSyncWindowBlocksNewPoa) {
   auto r = (*cluster)->location_stage()->Resolve({IdentityType::kImsi, "i0"},
                                                  clock_.Now());
   EXPECT_TRUE(r.status.IsUnavailable());
+}
+
+// A UDR keeps one physical binding set, its router's. Every provisioned
+// PoA stage reads it, so through creates, deletes, hash re-homes and a
+// scale-out each stage must resolve exactly what the authoritative lookup
+// returns, and report the entry count and modelled RAM of a private copy.
+TEST_F(UdrNfTest, ProvisionedStagesResolveTheAuthoritativeBindings) {
+  UdrConfig cfg;
+  cfg.placement = routing::PlacementKind::kHash;
+  Build(cfg);
+  clock_.AdvanceTo(Seconds(1));
+  const location::LocationCostModel model;
+  std::vector<Identity> ids;  // Every identity ever provisioned.
+  auto create = [&](int i) {
+    UdrNf::CreateSpec spec =
+        SpecFor("i" + std::to_string(i), "m" + std::to_string(i));
+    ids.insert(ids.end(), spec.identities.begin(), spec.identities.end());
+    ASSERT_TRUE(udr_->CreateSubscriber(spec, 0).ok());
+  };
+  auto expect_stages_match = [&](const std::string& phase) {
+    int64_t entries = 0;
+    int64_t bytes = 0;
+    for (const Identity& id : ids) {
+      if (!udr_->AuthoritativeLookup(id).ok()) continue;
+      ++entries;
+      bytes += model.bytes_per_entry + static_cast<int64_t>(id.value.size());
+    }
+    for (uint32_t c = 0; c < udr_->cluster_count(); ++c) {
+      auto* stage = dynamic_cast<location::ProvisionedLocationStage*>(
+          udr_->cluster(c)->location_stage());
+      ASSERT_NE(stage, nullptr);
+      EXPECT_EQ(stage->EntryCount(), entries) << phase << " cluster " << c;
+      EXPECT_EQ(stage->ApproxBytes(), bytes) << phase << " cluster " << c;
+      const MicroTime at = std::max(clock_.Now(), stage->sync_done_at());
+      for (const Identity& id : ids) {
+        auto expected = udr_->AuthoritativeLookup(id);
+        location::ResolveResult r = stage->Resolve(id, at);
+        if (!expected.ok()) {
+          EXPECT_TRUE(r.status.IsNotFound()) << phase << " " << id.ToString();
+          continue;
+        }
+        ASSERT_TRUE(r.status.ok()) << phase << " " << id.ToString();
+        EXPECT_EQ(r.entry, *expected) << phase << " " << id.ToString();
+      }
+    }
+  };
+
+  for (int i = 0; i < 200; ++i) create(i);
+  expect_stages_match("create");
+  for (int i = 0; i < 200; i += 5) {
+    ASSERT_TRUE(udr_->DeleteSubscriber(
+                        {IdentityType::kImsi, "i" + std::to_string(i)}, 0)
+                    .ok());
+  }
+  expect_stages_match("delete");
+
+  // Scale-out: the new PoA serves nothing for its modelled copy window,
+  // which the peer's entry count sizes, then resolves the shared bindings.
+  std::vector<location::LocationEntry> before;
+  for (const Identity& id : ids) {
+    auto e = udr_->AuthoritativeLookup(id);
+    before.push_back(e.ok() ? *e : location::LocationEntry{});
+  }
+  auto cluster = udr_->AddCluster(1);
+  ASSERT_TRUE(cluster.ok());
+  auto* fresh = static_cast<location::ProvisionedLocationStage*>(
+      (*cluster)->location_stage());
+  EXPECT_EQ(fresh->sync_done_at() - clock_.Now(),
+            udr_->cluster(0)->location_stage()->EntryCount() *
+                model.sync_per_entry);
+  EXPECT_TRUE(fresh->Resolve(ids[2], clock_.Now()).status.IsUnavailable());
+  expect_stages_match("scale-out");
+
+  // The grown ring re-homes hash-keyed subscribers to the new partitions.
+  udr_->CommissionPartitions();
+  int moved = 0;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    auto e = udr_->AuthoritativeLookup(ids[i]);
+    if (e.ok() && !(*e == before[i])) ++moved;
+  }
+  EXPECT_GT(moved, 0);
+  expect_stages_match("re-home");
+
+  for (int i = 200; i < 260; ++i) create(i);
+  for (int i = 1; i < 260; i += 7) {
+    (void)udr_->DeleteSubscriber({IdentityType::kMsisdn, "m" + std::to_string(i)},
+                                 1);
+  }
+  expect_stages_match("churn after scale-out");
 }
 
 TEST_F(UdrNfTest, CachedLocationStageHasNoSyncWindow) {
