@@ -206,6 +206,7 @@ StatusOr<BladeCluster*> UdrNf::AddCluster(sim::SiteId site) {
   coalescers_.push_back(std::make_unique<routing::Coalescer>(
       cc, &router_, network_->clock(), &metrics_));
   window_events_.emplace_back();
+  window_write_keys_.emplace_back();
 
   clusters_.push_back(std::move(cluster));
   return clusters_.back().get();
@@ -1089,6 +1090,7 @@ void UdrNf::ProcessRequests(const LdapRequest* requests, size_t count,
   int64_t inline_requests = 0;
   auto flush = [&]() {
     if (batch.empty()) return;
+    if (parked_writes_.size() != 0) CloseWindowsWritingTo(batch);
     router_.RouteBatch(batch, poa_site, &br);
     out.latency += br.latency;
     out.partition_groups += br.partition_groups;
@@ -1203,6 +1205,20 @@ uint64_t UdrNf::EnqueueBatch(std::vector<LdapRequest> requests,
     return handle;
   }
 
+  // A write parks behind every earlier write to its record: one parked in
+  // another cluster's window dispatches now, before this one can.
+  for (const routing::Operation& op : batch.ops) {
+    if (op.kind != routing::Operation::Kind::kWrite) continue;
+    std::optional<location::LocationEntry> at =
+        router_.bindings().Find(op.identity);
+    if (!at.has_value()) continue;
+    CloseWindowHolding(at->key, cluster->id());
+    if (parked_writes_.Find(at->key) == FlatKeyIndex::kNone) {
+      parked_writes_.Insert(at->key, cluster->id());
+      window_write_keys_[cluster->id()].push_back(at->key);
+    }
+  }
+
   // A parked event carries its own trace into the window: the coalescer
   // records its park wait and hangs the shared flush's pipeline spans off
   // the first sampled trace of the window.
@@ -1289,6 +1305,31 @@ void UdrNf::DrainCoalescer(uint32_t cluster_id) {
     ++event_completions_;
   }
   parked.resize(kept);
+  // A flush takes the whole window, so its parked writes are gone too.
+  if (kept == 0) {
+    for (storage::RecordKey key : window_write_keys_[cluster_id]) {
+      parked_writes_.Erase(key);
+    }
+    window_write_keys_[cluster_id].clear();
+  }
+}
+
+void UdrNf::CloseWindowHolding(storage::RecordKey key, uint32_t keep) {
+  const uint32_t cluster_id = parked_writes_.Find(key);
+  if (cluster_id == FlatKeyIndex::kNone || cluster_id == keep) return;
+  metrics_.Add("udr.event.order_close");
+  coalescers_[cluster_id]->FlushNow();
+  DrainCoalescer(cluster_id);
+}
+
+void UdrNf::CloseWindowsWritingTo(const routing::BatchRequest& batch) {
+  for (const routing::Operation& op : batch.ops) {
+    if (op.kind != routing::Operation::Kind::kWrite) continue;
+    std::optional<location::LocationEntry> at =
+        router_.bindings().Find(op.identity);
+    if (at.has_value()) CloseWindowHolding(at->key, kNoCluster);
+    if (parked_writes_.size() == 0) return;
+  }
 }
 
 StatusOr<uint64_t> UdrNf::SubmitEvent(std::vector<LdapRequest> requests,

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flat_key_index.h"
 #include "common/handle_table.h"
 #include "common/metrics.h"
 #include "common/status.h"
@@ -578,6 +579,16 @@ class UdrNf : public ldap::LdapBackend {
   /// flushed, in arrival order.
   void DrainCoalescer(uint32_t cluster_id);
 
+  /// Per-key order across the window boundary: closes the window holding a
+  /// parked write to `key` (unless it is cluster `keep`'s), so a write that
+  /// arrives later and dispatches elsewhere lands after it.
+  void CloseWindowHolding(storage::RecordKey key, uint32_t keep);
+  static constexpr uint32_t kNoCluster = ~0u;  ///< `keep`: close any window.
+
+  /// Before `batch` dispatches inline: closes every window holding a parked
+  /// write to a record one of its writes targets.
+  void CloseWindowsWritingTo(const routing::BatchRequest& batch);
+
   /// One enqueued event: parked in a window until `ready`, then its result.
   struct EventEntry {
     PendingEvent parked;
@@ -620,6 +631,14 @@ class UdrNf : public ldap::LdapBackend {
   /// Handles parked in each cluster's window, in arrival order (1:1 with
   /// coalescers_).
   std::vector<std::vector<uint64_t>> window_events_;
+  /// Records with a write parked in a window, over every cluster, each to
+  /// the one cluster whose window holds it (parking a write closes any
+  /// other window holding its record). Added at park time, removed when the
+  /// window's events demux.
+  FlatKeyIndex parked_writes_;
+  /// The keys each cluster's window entered in parked_writes_ (1:1 with
+  /// coalescers_).
+  std::vector<std::vector<storage::RecordKey>> window_write_keys_;
   uint64_t event_completions_ = 0;
   /// Client leg of each in-flight SubmitEvent.
   HandleTable<EventClient> event_clients_;

@@ -360,6 +360,77 @@ TEST(SubmitEventTest, AddAfterParkedDeleteKeepsArrivalOrder) {
   EXPECT_EQ(bed.udr().SubscriberCount(), before);  // Deleted, then re-added.
 }
 
+/// The values the owning partition's log committed to `attr` of `id`'s
+/// record, in log order.
+std::vector<std::string> CommittedValues(workload::Testbed& bed,
+                                         const Identity& id,
+                                         const std::string& attr) {
+  std::vector<std::string> out;
+  auto entry = bed.udr().AuthoritativeLookup(id);
+  if (!entry.ok()) return out;
+  const replication::ReplicaSet* rs =
+      bed.udr().partition_map().partition(entry->partition);
+  for (const storage::LogEntry& log_entry : rs->log().entries()) {
+    for (const storage::WriteOp& op : log_entry.ops) {
+      if (op.key == entry->key && op.kind == storage::WriteKind::kUpsertAttr &&
+          op.attr_name() == attr) {
+        out.push_back(storage::ValueToString(op.attribute.value));
+      }
+    }
+  }
+  return out;
+}
+
+TEST(SubmitEventTest, WritesToAParkedRecordCommitInArrivalOrder) {
+  // A window that never closes on its own: only an order close dispatches it.
+  workload::Testbed bed(CoalesceOptions(10, Seconds(30)));
+  Settle(bed);
+  telecom::Subscriber sub = bed.factory().Make(4);
+  udrnf::UdrNf& udr = bed.udr();
+  const size_t provisioned =
+      CommittedValues(bed, sub.ImsiId(), "serving-vlr").size();
+
+  // A direct write at the PoA where a write to its record is parked.
+  auto a = udr.SubmitEvent({ModifyOf(sub, "serving-vlr", "parked-a")}, 0);
+  ASSERT_TRUE(a.ok());
+  EXPECT_FALSE(udr.TakeEvent(*a).has_value());
+  EXPECT_TRUE(udr.Submit(ModifyOf(sub, "serving-vlr", "direct-a"), 0).ok());
+  auto out_a = udr.TakeEvent(*a);
+  ASSERT_TRUE(out_a.has_value());
+  EXPECT_TRUE(out_a->ok());
+
+  // A direct batch at another site's PoA.
+  auto b = udr.SubmitEvent({ModifyOf(sub, "serving-vlr", "parked-b")}, 0);
+  ASSERT_TRUE(b.ok());
+  EXPECT_TRUE(
+      udr.SubmitBatch({ModifyOf(sub, "serving-vlr", "direct-b")}, 2).ok());
+  EXPECT_TRUE(udr.TakeEvent(*b).has_value());
+
+  // A write parking at another PoA than the one holding its record.
+  auto c = udr.SubmitEvent({ModifyOf(sub, "serving-vlr", "parked-c")}, 0);
+  auto d = udr.SubmitEvent({ModifyOf(sub, "serving-vlr", "parked-d")}, 1);
+  ASSERT_TRUE(c.ok() && d.ok());
+  EXPECT_TRUE(udr.TakeEvent(*c).has_value());
+  EXPECT_FALSE(udr.TakeEvent(*d).has_value());
+  udr.FlushEvents();
+  EXPECT_TRUE(udr.TakeEvent(*d).has_value());
+
+  const std::vector<std::string> values =
+      CommittedValues(bed, sub.ImsiId(), "serving-vlr");
+  ASSERT_GE(values.size(), provisioned);
+  EXPECT_EQ(std::vector<std::string>(values.begin() + provisioned, values.end()),
+            (std::vector<std::string>{"parked-a", "direct-a", "parked-b",
+                                      "direct-b", "parked-c", "parked-d"}));
+  EXPECT_EQ(udr.metrics().Get("udr.event.order_close"), 3);
+
+  // A read of a parked record does not close its window.
+  auto e = udr.SubmitEvent({ModifyOf(sub, "serving-vlr", "parked-e")}, 0);
+  ASSERT_TRUE(e.ok());
+  EXPECT_TRUE(udr.Submit(ReadOf(sub), 0).ok());
+  EXPECT_FALSE(udr.TakeEvent(*e).has_value());
+  udr.FlushEvents();
+}
+
 TEST(SubmitEventTest, FlushEventsIsAnEndOfRunBarrier) {
   workload::Testbed bed(CoalesceOptions(10, Seconds(30)));
   Settle(bed);

@@ -254,6 +254,46 @@ TEST(ScenarioFullTest, SeDecommission) {
   ExpectAllSlosPass(report);
 }
 
+/// udrbench's storm_coalesced deployment at full scale, seed 91, with its
+/// attach storm over the middle third of the horizon instead of the last.
+/// Only storm events park in the PoA windows, so a subscriber's direct
+/// UpdateLocation issued after its parked storm one used to dispatch first,
+/// and the per-key-order row read 1.
+ScenarioSpec MiddleThirdStorm() {
+  ScenarioSpec spec;
+  spec.name = "middle-third-storm";
+  spec.testbed.sites = 3;
+  spec.testbed.seed = 91;
+  spec.testbed.subscribers = 20000;
+  spec.testbed.pin_home_sites = true;
+  spec.testbed.udr.replication_factor = 3;
+  spec.testbed.udr.se_per_cluster = 2;
+  spec.testbed.udr.partitions_per_se = 2;
+  spec.testbed.udr.fe_slave_reads = true;
+  spec.testbed.udr.location_kind = udrnf::LocationKind::kCached;
+  spec.testbed.udr.coalesce_window_us = Micros(200);
+  spec.testbed.udr.coalesce_max_ops = 64;
+  spec.testbed.udr.heat_tracking = true;
+  spec.testbed.udr.poa_cache_bytes = 4 * 1024 * 1024;
+  spec.duration = Seconds(2);
+  spec.ims_fraction = 0.15;
+  spec.ps_site = 0;
+  spec.fe_rate_per_sec = 15000;
+  spec.ps_rate_per_sec = 500;
+  spec.batched = true;
+  spec.zipf_theta = 0.99;
+  spec.script.AttachStorm(spec.duration / 3, spec.duration / 3,
+                          /*events_per_tick=*/4);
+  AddCoreSlos(&spec);
+  return spec;
+}
+
+TEST(ScenarioFullTest, MiddleThirdStormKeepsPerKeyOrder) {
+  const ScenarioReport report = RunScenario(MiddleThirdStorm());
+  ExpectAllSlosPass(report);
+  EXPECT_GT(report.stats.fe_storm.attempted, 0);
+}
+
 TEST(ScenarioFullTest, StandardScenarioReplaysByteIdentically) {
   const ScenarioSpec spec = SiteLossFailover();
   EXPECT_EQ(RunScenario(spec).Serialize(), RunScenario(spec).Serialize());
