@@ -163,7 +163,9 @@ class BindingSet {
   /// Bindings, and their identity bytes, over every type.
   int64_t size() const {
     int64_t total = 0;
-    for (const IdentityIndex& i : index_) total += static_cast<int64_t>(i.size());
+    for (const IdentityIndex& i : index_) {
+      total += static_cast<int64_t>(i.size());
+    }
     return total;
   }
   int64_t key_bytes() const {

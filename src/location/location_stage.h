@@ -88,8 +88,8 @@ class LocationStage {
 class ProvisionedLocationStage : public LocationStage {
  public:
   /// `bindings` (not owned) must outlive the stage.
-  explicit ProvisionedLocationStage(
-      const BindingSet* bindings, LocationCostModel model = LocationCostModel());
+  explicit ProvisionedLocationStage(const BindingSet* bindings,
+                                    LocationCostModel model = {});
 
   ResolveResult Resolve(const Identity& id, MicroTime now) override;
   int64_t EntryCount() const override { return bindings_->size(); }

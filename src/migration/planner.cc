@@ -117,7 +117,7 @@ MigrationPlan MigrationPlanner::PlanRehome(const routing::Router& router,
                                            location::IdentityType type) {
   MigrationPlan plan;
   if (map.partition_count() == 0) return plan;
-  router.bindings(type).ForEach(
+  router.bindings().of(type).ForEach(
       [&](std::string_view value, const location::LocationEntry& entry) {
         location::Identity id{type, std::string(value)};
         uint32_t owner = map.PartitionOfIdentity(id);
@@ -137,7 +137,7 @@ MigrationPlan MigrationPlanner::PlanSplit(const routing::Router& router,
                                           uint32_t parent, uint32_t sibling) {
   MigrationPlan plan;
   if (map.partition_count() == 0) return plan;
-  router.bindings(type).ForEach(
+  router.bindings().of(type).ForEach(
       [&](std::string_view value, const location::LocationEntry& entry) {
         if (entry.partition != parent) return;
         location::Identity id{type, std::string(value)};
@@ -155,7 +155,7 @@ MigrationPlan MigrationPlanner::PlanMerge(const routing::Router& router,
                                           uint32_t sibling) {
   MigrationPlan plan;
   if (map.partition_count() == 0) return plan;
-  router.bindings(type).ForEach(
+  router.bindings().of(type).ForEach(
       [&](std::string_view value, const location::LocationEntry& entry) {
         if (entry.partition != sibling) return;
         location::Identity id{type, std::string(value)};

@@ -125,9 +125,6 @@ class Router {
   /// walks it to re-home hash-keyed subscribers after the ring grows,
   /// splits or merges.
   const location::BindingSet& bindings() const { return bindings_; }
-  const location::IdentityIndex& bindings(location::IdentityType type) const {
-    return bindings_.of(type);
-  }
 
   /// Records a binding once, in the shared set, and notifies every PoA stage.
   void Bind(const location::Identity& id, const location::LocationEntry& entry);

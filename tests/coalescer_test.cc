@@ -418,7 +418,8 @@ TEST(SubmitEventTest, WritesToAParkedRecordCommitInArrivalOrder) {
   const std::vector<std::string> values =
       CommittedValues(bed, sub.ImsiId(), "serving-vlr");
   ASSERT_GE(values.size(), provisioned);
-  EXPECT_EQ(std::vector<std::string>(values.begin() + provisioned, values.end()),
+  EXPECT_EQ(std::vector<std::string>(values.begin() + provisioned,
+                                     values.end()),
             (std::vector<std::string>{"parked-a", "direct-a", "parked-b",
                                       "direct-b", "parked-c", "parked-d"}));
   EXPECT_EQ(udr.metrics().Get("udr.event.order_close"), 3);

@@ -503,8 +503,8 @@ TEST_F(UdrNfTest, ProvisionedStagesResolveTheAuthoritativeBindings) {
 
   for (int i = 200; i < 260; ++i) create(i);
   for (int i = 1; i < 260; i += 7) {
-    (void)udr_->DeleteSubscriber({IdentityType::kMsisdn, "m" + std::to_string(i)},
-                                 1);
+    (void)udr_->DeleteSubscriber(
+        {IdentityType::kMsisdn, "m" + std::to_string(i)}, 1);
   }
   expect_stages_match("churn after scale-out");
 }
