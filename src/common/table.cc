@@ -14,9 +14,8 @@ Table::Table(std::string title, std::vector<std::string> headers)
       headers_(std::move(headers)),
       basis_(headers_.size(), Basis::kModelled) {}
 
-Table& Table::SetBasis(size_t column, Basis basis) {
+void Table::SetBasis(size_t column, Basis basis) {
   if (column < basis_.size()) basis_[column] = basis;
-  return *this;
 }
 
 void Table::AddRow(std::vector<std::string> cells) {
@@ -27,12 +26,8 @@ void Table::Print(std::ostream& os) const {
   Render(os, /*modelled_only=*/false);
   if (const char* golden = std::getenv("UDR_GOLDEN_TABLES")) {
     std::ofstream out(golden, std::ios::app);
-    PrintModelled(out);
+    Render(out, /*modelled_only=*/true);
   }
-}
-
-void Table::PrintModelled(std::ostream& os) const {
-  Render(os, /*modelled_only=*/true);
 }
 
 void Table::Render(std::ostream& os, bool modelled_only) const {

@@ -31,14 +31,11 @@ class Table {
   void AddRow(std::vector<std::string> cells);
 
   /// Tags `column` (every column starts kModelled).
-  Table& SetBasis(size_t column, Basis basis);
+  void SetBasis(size_t column, Basis basis);
 
   /// Renders the table to the stream (default stdout), and its modelled
   /// columns to the UDR_GOLDEN_TABLES file when that is set.
   void Print(std::ostream& os = std::cout) const;
-
-  /// Renders only the modelled columns (the golden-file form).
-  void PrintModelled(std::ostream& os) const;
 
   /// Number of data rows added so far.
   size_t row_count() const { return rows_.size(); }

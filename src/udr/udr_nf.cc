@@ -1208,14 +1208,12 @@ uint64_t UdrNf::EnqueueBatch(std::vector<LdapRequest> requests,
   // A write parks behind every earlier write to its record: one parked in
   // another cluster's window dispatches now, before this one can.
   for (const routing::Operation& op : batch.ops) {
-    if (op.kind != routing::Operation::Kind::kWrite) continue;
-    std::optional<location::LocationEntry> at =
-        router_.bindings().Find(op.identity);
-    if (!at.has_value()) continue;
-    CloseWindowHolding(at->key, cluster->id());
-    if (parked_writes_.Find(at->key) == FlatKeyIndex::kNone) {
-      parked_writes_.Insert(at->key, cluster->id());
-      window_write_keys_[cluster->id()].push_back(at->key);
+    const std::optional<storage::RecordKey> key = WriteKeyOf(op);
+    if (!key.has_value()) continue;
+    CloseWindowHolding(*key, cluster->id());
+    if (parked_writes_.Find(*key) == FlatKeyIndex::kNone) {
+      parked_writes_.Insert(*key, cluster->id());
+      window_write_keys_[cluster->id()].push_back(*key);
     }
   }
 
@@ -1324,12 +1322,18 @@ void UdrNf::CloseWindowHolding(storage::RecordKey key, uint32_t keep) {
 
 void UdrNf::CloseWindowsWritingTo(const routing::BatchRequest& batch) {
   for (const routing::Operation& op : batch.ops) {
-    if (op.kind != routing::Operation::Kind::kWrite) continue;
-    std::optional<location::LocationEntry> at =
-        router_.bindings().Find(op.identity);
-    if (at.has_value()) CloseWindowHolding(at->key, kNoCluster);
+    if (const auto key = WriteKeyOf(op)) CloseWindowHolding(*key, kNoCluster);
     if (parked_writes_.size() == 0) return;
   }
+}
+
+std::optional<storage::RecordKey> UdrNf::WriteKeyOf(
+    const routing::Operation& op) const {
+  if (op.kind != routing::Operation::Kind::kWrite) return std::nullopt;
+  std::optional<location::LocationEntry> at =
+      router_.bindings().Find(op.identity);
+  if (!at.has_value()) return std::nullopt;
+  return at->key;
 }
 
 StatusOr<uint64_t> UdrNf::SubmitEvent(std::vector<LdapRequest> requests,

@@ -589,6 +589,11 @@ class UdrNf : public ldap::LdapBackend {
   /// write to a record one of its writes targets.
   void CloseWindowsWritingTo(const routing::BatchRequest& batch);
 
+  /// The record a write op targets; nullopt for a read or an unbound
+  /// identity.
+  std::optional<storage::RecordKey> WriteKeyOf(
+      const routing::Operation& op) const;
+
   /// One enqueued event: parked in a window until `ready`, then its result.
   struct EventEntry {
     PendingEvent parked;
