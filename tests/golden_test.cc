@@ -1,6 +1,7 @@
 // Golden scenario outputs: ScenarioReport::Serialize() of the five standard
-// scenarios, plus the attach storm with the time-series sampler on, must
-// equal the committed files under tests/golden/ byte for byte. Run with
+// scenarios, plus the attach storm with the time-series sampler on and the
+// attach storm over cache-on-miss location stages, must equal the committed
+// files under tests/golden/ byte for byte. Run with
 // UDR_UPDATE_GOLDEN=1 (tools/update_golden.py does) to rewrite them; the
 // diff then names every modelled row that moved.
 
@@ -13,6 +14,8 @@
 
 #include "scenario/engine.h"
 #include "scenario/scenarios.h"
+#include "udr/blade_cluster.h"
+#include "udr/udr_nf.h"
 
 namespace udr::scenario {
 namespace {
@@ -43,6 +46,37 @@ TEST(GoldenTest, SampledScenarioSerializesAsCommitted) {
   spec.testbed.udr.obs_sample_interval_us = Millis(10);
   ExpectGolden("scenario_" + spec.name + "-sampled.txt",
                RunScenario(spec).Serialize());
+}
+
+// The attach storm over cache-on-miss location stages (§3.5) with heat
+// tracking and a PoA cache. A mid-storm scale-out adds a cached PoA to a
+// populated UDR, and a rebalance then moves primaries while the storm runs.
+// Each PoA stage's hit/miss counters and entry/byte accounting follow the
+// report.
+TEST(GoldenTest, CachedLocationStormSerializesAsCommitted) {
+  ScenarioSpec spec = AttachStorm();
+  spec.name = "attach-storm-cached";
+  spec.testbed.udr.location_kind = udrnf::LocationKind::kCached;
+  spec.testbed.udr.heat_tracking = true;
+  spec.testbed.udr.poa_cache_bytes = 256 * 1024;
+  spec.testbed.udr.migration_bandwidth_bps = 4 * 1024 * 1024;
+  spec.testbed.udr.migration_chunk_bytes = 32 * 1024;
+  spec.script.ScaleOut(Seconds(5), /*site=*/2);
+  spec.script.StartRebalance(Seconds(7) + Millis(500));
+  Engine engine(spec);
+  std::ostringstream out;
+  out << engine.Run().Serialize();
+  udrnf::UdrNf& udr = engine.testbed().udr();
+  for (uint32_t c = 0; c < udr.cluster_count(); ++c) {
+    const auto* stage = dynamic_cast<const location::CachedLocationStage*>(
+        udr.cluster(c)->location_stage());
+    ASSERT_NE(stage, nullptr);
+    out << "stage cluster=" << c << " entries=" << stage->EntryCount()
+        << " bytes=" << stage->ApproxBytes()
+        << " hits=" << stage->cache_hits()
+        << " misses=" << stage->cache_misses() << "\n";
+  }
+  ExpectGolden("scenario_" + spec.name + ".txt", out.str());
 }
 
 }  // namespace

@@ -10,8 +10,10 @@ build tree:
                       out)
   example_<name>.txt  the example's whole stdout
   scenario_*.txt      ScenarioReport::Serialize() of the five standard
-                      scenarios plus one run with the sampler on; written
-                      and checked by the golden_test binary
+                      scenarios, plus the attach storm with the sampler on
+                      and the attach storm over cache-on-miss location
+                      stages (with each PoA stage's counters); written and
+                      checked by the golden_test binary
 
 A change that moves a modelled number regenerates the files, and the diff
 names the exact rows that moved.
