@@ -11,7 +11,6 @@
 // Every number here is modelled. The host cost of a resolution is timed by
 // udrbench (`location.resolve_ns`, Router::ResolveAt).
 
-#include <map>
 #include <string>
 
 #include "common/table.h"
@@ -65,15 +64,11 @@ void PrintLocationTables() {
   Table t3("E8c: cached maps — miss broadcast cost vs system size (§3.5)",
            {"#SE in system", "hit cost", "miss cost"});
   for (int se_count : {16, 64, 256}) {
-    std::map<std::string, LocationEntry> truth;
-    truth["x"] = {1, 0};
+    // "x" is bound before the stage joins, so its first resolve misses.
+    location::BindingSet bindings;
+    bindings.Put({IdentityType::kImsi, "x"}, {1, 0});
     location::CachedLocationStage stage(
-        [&truth](const Identity& id) -> StatusOr<LocationEntry> {
-          auto it = truth.find(id.value);
-          if (it == truth.end()) return Status::NotFound("no");
-          return it->second;
-        },
-        [se_count]() { return se_count; }, model);
+        &bindings, [se_count]() { return se_count; }, model);
     auto miss = stage.Resolve({IdentityType::kImsi, "x"}, 0);
     auto hit = stage.Resolve({IdentityType::kImsi, "x"}, 0);
     t3.AddRow({Table::Num(se_count), Table::Dur(hit.cost),

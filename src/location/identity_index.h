@@ -1,7 +1,8 @@
 // Flat identity index: the host-side hash table behind every identity ->
 // location map. A BindingSet holds one per identity type; a UDR keeps one
-// physical BindingSet (its router's), which every provisioned location
-// stage reads, while each cache-on-miss stage keeps its own.
+// physical BindingSet (its router's), which every location stage reads. A
+// cache-on-miss stage keeps only a second set of the bindings it has not
+// seen yet, empty unless it joined a populated UDR or was invalidated.
 //
 // One index holds the identities of one type. Slots are 24 bytes in one
 // power-of-two array with linear probing; the identity bytes live in a

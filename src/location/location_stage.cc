@@ -63,43 +63,46 @@ MicroDuration ProvisionedLocationStage::BeginSyncFrom(
 // CachedLocationStage
 // ---------------------------------------------------------------------------
 
-CachedLocationStage::CachedLocationStage(
-    std::function<StatusOr<LocationEntry>(const Identity&)> authoritative,
-    std::function<int()> se_count_fn, LocationCostModel model)
-    : authoritative_(std::move(authoritative)),
+CachedLocationStage::CachedLocationStage(const BindingSet* bindings,
+                                         std::function<int()> se_count_fn,
+                                         LocationCostModel model)
+    : bindings_(bindings),
       se_count_fn_(std::move(se_count_fn)),
-      model_(model) {}
+      model_(model),
+      absent_(*bindings) {}
 
 ResolveResult CachedLocationStage::Resolve(const Identity& id, MicroTime now) {
   (void)now;
   ResolveResult out;
-  if (std::optional<LocationEntry> hit = cache_.Find(id)) {
+  std::optional<LocationEntry> bound = bindings_->Find(id);
+  if (bound && !absent_.Find(id)) {
     ++hits_;
     out.status = Status::Ok();
-    out.entry = *hit;
+    out.entry = *bound;
     out.cost = model_.map_base;
     return out;
   }
   // Miss: broadcast a location query to every SE in the system (§3.5: "every
   // cache miss implies locating the subscriber by querying multiple or even
-  // all the SE in the system").
+  // all the SE in the system"). The shared set is what it would discover.
   ++misses_;
   out.cache_miss = true;
   int se_count = se_count_fn_();
   out.cost = model_.broadcast_rtt + se_count * model_.broadcast_per_se;
-  auto found = authoritative_(id);
-  if (!found.ok()) {
-    out.status = found.status();
+  if (!bound) {
+    out.status =
+        Status::NotFound("identity " + id.ToString() + " not provisioned");
     return out;
   }
-  cache_.Put(id, *found);
+  MarkSeen(id);
   out.status = Status::Ok();
-  out.entry = *found;
+  out.entry = *bound;
   return out;
 }
 
 int64_t CachedLocationStage::ApproxBytes() const {
-  return cache_.size() * model_.bytes_per_entry + cache_.key_bytes();
+  return EntryCount() * model_.bytes_per_entry + bindings_->key_bytes() -
+         absent_.key_bytes();
 }
 
 // ---------------------------------------------------------------------------

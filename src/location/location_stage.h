@@ -11,7 +11,9 @@
 //     copy, its RAM and its sync window exist only in the cost model.
 //   * CachedLocationStage — maps built on the fly: a miss broadcasts a
 //     location query to every storage element (cost grows with #SE), but
-//     scale-out needs no sync window.
+//     scale-out needs no sync window. It too reads the UDR's one
+//     BindingSet; its only per-PoA state is the set of bindings it has not
+//     seen yet (its cache is the shared set minus those).
 //   * ConsistentHashLocationStage — O(1) lookups, but each identity type
 //     needs its own ring/replica of the data and selective placement is
 //     impossible; the paper deems it impractical.
@@ -116,25 +118,33 @@ class ProvisionedLocationStage : public LocationStage {
 };
 
 /// Cache-on-miss stage: a miss broadcasts a probe to every storage element.
+/// The PoA's cache is the UDR's BindingSet minus `absent_`: the bindings
+/// made before this stage joined (or before InvalidateAll) that no resolve
+/// has filled in since. Every bind and unbind writes the shared set first
+/// and then reaches every stage, so that difference always equals what a
+/// private cache filled by binds and misses would hold. A stage that joins
+/// a populated UDR starts with `absent_` a copy of the set, which misses
+/// and rebinds drain; one that joins before provisioning starts empty.
 class CachedLocationStage : public LocationStage {
  public:
-  /// `authoritative` answers what the broadcast would discover (the union of
-  /// all SE contents); `se_count_fn` reports how many SEs a probe must visit.
-  CachedLocationStage(
-      std::function<StatusOr<LocationEntry>(const Identity&)> authoritative,
-      std::function<int()> se_count_fn,
-      LocationCostModel model = LocationCostModel());
+  /// `bindings` (not owned) must outlive the stage; `se_count_fn` reports
+  /// how many SEs a probe must visit.
+  CachedLocationStage(const BindingSet* bindings,
+                      std::function<int()> se_count_fn,
+                      LocationCostModel model = LocationCostModel());
 
   ResolveResult Resolve(const Identity& id, MicroTime now) override;
-  Status Bind(const Identity& id, const LocationEntry& entry) override {
-    cache_.Put(id, entry);
+  Status Bind(const Identity& id, const LocationEntry&) override {
+    MarkSeen(id);
     return Status::Ok();
   }
   Status Unbind(const Identity& id) override {
-    cache_.Erase(id);
+    MarkSeen(id);
     return Status::Ok();
   }
-  int64_t EntryCount() const override { return cache_.size(); }
+  int64_t EntryCount() const override {
+    return bindings_->size() - absent_.size();
+  }
   int64_t ApproxBytes() const override;
   bool SupportsSelectivePlacement() const override { return true; }
   std::string Name() const override { return "cached-maps"; }
@@ -142,13 +152,19 @@ class CachedLocationStage : public LocationStage {
   int64_t cache_hits() const { return hits_; }
   int64_t cache_misses() const { return misses_; }
   /// Drops the whole cache (e.g. a freshly deployed stage instance).
-  void InvalidateAll() { cache_.Clear(); }
+  void InvalidateAll() { absent_ = *bindings_; }
 
  private:
-  std::function<StatusOr<LocationEntry>(const Identity&)> authoritative_;
+  /// `id` is cached (or unbound) from now on; releases the table once the
+  /// last absent binding is filled.
+  void MarkSeen(const Identity& id) {
+    if (absent_.Erase(id) && absent_.size() == 0) absent_.Clear();
+  }
+
+  const BindingSet* bindings_;
   std::function<int()> se_count_fn_;
   LocationCostModel model_;
-  BindingSet cache_;
+  BindingSet absent_;  ///< Bound in *bindings_ but not cached here.
   int64_t hits_ = 0;
   int64_t misses_ = 0;
 };

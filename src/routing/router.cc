@@ -31,9 +31,10 @@ Router::Router(PartitionMap* map, sim::Network* network, Metrics* metrics)
 
 void Router::RegisterPoa(uint32_t cluster_id, sim::SiteId site,
                          location::LocationStage* stage) {
-  // A provisioned stage reads bindings_ itself (its §3.4.2 copy is a
-  // modelled window only); a cache-on-miss stage starts empty. Either way
-  // the router only notifies it of bindings made from now on.
+  // Both stage kinds read bindings_ itself: a provisioned stage's §3.4.2
+  // copy is a modelled window only, and a cache-on-miss stage was built
+  // with every existing binding marked unseen. Either way the router only
+  // notifies it of bindings made from now on.
   Poa poa;
   poa.cluster_id = cluster_id;
   poa.site = site;

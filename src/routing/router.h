@@ -8,9 +8,10 @@
 //   * identity resolution at a PoA's data location stage instance (§3.3.1
 //     decision 1: resolution never leaves the PoA);
 //   * the UDR's one identity -> location BindingSet: the authoritative map
-//     (what a broadcast over all SEs would answer), which every provisioned
-//     PoA stage also resolves through, plus bind/unbind fan-out to the
-//     stages that keep per-PoA state (the cache-on-miss stage's cache);
+//     (what a broadcast over all SEs would answer), which every PoA stage
+//     also resolves through, plus bind/unbind fan-out to the stages that
+//     keep per-PoA state (the cache-on-miss stage's set of bindings it has
+//     not seen yet);
 //   * the final hop: LocationEntry -> owning replication::ReplicaSet via the
 //     PartitionMap.
 //
@@ -94,7 +95,10 @@ class Router {
   // -- PoA registry ------------------------------------------------------------
 
   /// Registers a blade cluster's Point of Access and its data location stage
-  /// instance. Called by the deployment layer as clusters come up.
+  /// instance. Called by the deployment layer as clusters come up. Both
+  /// stage kinds read bindings(); a cache-on-miss stage also keeps the
+  /// bindings made before it was built as not yet seen, so each one's first
+  /// resolve there misses.
   void RegisterPoa(uint32_t cluster_id, sim::SiteId site,
                    location::LocationStage* stage);
 
@@ -121,7 +125,7 @@ class Router {
   }
 
   /// The authoritative bindings: the one physical binding set of the UDR.
-  /// Provisioned location stages resolve through it; the migration planner
+  /// Every location stage resolves through it; the migration planner
   /// walks it to re-home hash-keyed subscribers after the ring grows,
   /// splits or merges.
   const location::BindingSet& bindings() const { return bindings_; }

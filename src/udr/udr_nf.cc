@@ -149,8 +149,8 @@ std::unique_ptr<location::LocationStage> UdrNf::MakeLocationStage() {
         &router_.bindings(), config_.location_model);
   }
   return std::make_unique<location::CachedLocationStage>(
-      [this](const Identity& id) { return router_.AuthoritativeLookup(id); },
-      [this]() { return TotalStorageElements(); }, config_.location_model);
+      &router_.bindings(), [this]() { return TotalStorageElements(); },
+      config_.location_model);
 }
 
 StatusOr<BladeCluster*> UdrNf::AddCluster(sim::SiteId site) {

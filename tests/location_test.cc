@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -310,65 +312,195 @@ TEST(IdentityIndexTest, BackwardShiftDeleteWrapsPastTheEnd) {
 
 class CachedStageTest : public ::testing::Test {
  protected:
-  CachedStageTest()
-      : stage_(
-            [this](const Identity& id) -> StatusOr<LocationEntry> {
-              auto it = truth_.find(id.value);
-              if (it == truth_.end()) return Status::NotFound("no");
-              return it->second;
-            },
-            [this]() { return se_count_; }, model_) {}
+  /// The stage under test, built on first use: bindings Put before then
+  /// are ones it has not seen (each one's first resolve misses), while
+  /// later ones reach it through Bind, as Router::Bind notifies every PoA.
+  CachedLocationStage& Stage() {
+    if (stage_ == nullptr) {
+      stage_ = std::make_unique<CachedLocationStage>(
+          &bindings_, [this]() { return se_count_; }, model_);
+    }
+    return *stage_;
+  }
 
   LocationCostModel model_;
-  std::map<std::string, LocationEntry> truth_;
+  BindingSet bindings_;
   int se_count_ = 8;
-  CachedLocationStage stage_;
+  std::unique_ptr<CachedLocationStage> stage_;
 };
 
 TEST_F(CachedStageTest, MissBroadcastsThenCaches) {
-  truth_["214"] = {7, 2};
-  ResolveResult miss = stage_.Resolve({IdentityType::kImsi, "214"}, 0);
+  bindings_.Put({IdentityType::kImsi, "214"}, {7, 2});
+  ResolveResult miss = Stage().Resolve({IdentityType::kImsi, "214"}, 0);
   ASSERT_TRUE(miss.status.ok());
   EXPECT_TRUE(miss.cache_miss);
   EXPECT_EQ(miss.entry.key, 7u);
   EXPECT_EQ(miss.cost, model_.broadcast_rtt + 8 * model_.broadcast_per_se);
-  ResolveResult hit = stage_.Resolve({IdentityType::kImsi, "214"}, 0);
+  ResolveResult hit = Stage().Resolve({IdentityType::kImsi, "214"}, 0);
   EXPECT_FALSE(hit.cache_miss);
   EXPECT_EQ(hit.cost, model_.map_base);
-  EXPECT_EQ(stage_.cache_hits(), 1);
-  EXPECT_EQ(stage_.cache_misses(), 1);
+  EXPECT_EQ(Stage().cache_hits(), 1);
+  EXPECT_EQ(Stage().cache_misses(), 1);
 }
 
 TEST_F(CachedStageTest, MissCostGrowsWithSeCount) {
-  truth_["a"] = {1, 0};
-  MicroDuration cost8 = stage_.Resolve({IdentityType::kImsi, "a"}, 0).cost;
-  stage_.InvalidateAll();
+  bindings_.Put({IdentityType::kImsi, "a"}, {1, 0});
+  MicroDuration cost8 = Stage().Resolve({IdentityType::kImsi, "a"}, 0).cost;
+  Stage().InvalidateAll();
   se_count_ = 256;
-  MicroDuration cost256 = stage_.Resolve({IdentityType::kImsi, "a"}, 0).cost;
+  MicroDuration cost256 = Stage().Resolve({IdentityType::kImsi, "a"}, 0).cost;
   EXPECT_EQ(cost256 - cost8, 248 * model_.broadcast_per_se);
 }
 
 TEST_F(CachedStageTest, UnknownIdentityStaysUncached) {
-  ResolveResult r = stage_.Resolve({IdentityType::kImsi, "ghost"}, 0);
+  ResolveResult r = Stage().Resolve({IdentityType::kImsi, "ghost"}, 0);
   EXPECT_TRUE(r.status.IsNotFound());
-  EXPECT_EQ(stage_.EntryCount(), 0);
+  EXPECT_EQ(Stage().EntryCount(), 0);
 }
 
 TEST_F(CachedStageTest, InvalidateAllEmptiesCache) {
-  truth_["a"] = {1, 0};
-  stage_.Resolve({IdentityType::kImsi, "a"}, 0);
-  EXPECT_EQ(stage_.EntryCount(), 1);
-  stage_.InvalidateAll();
-  EXPECT_EQ(stage_.EntryCount(), 0);
-  ResolveResult r = stage_.Resolve({IdentityType::kImsi, "a"}, 0);
+  bindings_.Put({IdentityType::kImsi, "a"}, {1, 0});
+  Stage().Resolve({IdentityType::kImsi, "a"}, 0);
+  EXPECT_EQ(Stage().EntryCount(), 1);
+  Stage().InvalidateAll();
+  EXPECT_EQ(Stage().EntryCount(), 0);
+  ResolveResult r = Stage().Resolve({IdentityType::kImsi, "a"}, 0);
   EXPECT_TRUE(r.cache_miss);
 }
 
 TEST_F(CachedStageTest, BindSeedsCache) {
-  ASSERT_TRUE(stage_.Bind({IdentityType::kImsi, "x"}, {5, 1}).ok());
-  ResolveResult r = stage_.Resolve({IdentityType::kImsi, "x"}, 0);
+  CachedLocationStage& stage = Stage();
+  bindings_.Put({IdentityType::kImsi, "x"}, {5, 1});
+  ASSERT_TRUE(stage.Bind({IdentityType::kImsi, "x"}, {5, 1}).ok());
+  ResolveResult r = stage.Resolve({IdentityType::kImsi, "x"}, 0);
   EXPECT_FALSE(r.cache_miss);
   EXPECT_EQ(r.entry.key, 5u);
+}
+
+/// The cache-on-miss stage with a private cache: every bind is copied in
+/// and every miss fills one entry from the authoritative set. The oracle
+/// CachedLocationStage must match, op for op, while it keeps no copy.
+class PrivateCacheStage {
+ public:
+  PrivateCacheStage(const BindingSet* authoritative,
+                    std::function<int()> se_count_fn, LocationCostModel model)
+      : authoritative_(authoritative),
+        se_count_fn_(std::move(se_count_fn)),
+        model_(model) {}
+
+  ResolveResult Resolve(const Identity& id) {
+    ResolveResult out;
+    if (std::optional<LocationEntry> hit = cache_.Find(id)) {
+      ++hits_;
+      out.status = Status::Ok();
+      out.entry = *hit;
+      out.cost = model_.map_base;
+      return out;
+    }
+    ++misses_;
+    out.cache_miss = true;
+    out.cost = model_.broadcast_rtt + se_count_fn_() * model_.broadcast_per_se;
+    std::optional<LocationEntry> found = authoritative_->Find(id);
+    if (!found) {
+      out.status =
+          Status::NotFound("identity " + id.ToString() + " not provisioned");
+      return out;
+    }
+    cache_.Put(id, *found);
+    out.status = Status::Ok();
+    out.entry = *found;
+    return out;
+  }
+  void Bind(const Identity& id, const LocationEntry& entry) {
+    cache_.Put(id, entry);
+  }
+  void Unbind(const Identity& id) { cache_.Erase(id); }
+  void InvalidateAll() { cache_.Clear(); }
+  int64_t EntryCount() const { return cache_.size(); }
+  int64_t ApproxBytes() const {
+    return cache_.size() * model_.bytes_per_entry + cache_.key_bytes();
+  }
+  int64_t cache_hits() const { return hits_; }
+  int64_t cache_misses() const { return misses_; }
+
+ private:
+  const BindingSet* authoritative_;
+  std::function<int()> se_count_fn_;
+  LocationCostModel model_;
+  BindingSet cache_;
+  int64_t hits_ = 0;
+  int64_t misses_ = 0;
+};
+
+TEST(CachedStageDifferentialTest, MatchesPrivateCacheOracle) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    LocationCostModel model;
+    BindingSet shared;
+    int se_count = 6;
+    auto se_count_fn = [&se_count]() { return se_count; };
+    struct Pair {
+      std::unique_ptr<CachedLocationStage> stage;
+      std::unique_ptr<PrivateCacheStage> oracle;
+    };
+    std::vector<Pair> pairs;
+    // A PoA joins: before any bind, and twice more once bindings exist.
+    auto join = [&]() {
+      pairs.push_back(
+          {std::make_unique<CachedLocationStage>(&shared, se_count_fn, model),
+           std::make_unique<PrivateCacheStage>(&shared, se_count_fn, model)});
+    };
+    join();
+    for (int step = 0; step < 20000; ++step) {
+      if (step == 400 || step == 6000) join();
+      const auto type =
+          static_cast<IdentityType>(rng.Uniform(kIdentityTypeCount));
+      const uint64_t n = rng.Uniform(260);
+      const uint64_t op = rng.Uniform(100);
+      // Only values below 200 are ever bound: resolves also see 60 values
+      // per type that never were.
+      const Identity id{type, IdentityValue(type, op < 42 ? n % 200 : n)};
+      Pair& pair = pairs[rng.Uniform(pairs.size())];
+      if (op < 30) {  // Put + Bind (a rebind when already bound).
+        const LocationEntry entry{rng.Next(),
+                                  static_cast<uint32_t>(rng.Uniform(64))};
+        shared.Put(id, entry);
+        for (Pair& p : pairs) {
+          ASSERT_TRUE(p.stage->Bind(id, entry).ok());
+          p.oracle->Bind(id, entry);
+        }
+      } else if (op < 42) {  // Erase + Unbind, bound or not.
+        shared.Erase(id);
+        for (Pair& p : pairs) {
+          ASSERT_TRUE(p.stage->Unbind(id).ok());
+          p.oracle->Unbind(id);
+        }
+      } else if (op < 99) {
+        if (op % 8 == 0) se_count = 4 + static_cast<int>(rng.Uniform(8));
+        const ResolveResult got = pair.stage->Resolve(id, 0);
+        const ResolveResult want = pair.oracle->Resolve(id);
+        ASSERT_EQ(got.status.code(), want.status.code())
+            << "step " << step << " " << id.ToString();
+        EXPECT_EQ(got.status.message(), want.status.message());
+        ASSERT_EQ(got.cache_miss, want.cache_miss)
+            << "step " << step << " " << id.ToString();
+        EXPECT_EQ(got.entry, want.entry) << "step " << step;
+        EXPECT_EQ(got.cost, want.cost) << "step " << step;
+      } else {
+        pair.stage->InvalidateAll();
+        pair.oracle->InvalidateAll();
+      }
+      for (const Pair& p : pairs) {
+        ASSERT_EQ(p.stage->EntryCount(), p.oracle->EntryCount())
+            << "step " << step;
+        ASSERT_EQ(p.stage->ApproxBytes(), p.oracle->ApproxBytes())
+            << "step " << step;
+        ASSERT_EQ(p.stage->cache_hits(), p.oracle->cache_hits());
+        ASSERT_EQ(p.stage->cache_misses(), p.oracle->cache_misses());
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
