@@ -10,8 +10,6 @@
 //       where the master/leader sits on the minority side, plus loss on
 //       crash.
 
-#include <benchmark/benchmark.h>
-
 #include <memory>
 
 #include "common/table.h"
@@ -303,42 +301,12 @@ void PrintStrategyTable() {
   t2.Print();
 }
 
-void BM_ConsensusWrite(benchmark::State& state) {
-  sim::SimClock clock;
-  auto network = std::make_unique<sim::Network>(sim::Topology(3), &clock);
-  std::vector<std::unique_ptr<storage::StorageElement>> ses;
-  std::vector<storage::StorageElement*> ptrs;
-  for (int s = 0; s < 3; ++s) {
-    storage::StorageElementConfig cfg;
-    cfg.site = static_cast<sim::SiteId>(s);
-    ses.push_back(std::make_unique<storage::StorageElement>(
-        cfg, &clock, static_cast<uint32_t>(s)));
-    ptrs.push_back(ses.back().get());
-  }
-  replication::ConsensusReplicaSet group(replication::ConsensusConfig(), ptrs,
-                                         network.get());
-  uint64_t i = 0;
-  for (auto _ : state) {
-    clock.Advance(Micros(100));
-    replication::WriteBuilder wb;
-    wb.Set(i % 100, "v", static_cast<int64_t>(i));
-    auto w = group.Write(0, std::move(wb).Build());
-    benchmark::DoNotOptimize(w);
-    ++i;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ConsensusWrite);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   PrintReplicationFactorTable();
   PrintFailoverTimeoutTable();
   PrintIsolationTable();
   PrintStrategyTable();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -8,8 +8,6 @@
 //   * the footnote-6 extreme: force-to-disk-before-commit (wal-sync) loses
 //     nothing but "would slow down storage elements too much".
 
-#include <benchmark/benchmark.h>
-
 #include "common/rng.h"
 #include "common/table.h"
 #include "sim/clock.h"
@@ -116,28 +114,9 @@ void PrintFrTables() {
   t3.Print();
 }
 
-void BM_CommitPeriodicCheckpoint(benchmark::State& state) {
-  sim::SimClock clock;
-  storage::StorageElementConfig cfg;
-  storage::StorageElement se(cfg, &clock);
-  uint64_t i = 0;
-  for (auto _ : state) {
-    storage::Transaction txn = se.Begin();
-    (void)txn.SetAttribute(i % 1000, "a", static_cast<int64_t>(i));
-    auto seq = txn.Commit(static_cast<MicroTime>(i));
-    benchmark::DoNotOptimize(seq);
-    ++i;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CommitPeriodicCheckpoint);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   PrintFrTables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

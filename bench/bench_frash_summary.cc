@@ -6,8 +6,6 @@
 // places the design decisions on those arrows: FE transactions end up PA/EL,
 // PS transactions PC/EC — reproduced here from live measurements.
 
-#include <benchmark/benchmark.h>
-
 #include <memory>
 
 #include "common/table.h"
@@ -220,20 +218,9 @@ void PrintSummary() {
   t3.Print();
 }
 
-void BM_FullSummaryPass(benchmark::State& state) {
-  for (auto _ : state) {
-    auto fr = MeasureFR();
-    benchmark::DoNotOptimize(fr);
-  }
-}
-BENCHMARK(BM_FullSummaryPass);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   PrintSummary();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -9,8 +9,6 @@
 //     conflicts left for manual resolution;
 //   * the convergence guarantee: all replicas identical after restoration.
 
-#include <benchmark/benchmark.h>
-
 #include <memory>
 
 #include "common/rng.h"
@@ -169,22 +167,9 @@ void PrintMultiMasterTables() {
   t3.Print();
 }
 
-void BM_ConsistencyRestoration(benchmark::State& state) {
-  for (auto _ : state) {
-    auto ep = RunEpisode(PartitionMode::kPreferAvailability,
-                         MergePolicy::kFieldMergeLww, Minutes(1), 21);
-    benchmark::DoNotOptimize(ep);
-  }
-}
-BENCHMARK(BM_ConsistencyRestoration)->Unit(benchmark::kMillisecond)
-    ->Iterations(5);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   PrintMultiMasterTables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -10,8 +10,6 @@
 // Sweep the partition duration inside a fixed observation window and print
 // availability per traffic class.
 
-#include <benchmark/benchmark.h>
-
 #include "common/table.h"
 #include "workload/testbed.h"
 #include "workload/traffic.h"
@@ -113,22 +111,9 @@ void PrintAvailabilityTables() {
   t3.Print();
 }
 
-void BM_TrafficWindowWithPartition(benchmark::State& state) {
-  for (auto _ : state) {
-    auto rep = RunWindow(replication::PartitionMode::kPreferConsistency,
-                         Seconds(30));
-    benchmark::DoNotOptimize(rep);
-  }
-}
-BENCHMARK(BM_TrafficWindowWithPartition)->Unit(benchmark::kMillisecond)
-    ->Iterations(3);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   PrintAvailabilityTables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

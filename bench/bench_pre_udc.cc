@@ -6,8 +6,6 @@
 // against the UDR; it lands atomically or fails cleanly. Sweep the node
 // failure probability and count writes, partial states and manual repairs.
 
-#include <benchmark/benchmark.h>
-
 #include <memory>
 
 #include "common/rng.h"
@@ -142,27 +140,9 @@ void PrintPreUdcTables() {
   t3.Print();
 }
 
-void BM_PreUdcProvision(benchmark::State& state) {
-  sim::SimClock clock;
-  auto network = std::make_unique<sim::Network>(sim::Topology(3), &clock);
-  telecom::PreUdcConfig cfg;
-  telecom::PreUdcNetwork net(cfg, network.get());
-  telecom::SubscriberFactory factory(42);
-  uint64_t i = 0;
-  for (auto _ : state) {
-    auto out = net.Provision(factory.Make(i++), 0);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_PreUdcProvision);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   PrintPreUdcTables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

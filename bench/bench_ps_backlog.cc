@@ -8,8 +8,6 @@
 //   * the §5 multi-master evolution (PA mode) lets the same batch complete
 //     through the glitch.
 
-#include <benchmark/benchmark.h>
-
 #include "common/table.h"
 #include "telecom/provisioning.h"
 #include "workload/testbed.h"
@@ -119,26 +117,9 @@ void PrintBatchTables() {
   t4.Print();
 }
 
-void BM_ProvisionOneSubscriber(benchmark::State& state) {
-  workload::TestbedOptions o;
-  o.sites = 3;
-  workload::Testbed bed(o);
-  telecom::ProvisioningSystem ps({0, 0}, &bed.udr(), &bed.factory());
-  uint64_t i = 0;
-  for (auto _ : state) {
-    auto r = ps.Provision(i++);
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ProvisionOneSubscriber);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   PrintBatchTables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

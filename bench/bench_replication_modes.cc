@@ -10,8 +10,6 @@
 // Expected shape: latency ASYNC < DUAL_SEQ <= QUORUM; loss ASYNC > 0,
 // DUAL_SEQ = QUORUM = 0.
 
-#include <benchmark/benchmark.h>
-
 #include <memory>
 
 #include "common/table.h"
@@ -140,42 +138,9 @@ void PrintModeTables() {
   t3.Print();
 }
 
-void BM_ReplicatedWrite(benchmark::State& state) {
-  sim::SimClock clock;
-  auto network = std::make_unique<sim::Network>(sim::Topology(3), &clock);
-  std::vector<std::unique_ptr<storage::StorageElement>> ses;
-  std::vector<storage::StorageElement*> ptrs;
-  for (uint32_t s = 0; s < 3; ++s) {
-    storage::StorageElementConfig cfg;
-    cfg.site = s;
-    ses.push_back(std::make_unique<storage::StorageElement>(cfg, &clock, s));
-    ptrs.push_back(ses.back().get());
-  }
-  replication::ReplicaSetConfig cfg;
-  cfg.sync_mode = static_cast<replication::SyncMode>(state.range(0));
-  replication::ReplicaSet rs(cfg, ptrs, network.get());
-  uint64_t i = 0;
-  for (auto _ : state) {
-    clock.Advance(Micros(100));
-    replication::WriteBuilder wb;
-    wb.Set(i % 100, "a", static_cast<int64_t>(i));
-    auto w = rs.Write(0, std::move(wb).Build());
-    benchmark::DoNotOptimize(w);
-    ++i;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ReplicatedWrite)
-    ->Arg(0)  // ASYNC
-    ->Arg(1)  // DUAL_SEQUENCE
-    ->Arg(2); // QUORUM
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   PrintModeTables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

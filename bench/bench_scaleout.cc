@@ -11,8 +11,6 @@
 // storage elements before/after a scale-out migration, and the migration
 // cost (entries replayed, bytes moved, modelled bulk-resync time).
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 
 #include "common/table.h"
@@ -168,44 +166,9 @@ void PrintScaleoutTables() {
   t6.Print();
 }
 
-void BM_ScaleOutCluster(benchmark::State& state) {
-  for (auto _ : state) {
-    state.PauseTiming();
-    workload::TestbedOptions o;
-    o.sites = 4;
-    workload::Testbed bed(o);
-    bed.ProvisionDirect(0, 500);
-    state.ResumeTiming();
-    auto c = bed.udr().AddCluster(3);
-    benchmark::DoNotOptimize(c);
-  }
-}
-BENCHMARK(BM_ScaleOutCluster)->Unit(benchmark::kMillisecond)->Iterations(5);
-
-void BM_RebalanceAfterScaleOut(benchmark::State& state) {
-  for (auto _ : state) {
-    state.PauseTiming();
-    workload::TestbedOptions o;
-    o.sites = 4;
-    o.udr.partitions_per_se = 2;
-    workload::Testbed bed(o);
-    bed.ProvisionDirect(0, 1000);
-    (void)bed.udr().AddCluster(0);
-    state.ResumeTiming();
-    auto r = bed.udr().Rebalance();
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_RebalanceAfterScaleOut)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(5);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   PrintScaleoutTables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

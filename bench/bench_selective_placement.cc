@@ -8,8 +8,6 @@
 // and measure backbone crossings, latency and availability under a one-site
 // isolation.
 
-#include <benchmark/benchmark.h>
-
 #include "common/rng.h"
 #include "common/table.h"
 #include "telecom/front_end.h"
@@ -126,30 +124,9 @@ void PrintPlacementTables() {
   t3.Print();
 }
 
-void BM_HomeRegionWrite(benchmark::State& state) {
-  workload::TestbedOptions o;
-  o.sites = 3;
-  o.subscribers = 100;
-  o.pin_home_sites = true;
-  workload::Testbed bed(o);
-  telecom::HlrFe fe(0, &bed.udr());
-  uint64_t i = 0;
-  for (auto _ : state) {
-    auto w = fe.UpdateLocation(bed.factory().Make((i * 3) % 99).ImsiId(),
-                               "vlr-0", 1);
-    benchmark::DoNotOptimize(w);
-    ++i;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_HomeRegionWrite);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   PrintPlacementTables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

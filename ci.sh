@@ -6,7 +6,7 @@
 #   thread-safety      clang -Wthread-safety -Werror build of the whole tree
 #                      (the annotated locking layer's compile-time gate)
 #   clang-tidy         bugprone/concurrency/performance checks over src/
-#   bench-smoke        Release (-O2) build, every benchmark 1 iteration, all
+#   bench-smoke        Release (-O2) build, every bench run once, all
 #                      self-checking tables must pass, bench JSONs must be
 #                      emitted; the obs-overhead bench must also emit a
 #                      Perfetto trace that parses as JSON and covers the major
@@ -173,7 +173,7 @@ bench_failed=0
 for bench in build-release/bench/bench_*; do
   [[ -x "${bench}" ]] || continue
   echo "-- ${bench}"
-  out="$("${bench}" --benchmark_min_time=0 2>&1)" || {
+  out="$("${bench}" 2>&1)" || {
     echo "${out}"
     echo "SMOKE FAILED: ${bench} exited non-zero"
     bench_failed=1

@@ -58,10 +58,7 @@ def run_program(build, name):
                 del env[key]
         tables = os.path.join(tmp, "tables.txt")
         env["UDR_GOLDEN_TABLES"] = tables
-        cmd = [binary(build, name)]
-        if name.startswith("bench_"):
-            cmd.append("--benchmark_filter=NONE")
-        result = subprocess.run(cmd, cwd=tmp, env=env, timeout=TIMEOUT_S,
+        result = subprocess.run([binary(build, name)], cwd=tmp, env=env, timeout=TIMEOUT_S,
                                 stdout=subprocess.PIPE,
                                 stderr=subprocess.PIPE, text=True)
         # A bench exits 1 when one of its self-check rows fails. Those gates
