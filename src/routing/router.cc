@@ -31,7 +31,7 @@ Router::Router(PartitionMap* map, sim::Network* network, Metrics* metrics)
 
 void Router::RegisterPoa(uint32_t cluster_id, sim::SiteId site,
                          location::LocationStage* stage) {
-  // Both stage kinds read bindings_ itself: a provisioned stage's §3.4.2
+  // Both deployed stage kinds read bindings_: a provisioned stage's §3.4.2
   // copy is a modelled window only, and a cache-on-miss stage was built
   // with every existing binding marked unseen. Either way the router only
   // notifies it of bindings made from now on.

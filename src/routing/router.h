@@ -95,10 +95,10 @@ class Router {
   // -- PoA registry ------------------------------------------------------------
 
   /// Registers a blade cluster's Point of Access and its data location stage
-  /// instance. Called by the deployment layer as clusters come up. Both
-  /// stage kinds read bindings(); a cache-on-miss stage also keeps the
-  /// bindings made before it was built as not yet seen, so each one's first
-  /// resolve there misses.
+  /// instance. Called by the deployment layer as clusters come up.
+  /// Provisioned and cache-on-miss stages read bindings(); the latter
+  /// keeps the bindings made before it was built as not yet seen, so each
+  /// one's first resolve there misses.
   void RegisterPoa(uint32_t cluster_id, sim::SiteId site,
                    location::LocationStage* stage);
 
