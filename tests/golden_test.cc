@@ -50,7 +50,8 @@ TEST(GoldenTest, SampledScenarioSerializesAsCommitted) {
 
 // The attach storm over cache-on-miss location stages (§3.5) with heat
 // tracking and a PoA cache. A mid-storm scale-out adds a cached PoA to a
-// populated UDR, and a rebalance then moves primaries while the storm runs.
+// populated UDR, and a rebalance just after the storm moves primaries under
+// the remaining traffic (during the storm it would break the storm-p99 SLO).
 // Each PoA stage's hit/miss counters and entry/byte accounting follow the
 // report.
 TEST(GoldenTest, CachedLocationStormSerializesAsCommitted) {
