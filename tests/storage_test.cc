@@ -15,6 +15,7 @@
 
 #include "common/rng.h"
 #include "location/identity.h"
+#include "location/identity_index.h"
 #include "replication/replica_set.h"
 #include "replication/write_builder.h"
 #include "sim/clock.h"
@@ -1241,6 +1242,66 @@ TEST(RecordStoreOracleTest, EraseShiftsBackAcrossTheEndOfTheTable) {
   RecordStore store;
   Oracle oracle;
   EXPECT_EQ(RunAgainstOracle(rng, keys, 3000, &store, &oracle), 8u);
+}
+
+
+// ---------------------------------------------------------------------------
+// Slot order: ForEach walks the flat tables in slot order, and
+// storage::CatchUpRange promises that a replica's store keeps replay's.
+// One seeded insert/erase history, with the order it leaves pinned.
+// ---------------------------------------------------------------------------
+
+TEST(SlotOrderTest, SeededHistoryLeavesThePinnedOrder) {
+  RecordStore store;
+  location::IdentityIndex index;
+  Rng rng(29);
+  // Insert or erase one of `keys` keys in both tables; an insert happens
+  // with probability per_mille / 1000.
+  const auto step = [&](uint64_t keys, uint64_t per_mille) {
+    const RecordKey key = rng.Uniform(keys);
+    const std::string value = "21401" + std::to_string(1000000 + key);
+    if (rng.Uniform(1000) < per_mille) {
+      store.SetAttribute(key, "msisdn", Value(int64_t{1}), 0, 0);
+      index.Put(value, {key, 0});
+    } else {
+      store.DeleteRecord(key);
+      index.Erase(value);
+    }
+  };
+  // Grow through several rebuilds, shrink to a few keys (the index compacts
+  // its arena, which rebuilds it in place), then grow past the first peak,
+  // so the order left depends on how a rebuild re-inserts.
+  for (int i = 0; i < 200; ++i) step(64, 750);
+  for (int i = 0; i < 200; ++i) step(64, 150);
+  for (int i = 0; i < 300; ++i) step(160, 750);
+
+  std::vector<RecordKey> store_order;
+  store.ForEach(
+      [&](RecordKey key, const Record&) { store_order.push_back(key); });
+  std::vector<RecordKey> index_order;
+  index.ForEach([&](std::string_view, const location::LocationEntry& e) {
+    index_order.push_back(e.key);
+  });
+  // Both lists are the order this history left before the tables shared
+  // one implementation (common/flat_table.h).
+  const std::vector<RecordKey> want_store = {
+      143, 91, 93, 56, 80, 57, 119, 158, 7, 63, 101, 133, 47, 59, 74, 41, 40,
+      52, 71, 14, 50, 100, 25, 15, 87, 118, 109, 21, 66, 29, 114, 142, 48, 31,
+      141, 106, 62, 81, 134, 6, 11, 38, 18, 30, 154, 88, 124, 135, 58, 10,
+      152, 22, 70, 113, 69, 131, 96, 120, 2, 99, 125, 121, 136, 92, 110, 77,
+      97, 115, 107, 132, 28, 23, 85, 65, 156, 150, 108, 12, 16, 17, 35, 122,
+      138, 123, 33, 144, 147, 13, 9, 137, 5, 94, 49, 83, 60, 128, 8, 117, 73,
+      3, 116, 102, 146, 27, 105};
+  const std::vector<RecordKey> want_index = {
+      119, 99, 133, 118, 150, 30, 101, 73, 58, 18, 87, 120, 27, 49, 132, 6,
+      92, 94, 106, 11, 50, 63, 128, 121, 147, 135, 136, 123, 69, 108, 57, 144,
+      107, 14, 2, 60, 25, 47, 117, 29, 102, 62, 66, 137, 105, 41, 59, 115, 71,
+      142, 13, 7, 88, 81, 56, 3, 17, 52, 28, 131, 154, 100, 138, 97, 16, 65,
+      141, 91, 158, 124, 146, 40, 38, 5, 96, 152, 83, 23, 122, 93, 80, 134,
+      15, 109, 77, 156, 10, 125, 143, 21, 48, 114, 116, 9, 35, 8, 85, 113, 74,
+      70, 33, 110, 22, 31, 12};
+  EXPECT_EQ(store_order, want_store);
+  EXPECT_EQ(index_order, want_index);
 }
 
 }  // namespace
