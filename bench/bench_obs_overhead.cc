@@ -1,9 +1,10 @@
-// Observability-overhead benchmark (self-checking, plain main): the proof
-// that the tracing/sampling instrumentation cannot shift the modelled data
-// path. The tracer closes spans at modelled completion times and never
-// touches an Rng stream, so a traced run's modelled numbers are bit-equal to
-// the untraced run's — the 1.05x gate below therefore measures exactly 1.00x
-// unless someone breaks that contract.
+// Observability-overhead benchmark (self-checking, plain main): each
+// scenario run untraced and traced, with the traced runs' SLOs and
+// availability gated and the full-rate trace exported. The tracer closes
+// spans at modelled completion times and never touches an Rng stream, so a
+// traced run's modelled numbers equal the untraced run's; obs_test's
+// TracingDoesNotPerturbTheModelledRun checks that byte for byte, so no p99
+// ratio is gated here (it would read 1.00x by construction).
 //
 // Two compound scenarios — an attach storm over a scale-out rebalance
 // (coalescer + migration stages live) and a roaming wave — each run three
@@ -18,9 +19,10 @@
 //   O1  modelled FE p99 / availability per row, plus wall-clock run time
 //       (the real instrumentation cost, reported for the record — the gate
 //       is on the modelled numbers, which are host-independent).
-//   O2  gates: traced-1% p99 <= 1.05x untraced and availability unchanged,
-//       per scenario; the exported trace is non-empty and covers every
-//       major data-path stage.
+//   O2  gates: availability unchanged and every scenario SLO passing, per
+//       scenario; the exported trace is non-empty. Stage coverage is
+//       checked by obs_test's TraceCoversEveryMajorStage and by ci.sh's
+//       parse of the exported trace.
 //
 // Emits BENCH_obs_overhead.json (to $UDR_BENCH_OBS_OVERHEAD_JSON, or
 // ./BENCH_obs_overhead.json) and the Perfetto trace (to $UDR_OBS_TRACE_JSON,
@@ -55,7 +57,6 @@ int64_t NowNs() {
 constexpr int kSubscribers = 150;
 constexpr double kTracedRate = 0.01;
 constexpr MicroDuration kSampleInterval = Millis(100);
-constexpr double kP99RatioBound = 1.05;
 
 /// Shared deployment: small 2-site cluster with coalescing on, sized so the
 /// storm variant's rebalance ships real chunks within the 4s run.
@@ -160,7 +161,6 @@ int main() {
   struct ScenarioRows {
     std::string name;
     RunRow untraced, traced, full;
-    double ratio = 0.0;
   };
   std::vector<ScenarioRows> results;
   for (const ScenarioSpec& spec : specs) {
@@ -170,9 +170,6 @@ int main() {
     r.untraced = RunVariant(spec, 0.0, 0, nullptr);
     r.traced = RunVariant(spec, kTracedRate, kSampleInterval, nullptr);
     r.full = RunVariant(spec, 1.0, kSampleInterval, &merged);
-    r.ratio = r.untraced.fe_p99 > 0 ? static_cast<double>(r.traced.fe_p99) /
-                                          static_cast<double>(r.untraced.fe_p99)
-                                    : 1.0;
     results.push_back(r);
   }
 
@@ -192,13 +189,6 @@ int main() {
   t1.Print();
   std::printf("\n");
 
-  // The stages ci.sh's trace parse requires; checked here too so a missing
-  // stage fails at the bench, with the span inventory in hand.
-  const std::string trace_json = merged.ExportChromeJson();
-  const std::vector<const char*> required_stages = {
-      "event",         "route.batch",   "resolve",        "dispatch",
-      "replica.write", "coalesce.park", "coalesce.flush", "migration.chunk"};
-
   bool pass = true;
   Table t2("O2: gates", {"check", "bound", "actual", "verdict"});
   auto gate = [&](const std::string& check, const std::string& bound,
@@ -207,9 +197,6 @@ int main() {
     t2.AddRow({check, bound, actual, ok ? "PASS" : "FAIL"});
   };
   for (const ScenarioRows& r : results) {
-    gate(r.name + ": traced-1% p99 vs untraced",
-         "<= " + Table::Dbl(kP99RatioBound, 2) + "x",
-         Table::Dbl(r.ratio, 4) + "x", r.ratio <= kP99RatioBound);
     gate(r.name + ": availability unchanged", "exact",
          Table::Pct(r.traced.fe_avail),
          r.traced.fe_avail == r.untraced.fe_avail);
@@ -220,12 +207,6 @@ int main() {
   }
   gate("exported trace spans", "> 0", Table::Num(merged.spans().size()),
        !merged.spans().empty());
-  for (const char* stage : required_stages) {
-    const std::string needle = std::string("\"name\":\"") + stage + "\"";
-    gate(std::string("trace covers ") + stage, "present",
-         trace_json.find(needle) != std::string::npos ? "yes" : "MISSING",
-         trace_json.find(needle) != std::string::npos);
-  }
   t2.Print();
 
   WriteTraceJson(bench::JsonPath("UDR_OBS_TRACE_JSON", "obs_trace.json"),
@@ -238,8 +219,7 @@ int main() {
   for (const ScenarioSpec& spec : specs) meta.sim_duration_us += spec.duration;
   meta.knobs = {{"subscribers", std::to_string(kSubscribers)},
                 {"trace_sample_rate", std::to_string(kTracedRate)},
-                {"obs_sample_interval_us", std::to_string(kSampleInterval)},
-                {"p99_ratio_bound", std::to_string(kP99RatioBound)}};
+                {"obs_sample_interval_us", std::to_string(kSampleInterval)}};
   FILE* f = bench::OpenJson(path, "bench_obs_overhead", meta);
   if (f != nullptr) {
     std::fprintf(f, "  \"rows\": [\n");
@@ -248,11 +228,11 @@ int main() {
       std::fprintf(
           f,
           "    {\"scenario\": \"%s\", \"untraced_p99_us\": %lld, "
-          "\"traced_p99_us\": %lld, \"p99_ratio\": %.4f, "
+          "\"traced_p99_us\": %lld, "
           "\"untraced_wall_ms\": %.1f, \"traced_wall_ms\": %.1f, "
           "\"full_wall_ms\": %.1f, \"full_spans\": %lld}%s\n",
           r.name.c_str(), static_cast<long long>(r.untraced.fe_p99),
-          static_cast<long long>(r.traced.fe_p99), r.ratio,
+          static_cast<long long>(r.traced.fe_p99),
           r.untraced.wall_ms, r.traced.wall_ms, r.full.wall_ms,
           static_cast<long long>(r.full.spans),
           i + 1 < results.size() ? "," : "");

@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/flat_table.h"
+
 namespace udr {
 
 /// Deterministic RNG. Not thread-safe; use one per logical actor.
@@ -25,10 +27,7 @@ class Rng {
     uint64_t x = seed;
     for (auto& w : s_) {
       x += 0x9E3779B97f4A7C15ULL;
-      uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-      z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-      w = z ^ (z >> 31);
+      w = Mix64(x);
     }
   }
 

@@ -1,5 +1,7 @@
 #include "location/identity.h"
 
+#include "common/flat_table.h"
+
 namespace udr::location {
 
 const char* IdentityTypeName(IdentityType type) {
@@ -25,13 +27,8 @@ uint64_t HashIdentity(const Identity& id) {
   // FNV-1a avalanches poorly in the high bits, and ring ownership compares
   // full 64-bit values: sequential numbering-plan identities (IMSI blocks
   // differing only in trailing digits) would otherwise cluster on one ring
-  // arc and land on 1-2 partitions. Finish with a splitmix64-style mixer.
-  h ^= h >> 30;
-  h *= 0xBF58476D1CE4E5B9ULL;
-  h ^= h >> 27;
-  h *= 0x94D049BB133111EBULL;
-  h ^= h >> 31;
-  return h;
+  // arc and land on 1-2 partitions. Finish with the splitmix64 mixer.
+  return Mix64(h);
 }
 
 }  // namespace udr::location

@@ -6,67 +6,49 @@
 namespace udr::location {
 
 void IdentityIndex::Put(std::string_view value, const LocationEntry& entry) {
-  uint32_t hash = Hash(value);
-  size_t i = slots_.empty() ? 0 : Probe(value, hash);
-  if (slots_.empty() || slots_[i].offset == kEmpty) {
-    if ((size_ + 1) * 4 > slots_.size() * 3) {
-      Rebuild(slots_.empty() ? 8 : slots_.size() * 2);
-      i = Probe(value, hash);
-    }
-    if (bytes_.size() + value.size() >= kEmpty) {
+  const uint32_t hash = Hash(value);
+  size_t i = SlotOf(value, hash);
+  if (i == Table::kNotFound) {
+    // Grow here rather than inside Insert, so that growth compacts the arena.
+    const size_t grown = table_.GrownSlotCount();
+    if (grown != table_.slot_count()) Rebuild(grown);
+    if (bytes_.size() + value.size() >= 0xFFFFFFFFu) {
       // Slots address the arena with 32-bit offsets and lengths.
       std::fprintf(stderr, "[udr] IdentityIndex arena exceeds 4 GiB\n");
       std::abort();
     }
-    Slot& s = slots_[i];
+    i = table_.Insert(hash);
+    Slot& s = table_.at(i);
     s.hash = hash;
     s.offset = static_cast<uint32_t>(bytes_.size());
     s.length = static_cast<uint32_t>(value.size());
     bytes_.append(value);
-    ++size_;
   }
-  slots_[i].record_key = entry.key;
-  slots_[i].partition = entry.partition;
+  table_.at(i).record_key = entry.key;
+  table_.at(i).partition = entry.partition;
 }
 
 bool IdentityIndex::Erase(std::string_view value) {
-  if (slots_.empty()) return false;
-  size_t hole = Probe(value, Hash(value));
-  if (slots_[hole].offset == kEmpty) return false;
-  dead_bytes_ += slots_[hole].length;
-  --size_;
-  // Backward-shift deletion: pull each later member of the probe run into
-  // the hole unless that would move it before its home slot.
-  const size_t mask = slots_.size() - 1;
-  for (size_t j = (hole + 1) & mask; slots_[j].offset != kEmpty;
-       j = (j + 1) & mask) {
-    size_t home = slots_[j].hash & mask;
-    if (((j - home) & mask) >= ((j - hole) & mask)) {
-      slots_[hole] = slots_[j];
-      hole = j;
-    }
+  const size_t i = SlotOf(value, Hash(value));
+  if (i == Table::kNotFound) return false;
+  dead_bytes_ += table_.at(i).length;
+  table_.EraseAt(i);
+  if (dead_bytes_ > static_cast<size_t>(key_bytes())) {
+    Rebuild(table_.slot_count());
   }
-  slots_[hole] = Slot{};
-  if (dead_bytes_ > static_cast<size_t>(key_bytes())) Rebuild(slots_.size());
   return true;
 }
 
 void IdentityIndex::Rebuild(size_t slot_count) {
-  std::vector<Slot> old_slots(slot_count);
-  old_slots.swap(slots_);
   std::string old_bytes;
   old_bytes.swap(bytes_);
   bytes_.reserve(old_bytes.size() - dead_bytes_);
   dead_bytes_ = 0;
-  const size_t mask = slot_count - 1;
-  for (const Slot& s : old_slots) {
-    if (s.offset == kEmpty) continue;
-    size_t i = s.hash & mask;
-    while (slots_[i].offset != kEmpty) i = (i + 1) & mask;
-    slots_[i] = s;
-    slots_[i].offset = static_cast<uint32_t>(bytes_.size());
+  table_.Rebuild(slot_count, [&](Slot& s) {
+    const auto offset = static_cast<uint32_t>(bytes_.size());
     bytes_.append(old_bytes, s.offset, s.length);
-  }
+    s.offset = offset;
+  });
 }
 
 }  // namespace udr::location

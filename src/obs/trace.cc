@@ -4,21 +4,9 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "common/flat_table.h"
+
 namespace udr::obs {
-
-namespace {
-
-/// SplitMix64 finalizer (the same mix common::Rng seeds with): one pass over
-/// seed ^ trace_id gives a uniform 64-bit hash, so the sampling decision is
-/// deterministic per trace and uncorrelated with any Rng stream.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9E3779B97f4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 TraceContext Span::context() const {
   if (tracer_ == nullptr) return TraceContext{};
@@ -49,7 +37,9 @@ bool Tracer::SampleDecision(uint64_t seed, uint64_t trace_id, double rate) {
   if (rate >= 1.0) return true;
   // Compare the hash against rate * 2^64 without overflowing: split off the
   // top 11 bits so the product stays in double-exact integer range.
-  const uint64_t h = Mix64(seed ^ trace_id);
+  // A splitmix64 step over seed ^ trace_id: a uniform hash, deterministic
+  // per trace and uncorrelated with any Rng stream.
+  const uint64_t h = Mix64((seed ^ trace_id) + 0x9E3779B97f4A7C15ULL);
   const double scaled = rate * 9007199254740992.0;  // rate * 2^53.
   return static_cast<double>(h >> 11) < scaled;
 }

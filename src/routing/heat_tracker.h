@@ -11,11 +11,11 @@
 //
 // Both are cheap per access and fully deterministic: decay runs on the
 // simulation clock, never on wall time. The sketch keeps its K slots in one
-// array, finds a key's slot through a FlatKeyIndex sized once for K, and
-// keeps the slots in a binary min-heap ordered by (count, slot index), so a
-// miss on a full sketch finds its victim at the root instead of scanning all
-// K slots. The victim is the lowest-index slot among the minimum counts.
-// Nothing is allocated per access after construction.
+// array, finds a key's slot through a FlatKeyIndex (common/flat_table.h)
+// sized once for K, and keeps the slots in a binary min-heap ordered by
+// (count, slot index), so a full sketch's victim sits at the root instead
+// of a scan of all K slots: the lowest-index slot among the minimum
+// counts. Nothing is allocated per access after construction.
 //
 // Thread safety: sketch + partition heat are guarded by mu_ (annotated
 // common::Mutex). Each router's tracker is shard-confined today, so the
@@ -28,7 +28,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/flat_key_index.h"
+#include "common/flat_table.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "common/time.h"

@@ -25,11 +25,11 @@
 //
 // Layout: entries live in one slot array; the LRU order is a doubly linked
 // list threaded through the slots by index, freed slots go on a free list,
-// and a FlatKeyIndex maps a record key to its slot (the flat pattern of
-// RecordStore and IdentityIndex). Once the slot array and the index have
-// grown to the working set, no insert, hit, eviction or invalidation
-// allocates a node. An entry holds a share of the read result's payload
-// (Record::Share), not a deep copy; see the sharing rule in record.h.
+// and a FlatKeyIndex (common/flat_table.h, the table RecordStore and
+// IdentityIndex use too) maps a record key to its slot. Once the slot array
+// and the index have grown to the working set, no insert, hit, eviction or
+// invalidation allocates a node. An entry holds a share of the read
+// result's payload (Record::Share), not a deep copy; see record.h.
 //
 // Thread safety: all state is guarded by mu_ (annotated common::Mutex).
 // Today each PoA's cache is shard-confined so the lock is uncontended; the
@@ -43,7 +43,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/flat_key_index.h"
+#include "common/flat_table.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "common/time.h"

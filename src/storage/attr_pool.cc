@@ -6,19 +6,13 @@ AttrPool::AttrPool() { snapshot_.store(BuildSnapshot({})); }
 
 AttrPool::Snapshot* AttrPool::BuildSnapshot(const std::deque<std::string>& names) {
   auto* snap = new Snapshot();
-  size_t cap = 16;
-  while (cap < names.size() * 2) cap <<= 1;  // Load factor <= 0.5.
-  snap->mask = cap - 1;
-  snap->slots.assign(cap, Slot());
+  snap->table.Reserve(names.size());
   snap->names.reserve(names.size());
   for (size_t id = 0; id < names.size(); ++id) {
     std::string_view name(names[id]);
     snap->names.push_back(name);
-    size_t slot = HashName(name) & snap->mask;
-    while (snap->slots[slot].id != kInvalidAttrId) {
-      slot = (slot + 1) & snap->mask;
-    }
-    snap->slots[slot] = Slot{name, static_cast<AttrId>(id)};
+    snap->table.at(snap->table.Insert(HashBytes(name))) =
+        Slot{name, static_cast<AttrId>(id)};
   }
   return snap;
 }

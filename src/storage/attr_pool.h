@@ -9,8 +9,8 @@
 // Thread safety: the pool is shared by every shard of the multi-threaded
 // execution mode (src/exec/), and attribute lookup is THE data-path hot
 // path, so the read side is lock-free: Lookup()/NameOf() probe an immutable
-// open-addressed snapshot published through an atomic pointer (no mutex, no
-// refcount, no allocation per call). First-time interning rebuilds the
+// FlatTable snapshot published through an atomic pointer (no mutex, no
+// refcount, no allocation per call). First-time interning builds a new
 // snapshot under a mutex and publishes it with release semantics; retired
 // snapshots are parked until the pool dies, so a reader can never touch a
 // freed table. Interned names are never freed and their ids are dense and
@@ -27,6 +27,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/flat_table.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 
@@ -58,13 +59,9 @@ class AttrPool {
   /// (inline, header-defined, so callers pay no cross-TU call).
   AttrId Lookup(std::string_view name) const {
     const Snapshot* snap = snapshot_.load(std::memory_order_acquire);
-    size_t i = HashName(name) & snap->mask;
-    for (;;) {
-      const Slot& slot = snap->slots[i];
-      if (slot.id == kInvalidAttrId) return kInvalidAttrId;
-      if (slot.key == name) return slot.id;
-      i = (i + 1) & snap->mask;
-    }
+    const size_t i = snap->table.Find(
+        HashBytes(name), [name](const Slot& s) { return s.key == name; });
+    return i == NameTable::kNotFound ? kInvalidAttrId : snap->table.at(i).id;
   }
 
   /// Name of an interned id. Lock-free; the view stays valid forever (names
@@ -85,39 +82,22 @@ class AttrPool {
   int64_t PoolBytes() const EXCLUDES(write_mu_);
 
  private:
-  /// One immutable snapshot: an open-addressed (power-of-two, linear-probe)
-  /// hash table over the interned names plus the id -> name view. Readers
-  /// acquire-load the pointer and probe; writers build a fresh one.
+  /// One immutable snapshot: a table over the interned names plus the
+  /// id -> name view. Readers acquire-load the pointer and probe; writers
+  /// build a fresh one.
   struct Slot {
     std::string_view key;
-    AttrId id = kInvalidAttrId;  ///< kInvalidAttrId = empty slot.
+    AttrId id = kInvalidAttrId;
   };
+  struct Traits {
+    using Slot = AttrPool::Slot;
+    static uint64_t HashOf(const Slot& s) { return HashBytes(s.key); }
+  };
+  using NameTable = FlatTable<Traits>;
   struct Snapshot {
-    std::vector<Slot> slots;
+    NameTable table;
     std::vector<std::string_view> names;  ///< names[id], dense.
-    size_t mask = 0;
   };
-
-  /// Word-wise FNV-1a variant: attribute names are 4-20 chars, so hashing
-  /// 8-byte words (1-3 multiplies) instead of bytes keeps the whole lookup
-  /// in the ~10ns range. Seeding with the length differentiates prefixes.
-  static size_t HashName(std::string_view name) {
-    uint64_t h = 0xcbf29ce484222325ULL ^
-                 (static_cast<uint64_t>(name.size()) * 0x100000001b3ULL);
-    const char* p = name.data();
-    size_t n = name.size();
-    while (n >= 8) {
-      uint64_t w;
-      __builtin_memcpy(&w, p, 8);
-      h = (h ^ w) * 0x100000001b3ULL;
-      p += 8;
-      n -= 8;
-    }
-    uint64_t tail = 0;
-    __builtin_memcpy(&tail, p, n);
-    h = (h ^ tail) * 0x100000001b3ULL;
-    return static_cast<size_t>(h ^ (h >> 32));
-  }
 
   static Snapshot* BuildSnapshot(const std::deque<std::string>& names);
 

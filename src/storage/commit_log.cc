@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cassert>
 
+#include "common/flat_table.h"
 #include "storage/record_store.h"
 
 namespace udr::storage {
@@ -128,19 +129,19 @@ struct KeyTally {
   RecordKey key = 0;
   CommitSeq last = 0;              ///< Last entry of the range on the key.
   const WriteOp* first = nullptr;  ///< The range's first op on the key.
-  uint32_t ops = 0;                ///< Ops on the key; 0 = empty slot.
+  uint32_t ops = 0;                ///< Ops on the key.
   bool deleted = false;            ///< The range deletes the record.
   bool adopted = false;            ///< The replica adopted the source's.
 };
 
-/// KeyTally of every key in (from, LastSeq()], built in one pass: an
-/// open-addressing table, at most 3/4 full.
+/// KeyTally of every key in (from, LastSeq()], built in one pass into a
+/// FlatTable keyed like the record store.
 class RangeTally {
  public:
-  bool built() const { return !slots_.empty(); }
+  /// Build() has run (the range holds an op, so the table is not empty).
+  bool built() const { return table_.size() != 0; }
 
   void Build(const CommitLog& log, CommitSeq from) {
-    slots_.resize(64);
     for (CommitSeq s = from + 1; s <= log.LastSeq(); ++s) {
       const std::vector<WriteOp>& ops = log.At(s).ops;
       for (size_t i = 0; i < ops.size();) {  // One lookup per key run.
@@ -156,42 +157,32 @@ class RangeTally {
     }
   }
 
-  /// The key's tally; the key must occur in the range (it is found before
-  /// any empty slot of its probe run).
-  KeyTally& At(RecordKey key) {
-    const size_t mask = slots_.size() - 1;
-    size_t i = RecordStore::Hash(key) & mask;
-    while (slots_[i].ops == 0 || slots_[i].key != key) i = (i + 1) & mask;
-    return slots_[i];
-  }
+  /// The key's tally; the key must occur in the range.
+  KeyTally& At(RecordKey key) { return table_.at(IndexOf(key)); }
 
  private:
+  struct Traits {
+    using Slot = KeyTally;
+    static uint64_t HashOf(const KeyTally& t) {
+      return RecordStore::Hash(t.key);
+    }
+  };
+
+  size_t IndexOf(RecordKey key) const {
+    return table_.Find(RecordStore::Hash(key),
+                       [key](const KeyTally& t) { return t.key == key; });
+  }
+
   KeyTally& Insert(RecordKey key) {
-    if ((size_ + 1) * 4 > slots_.size() * 3) Grow();
-    const size_t mask = slots_.size() - 1;
-    size_t i = RecordStore::Hash(key) & mask;
-    for (; slots_[i].ops != 0; i = (i + 1) & mask) {
-      if (slots_[i].key == key) return slots_[i];
+    size_t i = IndexOf(key);
+    if (i == FlatTable<Traits>::kNotFound) {
+      i = table_.Insert(RecordStore::Hash(key));
+      table_.at(i).key = key;
     }
-    ++size_;
-    slots_[i].key = key;
-    return slots_[i];
+    return table_.at(i);
   }
 
-  void Grow() {
-    std::vector<KeyTally> grown(slots_.size() * 2);
-    const size_t mask = grown.size() - 1;
-    for (const KeyTally& t : slots_) {
-      if (t.ops == 0) continue;
-      size_t i = RecordStore::Hash(t.key) & mask;
-      while (grown[i].ops != 0) i = (i + 1) & mask;
-      grown[i] = t;
-    }
-    slots_ = std::move(grown);
-  }
-
-  std::vector<KeyTally> slots_;
-  size_t size_ = 0;
+  FlatTable<Traits> table_;
 };
 
 }  // namespace

@@ -8,8 +8,8 @@
 #include <functional>
 #include <string_view>
 #include <utility>
-#include <vector>
 
+#include "common/flat_table.h"
 #include "common/status.h"
 #include "storage/commit_log.h"
 #include "storage/record.h"
@@ -18,12 +18,10 @@ namespace udr::storage {
 
 /// Hash-indexed in-memory record table with byte accounting.
 ///
-/// Records live inline in one power-of-two slot array with linear probing
-/// (24-byte slots: key + the 16-byte Record handle), at most 3/4 full;
-/// occupancy is a separate control-byte array so the flag costs no slot
-/// padding. Keys are hashed with a splitmix64 finalizer, since they are
-/// sequential under least-loaded placement. Erase is backward-shift deletion
-/// (no tombstones), and records move when the table grows.
+/// Records live inline in a FlatTable (common/flat_table.h) of 24-byte
+/// slots: key + the 16-byte Record handle. Keys are hashed with Mix64, since
+/// they are sequential under least-loaded placement. Records move when the
+/// table grows or a neighbour is erased.
 ///
 /// Pointer lifetime: a Record pointer obtained from Find stays valid only
 /// until the next insert or erase on this store (SetAttribute,
@@ -49,7 +47,7 @@ class RecordStore {
   /// Looks up a record; nullptr when absent.
   const Record* Find(RecordKey key) const {
     const size_t i = SlotOf(key);
-    return i == kNoSlot ? nullptr : &slots_[i].record;
+    return i == Table::kNotFound ? nullptr : &table_.at(i).record;
   }
 
   /// In-place mutation with byte re-accounting. The record's footprint is
@@ -59,7 +57,7 @@ class RecordStore {
   /// is absent (`fn` is not called).
   bool MutateRecord(RecordKey key, const std::function<void(Record&)>& fn);
 
-  bool Contains(RecordKey key) const { return SlotOf(key) != kNoSlot; }
+  bool Contains(RecordKey key) const { return Find(key) != nullptr; }
 
   /// Sets one attribute, creating the record if needed. The name is interned
   /// on first use; the AttrId overload is the log-replay fast path.
@@ -97,7 +95,7 @@ class RecordStore {
   bool DeleteRecord(RecordKey key);
 
   /// Number of records.
-  int64_t Count() const { return static_cast<int64_t>(size_); }
+  int64_t Count() const { return static_cast<int64_t>(table_.size()); }
 
   /// Approximate RAM usage in bytes.
   int64_t ApproxBytes() const { return approx_bytes_; }
@@ -110,50 +108,34 @@ class RecordStore {
   void Clear() { *this = RecordStore(); }
 
   /// Slots in the table (a power of two, or 0 before the first insert).
-  size_t slot_count() const { return slots_.size(); }
+  size_t slot_count() const { return table_.slot_count(); }
 
   /// Hash of a record key; a record's home slot is Hash & (slot_count-1).
-  static uint64_t Hash(RecordKey key) {
-    key ^= key >> 30;
-    key *= 0xBF58476D1CE4E5B9ULL;
-    key ^= key >> 27;
-    key *= 0x94D049BB133111EBULL;
-    key ^= key >> 31;
-    return key;
-  }
+  static uint64_t Hash(RecordKey key) { return Mix64(key); }
 
  private:
-  static constexpr size_t kNoSlot = ~size_t{0};
-
   struct Slot {
     RecordKey key = 0;
     Record record;
   };
   static_assert(sizeof(Slot) == 24, "keep slots small: slack is RSS");
+  struct Traits {
+    using Slot = RecordStore::Slot;
+    static uint64_t HashOf(const Slot& s) { return Hash(s.key); }
+  };
+  using Table = FlatTable<Traits>;
 
-  /// Slot holding `key`, or kNoSlot.
+  /// Slot holding `key`, or Table::kNotFound.
   size_t SlotOf(RecordKey key) const {
-    if (slots_.empty()) return kNoSlot;
-    const size_t mask = slots_.size() - 1;
-    for (size_t i = Hash(key) & mask; used_[i] != 0; i = (i + 1) & mask) {
-      if (slots_[i].key == key) return i;
-    }
-    return kNoSlot;
+    return table_.Find(Hash(key),
+                       [key](const Slot& s) { return s.key == key; });
   }
 
   /// The record under `key`, inserting an empty one (charged to
   /// ApproxBytes()) when absent; `second` is true when inserted.
   std::pair<Record*, bool> FindOrInsert(RecordKey key);
 
-  /// Removes the record in slot `i` (byte accounting is the caller's).
-  void EraseSlot(size_t i);
-
-  /// Re-inserts every record into `slot_count` slots.
-  void Rebuild(size_t slot_count);
-
-  std::vector<Slot> slots_;     ///< Power-of-two sized; at most 3/4 full.
-  std::vector<uint8_t> used_;   ///< Control bytes: 1 = slots_[i] occupied.
-  size_t size_ = 0;
+  Table table_;
   int64_t approx_bytes_ = 0;
 };
 

@@ -25,7 +25,7 @@
 #include <string>
 #include <vector>
 
-#include "common/flat_key_index.h"
+#include "common/flat_table.h"
 #include "common/handle_table.h"
 #include "common/metrics.h"
 #include "common/status.h"

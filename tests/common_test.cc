@@ -6,7 +6,10 @@
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
+#include "common/flat_table.h"
 #include "common/handle_table.h"
 #include "common/histogram.h"
 #include "common/rng.h"
@@ -457,6 +460,222 @@ TEST(HandleTableTest, MatchesAMapOracle) {
       ASSERT_NE(table.Find(handle), nullptr);
       EXPECT_EQ(*table.Find(handle), value);
     }
+  }
+}
+
+
+// ---------------------------------------------------------------------------
+// FlatTable
+// ---------------------------------------------------------------------------
+
+struct TestSlot {
+  uint64_t key = 0;
+  int64_t value = 0;
+};
+struct TestTraits {
+  using Slot = TestSlot;
+  static uint64_t HashOf(const TestSlot& s) { return Mix64(s.key); }
+};
+using TestTable = FlatTable<TestTraits>;
+using TestOracle = std::unordered_map<uint64_t, int64_t>;
+
+size_t IndexOf(const TestTable& table, uint64_t key) {
+  return table.Find(Mix64(key),
+                    [key](const TestSlot& s) { return s.key == key; });
+}
+
+/// Binds `key` to `value`; returns the key's slot index.
+size_t Put(TestTable* table, uint64_t key, int64_t value) {
+  size_t i = IndexOf(*table, key);
+  if (i == TestTable::kNotFound) {
+    i = table->Insert(Mix64(key));
+    EXPECT_EQ(table->at(i).key, 0u) << "a free slot holds Slot{}";
+    EXPECT_EQ(table->at(i).value, 0) << "a free slot holds Slot{}";
+    table->at(i).key = key;
+  }
+  table->at(i).value = value;
+  return i;
+}
+
+bool Erase(TestTable* table, uint64_t key) {
+  const size_t i = IndexOf(*table, key);
+  if (i == TestTable::kNotFound) return false;
+  table->EraseAt(i);
+  return true;
+}
+
+/// `table` holds exactly `oracle`: each key of `universe` is found (or not)
+/// with its value, and ForEach visits the oracle's keys once each.
+void ExpectMatches(const TestTable& table, const TestOracle& oracle,
+                   const std::vector<uint64_t>& universe,
+                   const std::string& where) {
+  ASSERT_EQ(table.size(), oracle.size()) << where;
+  for (uint64_t key : universe) {
+    const size_t i = IndexOf(table, key);
+    const auto it = oracle.find(key);
+    ASSERT_EQ(i != TestTable::kNotFound, it != oracle.end())
+        << where << " key " << key;
+    if (i != TestTable::kNotFound) {
+      ASSERT_EQ(table.at(i).value, it->second) << where << " key " << key;
+    }
+  }
+  TestOracle seen;
+  table.ForEach([&](const TestSlot& s) {
+    EXPECT_TRUE(seen.emplace(s.key, s.value).second) << where << " twice";
+  });
+  ASSERT_EQ(seen, oracle) << where;
+}
+
+/// The first `n` keys whose home slot in an 8-slot table is `home`.
+std::vector<uint64_t> KeysHomedAt(uint64_t home, size_t n) {
+  std::vector<uint64_t> keys;
+  for (uint64_t k = 1; keys.size() < n; ++k) {
+    if ((Mix64(k) & 7) == home) keys.push_back(k);
+  }
+  return keys;
+}
+
+TEST(FlatTableTest, EraseShiftsAProbeRunBackAcrossTheEnd) {
+  const std::vector<uint64_t> last = KeysHomedAt(7, 3);
+  const uint64_t first = KeysHomedAt(0, 1)[0];
+  TestTable table;
+  EXPECT_EQ(Put(&table, last[0], 1), 7u);
+  EXPECT_EQ(Put(&table, last[1], 2), 0u);  // Wraps past the end.
+  EXPECT_EQ(Put(&table, first, 3), 1u);    // Home 0, displaced.
+  EXPECT_EQ(Put(&table, last[2], 4), 2u);
+  ASSERT_EQ(table.slot_count(), 8u);
+
+  // Erasing the run's head pulls each member back one slot, across the end
+  // for the first.
+  ASSERT_TRUE(Erase(&table, last[0]));
+  EXPECT_EQ(IndexOf(table, last[0]), TestTable::kNotFound);
+  EXPECT_EQ(IndexOf(table, last[1]), 7u);
+  EXPECT_EQ(IndexOf(table, first), 0u);
+  EXPECT_EQ(IndexOf(table, last[2]), 1u);
+  EXPECT_EQ(table.at(2).key, 0u) << "the vacated slot is reset";
+  // A member already at its home slot stays there.
+  ASSERT_TRUE(Erase(&table, last[1]));
+  EXPECT_EQ(IndexOf(table, first), 0u);
+  EXPECT_EQ(IndexOf(table, last[2]), 7u);
+  EXPECT_FALSE(Erase(&table, last[1]));
+  EXPECT_EQ(table.size(), 2u);
+
+  // Churn over keys homed in the last two slots and the first, never
+  // outgrowing the eight slots, against an oracle.
+  std::vector<uint64_t> universe = KeysHomedAt(6, 2);
+  for (uint64_t k : last) universe.push_back(k);
+  universe.push_back(first);
+  TestOracle oracle = {{first, 3}, {last[2], 4}};
+  Rng rng(41);
+  for (int step = 0; step < 5000; ++step) {
+    const uint64_t key = universe[rng.Uniform(universe.size())];
+    if (rng.Uniform(2) == 0) {
+      Put(&table, key, step);
+      oracle[key] = step;
+    } else {
+      EXPECT_EQ(Erase(&table, key), oracle.erase(key) == 1);
+    }
+    ASSERT_EQ(table.slot_count(), 8u);
+    ExpectMatches(table, oracle, universe, "step " + std::to_string(step));
+  }
+}
+
+TEST(FlatTableTest, RebuildCallsFixOnEachSlotAtItsNewIndex) {
+  TestTable table;
+  TestOracle oracle;
+  std::vector<uint64_t> universe;
+  for (uint64_t k = 1; k <= 6; ++k) {
+    Put(&table, k * 1000, static_cast<int64_t>(k));
+    oracle[k * 1000] = static_cast<int64_t>(k);
+    universe.push_back(k * 1000);
+  }
+  ASSERT_EQ(table.slot_count(), 8u);
+  std::unordered_map<uint64_t, const TestSlot*> moved_to;
+  table.Rebuild(64, [&](TestSlot& s) {
+    EXPECT_TRUE(moved_to.emplace(s.key, &s).second);
+    s.value *= 10;  // What a user moves along with the slot.
+  });
+  for (auto& [key, value] : oracle) value *= 10;
+  EXPECT_EQ(table.slot_count(), 64u);
+  EXPECT_EQ(moved_to.size(), oracle.size());
+  for (uint64_t key : universe) {
+    EXPECT_EQ(moved_to[key], &table.at(IndexOf(table, key)));
+  }
+  ExpectMatches(table, oracle, universe, "after Rebuild");
+  // Rebuilding at the same size keeps the keys too.
+  table.Rebuild(64, [](TestSlot&) {});
+  ExpectMatches(table, oracle, universe, "after a same-size Rebuild");
+}
+
+TEST(FlatTableTest, ReserveSizesForInsertsThatNeverRebuild) {
+  TestTable table;
+  table.Reserve(96);  // 96 keys need 128 slots at 3/4 load.
+  ASSERT_EQ(table.slot_count(), 128u);
+  const TestSlot* base = &table.at(0);
+  for (uint64_t k = 1; k <= 96; ++k) {
+    EXPECT_EQ(table.GrownSlotCount(), 128u);
+    Put(&table, k, 0);
+  }
+  EXPECT_EQ(table.slot_count(), 128u);
+  EXPECT_EQ(&table.at(0), base) << "an insert rebuilt the table";
+  table.Reserve(10);  // Never shrinks.
+  EXPECT_EQ(table.slot_count(), 128u);
+  EXPECT_EQ(table.GrownSlotCount(), 256u);
+  Put(&table, 97, 0);
+  EXPECT_EQ(table.slot_count(), 256u);
+}
+
+TEST(FlatTableTest, ClearKeepsTheSlotArray) {
+  TestTable table;
+  TestOracle oracle;
+  std::vector<uint64_t> universe;
+  for (uint64_t k = 1; k <= 20; ++k) {
+    Put(&table, k, static_cast<int64_t>(k));
+    universe.push_back(k);
+  }
+  ASSERT_EQ(table.slot_count(), 32u);
+  table.Clear();
+  EXPECT_EQ(table.slot_count(), 32u);
+  ExpectMatches(table, oracle, universe, "after Clear");
+  for (uint64_t k = 1; k <= 20; ++k) {
+    Put(&table, k + 100, static_cast<int64_t>(k));  // Checks Slot{}.
+    oracle[k + 100] = static_cast<int64_t>(k);
+    universe.push_back(k + 100);
+  }
+  EXPECT_EQ(table.slot_count(), 32u);
+  ExpectMatches(table, oracle, universe, "refilled");
+}
+
+TEST(FlatTableTest, SeededChurnMatchesAnUnorderedMapOracle) {
+  // Sequential keys and Mix64-scattered ones, through growth from 8 slots
+  // to several hundred and long insert/erase churn at a stable size.
+  std::vector<uint64_t> universe;
+  for (uint64_t k = 0; k < 300; ++k) universe.push_back(k);
+  for (uint64_t k = 0; k < 300; ++k) universe.push_back(Mix64(k + 7));
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    TestTable table;
+    TestOracle oracle;
+    Rng rng(seed);
+    size_t max_slots = 0;
+    for (int step = 0; step < 6000; ++step) {
+      const uint64_t key = universe[rng.Uniform(universe.size())];
+      // Insert-heavy first, then balanced churn.
+      if (rng.Uniform(100) < (step < 1500 ? 80u : 50u)) {
+        Put(&table, key, step);
+        oracle[key] = step;
+      } else {
+        ASSERT_EQ(Erase(&table, key), oracle.erase(key) == 1);
+      }
+      ASSERT_LE(table.size() * 4, table.slot_count() * 3);
+      if (step % 50 == 0) {
+        ExpectMatches(table, oracle, universe,
+                      "seed " + std::to_string(seed) + " step " +
+                          std::to_string(step));
+      }
+      max_slots = std::max(max_slots, table.slot_count());
+    }
+    ExpectMatches(table, oracle, universe, "end");
+    EXPECT_GE(max_slots, 512u);
   }
 }
 

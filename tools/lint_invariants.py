@@ -85,6 +85,17 @@ concurrency statically checkable — the ones a generic linter can't know:
                      RegisterHist) and bump the handle. A failure-only call
                      site carries a marker saying so.
 
+  flat-table         src/ outside src/common/flat_table.h must not hand-roll
+                     an open-addressing table or its hashes: no splitmix64
+                     multiplier (0xBF58476D1CE4E5B9; call udr::Mix64), no
+                     word-wise FNV prime (0x100000001b3; call
+                     udr::HashBytes) and no linear-probe step "+ 1) & mask".
+                     Every flat map is a user of udr::FlatTable, so probe,
+                     growth and backward-shift erase have one home (and one
+                     unit test). The byte-wise FNV-1a loops that feed
+                     modelled placement (identity.cc, hash_ring.cc,
+                     pre_udc.cc) use the decimal FNV constants and stay.
+
   metric-name        every dotted metric-name string literal passed to
                      Add/Observe/RegisterCounter/RegisterHist in src/ must
                      appear (backticked) in the docs/METRICS.md table, and
@@ -164,6 +175,16 @@ REQUEST_LIST_SCOPE = "src/telecom/"
 # trees that run per op.
 HOT_METRIC_CALL_RE = re.compile(r"(?:\.|->)\s*(Add|Observe)\s*\(\s*(\"|$)")
 HOT_METRIC_SCOPES = ("src/routing/", "src/exec/")
+
+# The hashing and probing of an open-addressing table, and its one home.
+FLAT_TABLE_PATTERNS = [
+    (re.compile(r"0xBF58476D1CE4E5B9", re.I), "splitmix64 multiplier "
+     "(call udr::Mix64)"),
+    (re.compile(r"0x100000001b3", re.I), "FNV prime (call udr::HashBytes)"),
+    (re.compile(r"\+\s*1\s*\)\s*&\s*(?:\w+\s*(?:\.|->)\s*)*mask\w*\b"),
+     "linear-probe step (use udr::FlatTable)"),
+]
+FLAT_TABLE_HOME = "src/common/flat_table.h"
 
 # Metric registry call sites and the dotted-name shape they must use.
 METRIC_CALL_RE = re.compile(
@@ -296,6 +317,15 @@ def lint_file(path: str, rel: str, allowlist_doc: str, violations: list):
                     f"Metrics::{m.group(1)}() in a per-op layer — register "
                     f"the name once (RegisterCounter/RegisterHist) and use "
                     f"the handle")
+
+        if rel != FLAT_TABLE_HOME and "flat-table" not in active:
+            for pat, what in FLAT_TABLE_PATTERNS:
+                if pat.search(code):
+                    violations.append(
+                        f"{rel}:{lineno}: [flat-table] {what} — every "
+                        f"open-addressing table in src/ is a user of "
+                        f"udr::FlatTable (src/common/flat_table.h)")
+                    break
 
         if TSA_ESCAPE_RE.search(code) and "tsa-escape" not in active:
             context = lines[max(0, lineno - 6):lineno]
