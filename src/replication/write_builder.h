@@ -54,8 +54,11 @@ class WriteBuilder {
   }
 
   /// Sets every attribute of `record` on `key` (used for record creation).
+  /// Reserves first: the write set moves into the commit log as built, so
+  /// growth slack would stay there for the life of the entry.
   WriteBuilder& PutRecord(storage::RecordKey key,
                           const storage::Record& record) {
+    ops_.reserve(ops_.size() + record.entries().size());
     for (const storage::PackedAttr& e : record.entries()) {
       Set(key, e.name_id, e.attr.value);
     }

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <variant>
 
+#include "storage/attr_pool.h"
 #include "storage/commit_log.h"
 #include "telecom/subscriber.h"
 
@@ -13,17 +14,24 @@ namespace {
 /// Per-key running stamp maximum for one channel's order scan.
 using StampMap = std::unordered_map<storage::RecordKey, int64_t>;
 
-void ScanOp(const storage::WriteOp& op, StampMap* loc, StampMap* cfu,
-            int64_t* violations) {
+/// Interned ids of the two stamped channels' attributes, resolved once per
+/// audit. LookupAttr does not intern: a name no op carries reads
+/// kInvalidAttrId, which matches no op.
+struct ChannelIds {
+  storage::AttrId location;
+  storage::AttrId cfu;
+};
+
+void ScanOp(const storage::WriteOp& op, const ChannelIds& ids, StampMap* loc,
+            StampMap* cfu, int64_t* violations) {
   if (op.kind != storage::WriteKind::kUpsertAttr) return;
-  std::string_view name = op.attr_name();
   int64_t stamp = 0;
   StampMap* map = nullptr;
-  if (name == telecom::attr::kLocationArea) {
+  if (op.attr_id == ids.location) {
     if (!std::holds_alternative<int64_t>(op.attribute.value)) return;
     stamp = std::get<int64_t>(op.attribute.value);
     map = loc;
-  } else if (name == telecom::attr::kCallForwardingUncond) {
+  } else if (op.attr_id == ids.cfu) {
     if (!std::holds_alternative<std::string>(op.attribute.value)) return;
     stamp = CfuStampOf(std::get<std::string>(op.attribute.value));
     map = cfu;
@@ -121,12 +129,15 @@ AuditReport Verifier::Audit() {
 
   // Per-key order: stamps for one channel must never regress along the
   // authoritative serialization order of the owning partition's log.
+  const ChannelIds ids{
+      storage::LookupAttr(telecom::attr::kLocationArea),
+      storage::LookupAttr(telecom::attr::kCallForwardingUncond)};
   routing::PartitionMap& map = bed_->udr().partition_map();
   for (uint32_t p = 0; p < map.partition_count(); ++p) {
     StampMap loc, cfu;
     for (const storage::LogEntry& entry : map.partition(p)->log().entries()) {
       for (const storage::WriteOp& op : entry.ops) {
-        ScanOp(op, &loc, &cfu, &audit_.order_violations);
+        ScanOp(op, ids, &loc, &cfu, &audit_.order_violations);
       }
     }
   }

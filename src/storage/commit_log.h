@@ -26,7 +26,7 @@ namespace udr::storage {
 using CommitSeq = uint64_t;
 
 /// Kinds of record mutation carried in a log entry.
-enum class WriteKind {
+enum class WriteKind : uint8_t {
   kUpsertAttr,   ///< Set one attribute of a record (creating the record).
   kRemoveAttr,   ///< Remove one attribute.
   kDeleteRecord, ///< Delete the whole record.
@@ -38,13 +38,18 @@ enum class WriteKind {
 /// serialization path).
 struct WriteOp {
   WriteKind kind = WriteKind::kUpsertAttr;
-  RecordKey key = 0;
   AttrId attr_id = 0;   ///< Interned attribute name (kUpsertAttr / kRemoveAttr).
+  RecordKey key = 0;
   Attribute attribute;  ///< New attribute version (kUpsertAttr).
 
   /// Pool-resolved attribute name (debugging / serialization to text).
   std::string_view attr_name() const { return AttrNameOf(attr_id); }
 };
+// A host-memory bound: the log keeps every op of every live entry in RAM (18
+// per provisioned subscriber), so the one-byte kind and the id share the word
+// ahead of the key. The modelled size is WriteOpWireBytes, independent of
+// sizeof.
+static_assert(sizeof(WriteOp) <= 72, "WriteOp grew past 72 bytes");
 
 /// Approximate serialized size of one write op as shipped by the log-based
 /// replication and migration streams: key + kind + interned name id +

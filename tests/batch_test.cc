@@ -174,15 +174,15 @@ TEST(GroupWriteTest, CommitsOneLogEntryPerTransactionInOneWindow) {
 
   // Per-op baseline for the same shape of transaction.
   replication::WriteResult single = rs->Write(
-      0, {storage::WriteOp{storage::WriteKind::kUpsertAttr, loc->key,
-                           storage::InternAttr("sqn"),
+      0, {storage::WriteOp{storage::WriteKind::kUpsertAttr,
+                           storage::InternAttr("sqn"), loc->key,
                            storage::Attribute{int64_t{1}, 0, 0}}});
   ASSERT_TRUE(single.status.ok());
 
   std::vector<std::vector<storage::WriteOp>> txns;
   for (int64_t i = 2; i <= 9; ++i) {
     txns.push_back({storage::WriteOp{storage::WriteKind::kUpsertAttr,
-                                     loc->key, storage::InternAttr("sqn"),
+                                     storage::InternAttr("sqn"), loc->key,
                                      storage::Attribute{i, 0, 0}}});
   }
   replication::GroupWriteResult group = rs->WriteBatch(0, std::move(txns));

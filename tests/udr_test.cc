@@ -1,7 +1,7 @@
 // Unit tests for src/udr: blade cluster limits, UDR NF deployment,
 // partition commissioning, the LDAP data path (add/search/modify/delete/
 // compare), selective placement, scale-out sync windows and capacity
-// aggregation.
+// aggregation, and the commit log's exact-size write sets.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,8 @@
 #include "sim/network.h"
 #include "udr/capacity_model.h"
 #include "udr/udr_nf.h"
+#include "workload/testbed.h"
+#include "workload/traffic.h"
 
 namespace udr::udrnf {
 namespace {
@@ -545,6 +547,46 @@ TEST_F(UdrNfTest, AggregateCapacityReflectsDeployment) {
   EXPECT_EQ(udr_->TotalLdapOpsPerSecond(), 6'000'000);
   int64_t capacity = udr_->TotalSubscriberCapacity(100 * 1000);
   EXPECT_GT(capacity, 6LL * 2'000'000);  // GiB vs GB rounding.
+}
+
+// ---------------------------------------------------------------------------
+// Commit-log write sets
+// ---------------------------------------------------------------------------
+
+// The log keeps each write set as appended, capacity included, for the life
+// of the entry. A create's upserts (17, or 18 with a home site) and a PS
+// read-modify-write must carry no growth slack into it.
+TEST(CommitLogFootprintTest, EveryEntryIsExactSize) {
+  workload::TestbedOptions o;
+  o.subscribers = 60;
+  workload::Testbed bed(o);
+  workload::TrafficOptions t;
+  t.duration = Seconds(5);
+  t.fe_rate_per_sec = 100;
+  t.ps_rate_per_sec = 20;
+  t.subscriber_count = 60;
+  t.batched = true;
+  const workload::TrafficReport report = workload::RunTraffic(bed, t);
+  ASSERT_GT(report.ps.ok, 0);
+  ASSERT_GT(report.fe_write.ok, 0);
+
+  int64_t entries = 0;
+  int64_t slack = 0;
+  for (uint32_t p = 0; p < bed.udr().partition_count(); ++p) {
+    for (const storage::LogEntry& e : bed.udr().partition(p)->log().entries()) {
+      ++entries;
+      if (e.ops.capacity() != e.ops.size()) {
+        ++slack;
+        ADD_FAILURE() << "partition " << p << " seq " << e.seq << ": "
+                      << e.ops.size() << " ops in " << e.ops.capacity()
+                      << " slots";
+      }
+      if (slack > 3) return;  // The first few name the path.
+    }
+  }
+  // The creates plus the traffic's writes.
+  EXPECT_GT(entries, o.subscribers);
+  EXPECT_EQ(slack, 0);
 }
 
 }  // namespace
