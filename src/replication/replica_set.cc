@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <numeric>
 #include <unordered_set>
 
 #include "common/scratch.h"
@@ -66,8 +67,9 @@ MicroTime ReplicaSet::EntryDeliveryTime(CommitSeq seq, uint32_t id) const {
                                                         target_site);
   }
   // The origin died with the entry still buffered. If the entry survived the
-  // failover truncation it lives on the current master, which re-ships it.
-  if (e.origin_replica == master_) {
+  // failover truncation it lives on the current master, which re-ships it
+  // once it serves: after a failover, or after a restart that replayed it.
+  if (e.origin_replica == master_ && !replicas_[master_].up) {
     return kTimeInfinity;  // No surviving copy can ship it (yet).
   }
   sim::SiteId master_s = replicas_[master_].se->site();
@@ -113,6 +115,19 @@ void ReplicaSet::CatchUpAll() {
 WriteResult ReplicaSet::Write(sim::SiteId client_site,
                               std::vector<WriteOp> ops) {
   WriteResult out;
+  if (config_.partition_mode == PartitionMode::kElectMajority) {
+    MicroDuration election = 0;
+    Status admitted = AdmitMajority(client_site, &election);
+    if (!admitted.ok()) {
+      ++writes_rejected_;
+      out.status = std::move(admitted);
+      out.latency = network_->rpc_timeout();
+      return out;
+    }
+    out = WriteOnMaster(client_site, std::move(ops));
+    out.latency += election;
+    return out;
+  }
   Replica& master = replicas_[master_];
 
   // Master failure handling: fail over once the detection timeout elapses.
@@ -155,7 +170,19 @@ WriteResult ReplicaSet::Write(sim::SiteId client_site,
 bool ReplicaSet::WriteDivergedNearest(sim::SiteId client_site,
                                       std::vector<WriteOp> ops,
                                       WriteResult* out) {
-  // Pick the nearest reachable, up replica to act as a temporary master.
+  // The nearest reachable, up replica acts as a temporary master.
+  auto nearest = NearestReplica(client_site);
+  if (!nearest.ok()) {
+    ++writes_rejected_;
+    out->status = nearest.status();
+    out->latency = network_->rpc_timeout();
+    return false;
+  }
+  *out = WriteDiverged(client_site, *nearest, std::move(ops));
+  return out->status.ok();
+}
+
+StatusOr<uint32_t> ReplicaSet::NearestReplica(sim::SiteId client_site) const {
   int best = -1;
   MicroDuration best_rtt = 0;
   for (uint32_t id = 0; id < replicas_.size(); ++id) {
@@ -168,14 +195,46 @@ bool ReplicaSet::WriteDivergedNearest(sim::SiteId client_site,
       best_rtt = rtt;
     }
   }
-  if (best < 0) {
-    ++writes_rejected_;
-    out->status = Status::Unavailable("no replica reachable for AP write");
-    out->latency = network_->rpc_timeout();
-    return false;
+  if (best < 0) return Status::Unavailable("no replica reachable");
+  return static_cast<uint32_t>(best);
+}
+
+std::vector<uint32_t> ReplicaSet::ComponentOf(uint32_t id) const {
+  std::vector<uint32_t> out;
+  if (!replicas_[id].up) return out;
+  const sim::SiteId from = replica_site(id);
+  for (uint32_t other = 0; other < replicas_.size(); ++other) {
+    if (!replicas_[other].up) continue;
+    if (other == id || network_->Reachable(from, replica_site(other))) {
+      out.push_back(other);
+    }
   }
-  *out = WriteDiverged(client_site, static_cast<uint32_t>(best), std::move(ops));
-  return out->status.ok();
+  return out;
+}
+
+Status ReplicaSet::AdmitMajority(sim::SiteId client_site,
+                                 MicroDuration* election) {
+  const bool master_serves =
+      replicas_[master_].up && ComponentOf(master_).size() >= Majority();
+  if (master_serves && network_->Reachable(client_site, master_site())) {
+    return Status::Ok();
+  }
+  // The client turns to its nearest replica. Unless the master serves that
+  // replica's component, a majority component elects one now.
+  UDR_ASSIGN_OR_RETURN(uint32_t seed, NearestReplica(client_site));
+  const std::vector<uint32_t> component = ComponentOf(seed);
+  if (component.size() < Majority()) {
+    return Status::Unavailable("client side holds no majority of replicas");
+  }
+  if (!master_serves || std::find(component.begin(), component.end(),
+                                  master_) == component.end()) {
+    UDR_RETURN_IF_ERROR(FailOverWithin(component).status());
+    *election += config_.failover_detection;
+  }
+  if (!network_->Reachable(client_site, master_site())) {
+    return Status::Unavailable("client partitioned from master copy");
+  }
+  return Status::Ok();
 }
 
 WriteResult ReplicaSet::WriteOnMaster(sim::SiteId client_site,
@@ -195,22 +254,12 @@ WriteResult ReplicaSet::CommitOnMaster(std::vector<WriteOp> ops) {
 
   // QUORUM feasibility is checked before committing anything: a write that
   // cannot gather a majority is rejected outright (consistent behaviour).
-  if (config_.sync_mode == SyncMode::kQuorum) {
-    size_t majority = replicas_.size() / 2 + 1;
-    size_t reachable = 1;  // The master itself.
-    for (uint32_t id = 0; id < replicas_.size(); ++id) {
-      if (id == master_) continue;
-      if (replicas_[id].up &&
-          network_->Reachable(master_site(), replicas_[id].se->site())) {
-        ++reachable;
-      }
-    }
-    if (reachable < majority) {
-      ++writes_rejected_;
-      out.status = Status::Unavailable("quorum not reachable");
-      out.latency = network_->rpc_timeout();
-      return out;
-    }
+  if (config_.sync_mode == SyncMode::kQuorum &&
+      ComponentOf(master_).size() < Majority()) {
+    ++writes_rejected_;
+    out.status = Status::Unavailable("quorum not reachable");
+    out.latency = network_->rpc_timeout();
+    return out;
   }
 
   // Stamp write metadata with the commit time and master replica id.
@@ -269,15 +318,22 @@ void ReplicaSet::WriteBatch(sim::SiteId client_site,
   }
 
   // Group admission: the fast path needs a cleanly writable master. Anything
-  // else (failover pending, client partitioned, AP divergence) falls back to
-  // the per-transaction Write path, which owns those semantics.
-  bool master_path = replicas_[master_].up;
-  if (!replicas_[master_].up &&
-      Now() >= replicas_[master_].down_since + config_.failover_detection) {
-    master_path = FailOver().ok();
-  }
-  if (master_path && !network_->Reachable(client_site, master_site())) {
-    master_path = false;
+  // else (failover pending, client partitioned, AP divergence, a minority
+  // side) falls back to the per-transaction Write path, which owns those
+  // semantics.
+  MicroDuration election = 0;
+  bool master_path;
+  if (config_.partition_mode == PartitionMode::kElectMajority) {
+    master_path = AdmitMajority(client_site, &election).ok();
+  } else {
+    master_path = replicas_[master_].up;
+    if (!replicas_[master_].up &&
+        Now() >= replicas_[master_].down_since + config_.failover_detection) {
+      master_path = FailOver().ok();
+    }
+    if (master_path && !network_->Reachable(client_site, master_site())) {
+      master_path = false;
+    }
   }
   if (!master_path) {
     for (auto& ops : *txns) {
@@ -293,7 +349,7 @@ void ReplicaSet::WriteBatch(sim::SiteId client_site,
   // master copy; the group pays a single client<->master transit.
   out.transit = network_->topology().Rtt(client_site, master_site()) +
                 network_->topology().HopOverhead();
-  out.latency = out.transit;
+  out.latency = out.transit + election;
   out.status = Status::Ok();
   for (auto& ops : *txns) {
     WriteResult r = CommitOnMaster(std::move(ops));
@@ -330,7 +386,6 @@ Status ReplicaSet::SyncReplicate(CommitSeq seq, MicroDuration* extra_latency,
     }
     case SyncMode::kQuorum: {
       // Gather acks from the fastest slaves until a majority (incl. master).
-      size_t majority = replicas_.size() / 2 + 1;
       std::vector<std::pair<MicroDuration, uint32_t>> candidates;
       for (uint32_t id = 0; id < replicas_.size(); ++id) {
         if (id == master_) continue;
@@ -341,7 +396,7 @@ Status ReplicaSet::SyncReplicate(CommitSeq seq, MicroDuration* extra_latency,
             network_->topology().Rtt(master_site(), r.se->site()), id);
       }
       std::sort(candidates.begin(), candidates.end());
-      size_t needed = majority > 0 ? majority - 1 : 0;
+      const size_t needed = Majority() - 1;
       if (candidates.size() < needed) {
         *degraded = true;  // Feasibility was pre-checked; defensive only.
         return Status::Unavailable("quorum lost mid-commit");
@@ -385,8 +440,13 @@ WriteResult ReplicaSet::WriteDiverged(sim::SiteId client_site, uint32_t id,
 }
 
 StatusOr<uint32_t> ReplicaSet::PickReadReplica(sim::SiteId client_site,
-                                               ReadPreference pref) {
+                                               ReadPreference pref,
+                                               MicroDuration* election) {
   if (pref == ReadPreference::kMasterOnly) {
+    if (config_.partition_mode == PartitionMode::kElectMajority) {
+      UDR_RETURN_IF_ERROR(AdmitMajority(client_site, election));
+      return master_;
+    }
     const Replica& m = replicas_[master_];
     if (!m.up) {
       if (Now() >= m.down_since + config_.failover_detection) {
@@ -402,21 +462,7 @@ StatusOr<uint32_t> ReplicaSet::PickReadReplica(sim::SiteId client_site,
     }
     return master_;
   }
-  // Nearest reachable, up replica.
-  int best = -1;
-  MicroDuration best_rtt = 0;
-  for (uint32_t id = 0; id < replicas_.size(); ++id) {
-    const Replica& r = replicas_[id];
-    if (!r.up) continue;
-    if (!network_->Reachable(client_site, r.se->site())) continue;
-    MicroDuration rtt = network_->topology().Rtt(client_site, r.se->site());
-    if (best < 0 || rtt < best_rtt) {
-      best = static_cast<int>(id);
-      best_rtt = rtt;
-    }
-  }
-  if (best < 0) return Status::Unavailable("no replica reachable");
-  return static_cast<uint32_t>(best);
+  return NearestReplica(client_site);
 }
 
 void ReplicaSet::ReadAttrOn(uint32_t id, RecordKey key, const std::string& attr,
@@ -509,7 +555,7 @@ void ReplicaSet::ReadBatch(sim::SiteId client_site,
   MicroDuration slowest_transit = 0;
   for (size_t i = 0; i < ops.size(); ++i) {
     ReadResult& meta = out.per_op[i];
-    auto picked = PickReadReplica(client_site, ops[i].pref);
+    auto picked = PickReadReplica(client_site, ops[i].pref, &meta.latency);
     if (!picked.ok()) {
       // Per-op isolation: this op fails, the group goes on. Its (timed-out)
       // probe overlaps the group fan-out.
@@ -574,14 +620,28 @@ void ReplicaSet::RecoverReplica(uint32_t id) {
   DropPartitionKeys(&r);
   r.applied = 0;
   r.divergence.Reset();
+  if (id == master_) {
+    // Back before any failover: the master replays its own log, then
+    // re-ships what the crash left unshipped (EntryDeliveryTime).
+    ApplyThrough(id, log_.LastSeq());
+    last_failover_ = Now();
+    return;
+  }
   CatchUp(id);
 }
 
 StatusOr<FailoverReport> ReplicaSet::FailOver() {
+  std::vector<uint32_t> every(replicas_.size());
+  std::iota(every.begin(), every.end(), 0u);
+  return FailOverWithin(every);
+}
+
+StatusOr<FailoverReport> ReplicaSet::FailOverWithin(
+    const std::vector<uint32_t>& candidates) {
   // Let every surviving replica apply whatever was delivered before now.
   CatchUpAll();
   int best = -1;
-  for (uint32_t id = 0; id < replicas_.size(); ++id) {
+  for (uint32_t id : candidates) {
     if (id == master_) continue;
     const Replica& r = replicas_[id];
     if (!r.up) continue;
@@ -599,11 +659,23 @@ StatusOr<FailoverReport> ReplicaSet::FailOver() {
   report.promoted_seq = replicas_[best].applied;
   report.lost_transactions =
       static_cast<int64_t>(report.acknowledged_seq - report.promoted_seq);
+  // An up replica past the promoted prefix (a master deposed while cut off
+  // in a minority) holds writes the truncation discards: it resyncs.
+  std::vector<uint32_t> rolled_back;
+  for (uint32_t id = 0; id < replicas_.size(); ++id) {
+    Replica& r = replicas_[id];
+    if (r.up && r.applied > report.promoted_seq) {
+      DropPartitionKeys(&r);
+      r.applied = 0;
+      rolled_back.push_back(id);
+    }
+  }
   // Acknowledged-but-unreplicated suffix is gone: this is the durability gap
   // of asynchronous replication (§3.3.1 decision 2).
   log_.TruncateAfter(report.promoted_seq);
   master_ = report.new_master;
   last_failover_ = Now();
+  for (uint32_t id : rolled_back) CatchUp(id);
   return report;
 }
 

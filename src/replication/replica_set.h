@@ -17,10 +17,13 @@
 //     DUAL_SEQUENCE (apply to master then one slave before acking) and
 //     QUORUM (Cassandra-style majority ack, the paper's comparator).
 //   * PartitionMode selects CAP behaviour on a partition: PREFER_CONSISTENCY
-//     (writes fail unless the master is reachable — the paper's default) or
+//     (writes fail unless the master is reachable — the paper's default),
 //     PREFER_AVAILABILITY (§5 evolution: any reachable replica accepts
 //     writes into a divergence log; ConsistencyRestoration merges after the
-//     partition heals).
+//     partition heals) or ELECT_MAJORITY (§6 distributed agreement: only a
+//     component holding a majority serves writes and master-only reads,
+//     electing its most caught-up replica when the master is not serving
+//     it; with QUORUM acks this is the Raft/Multi-Paxos model).
 
 #ifndef UDR_REPLICATION_REPLICA_SET_H_
 #define UDR_REPLICATION_REPLICA_SET_H_
@@ -48,6 +51,9 @@ enum class SyncMode {
 enum class PartitionMode {
   kPreferConsistency,  ///< Writes require the master (paper default, PC).
   kPreferAvailability, ///< Any reachable replica takes writes (§5, PA).
+  /// Only a majority component serves; it elects a master when the old one
+  /// is not serving it (§6; the request pays failover_detection).
+  kElectMajority,
 };
 
 /// Conflict resolution policy for consistency restoration (§5).
@@ -263,6 +269,8 @@ class ReplicaSet {
   void CrashReplica(uint32_t id);
 
   /// Brings a crashed replica back: full resync from the authoritative log.
+  /// A master back before any failover replays the whole log and stays
+  /// master.
   void RecoverReplica(uint32_t id);
 
   /// Promotes the most caught-up reachable replica after a master failure.
@@ -370,8 +378,32 @@ class ReplicaSet {
   /// partitions' records intact. Used before a full resync.
   void DropPartitionKeys(Replica* r) const;
 
-  /// Finds the replica that should serve a read for the client.
-  StatusOr<uint32_t> PickReadReplica(sim::SiteId client_site, ReadPreference pref);
+  /// Finds the replica that should serve a read for the client. Under
+  /// kElectMajority a master-only read passes AdmitMajority first and adds
+  /// any election to `*election`.
+  StatusOr<uint32_t> PickReadReplica(sim::SiteId client_site,
+                                     ReadPreference pref,
+                                     MicroDuration* election);
+
+  /// The nearest up replica the client can reach.
+  StatusOr<uint32_t> NearestReplica(sim::SiteId client_site) const;
+
+  /// Up replicas that replica `id` can reach, itself included (empty when
+  /// `id` is down), in id order.
+  std::vector<uint32_t> ComponentOf(uint32_t id) const;
+
+  size_t Majority() const { return replicas_.size() / 2 + 1; }
+
+  /// kElectMajority admission for a write or master-only read. The master
+  /// serves when it is up, reaches a majority and the client reaches it.
+  /// Otherwise the component of the client's nearest replica, if it holds a
+  /// majority, elects its most caught-up replica at once and adds
+  /// failover_detection to `*election`. Refuses a client on a minority side.
+  Status AdmitMajority(sim::SiteId client_site, MicroDuration* election);
+
+  /// FailOver with the promotion restricted to `candidates` (ascending ids;
+  /// the master and down replicas are skipped).
+  StatusOr<FailoverReport> FailOverWithin(const std::vector<uint32_t>& candidates);
 
   /// Executes a write on the master copy (assumes reachability was checked).
   WriteResult WriteOnMaster(sim::SiteId client_site,
@@ -414,7 +446,8 @@ class ReplicaSet {
   sim::Network* network_;
   storage::CommitLog log_;  ///< Authoritative replication stream.
   uint32_t master_ = 0;
-  MicroTime last_failover_ = 0;  ///< When the current master took over.
+  /// When the current master took over (failover) or came back (restart).
+  MicroTime last_failover_ = 0;
 
   int64_t writes_accepted_ = 0;
   int64_t writes_rejected_ = 0;

@@ -19,12 +19,16 @@
 //     re-create, partial delivery, crash/recovery, failover, AP divergence
 //     with restoration and a re-home between co-hosted partitions matches a
 //     replay-only twin record for record, version for version, byte for
-//     byte and in slot order.
+//     byte and in slot order;
+//   * acked writes under crashes, recoveries and isolations: majority mode
+//     (QUORUM + ELECT_MAJORITY) never loses one, and an async failover's
+//     lost_transactions equals the acked writes the promoted master lacks.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_set>
@@ -755,6 +759,242 @@ INSTANTIATE_TEST_SUITE_P(
                       replication::PartitionMode::kPreferAvailability},
         AdoptionParam{506, replication::SyncMode::kAsync,
                       replication::PartitionMode::kPreferConsistency}));
+
+// ---------------------------------------------------------------------------
+// Acked writes under crashes and partitions
+// ---------------------------------------------------------------------------
+
+/// Five sites, one SE each, and a replica set over them. Writes come from
+/// random sites, one fresh key each, interleaved with replica crashes and
+/// recoveries, site isolations and catch-up. The test keeps its own ledger
+/// of every (key, value) the set acknowledged.
+class AckedWriteProperty : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  static constexpr uint32_t kSites = 5;
+
+  void Build(replication::ReplicaSetConfig cfg) {
+    sim::LatencyConfig lc;
+    lc.backbone_one_way = Millis(15);
+    network_ = std::make_unique<sim::Network>(sim::Topology(kSites, lc),
+                                              &clock_);
+    std::vector<storage::StorageElement*> ptrs;
+    for (uint32_t s = 0; s < kSites; ++s) {
+      storage::StorageElementConfig se_cfg;
+      se_cfg.site = s;
+      ses_.push_back(
+          std::make_unique<storage::StorageElement>(se_cfg, &clock_, s));
+      ptrs.push_back(ses_.back().get());
+    }
+    rs_ = std::make_unique<replication::ReplicaSet>(cfg, ptrs, network_.get());
+    clock_.AdvanceTo(Seconds(1));
+  }
+
+  /// Writes a fresh key from a random site; ledgers it when acked.
+  void WriteOne() {
+    const storage::RecordKey key = next_key_++;
+    const auto value = static_cast<int64_t>(rng_.Uniform(1000000));
+    replication::WriteBuilder wb;
+    wb.Set(key, "v", value);
+    const auto site = static_cast<sim::SiteId>(rng_.Uniform(kSites));
+    if (rs_->Write(site, std::move(wb).Build()).status.ok()) {
+      ledger_.push_back({key, value});
+    }
+  }
+
+  /// Cuts one random site, or two together, off the others for up to five
+  /// seconds.
+  void IsolateSites() {
+    const auto a = static_cast<sim::SiteId>(rng_.Uniform(kSites));
+    const auto b = static_cast<sim::SiteId>(rng_.Uniform(kSites));
+    std::vector<sim::SiteId> cut = {a};
+    if (b != a) cut.push_back(b);
+    std::vector<sim::SiteId> rest;
+    for (sim::SiteId s = 0; s < kSites; ++s) {
+      if (s != a && s != b) rest.push_back(s);
+    }
+    const auto outage = Millis(static_cast<int64_t>(100 + rng_.Uniform(5000)));
+    network_->partitions().CutBetween(cut, rest, clock_.Now(),
+                                      clock_.Now() + outage);
+  }
+
+  /// A random replica in the wanted state, or -1 when there is none.
+  int PickReplica(bool up) {
+    std::vector<uint32_t> ids;
+    for (uint32_t id = 0; id < rs_->replica_count(); ++id) {
+      if (rs_->replica_up(id) == up) ids.push_back(id);
+    }
+    if (ids.empty()) return -1;
+    return static_cast<int>(ids[rng_.Uniform(ids.size())]);
+  }
+
+  /// The ledger entries whose value the replica's store does not hold.
+  std::vector<size_t> MissingOn(uint32_t replica) const {
+    std::vector<size_t> missing;
+    for (size_t i = 0; i < ledger_.size(); ++i) {
+      const storage::Record* r = rs_->replica_store(replica).Find(ledger_[i].key);
+      const auto v = r != nullptr ? r->Get("v") : std::nullopt;
+      if (!v.has_value() ||
+          !storage::ValueEquals(*v, storage::Value(ledger_[i].value))) {
+        missing.push_back(i);
+      }
+    }
+    return missing;
+  }
+
+  struct Acked {
+    storage::RecordKey key;
+    int64_t value;
+  };
+
+  Rng rng_{GetParam()};
+  sim::SimClock clock_;
+  std::unique_ptr<sim::Network> network_;
+  std::vector<std::unique_ptr<storage::StorageElement>> ses_;
+  std::unique_ptr<replication::ReplicaSet> rs_;
+  std::vector<Acked> ledger_;
+  storage::RecordKey next_key_ = 1;
+};
+
+// QUORUM + ELECT_MAJORITY (the §6 consensus model): no acked write is ever
+// lost or diverges, whatever recoveries and isolations interleave with it.
+// A crash loses the replica's RAM, which is its only copy here, so the
+// guarantee covers one lost copy at a time: a replica crashes only once the
+// shipper has had time to deliver and every other replica is up and holds
+// the whole log. The lazy one-second shipper leaves non-acking replicas
+// behind between crashes, so an isolation that catches the master with
+// its acking followers shows whether the acks really reached a majority.
+TEST_P(AckedWriteProperty, MajorityModeLosesNoAckedWrite) {
+  replication::ReplicaSetConfig cfg;
+  cfg.sync_mode = replication::SyncMode::kQuorum;
+  cfg.partition_mode = replication::PartitionMode::kElectMajority;
+  cfg.async_ship_delay = Seconds(1);
+  Build(cfg);
+  const auto others_whole = [this, &cfg](uint32_t victim) {
+    clock_.Advance(cfg.async_ship_delay + Millis(16));  // Past one hop.
+    rs_->CatchUpAll();
+    for (uint32_t id = 0; id < rs_->replica_count(); ++id) {
+      if (id == victim) continue;
+      if (!rs_->replica_up(id) ||
+          rs_->applied_seq(id) != rs_->log().LastSeq()) {
+        return false;
+      }
+    }
+    return true;
+  };
+  int64_t elections = 0;
+  int64_t crashes = 0;
+  for (int step = 0; step < 1000; ++step) {
+    clock_.Advance(Millis(static_cast<int64_t>(rng_.Uniform(200))));
+    const uint32_t master = rs_->master_id();
+    const uint64_t action = rng_.Uniform(20);
+    if (action < 12) {
+      WriteOne();
+    } else if (action < 14) {
+      const int id = PickReplica(true);
+      if (id >= 0 && others_whole(static_cast<uint32_t>(id))) {
+        rs_->CrashReplica(static_cast<uint32_t>(id));
+        ++crashes;
+      }
+    } else if (action < 16) {
+      const int id = PickReplica(false);
+      if (id >= 0) rs_->RecoverReplica(static_cast<uint32_t>(id));
+    } else if (action < 18) {
+      IsolateSites();
+    } else if (action < 19) {
+      rs_->CatchUpAll();
+    } else if (!ledger_.empty()) {  // A master-only read sees its write.
+      const Acked& a = ledger_[rng_.Uniform(ledger_.size())];
+      const auto site = static_cast<sim::SiteId>(rng_.Uniform(kSites));
+      const replication::ReadResult r = rs_->ReadAttribute(
+          site, a.key, "v", replication::ReadPreference::kMasterOnly);
+      if (r.status.ok()) {
+        EXPECT_TRUE(storage::ValueEquals(*r.value, storage::Value(a.value)))
+            << "step " << step << " key " << a.key;
+      }
+    }
+    if (rs_->master_id() != master) ++elections;
+    if (rs_->replica_up(rs_->master_id())) {
+      ASSERT_TRUE(MissingOn(rs_->master_id()).empty()) << "step " << step;
+    }
+  }
+  // Heal everything, bring every replica back, and let one write elect a
+  // master if the last one is still down.
+  clock_.Advance(Seconds(60));
+  for (uint32_t id = 0; id < rs_->replica_count(); ++id) {
+    if (!rs_->replica_up(id)) rs_->RecoverReplica(id);
+  }
+  WriteOne();
+  ASSERT_FALSE(ledger_.empty());
+  EXPECT_EQ(ledger_.back().key, next_key_ - 1) << "the final write failed";
+  EXPECT_TRUE(MissingOn(rs_->master_id()).empty());
+  EXPECT_FALSE(rs_->HasDivergence());
+  // The schedule really crashed replicas, held elections and acked writes.
+  EXPECT_GT(crashes, 0);
+  EXPECT_GT(elections, 0);
+  EXPECT_GT(ledger_.size(), 100u);
+}
+
+// ASYNC + PREFER_CONSISTENCY: a failover loses exactly the acked writes the
+// promoted replica never received, and the report counts exactly those.
+TEST_P(AckedWriteProperty, AsyncFailoverReportsEveryLostAckedWrite) {
+  replication::ReplicaSetConfig cfg;
+  cfg.sync_mode = replication::SyncMode::kAsync;
+  cfg.async_ship_delay = Millis(10);
+  // Writes never fail over on their own: the test calls FailOver itself
+  // and so sees every report.
+  cfg.failover_detection = Seconds(1000000);
+  Build(cfg);
+  int64_t failovers = 0;
+  int64_t lost = 0;
+  const auto fail_over = [&](int step) {
+    auto fo = rs_->FailOver();
+    if (!fo.ok()) return;  // No survivor yet; retried after a recovery.
+    ++failovers;
+    const std::vector<size_t> missing = MissingOn(rs_->master_id());
+    EXPECT_EQ(fo->lost_transactions, static_cast<int64_t>(missing.size()))
+        << "step " << step;
+    lost += static_cast<int64_t>(missing.size());
+    // Lost writes leave the ledger: the new master never held them.
+    for (auto it = missing.rbegin(); it != missing.rend(); ++it) {
+      ledger_.erase(ledger_.begin() + static_cast<std::ptrdiff_t>(*it));
+    }
+  };
+  for (int step = 0; step < 600; ++step) {
+    clock_.Advance(Millis(static_cast<int64_t>(rng_.Uniform(40))));
+    const uint64_t action = rng_.Uniform(20);
+    if (action < 13) {
+      WriteOne();
+    } else if (action < 15) {
+      const int id = PickReplica(true);
+      if (id >= 0) rs_->CrashReplica(static_cast<uint32_t>(id));
+    } else if (action < 17) {
+      const int id = PickReplica(false);
+      if (id >= 0) rs_->RecoverReplica(static_cast<uint32_t>(id));
+    } else if (action < 18) {
+      IsolateSites();
+    } else {
+      rs_->CatchUpAll();
+    }
+    if (!rs_->replica_up(rs_->master_id())) fail_over(step);
+  }
+  // Every write still in the ledger is on the final master.
+  clock_.Advance(Seconds(60));
+  if (!rs_->replica_up(rs_->master_id())) {
+    for (uint32_t id = 0; id < rs_->replica_count(); ++id) {
+      if (!rs_->replica_up(id) && id != rs_->master_id()) {
+        rs_->RecoverReplica(id);
+      }
+    }
+    fail_over(600);
+  }
+  EXPECT_TRUE(MissingOn(rs_->master_id()).empty());
+  // The schedule really lost writes through failovers.
+  EXPECT_GT(failovers, 0);
+  EXPECT_GT(lost, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AckedWriteProperty,
+                         ::testing::Range<uint64_t>(701, 709));
 
 // ---------------------------------------------------------------------------
 // Traffic accounting conservation

@@ -96,6 +96,18 @@ concurrency statically checkable — the ones a generic linter can't know:
                      modelled placement (identity.cc, hash_ring.cc,
                      pre_udc.cc) use the decimal FNV constants and stay.
 
+  commit-log-owner   src/ may declare a storage::CommitLog member or local
+                     only inside src/storage/ and
+                     src/replication/replica_set.{h,cc}. ReplicaSet is the
+                     one replication engine: its commit log is the
+                     replicated unit, and every ack mode (async,
+                     dual-sequence, quorum) and CAP stance (PC, PA, majority
+                     election) is a configuration of it. A second class
+                     owning its own log would be a second engine with its
+                     own apply loop and election, which is what the
+                     consensus engine was before it became the
+                     ELECT_MAJORITY partition mode.
+
   metric-name        every dotted metric-name string literal passed to
                      Add/Observe/RegisterCounter/RegisterHist in src/ must
                      appear (backticked) in the docs/METRICS.md table, and
@@ -175,6 +187,14 @@ REQUEST_LIST_SCOPE = "src/telecom/"
 # trees that run per op.
 HOT_METRIC_CALL_RE = re.compile(r"(?:\.|->)\s*(Add|Observe)\s*\(\s*(\"|$)")
 HOT_METRIC_SCOPES = ("src/routing/", "src/exec/")
+
+# A CommitLog value declaration (member or local, also as the last template
+# argument of a holder), and the files allowed to make one. References and
+# pointers (`CommitLog&`, `CommitLog*`) do not match.
+COMMIT_LOG_DECL_RE = re.compile(
+    r"\bCommitLog(?:\s*>)*\s+[A-Za-z_]\w*\s*(?:[;={(\[]|$)")
+COMMIT_LOG_HOMES = ("src/storage/", "src/replication/replica_set.h",
+                    "src/replication/replica_set.cc")
 
 # The hashing and probing of an open-addressing table, and its one home.
 FLAT_TABLE_PATTERNS = [
@@ -317,6 +337,16 @@ def lint_file(path: str, rel: str, allowlist_doc: str, violations: list):
                     f"Metrics::{m.group(1)}() in a per-op layer — register "
                     f"the name once (RegisterCounter/RegisterHist) and use "
                     f"the handle")
+
+        if (not rel.startswith(COMMIT_LOG_HOMES)
+                and "commit-log-owner" not in active
+                and COMMIT_LOG_DECL_RE.search(code)):
+            violations.append(
+                f"{rel}:{lineno}: [commit-log-owner] storage::CommitLog "
+                f"declared outside src/storage/ and "
+                f"src/replication/replica_set.{{h,cc}} — replication has "
+                f"one engine (ReplicaSet); add a SyncMode or PartitionMode "
+                f"instead of a class with its own log")
 
         if rel != FLAT_TABLE_HOME and "flat-table" not in active:
             for pat, what in FLAT_TABLE_PATTERNS:
