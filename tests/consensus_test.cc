@@ -1,108 +1,95 @@
-// Tests for the §6 future-work consensus replication alternative.
+// Tests for the §6 consensus model: a ReplicaSet with QUORUM acks and
+// ELECT_MAJORITY partition handling (majority commit, majority-side election
+// of the most caught-up replica, minority refusal).
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "replication/consensus.h"
-#include "replication/write_builder.h"
+#include "replica_set_fixture.h"
+#include "replication/replica_set.h"
 
 namespace udr::replication {
 namespace {
 
 using storage::ValueToString;
 
-class ConsensusTest : public ::testing::Test {
+/// QUORUM acks + ELECT_MAJORITY over five sites (or `sites`).
+class ElectMajorityTest : public ReplicaSetTest {
  protected:
-  void SetUp() override { Build(5); }
+  void SetUp() override { BuildMajority(5); }
 
-  void Build(int n) {
-    network_ = std::make_unique<sim::Network>(
-        sim::Topology(static_cast<uint32_t>(n)), &clock_);
-    ses_.clear();
-    std::vector<storage::StorageElement*> ptrs;
-    for (int s = 0; s < n; ++s) {
-      storage::StorageElementConfig cfg;
-      cfg.site = static_cast<sim::SiteId>(s);
-      cfg.name = "se-" + std::to_string(s);
-      ses_.push_back(std::make_unique<storage::StorageElement>(
-          cfg, &clock_, static_cast<uint32_t>(s)));
-      ptrs.push_back(ses_.back().get());
-    }
-    group_ = std::make_unique<ConsensusReplicaSet>(ConsensusConfig(), ptrs,
-                                                   network_.get());
+  void BuildMajority(uint32_t sites) {
+    ReplicaSetConfig cfg;
+    cfg.sync_mode = SyncMode::kQuorum;
+    cfg.partition_mode = PartitionMode::kElectMajority;
+    Build(cfg, sites);
   }
 
-  ConsensusWriteResult Put(sim::SiteId from, storage::RecordKey key,
-                           int64_t v) {
-    WriteBuilder wb;
-    wb.Set(key, "v", v);
-    return group_->Write(from, std::move(wb).Build());
+  WriteResult Put(sim::SiteId from, storage::RecordKey key, int64_t v) {
+    return ReplicaSetTest::Put(from, key, "v", v);
   }
 
-  sim::SimClock clock_;
-  std::unique_ptr<sim::Network> network_;
-  std::vector<std::unique_ptr<storage::StorageElement>> ses_;
-  std::unique_ptr<ConsensusReplicaSet> group_;
+  ReadResult MasterRead(sim::SiteId from, storage::RecordKey key) {
+    return rs_->ReadAttribute(from, key, "v", ReadPreference::kMasterOnly);
+  }
 };
 
-TEST_F(ConsensusTest, WriteCommitsOnMajority) {
+TEST_F(ElectMajorityTest, WriteCommitsOnMajority) {
   clock_.AdvanceTo(Seconds(1));
-  auto w = Put(0, 1, 42);
+  WriteResult w = Put(0, 1, 42);
   ASSERT_TRUE(w.status.ok());
   EXPECT_EQ(w.seq, 1u);
-  EXPECT_EQ(w.leader, 0u);
-  // Leader + 2 fastest followers (majority of 5) applied synchronously.
+  EXPECT_EQ(w.served_by, 0u);
+  // Master + 2 fastest followers (majority of 5) applied synchronously.
   int applied = 0;
   for (uint32_t id = 0; id < 5; ++id) {
-    if (group_->applied_seq(id) == 1) ++applied;
+    if (rs_->applied_seq(id) == 1) ++applied;
   }
   EXPECT_GE(applied, 3);
 }
 
-TEST_F(ConsensusTest, CommitLatencyIncludesMajorityRoundTrip) {
+TEST_F(ElectMajorityTest, CommitLatencyIncludesMajorityRoundTrip) {
   clock_.AdvanceTo(Seconds(1));
-  auto w = Put(0, 1, 1);
+  WriteResult w = Put(0, 1, 1);
   ASSERT_TRUE(w.status.ok());
   EXPECT_GT(w.latency, Millis(30));  // Backbone RTT to followers.
 }
 
-TEST_F(ConsensusTest, LeaderCrashLosesNothing) {
+TEST_F(ElectMajorityTest, MasterCrashLosesNothing) {
   clock_.AdvanceTo(Seconds(1));
   for (int i = 1; i <= 20; ++i) Put(0, 1, i);
-  group_->CrashReplica(group_->leader_id());
+  rs_->CrashReplica(rs_->master_id());
   clock_.Advance(Seconds(5));
-  // Next write elects a new leader and the full history survives.
-  auto w = Put(1, 1, 21);
+  // The next write elects a new master and the full history survives.
+  WriteResult w = Put(1, 1, 21);
   ASSERT_TRUE(w.status.ok());
-  EXPECT_TRUE(w.triggered_election);
+  EXPECT_NE(rs_->master_id(), 0u);
   EXPECT_EQ(w.seq, 21u);
-  auto r = group_->ReadAttribute(1, 1, "v");
+  ReadResult r = MasterRead(1, 1);
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(ValueToString(*r.value), "21");
-  EXPECT_GE(group_->term(), 2u);
 }
 
-TEST_F(ConsensusTest, MajoritySideKeepsWritingDuringPartition) {
+TEST_F(ElectMajorityTest, MajoritySideKeepsWritingDuringPartition) {
   clock_.AdvanceTo(Seconds(1));
   Put(0, 1, 1);
-  // Leader (site 0) + site 1 cut from sites 2,3,4: majority is {2,3,4}.
+  // Master (site 0) + site 1 cut from sites 2,3,4: majority is {2,3,4}.
   network_->partitions().CutBetween({0, 1}, {2, 3, 4}, clock_.Now(),
                                     clock_.Now() + Seconds(60));
   clock_.Advance(Seconds(3));
   // Client on the majority side: election + commit succeed.
-  auto w = Put(3, 1, 2);
+  WriteResult w = Put(3, 1, 2);
   ASSERT_TRUE(w.status.ok());
-  EXPECT_TRUE(w.triggered_election);
-  EXPECT_GE(w.leader, 2u);
-  // Client on the minority side: refused (no divergence, unlike AP mode).
-  auto rejected = Put(0, 1, 3);
+  EXPECT_GE(rs_->master_id(), 2u);
+  EXPECT_GT(w.latency, rs_->config().failover_detection);
+  // Client on the minority side: refused, with no divergence log.
+  WriteResult rejected = Put(0, 1, 3);
   EXPECT_TRUE(rejected.status.IsUnavailable());
-  EXPECT_EQ(group_->writes_rejected(), 1);
+  EXPECT_EQ(rs_->writes_rejected(), 1);
+  EXPECT_FALSE(rs_->HasDivergence());
 }
 
-TEST_F(ConsensusTest, NoMajorityAnywhereMeansUnavailable) {
-  Build(3);
+TEST_F(ElectMajorityTest, NoMajorityAnywhereMeansUnavailable) {
+  BuildMajority(3);
   clock_.AdvanceTo(Seconds(1));
   Put(0, 1, 1);
   // Full three-way split.
@@ -115,52 +102,56 @@ TEST_F(ConsensusTest, NoMajorityAnywhereMeansUnavailable) {
   }
 }
 
-TEST_F(ConsensusTest, ElectionPicksMostUpToDateReplica) {
+TEST_F(ElectMajorityTest, ElectionPicksMostUpToDateReplica) {
   clock_.AdvanceTo(Seconds(1));
   for (int i = 1; i <= 10; ++i) Put(0, 1, i);
-  // Find a replica that has everything and one that is behind.
-  group_->CatchUpAll();  // Everyone applies all 10 now.
-  Put(0, 2, 99);         // Majority applies seq 11; some follower may lag.
-  uint32_t old_leader = group_->leader_id();
-  group_->CrashReplica(old_leader);
+  clock_.Advance(Seconds(1));
+  rs_->CatchUpAll();
+  for (uint32_t id = 0; id < 5; ++id) ASSERT_EQ(rs_->applied_seq(id), 10u);
+  Put(0, 2, 99);  // A majority applies seq 11; the other followers lag.
+  const uint32_t old_master = rs_->master_id();
+  rs_->CrashReplica(old_master);
   clock_.Advance(Seconds(5));
-  auto w = Put(1, 3, 1);
+  WriteResult w = Put(1, 3, 1);
   ASSERT_TRUE(w.status.ok());
-  // New leader must hold seq 11 (committed data survives by quorum overlap).
-  EXPECT_GE(group_->applied_seq(group_->leader_id()), 11u);
-  auto r = group_->ReadAttribute(1, 2, "v");
+  EXPECT_NE(rs_->master_id(), old_master);
+  // The new master holds seq 11 (committed data survives by quorum overlap).
+  EXPECT_GE(rs_->applied_seq(rs_->master_id()), 11u);
+  ReadResult r = MasterRead(1, 2);
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(ValueToString(*r.value), "99");
 }
 
-TEST_F(ConsensusTest, RecoveredReplicaRejoinsAndCatchesUp) {
+TEST_F(ElectMajorityTest, RecoveredReplicaRejoinsAndCatchesUp) {
   clock_.AdvanceTo(Seconds(1));
   for (int i = 1; i <= 5; ++i) Put(0, 1, i);
-  group_->CrashReplica(4);
+  rs_->CrashReplica(4);
   for (int i = 6; i <= 10; ++i) Put(0, 1, i);
-  group_->RecoverReplica(4);
-  EXPECT_EQ(group_->applied_seq(4), 10u);
-  EXPECT_EQ(ValueToString(*group_->replica_store(4).Find(1)->Get("v")), "10");
+  // Delivery is timed: the last entry reaches site 4 one one-way hop later.
+  clock_.Advance(network_->OneWay(rs_->master_site(), rs_->replica_site(4)));
+  rs_->RecoverReplica(4);
+  EXPECT_EQ(rs_->applied_seq(4), 10u);
+  EXPECT_EQ(ValueAt(4, 1, "v"), "10");
 }
 
-TEST_F(ConsensusTest, LinearizableReadAfterWrite) {
+TEST_F(ElectMajorityTest, ReadAfterWriteSeesTheWrite) {
   clock_.AdvanceTo(Seconds(1));
   Put(2, 7, 123);
-  auto r = group_->ReadAttribute(4, 7, "v");
+  ReadResult r = MasterRead(4, 7);
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(ValueToString(*r.value), "123");  // No staleness window.
 }
 
-TEST_F(ConsensusTest, ReadTriggersElectionWhenLeaderDead) {
+TEST_F(ElectMajorityTest, MasterOnlyReadElectsWhenMasterDead) {
   clock_.AdvanceTo(Seconds(1));
   Put(0, 1, 5);
-  group_->CrashReplica(group_->leader_id());
+  rs_->CrashReplica(rs_->master_id());
   clock_.Advance(Seconds(5));
-  auto r = group_->ReadAttribute(1, 1, "v");
+  ReadResult r = MasterRead(1, 1);
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(ValueToString(*r.value), "5");
-  EXPECT_EQ(group_->elections(), 1);
-  EXPECT_GT(r.latency, Seconds(2));  // Paid the election timeout.
+  EXPECT_NE(rs_->master_id(), 0u);
+  EXPECT_GT(r.latency, rs_->config().failover_detection);
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
 // Unit + property tests for src/replication: async delivery horizons, the
 // serialization-order invariant, sync modes, failover data loss, read
 // preferences / staleness, multi-master divergence and consistency
-// restoration, and majority election (the §6 consensus model).
+// restoration, and the election rollback. The majority-election cases (the §6
+// consensus model) are in consensus_test.cc.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 
+#include "replica_set_fixture.h"
 #include "replication/replica_set.h"
 #include "replication/write_builder.h"
 #include "sim/network.h"
@@ -18,51 +20,6 @@ using storage::Record;
 using storage::StorageElement;
 using storage::StorageElementConfig;
 using storage::ValueToString;
-
-/// Three-site harness (or `sites`): one SE per site, replica set mastered
-/// at site 0.
-class ReplicaSetTest : public ::testing::Test {
- protected:
-  void SetUp() override { Build(ReplicaSetConfig()); }
-
-  void Build(ReplicaSetConfig cfg, uint32_t sites = 3) {
-    sim::LatencyConfig lc;
-    lc.lan_one_way = Micros(100);
-    lc.backbone_one_way = Millis(15);
-    network_ =
-        std::make_unique<sim::Network>(sim::Topology(sites, lc), &clock_);
-    ses_.clear();
-    std::vector<StorageElement*> ptrs;
-    for (uint32_t s = 0; s < sites; ++s) {
-      StorageElementConfig se_cfg;
-      se_cfg.name = "se-" + std::to_string(s);
-      se_cfg.site = s;
-      ses_.push_back(std::make_unique<StorageElement>(se_cfg, &clock_, s));
-      ptrs.push_back(ses_.back().get());
-    }
-    rs_ = std::make_unique<ReplicaSet>(cfg, ptrs, network_.get());
-  }
-
-  WriteResult Put(sim::SiteId from, storage::RecordKey key,
-                  const std::string& attr, storage::Value v) {
-    WriteBuilder wb;
-    wb.Set(key, attr, std::move(v));
-    return rs_->Write(from, std::move(wb).Build());
-  }
-
-  std::string ValueAt(uint32_t replica, storage::RecordKey key,
-                      const std::string& attr) {
-    const Record* r = rs_->replica_store(replica).Find(key);
-    if (r == nullptr) return "<norec>";
-    auto v = r->Get(attr);
-    return v.has_value() ? ValueToString(*v) : "<noattr>";
-  }
-
-  sim::SimClock clock_;
-  std::unique_ptr<sim::Network> network_;
-  std::vector<std::unique_ptr<StorageElement>> ses_;
-  std::unique_ptr<ReplicaSet> rs_;
-};
 
 // ---------------------------------------------------------------------------
 // Basic write/read + async visibility
@@ -438,152 +395,6 @@ TEST_F(ReplicaSetTest, SyncModeLatencyOrdering) {
   }
   EXPECT_LT(lat[0], lat[1]);
   EXPECT_LE(lat[1], lat[2]);
-}
-
-// ---------------------------------------------------------------------------
-// Majority election: QUORUM acks + ELECT_MAJORITY, the §6 consensus model
-// ---------------------------------------------------------------------------
-
-/// QUORUM acks + ELECT_MAJORITY over five sites (or `sites`).
-class ElectMajorityTest : public ReplicaSetTest {
- protected:
-  void SetUp() override { BuildMajority(5); }
-
-  void BuildMajority(uint32_t sites) {
-    ReplicaSetConfig cfg;
-    cfg.sync_mode = SyncMode::kQuorum;
-    cfg.partition_mode = PartitionMode::kElectMajority;
-    Build(cfg, sites);
-  }
-
-  WriteResult Put(sim::SiteId from, storage::RecordKey key, int64_t v) {
-    return ReplicaSetTest::Put(from, key, "v", v);
-  }
-
-  ReadResult MasterRead(sim::SiteId from, storage::RecordKey key) {
-    return rs_->ReadAttribute(from, key, "v", ReadPreference::kMasterOnly);
-  }
-};
-
-TEST_F(ElectMajorityTest, WriteCommitsOnMajority) {
-  clock_.AdvanceTo(Seconds(1));
-  WriteResult w = Put(0, 1, 42);
-  ASSERT_TRUE(w.status.ok());
-  EXPECT_EQ(w.seq, 1u);
-  EXPECT_EQ(w.served_by, 0u);
-  // Master + 2 fastest followers (majority of 5) applied synchronously.
-  int applied = 0;
-  for (uint32_t id = 0; id < 5; ++id) {
-    if (rs_->applied_seq(id) == 1) ++applied;
-  }
-  EXPECT_GE(applied, 3);
-}
-
-TEST_F(ElectMajorityTest, CommitLatencyIncludesMajorityRoundTrip) {
-  clock_.AdvanceTo(Seconds(1));
-  WriteResult w = Put(0, 1, 1);
-  ASSERT_TRUE(w.status.ok());
-  EXPECT_GT(w.latency, Millis(30));  // Backbone RTT to followers.
-}
-
-TEST_F(ElectMajorityTest, MasterCrashLosesNothing) {
-  clock_.AdvanceTo(Seconds(1));
-  for (int i = 1; i <= 20; ++i) Put(0, 1, i);
-  rs_->CrashReplica(rs_->master_id());
-  clock_.Advance(Seconds(5));
-  // The next write elects a new master and the full history survives.
-  WriteResult w = Put(1, 1, 21);
-  ASSERT_TRUE(w.status.ok());
-  EXPECT_NE(rs_->master_id(), 0u);
-  EXPECT_EQ(w.seq, 21u);
-  ReadResult r = MasterRead(1, 1);
-  ASSERT_TRUE(r.status.ok());
-  EXPECT_EQ(ValueToString(*r.value), "21");
-}
-
-TEST_F(ElectMajorityTest, MajoritySideKeepsWritingDuringPartition) {
-  clock_.AdvanceTo(Seconds(1));
-  Put(0, 1, 1);
-  // Master (site 0) + site 1 cut from sites 2,3,4: majority is {2,3,4}.
-  network_->partitions().CutBetween({0, 1}, {2, 3, 4}, clock_.Now(),
-                                    clock_.Now() + Seconds(60));
-  clock_.Advance(Seconds(3));
-  // Client on the majority side: election + commit succeed.
-  WriteResult w = Put(3, 1, 2);
-  ASSERT_TRUE(w.status.ok());
-  EXPECT_GE(rs_->master_id(), 2u);
-  EXPECT_GT(w.latency, rs_->config().failover_detection);
-  // Client on the minority side: refused, with no divergence log.
-  WriteResult rejected = Put(0, 1, 3);
-  EXPECT_TRUE(rejected.status.IsUnavailable());
-  EXPECT_EQ(rs_->writes_rejected(), 1);
-  EXPECT_FALSE(rs_->HasDivergence());
-}
-
-TEST_F(ElectMajorityTest, NoMajorityAnywhereMeansUnavailable) {
-  BuildMajority(3);
-  clock_.AdvanceTo(Seconds(1));
-  Put(0, 1, 1);
-  // Full three-way split.
-  network_->partitions().CutLink(0, 1, clock_.Now(), clock_.Now() + Seconds(60));
-  network_->partitions().CutLink(0, 2, clock_.Now(), clock_.Now() + Seconds(60));
-  network_->partitions().CutLink(1, 2, clock_.Now(), clock_.Now() + Seconds(60));
-  clock_.Advance(Seconds(1));
-  for (sim::SiteId s = 0; s < 3; ++s) {
-    EXPECT_TRUE(Put(s, 1, 9).status.IsUnavailable()) << s;
-  }
-}
-
-TEST_F(ElectMajorityTest, ElectionPicksMostUpToDateReplica) {
-  clock_.AdvanceTo(Seconds(1));
-  for (int i = 1; i <= 10; ++i) Put(0, 1, i);
-  clock_.Advance(Seconds(1));
-  rs_->CatchUpAll();
-  for (uint32_t id = 0; id < 5; ++id) ASSERT_EQ(rs_->applied_seq(id), 10u);
-  Put(0, 2, 99);  // A majority applies seq 11; the other followers lag.
-  const uint32_t old_master = rs_->master_id();
-  rs_->CrashReplica(old_master);
-  clock_.Advance(Seconds(5));
-  WriteResult w = Put(1, 3, 1);
-  ASSERT_TRUE(w.status.ok());
-  EXPECT_NE(rs_->master_id(), old_master);
-  // The new master holds seq 11 (committed data survives by quorum overlap).
-  EXPECT_GE(rs_->applied_seq(rs_->master_id()), 11u);
-  ReadResult r = MasterRead(1, 2);
-  ASSERT_TRUE(r.status.ok());
-  EXPECT_EQ(ValueToString(*r.value), "99");
-}
-
-TEST_F(ElectMajorityTest, RecoveredReplicaRejoinsAndCatchesUp) {
-  clock_.AdvanceTo(Seconds(1));
-  for (int i = 1; i <= 5; ++i) Put(0, 1, i);
-  rs_->CrashReplica(4);
-  for (int i = 6; i <= 10; ++i) Put(0, 1, i);
-  // Delivery is timed: the last entry reaches site 4 one one-way hop later.
-  clock_.Advance(network_->OneWay(rs_->master_site(), rs_->replica_site(4)));
-  rs_->RecoverReplica(4);
-  EXPECT_EQ(rs_->applied_seq(4), 10u);
-  EXPECT_EQ(ValueAt(4, 1, "v"), "10");
-}
-
-TEST_F(ElectMajorityTest, ReadAfterWriteSeesTheWrite) {
-  clock_.AdvanceTo(Seconds(1));
-  Put(2, 7, 123);
-  ReadResult r = MasterRead(4, 7);
-  ASSERT_TRUE(r.status.ok());
-  EXPECT_EQ(ValueToString(*r.value), "123");  // No staleness window.
-}
-
-TEST_F(ElectMajorityTest, MasterOnlyReadElectsWhenMasterDead) {
-  clock_.AdvanceTo(Seconds(1));
-  Put(0, 1, 5);
-  rs_->CrashReplica(rs_->master_id());
-  clock_.Advance(Seconds(5));
-  ReadResult r = MasterRead(1, 1);
-  ASSERT_TRUE(r.status.ok());
-  EXPECT_EQ(ValueToString(*r.value), "5");
-  EXPECT_NE(rs_->master_id(), 0u);
-  EXPECT_GT(r.latency, rs_->config().failover_detection);
 }
 
 TEST_F(ReplicaSetTest, ElectionResyncsTheDeposedMaster) {
