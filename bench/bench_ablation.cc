@@ -12,10 +12,7 @@
 //       QUORUM acks with the ELECT_MAJORITY partition mode (a majority
 //       component elects its most caught-up replica, a minority refuses).
 
-#include <memory>
-
 #include "common/table.h"
-#include "replication/replica_set.h"
 #include "replication/write_builder.h"
 #include "workload/testbed.h"
 
@@ -32,24 +29,14 @@ void PrintReplicationFactorTable() {
           {"copies", "quorum write latency", "survives one-site loss",
            "RAM amplification"});
   for (int factor : {2, 3, 5}) {
-    sim::SimClock clock;
-    auto network = std::make_unique<sim::Network>(sim::Topology(5), &clock);
-    std::vector<std::unique_ptr<storage::StorageElement>> ses;
-    std::vector<storage::StorageElement*> ptrs;
-    for (int s = 0; s < factor; ++s) {
-      storage::StorageElementConfig cfg;
-      cfg.site = static_cast<sim::SiteId>(s);
-      ses.push_back(std::make_unique<storage::StorageElement>(
-          cfg, &clock, static_cast<uint32_t>(s)));
-      ptrs.push_back(ses.back().get());
-    }
     replication::ReplicaSetConfig cfg;
     cfg.sync_mode = replication::SyncMode::kQuorum;
-    replication::ReplicaSet rs(cfg, ptrs, network.get());
-    clock.AdvanceTo(Seconds(1));
+    workload::ReplicaRig rig(cfg, 5, sim::LatencyConfig(),
+                             static_cast<uint32_t>(factor));
+    rig.clock().AdvanceTo(Seconds(1));
     replication::WriteBuilder wb;
     wb.Set(1, "v", int64_t{1});
-    auto w = rs.Write(0, std::move(wb).Build());
+    auto w = rig.set().Write(0, std::move(wb).Build());
     bool survives = factor >= 3;  // Majority still exists with 1 site gone.
     t.AddRow({Table::Num(factor), Table::Dur(w.latency),
               survives ? "yes" : "NO (majority = all)",
@@ -67,20 +54,11 @@ void PrintFailoverTimeoutTable() {
           "after a master SE crash (writes every 100ms)",
           {"detection timeout", "writes rejected", "unavailability window"});
   for (MicroDuration detect : {Seconds(1), Seconds(5), Seconds(30)}) {
-    sim::SimClock clock;
-    auto network = std::make_unique<sim::Network>(sim::Topology(3), &clock);
-    std::vector<std::unique_ptr<storage::StorageElement>> ses;
-    std::vector<storage::StorageElement*> ptrs;
-    for (int s = 0; s < 3; ++s) {
-      storage::StorageElementConfig cfg;
-      cfg.site = static_cast<sim::SiteId>(s);
-      ses.push_back(std::make_unique<storage::StorageElement>(
-          cfg, &clock, static_cast<uint32_t>(s)));
-      ptrs.push_back(ses.back().get());
-    }
     replication::ReplicaSetConfig cfg;
     cfg.failover_detection = detect;
-    replication::ReplicaSet rs(cfg, ptrs, network.get());
+    workload::ReplicaRig rig(cfg);
+    sim::SimClock& clock = rig.clock();
+    replication::ReplicaSet& rs = rig.set();
     clock.AdvanceTo(Seconds(1));
     replication::WriteBuilder seed;
     seed.Set(1, "v", int64_t{0});
@@ -168,22 +146,13 @@ struct StrategyResult {
 
 StrategyResult RunMasterSlave(replication::PartitionMode pmode,
                               replication::SyncMode smode) {
-  sim::SimClock clock;
-  auto network = std::make_unique<sim::Network>(sim::Topology(3), &clock);
-  std::vector<std::unique_ptr<storage::StorageElement>> ses;
-  std::vector<storage::StorageElement*> ptrs;
-  for (int s = 0; s < 3; ++s) {
-    storage::StorageElementConfig cfg;
-    cfg.site = static_cast<sim::SiteId>(s);
-    ses.push_back(std::make_unique<storage::StorageElement>(
-        cfg, &clock, static_cast<uint32_t>(s)));
-    ptrs.push_back(ses.back().get());
-  }
   replication::ReplicaSetConfig cfg;
   cfg.partition_mode = pmode;
   cfg.sync_mode = smode;
   cfg.async_ship_delay = Millis(10);
-  replication::ReplicaSet rs(cfg, ptrs, network.get());
+  workload::ReplicaRig rig(cfg);
+  sim::SimClock& clock = rig.clock();
+  replication::ReplicaSet& rs = rig.set();
   StrategyResult out;
   clock.AdvanceTo(Seconds(1));
   {
@@ -192,8 +161,8 @@ StrategyResult RunMasterSlave(replication::PartitionMode pmode,
     out.steady_latency = rs.Write(0, std::move(wb).Build()).latency;
   }
   // Master's site isolated for 60s; writes arrive at site 1 every 100ms.
-  network->partitions().IsolateSite(0, 3, clock.Now(),
-                                    clock.Now() + Seconds(60));
+  rig.network().partitions().IsolateSite(0, 3, clock.Now(),
+                                         clock.Now() + Seconds(60));
   int64_t ok = 0, total = 0;
   for (int i = 0; i < 600; ++i) {
     clock.Advance(Millis(100));

@@ -6,10 +6,7 @@
 // places the design decisions on those arrows: FE transactions end up PA/EL,
 // PS transactions PC/EC — reproduced here from live measurements.
 
-#include <memory>
-
 #include "common/table.h"
-#include "replication/replica_set.h"
 #include "replication/write_builder.h"
 #include "telecom/front_end.h"
 #include "telecom/provisioning.h"
@@ -36,23 +33,13 @@ std::pair<MicroDuration, MicroDuration> MeasureFA() {
   int idx = 0;
   for (auto mode : {replication::SyncMode::kAsync,
                     replication::SyncMode::kQuorum}) {
-    sim::SimClock clock;
-    auto network = std::make_unique<sim::Network>(sim::Topology(3), &clock);
-    std::vector<std::unique_ptr<storage::StorageElement>> ses;
-    std::vector<storage::StorageElement*> ptrs;
-    for (uint32_t s = 0; s < 3; ++s) {
-      storage::StorageElementConfig cfg;
-      cfg.site = s;
-      ses.push_back(std::make_unique<storage::StorageElement>(cfg, &clock, s));
-      ptrs.push_back(ses.back().get());
-    }
     replication::ReplicaSetConfig cfg;
     cfg.sync_mode = mode;
-    replication::ReplicaSet rs(cfg, ptrs, network.get());
-    clock.AdvanceTo(Seconds(1));
+    workload::ReplicaRig rig(cfg);
+    rig.clock().AdvanceTo(Seconds(1));
     replication::WriteBuilder wb;
     wb.Set(1, "a", int64_t{1});
-    lat[idx++] = rs.Write(0, std::move(wb).Build()).latency;
+    lat[idx++] = rig.set().Write(0, std::move(wb).Build()).latency;
   }
   return {lat[0], lat[1]};
 }

@@ -9,42 +9,19 @@
 //     conflicts left for manual resolution;
 //   * the convergence guarantee: all replicas identical after restoration.
 
-#include <memory>
-
 #include "common/rng.h"
 #include "common/table.h"
-#include "replication/replica_set.h"
 #include "replication/write_builder.h"
+#include "workload/testbed.h"
 
 using namespace udr;
 using replication::MergePolicy;
 using replication::PartitionMode;
-using replication::ReplicaSet;
 using replication::ReplicaSetConfig;
 using replication::RestorationReport;
 using replication::WriteBuilder;
 
 namespace {
-
-struct Harness {
-  sim::SimClock clock;
-  std::unique_ptr<sim::Network> network;
-  std::vector<std::unique_ptr<storage::StorageElement>> ses;
-  std::unique_ptr<ReplicaSet> rs;
-
-  explicit Harness(ReplicaSetConfig cfg) {
-    network = std::make_unique<sim::Network>(sim::Topology(3), &clock);
-    std::vector<storage::StorageElement*> ptrs;
-    for (uint32_t s = 0; s < 3; ++s) {
-      storage::StorageElementConfig se_cfg;
-      se_cfg.site = s;
-      ses.push_back(
-          std::make_unique<storage::StorageElement>(se_cfg, &clock, s));
-      ptrs.push_back(ses.back().get());
-    }
-    rs = std::make_unique<ReplicaSet>(cfg, ptrs, network.get());
-  }
-};
 
 struct PartitionEpisode {
   int64_t attempted = 0;
@@ -65,44 +42,44 @@ PartitionEpisode RunEpisode(PartitionMode mode, MergePolicy policy,
   ReplicaSetConfig cfg;
   cfg.partition_mode = mode;
   cfg.merge_policy = policy;
-  Harness h(cfg);
+  workload::ReplicaRig rig(cfg);
   Rng rng(seed);
   const int kKeys = 50;
 
-  h.clock.AdvanceTo(Seconds(1));
+  rig.clock().AdvanceTo(Seconds(1));
   for (int k = 0; k < kKeys; ++k) {
     WriteBuilder wb;
     wb.Set(static_cast<storage::RecordKey>(k), "cfu", std::string("+0"));
-    h.rs->Write(0, std::move(wb).Build());
+    rig.set().Write(0, std::move(wb).Build());
   }
-  h.clock.Advance(Seconds(1));
-  h.rs->CatchUpAll();
+  rig.clock().Advance(Seconds(1));
+  rig.set().CatchUpAll();
 
   // Partition site 2 away; clients on both sides write for the duration.
-  MicroTime cut = h.clock.Now();
-  h.network->partitions().IsolateSite(2, 3, cut, cut + partition_len);
+  MicroTime cut = rig.clock().Now();
+  rig.network().partitions().IsolateSite(2, 3, cut, cut + partition_len);
   PartitionEpisode ep;
   MicroDuration gap = Millis(100);
-  while (h.clock.Now() < cut + partition_len) {
-    h.clock.Advance(gap);
+  while (rig.clock().Now() < cut + partition_len) {
+    rig.clock().Advance(gap);
     sim::SiteId side = rng.Bernoulli(0.5) ? 0 : 2;  // Both sides write.
     WriteBuilder wb;
     wb.Set(static_cast<storage::RecordKey>(rng.Uniform(kKeys)), "cfu",
            std::string("+") + std::to_string(rng.Uniform(1000000)));
-    auto w = h.rs->Write(side, std::move(wb).Build());
+    auto w = rig.set().Write(side, std::move(wb).Build());
     ++ep.attempted;
     if (w.status.ok()) ++ep.accepted;
     if (w.diverged) ++ep.diverged;
   }
   // Heal + restore.
-  h.clock.AdvanceTo(cut + partition_len + Seconds(1));
-  ep.restoration = h.rs->RestoreConsistency();
-  h.rs->ForceSyncAll();
+  rig.clock().AdvanceTo(cut + partition_len + Seconds(1));
+  ep.restoration = rig.set().RestoreConsistency();
+  rig.set().ForceSyncAll();
   // Convergence check.
   for (int k = 0; k < kKeys; ++k) {
-    const storage::Record* r0 = h.rs->replica_store(0).Find(k);
+    const storage::Record* r0 = rig.set().replica_store(0).Find(k);
     for (uint32_t rep = 1; rep < 3; ++rep) {
-      const storage::Record* rr = h.rs->replica_store(rep).Find(k);
+      const storage::Record* rr = rig.set().replica_store(rep).Find(k);
       if ((r0 == nullptr) != (rr == nullptr) ||
           (r0 != nullptr && !(*r0 == *rr))) {
         ep.converged = false;

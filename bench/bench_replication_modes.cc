@@ -10,11 +10,9 @@
 // Expected shape: latency ASYNC < DUAL_SEQ <= QUORUM; loss ASYNC > 0,
 // DUAL_SEQ = QUORUM = 0.
 
-#include <memory>
-
 #include "common/table.h"
-#include "replication/replica_set.h"
 #include "replication/write_builder.h"
+#include "workload/testbed.h"
 
 using namespace udr;
 
@@ -29,25 +27,16 @@ struct ModeTrial {
 
 ModeTrial RunTrial(replication::SyncMode mode, MicroDuration backbone_one_way,
                    bool crash_master) {
-  sim::SimClock clock;
   sim::LatencyConfig lc;
   lc.backbone_one_way = backbone_one_way;
-  auto network = std::make_unique<sim::Network>(sim::Topology(3, lc), &clock);
-  std::vector<std::unique_ptr<storage::StorageElement>> ses;
-  std::vector<storage::StorageElement*> ptrs;
-  for (uint32_t s = 0; s < 3; ++s) {
-    storage::StorageElementConfig cfg;
-    cfg.site = s;
-    cfg.name = "se-" + std::to_string(s);
-    ses.push_back(std::make_unique<storage::StorageElement>(cfg, &clock, s));
-    ptrs.push_back(ses.back().get());
-  }
   replication::ReplicaSetConfig cfg;
   cfg.sync_mode = mode;
   // The async shipper batches entries for 10ms before sending: the window a
   // master crash can eat acknowledged transactions from (§3.3.1).
   cfg.async_ship_delay = Millis(10);
-  replication::ReplicaSet rs(cfg, ptrs, network.get());
+  workload::ReplicaRig rig(cfg, 3, lc);
+  sim::SimClock& clock = rig.clock();
+  replication::ReplicaSet& rs = rig.set();
 
   ModeTrial trial;
   MicroDuration total_latency = 0;

@@ -6,12 +6,10 @@
 // and the replication distance: stale-read probability grows with
 // write_rate x lag, and is exactly zero for master-only (PS-style) reads.
 
-#include <memory>
-
 #include "common/rng.h"
 #include "common/table.h"
-#include "replication/replica_set.h"
 #include "replication/write_builder.h"
+#include "workload/testbed.h"
 
 using namespace udr;
 
@@ -28,20 +26,11 @@ struct StaleTrial {
 
 StaleTrial RunTrial(double writes_per_sec, MicroDuration backbone_one_way,
                     replication::ReadPreference pref, uint64_t seed) {
-  sim::SimClock clock;
   sim::LatencyConfig lc;
   lc.backbone_one_way = backbone_one_way;
-  auto network = std::make_unique<sim::Network>(sim::Topology(3, lc), &clock);
-  std::vector<std::unique_ptr<storage::StorageElement>> ses;
-  std::vector<storage::StorageElement*> ptrs;
-  for (uint32_t s = 0; s < 3; ++s) {
-    storage::StorageElementConfig cfg;
-    cfg.site = s;
-    ses.push_back(std::make_unique<storage::StorageElement>(cfg, &clock, s));
-    ptrs.push_back(ses.back().get());
-  }
-  replication::ReplicaSet rs(replication::ReplicaSetConfig(), ptrs,
-                             network.get());
+  workload::ReplicaRig rig(replication::ReplicaSetConfig(), 3, lc);
+  sim::SimClock& clock = rig.clock();
+  replication::ReplicaSet& rs = rig.set();
   Rng rng(seed);
   const int kKeys = 20;
 

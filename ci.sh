@@ -66,10 +66,10 @@ print_summary() {
 }
 trap print_summary EXIT
 
-# Every bench target the smoke stage requires to exist (the glob below runs
-# whatever is built, but a bench silently falling out of the build is a CI
-# failure — and tools/lint_invariants.py cross-checks this list against
-# bench/bench_*.cc, so adding a bench without listing it here fails the lint).
+# Every bench the smoke stage builds and runs. A bench silently falling out
+# of the build is a CI failure, and a stale binary of a deleted bench is not
+# run. tools/lint_invariants.py cross-checks this list against
+# bench/bench_*.cc, so adding a bench without listing it here fails the lint.
 REQUIRED_BENCHES=(
   bench_ablation
   bench_batch_pipeline
@@ -86,7 +86,6 @@ REQUIRED_BENCHES=(
   bench_partition_availability
   bench_pre_udc
   bench_ps_backlog
-  bench_record_layout
   bench_replication_modes
   bench_scaleout
   bench_scenarios
@@ -159,19 +158,17 @@ done
 # The self-checking benches emit machine-readable result files for the bench
 # trajectory; point them into the build tree and verify they appear.
 export UDR_BENCH_JSON_PATH="${PWD}/build-release/BENCH_migration.json"
-export UDR_BENCH_RECORD_LAYOUT_JSON="${PWD}/build-release/BENCH_record_layout.json"
 export UDR_BENCH_SHARDED_SCALE_JSON="${PWD}/build-release/BENCH_sharded_scale.json"
 export UDR_BENCH_HEAT_TIER_JSON="${PWD}/build-release/BENCH_heat_tier.json"
 export UDR_BENCH_SCENARIOS_JSON="${PWD}/build-release/BENCH_scenarios.json"
 export UDR_BENCH_OBS_OVERHEAD_JSON="${PWD}/build-release/BENCH_obs_overhead.json"
 export UDR_OBS_TRACE_JSON="${PWD}/build-release/obs_trace.json"
-rm -f "${UDR_BENCH_JSON_PATH}" "${UDR_BENCH_RECORD_LAYOUT_JSON}" \
-      "${UDR_BENCH_SHARDED_SCALE_JSON}" "${UDR_BENCH_HEAT_TIER_JSON}" \
-      "${UDR_BENCH_SCENARIOS_JSON}" "${UDR_BENCH_OBS_OVERHEAD_JSON}" \
-      "${UDR_OBS_TRACE_JSON}"
+rm -f "${UDR_BENCH_JSON_PATH}" "${UDR_BENCH_SHARDED_SCALE_JSON}" \
+      "${UDR_BENCH_HEAT_TIER_JSON}" "${UDR_BENCH_SCENARIOS_JSON}" \
+      "${UDR_BENCH_OBS_OVERHEAD_JSON}" "${UDR_OBS_TRACE_JSON}"
 bench_failed=0
-for bench in build-release/bench/bench_*; do
-  [[ -x "${bench}" ]] || continue
+for required in "${REQUIRED_BENCHES[@]}"; do
+  bench="build-release/bench/${required}"
   echo "-- ${bench}"
   out="$("${bench}" 2>&1)" || {
     echo "${out}"
@@ -191,9 +188,9 @@ if [[ "${bench_failed}" != 0 ]]; then
   echo "== benchmark smoke: FAILED =="
   exit 1
 fi
-for json in "${UDR_BENCH_JSON_PATH}" "${UDR_BENCH_RECORD_LAYOUT_JSON}" \
-            "${UDR_BENCH_SHARDED_SCALE_JSON}" "${UDR_BENCH_HEAT_TIER_JSON}" \
-            "${UDR_BENCH_SCENARIOS_JSON}" "${UDR_BENCH_OBS_OVERHEAD_JSON}"; do
+for json in "${UDR_BENCH_JSON_PATH}" "${UDR_BENCH_SHARDED_SCALE_JSON}" \
+            "${UDR_BENCH_HEAT_TIER_JSON}" "${UDR_BENCH_SCENARIOS_JSON}" \
+            "${UDR_BENCH_OBS_OVERHEAD_JSON}"; do
   if [[ ! -s "${json}" ]]; then
     echo "SMOKE FAILED: benchmark did not emit ${json}"
     exit 1

@@ -6,17 +6,11 @@
 namespace udr::storage {
 namespace {
 
-// Byte-model constants. The packed side charges what the structures actually
-// occupy (sizeof-based, contiguous entries amortize one allocation); the map
-// side charges what libstdc++'s std::map<std::string, Attribute> costs per
-// attribute: a red-black-tree node header (parent/left/right + color, padded)
-// plus its allocation header, plus the std::string name object — the per-
-// attribute overheads the packed layout eliminates.
-constexpr int64_t kAllocHeader = 16;       // malloc bookkeeping per allocation.
-constexpr int64_t kRbNodeHeader = 40;      // _Rb_tree_node_base + padding.
-constexpr int64_t kStringObject = 32;      // sizeof(std::string), SSO buffer.
-constexpr int64_t kStringSso = 15;         // chars held inline by SSO.
-constexpr int64_t kMapRecordOverhead = 64; // map object + version + index slot.
+// Byte-model constants: what the structures actually occupy (sizeof-based;
+// contiguous entries amortize one allocation).
+constexpr int64_t kAllocHeader = 16;   // malloc bookkeeping per allocation.
+constexpr int64_t kStringObject = 32;  // sizeof(std::string), SSO buffer.
+constexpr int64_t kStringSso = 15;     // chars held inline by SSO.
 // Packed record: vector object + version + hash-index slot share. Entry
 // storage is charged per entry below.
 constexpr int64_t kPackedRecordOverhead = 48;
@@ -299,25 +293,6 @@ void Record::ForEachAttribute(
   }
 }
 
-// lint:allow(storage-string-map): legacy-form shim, see record.h.
-std::map<std::string, Attribute> Record::ToMap() const {
-  // lint:allow(storage-string-map): legacy-form shim, see record.h.
-  std::map<std::string, Attribute> out;
-  for (const PackedAttr& e : entries()) {
-    out.emplace(std::string(AttrPool::Global().NameOf(e.name_id)), e.attr);
-  }
-  return out;
-}
-
-// lint:allow(storage-string-map): legacy-form shim, see record.h.
-Record Record::FromMap(const std::map<std::string, Attribute>& attrs) {
-  Record r;
-  for (const auto& [name, attr] : attrs) {
-    r.Set(name, attr.value, attr.modified_at, attr.writer);
-  }
-  return r;
-}
-
 MicroTime Record::LastModified() const {
   MicroTime latest = 0;
   for (const PackedAttr& e : entries()) {
@@ -346,20 +321,6 @@ int64_t Record::CacheFootprintBytes() const {
   // The cached copy pays the record's own packed footprint plus the cache's
   // per-entry bookkeeping (LRU list node + hash index slot + epoch tag).
   return ApproxBytes() + kCacheEntryOverhead;
-}
-
-int64_t Record::MapLayoutBytes() const {
-  int64_t total = kMapRecordOverhead;
-  for (const PackedAttr& e : entries()) {
-    std::string_view name = AttrPool::Global().NameOf(e.name_id);
-    total += kRbNodeHeader + kAllocHeader + kStringObject;
-    if (static_cast<int64_t>(name.size()) > kStringSso) {
-      total += static_cast<int64_t>(name.size()) + 1 + kAllocHeader;
-    }
-    total += static_cast<int64_t>(sizeof(Attribute));
-    total += ValueHeapBytes(e.attr.value);
-  }
-  return total;
 }
 
 }  // namespace udr::storage

@@ -36,9 +36,6 @@
 //
 // ApproxBytes() is O(1): the block caches the heap bytes of its values, and
 // the result equals the packed footprint re-summed entry by entry.
-// MapLayoutBytes() models what the legacy std::map<std::string, Attribute>
-// layout would cost, for the bytes/subscriber comparison benchmark
-// (bench_record_layout).
 
 #ifndef UDR_STORAGE_RECORD_H_
 #define UDR_STORAGE_RECORD_H_
@@ -46,7 +43,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -193,18 +189,9 @@ class Record {
   void Reserve(size_t n);
 
   /// Iterates attributes as (name, attribute) pairs, resolving names through
-  /// the pool (replaces the old std::map accessor for serialization layers).
+  /// the pool (for serialization layers).
   void ForEachAttribute(
       const std::function<void(std::string_view, const Attribute&)>& fn) const;
-
-  /// Unpacks into the legacy map form (tests / equivalence checks): a
-  /// deliberate boundary shim — the packed layout's equivalence tests
-  /// round-trip through the legacy form; no storage data path stores it.
-  // lint:allow(storage-string-map): boundary shim, see doc comment above.
-  std::map<std::string, Attribute> ToMap() const;
-  /// Packs a legacy map form back into a record (version 0).
-  // lint:allow(storage-string-map): same boundary shim as ToMap().
-  static Record FromMap(const std::map<std::string, Attribute>& attrs);
 
   uint64_t version() const { return version_; }
   void set_version(uint64_t v) { version_ = static_cast<uint32_t>(v); }
@@ -232,12 +219,6 @@ class Record {
   /// node, index slot, epoch tag). The cache's byte budget is denominated in
   /// this, so capacity maps to real RAM and not just payload bytes.
   int64_t CacheFootprintBytes() const;
-
-  /// What the legacy std::map<std::string, Attribute> layout would cost for
-  /// this record's content: per-attribute red-black-tree node + allocation
-  /// header + name string object (+ its heap spill) on top of the same
-  /// attribute payload. The baseline for bench_record_layout.
-  int64_t MapLayoutBytes() const;
 
   bool operator==(const Record& o) const;  // Version excluded: content.
 

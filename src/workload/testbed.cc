@@ -2,8 +2,40 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 
 namespace udr::workload {
+namespace {
+
+std::vector<std::unique_ptr<storage::StorageElement>> OnePerSite(
+    uint32_t sites, sim::SimClock* clock) {
+  std::vector<std::unique_ptr<storage::StorageElement>> ses;
+  for (uint32_t s = 0; s < sites; ++s) {
+    storage::StorageElementConfig cfg;
+    cfg.name = "se-" + std::to_string(s);
+    cfg.site = s;
+    ses.push_back(std::make_unique<storage::StorageElement>(cfg, clock, s));
+  }
+  return ses;
+}
+
+std::vector<storage::StorageElement*> FirstN(
+    const std::vector<std::unique_ptr<storage::StorageElement>>& ses,
+    uint32_t n) {
+  std::vector<storage::StorageElement*> out;
+  for (uint32_t i = 0; i < (n == 0 ? ses.size() : n); ++i) {
+    out.push_back(ses[i].get());
+  }
+  return out;
+}
+
+}  // namespace
+
+ReplicaRig::ReplicaRig(replication::ReplicaSetConfig config, uint32_t sites,
+                       sim::LatencyConfig latency, uint32_t replicas)
+    : network_(sim::Topology(sites, latency), &clock_),
+      ses_(OnePerSite(sites, &clock_)),
+      set_(std::move(config), FirstN(ses_, replicas), &network_) {}
 
 Testbed::Testbed(TestbedOptions opts)
     : opts_(opts), factory_(opts.seed) {

@@ -2,14 +2,20 @@
 // the benchmark harness. One call builds the topology, network, UDR NF with
 // one blade cluster per site, commissions partitions and (optionally)
 // pre-provisions a subscriber population.
+//
+// ReplicaRig: the same for one replica set driven directly, without a UDR
+// NF: a clock, a network, one storage element per site and the set.
 
 #ifndef UDR_WORKLOAD_TESTBED_H_
 #define UDR_WORKLOAD_TESTBED_H_
 
 #include <memory>
 #include <optional>
+#include <vector>
 
+#include "replication/replica_set.h"
 #include "sim/network.h"
+#include "storage/storage_element.h"
 #include "telecom/subscriber.h"
 #include "udr/udr_nf.h"
 
@@ -71,6 +77,33 @@ class Testbed {
   std::unique_ptr<sim::Network> network_;
   std::unique_ptr<udrnf::UdrNf> udr_;
   telecom::SubscriberFactory factory_;
+};
+
+/// One replica set on its own clock and network. Site `s` hosts storage
+/// element `s` (named "se-s", SE index `s`, default config); the set spans
+/// the first `replicas` elements (0 = all of them), mastered by element 0.
+/// The elements past `replicas` stay empty, e.g. as a migration target.
+class ReplicaRig {
+ public:
+  explicit ReplicaRig(replication::ReplicaSetConfig config,
+                      uint32_t sites = 3,
+                      sim::LatencyConfig latency = sim::LatencyConfig(),
+                      uint32_t replicas = 0);
+  ReplicaRig(const ReplicaRig&) = delete;
+  ReplicaRig& operator=(const ReplicaRig&) = delete;
+
+  sim::SimClock& clock() { return clock_; }
+  sim::Network& network() { return network_; }
+  replication::ReplicaSet& set() { return set_; }
+  storage::StorageElement& se(uint32_t s) { return *ses_[s]; }
+
+ private:
+  // Declaration order is destruction order reversed: the set goes before
+  // the elements it points at, and those before the network and clock.
+  sim::SimClock clock_;
+  sim::Network network_;
+  std::vector<std::unique_ptr<storage::StorageElement>> ses_;
+  replication::ReplicaSet set_;
 };
 
 }  // namespace udr::workload

@@ -33,6 +33,11 @@
 // master's records (storage::CatchUpRange) instead of rebuilding each one
 // from its 18 upserts, so the catch-up allocates for its tables, not per
 // record.
+//
+// Lookup: Record::Find(string_view) resolves the name through the attribute
+// pool and binary-searches the entries, and FindById skips the pool, so
+// neither allocates (a std::string key would, for the profile's names
+// longer than the short-string buffer).
 
 #include <gtest/gtest.h>
 
@@ -49,6 +54,8 @@
 #include "ldap/dn.h"
 #include "ldap/message.h"
 #include "replication/replica_set.h"
+#include "storage/attr_pool.h"
+#include "storage/record.h"
 #include "telecom/front_end.h"
 #include "telecom/subscriber.h"
 #include "workload/testbed.h"
@@ -317,6 +324,30 @@ TEST(CatchUpAllocTest, AdoptingCatchUpAllocatesAtMostOncePerRecord) {
               "CatchUpAllPartitions", per_record,
               static_cast<long long>(records));
   EXPECT_LE(per_record, 1.0);
+}
+
+TEST(LookupAllocTest, PackedLookupsAllocateNothing) {
+  const storage::Record profile =
+      telecom::SubscriberFactory(42).Make(0).profile;
+  std::vector<std::string_view> names;
+  std::vector<storage::AttrId> ids;
+  for (const storage::PackedAttr& e : profile.entries()) {
+    names.push_back(storage::AttrNameOf(e.name_id));
+    ids.push_back(e.name_id);
+  }
+  ASSERT_FALSE(names.empty());
+  int64_t found = 0;
+  const int64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < kCalls; ++i) {
+    for (size_t n = 0; n < names.size(); ++n) {
+      found += profile.Find(names[n]) != nullptr;
+      found += profile.FindById(ids[n]) != nullptr;
+    }
+  }
+  const int64_t allocations =
+      g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(found, 2 * kCalls * static_cast<int64_t>(names.size()));
+  EXPECT_EQ(allocations, 0);
 }
 
 }  // namespace

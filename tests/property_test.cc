@@ -189,21 +189,11 @@ class ReplicationConvergence
 
 TEST_P(ReplicationConvergence, UpReplicasEqualMasterAfterQuiescence) {
   const ConvergenceParam param = GetParam();
-  sim::SimClock clock;
-  auto network = std::make_unique<sim::Network>(
-      sim::Topology(static_cast<uint32_t>(param.replicas)), &clock);
-  std::vector<std::unique_ptr<storage::StorageElement>> ses;
-  std::vector<storage::StorageElement*> ptrs;
-  for (int s = 0; s < param.replicas; ++s) {
-    storage::StorageElementConfig cfg;
-    cfg.site = static_cast<sim::SiteId>(s);
-    ses.push_back(std::make_unique<storage::StorageElement>(
-        cfg, &clock, static_cast<uint32_t>(s)));
-    ptrs.push_back(ses.back().get());
-  }
   replication::ReplicaSetConfig cfg;
   cfg.sync_mode = param.sync;
-  replication::ReplicaSet rs(cfg, ptrs, network.get());
+  workload::ReplicaRig rig(cfg, static_cast<uint32_t>(param.replicas));
+  sim::SimClock& clock = rig.clock();
+  replication::ReplicaSet& rs = rig.set();
   Rng rng(param.seed);
 
   clock.AdvanceTo(Seconds(1));
@@ -214,8 +204,8 @@ TEST_P(ReplicationConvergence, UpReplicasEqualMasterAfterQuiescence) {
     if (rng.Bernoulli(0.08) && param.replicas > 1) {
       sim::SiteId a = static_cast<sim::SiteId>(rng.Uniform(param.replicas));
       sim::SiteId b = static_cast<sim::SiteId>(rng.Uniform(param.replicas));
-      network->partitions().CutLink(a, b, clock.Now(),
-                                    clock.Now() + Seconds(2));
+      rig.network().partitions().CutLink(a, b, clock.Now(),
+                                         clock.Now() + Seconds(2));
     }
     replication::WriteBuilder wb;
     wb.Set(rng.Uniform(10), "v", static_cast<int64_t>(step));
@@ -773,21 +763,12 @@ class AckedWriteProperty : public ::testing::TestWithParam<uint64_t> {
   static constexpr uint32_t kSites = 5;
 
   void Build(replication::ReplicaSetConfig cfg) {
-    sim::LatencyConfig lc;
-    lc.backbone_one_way = Millis(15);
-    network_ = std::make_unique<sim::Network>(sim::Topology(kSites, lc),
-                                              &clock_);
-    std::vector<storage::StorageElement*> ptrs;
-    for (uint32_t s = 0; s < kSites; ++s) {
-      storage::StorageElementConfig se_cfg;
-      se_cfg.site = s;
-      ses_.push_back(
-          std::make_unique<storage::StorageElement>(se_cfg, &clock_, s));
-      ptrs.push_back(ses_.back().get());
-    }
-    rs_ = std::make_unique<replication::ReplicaSet>(cfg, ptrs, network_.get());
-    clock_.AdvanceTo(Seconds(1));
+    rig_ = std::make_unique<workload::ReplicaRig>(cfg, kSites);
+    clock().AdvanceTo(Seconds(1));
   }
+
+  sim::SimClock& clock() { return rig_->clock(); }
+  replication::ReplicaSet& rs() { return rig_->set(); }
 
   /// Writes a fresh key from a random site; ledgers it when acked.
   void WriteOne() {
@@ -796,7 +777,7 @@ class AckedWriteProperty : public ::testing::TestWithParam<uint64_t> {
     replication::WriteBuilder wb;
     wb.Set(key, "v", value);
     const auto site = static_cast<sim::SiteId>(rng_.Uniform(kSites));
-    if (rs_->Write(site, std::move(wb).Build()).status.ok()) {
+    if (rs().Write(site, std::move(wb).Build()).status.ok()) {
       ledger_.push_back({key, value});
     }
   }
@@ -813,25 +794,26 @@ class AckedWriteProperty : public ::testing::TestWithParam<uint64_t> {
       if (s != a && s != b) rest.push_back(s);
     }
     const auto outage = Millis(static_cast<int64_t>(100 + rng_.Uniform(5000)));
-    network_->partitions().CutBetween(cut, rest, clock_.Now(),
-                                      clock_.Now() + outage);
+    const MicroTime now = clock().Now();
+    rig_->network().partitions().CutBetween(cut, rest, now, now + outage);
   }
 
   /// A random replica in the wanted state, or -1 when there is none.
   int PickReplica(bool up) {
     std::vector<uint32_t> ids;
-    for (uint32_t id = 0; id < rs_->replica_count(); ++id) {
-      if (rs_->replica_up(id) == up) ids.push_back(id);
+    for (uint32_t id = 0; id < rs().replica_count(); ++id) {
+      if (rs().replica_up(id) == up) ids.push_back(id);
     }
     if (ids.empty()) return -1;
     return static_cast<int>(ids[rng_.Uniform(ids.size())]);
   }
 
   /// The ledger entries whose value the replica's store does not hold.
-  std::vector<size_t> MissingOn(uint32_t replica) const {
+  std::vector<size_t> MissingOn(uint32_t replica) {
     std::vector<size_t> missing;
     for (size_t i = 0; i < ledger_.size(); ++i) {
-      const storage::Record* r = rs_->replica_store(replica).Find(ledger_[i].key);
+      const storage::Record* r =
+          rs().replica_store(replica).Find(ledger_[i].key);
       const auto v = r != nullptr ? r->Get("v") : std::nullopt;
       if (!v.has_value() ||
           !storage::ValueEquals(*v, storage::Value(ledger_[i].value))) {
@@ -847,10 +829,7 @@ class AckedWriteProperty : public ::testing::TestWithParam<uint64_t> {
   };
 
   Rng rng_{GetParam()};
-  sim::SimClock clock_;
-  std::unique_ptr<sim::Network> network_;
-  std::vector<std::unique_ptr<storage::StorageElement>> ses_;
-  std::unique_ptr<replication::ReplicaSet> rs_;
+  std::unique_ptr<workload::ReplicaRig> rig_;
   std::vector<Acked> ledger_;
   storage::RecordKey next_key_ = 1;
 };
@@ -870,12 +849,12 @@ TEST_P(AckedWriteProperty, MajorityModeLosesNoAckedWrite) {
   cfg.async_ship_delay = Seconds(1);
   Build(cfg);
   const auto others_whole = [this, &cfg](uint32_t victim) {
-    clock_.Advance(cfg.async_ship_delay + Millis(16));  // Past one hop.
-    rs_->CatchUpAll();
-    for (uint32_t id = 0; id < rs_->replica_count(); ++id) {
+    clock().Advance(cfg.async_ship_delay + Millis(16));  // Past one hop.
+    rs().CatchUpAll();
+    for (uint32_t id = 0; id < rs().replica_count(); ++id) {
       if (id == victim) continue;
-      if (!rs_->replica_up(id) ||
-          rs_->applied_seq(id) != rs_->log().LastSeq()) {
+      if (!rs().replica_up(id) ||
+          rs().applied_seq(id) != rs().log().LastSeq()) {
         return false;
       }
     }
@@ -884,50 +863,50 @@ TEST_P(AckedWriteProperty, MajorityModeLosesNoAckedWrite) {
   int64_t elections = 0;
   int64_t crashes = 0;
   for (int step = 0; step < 1000; ++step) {
-    clock_.Advance(Millis(static_cast<int64_t>(rng_.Uniform(200))));
-    const uint32_t master = rs_->master_id();
+    clock().Advance(Millis(static_cast<int64_t>(rng_.Uniform(200))));
+    const uint32_t master = rs().master_id();
     const uint64_t action = rng_.Uniform(20);
     if (action < 12) {
       WriteOne();
     } else if (action < 14) {
       const int id = PickReplica(true);
       if (id >= 0 && others_whole(static_cast<uint32_t>(id))) {
-        rs_->CrashReplica(static_cast<uint32_t>(id));
+        rs().CrashReplica(static_cast<uint32_t>(id));
         ++crashes;
       }
     } else if (action < 16) {
       const int id = PickReplica(false);
-      if (id >= 0) rs_->RecoverReplica(static_cast<uint32_t>(id));
+      if (id >= 0) rs().RecoverReplica(static_cast<uint32_t>(id));
     } else if (action < 18) {
       IsolateSites();
     } else if (action < 19) {
-      rs_->CatchUpAll();
+      rs().CatchUpAll();
     } else if (!ledger_.empty()) {  // A master-only read sees its write.
       const Acked& a = ledger_[rng_.Uniform(ledger_.size())];
       const auto site = static_cast<sim::SiteId>(rng_.Uniform(kSites));
-      const replication::ReadResult r = rs_->ReadAttribute(
+      const replication::ReadResult r = rs().ReadAttribute(
           site, a.key, "v", replication::ReadPreference::kMasterOnly);
       if (r.status.ok()) {
         EXPECT_TRUE(storage::ValueEquals(*r.value, storage::Value(a.value)))
             << "step " << step << " key " << a.key;
       }
     }
-    if (rs_->master_id() != master) ++elections;
-    if (rs_->replica_up(rs_->master_id())) {
-      ASSERT_TRUE(MissingOn(rs_->master_id()).empty()) << "step " << step;
+    if (rs().master_id() != master) ++elections;
+    if (rs().replica_up(rs().master_id())) {
+      ASSERT_TRUE(MissingOn(rs().master_id()).empty()) << "step " << step;
     }
   }
   // Heal everything, bring every replica back, and let one write elect a
   // master if the last one is still down.
-  clock_.Advance(Seconds(60));
-  for (uint32_t id = 0; id < rs_->replica_count(); ++id) {
-    if (!rs_->replica_up(id)) rs_->RecoverReplica(id);
+  clock().Advance(Seconds(60));
+  for (uint32_t id = 0; id < rs().replica_count(); ++id) {
+    if (!rs().replica_up(id)) rs().RecoverReplica(id);
   }
   WriteOne();
   ASSERT_FALSE(ledger_.empty());
   EXPECT_EQ(ledger_.back().key, next_key_ - 1) << "the final write failed";
-  EXPECT_TRUE(MissingOn(rs_->master_id()).empty());
-  EXPECT_FALSE(rs_->HasDivergence());
+  EXPECT_TRUE(MissingOn(rs().master_id()).empty());
+  EXPECT_FALSE(rs().HasDivergence());
   // The schedule really crashed replicas, held elections and acked writes.
   EXPECT_GT(crashes, 0);
   EXPECT_GT(elections, 0);
@@ -947,10 +926,10 @@ TEST_P(AckedWriteProperty, AsyncFailoverReportsEveryLostAckedWrite) {
   int64_t failovers = 0;
   int64_t lost = 0;
   const auto fail_over = [&](int step) {
-    auto fo = rs_->FailOver();
+    auto fo = rs().FailOver();
     if (!fo.ok()) return;  // No survivor yet; retried after a recovery.
     ++failovers;
-    const std::vector<size_t> missing = MissingOn(rs_->master_id());
+    const std::vector<size_t> missing = MissingOn(rs().master_id());
     EXPECT_EQ(fo->lost_transactions, static_cast<int64_t>(missing.size()))
         << "step " << step;
     lost += static_cast<int64_t>(missing.size());
@@ -960,34 +939,34 @@ TEST_P(AckedWriteProperty, AsyncFailoverReportsEveryLostAckedWrite) {
     }
   };
   for (int step = 0; step < 600; ++step) {
-    clock_.Advance(Millis(static_cast<int64_t>(rng_.Uniform(40))));
+    clock().Advance(Millis(static_cast<int64_t>(rng_.Uniform(40))));
     const uint64_t action = rng_.Uniform(20);
     if (action < 13) {
       WriteOne();
     } else if (action < 15) {
       const int id = PickReplica(true);
-      if (id >= 0) rs_->CrashReplica(static_cast<uint32_t>(id));
+      if (id >= 0) rs().CrashReplica(static_cast<uint32_t>(id));
     } else if (action < 17) {
       const int id = PickReplica(false);
-      if (id >= 0) rs_->RecoverReplica(static_cast<uint32_t>(id));
+      if (id >= 0) rs().RecoverReplica(static_cast<uint32_t>(id));
     } else if (action < 18) {
       IsolateSites();
     } else {
-      rs_->CatchUpAll();
+      rs().CatchUpAll();
     }
-    if (!rs_->replica_up(rs_->master_id())) fail_over(step);
+    if (!rs().replica_up(rs().master_id())) fail_over(step);
   }
   // Every write still in the ledger is on the final master.
-  clock_.Advance(Seconds(60));
-  if (!rs_->replica_up(rs_->master_id())) {
-    for (uint32_t id = 0; id < rs_->replica_count(); ++id) {
-      if (!rs_->replica_up(id) && id != rs_->master_id()) {
-        rs_->RecoverReplica(id);
+  clock().Advance(Seconds(60));
+  if (!rs().replica_up(rs().master_id())) {
+    for (uint32_t id = 0; id < rs().replica_count(); ++id) {
+      if (!rs().replica_up(id) && id != rs().master_id()) {
+        rs().RecoverReplica(id);
       }
     }
     fail_over(600);
   }
-  EXPECT_TRUE(MissingOn(rs_->master_id()).empty());
+  EXPECT_TRUE(MissingOn(rs().master_id()).empty());
   // The schedule really lost writes through failovers.
   EXPECT_GT(failovers, 0);
   EXPECT_GT(lost, 0);

@@ -8,11 +8,10 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "replication/replica_set.h"
 #include "replication/write_builder.h"
-#include "sim/network.h"
+#include "workload/testbed.h"
 
 namespace udr::replication {
 
@@ -26,40 +25,29 @@ class ReplicaSetTest : public ::testing::Test {
     sim::LatencyConfig lc;
     lc.lan_one_way = Micros(100);
     lc.backbone_one_way = Millis(15);
-    network_ =
-        std::make_unique<sim::Network>(sim::Topology(sites, lc), &clock_);
-    ses_.clear();
-    std::vector<storage::StorageElement*> ptrs;
-    for (uint32_t s = 0; s < sites; ++s) {
-      storage::StorageElementConfig se_cfg;
-      se_cfg.name = "se-" + std::to_string(s);
-      se_cfg.site = s;
-      ses_.push_back(
-          std::make_unique<storage::StorageElement>(se_cfg, &clock_, s));
-      ptrs.push_back(ses_.back().get());
-    }
-    rs_ = std::make_unique<ReplicaSet>(cfg, ptrs, network_.get());
+    rig_ = std::make_unique<workload::ReplicaRig>(cfg, sites, lc);
   }
+
+  sim::SimClock& clock() { return rig_->clock(); }
+  sim::Network& network() { return rig_->network(); }
+  ReplicaSet& rs() { return rig_->set(); }
 
   WriteResult Put(sim::SiteId from, storage::RecordKey key,
                   const std::string& attr, storage::Value v) {
     WriteBuilder wb;
     wb.Set(key, attr, std::move(v));
-    return rs_->Write(from, std::move(wb).Build());
+    return rs().Write(from, std::move(wb).Build());
   }
 
   std::string ValueAt(uint32_t replica, storage::RecordKey key,
                       const std::string& attr) {
-    const storage::Record* r = rs_->replica_store(replica).Find(key);
+    const storage::Record* r = rs().replica_store(replica).Find(key);
     if (r == nullptr) return "<norec>";
     auto v = r->Get(attr);
     return v.has_value() ? storage::ValueToString(*v) : "<noattr>";
   }
 
-  sim::SimClock clock_;
-  std::unique_ptr<sim::Network> network_;
-  std::vector<std::unique_ptr<storage::StorageElement>> ses_;
-  std::unique_ptr<ReplicaSet> rs_;
+  std::unique_ptr<workload::ReplicaRig> rig_;
 };
 
 }  // namespace udr::replication

@@ -26,7 +26,7 @@ using storage::ValueToString;
 // ---------------------------------------------------------------------------
 
 TEST_F(ReplicaSetTest, WriteAppliesOnMasterImmediately) {
-  clock_.AdvanceTo(Seconds(1));
+  clock().AdvanceTo(Seconds(1));
   WriteResult w = Put(0, 1, "a", int64_t{42});
   ASSERT_TRUE(w.status.ok());
   EXPECT_EQ(w.seq, 1u);
@@ -37,47 +37,47 @@ TEST_F(ReplicaSetTest, WriteAppliesOnMasterImmediately) {
 }
 
 TEST_F(ReplicaSetTest, AsyncDeliveryHonorsLatencyHorizon) {
-  clock_.AdvanceTo(Seconds(1));
+  clock().AdvanceTo(Seconds(1));
   Put(0, 1, "a", int64_t{1});
   // Before one backbone one-way (15ms) the entry must not be visible.
-  clock_.Advance(Millis(10));
-  rs_->CatchUpAll();
+  clock().Advance(Millis(10));
+  rs().CatchUpAll();
   EXPECT_EQ(ValueAt(1, 1, "a"), "<norec>");
   // After 15ms it is.
-  clock_.Advance(Millis(6));
-  rs_->CatchUpAll();
+  clock().Advance(Millis(6));
+  rs().CatchUpAll();
   EXPECT_EQ(ValueAt(1, 1, "a"), "1");
-  EXPECT_EQ(rs_->applied_seq(1), 1u);
+  EXPECT_EQ(rs().applied_seq(1), 1u);
 }
 
 TEST_F(ReplicaSetTest, SlaveAppliesInSerializationOrder) {
   // The §3.2 invariant: slave apply order == master commit order.
-  clock_.AdvanceTo(Seconds(1));
+  clock().AdvanceTo(Seconds(1));
   for (int i = 1; i <= 20; ++i) {
     Put(0, 1, "a", static_cast<int64_t>(i));
-    clock_.Advance(Millis(1));
+    clock().Advance(Millis(1));
   }
-  clock_.Advance(Seconds(1));
-  rs_->CatchUp(1);
+  clock().Advance(Seconds(1));
+  rs().CatchUp(1);
   // Final value must be the last committed one; intermediate states applied
   // in order mean version count equals entry count.
   EXPECT_EQ(ValueAt(1, 1, "a"), "20");
-  EXPECT_EQ(rs_->applied_seq(1), 20u);
+  EXPECT_EQ(rs().applied_seq(1), 20u);
 }
 
 TEST_F(ReplicaSetTest, PartialCatchUpStopsAtHorizon) {
-  clock_.AdvanceTo(Seconds(1));
+  clock().AdvanceTo(Seconds(1));
   Put(0, 1, "a", int64_t{1});
-  clock_.Advance(Millis(20));
+  clock().Advance(Millis(20));
   Put(0, 1, "a", int64_t{2});  // Second write at t=1.020s.
-  clock_.Advance(Millis(10));  // Now t=1.030s: first delivered, second not.
-  rs_->CatchUp(1);
+  clock().Advance(Millis(10));  // Now t=1.030s: first delivered, second not.
+  rs().CatchUp(1);
   EXPECT_EQ(ValueAt(1, 1, "a"), "1");
-  EXPECT_EQ(rs_->applied_seq(1), 1u);
+  EXPECT_EQ(rs().applied_seq(1), 1u);
 }
 
 TEST_F(ReplicaSetTest, WriteLatencyIncludesClientLeg) {
-  clock_.AdvanceTo(Seconds(1));
+  clock().AdvanceTo(Seconds(1));
   WriteResult local = Put(0, 1, "a", int64_t{1});
   WriteResult remote = Put(2, 1, "a", int64_t{2});
   // Client at site 2 pays a backbone round trip to the master at site 0.
@@ -89,10 +89,10 @@ TEST_F(ReplicaSetTest, WriteLatencyIncludesClientLeg) {
 // ---------------------------------------------------------------------------
 
 TEST_F(ReplicaSetTest, NearestReadServedByLocalSlave) {
-  clock_.AdvanceTo(Seconds(1));
+  clock().AdvanceTo(Seconds(1));
   Put(0, 1, "a", int64_t{5});
-  clock_.Advance(Seconds(1));
-  ReadResult r = rs_->ReadAttribute(2, 1, "a", ReadPreference::kNearest);
+  clock().Advance(Seconds(1));
+  ReadResult r = rs().ReadAttribute(2, 1, "a", ReadPreference::kNearest);
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(r.served_by, 2u);
   EXPECT_FALSE(r.stale);
@@ -100,37 +100,37 @@ TEST_F(ReplicaSetTest, NearestReadServedByLocalSlave) {
 }
 
 TEST_F(ReplicaSetTest, MasterOnlyReadCrossesBackbone) {
-  clock_.AdvanceTo(Seconds(1));
+  clock().AdvanceTo(Seconds(1));
   Put(0, 1, "a", int64_t{5});
-  ReadResult r = rs_->ReadAttribute(2, 1, "a", ReadPreference::kMasterOnly);
+  ReadResult r = rs().ReadAttribute(2, 1, "a", ReadPreference::kMasterOnly);
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(r.served_by, 0u);
   EXPECT_GT(r.latency, Millis(29));
 }
 
 TEST_F(ReplicaSetTest, SlaveReadIsStaleUntilDelivery) {
-  clock_.AdvanceTo(Seconds(1));
+  clock().AdvanceTo(Seconds(1));
   Put(0, 1, "a", int64_t{1});
-  clock_.Advance(Seconds(1));
-  rs_->CatchUpAll();
+  clock().Advance(Seconds(1));
+  rs().CatchUpAll();
   Put(0, 1, "a", int64_t{2});  // Not yet delivered anywhere.
-  ReadResult r = rs_->ReadAttribute(2, 1, "a", ReadPreference::kNearest);
+  ReadResult r = rs().ReadAttribute(2, 1, "a", ReadPreference::kNearest);
   ASSERT_TRUE(r.status.ok());
   EXPECT_TRUE(r.stale);
   EXPECT_EQ(ValueToString(*r.value), "1");  // Old value.
-  EXPECT_EQ(rs_->stale_reads(), 1);
+  EXPECT_EQ(rs().stale_reads(), 1);
   // Master read is never stale.
-  ReadResult m = rs_->ReadAttribute(2, 1, "a", ReadPreference::kMasterOnly);
+  ReadResult m = rs().ReadAttribute(2, 1, "a", ReadPreference::kMasterOnly);
   EXPECT_FALSE(m.stale);
   EXPECT_EQ(ValueToString(*m.value), "2");
 }
 
 TEST_F(ReplicaSetTest, ReadMissingAttributeIsNotFound) {
-  clock_.AdvanceTo(Seconds(1));
+  clock().AdvanceTo(Seconds(1));
   Put(0, 1, "a", int64_t{1});
-  ReadResult r = rs_->ReadAttribute(0, 1, "zzz", ReadPreference::kMasterOnly);
+  ReadResult r = rs().ReadAttribute(0, 1, "zzz", ReadPreference::kMasterOnly);
   EXPECT_TRUE(r.status.IsNotFound());
-  ReadResult r2 = rs_->ReadAttribute(0, 99, "a", ReadPreference::kMasterOnly);
+  ReadResult r2 = rs().ReadAttribute(0, 99, "a", ReadPreference::kMasterOnly);
   EXPECT_TRUE(r2.status.IsNotFound());
 }
 
@@ -139,45 +139,46 @@ TEST_F(ReplicaSetTest, ReadMissingAttributeIsNotFound) {
 // ---------------------------------------------------------------------------
 
 TEST_F(ReplicaSetTest, CpModeRejectsWritesFromMinoritySide) {
-  clock_.AdvanceTo(Seconds(1));
+  clock().AdvanceTo(Seconds(1));
   Put(0, 1, "a", int64_t{1});
   // Site 2 is cut off from the master's site 0.
-  network_->partitions().CutLink(0, 2, Seconds(2), Seconds(60));
-  clock_.AdvanceTo(Seconds(5));
+  network().partitions().CutLink(0, 2, Seconds(2), Seconds(60));
+  clock().AdvanceTo(Seconds(5));
   WriteResult w = Put(2, 1, "a", int64_t{2});
   EXPECT_TRUE(w.status.IsUnavailable());
-  EXPECT_EQ(rs_->writes_rejected(), 1);
+  EXPECT_EQ(rs().writes_rejected(), 1);
   // Writes from the master side still proceed.
   WriteResult w2 = Put(1, 1, "a", int64_t{3});
   EXPECT_TRUE(w2.status.ok());
 }
 
 TEST_F(ReplicaSetTest, CpModeServesLocalReadsDuringPartition) {
-  clock_.AdvanceTo(Seconds(1));
+  clock().AdvanceTo(Seconds(1));
   Put(0, 1, "a", int64_t{1});
-  clock_.Advance(Seconds(1));
-  rs_->CatchUpAll();
-  network_->partitions().CutLink(0, 2, clock_.Now(), clock_.Now() + Seconds(60));
-  network_->partitions().CutLink(1, 2, clock_.Now(), clock_.Now() + Seconds(60));
-  clock_.Advance(Seconds(5));
+  clock().Advance(Seconds(1));
+  rs().CatchUpAll();
+  const MicroTime now = clock().Now();
+  network().partitions().CutLink(0, 2, now, now + Seconds(60));
+  network().partitions().CutLink(1, 2, now, now + Seconds(60));
+  clock().Advance(Seconds(5));
   // FE at site 2 reads its co-located slave copy: still available.
-  ReadResult r = rs_->ReadAttribute(2, 1, "a", ReadPreference::kNearest);
+  ReadResult r = rs().ReadAttribute(2, 1, "a", ReadPreference::kNearest);
   EXPECT_TRUE(r.status.ok());
   EXPECT_EQ(r.served_by, 2u);
   // Master-only reads from site 2 fail: the PS side of §4.1.
-  ReadResult m = rs_->ReadAttribute(2, 1, "a", ReadPreference::kMasterOnly);
+  ReadResult m = rs().ReadAttribute(2, 1, "a", ReadPreference::kMasterOnly);
   EXPECT_TRUE(m.status.IsUnavailable());
 }
 
 TEST_F(ReplicaSetTest, WritesBlockedDeliverAfterHeal) {
-  clock_.AdvanceTo(Seconds(1));
-  network_->partitions().CutLink(0, 1, Seconds(1), Seconds(10));
+  clock().AdvanceTo(Seconds(1));
+  network().partitions().CutLink(0, 1, Seconds(1), Seconds(10));
   Put(0, 1, "a", int64_t{7});
-  clock_.AdvanceTo(Seconds(5));
-  rs_->CatchUpAll();
+  clock().AdvanceTo(Seconds(5));
+  rs().CatchUpAll();
   EXPECT_EQ(ValueAt(1, 1, "a"), "<norec>");  // Still partitioned.
-  clock_.AdvanceTo(Seconds(10) + Millis(16));
-  rs_->CatchUpAll();
+  clock().AdvanceTo(Seconds(10) + Millis(16));
+  rs().CatchUpAll();
   EXPECT_EQ(ValueAt(1, 1, "a"), "7");  // Delivered after heal + latency.
 }
 
@@ -186,83 +187,83 @@ TEST_F(ReplicaSetTest, WritesBlockedDeliverAfterHeal) {
 // ---------------------------------------------------------------------------
 
 TEST_F(ReplicaSetTest, FailoverLosesUnreplicatedSuffix) {
-  clock_.AdvanceTo(Seconds(1));
+  clock().AdvanceTo(Seconds(1));
   Put(0, 1, "a", int64_t{1});
-  clock_.Advance(Seconds(1));
-  rs_->CatchUpAll();  // Seq 1 everywhere.
+  clock().Advance(Seconds(1));
+  rs().CatchUpAll();  // Seq 1 everywhere.
   Put(0, 1, "a", int64_t{2});
   Put(0, 2, "b", int64_t{3});  // Seqs 2,3 acked but not yet delivered.
-  rs_->CrashReplica(0);
-  clock_.Advance(Seconds(10));  // Past failover detection.
-  auto report = rs_->FailOver();
+  rs().CrashReplica(0);
+  clock().Advance(Seconds(10));  // Past failover detection.
+  auto report = rs().FailOver();
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->old_master, 0u);
   EXPECT_EQ(report->acknowledged_seq, 3u);
   EXPECT_EQ(report->promoted_seq, 1u);
   EXPECT_EQ(report->lost_transactions, 2);
-  EXPECT_EQ(rs_->master_id(), report->new_master);
+  EXPECT_EQ(rs().master_id(), report->new_master);
   // The acked-but-lost write is gone.
-  ReadResult r = rs_->ReadAttribute(1, 1, "a", ReadPreference::kMasterOnly);
+  ReadResult r = rs().ReadAttribute(1, 1, "a", ReadPreference::kMasterOnly);
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(ValueToString(*r.value), "1");
 }
 
 TEST_F(ReplicaSetTest, WriteTriggersFailoverAfterDetectionTimeout) {
-  clock_.AdvanceTo(Seconds(1));
+  clock().AdvanceTo(Seconds(1));
   Put(0, 1, "a", int64_t{1});
-  clock_.Advance(Seconds(1));
-  rs_->CatchUpAll();
-  rs_->CrashReplica(0);
+  clock().Advance(Seconds(1));
+  rs().CatchUpAll();
+  rs().CrashReplica(0);
   // Before detection timeout: Unavailable.
-  clock_.Advance(Seconds(1));
+  clock().Advance(Seconds(1));
   WriteResult early = Put(1, 1, "a", int64_t{2});
   EXPECT_TRUE(early.status.IsUnavailable());
   // After detection timeout: write triggers failover and succeeds.
-  clock_.Advance(Seconds(10));
+  clock().Advance(Seconds(10));
   WriteResult late = Put(1, 1, "a", int64_t{3});
   EXPECT_TRUE(late.status.ok());
-  EXPECT_NE(rs_->master_id(), 0u);
+  EXPECT_NE(rs().master_id(), 0u);
 }
 
 TEST_F(ReplicaSetTest, RecoveredReplicaResyncsFromStream) {
-  clock_.AdvanceTo(Seconds(1));
+  clock().AdvanceTo(Seconds(1));
   Put(0, 1, "a", int64_t{1});
-  clock_.Advance(Seconds(1));
-  rs_->CatchUpAll();
-  rs_->CrashReplica(2);
+  clock().Advance(Seconds(1));
+  rs().CatchUpAll();
+  rs().CrashReplica(2);
   Put(0, 1, "a", int64_t{2});
-  clock_.Advance(Seconds(30));
-  rs_->RecoverReplica(2);
+  clock().Advance(Seconds(30));
+  rs().RecoverReplica(2);
   EXPECT_EQ(ValueAt(2, 1, "a"), "2");
-  EXPECT_EQ(rs_->applied_seq(2), 2u);
+  EXPECT_EQ(rs().applied_seq(2), 2u);
 }
 
 TEST_F(ReplicaSetTest, MasterBackBeforeFailoverReplaysItsLog) {
   ReplicaSetConfig cfg;
   cfg.async_ship_delay = Millis(10);
   Build(cfg);
-  clock_.AdvanceTo(Seconds(1));
+  clock().AdvanceTo(Seconds(1));
   Put(0, 1, "a", int64_t{1});
   // Crash inside the ship window: the entry never left the master's RAM.
-  clock_.Advance(Millis(5));
-  rs_->CrashReplica(0);
-  clock_.Advance(Seconds(1));  // Back before failover_detection elapses.
-  rs_->RecoverReplica(0);
-  EXPECT_EQ(rs_->master_id(), 0u);
-  EXPECT_EQ(rs_->applied_seq(0), 1u);
+  clock().Advance(Millis(5));
+  rs().CrashReplica(0);
+  clock().Advance(Seconds(1));  // Back before failover_detection elapses.
+  rs().RecoverReplica(0);
+  EXPECT_EQ(rs().master_id(), 0u);
+  EXPECT_EQ(rs().applied_seq(0), 1u);
   EXPECT_EQ(ValueAt(0, 1, "a"), "1");
   // The restarted master re-ships what its crash left unshipped.
-  clock_.Advance(Millis(20));
-  rs_->CatchUpAll();
+  clock().Advance(Millis(20));
+  rs().CatchUpAll();
   EXPECT_EQ(ValueAt(1, 1, "a"), "1");
   EXPECT_EQ(ValueAt(2, 1, "a"), "1");
 }
 
 TEST_F(ReplicaSetTest, FailoverFailsWhenNoSurvivor) {
-  rs_->CrashReplica(0);
-  rs_->CrashReplica(1);
-  rs_->CrashReplica(2);
-  auto report = rs_->FailOver();
+  rs().CrashReplica(0);
+  rs().CrashReplica(1);
+  rs().CrashReplica(2);
+  auto report = rs().FailOver();
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.status().IsUnavailable());
 }
@@ -271,22 +272,22 @@ TEST_F(ReplicaSetTest, AsyncShipDelayWidensLossWindow) {
   ReplicaSetConfig cfg;
   cfg.async_ship_delay = Millis(10);
   Build(cfg);
-  clock_.AdvanceTo(Seconds(1));
+  clock().AdvanceTo(Seconds(1));
   Put(0, 1, "a", int64_t{1});
-  clock_.Advance(Seconds(1));
-  rs_->CatchUpAll();  // Seq 1 everywhere.
+  clock().Advance(Seconds(1));
+  rs().CatchUpAll();  // Seq 1 everywhere.
   // Two commits 2ms apart, crash 5ms after the second: both are still in
   // the 10ms shipper batch and die with the master.
   Put(0, 1, "a", int64_t{2});
-  clock_.Advance(Millis(2));
+  clock().Advance(Millis(2));
   Put(0, 1, "a", int64_t{3});
-  clock_.Advance(Millis(5));
-  rs_->CrashReplica(0);
-  clock_.Advance(Seconds(10));
-  auto report = rs_->FailOver();
+  clock().Advance(Millis(5));
+  rs().CrashReplica(0);
+  clock().Advance(Seconds(10));
+  auto report = rs().FailOver();
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->lost_transactions, 2);
-  ReadResult r = rs_->ReadAttribute(1, 1, "a", ReadPreference::kMasterOnly);
+  ReadResult r = rs().ReadAttribute(1, 1, "a", ReadPreference::kMasterOnly);
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(ValueToString(*r.value), "1");
 }
@@ -295,13 +296,13 @@ TEST_F(ReplicaSetTest, ShippedEntriesSurviveTheCrash) {
   ReplicaSetConfig cfg;
   cfg.async_ship_delay = Millis(10);
   Build(cfg);
-  clock_.AdvanceTo(Seconds(1));
+  clock().AdvanceTo(Seconds(1));
   Put(0, 1, "a", int64_t{1});
   // Wait past ship delay + flight time before the crash: the entry left.
-  clock_.Advance(Millis(30));
-  rs_->CrashReplica(0);
-  clock_.Advance(Seconds(10));
-  auto report = rs_->FailOver();
+  clock().Advance(Millis(30));
+  rs().CrashReplica(0);
+  clock().Advance(Seconds(10));
+  auto report = rs().FailOver();
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->lost_transactions, 0);
 }
@@ -314,7 +315,7 @@ TEST_F(ReplicaSetTest, DualSequenceAppliesSynchronouslyToOneSlave) {
   ReplicaSetConfig cfg;
   cfg.sync_mode = SyncMode::kDualSequence;
   Build(cfg);
-  clock_.AdvanceTo(Seconds(1));
+  clock().AdvanceTo(Seconds(1));
   WriteResult w = Put(0, 1, "a", int64_t{1});
   ASSERT_TRUE(w.status.ok());
   EXPECT_FALSE(w.degraded);
@@ -328,25 +329,25 @@ TEST_F(ReplicaSetTest, DualSequenceDegradesWhenNoSlaveReachable) {
   ReplicaSetConfig cfg;
   cfg.sync_mode = SyncMode::kDualSequence;
   Build(cfg);
-  clock_.AdvanceTo(Seconds(1));
-  network_->partitions().IsolateSite(0, 3, 0, Seconds(100));
+  clock().AdvanceTo(Seconds(1));
+  network().partitions().IsolateSite(0, 3, 0, Seconds(100));
   WriteResult w = Put(0, 1, "a", int64_t{1});
   // §5: "leaving just one of the replicas updated is acceptable".
   ASSERT_TRUE(w.status.ok());
   EXPECT_TRUE(w.degraded);
-  EXPECT_EQ(rs_->degraded_commits(), 1);
+  EXPECT_EQ(rs().degraded_commits(), 1);
 }
 
 TEST_F(ReplicaSetTest, DualSequenceSurvivesMasterCrashWithoutLoss) {
   ReplicaSetConfig cfg;
   cfg.sync_mode = SyncMode::kDualSequence;
   Build(cfg);
-  clock_.AdvanceTo(Seconds(1));
+  clock().AdvanceTo(Seconds(1));
   Put(0, 1, "a", int64_t{1});
   Put(0, 1, "a", int64_t{2});
-  rs_->CrashReplica(0);
-  clock_.Advance(Seconds(10));
-  auto report = rs_->FailOver();
+  rs().CrashReplica(0);
+  clock().Advance(Seconds(10));
+  auto report = rs().FailOver();
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->lost_transactions, 0);
 }
@@ -355,12 +356,12 @@ TEST_F(ReplicaSetTest, QuorumRequiresMajority) {
   ReplicaSetConfig cfg;
   cfg.sync_mode = SyncMode::kQuorum;
   Build(cfg);
-  clock_.AdvanceTo(Seconds(1));
+  clock().AdvanceTo(Seconds(1));
   WriteResult ok = Put(0, 1, "a", int64_t{1});
   ASSERT_TRUE(ok.status.ok());
   // Isolate the master from both slaves: majority (2 of 3) unreachable.
-  network_->partitions().IsolateSite(0, 3, clock_.Now(),
-                                     clock_.Now() + Seconds(100));
+  network().partitions().IsolateSite(0, 3, clock().Now(),
+                                     clock().Now() + Seconds(100));
   WriteResult rejected = Put(0, 1, "a", int64_t{2});
   EXPECT_TRUE(rejected.status.IsUnavailable());
   // Nothing was committed: master value unchanged.
@@ -371,8 +372,8 @@ TEST_F(ReplicaSetTest, QuorumToleratesMinorityLoss) {
   ReplicaSetConfig cfg;
   cfg.sync_mode = SyncMode::kQuorum;
   Build(cfg);
-  clock_.AdvanceTo(Seconds(1));
-  network_->partitions().CutLink(0, 2, 0, Seconds(100));  // One slave away.
+  clock().AdvanceTo(Seconds(1));
+  network().partitions().CutLink(0, 2, 0, Seconds(100));  // One slave away.
   WriteResult w = Put(0, 1, "a", int64_t{1});
   ASSERT_TRUE(w.status.ok());
   EXPECT_EQ(ValueAt(1, 1, "a"), "1");  // Ack slave has it.
@@ -388,7 +389,7 @@ TEST_F(ReplicaSetTest, SyncModeLatencyOrdering) {
     ReplicaSetConfig cfg;
     cfg.sync_mode = modes[i];
     Build(cfg);
-    clock_.AdvanceTo(Seconds(1));
+    clock().AdvanceTo(Seconds(1));
     WriteResult w = Put(0, 1, "a", int64_t{1});
     ASSERT_TRUE(w.status.ok());
     lat[i] = w.latency;
@@ -401,20 +402,20 @@ TEST_F(ReplicaSetTest, ElectionResyncsTheDeposedMaster) {
   ReplicaSetConfig cfg;
   cfg.partition_mode = PartitionMode::kElectMajority;  // Async acks.
   Build(cfg);
-  clock_.AdvanceTo(Seconds(1));
+  clock().AdvanceTo(Seconds(1));
   Put(0, 1, "a", int64_t{1});
   // The master is cut off before its write ships; the majority side elects
   // a replica without it, and the election truncates the unshipped write.
-  network_->partitions().IsolateSite(0, 3, clock_.Now(),
-                                     clock_.Now() + Seconds(10));
-  clock_.Advance(Millis(1));
+  network().partitions().IsolateSite(0, 3, clock().Now(),
+                                     clock().Now() + Seconds(10));
+  clock().Advance(Millis(1));
   ASSERT_TRUE(Put(1, 2, "a", int64_t{2}).status.ok());
-  EXPECT_NE(rs_->master_id(), 0u);
+  EXPECT_NE(rs().master_id(), 0u);
   // The deposed master dropped the discarded write and follows the new log.
   EXPECT_EQ(ValueAt(0, 1, "a"), "<norec>");
-  clock_.Advance(Seconds(20));
-  rs_->CatchUpAll();
-  EXPECT_EQ(rs_->applied_seq(0), rs_->log().LastSeq());
+  clock().Advance(Seconds(20));
+  rs().CatchUpAll();
+  EXPECT_EQ(rs().applied_seq(0), rs().log().LastSeq());
   EXPECT_EQ(ValueAt(0, 2, "a"), "2");
 }
 
@@ -433,19 +434,19 @@ class MultiMasterTest : public ReplicaSetTest {
 };
 
 TEST_F(MultiMasterTest, ApModeAcceptsWritesOnMinoritySide) {
-  clock_.AdvanceTo(Seconds(1));
+  clock().AdvanceTo(Seconds(1));
   Put(0, 1, "a", int64_t{1});
-  clock_.Advance(Seconds(1));
-  rs_->CatchUpAll();
-  network_->partitions().IsolateSite(2, 3, clock_.Now(),
-                                     clock_.Now() + Seconds(60));
-  clock_.Advance(Seconds(5));
+  clock().Advance(Seconds(1));
+  rs().CatchUpAll();
+  network().partitions().IsolateSite(2, 3, clock().Now(),
+                                     clock().Now() + Seconds(60));
+  clock().Advance(Seconds(5));
   WriteResult w = Put(2, 1, "b", int64_t{9});
   ASSERT_TRUE(w.status.ok());
   EXPECT_TRUE(w.diverged);
   EXPECT_EQ(w.served_by, 2u);
-  EXPECT_TRUE(rs_->HasDivergence());
-  EXPECT_EQ(rs_->diverged_writes(), 1);
+  EXPECT_TRUE(rs().HasDivergence());
+  EXPECT_EQ(rs().diverged_writes(), 1);
   // Locally visible on the divergent side.
   EXPECT_EQ(ValueAt(2, 1, "b"), "9");
   // Not visible on the master side.
@@ -453,17 +454,17 @@ TEST_F(MultiMasterTest, ApModeAcceptsWritesOnMinoritySide) {
 }
 
 TEST_F(MultiMasterTest, RestorationMergesNonConflictingWrites) {
-  clock_.AdvanceTo(Seconds(1));
+  clock().AdvanceTo(Seconds(1));
   Put(0, 1, "a", int64_t{1});
-  clock_.Advance(Seconds(1));
-  rs_->CatchUpAll();
-  network_->partitions().IsolateSite(2, 3, clock_.Now(),
-                                     clock_.Now() + Seconds(30));
-  clock_.Advance(Seconds(5));
+  clock().Advance(Seconds(1));
+  rs().CatchUpAll();
+  network().partitions().IsolateSite(2, 3, clock().Now(),
+                                     clock().Now() + Seconds(30));
+  clock().Advance(Seconds(5));
   Put(2, 1, "b", int64_t{9});       // Divergent, different attribute.
   Put(0, 1, "c", int64_t{7});       // Majority side, different attribute.
-  clock_.Advance(Seconds(60));      // Heal.
-  RestorationReport rep = rs_->RestoreConsistency();
+  clock().Advance(Seconds(60));      // Heal.
+  RestorationReport rep = rs().RestoreConsistency();
   EXPECT_EQ(rep.divergent_entries, 1);
   EXPECT_EQ(rep.applied_ops, 1);
   EXPECT_EQ(rep.conflicting_ops, 0);
@@ -473,22 +474,22 @@ TEST_F(MultiMasterTest, RestorationMergesNonConflictingWrites) {
     EXPECT_EQ(ValueAt(i, 1, "b"), "9") << i;
     EXPECT_EQ(ValueAt(i, 1, "c"), "7") << i;
   }
-  EXPECT_FALSE(rs_->HasDivergence());
+  EXPECT_FALSE(rs().HasDivergence());
 }
 
 TEST_F(MultiMasterTest, LwwResolvesConflictingAttribute) {
-  clock_.AdvanceTo(Seconds(1));
+  clock().AdvanceTo(Seconds(1));
   Put(0, 1, "cfu", std::string("+1111"));
-  clock_.Advance(Seconds(1));
-  rs_->CatchUpAll();
-  network_->partitions().IsolateSite(2, 3, clock_.Now(),
-                                     clock_.Now() + Seconds(30));
-  clock_.Advance(Seconds(2));
+  clock().Advance(Seconds(1));
+  rs().CatchUpAll();
+  network().partitions().IsolateSite(2, 3, clock().Now(),
+                                     clock().Now() + Seconds(30));
+  clock().Advance(Seconds(2));
   Put(0, 1, "cfu", std::string("+2222"));  // Majority write at t+2.
-  clock_.Advance(Seconds(3));
+  clock().Advance(Seconds(3));
   Put(2, 1, "cfu", std::string("+3333"));  // Divergent write at t+5 (later).
-  clock_.Advance(Seconds(60));
-  RestorationReport rep = rs_->RestoreConsistency();
+  clock().Advance(Seconds(60));
+  RestorationReport rep = rs().RestoreConsistency();
   EXPECT_EQ(rep.conflicting_ops, 1);
   EXPECT_EQ(rep.applied_ops, 1);  // Divergent one wins on timestamp.
   for (uint32_t i = 0; i < 3; ++i) {
@@ -497,18 +498,18 @@ TEST_F(MultiMasterTest, LwwResolvesConflictingAttribute) {
 }
 
 TEST_F(MultiMasterTest, LwwKeepsMajorityWriteWhenNewer) {
-  clock_.AdvanceTo(Seconds(1));
+  clock().AdvanceTo(Seconds(1));
   Put(0, 1, "cfu", std::string("+1111"));
-  clock_.Advance(Seconds(1));
-  rs_->CatchUpAll();
-  network_->partitions().IsolateSite(2, 3, clock_.Now(),
-                                     clock_.Now() + Seconds(30));
-  clock_.Advance(Seconds(2));
+  clock().Advance(Seconds(1));
+  rs().CatchUpAll();
+  network().partitions().IsolateSite(2, 3, clock().Now(),
+                                     clock().Now() + Seconds(30));
+  clock().Advance(Seconds(2));
   Put(2, 1, "cfu", std::string("+3333"));  // Divergent write at t+2.
-  clock_.Advance(Seconds(3));
+  clock().Advance(Seconds(3));
   Put(0, 1, "cfu", std::string("+2222"));  // Majority write at t+5 (later).
-  clock_.Advance(Seconds(60));
-  RestorationReport rep = rs_->RestoreConsistency();
+  clock().Advance(Seconds(60));
+  RestorationReport rep = rs().RestoreConsistency();
   EXPECT_EQ(rep.conflicting_ops, 1);
   EXPECT_EQ(rep.dropped_ops, 1);
   for (uint32_t i = 0; i < 3; ++i) {
@@ -517,19 +518,19 @@ TEST_F(MultiMasterTest, LwwKeepsMajorityWriteWhenNewer) {
 }
 
 TEST_F(MultiMasterTest, PreferMasterPolicyFlagsManualConflicts) {
-  rs_->mutable_config().merge_policy = MergePolicy::kPreferMaster;
-  clock_.AdvanceTo(Seconds(1));
+  rs().mutable_config().merge_policy = MergePolicy::kPreferMaster;
+  clock().AdvanceTo(Seconds(1));
   Put(0, 1, "cfu", std::string("+1111"));
-  clock_.Advance(Seconds(1));
-  rs_->CatchUpAll();
-  network_->partitions().IsolateSite(2, 3, clock_.Now(),
-                                     clock_.Now() + Seconds(30));
-  clock_.Advance(Seconds(2));
+  clock().Advance(Seconds(1));
+  rs().CatchUpAll();
+  network().partitions().IsolateSite(2, 3, clock().Now(),
+                                     clock().Now() + Seconds(30));
+  clock().Advance(Seconds(2));
   Put(0, 1, "cfu", std::string("+2222"));
-  clock_.Advance(Seconds(1));
+  clock().Advance(Seconds(1));
   Put(2, 1, "cfu", std::string("+3333"));
-  clock_.Advance(Seconds(60));
-  RestorationReport rep = rs_->RestoreConsistency();
+  clock().Advance(Seconds(60));
+  RestorationReport rep = rs().RestoreConsistency();
   EXPECT_EQ(rep.manual_ops, 1);
   for (uint32_t i = 0; i < 3; ++i) {
     EXPECT_EQ(ValueAt(i, 1, "cfu"), "+2222") << i;  // Master retained.
@@ -537,16 +538,16 @@ TEST_F(MultiMasterTest, PreferMasterPolicyFlagsManualConflicts) {
 }
 
 TEST_F(MultiMasterTest, SameValueBothSidesIsNotAConflict) {
-  clock_.AdvanceTo(Seconds(1));
-  rs_->CatchUpAll();
-  network_->partitions().IsolateSite(2, 3, clock_.Now(),
-                                     clock_.Now() + Seconds(30));
-  clock_.Advance(Seconds(2));
+  clock().AdvanceTo(Seconds(1));
+  rs().CatchUpAll();
+  network().partitions().IsolateSite(2, 3, clock().Now(),
+                                     clock().Now() + Seconds(30));
+  clock().Advance(Seconds(2));
   Put(0, 1, "flag", true);
-  clock_.Advance(Seconds(1));
+  clock().Advance(Seconds(1));
   Put(2, 1, "flag", true);
-  clock_.Advance(Seconds(60));
-  RestorationReport rep = rs_->RestoreConsistency();
+  clock().Advance(Seconds(60));
+  RestorationReport rep = rs().RestoreConsistency();
   EXPECT_EQ(rep.conflicting_ops, 0);
   for (uint32_t i = 0; i < 3; ++i) {
     EXPECT_EQ(ValueAt(i, 1, "flag"), "true") << i;
@@ -564,28 +565,28 @@ TEST_P(MergePolicyConvergence, AllReplicasConvergeAfterRestoration) {
   cfg.partition_mode = PartitionMode::kPreferAvailability;
   cfg.merge_policy = GetParam();
   Build(cfg);
-  clock_.AdvanceTo(Seconds(1));
+  clock().AdvanceTo(Seconds(1));
   // Seed records.
   for (int k = 1; k <= 5; ++k) {
     Put(0, k, "v", static_cast<int64_t>(k));
-    clock_.Advance(Millis(1));
+    clock().Advance(Millis(1));
   }
-  clock_.Advance(Seconds(1));
-  rs_->CatchUpAll();
+  clock().Advance(Seconds(1));
+  rs().CatchUpAll();
   // Partition site 2 and write on both sides, overlapping keys and attrs.
-  network_->partitions().IsolateSite(2, 3, clock_.Now(),
-                                     clock_.Now() + Seconds(30));
-  clock_.Advance(Seconds(1));
+  network().partitions().IsolateSite(2, 3, clock().Now(),
+                                     clock().Now() + Seconds(30));
+  clock().Advance(Seconds(1));
   for (int k = 1; k <= 5; ++k) {
     Put(0, k, "v", static_cast<int64_t>(100 + k));
-    clock_.Advance(Millis(7));
+    clock().Advance(Millis(7));
     Put(2, k, "v", static_cast<int64_t>(200 + k));
     Put(2, k, "w", static_cast<int64_t>(300 + k));
-    clock_.Advance(Millis(7));
+    clock().Advance(Millis(7));
   }
-  clock_.Advance(Seconds(60));  // Heal.
-  rs_->RestoreConsistency();
-  rs_->ForceSyncAll();
+  clock().Advance(Seconds(60));  // Heal.
+  rs().RestoreConsistency();
+  rs().ForceSyncAll();
   for (int k = 1; k <= 5; ++k) {
     std::string v0 = ValueAt(0, k, "v");
     std::string w0 = ValueAt(0, k, "w");
@@ -594,7 +595,7 @@ TEST_P(MergePolicyConvergence, AllReplicasConvergeAfterRestoration) {
       EXPECT_EQ(ValueAt(i, k, "w"), w0) << "key " << k << " replica " << i;
     }
   }
-  EXPECT_FALSE(rs_->HasDivergence());
+  EXPECT_FALSE(rs().HasDivergence());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, MergePolicyConvergence,
@@ -609,29 +610,29 @@ class OrderInvariant : public ReplicaSetTest,
 
 TEST_P(OrderInvariant, AppliedPrefixNeverSkipsEntries) {
   Build(ReplicaSetConfig());
-  clock_.AdvanceTo(Seconds(1));
+  clock().AdvanceTo(Seconds(1));
   int scenario = GetParam();
   // Cut a different link per scenario, mid-stream.
   for (int i = 1; i <= 30; ++i) {
     if (i == 10) {
       sim::SiteId a = scenario % 3;
       sim::SiteId b = (scenario + 1) % 3;
-      network_->partitions().CutLink(a, b, clock_.Now(),
-                                     clock_.Now() + Seconds(5));
+      network().partitions().CutLink(a, b, clock().Now(),
+                                     clock().Now() + Seconds(5));
     }
     Put(0, 1, "n", static_cast<int64_t>(i));
-    clock_.Advance(Millis(500));
-    rs_->CatchUpAll();
+    clock().Advance(Millis(500));
+    rs().CatchUpAll();
     // Invariant: each replica's applied seq content matches a log prefix.
     for (uint32_t rid = 1; rid < 3; ++rid) {
-      storage::CommitSeq applied = rs_->applied_seq(rid);
+      storage::CommitSeq applied = rs().applied_seq(rid);
       if (applied == 0) continue;
-      const Record* rec = rs_->replica_store(rid).Find(1);
+      const Record* rec = rs().replica_store(rid).Find(1);
       ASSERT_NE(rec, nullptr);
       // Value must equal exactly the value in log entry `applied`.
       auto v = rec->Get("n");
       ASSERT_TRUE(v.has_value());
-      const auto& entry = rs_->log().At(applied);
+      const auto& entry = rs().log().At(applied);
       EXPECT_EQ(ValueToString(*v),
                 ValueToString(entry.ops.back().attribute.value));
     }

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <functional>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -25,6 +26,8 @@
 #include "storage/record_store.h"
 #include "storage/storage_element.h"
 #include "storage/transaction.h"
+#include "telecom/subscriber.h"
+#include "workload/testbed.h"
 
 namespace udr::storage {
 namespace {
@@ -546,24 +549,42 @@ Record RandomRecord(Rng& rng) {
   return r;
 }
 
-TEST(PackedLayoutPropertyTest, MapRoundTripPreservesEveryRecord) {
+TEST(PackedLayoutPropertyTest, RebuildByNameKeepsEntriesSortedAndFindable) {
   Rng rng(2024);
   for (int trial = 0; trial < 500; ++trial) {
-    Record original = RandomRecord(rng);
-    Record round = Record::FromMap(original.ToMap());
-    EXPECT_EQ(original, round) << "trial " << trial;
-    // The unpacked view resolves the same names to the same attributes.
-    for (const auto& [name, attr] : original.ToMap()) {
-      const Attribute* found = round.Find(name);
+    const Record original = RandomRecord(rng);
+    Record rebuilt;
+    original.ForEachAttribute([&rebuilt](std::string_view name,
+                                         const Attribute& attr) {
+      rebuilt.Set(name, attr.value, attr.modified_at, attr.writer);
+    });
+    EXPECT_EQ(original, rebuilt) << "trial " << trial;
+    // Every name resolves through Find to its attribute.
+    original.ForEachAttribute([&rebuilt](std::string_view name,
+                                         const Attribute& attr) {
+      const Attribute* found = rebuilt.Find(name);
       ASSERT_NE(found, nullptr) << name;
       EXPECT_EQ(*found, attr);
-    }
+    });
     // Entries stay strictly sorted by interned id (binary-search invariant).
-    const auto& entries = round.entries();
+    const auto& entries = rebuilt.entries();
     for (size_t i = 1; i < entries.size(); ++i) {
       EXPECT_LT(entries[i - 1].name_id, entries[i].name_id);
     }
   }
+}
+
+TEST(PackedLayoutPropertyTest, ProfilesCostAtMost1571BytesPerSubscriber) {
+  // The packed layout's modelled footprint of a standard subscriber profile:
+  // 1,571 B/subscriber at 20k and at 1M profiles. Streamed, so the case
+  // holds one profile at a time.
+  const telecom::SubscriberFactory factory(42);
+  constexpr int64_t kProfiles = 100000;
+  int64_t total = 0;
+  for (int64_t i = 0; i < kProfiles; ++i) {
+    total += factory.Make(static_cast<uint64_t>(i)).profile.ApproxBytes();
+  }
+  EXPECT_LE(total / kProfiles, 1571);
 }
 
 TEST(PackedLayoutPropertyTest, ByteAccountingSurvivesGrowShrink) {
@@ -609,20 +630,10 @@ TEST(PackedLayoutPropertyTest, RecordsSurviveMigrationStreamChunks) {
   // Packed records, serialized as interned-id WriteOps through the commit
   // log, must reassemble identically on the far side of a chunked
   // MigrationStream (the background-migration wire path).
-  sim::SimClock clock;
-  auto network =
-      std::make_unique<sim::Network>(sim::Topology(4, sim::LatencyConfig()),
-                                     &clock);
-  std::vector<std::unique_ptr<StorageElement>> ses;
-  for (uint32_t s = 0; s < 4; ++s) {
-    StorageElementConfig cfg;
-    cfg.name = "se-" + std::to_string(s);
-    cfg.site = s;
-    ses.push_back(std::make_unique<StorageElement>(cfg, &clock, s));
-  }
-  replication::ReplicaSet rs(
-      replication::ReplicaSetConfig(),
-      {ses[0].get(), ses[1].get(), ses[2].get()}, network.get());
+  // Three replicas over four sites: the fourth SE is the migration target.
+  workload::ReplicaRig rig(replication::ReplicaSetConfig(), 4,
+                           sim::LatencyConfig(), 3);
+  replication::ReplicaSet& rs = rig.set();
 
   Rng rng(31337);
   std::map<RecordKey, Record> originals;
@@ -636,7 +647,7 @@ TEST(PackedLayoutPropertyTest, RecordsSurviveMigrationStreamChunks) {
     originals[key] = *rs.replica_store(rs.master_id()).Find(key);
   }
 
-  auto stream = rs.BeginPrimaryMigration(ses[3].get());
+  auto stream = rs.BeginPrimaryMigration(&rig.se(3));
   ASSERT_TRUE(stream.ok());
   int chunks = 0;
   while (!stream.value().copy_done()) {
@@ -648,7 +659,7 @@ TEST(PackedLayoutPropertyTest, RecordsSurviveMigrationStreamChunks) {
   EXPECT_GT(chunks, 1) << "chunk size too large to exercise chunking";
   ASSERT_TRUE(rs.CompleteMigration(&stream.value()).ok());
 
-  const RecordStore& migrated = ses[3]->store();
+  const RecordStore& migrated = rig.se(3).store();
   for (const auto& [key, original] : originals) {
     const Record* got = migrated.Find(key);
     ASSERT_NE(got, nullptr) << "record " << key << " lost in migration";

@@ -13,9 +13,9 @@ concurrency statically checkable — the ones a generic linter can't know:
                      only with an inline justification marker.
 
   storage-string-map src/storage/ must not declare std::map<std::string, ...>
-                     — the PR 6 packed-layout regression guard. The legacy
-                     map form exists only as an explicitly-marked boundary
-                     shim on Record::ToMap/FromMap.
+                     — the packed-layout regression guard. Records key their
+                     attributes by interned AttrId; storage_test bounds the
+                     modelled bytes per subscriber.
 
   raw-mutex          std::mutex / lock_guard / unique_lock / scoped_lock /
                      condition_variable (and #include <mutex>) are banned
@@ -266,8 +266,7 @@ def lint_file(path: str, rel: str, allowlist_doc: str, violations: list):
                 violations.append(
                     f"{rel}:{lineno}: [storage-string-map] "
                     f"std::map<std::string, ...> in src/storage/ — the packed "
-                    f"record layout (PR 6) exists to avoid this; use AttrId "
-                    f"keys or mark an explicit boundary shim")
+                    f"record layout exists to avoid this; use AttrId keys")
 
         if not in_common and "raw-mutex" not in active:
             for pat, what in RAW_MUTEX_PATTERNS:

@@ -21,9 +21,10 @@ names the exact rows that moved.
 Usage:
   tools/update_golden.py [--build-dir build] [NAME ...]   rewrite (all: none given)
   tools/update_golden.py --check [--build-dir build] NAME ...
-NAME is bench_<name>, example_<name> or "scenarios". --check exits 1 and
-prints a unified diff on any difference. ctest runs --check once per NAME
-(label golden).
+NAME is bench_<name>, example_<name> or "scenarios"; with none given, every
+bench/bench_*.cc, every examples/*.cpp and the scenarios. --check exits 1 and
+prints a unified diff on any difference, and exits 1 when the golden file is
+missing. ctest runs --check once per NAME (label golden).
 """
 
 import argparse
@@ -87,12 +88,14 @@ def run_scenarios(build, update):
     return subprocess.run([path], env=env, timeout=TIMEOUT_S).returncode
 
 
-def all_names(build):
+def all_names():
+    """Every program with a golden, named from its source file (so a stale
+    binary left in the build tree cannot bring back a deleted golden)."""
     names = []
-    for sub, prefix in (("bench", "bench_"), ("examples", "example_")):
-        for path in sorted(glob.glob(os.path.join(build, sub, prefix + "*"))):
-            if os.path.isfile(path) and os.access(path, os.X_OK):
-                names.append(os.path.basename(path))
+    for pattern, prefix in (("bench/bench_*.cc", ""),
+                            ("examples/*.cpp", "example_")):
+        for path in sorted(glob.glob(os.path.join(ROOT, pattern))):
+            names.append(prefix + os.path.splitext(os.path.basename(path))[0])
     return names + ["scenarios"]
 
 
@@ -103,7 +106,7 @@ def main():
     parser.add_argument("names", nargs="*")
     args = parser.parse_args()
     build = os.path.abspath(args.build_dir)
-    names = args.names or all_names(build)
+    names = args.names or all_names()
     failed = False
     for name in names:
         if name == "scenarios":
@@ -117,7 +120,13 @@ def main():
                 f.write(text)
             print("wrote %s" % os.path.relpath(path, ROOT))
             continue
-        expected = open(path).read() if os.path.exists(path) else ""
+        if not os.path.exists(path):
+            failed = True
+            print("%s: tests/golden/%s.txt is missing (write it with "
+                  "tools/update_golden.py %s)" % (name, name, name))
+            continue
+        with open(path) as f:
+            expected = f.read()
         if text != expected:
             failed = True
             sys.stdout.writelines(difflib.unified_diff(
