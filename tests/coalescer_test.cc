@@ -480,6 +480,104 @@ TEST(SubmitEventTest, ParkedDeleteUnbindsAndAdjustsThePopulation) {
             population - 1);
 }
 
+TEST(SubmitEventTest, EachEventChargesOneServerRoundRobin) {
+  workload::TestbedOptions o = CoalesceOptions(12, Millis(2));
+  o.udr.ldap_per_cluster = 2;
+  workload::Testbed bed(o);
+  workload::Testbed twin(o);
+  Settle(bed);
+  Settle(twin);
+  udrnf::UdrNf& udr = bed.udr();
+  udrnf::BladeCluster& poa = *udr.cluster(0);
+  const std::vector<ldap::LdapServer*>& servers = poa.balancer().servers();
+  ASSERT_EQ(servers.size(), 2u);
+  auto served = [&] {
+    return std::vector<int64_t>{servers[0]->ops_served(),
+                                servers[1]->ops_served()};
+  };
+
+  const sim::Topology& topo = udr.network()->topology();
+  const MicroDuration leg = topo.Rtt(0, poa.site()) + topo.HopOverhead();
+  const MicroDuration per_op = udr.config().ldap_template.per_op_cost;
+
+  // Events of 1, 2 and 3 reads, each alone in its window: each charges its
+  // whole op count to one server at enqueue, consecutive events alternate
+  // servers, and a taken result is queue delay + service + protocol cost +
+  // the client <-> PoA leg. A lone event's service is its own pipeline batch.
+  int last_server = -1;
+  for (size_t n = 1; n <= 3; ++n) {
+    std::vector<ldap::LdapRequest> ops;
+    for (size_t i = 0; i < n; ++i) {
+      ops.push_back(ReadOf(bed.factory().Make(n + i)));
+    }
+    const std::vector<int64_t> before = served();
+    auto handle = udr.SubmitEvent(ops, 0);
+    ASSERT_TRUE(handle.ok());
+    const std::vector<int64_t> after = served();
+    const int charged = after[0] != before[0] ? 0 : 1;
+    EXPECT_EQ(after[charged] - before[charged], static_cast<int64_t>(n));
+    EXPECT_EQ(after[1 - charged], before[1 - charged]);
+    EXPECT_NE(charged, last_server);
+    last_server = charged;
+
+    bed.clock().Advance(Millis(2));
+    twin.clock().Advance(Millis(2));
+    udr.PumpEvents();
+    auto out = udr.TakeEvent(*handle);
+    ASSERT_TRUE(out.has_value());
+    ASSERT_TRUE(out->ok());
+    EXPECT_EQ(out->queue_delay, Millis(2));
+    const MicroDuration service =
+        twin.udr().ProcessBatch(ops, poa.site()).latency;
+    EXPECT_EQ(out->latency, out->queue_delay + service +
+                                per_op * static_cast<int64_t>(n) + leg);
+    // No second take: the entry went with the first.
+    EXPECT_FALSE(udr.TakeEvent(*handle).has_value());
+    EXPECT_EQ(served(), after);  // Taking charges nothing more.
+  }
+}
+
+TEST(SubmitEventTest, ServingPoaWithNoHealthyServerRefusesEveryEntry) {
+  workload::TestbedOptions o = CoalesceOptions(6, Millis(2));
+  o.udr.ldap_per_cluster = 2;
+  workload::Testbed bed(o);
+  Settle(bed);
+  udrnf::UdrNf& udr = bed.udr();
+  udrnf::BladeCluster& poa = *udr.cluster(0);
+  // The PoA stays in the router's rotation; only its servers are down.
+  std::vector<int64_t> served;
+  for (ldap::LdapServer* s : poa.balancer().servers()) {
+    s->set_healthy(false);
+    served.push_back(s->ops_served());
+  }
+  const sim::Topology& topo = udr.network()->topology();
+  const MicroDuration leg = topo.Rtt(0, poa.site()) + topo.HopOverhead();
+  const telecom::Subscriber sub = bed.factory().Make(2);
+  const int64_t failed = udr.metrics().Get("udr.submit.failed");
+  const int64_t unavailable = udr.metrics().Get("udr.submit.unavailable");
+
+  ldap::LdapResult one = udr.Submit(ReadOf(sub), 0);
+  EXPECT_EQ(one.code, ldap::LdapResultCode::kUnavailable);
+  EXPECT_EQ(one.latency, leg);
+
+  ldap::LdapBatchResult batch =
+      udr.SubmitBatch({ReadOf(sub), ModifyOf(sub, "serving-vlr", "vlr2")}, 0);
+  ASSERT_EQ(batch.results.size(), 2u);
+  for (const ldap::LdapResult& r : batch.results) {
+    EXPECT_EQ(r.code, ldap::LdapResultCode::kUnavailable);
+  }
+  EXPECT_EQ(batch.latency, leg);
+  EXPECT_EQ(udr.metrics().Get("udr.submit.failed"), failed + 2);
+  EXPECT_EQ(udr.metrics().Get("udr.submit.unavailable"), unavailable);
+
+  auto handle = udr.SubmitEvent({ReadOf(sub)}, 0);
+  EXPECT_TRUE(handle.status().IsUnavailable());
+  EXPECT_EQ(udr.metrics().Get("udr.submit.unavailable"), unavailable + 1);
+  for (size_t i = 0; i < served.size(); ++i) {
+    EXPECT_EQ(poa.balancer().servers()[i]->ops_served(), served[i]);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // FeFleet: collecting parked events
 // ---------------------------------------------------------------------------
