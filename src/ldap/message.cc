@@ -48,33 +48,6 @@ const char* LdapResultCodeName(LdapResultCode code) {
   return "?";
 }
 
-LdapBatchResult LdapBackend::ProcessBatch(
-    const std::vector<LdapRequest>& requests, uint32_t client_site) {
-  LdapBatchResult out;
-  out.results.reserve(requests.size());
-  for (const LdapRequest& req : requests) {
-    LdapResult r = Process(req, client_site);
-    out.latency += r.latency;
-    out.results.push_back(std::move(r));
-  }
-  return out;
-}
-
-uint64_t LdapBackend::EnqueueBatch(std::vector<LdapRequest> requests,
-                                   uint32_t client_site) {
-  const uint64_t handle = NextEnqueueHandle();
-  enqueued_results_.emplace(handle, ProcessBatch(requests, client_site));
-  return handle;
-}
-
-std::optional<LdapBatchResult> LdapBackend::TakeBatchResult(uint64_t handle) {
-  auto it = enqueued_results_.find(handle);
-  if (it == enqueued_results_.end()) return std::nullopt;
-  LdapBatchResult out = std::move(it->second);
-  enqueued_results_.erase(it);
-  return out;
-}
-
 LdapResultCode StatusToLdapCode(const Status& status) {
   switch (status.code()) {
     case StatusCode::kOk:

@@ -283,13 +283,12 @@ WriteResult ReplicaSet::CommitOnMaster(std::vector<WriteOp> ops) {
 
   MicroDuration sync_extra = 0;
   bool degraded = false;
-  Status sync_status = SyncReplicate(seq, &sync_extra, &degraded);
+  SyncReplicate(seq, &sync_extra, &degraded);
   latency += sync_extra;
-  if (degraded) {
+  if (degraded) {  // Degradation policy: the commit stands (paper §5).
     ++degraded_commits_;
     out.degraded = true;
   }
-  (void)sync_status;  // Degradation policy: commit stands (paper §5).
 
   ++writes_accepted_;
   out.status = Status::Ok();
@@ -359,13 +358,13 @@ void ReplicaSet::WriteBatch(sim::SiteId client_site,
   }
 }
 
-Status ReplicaSet::SyncReplicate(CommitSeq seq, MicroDuration* extra_latency,
-                                 bool* degraded) {
+void ReplicaSet::SyncReplicate(CommitSeq seq, MicroDuration* extra_latency,
+                               bool* degraded) {
   *extra_latency = 0;
   *degraded = false;
   switch (config_.sync_mode) {
     case SyncMode::kAsync:
-      return Status::Ok();
+      return;
     case SyncMode::kDualSequence: {
       // Apply to the first reachable slave, in sequence, before acking (§5:
       // "apply provisioning transactions in sequence to two replicas").
@@ -378,11 +377,11 @@ Status ReplicaSet::SyncReplicate(CommitSeq seq, MicroDuration* extra_latency,
         while (r.applied < seq) ApplyEntry(&r, r.applied + 1);
         *extra_latency = network_->topology().Rtt(master_site(), r.se->site()) +
                          r.se->WriteServiceTime();
-        return Status::Ok();
+        return;
       }
       // No slave reachable: leave one replica updated (accepted by §5).
       *degraded = true;
-      return Status::Unavailable("no slave reachable for dual-sequence commit");
+      return;
     }
     case SyncMode::kQuorum: {
       // Gather acks from the fastest slaves until a majority (incl. master).
@@ -399,7 +398,7 @@ Status ReplicaSet::SyncReplicate(CommitSeq seq, MicroDuration* extra_latency,
       const size_t needed = Majority() - 1;
       if (candidates.size() < needed) {
         *degraded = true;  // Feasibility was pre-checked; defensive only.
-        return Status::Unavailable("quorum lost mid-commit");
+        return;
       }
       for (size_t i = 0; i < needed; ++i) {
         Replica& r = replicas_[candidates[i].second];
@@ -408,10 +407,9 @@ Status ReplicaSet::SyncReplicate(CommitSeq seq, MicroDuration* extra_latency,
             *extra_latency,
             candidates[i].first + r.se->WriteServiceTime());
       }
-      return Status::Ok();
+      return;
     }
   }
-  return Status::Internal("unknown sync mode");
 }
 
 WriteResult ReplicaSet::WriteDiverged(sim::SiteId client_site, uint32_t id,
@@ -942,7 +940,6 @@ RestorationReport ReplicaSet::RestoreConsistency() {
 
     for (const LogEntry& entry : r.divergence.entries()) {
       ++report.divergent_entries;
-      bool record_applied_any = false;
       for (const WriteOp& op : entry.ops) {
         if (op.kind != WriteKind::kUpsertAttr) {
           // Deletes from the minority side are applied only if the master
@@ -967,13 +964,11 @@ RestorationReport ReplicaSet::RestoreConsistency() {
         if (!master_wrote_concurrently) {
           merged.push_back(op);
           ++report.applied_ops;
-          record_applied_any = true;
           continue;
         }
         if (!values_differ) {
           // Both sides wrote the same value: no conflict.
           ++report.applied_ops;
-          record_applied_any = true;
           continue;
         }
         ++report.conflicting_ops;
@@ -986,7 +981,6 @@ RestorationReport ReplicaSet::RestoreConsistency() {
             if (divergent_wins) {
               merged.push_back(op);
               ++report.applied_ops;
-              record_applied_any = true;
             } else {
               ++report.dropped_ops;
             }
@@ -998,7 +992,6 @@ RestorationReport ReplicaSet::RestoreConsistency() {
             if (divergent_wins) {
               merged.push_back(op);
               ++report.applied_ops;
-              record_applied_any = true;
             } else {
               ++report.dropped_ops;
             }
@@ -1010,7 +1003,6 @@ RestorationReport ReplicaSet::RestoreConsistency() {
             break;
         }
       }
-      (void)record_applied_any;
     }
     r.divergence.Reset();
   }

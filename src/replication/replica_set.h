@@ -433,9 +433,10 @@ class ReplicaSet {
   bool WriteDivergedNearest(sim::SiteId client_site,
                             std::vector<storage::WriteOp> ops, WriteResult* out);
 
-  /// Synchronous replication cost/acks for DUAL_SEQUENCE / QUORUM.
-  Status SyncReplicate(storage::CommitSeq seq, MicroDuration* extra_latency,
-                       bool* degraded);
+  /// Synchronous replication cost/acks for DUAL_SEQUENCE / QUORUM. Sets
+  /// `*degraded` when too few replicas acked; the commit stands either way.
+  void SyncReplicate(storage::CommitSeq seq, MicroDuration* extra_latency,
+                     bool* degraded);
 
   /// Admission re-check for an open migration stream: the master must be the
   /// one that opened it, up, and able to reach the target.

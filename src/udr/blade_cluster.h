@@ -37,8 +37,7 @@ class BladeCluster {
       storage::StorageElementConfig config, uint32_t replica_id);
 
   /// Deploys an LDAP server process; the balancer auto-detects it.
-  StatusOr<ldap::LdapServer*> AddLdapServer(ldap::LdapServerConfig config,
-                                            ldap::LdapBackend* backend);
+  StatusOr<ldap::LdapServer*> AddLdapServer(ldap::LdapServerConfig config);
 
   /// Installs the cluster's data location stage instance.
   void SetLocationStage(std::unique_ptr<location::LocationStage> stage) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <type_traits>
 
 #include "common/scratch.h"
 #include "ldap/filter.h"
@@ -172,7 +173,7 @@ StatusOr<BladeCluster*> UdrNf::AddCluster(sim::SiteId site) {
     new_ses.push_back(*se);
   }
   for (int i = 0; i < config_.ldap_per_cluster; ++i) {
-    auto server = cluster->AddLdapServer(config_.ldap_template, this);
+    auto server = cluster->AddLdapServer(config_.ldap_template);
     if (!server.ok()) return server.status();
   }
   for (storage::StorageElement* se : new_ses) {
@@ -708,23 +709,66 @@ Status UdrNf::DeleteSubscriber(const Identity& id, sim::SiteId origin_site) {
 // LDAP front door
 // ---------------------------------------------------------------------------
 
-LdapResult UdrNf::Submit(const LdapRequest& request, sim::SiteId client_site) {
+StatusOr<MicroDuration> UdrNf::EnterPoa(sim::SiteId client_site, size_t ops,
+                                        BladeCluster** cluster) {
   auto poa = router_.FindPoaCluster(client_site);
-  if (!poa.ok()) {
-    LdapResult r;
-    r.code = LdapResultCode::kUnavailable;
-    r.diagnostic = poa.status().message();
-    r.latency = network_->rpc_timeout();
-    metrics_.Add("udr.submit.unavailable");
-    return r;
+  if (!poa.ok()) return poa.status();
+  *cluster = clusters_[*poa].get();
+  auto server = (*cluster)->balancer().Pick();
+  if (!server.ok()) return server.status();
+  return (*server)->Charge(static_cast<int64_t>(ops));
+}
+
+template <typename Result>
+void UdrNf::AddClientLeg(sim::SiteId client_site, const BladeCluster& cluster,
+                         Result* result) {
+  result->latency += network_->topology().Rtt(client_site, cluster.site()) +
+                     network_->topology().HopOverhead();
+  (result->ok() ? submit_ok_ : submit_failed_).Add();
+}
+
+template <typename Result, typename ProcessFn>
+Result UdrNf::SubmitAtPoa(sim::SiteId client_site, size_t ops,
+                          ProcessFn&& process) {
+  BladeCluster* cluster = nullptr;
+  const StatusOr<MicroDuration> cost = EnterPoa(client_site, ops, &cluster);
+  if (cost.ok()) {
+    Result result = process(cluster->site());
+    result.latency += *cost;
+    AddClientLeg(client_site, *cluster, &result);
+    return result;
   }
-  BladeCluster* cluster = clusters_[*poa].get();
-  LdapResult result = cluster->balancer().Serve(request, cluster->site());
-  // Client <-> PoA leg (LAN when the client is co-located, §3.3.2 measure 1).
-  result.latency += network_->topology().Rtt(client_site, cluster->site()) +
-                    network_->topology().HopOverhead();
-  (result.ok() ? submit_ok_ : submit_failed_).Add();
+  LdapResult refused;
+  refused.code = LdapResultCode::kUnavailable;
+  refused.diagnostic = cost.status().message();
+  Result result;
+  if constexpr (std::is_same_v<Result, LdapResult>) {
+    result = std::move(refused);
+  } else {
+    result.results.assign(ops, refused);
+  }
+  if (cluster == nullptr) {
+    result.latency = network_->rpc_timeout();
+    metrics_.Add("udr.submit.unavailable");
+  } else {
+    AddClientLeg(client_site, *cluster, &result);
+  }
   return result;
+}
+
+LdapResult UdrNf::Submit(const LdapRequest& request, sim::SiteId client_site) {
+  return SubmitAtPoa<LdapResult>(client_site, 1, [&](uint32_t poa_site) {
+    return Process(request, poa_site);
+  });
+}
+
+LdapBatchResult UdrNf::SubmitBatch(const std::vector<LdapRequest>& requests,
+                                   sim::SiteId client_site) {
+  // One client <-> PoA round trip for the whole multi-op message — the
+  // per-request transit the batch saves over Submit-per-op.
+  return SubmitAtPoa<LdapBatchResult>(
+      client_site, requests.size(),
+      [&](uint32_t poa_site) { return ProcessBatch(requests, poa_site); });
 }
 
 StatusOr<Identity> UdrNf::RequestIdentity(const LdapRequest& request) const {
@@ -1052,13 +1096,34 @@ UdrNf::RequestSlot UdrNf::SlotFor(const LdapRequest& request,
   }
 }
 
+LdapResult UdrNf::SlotResult(const LdapRequest& request, RequestSlot& slot,
+                             std::vector<routing::OpOutcome>& outcomes,
+                             int64_t* pipeline_requests) {
+  switch (slot.kind) {
+    case RequestSlot::Kind::kInline:
+      return std::move(slot.inline_result);
+    case RequestSlot::Kind::kPipeline:
+      ++*pipeline_requests;
+      return ResultFromOutcome(request, outcomes[slot.op]);
+    case RequestSlot::Kind::kDelete:
+      ++*pipeline_requests;
+      return FinishBatchedDelete(slot.identity, outcomes[slot.op],
+                                 outcomes[slot.write_op]);
+  }
+  return LdapResult();
+}
+
+void UdrNf::CountBatch(const LdapBatchResult& out) {
+  batch_count_.Add();
+  batch_ops_.Add(static_cast<int64_t>(out.results.size()));
+  if (!out.ok()) metrics_.Add("udr.batch.failed_ops", out.failed_ops());
+}
+
 ldap::LdapBatchResult UdrNf::ProcessBatch(
     const std::vector<LdapRequest>& requests, uint32_t poa_site) {
   LdapBatchResult out;
   ProcessRequests(requests.data(), requests.size(), poa_site, nullptr, &out);
-  batch_count_.Add();
-  batch_ops_.Add(static_cast<int64_t>(requests.size()));
-  if (!out.ok()) metrics_.Add("udr.batch.failed_ops", out.failed_ops());
+  CountBatch(out);
   return out;
 }
 
@@ -1084,8 +1149,8 @@ void UdrNf::ProcessRequests(const LdapRequest* requests, size_t count,
     event_span = tracer_->StartSpan("event", tracer_->StartTrace());
     batch.trace = event_span.context();
   }
-  // Pipeline requests are charged to the migration scheduler below; inline
-  // ones charged themselves in ProcessInline.
+  // Pipeline requests (counted as flush maps them back) are charged to the
+  // migration scheduler below; inline ones charge themselves.
   int64_t pipeline_requests = 0;
   int64_t inline_requests = 0;
   auto flush = [&]() {
@@ -1097,10 +1162,7 @@ void UdrNf::ProcessRequests(const LdapRequest* requests, size_t count,
     out.bypass_hits += br.bypass_hits;
     for (auto& [idx, slot] : slots) {
       out.results[idx] =
-          slot.kind == RequestSlot::Kind::kDelete
-              ? FinishBatchedDelete(slot.identity, br.outcomes[slot.op],
-                                    br.outcomes[slot.write_op])
-              : ResultFromOutcome(requests[idx], br.outcomes[slot.op]);
+          SlotResult(requests[idx], slot, br.outcomes, &pipeline_requests);
     }
     // The projections' id buffers go back to the pool for the next batch.
     for (std::vector<storage::AttrId>& ids : batch.projections) {
@@ -1127,7 +1189,6 @@ void UdrNf::ProcessRequests(const LdapRequest* requests, size_t count,
       }
       out.results[i] = std::move(slot.inline_result);
     } else {
-      ++pipeline_requests;
       slots.emplace_back(i, std::move(slot));
     }
   }
@@ -1147,11 +1208,20 @@ void UdrNf::ProcessRequests(const LdapRequest* requests, size_t count,
 // Cross-event coalescing (PoA dispatch window)
 // ---------------------------------------------------------------------------
 
-uint64_t UdrNf::EnqueueBatch(std::vector<LdapRequest> requests,
-                             uint32_t poa_site) {
-  const uint64_t handle = NextEnqueueHandle();
-  BladeCluster* cluster = ClusterAtSite(poa_site);
-  if (config_.coalesce_window_us <= 0 || cluster == nullptr) {
+StatusOr<uint64_t> UdrNf::SubmitEvent(std::vector<LdapRequest> requests,
+                                      sim::SiteId client_site) {
+  BladeCluster* cluster = nullptr;
+  const StatusOr<MicroDuration> cost =
+      EnterPoa(client_site, requests.size(), &cluster);
+  if (!cost.ok()) {
+    metrics_.Add("udr.submit.unavailable");
+    return cost.status();
+  }
+  const uint64_t handle = next_event_handle_++;
+  events_.Put(handle,
+              EventEntry{{}, {}, false, client_site, cluster->id(), *cost});
+  const uint32_t poa_site = cluster->site();
+  if (config_.coalesce_window_us <= 0) {
     // Coalescing off: the enqueue path degenerates to the inline pipeline,
     // byte-identical to ProcessBatch (the PR 2 behavior).
     CompleteEvent(handle, ProcessBatch(requests, poa_site));
@@ -1222,7 +1292,7 @@ uint64_t UdrNf::EnqueueBatch(std::vector<LdapRequest> requests,
   // the first sampled trace of the window.
   if (tracer_ != nullptr) batch.trace = tracer_->StartTrace();
   event.event = window.Submit(std::move(batch));
-  events_.Put(handle, EventEntry{std::move(event), {}, false});
+  events_.Find(handle)->parked = std::move(event);
   window_events_[cluster->id()].push_back(handle);
   event_enqueued_.Add();
   // Drain only when the submit itself closed the window (size cap hit) —
@@ -1232,38 +1302,21 @@ uint64_t UdrNf::EnqueueBatch(std::vector<LdapRequest> requests,
 }
 
 void UdrNf::CompleteEvent(uint64_t handle, ldap::LdapBatchResult result) {
-  events_.Put(handle, EventEntry{PendingEvent(), std::move(result), true});
+  EventEntry& entry = *events_.Find(handle);
+  entry.parked = PendingEvent();
+  entry.result = std::move(result);
+  entry.ready = true;
   ++event_completions_;
-}
-
-std::optional<ldap::LdapBatchResult> UdrNf::TakeBatchResult(uint64_t handle) {
-  EventEntry* entry = events_.Find(handle);
-  if (entry == nullptr || !entry->ready) return std::nullopt;
-  LdapBatchResult out = std::move(entry->result);
-  events_.Erase(handle);
-  return out;
 }
 
 ldap::LdapBatchResult UdrNf::FinalizeEvent(PendingEvent& event,
                                            routing::EventOutcome& outcome) {
   LdapBatchResult out;
   out.results.resize(event.requests.size());
+  int64_t pipeline_requests = 0;
   for (size_t i = 0; i < event.slots.size(); ++i) {
-    RequestSlot& slot = event.slots[i];
-    switch (slot.kind) {
-      case RequestSlot::Kind::kInline:
-        out.results[i] = std::move(slot.inline_result);
-        break;
-      case RequestSlot::Kind::kPipeline:
-        out.results[i] =
-            ResultFromOutcome(event.requests[i], outcome.outcomes[slot.op]);
-        break;
-      case RequestSlot::Kind::kDelete:
-        out.results[i] =
-            FinishBatchedDelete(slot.identity, outcome.outcomes[slot.op],
-                                outcome.outcomes[slot.write_op]);
-        break;
-    }
+    out.results[i] = SlotResult(event.requests[i], event.slots[i],
+                                outcome.outcomes, &pipeline_requests);
   }
   // Latency split: time parked in the window is reported apart from the
   // shared dispatch's service share (plus any enqueue-time inline work).
@@ -1273,13 +1326,7 @@ ldap::LdapBatchResult UdrNf::FinalizeEvent(PendingEvent& event,
   out.partition_groups = outcome.partition_groups;
   out.bypass_hits = outcome.bypass_hits;
   out.coalesced_events = outcome.coalesced_events;
-  batch_count_.Add();
-  batch_ops_.Add(static_cast<int64_t>(event.requests.size()));
-  if (!out.ok()) metrics_.Add("udr.batch.failed_ops", out.failed_ops());
-  int64_t pipeline_requests = 0;  // Inline ops counted in ProcessInline.
-  for (const RequestSlot& slot : event.slots) {
-    if (slot.kind != RequestSlot::Kind::kInline) ++pipeline_requests;
-  }
+  CountBatch(out);
   migration_->OnForegroundOps(pipeline_requests);
   return out;
 }
@@ -1291,16 +1338,13 @@ void UdrNf::DrainCoalescer(uint32_t cluster_id) {
   std::vector<uint64_t>& parked = window_events_[cluster_id];
   size_t kept = 0;
   for (uint64_t handle : parked) {
-    EventEntry& entry = *events_.Find(handle);
-    auto outcome = window.Take(entry.parked.event);
+    PendingEvent& event = events_.Find(handle)->parked;
+    auto outcome = window.Take(event.event);
     if (!outcome.has_value()) {
       parked[kept++] = handle;
       continue;
     }
-    entry.result = FinalizeEvent(entry.parked, *outcome);
-    entry.parked = PendingEvent();
-    entry.ready = true;
-    ++event_completions_;
+    CompleteEvent(handle, FinalizeEvent(event, *outcome));
   }
   parked.resize(kept);
   // A flush takes the whole window, so its parked writes are gone too.
@@ -1336,24 +1380,6 @@ std::optional<storage::RecordKey> UdrNf::WriteKeyOf(
   return at->key;
 }
 
-StatusOr<uint64_t> UdrNf::SubmitEvent(std::vector<LdapRequest> requests,
-                                      sim::SiteId client_site) {
-  auto poa = router_.FindPoaCluster(client_site);
-  if (!poa.ok()) {
-    metrics_.Add("udr.submit.unavailable");
-    return poa.status();
-  }
-  BladeCluster* cluster = clusters_[*poa].get();
-  auto handle =
-      cluster->balancer().EnqueueBatch(std::move(requests), cluster->site());
-  if (!handle.ok()) {
-    metrics_.Add("udr.submit.unavailable");
-    return handle.status();
-  }
-  event_clients_.Put(*handle, EventClient{client_site, cluster->id()});
-  return *handle;
-}
-
 void UdrNf::PumpEvents() {
   for (uint32_t c = 0; c < coalescers_.size(); ++c) {
     if (coalescers_[c]->FlushIfDue()) DrainCoalescer(c);
@@ -1382,43 +1408,15 @@ MicroTime UdrNf::NextEventDeadline() const {
 }
 
 std::optional<ldap::LdapBatchResult> UdrNf::TakeEvent(uint64_t handle) {
-  const EventClient* client = event_clients_.Find(handle);
-  if (client == nullptr) return std::nullopt;
-  BladeCluster* cluster = clusters_[client->cluster].get();
-  auto result = cluster->balancer().TakeBatch(handle);
-  if (!result.has_value()) return std::nullopt;
-  // One client <-> PoA round trip for the whole event, as on SubmitBatch.
-  result->latency +=
-      network_->topology().Rtt(client->site, cluster->site()) +
-      network_->topology().HopOverhead();
-  (result->ok() ? submit_ok_ : submit_failed_).Add();
-  event_clients_.Erase(handle);
-  return result;
-}
-
-LdapBatchResult UdrNf::SubmitBatch(const std::vector<LdapRequest>& requests,
-                                   sim::SiteId client_site) {
-  auto poa = router_.FindPoaCluster(client_site);
-  if (!poa.ok()) {
-    LdapBatchResult out;
-    out.results.resize(requests.size());
-    for (LdapResult& r : out.results) {
-      r.code = LdapResultCode::kUnavailable;
-      r.diagnostic = poa.status().message();
-    }
-    out.latency = network_->rpc_timeout();
-    metrics_.Add("udr.submit.unavailable");
-    return out;
-  }
-  BladeCluster* cluster = clusters_[*poa].get();
-  LdapBatchResult result =
-      cluster->balancer().ServeBatch(requests, cluster->site());
-  // One client <-> PoA round trip for the whole multi-op message — the
-  // per-request transit the batch saves over Submit-per-op.
-  result.latency += network_->topology().Rtt(client_site, cluster->site()) +
-                    network_->topology().HopOverhead();
-  (result.ok() ? submit_ok_ : submit_failed_).Add();
-  return result;
+  EventEntry* entry = events_.Find(handle);
+  if (entry == nullptr || !entry->ready) return std::nullopt;
+  LdapBatchResult out = std::move(entry->result);
+  // The owed protocol cost, then one client <-> PoA round trip for the
+  // whole event, as on SubmitBatch.
+  out.latency += entry->protocol_cost;
+  AddClientLeg(entry->client_site, *clusters_[entry->cluster], &out);
+  events_.Erase(handle);
+  return out;
 }
 
 }  // namespace udr::udrnf

@@ -10,8 +10,9 @@
 //     goes (least-loaded, round-robin, hash, selective/home-site §3.5);
 //   * routing::Router — PoA selection, identity resolution and the hop to
 //     the owning replication::ReplicaSet;
-//   * the northbound LDAP interface (UDC-mandated), implemented by this
-//     class as an ldap::LdapBackend over the router.
+//   * the northbound LDAP interface (UDC-mandated): this class serves its
+//     PoAs directly, charging the picked LDAP server only its protocol
+//     cost, and maps the verbs onto the router.
 //
 // UdrNf itself is deployment orchestration (AddCluster / Rebalance /
 // maintenance fan-out) plus the LDAP verb adapter; all placement and
@@ -170,10 +171,10 @@ struct UdrConfig {
 };
 
 /// The UDR network function.
-class UdrNf : public ldap::LdapBackend {
+class UdrNf {
  public:
   UdrNf(UdrConfig config, sim::Network* network);
-  ~UdrNf() override;
+  ~UdrNf();
 
   const UdrConfig& config() const { return config_; }
   sim::Network* network() const { return network_; }
@@ -311,9 +312,9 @@ class UdrNf : public ldap::LdapBackend {
   // -- Client entry point --------------------------------------------------------
 
   /// Submits an LDAP request from a client at `client_site`: routes to the
-  /// nearest reachable PoA, through its balancer and a stateless LDAP
-  /// server, into the data path. The returned latency covers the whole
-  /// client-observed path.
+  /// nearest reachable PoA, charges its balancer's next healthy LDAP server
+  /// the protocol cost, and runs Process in that cluster. The returned
+  /// latency covers the whole client-observed path.
   ldap::LdapResult Submit(const ldap::LdapRequest& request,
                           sim::SiteId client_site);
 
@@ -326,13 +327,14 @@ class UdrNf : public ldap::LdapBackend {
   // -- Cross-event coalescing (PoA dispatch window) ------------------------------
 
   /// Enqueues one signaling event into the PoA's cross-event dispatch
-  /// window: client -> balancer -> stateless server, then the event parks in
-  /// the cluster's routing::Coalescer instead of executing inline. The
-  /// result is collected with TakeEvent once the window flushes (PumpEvents
-  /// when the sim clock passes the deadline, FlushEvents as a barrier). With
+  /// window: the PoA hop of SubmitBatch, then the event parks in that
+  /// cluster's routing::Coalescer instead of executing inline (Adds and
+  /// untranslatable requests resolve at enqueue). The result is collected
+  /// with TakeEvent once the window flushes (PumpEvents when the sim clock
+  /// passes the deadline, FlushEvents as a barrier). With
   /// `coalesce_window_us == 0` the event executes immediately and TakeEvent
   /// succeeds right away with a result identical to SubmitBatch. The op
-  /// list moves down the enqueue chain into the parked event uncopied.
+  /// list moves into the parked event uncopied.
   StatusOr<uint64_t> SubmitEvent(std::vector<ldap::LdapRequest> requests,
                                  sim::SiteId client_site);
 
@@ -364,13 +366,12 @@ class UdrNf : public ldap::LdapBackend {
                                            : nullptr;
   }
 
-  // -- ldap::LdapBackend ----------------------------------------------------------
+  // -- Request semantics (behind the PoA) ------------------------------------------
 
   /// Request semantics, entered at the PoA of `poa_site`: the ProcessBatch
   /// pipeline for one request (same PoA cache and spans). The result carries
   /// the batch latency, transit included; it counts as one foreground op.
-  ldap::LdapResult Process(const ldap::LdapRequest& request,
-                           uint32_t poa_site) override;
+  ldap::LdapResult Process(const ldap::LdapRequest& request, uint32_t poa_site);
 
   /// Multi-op request semantics: batchable verbs (search, compare, modify)
   /// ride the routing::Router::RouteBatch pipeline; Delete rides it too, as
@@ -379,16 +380,7 @@ class UdrNf : public ldap::LdapBackend {
   /// flushes the pending run and executes inline in place, preserving
   /// request order.
   ldap::LdapBatchResult ProcessBatch(const std::vector<ldap::LdapRequest>& requests,
-                                     uint32_t poa_site) override;
-
-  /// Parks a multi-op request in this PoA's cross-event dispatch window
-  /// (Adds and untranslatable requests resolve inline at enqueue time).
-  /// With coalescing disabled this is ProcessBatch plus a stashed result.
-  uint64_t EnqueueBatch(std::vector<ldap::LdapRequest> requests,
-                        uint32_t poa_site) override;
-
-  /// Claims a completed enqueued request; nullopt while its window is open.
-  std::optional<ldap::LdapBatchResult> TakeBatchResult(uint64_t handle) override;
+                                     uint32_t poa_site);
 
   // -- Internal administration -----------------------------------------------------
 
@@ -470,6 +462,26 @@ class UdrNf : public ldap::LdapBackend {
   /// agrees — the task is then a successful no-op).
   StatusOr<int64_t> RehomeOne(const migration::MigrationTaskSpec& spec);
 
+  /// The PoA hop of Submit, SubmitBatch and SubmitEvent: the nearest serving
+  /// PoA's next healthy LDAP server is charged `ops` operations; returns
+  /// their protocol cost and sets `*cluster` (left null when no PoA serves
+  /// the client).
+  StatusOr<MicroDuration> EnterPoa(sim::SiteId client_site, size_t ops,
+                                   BladeCluster** cluster);
+
+  /// Submit and SubmitBatch: EnterPoa, `process(poa_site)` in that cluster,
+  /// then the protocol cost and client leg. A refused request is kUnavailable
+  /// on every op, after the client leg (or the RPC timeout without a PoA).
+  template <typename Result, typename ProcessFn>
+  Result SubmitAtPoa(sim::SiteId client_site, size_t ops,
+                     ProcessFn&& process);
+
+  /// The client <-> PoA leg of one message (LAN when the client is
+  /// co-located, §3.3.2 measure 1), then the udr.submit.{ok,failed} count.
+  template <typename Result>
+  void AddClientLeg(sim::SiteId client_site, const BladeCluster& cluster,
+                    Result* result);
+
   ldap::LdapResult DoAdd(const ldap::LdapRequest& request, uint32_t poa_site);
 
   /// The requests that never ride the pipeline: Add (placement side effects)
@@ -549,6 +561,17 @@ class UdrNf : public ldap::LdapBackend {
                                        const routing::OpOutcome& read,
                                        const routing::OpOutcome& write);
 
+  /// The LDAP result of `request` from its slot: the inline result, or its
+  /// pipeline outcome(s) mapped back, which adds one to `*pipeline_requests`
+  /// (the migration scheduler's foreground charge).
+  ldap::LdapResult SlotResult(const ldap::LdapRequest& request,
+                              RequestSlot& slot,
+                              std::vector<routing::OpOutcome>& outcomes,
+                              int64_t* pipeline_requests);
+
+  /// Counts one processed multi-op request: udr.batch.{count,ops,failed_ops}.
+  void CountBatch(const ldap::LdapBatchResult& out);
+
   /// Translates one request of an event into a slot, appending pipeline ops
   /// to `batch`. Batchable verbs map 1:1 (a Search with its projection);
   /// Delete maps to its read + write pair; a translation failure
@@ -594,16 +617,15 @@ class UdrNf : public ldap::LdapBackend {
   std::optional<storage::RecordKey> WriteKeyOf(
       const routing::Operation& op) const;
 
-  /// One enqueued event: parked in a window until `ready`, then its result.
+  /// One enqueued event: parked in a window until `ready`, then its result,
+  /// which TakeEvent charges the protocol cost and the client leg.
   struct EventEntry {
     PendingEvent parked;
     ldap::LdapBatchResult result;
     bool ready = false;
-  };
-  /// Client leg of one in-flight SubmitEvent.
-  struct EventClient {
-    sim::SiteId site = 0;
-    uint32_t cluster = 0;
+    sim::SiteId client_site = 0;
+    uint32_t cluster = 0;  ///< The PoA's cluster, whose window parks it.
+    MicroDuration protocol_cost = 0;
   };
 
   UdrConfig config_;
@@ -633,6 +655,7 @@ class UdrNf : public ldap::LdapBackend {
   std::vector<std::unique_ptr<routing::Coalescer>> coalescers_;
   /// Every enqueued event not yet taken, by enqueue handle.
   HandleTable<EventEntry> events_;
+  uint64_t next_event_handle_ = 1;
   /// Handles parked in each cluster's window, in arrival order (1:1 with
   /// coalescers_).
   std::vector<std::vector<uint64_t>> window_events_;
@@ -645,8 +668,6 @@ class UdrNf : public ldap::LdapBackend {
   /// coalescers_).
   std::vector<std::vector<storage::RecordKey>> window_write_keys_;
   uint64_t event_completions_ = 0;
-  /// Client leg of each in-flight SubmitEvent.
-  HandleTable<EventClient> event_clients_;
   storage::RecordKey next_key_ = 1;
   int64_t subscriber_count_ = 0;
   /// Live runtime splits, oldest first; StartMerge keeps the entry until the

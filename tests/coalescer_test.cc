@@ -1,7 +1,7 @@
 // Tests for the PoA cross-event dispatch window: routing::Coalescer window
 // mechanics (deadline close, size-cap close, passthrough), demultiplexed
 // per-event results with per-event error isolation and the queueing-delay /
-// service-latency split, the enqueue path through the LDAP layers
+// service-latency split, the enqueue path and its PoA hop
 // (UdrNf::SubmitEvent / PumpEvents / TakeEvent), FeFleet's collection of
 // parked events, the deferred front-end mode, and the concurrent-event
 // traffic driver.
@@ -205,7 +205,7 @@ TEST(CoalescerTest, CrossEventPerKeyOrderIsArrivalOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Enqueue path through the LDAP layers
+// Enqueue path through the PoA
 // ---------------------------------------------------------------------------
 
 TEST(SubmitEventTest, ZeroWindowIsPassthroughIdenticalToSubmitBatch) {

@@ -51,22 +51,14 @@ TEST(BladeClusterTest, NamesElementsAfterCluster) {
   EXPECT_EQ((*se)->site(), 1u);
 }
 
-class NullBackend : public ldap::LdapBackend {
- public:
-  ldap::LdapResult Process(const LdapRequest&, uint32_t) override {
-    return ldap::LdapResult();
-  }
-};
-
 TEST(BladeClusterTest, EnforcesLdapLimitAndAutoRegisters) {
   sim::SimClock clock;
-  NullBackend backend;
   BladeCluster cluster(0, 0, &clock);
   ldap::LdapServerConfig cfg;
   for (int i = 0; i < kMaxLdapServersPerCluster; ++i) {
-    ASSERT_TRUE(cluster.AddLdapServer(cfg, &backend).ok());
+    ASSERT_TRUE(cluster.AddLdapServer(cfg).ok());
   }
-  EXPECT_TRUE(cluster.AddLdapServer(cfg, &backend).status().IsResourceExhausted());
+  EXPECT_TRUE(cluster.AddLdapServer(cfg).status().IsResourceExhausted());
   EXPECT_EQ(cluster.balancer().server_count(), 32u);
   // 32 servers x 1e6 ops/s each.
   EXPECT_EQ(cluster.LdapOpsPerSecond(), 32'000'000);

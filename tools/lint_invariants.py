@@ -108,6 +108,14 @@ concurrency statically checkable — the ones a generic linter can't know:
                      consensus engine was before it became the
                      ELECT_MAJORITY partition mode.
 
+  handle-table-owner src/ may name HandleTable< only in src/routing/coalescer.h
+                     and src/udr/udr_nf.h. An in-flight event is tracked in
+                     two tables: the coalescer's outcomes while its window
+                     is open and UdrNf's event ledger until it is taken
+                     (client leg and owed protocol cost included). The LDAP
+                     servers and the balancer are stateless; a third table
+                     would be a layer remembering requests it only forwards.
+
   metric-name        every dotted metric-name string literal passed to
                      Add/Observe/RegisterCounter/RegisterHist in src/ must
                      appear (backticked) in the docs/METRICS.md table, and
@@ -195,6 +203,10 @@ COMMIT_LOG_DECL_RE = re.compile(
     r"\bCommitLog(?:\s*>)*\s+[A-Za-z_]\w*\s*(?:[;={(\[]|$)")
 COMMIT_LOG_HOMES = ("src/storage/", "src/replication/replica_set.h",
                     "src/replication/replica_set.cc")
+
+# The files that may hold an in-flight handle table.
+HANDLE_TABLE_RE = re.compile(r"\bHandleTable\s*<")
+HANDLE_TABLE_HOMES = ("src/routing/coalescer.h", "src/udr/udr_nf.h")
 
 # The hashing and probing of an open-addressing table, and its one home.
 FLAT_TABLE_PATTERNS = [
@@ -346,6 +358,16 @@ def lint_file(path: str, rel: str, allowlist_doc: str, violations: list):
                 f"src/replication/replica_set.{{h,cc}} — replication has "
                 f"one engine (ReplicaSet); add a SyncMode or PartitionMode "
                 f"instead of a class with its own log")
+
+        if (rel not in HANDLE_TABLE_HOMES
+                and "handle-table-owner" not in active
+                and HANDLE_TABLE_RE.search(code)):
+            violations.append(
+                f"{rel}:{lineno}: [handle-table-owner] HandleTable outside "
+                f"src/routing/coalescer.h and src/udr/udr_nf.h — an "
+                f"in-flight event lives in the coalescer's outcomes and "
+                f"UdrNf's event ledger only; keep its state in the "
+                f"EventEntry")
 
         if rel != FLAT_TABLE_HOME and "flat-table" not in active:
             for pat, what in FLAT_TABLE_PATTERNS:
