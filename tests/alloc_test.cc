@@ -21,6 +21,12 @@
 // payloads. The same ceiling holds over cache-on-miss location stages,
 // whose hits read the shared binding table.
 //
+// Synchronous acks: the same Modify under dual-sequence and quorum acks.
+// Their ceilings are the means measured when each commit allocated its ack
+// bookkeeping: 2.01 allocations per call for dual-sequence, 7.01 for quorum
+// (a reachable-component vector and a candidate vector, regrown from empty
+// on every commit).
+//
 // Create path: the mean over 200 creates of a home-pinned subscriber (18
 // attributes) on the settled testbed, its spec built up front and counted
 // apart. Both the spec's profile and the create's write set are built to
@@ -144,6 +150,24 @@ class AllocTest : public ::testing::Test {
     return mean;
   }
 
+  /// Mean allocations of a one-attribute Modify (the requests are built up
+  /// front: only the verb path is counted).
+  double ModifyAllocations(const char* label) {
+    std::vector<ldap::LdapRequest> requests(kSubscribers);
+    for (int i = 0; i < static_cast<int>(kSubscribers); ++i) {
+      requests[i].op = ldap::LdapOp::kModify;
+      requests[i].dn = DnOf(i);
+      requests[i].mods.push_back(ldap::Modification{
+          ldap::ModType::kReplace, telecom::attr::kServingVlr,
+          std::string("vlr-") + std::to_string(i % 10)});
+    }
+    return MeanAllocations(label, [&](int i) {
+      ldap::LdapResult r =
+          bed_.udr().Process(requests[i % kSubscribers], /*poa_site=*/0);
+      ASSERT_TRUE(r.ok());
+    });
+  }
+
   Testbed bed_;
 };
 
@@ -167,20 +191,40 @@ TEST_F(AllocTest, ProcessSearch) {
 }
 
 TEST_F(AllocTest, ProcessModify) {
-  std::vector<ldap::LdapRequest> requests(kSubscribers);
-  for (int i = 0; i < static_cast<int>(kSubscribers); ++i) {
-    requests[i].op = ldap::LdapOp::kModify;
-    requests[i].dn = DnOf(i);
-    requests[i].mods.push_back(ldap::Modification{
-        ldap::ModType::kReplace, telecom::attr::kServingVlr,
-        std::string("vlr-") + std::to_string(i % 10)});
+  EXPECT_LE(ModifyAllocations("UdrNf::Process(Modify)"), 6.0);
+}
+
+/// The same Modify under synchronous acks: the commit applies to one slave
+/// (dual-sequence) or a majority (quorum) before the client is acked.
+class SyncAckAllocTest : public AllocTest {
+ protected:
+  explicit SyncAckAllocTest(replication::SyncMode mode)
+      : AllocTest(SyncOptions(mode)) {}
+
+  static TestbedOptions SyncOptions(replication::SyncMode mode) {
+    TestbedOptions o = Options();
+    o.udr.sync_mode = mode;
+    return o;
   }
-  const double mean = MeanAllocations("UdrNf::Process(Modify)", [&](int i) {
-    ldap::LdapResult r =
-        bed_.udr().Process(requests[i % kSubscribers], /*poa_site=*/0);
-    ASSERT_TRUE(r.ok());
-  });
-  EXPECT_LE(mean, 6.0);
+};
+
+class DualSequenceAllocTest : public SyncAckAllocTest {
+ protected:
+  DualSequenceAllocTest()
+      : SyncAckAllocTest(replication::SyncMode::kDualSequence) {}
+};
+
+class QuorumAllocTest : public SyncAckAllocTest {
+ protected:
+  QuorumAllocTest() : SyncAckAllocTest(replication::SyncMode::kQuorum) {}
+};
+
+TEST_F(DualSequenceAllocTest, ProcessModify) {
+  EXPECT_LE(ModifyAllocations("Process(Modify) dual-seq"), 2.01);
+}
+
+TEST_F(QuorumAllocTest, ProcessModify) {
+  EXPECT_LE(ModifyAllocations("Process(Modify) quorum"), 7.01);
 }
 
 TEST_F(AllocTest, HlrAuthenticate) {

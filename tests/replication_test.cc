@@ -420,6 +420,259 @@ TEST_F(ReplicaSetTest, ElectionResyncsTheDeposedMaster) {
 }
 
 // ---------------------------------------------------------------------------
+// Master-path admission: every CAP stance x failure case x master-path op
+// ---------------------------------------------------------------------------
+
+/// State the master path meets. The client sits at site 1; the master copy
+/// is replica 0 at site 0, and key 1 is on every replica.
+enum class AdmitCase {
+  kHealthy,
+  kDownInsideDetection,  ///< Master crashed 1 s ago (detection is 5 s).
+  kDownWithSurvivor,     ///< Master crashed 10 s ago; the slaves are up.
+  kDownWithNoSurvivor,   ///< Every replica crashed 10 s ago.
+  kClientCut,            ///< Link 0-1 cut; the master reaches site 2.
+  kMasterMinority,       ///< Site 0 isolated from both slaves.
+};
+
+enum class MasterOp { kWrite, kBatchOfOne, kMasterOnlyRead };
+
+struct AdmissionRow {
+  PartitionMode mode;
+  AdmitCase when;
+  MasterOp op;
+  StatusCode code;
+  MicroDuration latency;
+  uint32_t served_by;
+  bool diverged;
+  uint32_t master_after;
+  int64_t accepted;  ///< writes_accepted(), the seed write included.
+  int64_t rejected;
+  int64_t diverged_writes;
+  int64_t degraded;
+};
+
+std::string RowString(const AdmissionRow& r) {
+  return "code=" + std::string(StatusCodeName(r.code)) +
+         " latency=" + std::to_string(r.latency) +
+         " served_by=" + std::to_string(r.served_by) +
+         " diverged=" + std::to_string(r.diverged) +
+         " master=" + std::to_string(r.master_after) +
+         " accepted=" + std::to_string(r.accepted) +
+         " rejected=" + std::to_string(r.rejected) +
+         " diverged_writes=" + std::to_string(r.diverged_writes) +
+         " degraded=" + std::to_string(r.degraded);
+}
+
+constexpr auto kPc = PartitionMode::kPreferConsistency;
+constexpr auto kPa = PartitionMode::kPreferAvailability;
+constexpr auto kMaj = PartitionMode::kElectMajority;
+constexpr auto kOk = StatusCode::kOk;
+constexpr auto kUnav = StatusCode::kUnavailable;
+constexpr MasterOp kW = MasterOp::kWrite;
+constexpr MasterOp kB = MasterOp::kBatchOfOne;
+constexpr MasterOp kR = MasterOp::kMasterOnlyRead;
+
+// One row per stance x case x op: status code, latency, serving replica,
+// divergence, the master after the op and the write counters. Write,
+// WriteBatch and a master-only read must agree with these cells whichever
+// code admits them to the master.
+const AdmissionRow kAdmissionTable[] = {
+    // clang-format off
+    // mode when                              op  code    latency by div    mr acc rj dw dg
+    {kPc,  AdmitCase::kHealthy,              kW, kOk,     30056, 0, false, 0, 2, 0, 0, 0},
+    {kPc,  AdmitCase::kHealthy,              kB, kOk,     30056, 0, false, 0, 2, 0, 0, 0},
+    {kPc,  AdmitCase::kHealthy,              kR, kOk,     30045, 0, false, 0, 1, 0, 0, 0},
+    {kPc,  AdmitCase::kDownInsideDetection,  kW, kUnav,  500000, 0, false, 0, 1, 1, 0, 0},
+    {kPc,  AdmitCase::kDownInsideDetection,  kB, kUnav,  500000, 0, false, 0, 1, 1, 0, 0},
+    {kPc,  AdmitCase::kDownInsideDetection,  kR, kUnav,  500000, 0, false, 0, 1, 0, 0, 0},
+    {kPc,  AdmitCase::kDownWithSurvivor,     kW, kOk,       256, 1, false, 1, 2, 0, 0, 0},
+    {kPc,  AdmitCase::kDownWithSurvivor,     kB, kOk,       256, 1, false, 1, 2, 0, 0, 0},
+    {kPc,  AdmitCase::kDownWithSurvivor,     kR, kOk,       245, 1, false, 1, 1, 0, 0, 0},
+    {kPc,  AdmitCase::kDownWithNoSurvivor,   kW, kUnav,  500000, 0, false, 0, 1, 1, 0, 0},
+    {kPc,  AdmitCase::kDownWithNoSurvivor,   kB, kUnav,  500000, 0, false, 0, 1, 1, 0, 0},
+    {kPc,  AdmitCase::kDownWithNoSurvivor,   kR, kUnav,  500000, 0, false, 0, 1, 0, 0, 0},
+    {kPc,  AdmitCase::kClientCut,            kW, kUnav,  500000, 0, false, 0, 1, 1, 0, 0},
+    {kPc,  AdmitCase::kClientCut,            kB, kUnav,  500000, 0, false, 0, 1, 1, 0, 0},
+    {kPc,  AdmitCase::kClientCut,            kR, kUnav,  500000, 0, false, 0, 1, 0, 0, 0},
+    {kPc,  AdmitCase::kMasterMinority,       kW, kUnav,  500000, 0, false, 0, 1, 1, 0, 0},
+    {kPc,  AdmitCase::kMasterMinority,       kB, kUnav,  500000, 0, false, 0, 1, 1, 0, 0},
+    {kPc,  AdmitCase::kMasterMinority,       kR, kUnav,  500000, 0, false, 0, 1, 0, 0, 0},
+    {kPa,  AdmitCase::kHealthy,              kW, kOk,     30056, 0, false, 0, 2, 0, 0, 0},
+    {kPa,  AdmitCase::kHealthy,              kB, kOk,     30056, 0, false, 0, 2, 0, 0, 0},
+    {kPa,  AdmitCase::kHealthy,              kR, kOk,     30045, 0, false, 0, 1, 0, 0, 0},
+    {kPa,  AdmitCase::kDownInsideDetection,  kW, kOk,       256, 1, true,  0, 2, 0, 1, 0},
+    {kPa,  AdmitCase::kDownInsideDetection,  kB, kOk,       256, 1, true,  0, 2, 0, 1, 0},
+    {kPa,  AdmitCase::kDownInsideDetection,  kR, kUnav,  500000, 0, false, 0, 1, 0, 0, 0},
+    {kPa,  AdmitCase::kDownWithSurvivor,     kW, kOk,       256, 1, false, 1, 2, 0, 0, 0},
+    {kPa,  AdmitCase::kDownWithSurvivor,     kB, kOk,       256, 1, false, 1, 2, 0, 0, 0},
+    {kPa,  AdmitCase::kDownWithSurvivor,     kR, kOk,       245, 1, false, 1, 1, 0, 0, 0},
+    {kPa,  AdmitCase::kDownWithNoSurvivor,   kW, kUnav,  500000, 0, false, 0, 1, 1, 0, 0},
+    {kPa,  AdmitCase::kDownWithNoSurvivor,   kB, kUnav,  500000, 0, false, 0, 1, 1, 0, 0},
+    {kPa,  AdmitCase::kDownWithNoSurvivor,   kR, kUnav,  500000, 0, false, 0, 1, 0, 0, 0},
+    {kPa,  AdmitCase::kClientCut,            kW, kOk,       256, 1, true,  0, 2, 0, 1, 0},
+    {kPa,  AdmitCase::kClientCut,            kB, kOk,       256, 1, true,  0, 2, 0, 1, 0},
+    {kPa,  AdmitCase::kClientCut,            kR, kUnav,  500000, 0, false, 0, 1, 0, 0, 0},
+    {kPa,  AdmitCase::kMasterMinority,       kW, kOk,       256, 1, true,  0, 2, 0, 1, 0},
+    {kPa,  AdmitCase::kMasterMinority,       kB, kOk,       256, 1, true,  0, 2, 0, 1, 0},
+    {kPa,  AdmitCase::kMasterMinority,       kR, kUnav,  500000, 0, false, 0, 1, 0, 0, 0},
+    {kMaj, AdmitCase::kHealthy,              kW, kOk,     30056, 0, false, 0, 2, 0, 0, 0},
+    {kMaj, AdmitCase::kHealthy,              kB, kOk,     30056, 0, false, 0, 2, 0, 0, 0},
+    {kMaj, AdmitCase::kHealthy,              kR, kOk,     30045, 0, false, 0, 1, 0, 0, 0},
+    {kMaj, AdmitCase::kDownInsideDetection,  kW, kOk,   5000256, 1, false, 1, 2, 0, 0, 0},
+    {kMaj, AdmitCase::kDownInsideDetection,  kB, kOk,   5000256, 1, false, 1, 2, 0, 0, 0},
+    {kMaj, AdmitCase::kDownInsideDetection,  kR, kOk,   5000245, 1, false, 1, 1, 0, 0, 0},
+    {kMaj, AdmitCase::kDownWithSurvivor,     kW, kOk,   5000256, 1, false, 1, 2, 0, 0, 0},
+    {kMaj, AdmitCase::kDownWithSurvivor,     kB, kOk,   5000256, 1, false, 1, 2, 0, 0, 0},
+    {kMaj, AdmitCase::kDownWithSurvivor,     kR, kOk,   5000245, 1, false, 1, 1, 0, 0, 0},
+    {kMaj, AdmitCase::kDownWithNoSurvivor,   kW, kUnav,  500000, 0, false, 0, 1, 1, 0, 0},
+    {kMaj, AdmitCase::kDownWithNoSurvivor,   kB, kUnav,  500000, 0, false, 0, 1, 1, 0, 0},
+    {kMaj, AdmitCase::kDownWithNoSurvivor,   kR, kUnav,  500000, 0, false, 0, 1, 0, 0, 0},
+    {kMaj, AdmitCase::kClientCut,            kW, kOk,   5000256, 1, false, 1, 2, 0, 0, 0},
+    {kMaj, AdmitCase::kClientCut,            kB, kOk,   5000256, 1, false, 1, 2, 0, 0, 0},
+    {kMaj, AdmitCase::kClientCut,            kR, kOk,   5000245, 1, false, 1, 1, 0, 0, 0},
+    {kMaj, AdmitCase::kMasterMinority,       kW, kOk,   5000256, 1, false, 1, 2, 0, 0, 0},
+    {kMaj, AdmitCase::kMasterMinority,       kB, kOk,   5000256, 1, false, 1, 2, 0, 0, 0},
+    {kMaj, AdmitCase::kMasterMinority,       kR, kOk,   5000245, 1, false, 1, 1, 0, 0, 0},
+    // clang-format on
+};
+
+class AdmissionTableTest : public ReplicaSetTest {
+ protected:
+  /// Builds a fresh set under `mode`, seeds key 1 on every replica and
+  /// drives it into `when`.
+  void Arrange(PartitionMode mode, AdmitCase when) {
+    ReplicaSetConfig cfg;
+    cfg.partition_mode = mode;
+    Build(cfg);
+    clock().AdvanceTo(Seconds(1));
+    ASSERT_TRUE(Put(0, 1, "a", int64_t{1}).status.ok());
+    clock().Advance(Seconds(1));
+    rs().CatchUpAll();
+    const MicroTime now = clock().Now();
+    switch (when) {
+      case AdmitCase::kHealthy:
+        break;
+      case AdmitCase::kDownInsideDetection:
+        rs().CrashReplica(0);
+        clock().Advance(Seconds(1));
+        break;
+      case AdmitCase::kDownWithSurvivor:
+        rs().CrashReplica(0);
+        clock().Advance(Seconds(10));
+        break;
+      case AdmitCase::kDownWithNoSurvivor:
+        for (uint32_t id = 0; id < 3; ++id) rs().CrashReplica(id);
+        clock().Advance(Seconds(10));
+        break;
+      case AdmitCase::kClientCut:
+        network().partitions().CutLink(0, 1, now, now + Seconds(100));
+        break;
+      case AdmitCase::kMasterMinority:
+        network().partitions().IsolateSite(0, 3, now, now + Seconds(100));
+        break;
+    }
+  }
+
+  /// Runs `op` from site 1 and reads back the row it produced.
+  AdmissionRow Run(PartitionMode mode, AdmitCase when, MasterOp op) {
+    AdmissionRow row{mode, when, op, kOk, 0, 0, false, 0, 0, 0, 0, 0};
+    Arrange(mode, when);
+    switch (op) {
+      case MasterOp::kWrite: {
+        WriteResult w = Put(1, 1, "a", int64_t{2});
+        row.code = w.status.code();
+        row.latency = w.latency;
+        row.served_by = w.served_by;
+        row.diverged = w.diverged;
+        break;
+      }
+      case MasterOp::kBatchOfOne: {
+        WriteBuilder wb;
+        wb.Set(1, "a", int64_t{2});
+        std::vector<std::vector<storage::WriteOp>> txns;
+        txns.push_back(std::move(wb).Build());
+        GroupWriteResult g = rs().WriteBatch(1, std::move(txns));
+        EXPECT_EQ(g.per_op.size(), 1u);
+        row.code = g.status.code();
+        row.latency = g.latency;
+        row.served_by = g.per_op.front().served_by;
+        row.diverged = g.per_op.front().diverged;
+        break;
+      }
+      case MasterOp::kMasterOnlyRead: {
+        ReadResult r =
+            rs().ReadAttribute(1, 1, "a", ReadPreference::kMasterOnly);
+        row.code = r.status.code();
+        row.latency = r.latency;
+        row.served_by = r.served_by;
+        break;
+      }
+    }
+    row.master_after = rs().master_id();
+    row.accepted = rs().writes_accepted();
+    row.rejected = rs().writes_rejected();
+    row.diverged_writes = rs().diverged_writes();
+    row.degraded = rs().degraded_commits();
+    return row;
+  }
+};
+
+TEST_F(AdmissionTableTest, EveryStanceCaseAndOpMatchesThePinnedRow) {
+  for (const AdmissionRow& want : kAdmissionTable) {
+    const AdmissionRow got = Run(want.mode, want.when, want.op);
+    EXPECT_EQ(RowString(got), RowString(want))
+        << "mode " << static_cast<int>(want.mode) << " case "
+        << static_cast<int>(want.when) << " op " << static_cast<int>(want.op);
+  }
+}
+
+/// Dual-sequence acks the first reachable slave in replica-id order (§5, "in
+/// sequence"), even when a later slave is nearer the master.
+TEST_F(ReplicaSetTest, DualSequenceAcksSlavesInIdOrder) {
+  ReplicaSetConfig cfg;
+  cfg.sync_mode = SyncMode::kDualSequence;
+  Build(cfg);
+  network().mutable_topology().SetLinkLatency(0, 2, Millis(1));
+  clock().AdvanceTo(Seconds(1));
+  WriteResult w = Put(0, 1, "a", int64_t{1});
+  ASSERT_TRUE(w.status.ok());
+  EXPECT_FALSE(w.degraded);
+  EXPECT_EQ(ValueAt(1, 1, "a"), "1");
+  EXPECT_EQ(ValueAt(2, 1, "a"), "<norec>");
+  EXPECT_EQ(w.latency,
+            rs().replica_se(0)->WriteServiceTime() +
+                network().topology().Rtt(0, 1) +
+                rs().replica_se(1)->WriteServiceTime() +
+                network().topology().Rtt(0, 0) +
+                network().topology().HopOverhead());
+}
+
+/// Quorum acks the nearest slaves first, ties broken by replica id: on five
+/// sites it needs two, here replica 4 (1 ms) and replica 2 (2 ms, tied with
+/// replica 3).
+TEST_F(ReplicaSetTest, QuorumAcksNearestSlavesFirst) {
+  ReplicaSetConfig cfg;
+  cfg.sync_mode = SyncMode::kQuorum;
+  Build(cfg, /*sites=*/5);
+  network().mutable_topology().SetLinkLatency(0, 4, Millis(1));
+  network().mutable_topology().SetLinkLatency(0, 2, Millis(2));
+  network().mutable_topology().SetLinkLatency(0, 3, Millis(2));
+  clock().AdvanceTo(Seconds(1));
+  WriteResult w = Put(0, 1, "a", int64_t{1});
+  ASSERT_TRUE(w.status.ok());
+  EXPECT_EQ(ValueAt(4, 1, "a"), "1");
+  EXPECT_EQ(ValueAt(2, 1, "a"), "1");
+  EXPECT_EQ(ValueAt(3, 1, "a"), "<norec>");
+  EXPECT_EQ(ValueAt(1, 1, "a"), "<norec>");
+  EXPECT_EQ(w.latency,
+            rs().replica_se(0)->WriteServiceTime() +
+                network().topology().Rtt(0, 2) +
+                rs().replica_se(2)->WriteServiceTime() +
+                network().topology().Rtt(0, 0) +
+                network().topology().HopOverhead());
+}
+
+// ---------------------------------------------------------------------------
 // Multi-master (AP) mode and consistency restoration (§5)
 // ---------------------------------------------------------------------------
 
