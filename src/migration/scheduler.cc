@@ -22,13 +22,15 @@ MigrationScheduler::MigrationScheduler(MigrationSchedulerConfig config,
                                        routing::PartitionMap* map,
                                        routing::Router* router,
                                        const BandwidthModel* bandwidth,
-                                       sim::Network* network, Metrics* metrics)
+                                       sim::Network* network, Metrics* metrics,
+                                       obs::FlightRecorder* flight)
     : config_(config),
       map_(map),
       router_(router),
       bandwidth_(bandwidth),
       network_(network),
-      metrics_(metrics) {}
+      metrics_(metrics),
+      flight_(flight) {}
 
 uint64_t MigrationScheduler::EnqueuePlan(const MigrationPlan& plan) {
   const uint64_t plan_id = next_plan_id_++;
@@ -332,12 +334,10 @@ void MigrationScheduler::Cutover(MigrationTask* task, ReplicaSet* rs) {
     tracer_->RecordSpan("migration.cutover", task->trace, Now(),
                         Now() + task->cutover_latency);
   }
-  if (flight_ != nullptr) {
-    flight_->Record(Now(), "migration", "cutover",
-                    "partition=" + std::to_string(task->spec.partition) +
-                        " from_se=" + std::to_string(task->spec.from_se) +
-                        " to_se=" + std::to_string(task->spec.to_se));
-  }
+  flight_->Record(Now(), "migration", "cutover",
+                  "partition=" + std::to_string(task->spec.partition) +
+                      " from_se=" + std::to_string(task->spec.from_se) +
+                      " to_se=" + std::to_string(task->spec.to_se));
   FinishTask(task);
 }
 
@@ -345,11 +345,9 @@ void MigrationScheduler::Fail(MigrationTask* task, Status error) {
   task->error = std::move(error);
   task->state = TaskState::kFailed;
   task->finished = Now();
-  if (flight_ != nullptr) {
-    flight_->Record(Now(), "migration", "task.failed",
-                    "task=" + std::to_string(task->id) + " " +
-                        task->error.ToString());
-  }
+  flight_->Record(Now(), "migration", "task.failed",
+                  "task=" + std::to_string(task->id) + " " +
+                      task->error.ToString());
   FinishTask(task);
 }
 

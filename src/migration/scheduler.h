@@ -110,7 +110,7 @@ class MigrationScheduler {
   MigrationScheduler(MigrationSchedulerConfig config,
                      routing::PartitionMap* map, routing::Router* router,
                      const BandwidthModel* bandwidth, sim::Network* network,
-                     Metrics* metrics);
+                     Metrics* metrics, obs::FlightRecorder* flight);
 
   const MigrationSchedulerConfig& config() const { return config_; }
   void set_rehome_executor(RehomeExecutor executor) {
@@ -154,9 +154,8 @@ class MigrationScheduler {
   void OnForegroundOps(int64_t ops);
 
   /// Installs the tracer chunk/cutover spans are recorded into (nullptr =
-  /// off) and the flight recorder cutovers and failures are logged to.
+  /// off). Cutovers and failures are logged to the constructor's `flight`.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
-  void set_flight_recorder(obs::FlightRecorder* flight) { flight_ = flight; }
 
  private:
   MicroTime Now() const { return network_->Now(); }
@@ -193,7 +192,7 @@ class MigrationScheduler {
   sim::Network* network_;
   Metrics* metrics_;
   obs::Tracer* tracer_ = nullptr;
-  obs::FlightRecorder* flight_ = nullptr;
+  obs::FlightRecorder* flight_;
   RehomeExecutor rehome_executor_;
 
   std::deque<MigrationTask> tasks_;  ///< Full history; cursor_ splits live/past.

@@ -42,7 +42,7 @@ struct FlightEvent {
 class FlightRecorder {
  public:
   /// `capacity` = events retained per component; older ones are evicted.
-  explicit FlightRecorder(size_t capacity) : capacity_(capacity) {}
+  explicit FlightRecorder(size_t capacity = 256) : capacity_(capacity) {}
 
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;

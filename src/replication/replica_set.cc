@@ -18,6 +18,19 @@ using storage::Value;
 using storage::WriteKind;
 using storage::WriteOp;
 
+namespace {
+
+/// Adds the key of every write in the first `count` entries of `log` to
+/// `*keys`: the slice of a partition is every key its log touched.
+void CollectKeys(const storage::CommitLog& log, size_t count,
+                 std::unordered_set<RecordKey>* keys) {
+  for (size_t i = 0; i < count; ++i) {
+    for (const WriteOp& op : log.entries()[i].ops) keys->insert(op.key);
+  }
+}
+
+}  // namespace
+
 ReplicaSet::ReplicaSet(ReplicaSetConfig config,
                        std::vector<storage::StorageElement*> elements,
                        sim::Network* network)
@@ -114,72 +127,49 @@ void ReplicaSet::CatchUpAll() {
 
 WriteResult ReplicaSet::Write(sim::SiteId client_site,
                               std::vector<WriteOp> ops) {
-  WriteResult out;
-  if (config_.partition_mode == PartitionMode::kElectMajority) {
-    MicroDuration election = 0;
-    Status admitted = AdmitMajority(client_site, &election);
-    if (!admitted.ok()) {
-      ++writes_rejected_;
-      out.status = std::move(admitted);
-      out.latency = network_->rpc_timeout();
-      return out;
+  MicroDuration election = 0;
+  Status admitted = AdmitMaster(client_site, &election);
+  if (admitted.ok()) {
+    WriteResult out = CommitOnMaster(std::move(ops));
+    if (out.status.ok()) {
+      out.latency += network_->topology().Rtt(client_site, master_site()) +
+                     network_->topology().HopOverhead();
     }
-    out = WriteOnMaster(client_site, std::move(ops));
     out.latency += election;
     return out;
   }
-  Replica& master = replicas_[master_];
-
-  // Master failure handling: fail over once the detection timeout elapses.
-  if (!master.up) {
-    if (Now() >= master.down_since + config_.failover_detection) {
-      auto fo = FailOver();
-      if (!fo.ok()) {
-        ++writes_rejected_;
-        out.status = fo.status();
-        out.latency = network_->rpc_timeout();
-        return out;
-      }
-    } else if (config_.partition_mode == PartitionMode::kPreferAvailability) {
-      WriteDivergedNearest(client_site, std::move(ops), &out);
-      return out;
-    } else {
-      ++writes_rejected_;
-      out.status = Status::Unavailable("master copy down, failover pending");
-      out.latency = network_->rpc_timeout();
-      return out;
-    }
+  if (config_.partition_mode == PartitionMode::kPreferAvailability) {
+    return WriteDiverged(client_site, std::move(ops));
   }
-
-  // Partition between the client and the master copy.
-  if (!network_->Reachable(client_site, master_site())) {
-    if (config_.partition_mode == PartitionMode::kPreferAvailability) {
-      WriteDivergedNearest(client_site, std::move(ops), &out);
-      return out;
-    }
-    ++writes_rejected_;
-    out.status = Status::Unavailable(
-        "client partitioned from master copy (favoring Consistency)");
-    out.latency = network_->rpc_timeout();
-    return out;
-  }
-
-  return WriteOnMaster(client_site, std::move(ops));
+  return Reject(std::move(admitted));
 }
 
-bool ReplicaSet::WriteDivergedNearest(sim::SiteId client_site,
-                                      std::vector<WriteOp> ops,
-                                      WriteResult* out) {
-  // The nearest reachable, up replica acts as a temporary master.
-  auto nearest = NearestReplica(client_site);
-  if (!nearest.ok()) {
-    ++writes_rejected_;
-    out->status = nearest.status();
-    out->latency = network_->rpc_timeout();
-    return false;
+WriteResult ReplicaSet::Reject(Status status) {
+  ++writes_rejected_;
+  WriteResult out;
+  out.status = std::move(status);
+  out.latency = network_->rpc_timeout();
+  return out;
+}
+
+Status ReplicaSet::AdmitMaster(sim::SiteId client_site,
+                               MicroDuration* election) {
+  if (config_.partition_mode == PartitionMode::kElectMajority) {
+    return AdmitMajority(client_site, election);
   }
-  *out = WriteDiverged(client_site, *nearest, std::move(ops));
-  return out->status.ok();
+  // A silent master is failed over once the detection timeout has passed.
+  const Replica& master = replicas_[master_];
+  if (!master.up) {
+    if (Now() < master.down_since + config_.failover_detection) {
+      return Status::Unavailable("master copy down, failover pending");
+    }
+    UDR_RETURN_IF_ERROR(FailOver().status());
+  }
+  if (!network_->Reachable(client_site, master_site())) {
+    return Status::Unavailable(
+        "client partitioned from master copy (favoring Consistency)");
+  }
+  return Status::Ok();
 }
 
 StatusOr<uint32_t> ReplicaSet::NearestReplica(sim::SiteId client_site) const {
@@ -237,30 +227,16 @@ Status ReplicaSet::AdmitMajority(sim::SiteId client_site,
   return Status::Ok();
 }
 
-WriteResult ReplicaSet::WriteOnMaster(sim::SiteId client_site,
-                                      std::vector<WriteOp> ops) {
-  WriteResult out = CommitOnMaster(std::move(ops));
-  if (out.status.ok()) {
-    out.latency += network_->topology().Rtt(client_site, master_site()) +
-                   network_->topology().HopOverhead();
-  }
-  return out;
-}
-
 WriteResult ReplicaSet::CommitOnMaster(std::vector<WriteOp> ops) {
+  // The acking slaves are chosen before anything is appended: a quorum write
+  // that cannot gather its majority is rejected outright.
+  const bool enough_acks = ChooseAckSlaves();
+  if (!enough_acks && config_.sync_mode == SyncMode::kQuorum) {
+    return Reject(Status::Unavailable("quorum not reachable"));
+  }
   WriteResult out;
   Replica& master = replicas_[master_];
   const MicroTime now = Now();
-
-  // QUORUM feasibility is checked before committing anything: a write that
-  // cannot gather a majority is rejected outright (consistent behaviour).
-  if (config_.sync_mode == SyncMode::kQuorum &&
-      ComponentOf(master_).size() < Majority()) {
-    ++writes_rejected_;
-    out.status = Status::Unavailable("quorum not reachable");
-    out.latency = network_->rpc_timeout();
-    return out;
-  }
 
   // Stamp write metadata with the commit time and master replica id.
   for (WriteOp& op : ops) {
@@ -281,11 +257,15 @@ WriteResult ReplicaSet::CommitOnMaster(std::vector<WriteOp> ops) {
   MicroDuration latency = master.se->BackgroundQueueDelay(now) +
                           master.se->WriteServiceTime(std::max(op_count, 1));
 
-  MicroDuration sync_extra = 0;
-  bool degraded = false;
-  SyncReplicate(seq, &sync_extra, &degraded);
-  latency += sync_extra;
-  if (degraded) {  // Degradation policy: the commit stands (paper §5).
+  // The client waits for the slowest acking slave to apply through `seq`.
+  MicroDuration ack_wait = 0;
+  for (const auto& [rtt, id] : ack_slaves_) {
+    Replica& r = replicas_[id];
+    while (r.applied < seq) ApplyEntry(&r, r.applied + 1);
+    ack_wait = std::max(ack_wait, rtt + r.se->WriteServiceTime());
+  }
+  latency += ack_wait;
+  if (!enough_acks) {  // Degradation policy: the commit stands (paper §5).
     ++degraded_commits_;
     out.degraded = true;
   }
@@ -316,25 +296,11 @@ void ReplicaSet::WriteBatch(sim::SiteId client_site,
     return;
   }
 
-  // Group admission: the fast path needs a cleanly writable master. Anything
-  // else (failover pending, client partitioned, AP divergence, a minority
-  // side) falls back to the per-transaction Write path, which owns those
-  // semantics.
+  // Group admission: the master path admits the group once. A refused group
+  // falls back to the per-transaction Write path, which owns the refusal
+  // (rejection, or AP divergence).
   MicroDuration election = 0;
-  bool master_path;
-  if (config_.partition_mode == PartitionMode::kElectMajority) {
-    master_path = AdmitMajority(client_site, &election).ok();
-  } else {
-    master_path = replicas_[master_].up;
-    if (!replicas_[master_].up &&
-        Now() >= replicas_[master_].down_since + config_.failover_detection) {
-      master_path = FailOver().ok();
-    }
-    if (master_path && !network_->Reachable(client_site, master_site())) {
-      master_path = false;
-    }
-  }
-  if (!master_path) {
+  if (!AdmitMaster(client_site, &election).ok()) {
     for (auto& ops : *txns) {
       WriteResult r = Write(client_site, std::move(ops));
       out.latency += r.latency;
@@ -358,62 +324,36 @@ void ReplicaSet::WriteBatch(sim::SiteId client_site,
   }
 }
 
-void ReplicaSet::SyncReplicate(CommitSeq seq, MicroDuration* extra_latency,
-                               bool* degraded) {
-  *extra_latency = 0;
-  *degraded = false;
-  switch (config_.sync_mode) {
-    case SyncMode::kAsync:
-      return;
-    case SyncMode::kDualSequence: {
-      // Apply to the first reachable slave, in sequence, before acking (§5:
-      // "apply provisioning transactions in sequence to two replicas").
-      for (uint32_t id = 0; id < replicas_.size(); ++id) {
-        if (id == master_) continue;
-        Replica& r = replicas_[id];
-        if (!r.up) continue;
-        if (!network_->Reachable(master_site(), r.se->site())) continue;
-        // Push every entry up to seq synchronously.
-        while (r.applied < seq) ApplyEntry(&r, r.applied + 1);
-        *extra_latency = network_->topology().Rtt(master_site(), r.se->site()) +
-                         r.se->WriteServiceTime();
-        return;
-      }
-      // No slave reachable: leave one replica updated (accepted by §5).
-      *degraded = true;
-      return;
-    }
-    case SyncMode::kQuorum: {
-      // Gather acks from the fastest slaves until a majority (incl. master).
-      std::vector<std::pair<MicroDuration, uint32_t>> candidates;
-      for (uint32_t id = 0; id < replicas_.size(); ++id) {
-        if (id == master_) continue;
-        Replica& r = replicas_[id];
-        if (!r.up) continue;
-        if (!network_->Reachable(master_site(), r.se->site())) continue;
-        candidates.emplace_back(
-            network_->topology().Rtt(master_site(), r.se->site()), id);
-      }
-      std::sort(candidates.begin(), candidates.end());
-      const size_t needed = Majority() - 1;
-      if (candidates.size() < needed) {
-        *degraded = true;  // Feasibility was pre-checked; defensive only.
-        return;
-      }
-      for (size_t i = 0; i < needed; ++i) {
-        Replica& r = replicas_[candidates[i].second];
-        while (r.applied < seq) ApplyEntry(&r, r.applied + 1);
-        *extra_latency = std::max(
-            *extra_latency,
-            candidates[i].first + r.se->WriteServiceTime());
-      }
-      return;
-    }
+bool ReplicaSet::ChooseAckSlaves() {
+  ack_slaves_.clear();
+  size_t needed = 0;
+  if (config_.sync_mode == SyncMode::kDualSequence) needed = 1;
+  if (config_.sync_mode == SyncMode::kQuorum) needed = Majority() - 1;
+  if (needed == 0) return true;
+  const sim::SiteId from = master_site();
+  for (uint32_t id = 0; id < replicas_.size(); ++id) {
+    const Replica& r = replicas_[id];
+    if (id == master_ || !r.up) continue;
+    if (!network_->Reachable(from, r.se->site())) continue;
+    ack_slaves_.emplace_back(network_->topology().Rtt(from, r.se->site()), id);
   }
+  if (ack_slaves_.size() < needed) return false;
+  // Dual-sequence applies "in sequence" (§5): replica-id order. A quorum
+  // gathers the nearest slaves first, ties broken by id.
+  if (config_.sync_mode == SyncMode::kQuorum) {
+    std::partial_sort(ack_slaves_.begin(), ack_slaves_.begin() + needed,
+                      ack_slaves_.end());
+  }
+  ack_slaves_.resize(needed);
+  return true;
 }
 
-WriteResult ReplicaSet::WriteDiverged(sim::SiteId client_site, uint32_t id,
+WriteResult ReplicaSet::WriteDiverged(sim::SiteId client_site,
                                       std::vector<WriteOp> ops) {
+  // The nearest reachable, up replica acts as a temporary master.
+  auto nearest = NearestReplica(client_site);
+  if (!nearest.ok()) return Reject(nearest.status());
+  const uint32_t id = *nearest;
   WriteResult out;
   Replica& r = replicas_[id];
   const MicroTime now = Now();
@@ -441,23 +381,7 @@ StatusOr<uint32_t> ReplicaSet::PickReadReplica(sim::SiteId client_site,
                                                ReadPreference pref,
                                                MicroDuration* election) {
   if (pref == ReadPreference::kMasterOnly) {
-    if (config_.partition_mode == PartitionMode::kElectMajority) {
-      UDR_RETURN_IF_ERROR(AdmitMajority(client_site, election));
-      return master_;
-    }
-    const Replica& m = replicas_[master_];
-    if (!m.up) {
-      if (Now() >= m.down_since + config_.failover_detection) {
-        auto fo = FailOver();
-        if (!fo.ok()) return fo.status();
-        if (network_->Reachable(client_site, master_site())) return master_;
-        return Status::Unavailable("client partitioned from new master");
-      }
-      return Status::Unavailable("master copy down");
-    }
-    if (!network_->Reachable(client_site, master_site())) {
-      return Status::Unavailable("client partitioned from master copy");
-    }
+    UDR_RETURN_IF_ERROR(AdmitMaster(client_site, election));
     return master_;
   }
   return NearestReplica(client_site);
@@ -596,14 +520,10 @@ void ReplicaSet::DropPartitionKeys(Replica* r) const {
   // One storage element hosts several partitions (primary of one, secondary
   // copies of others — Figure 2), so a resync must only touch the keys this
   // partition's log ever wrote, never the whole store.
-  std::unordered_set<storage::RecordKey> keys;
-  for (const LogEntry& entry : log_.entries()) {
-    for (const WriteOp& op : entry.ops) keys.insert(op.key);
-  }
-  for (const LogEntry& entry : r->divergence.entries()) {
-    for (const WriteOp& op : entry.ops) keys.insert(op.key);
-  }
-  for (storage::RecordKey key : keys) {
+  std::unordered_set<RecordKey> keys;
+  CollectKeys(log_, log_.entries().size(), &keys);
+  CollectKeys(r->divergence, r->divergence.entries().size(), &keys);
+  for (RecordKey key : keys) {
     r->se->store().DeleteRecord(key);
   }
 }
@@ -692,9 +612,7 @@ int64_t EntryBytes(const LogEntry& e) {
 int64_t SliceBytes(const storage::CommitLog& log,
                    const storage::RecordStore& store) {
   std::unordered_set<RecordKey> keys;
-  for (const LogEntry& entry : log.entries()) {
-    for (const WriteOp& op : entry.ops) keys.insert(op.key);
-  }
+  CollectKeys(log, log.entries().size(), &keys);
   int64_t bytes = 0;
   for (RecordKey key : keys) {
     const Record* rec = store.Find(key);
@@ -891,9 +809,7 @@ void ReplicaSet::AbortMigration(MigrationStream* stream) {
   // from the shipped log prefix (keys are owned by exactly one partition,
   // so this cannot touch co-hosted partitions' records).
   std::unordered_set<RecordKey> keys;
-  for (CommitSeq s = 1; s <= stream->shipped_seq; ++s) {
-    for (const WriteOp& op : log_.At(s).ops) keys.insert(op.key);
-  }
+  CollectKeys(log_, stream->shipped_seq, &keys);
   for (RecordKey key : keys) {
     stream->target->store().DeleteRecord(key);
   }

@@ -13,17 +13,22 @@
 //   * On master failure, the most caught-up reachable slave is promoted;
 //     acknowledged-but-unreplicated transactions are lost (the async F-A
 //     trade-off of §3.3.1) and counted.
-//   * SyncMode selects the §5 durability tunings: ASYNC (default),
-//     DUAL_SEQUENCE (apply to master then one slave before acking) and
-//     QUORUM (Cassandra-style majority ack, the paper's comparator).
-//   * PartitionMode selects CAP behaviour on a partition: PREFER_CONSISTENCY
-//     (writes fail unless the master is reachable — the paper's default),
-//     PREFER_AVAILABILITY (§5 evolution: any reachable replica accepts
-//     writes into a divergence log; ConsistencyRestoration merges after the
-//     partition heals) or ELECT_MAJORITY (§6 distributed agreement: only a
-//     component holding a majority serves writes and master-only reads,
-//     electing its most caught-up replica when the master is not serving
-//     it; with QUORUM acks this is the Raft/Multi-Paxos model).
+//   * SyncMode is one W-of-N ack rule: the slaves that must apply a commit
+//     before its ack. ASYNC (default) waits for none, DUAL_SEQUENCE for the
+//     first up slave the master reaches in replica-id order (§5, degrading
+//     to the master alone when there is none) and QUORUM for the nearest
+//     majority minus the master (Cassandra-style, the paper's comparator;
+//     rejected before the append when too few slaves are reachable).
+//   * PartitionMode is one admission rule for writes and master-only reads:
+//     PREFER_CONSISTENCY (the paper's default) and PREFER_AVAILABILITY fail
+//     a silent master over once failover_detection has passed and refuse a
+//     client that cannot reach the master; ELECT_MAJORITY (§6 distributed
+//     agreement) serves only in a component holding a majority, electing
+//     its most caught-up replica when the master is not serving it (with
+//     QUORUM acks this is the Raft/Multi-Paxos model). A refused write fails
+//     except under PREFER_AVAILABILITY (§5 evolution), where the nearest
+//     reachable replica takes it into a divergence log that
+//     RestoreConsistency merges after the partition heals.
 
 #ifndef UDR_REPLICATION_REPLICA_SET_H_
 #define UDR_REPLICATION_REPLICA_SET_H_
@@ -31,6 +36,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -218,12 +224,12 @@ class ReplicaSet {
   /// client at `client_site`, honoring sync and partition modes.
   WriteResult Write(sim::SiteId client_site, std::vector<storage::WriteOp> ops);
 
-  /// Executes a group of write transactions as one log-append window: group
-  /// admission (failover, reachability, CAP stance) is checked once, each
-  /// transaction commits its own log entry in order, and the group pays a
-  /// single client<->master transit. When the master path is not cleanly
-  /// writable (failover pending, client partitioned) the group degrades to
-  /// the per-transaction Write path, keeping its semantics.
+  /// Executes a group of write transactions as one log-append window: the
+  /// group passes master admission once, each transaction commits its own
+  /// log entry in order, and the group pays a single client<->master
+  /// transit. A group the master path refuses (failover pending, client
+  /// partitioned, minority side) degrades to the per-transaction Write path,
+  /// keeping its semantics.
   GroupWriteResult WriteBatch(sim::SiteId client_site,
                               std::vector<std::vector<storage::WriteOp>> txns);
 
@@ -378,9 +384,9 @@ class ReplicaSet {
   /// partitions' records intact. Used before a full resync.
   void DropPartitionKeys(Replica* r) const;
 
-  /// Finds the replica that should serve a read for the client. Under
-  /// kElectMajority a master-only read passes AdmitMajority first and adds
-  /// any election to `*election`.
+  /// Finds the replica that should serve a read for the client. A
+  /// master-only read passes AdmitMaster, which adds any election to
+  /// `*election`.
   StatusOr<uint32_t> PickReadReplica(sim::SiteId client_site,
                                      ReadPreference pref,
                                      MicroDuration* election);
@@ -401,18 +407,32 @@ class ReplicaSet {
   /// failover_detection to `*election`. Refuses a client on a minority side.
   Status AdmitMajority(sim::SiteId client_site, MicroDuration* election);
 
+  /// The one gate to the master path for writes and master-only reads.
+  /// kElectMajority admits through AdmitMajority. Every other stance fails
+  /// a down master over once failover_detection has passed (refusing until
+  /// then, or when no replica survives), then refuses a client that cannot
+  /// reach the master.
+  Status AdmitMaster(sim::SiteId client_site, MicroDuration* election);
+
   /// FailOver with the promotion restricted to `candidates` (ascending ids;
   /// the master and down replicas are skipped).
   StatusOr<FailoverReport> FailOverWithin(const std::vector<uint32_t>& candidates);
 
-  /// Executes a write on the master copy (assumes reachability was checked).
-  WriteResult WriteOnMaster(sim::SiteId client_site,
-                            std::vector<storage::WriteOp> ops);
+  /// A write refused before any replica executed it: counted, and the
+  /// client waits out the RPC timeout.
+  WriteResult Reject(Status status);
 
   /// Commits one transaction on the master copy. Latency covers the engine
-  /// service time and synchronous replication only — the caller adds the
-  /// client transit (once per op, or once per group for WriteBatch).
+  /// service time and the ack wait only — the caller adds the client
+  /// transit (once per op, or once per group for WriteBatch).
   WriteResult CommitOnMaster(std::vector<storage::WriteOp> ops);
+
+  /// The W-of-N ack rule: fills ack_slaves_ with the slaves the next commit
+  /// applies to before its ack — none (async), one (dual-sequence, in
+  /// replica-id order) or Majority() - 1 (quorum, nearest first, ties by id),
+  /// drawn from the up slaves the master reaches. Returns false when too few
+  /// are reachable.
+  bool ChooseAckSlaves();
 
   /// Reads one attribute on replica `id` (already caught up); accounts the
   /// engine service time, staleness and payload into `out`. No transit.
@@ -424,19 +444,10 @@ class ReplicaSet {
   const storage::Record* ReadRecordOn(uint32_t id, storage::RecordKey key,
                                       ReadResult* meta);
 
-  /// Executes a divergent write on a reachable non-master replica (AP mode).
-  WriteResult WriteDiverged(sim::SiteId client_site, uint32_t id,
+  /// Executes a divergent write (AP mode) on the nearest reachable, up
+  /// replica, which acts as a temporary master; rejected when none is.
+  WriteResult WriteDiverged(sim::SiteId client_site,
                             std::vector<storage::WriteOp> ops);
-
-  /// Routes a divergent write to the nearest reachable replica; fills `out`.
-  /// Returns true when the write was accepted.
-  bool WriteDivergedNearest(sim::SiteId client_site,
-                            std::vector<storage::WriteOp> ops, WriteResult* out);
-
-  /// Synchronous replication cost/acks for DUAL_SEQUENCE / QUORUM. Sets
-  /// `*degraded` when too few replicas acked; the commit stands either way.
-  void SyncReplicate(storage::CommitSeq seq, MicroDuration* extra_latency,
-                     bool* degraded);
 
   /// Admission re-check for an open migration stream: the master must be the
   /// one that opened it, up, and able to reach the target.
@@ -449,6 +460,9 @@ class ReplicaSet {
   uint32_t master_ = 0;
   /// When the current master took over (failover) or came back (restart).
   MicroTime last_failover_ = 0;
+  /// ChooseAckSlaves' output, (RTT from the master, replica id) per acking
+  /// slave; kept as member scratch so a commit does not allocate.
+  std::vector<std::pair<MicroDuration, uint32_t>> ack_slaves_;
 
   int64_t writes_accepted_ = 0;
   int64_t writes_rejected_ = 0;

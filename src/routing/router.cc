@@ -13,10 +13,12 @@ using location::Identity;
 using location::LocationEntry;
 using location::ResolveResult;
 
-Router::Router(PartitionMap* map, sim::Network* network, Metrics* metrics)
+Router::Router(PartitionMap* map, sim::Network* network, Metrics* metrics,
+               obs::FlightRecorder* flight)
     : map_(map),
       network_(network),
       metrics_(metrics),
+      flight_(flight),
       routed_(metrics->RegisterCounter("router.routed")),
       bypass_hits_(metrics->RegisterCounter("router.bypass.hits")),
       cache_hits_(metrics->RegisterCounter("router.cache.hits")),
@@ -81,11 +83,9 @@ void Router::BumpPartitionEpoch(uint32_t partition) {
     partition_epochs_.resize(partition + 1, 0);
   }
   ++partition_epochs_[partition];
-  if (flight_ != nullptr) {
-    flight_->Record(network_->Now(), "router", "epoch.bump",
-                    "partition=" + std::to_string(partition) + " epoch=" +
-                        std::to_string(partition_epochs_[partition]));
-  }
+  flight_->Record(network_->Now(), "router", "epoch.bump",
+                  "partition=" + std::to_string(partition) + " epoch=" +
+                      std::to_string(partition_epochs_[partition]));
 }
 
 bool Router::WouldAdmit(storage::RecordKey key) const {
@@ -211,10 +211,8 @@ RouteResult Router::ResolveOne(const Identity& id, sim::SiteId poa_site,
     out.status = loc.status;
     // lint:allow(hot-metric-literal): failure path only, never per routed op.
     metrics_->Add("router.resolve.failed");
-    if (flight_ != nullptr) {
-      flight_->Record(network_->Now(), "router", "resolve.fail",
-                      id.ToString() + " " + loc.status.ToString());
-    }
+    flight_->Record(network_->Now(), "router", "resolve.fail",
+                    id.ToString() + " " + loc.status.ToString());
     return out;
   }
   if (loc.entry.partition >= map_->partition_count()) {

@@ -90,7 +90,10 @@ struct HeatConfig {
 
 class Router {
  public:
-  Router(PartitionMap* map, sim::Network* network, Metrics* metrics);
+  /// `flight` receives epoch bumps and resolve failures; it must outlive
+  /// the router.
+  Router(PartitionMap* map, sim::Network* network, Metrics* metrics,
+         obs::FlightRecorder* flight);
 
   // -- PoA registry ------------------------------------------------------------
 
@@ -198,9 +201,6 @@ class Router {
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
   obs::Tracer* tracer() { return tracer_; }
 
-  /// Installs the flight recorder resolve failures are logged to.
-  void set_flight_recorder(obs::FlightRecorder* flight) { flight_ = flight; }
-
   // -- Heat tier ---------------------------------------------------------------
 
   /// Installs (or reconfigures) heat tracking and the per-PoA caches. PoAs
@@ -277,7 +277,7 @@ class Router {
   sim::Network* network_;
   Metrics* metrics_;
   obs::Tracer* tracer_ = nullptr;
-  obs::FlightRecorder* flight_ = nullptr;
+  obs::FlightRecorder* flight_;
   // Pre-registered handles for the pipeline's hot-path metrics (the string
   // Add/Observe API stays for cold call sites).
   Metrics::Counter routed_;

@@ -139,10 +139,9 @@ void Engine::ExecuteStep(const Step& step, ScenarioReport* report) {
   routing::PartitionMap& map = udr.partition_map();
   // Every script step is a flight-recorder event: when an SLO breach dumps
   // the recorder, the injected faults leading up to it are in the history.
-  if (obs::FlightRecorder* flight = udr.flight_recorder()) {
-    flight->Record(bed_.clock().Now(), "scenario", StepKindName(step.kind),
-                   "site=" + std::to_string(step.site));
-  }
+  udr.flight_recorder().Record(bed_.clock().Now(), "scenario",
+                               StepKindName(step.kind),
+                               "site=" + std::to_string(step.site));
   switch (step.kind) {
     case StepKind::kKillSite: {
       // Drain every PoA the site hosts, then crash every replica copy its
@@ -219,12 +218,10 @@ void Engine::ExecuteStep(const Step& step, ScenarioReport* report) {
       break;
     case StepKind::kAssertSlo: {
       const SloResult r = verifier_.Evaluate(step.slo);
-      if (obs::FlightRecorder* flight = udr.flight_recorder()) {
-        flight->Record(bed_.clock().Now(), "slo", r.pass ? "pass" : "fail",
-                       r.check.label + " kind=" + SloKindName(r.check.kind) +
-                           " bound=" + Fmt(r.check.bound) +
-                           " actual=" + Fmt(r.actual));
-      }
+      udr.flight_recorder().Record(
+          bed_.clock().Now(), "slo", r.pass ? "pass" : "fail",
+          r.check.label + " kind=" + SloKindName(r.check.kind) +
+              " bound=" + Fmt(r.check.bound) + " actual=" + Fmt(r.actual));
       break;
     }
   }
@@ -291,11 +288,10 @@ ScenarioReport Engine::Run() {
   if (udr.sampler() != nullptr) {
     report.obs_series = udr.sampler()->Serialize();
   }
-  if (!report.slos.empty() && !report.Passed() &&
-      udr.flight_recorder() != nullptr) {
+  if (!report.slos.empty() && !report.Passed()) {
     // SLO breach: dump the recent control-plane history so the events
     // leading up to the failure travel with the report.
-    report.flight_dump = udr.flight_recorder()->Dump();
+    report.flight_dump = udr.flight_recorder().Dump();
     std::fprintf(stderr, "[scenario %s] SLO FAILED; flight recorder:\n%s",
                  report.name.c_str(), report.flight_dump.c_str());
   }

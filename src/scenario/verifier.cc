@@ -141,9 +141,8 @@ AuditReport Verifier::Audit() {
       }
     }
   }
-  if ((audit_.lost_writes > 0 || audit_.unreadable > 0 ||
-       audit_.order_violations > 0) &&
-      bed_->udr().flight_recorder() != nullptr) {
+  if (audit_.lost_writes > 0 || audit_.unreadable > 0 ||
+      audit_.order_violations > 0) {
     // A hard-invariant breach is exactly what the flight recorder exists
     // for: dump the control-plane events that preceded it.
     std::fprintf(stderr,
@@ -152,7 +151,7 @@ AuditReport Verifier::Audit() {
                  static_cast<long long>(audit_.lost_writes),
                  static_cast<long long>(audit_.unreadable),
                  static_cast<long long>(audit_.order_violations),
-                 bed_->udr().flight_recorder()->Dump().c_str());
+                 bed_->udr().flight_recorder().Dump().c_str());
   }
   return audit_;
 }

@@ -38,6 +38,11 @@ bool HoldsOnly(const Record& record, const std::vector<std::string>& names) {
   return true;
 }
 
+/// The identity type hash placement keys records by, and the only type the
+/// router's bypass routes (any other type would hash onto the wrong ring):
+/// routing::HashBypassConfig's default.
+constexpr IdentityType kHashIdentityType = IdentityType::kImsi;
+
 routing::PartitionMapConfig MapConfigFrom(const UdrConfig& config) {
   routing::PartitionMapConfig mc;
   mc.replication_factor = config.replication_factor;
@@ -49,6 +54,13 @@ routing::PartitionMapConfig MapConfigFrom(const UdrConfig& config) {
   mc.replica_template.failover_detection = config.failover_detection;
   mc.replica_template.async_ship_delay = config.async_ship_delay;
   return mc;
+}
+
+migration::MigrationSchedulerConfig SchedulerConfigFrom(
+    const UdrConfig& config) {
+  migration::MigrationSchedulerConfig sc;
+  sc.foreground_cost_bytes = config.migration_foreground_cost_bytes;
+  return sc;
 }
 
 }  // namespace
@@ -66,17 +78,15 @@ UdrNf::UdrNf(UdrConfig config, sim::Network* network)
       create_ok_(metrics_.RegisterCounter("udr.create.ok")),
       event_enqueued_(metrics_.RegisterCounter("udr.event.enqueued")),
       map_(MapConfigFrom(config_), network),
-      router_(&map_, network, &metrics_),
+      router_(&map_, network, &metrics_, &flight_),
       placement_(routing::MakePlacementPolicy(config_.placement)),
       bandwidth_model_(
           migration::BandwidthModelConfig{config_.migration_bandwidth_bps,
                                           config_.migration_chunk_bytes},
           &network->topology()),
       migration_(std::make_unique<migration::MigrationScheduler>(
-          migration::MigrationSchedulerConfig{
-              config_.migration_window_us,
-              config_.migration_foreground_cost_bytes},
-          &map_, &router_, &bandwidth_model_, network, &metrics_)) {
+          SchedulerConfigFrom(config_), &map_, &router_, &bandwidth_model_,
+          network, &metrics_, &flight_)) {
   migration_->set_rehome_executor(
       [this](const migration::MigrationTaskSpec& spec) {
         return RehomeOne(spec);
@@ -85,7 +95,6 @@ UdrNf::UdrNf(UdrConfig config, sim::Network* network)
       config_.hash_routed_reads) {
     routing::HashBypassConfig bypass;
     bypass.enabled = true;
-    bypass.identity_type = config_.hash_identity_type;
     bypass.lookup_cost = config_.location_model.hash_lookup;
     router_.SetHashBypass(bypass);
   }
@@ -96,7 +105,6 @@ UdrNf::UdrNf(UdrConfig config, sim::Network* network)
     heat.tracker.halflife_us = config_.heat_halflife_us;
     heat.tracker.top_k = config_.heat_top_k;
     heat.poa_cache_bytes = config_.poa_cache_bytes;
-    heat.cache_hit_cost = config_.poa_cache_hit_cost;
     heat.cache_admit_min_count = config_.poa_cache_admit_min;
     router_.ConfigureHeat(heat);
   }
@@ -104,28 +112,16 @@ UdrNf::UdrNf(UdrConfig config, sim::Network* network)
     obs::Tracer::Options topt;
     topt.sample_rate = config_.trace_sample_rate;
     topt.seed = config_.trace_seed;
-    topt.max_spans = config_.trace_max_spans > 0
-                         ? static_cast<size_t>(config_.trace_max_spans)
-                         : 0;
     topt.lane = config_.trace_lane;
     tracer_ = std::make_unique<obs::Tracer>(topt, network_->clock());
     router_.set_tracer(tracer_.get());
     migration_->set_tracer(tracer_.get());
   }
-  if (config_.flight_recorder_capacity > 0) {
-    flight_ = std::make_unique<obs::FlightRecorder>(
-        static_cast<size_t>(config_.flight_recorder_capacity));
-    router_.set_flight_recorder(flight_.get());
-    migration_->set_flight_recorder(flight_.get());
-  }
   if (config_.obs_sample_interval_us > 0) {
-    sampler_ = std::make_unique<obs::TimeSeriesSampler>(
-        obs::TimeSeriesConfig{
-            config_.obs_sample_interval_us,
-            config_.obs_ring_capacity > 0
-                ? static_cast<size_t>(config_.obs_ring_capacity)
-                : 0},
-        &metrics_, network_->clock());
+    obs::TimeSeriesConfig series;
+    series.interval = config_.obs_sample_interval_us;
+    sampler_ = std::make_unique<obs::TimeSeriesSampler>(series, &metrics_,
+                                                        network_->clock());
     // Default series: the signals the ROADMAP control-plane loop consumes —
     // arrival/throughput rates for window sizing, queueing/batch quantiles
     // for the latency budget.
@@ -273,10 +269,8 @@ migration::MigrationProgress UdrNf::StartMigration() {
     if (!plan.empty()) {
       migration_->EnqueuePlan(plan);
       metrics_.Add("migration.plans");
-      if (flight_ != nullptr) {
-        flight_->Record(Now(), "migration", "plan.rebalance",
-                        "tasks=" + std::to_string(plan.tasks.size()));
-      }
+      flight_.Record(Now(), "migration", "plan.rebalance",
+                     "tasks=" + std::to_string(plan.tasks.size()));
     }
   }
   return migration_->Progress();
@@ -290,11 +284,9 @@ migration::MigrationProgress UdrNf::StartDecommission(int se_index) {
   if (!plan.empty()) {
     migration_->EnqueuePlan(plan);
     metrics_.Add("migration.decommission_plans");
-    if (flight_ != nullptr) {
-      flight_->Record(Now(), "migration", "plan.decommission",
-                      "se=" + std::to_string(se_index) +
-                          " tasks=" + std::to_string(plan.tasks.size()));
-    }
+    flight_.Record(Now(), "migration", "plan.decommission",
+                   "se=" + std::to_string(se_index) +
+                       " tasks=" + std::to_string(plan.tasks.size()));
   }
   return migration_->Progress();
 }
@@ -306,10 +298,8 @@ void UdrNf::SetClusterServing(uint32_t cluster_id, bool serving) {
     server->set_healthy(serving);
   }
   metrics_.Add(serving ? "cluster.restored" : "cluster.drained");
-  if (flight_ != nullptr) {
-    flight_->Record(Now(), "cluster", serving ? "restored" : "drained",
-                    "cluster=" + std::to_string(cluster_id));
-  }
+  flight_.Record(Now(), "cluster", serving ? "restored" : "drained",
+                 "cluster=" + std::to_string(cluster_id));
 }
 
 // ---------------------------------------------------------------------------
@@ -330,14 +320,12 @@ StatusOr<uint32_t> UdrNf::StartSplit(uint32_t parent) {
   heat_siblings_.push_back(HeatSibling{parent, sibling, Now()});
   ++runtime_splits_;
   metrics_.Add("udr.heat.splits");
-  if (flight_ != nullptr) {
-    flight_->Record(Now(), "heat", "split",
-                    "parent=" + std::to_string(parent) +
-                        " sibling=" + std::to_string(sibling));
-  }
+  flight_.Record(Now(), "heat", "split",
+                 "parent=" + std::to_string(parent) +
+                     " sibling=" + std::to_string(sibling));
 
   migration::MigrationPlan plan = migration::MigrationPlanner::PlanSplit(
-      router_, map_, config_.hash_identity_type, parent, sibling);
+      router_, map_, kHashIdentityType, parent, sibling);
   if (!plan.empty()) {
     migration_->EnqueuePlan(plan);
     if (config_.migration_bandwidth_bps <= 0) migration_->DrainAll();
@@ -357,14 +345,12 @@ Status UdrNf::StartMerge(uint32_t sibling) {
   router_.BumpPartitionEpoch(sibling);
   if (parent >= 0) router_.BumpPartitionEpoch(static_cast<uint32_t>(parent));
   metrics_.Add("udr.heat.merge_begun");
-  if (flight_ != nullptr) {
-    flight_->Record(Now(), "heat", "merge.begin",
-                    "sibling=" + std::to_string(sibling) +
-                        " parent=" + std::to_string(parent));
-  }
+  flight_.Record(Now(), "heat", "merge.begin",
+                 "sibling=" + std::to_string(sibling) +
+                     " parent=" + std::to_string(parent));
 
   migration::MigrationPlan plan = migration::MigrationPlanner::PlanMerge(
-      router_, map_, config_.hash_identity_type, sibling);
+      router_, map_, kHashIdentityType, sibling);
   if (!plan.empty()) {
     migration_->EnqueuePlan(plan);
     if (config_.migration_bandwidth_bps <= 0) migration_->DrainAll();
@@ -385,10 +371,8 @@ void UdrNf::PumpHeat() {
         map_.RetirePartition(it->sibling).ok()) {
       ++runtime_merges_;
       metrics_.Add("udr.heat.merges");
-      if (flight_ != nullptr) {
-        flight_->Record(Now(), "heat", "merge.retired",
-                        "sibling=" + std::to_string(it->sibling));
-      }
+      flight_.Record(Now(), "heat", "merge.retired",
+                     "sibling=" + std::to_string(it->sibling));
       it = heat_siblings_.erase(it);
       continue;
     }
@@ -435,13 +419,6 @@ void UdrNf::PumpHeat() {
     }
     for (uint32_t sibling : cold) (void)StartMerge(sibling);
   }
-}
-
-BladeCluster* UdrNf::ClusterAtSite(sim::SiteId site) {
-  for (auto& c : clusters_) {
-    if (c->site() == site) return c.get();
-  }
-  return nullptr;
 }
 
 int UdrNf::TotalStorageElements() const {
@@ -524,7 +501,7 @@ void UdrNf::RehomeHashKeyed() {
   // at cutover. Unthrottled deployments drain inline — the pre-subsystem
   // synchronous behavior; throttled ones drain through PumpMigration.
   migration::MigrationPlan plan = migration::MigrationPlanner::PlanRehome(
-      router_, map_, config_.hash_identity_type);
+      router_, map_, kHashIdentityType);
   for (const Identity& id : plan.already_homed) {
     // The ring owner agrees with the provisioned location again (e.g. a
     // later ring change undid the split that once stranded this subscriber):
@@ -626,7 +603,7 @@ StatusOr<UdrNf::CreateOutcome> UdrNf::CreateSubscriber(const CreateSpec& spec,
   if (hash_keyed) {
     const Identity* hash_id = nullptr;
     for (const Identity& id : spec.identities) {
-      if (id.type != config_.hash_identity_type) continue;
+      if (id.type != kHashIdentityType) continue;
       if (hash_id != nullptr) {
         // Two identities of the bypass type would each hash-route to their
         // own ring position while only one can key the record — bypassed
@@ -634,7 +611,7 @@ StatusOr<UdrNf::CreateOutcome> UdrNf::CreateSubscriber(const CreateSpec& spec,
         return Status::InvalidArgument(
             "hash placement allows one " +
             std::string(location::IdentityTypeName(
-                config_.hash_identity_type)) +
+                kHashIdentityType)) +
             " per subscription");
       }
       hash_id = &id;
@@ -691,18 +668,22 @@ Status UdrNf::DeleteSubscriber(const Identity& id, sim::SiteId origin_site) {
   replication::WriteResult write = rs->Write(origin_site, std::move(wb).Build());
   if (!write.status.ok()) return write.status;
   router_.InvalidateCached(entry.key);
+  ForgetSubscriber(id, *record, entry.partition);
+  return Status::Ok();
+}
 
+void UdrNf::ForgetSubscriber(const Identity& id, const Record& record,
+                             uint32_t partition) {
   // Unbind drops every identity's bypass exception too, so a subscriber that
   // landed on the exception list during a failed re-home does not leak an
   // entry past its own deletion.
-  for (const Identity& sub_id : IdentitiesOfRecord(*record)) {
+  for (const Identity& sub_id : IdentitiesOfRecord(record)) {
     router_.Unbind(sub_id);
   }
   router_.Unbind(id);  // Defensive: DN identity may not appear in attrs.
-  map_.AddPopulation(entry.partition, -1);
+  map_.AddPopulation(partition, -1);
   --subscriber_count_;
   metrics_.Add("udr.delete.ok");
-  return Status::Ok();
 }
 
 // ---------------------------------------------------------------------------
@@ -1033,15 +1014,7 @@ ldap::LdapResult UdrNf::FinishBatchedDelete(const Identity& id,
     r.diagnostic = write.status.message();
     return r;
   }
-  // Same bookkeeping as DeleteSubscriber; Unbind also drops any bypass
-  // exception each identity held, so delete churn cannot leak entries.
-  for (const Identity& sub_id : IdentitiesOfRecord(*read.record)) {
-    router_.Unbind(sub_id);
-  }
-  router_.Unbind(id);
-  map_.AddPopulation(write.partition, -1);
-  --subscriber_count_;
-  metrics_.Add("udr.delete.ok");
+  ForgetSubscriber(id, *read.record, write.partition);
   r.code = LdapResultCode::kSuccess;
   return r;
 }

@@ -83,9 +83,6 @@ struct UdrConfig {
   /// Under kHash placement: let reads skip the location stage via the
   /// router's hash bypass (ROADMAP: hash-routed reads).
   bool hash_routed_reads = true;
-  /// Identity type hash placement keys records by (and the only type the
-  /// bypass may route — any other type would hash onto the wrong ring).
-  location::IdentityType hash_identity_type = location::IdentityType::kImsi;
   /// Cross-event coalescing at the PoA: events enqueued via SubmitEvent are
   /// parked in a per-cluster dispatch window and flushed as ONE grouped
   /// pipeline batch when this window elapses on the sim clock (or the size
@@ -105,9 +102,6 @@ struct UdrConfig {
   /// Transfer unit of the background scheduler: a migration step ships at
   /// most this many bytes before yielding to foreground traffic.
   int64_t migration_chunk_bytes = 64 * 1024;
-  /// Token-bucket burst window of the migration scheduler (the bucket holds
-  /// at most one window's worth of bytes at the effective link rate).
-  MicroDuration migration_window_us = Millis(1);
   /// Priority knob: each foreground operation displaces this many bytes of
   /// migration budget from the window, so foreground load shrinks
   /// background throughput (0 = no displacement).
@@ -125,9 +119,6 @@ struct UdrConfig {
   /// kNearest reads PoA-locally; the write path invalidates synchronously,
   /// so read-your-writes is never violated.
   int64_t poa_cache_bytes = 0;
-  /// Modelled service time of a PoA cache hit (replaces the whole partition
-  /// round trip for that op).
-  MicroDuration poa_cache_hit_cost = Micros(2);
   /// Admission filter: a key enters the cache only once the sketch has seen
   /// it at least this often, keeping one-shot scans from thrashing hot keys.
   int64_t poa_cache_admit_min = 4;
@@ -152,19 +143,12 @@ struct UdrConfig {
   /// zero data-path overhead).
   double trace_sample_rate = 0.0;
   uint64_t trace_seed = 42;
-  /// Hard cap on retained spans (the excess is counted, not stored).
-  int64_t trace_max_spans = 1 << 20;
   /// Perfetto lane (tid) of this NF's spans; the sharded execution mode sets
   /// it to the shard index so merged traces keep one row per shard.
   uint32_t trace_lane = 0;
   /// Time-series sampler tick: snapshot registered counters / histogram
   /// quantiles every this much sim time. 0 = sampler off.
   MicroDuration obs_sample_interval_us = 0;
-  /// Points retained per sampled series.
-  int obs_ring_capacity = 256;
-  /// Control-plane events retained per component by the flight recorder
-  /// (0 = recorder off).
-  int flight_recorder_capacity = 256;
   storage::StorageElementConfig se_template;
   ldap::LdapServerConfig ldap_template;
   location::LocationCostModel location_model;
@@ -188,8 +172,8 @@ class UdrNf {
 
   /// The NF's tracer; nullptr when trace_sample_rate == 0.
   obs::Tracer* tracer() { return tracer_.get(); }
-  /// The control-plane flight recorder; nullptr when its capacity is 0.
-  obs::FlightRecorder* flight_recorder() { return flight_.get(); }
+  /// The control-plane flight recorder.
+  obs::FlightRecorder& flight_recorder() { return flight_; }
   /// The time-series sampler; nullptr when obs_sample_interval_us == 0.
   obs::TimeSeriesSampler* sampler() { return sampler_.get(); }
 
@@ -298,8 +282,6 @@ class UdrNf {
 
   size_t cluster_count() const { return clusters_.size(); }
   BladeCluster* cluster(uint32_t id) { return clusters_[id].get(); }
-  /// Cluster whose PoA serves `site`, nullptr when none is deployed there.
-  BladeCluster* ClusterAtSite(sim::SiteId site);
 
   size_t partition_count() const { return map_.partition_count(); }
   replication::ReplicaSet* partition(uint32_t id) { return map_.partition(id); }
@@ -554,12 +536,17 @@ class UdrNf {
   };
 
   /// Completes a pipeline-routed Delete from its two outcomes: maps failures
-  /// per op and, on success, applies the same population/bind bookkeeping as
-  /// DeleteSubscriber (unbind every identity, which also drops any bypass
-  /// exception; decrement population and the subscriber count).
+  /// per op and, on success, forgets the subscriber as DeleteSubscriber does.
   ldap::LdapResult FinishBatchedDelete(const location::Identity& id,
                                        const routing::OpOutcome& read,
                                        const routing::OpOutcome& write);
+
+  /// The bookkeeping of a committed delete of `record` (in `partition`,
+  /// named by `id`): unbinds every identity it holds and `id` itself, which
+  /// also drops any bypass exception, takes one off the partition's
+  /// population and the subscriber count, and counts `udr.delete.ok`.
+  void ForgetSubscriber(const location::Identity& id,
+                        const storage::Record& record, uint32_t partition);
 
   /// The LDAP result of `request` from its slot: the inline result, or its
   /// pipeline outcome(s) mapped back, which adds one to `*pipeline_requests`
@@ -641,7 +628,7 @@ class UdrNf {
   Metrics::Counter create_ok_;       ///< udr.create.ok
   Metrics::Counter event_enqueued_;  ///< udr.event.enqueued
   std::unique_ptr<obs::Tracer> tracer_;
-  std::unique_ptr<obs::FlightRecorder> flight_;
+  obs::FlightRecorder flight_;
   std::unique_ptr<obs::TimeSeriesSampler> sampler_;
 
   routing::PartitionMap map_;

@@ -22,10 +22,10 @@
 // whose hits read the shared binding table.
 //
 // Synchronous acks: the same Modify under dual-sequence and quorum acks.
-// Their ceilings are the means measured when each commit allocated its ack
-// bookkeeping: 2.01 allocations per call for dual-sequence, 7.01 for quorum
-// (a reachable-component vector and a candidate vector, regrown from empty
-// on every commit).
+// A quorum commit made 7.01 allocations per call while it built a
+// reachable-component vector and a candidate vector on every commit; with
+// the acking slaves chosen into member scratch it makes 2.01, as the async
+// and dual-sequence ones do.
 //
 // Create path: the mean over 200 creates of a home-pinned subscriber (18
 // attributes) on the settled testbed, its spec built up front and counted
@@ -224,7 +224,7 @@ TEST_F(DualSequenceAllocTest, ProcessModify) {
 }
 
 TEST_F(QuorumAllocTest, ProcessModify) {
-  EXPECT_LE(ModifyAllocations("Process(Modify) quorum"), 7.01);
+  EXPECT_LE(ModifyAllocations("Process(Modify) quorum"), 2.01);
 }
 
 TEST_F(AllocTest, HlrAuthenticate) {

@@ -106,8 +106,9 @@ TEST_F(UdrNfTest, DeploymentShape) {
   EXPECT_EQ(udr_->cluster_count(), 3u);
   EXPECT_EQ(udr_->TotalStorageElements(), 6);
   EXPECT_EQ(udr_->partition_count(), 6u);  // One primary per SE.
-  EXPECT_NE(udr_->ClusterAtSite(1), nullptr);
-  EXPECT_EQ(udr_->ClusterAtSite(9), nullptr);
+  for (uint32_t c = 0; c < udr_->cluster_count(); ++c) {
+    EXPECT_EQ(udr_->cluster(c)->site(), c);  // One cluster per site.
+  }
 }
 
 TEST_F(UdrNfTest, PartitionsHaveGeodisperseSecondaries) {

@@ -116,6 +116,16 @@ concurrency statically checkable — the ones a generic linter can't know:
                      servers and the balancer are stateless; a third table
                      would be a layer remembering requests it only forwards.
 
+  failover-due-once  the failover-due test (`down_since +
+                     config_.failover_detection`) may appear at most once in
+                     src/: in ReplicaSet::AdmitMaster, the one admission
+                     rule for writes, grouped writes and master-only reads
+                     under every CAP stance but majority election. Write,
+                     WriteBatch and PickReadReplica each once carried their
+                     own copy of "fail over once detection has passed, else
+                     refuse"; a second occurrence is a second admission
+                     path that can drift from the first.
+
   metric-name        every dotted metric-name string literal passed to
                      Add/Observe/RegisterCounter/RegisterHist in src/ must
                      appear (backticked) in the docs/METRICS.md table, and
@@ -218,6 +228,12 @@ FLAT_TABLE_PATTERNS = [
 ]
 FLAT_TABLE_HOME = "src/common/flat_table.h"
 
+# The failover-due test and how often src/ may spell it (the one admission
+# rule, ReplicaSet::AdmitMaster).
+FAILOVER_DUE_RE = re.compile(
+    r"\bdown_since\s*\+\s*config_\s*\.\s*failover_detection\b")
+FAILOVER_DUE_MAX = 1
+
 # Metric registry call sites and the dotted-name shape they must use.
 METRIC_CALL_RE = re.compile(
     r"\b(?:Add|Observe|RegisterCounter|RegisterHist)\s*\(")
@@ -230,7 +246,8 @@ def code_part(line: str) -> str:
     return STRING_RE.sub('""', line).split("//")[0]
 
 
-def lint_file(path: str, rel: str, allowlist_doc: str, violations: list):
+def lint_file(path: str, rel: str, allowlist_doc: str, violations: list,
+              failover_due: list):
     in_common = rel.startswith("src/common/")
     in_storage = rel.startswith("src/storage/")
     with open(path, encoding="utf-8") as f:
@@ -378,6 +395,9 @@ def lint_file(path: str, rel: str, allowlist_doc: str, violations: list):
                         f"udr::FlatTable (src/common/flat_table.h)")
                     break
 
+        if "failover-due-once" not in active and FAILOVER_DUE_RE.search(code):
+            failover_due.append(f"{rel}:{lineno}")
+
         if TSA_ESCAPE_RE.search(code) and "tsa-escape" not in active:
             context = lines[max(0, lineno - 6):lineno]
             if not any("//" in c for c in context):
@@ -461,6 +481,7 @@ def main() -> int:
             allowlist_doc = f.read()
 
     violations: list = []
+    failover_due: list = []
     files = 0
     for dirpath, _, filenames in os.walk(os.path.join(root, "src")):
         for fn in sorted(filenames):
@@ -469,7 +490,14 @@ def main() -> int:
             path = os.path.join(dirpath, fn)
             rel = os.path.relpath(path, root).replace(os.sep, "/")
             files += 1
-            lint_file(path, rel, allowlist_doc, violations)
+            lint_file(path, rel, allowlist_doc, violations, failover_due)
+    if len(failover_due) > FAILOVER_DUE_MAX:
+        for where in failover_due:
+            violations.append(
+                f"{where}: [failover-due-once] failover-due test spelled "
+                f"{len(failover_due)} times in src/ (at most "
+                f"{FAILOVER_DUE_MAX}) — reach the master through "
+                f"ReplicaSet::AdmitMaster instead of a second admission path")
     lint_bench_coverage(root, violations)
     lint_metric_names(root, violations)
 
