@@ -99,7 +99,7 @@ void Shard::Provision() {
   for (uint64_t sub = 0; sub < opts_.total_subscribers; ++sub) {
     if (slicer_->ShardOf(sub) != index_) continue;
     auto spec = factory_.MakeSpec(sub);
-    auto outcome = udr_->CreateSubscriber(spec, 0);
+    auto outcome = udr_->CreateSubscriber(std::move(spec), 0);
     if (outcome.ok()) ++provisioned_;
   }
   // Let slave copies settle so nearest-preference reads see the profiles.

@@ -202,10 +202,21 @@ std::vector<uint32_t> ReplicaSet::ComponentOf(uint32_t id) const {
   return out;
 }
 
+size_t ReplicaSet::ComponentSize(uint32_t id) const {
+  if (!replicas_[id].up) return 0;
+  const sim::SiteId from = replica_site(id);
+  size_t n = 0;
+  for (uint32_t other = 0; other < replicas_.size(); ++other) {
+    if (!replicas_[other].up) continue;
+    if (other == id || network_->Reachable(from, replica_site(other))) ++n;
+  }
+  return n;
+}
+
 Status ReplicaSet::AdmitMajority(sim::SiteId client_site,
                                  MicroDuration* election) {
   const bool master_serves =
-      replicas_[master_].up && ComponentOf(master_).size() >= Majority();
+      replicas_[master_].up && ComponentSize(master_) >= Majority();
   if (master_serves && network_->Reachable(client_site, master_site())) {
     return Status::Ok();
   }

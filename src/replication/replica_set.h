@@ -397,6 +397,9 @@ class ReplicaSet {
   /// Up replicas that replica `id` can reach, itself included (empty when
   /// `id` is down), in id order.
   std::vector<uint32_t> ComponentOf(uint32_t id) const;
+  /// ComponentOf(id).size(), counted without building the vector (the
+  /// per-write majority check).
+  size_t ComponentSize(uint32_t id) const;
 
   size_t Majority() const { return replicas_.size() / 2 + 1; }
 

@@ -17,6 +17,31 @@ uint32_t NextLogUid() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
+/// End of the run that starts at ops[i]: consecutive upserts to one key form
+/// one run; a remove or delete is a run of its own.
+size_t RunEnd(const std::vector<WriteOp>& ops, size_t i) {
+  size_t end = i + 1;
+  if (ops[i].kind != WriteKind::kUpsertAttr) return end;
+  while (end < ops.size() && ops[end].kind == WriteKind::kUpsertAttr &&
+         ops[end].key == ops[i].key) {
+    ++end;
+  }
+  return end;
+}
+
+/// The run that starts at op i of `e` (see RunEnd). A one-run entry's run
+/// is read off the entry itself, so its ops stay untouched.
+struct Run {
+  RecordKey key;
+  bool upsert;
+  size_t end;
+};
+Run RunAt(const LogEntry& e, size_t i) {
+  if (e.one_run) return {e.run_key, true, e.ops.size()};
+  const WriteOp& op = e.ops[i];
+  return {op.key, op.kind == WriteKind::kUpsertAttr, RunEnd(e.ops, i)};
+}
+
 }  // namespace
 
 CommitLog::CommitLog() : uid_(NextLogUid()) {}
@@ -43,12 +68,14 @@ CommitSeq CommitLog::Append(MicroTime commit_time, uint32_t origin_replica,
                             std::vector<WriteOp> ops) {
   assert(entries_.empty() || commit_time >= entries_.back().commit_time);
   LogEntry entry;
-  entry.seq = LastSeq() + 1;
   entry.commit_time = commit_time;
   entry.origin_replica = origin_replica;
+  entry.one_run = !ops.empty() && ops[0].kind == WriteKind::kUpsertAttr &&
+                  RunEnd(ops, 0) == ops.size();
+  if (entry.one_run) entry.run_key = ops[0].key;
   entry.ops = std::move(ops);
   entries_.push_back(std::move(entry));
-  return entries_.back().seq;
+  return LastSeq();
 }
 
 CommitSeq CommitLog::SeqAtTime(MicroTime t) const {
@@ -57,8 +84,7 @@ CommitSeq CommitLog::SeqAtTime(MicroTime t) const {
   auto it = std::upper_bound(
       entries_.begin(), entries_.end(), t,
       [](MicroTime v, const LogEntry& e) { return v < e.commit_time; });
-  if (it == entries_.begin()) return 0;
-  return std::prev(it)->seq;
+  return static_cast<CommitSeq>(it - entries_.begin());
 }
 
 void CommitLog::ReplayRange(RecordStore* store, CommitSeq from_seq,
@@ -102,18 +128,6 @@ void ApplyWriteOp(RecordStore* store, const WriteOp& op) {
 
 namespace {
 
-/// End of the run that starts at ops[i]: consecutive upserts to one key form
-/// one run; a remove or delete is a run of its own.
-size_t RunEnd(const std::vector<WriteOp>& ops, size_t i) {
-  size_t end = i + 1;
-  if (ops[i].kind != WriteKind::kUpsertAttr) return end;
-  while (end < ops.size() && ops[end].kind == WriteKind::kUpsertAttr &&
-         ops[end].key == ops[i].key) {
-    ++end;
-  }
-  return end;
-}
-
 /// Applies the run ops[i, end) (see RunEnd).
 void ApplyRun(RecordStore* store, const std::vector<WriteOp>& ops, size_t i,
               size_t end, uint64_t birth) {
@@ -143,12 +157,17 @@ class RangeTally {
 
   void Build(const CommitLog& log, CommitSeq from) {
     for (CommitSeq s = from + 1; s <= log.LastSeq(); ++s) {
-      const std::vector<WriteOp>& ops = log.At(s).ops;
+      const LogEntry& e = log.At(s);
+      const std::vector<WriteOp>& ops = e.ops;
       for (size_t i = 0; i < ops.size();) {  // One lookup per key run.
-        KeyTally& t = Insert(ops[i].key);
+        const RecordKey key = e.one_run ? e.run_key : ops[i].key;
+        KeyTally& t = Insert(key);
         if (t.ops == 0) t.first = &ops[i];
         t.last = s;
-        const RecordKey key = ops[i].key;
+        if (e.one_run) {  // Upserts only, all to the key: nothing to read.
+          t.ops += static_cast<uint32_t>(ops.size());
+          break;
+        }
         for (; i < ops.size() && ops[i].key == key; ++i) {
           ++t.ops;
           if (ops[i].kind == WriteKind::kDeleteRecord) t.deleted = true;
@@ -201,35 +220,34 @@ void CatchUpRange(const CommitLog& log, CommitSeq from, CommitSeq to,
   assert(to <= log.LastSeq());
   RangeTally tally;  // Built at the first candidate.
   for (CommitSeq s = from + 1; s <= to; ++s) {
-    const std::vector<WriteOp>& ops = log.At(s).ops;
+    const LogEntry& e = log.At(s);
+    const std::vector<WriteOp>& ops = e.ops;
     const uint64_t birth = log.BirthTag(s);
     for (size_t i = 0; i < ops.size();) {
-      const WriteOp& op = ops[i];
-      const size_t end = RunEnd(ops, i);
-      KeyTally* t = tally.built() ? &tally.At(op.key) : nullptr;
+      const Run run = RunAt(e, i);
+      KeyTally* t = tally.built() ? &tally.At(run.key) : nullptr;
       if (t != nullptr && t->adopted) {
-        i = end;  // The adopted record already holds this run.
+        i = run.end;  // The adopted record already holds this run.
         continue;
       }
-      if (source != nullptr && op.kind == WriteKind::kUpsertAttr &&
-          !store->Contains(op.key)) {
-        const Record* master = source->Find(op.key);
+      if (source != nullptr && run.upsert && !store->Contains(run.key)) {
+        const Record* master = source->Find(run.key);
         if (master != nullptr && master->birth() == birth) {
           if (t == nullptr) {
             tally.Build(log, from);
-            t = &tally.At(op.key);
+            t = &tally.At(run.key);
           }
-          if (t->first == &op && !t->deleted && t->last <= to &&
+          if (t->first == &ops[i] && !t->deleted && t->last <= to &&
               master->version() == t->ops) {
-            store->AdoptRecord(op.key, *master);
+            store->AdoptRecord(run.key, *master);
             t->adopted = true;
-            i = end;
+            i = run.end;
             continue;
           }
         }
       }
-      ApplyRun(store, ops, i, end, birth);
-      i = end;
+      ApplyRun(store, ops, i, run.end, birth);
+      i = run.end;
     }
   }
 }

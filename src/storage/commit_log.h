@@ -47,22 +47,29 @@ struct WriteOp {
 };
 // A host-memory bound: the log keeps every op of every live entry in RAM (18
 // per provisioned subscriber), so the one-byte kind and the id share the word
-// ahead of the key. The modelled size is WriteOpWireBytes, independent of
-// sizeof.
-static_assert(sizeof(WriteOp) <= 72, "WriteOp grew past 72 bytes");
+// ahead of the key, and the 48-byte Attribute keeps its writer in the value's
+// padding: 1 + 3 pad + 4 + 8 + 48. The modelled size is WriteOpWireBytes,
+// independent of sizeof.
+static_assert(sizeof(WriteOp) == 64, "WriteOp must stay one cache line");
 
 /// Approximate serialized size of one write op as shipped by the log-based
 /// replication and migration streams: key + kind + interned name id +
 /// metadata, plus the value payload for upserts.
 int64_t WriteOpWireBytes(const WriteOp& op);
 
-/// One committed transaction.
+/// One committed transaction. Its sequence number is its position in the
+/// log: entry `seq` is CommitLog::At(seq).
 struct LogEntry {
-  CommitSeq seq = 0;
+  RecordKey run_key = 0;  ///< The key of a one-run entry, else 0.
   MicroTime commit_time = 0;
   uint32_t origin_replica = 0;  ///< Replica id that executed the transaction.
+  /// The ops are one upsert run: at least one op, every one an upsert to
+  /// `run_key` (a create, or a modify of one record). Catch-up reads such an
+  /// entry's key and run length here instead of from its ops.
+  bool one_run = false;
   std::vector<WriteOp> ops;
 };
+static_assert(sizeof(LogEntry) == 48, "the flag must fit the padding");
 
 class RecordStore;
 
@@ -81,7 +88,7 @@ class CommitLog {
                    std::vector<WriteOp> ops);
 
   /// Last assigned sequence (0 when empty).
-  CommitSeq LastSeq() const { return entries_.empty() ? 0 : entries_.back().seq; }
+  CommitSeq LastSeq() const { return entries_.size(); }
 
   /// Number of entries.
   size_t size() const { return entries_.size(); }

@@ -6,8 +6,8 @@
 namespace udr::storage {
 namespace {
 
-// Byte-model constants: what the structures actually occupy (sizeof-based;
-// contiguous entries amortize one allocation).
+// Byte-model constants (contiguous entries amortize one allocation; an entry
+// itself is charged kPackedAttrModelBytes, see record.h).
 constexpr int64_t kAllocHeader = 16;   // malloc bookkeeping per allocation.
 constexpr int64_t kStringObject = 32;  // sizeof(std::string), SSO buffer.
 constexpr int64_t kStringSso = 15;     // chars held inline by SSO.
@@ -203,8 +203,8 @@ int64_t Record::SetById(AttrId id, Value value, MicroTime at,
     payload_->heap_bytes += delta;
     return delta;
   }
-  const int64_t delta = (size == 0 ? kAllocHeader : 0) +
-                        static_cast<int64_t>(sizeof(PackedAttr)) + new_heap;
+  const int64_t delta =
+      (size == 0 ? kAllocHeader : 0) + kPackedAttrModelBytes + new_heap;
   PackedAttr entry;
   entry.name_id = id;
   entry.attr.value = std::move(value);
@@ -247,8 +247,8 @@ int64_t Record::RemoveById(AttrId id) {
   if (payload_->refs > 1) Relocate(size, size);
   PackedAttr* e = payload_->entries();
   const int64_t heap = ValueHeapBytes(e[pos].attr.value);
-  const int64_t delta = -(static_cast<int64_t>(sizeof(PackedAttr)) + heap +
-                          (size == 1 ? kAllocHeader : 0));
+  const int64_t delta =
+      -(kPackedAttrModelBytes + heap + (size == 1 ? kAllocHeader : 0));
   std::move(e + pos + 1, e + size, e + pos);
   e[size - 1].~PackedAttr();
   --size_;
@@ -307,7 +307,7 @@ int64_t Record::ApproxBytes() const {
   const size_t size = attribute_count();
   if (size == 0) return kPackedRecordOverhead;
   return kPackedRecordOverhead + kAllocHeader +
-         static_cast<int64_t>(size * sizeof(PackedAttr)) +
+         static_cast<int64_t>(size) * kPackedAttrModelBytes +
          payload_->heap_bytes;
 }
 

@@ -8,7 +8,9 @@
 // one heap block: a reference count, the capacity, the cached heap bytes of
 // the values, the birth tag (which commit-log entry created the record, see
 // birth()), then the (AttrId, Attribute) entries sorted by interned-name id —
-// not a std::map keyed by std::string. Names are shared through the
+// not a std::map keyed by std::string. An entry is 56 bytes: the 4-byte id,
+// 4 bytes of padding and a 48-byte Attribute whose `writer` sits in the
+// Value variant's tail padding. Names are shared through the
 // process-wide AttrPool (they repeat across millions of subscribers), entries
 // are contiguous (one allocation per record instead of one red-black-tree
 // node per attribute), and lookups binary-search the entries after resolving
@@ -35,7 +37,10 @@
 // holder clones first).
 //
 // ApproxBytes() is O(1): the block caches the heap bytes of its values, and
-// the result equals the packed footprint re-summed entry by entry.
+// the result equals the modelled footprint re-summed entry by entry. The
+// model charges kPackedAttrModelBytes (64) per entry, not the host's 56, so
+// modelled bytes (capacity, cache budget, every bench table) do not depend
+// on how tightly the host packs an entry.
 
 #ifndef UDR_STORAGE_RECORD_H_
 #define UDR_STORAGE_RECORD_H_
@@ -46,9 +51,11 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
+#include "common/attributes.h"
 #include "common/time.h"
 #include "storage/attr_pool.h"
 
@@ -82,10 +89,19 @@ bool ValueEquals(const Value& a, const Value& b);
 /// One attribute version: the value and who wrote it when. `writer` is a
 /// replica identifier used for last-writer-wins tie-breaking during
 /// consistency restoration.
+///
+/// Layout: `writer` sits in the Value variant's tail padding (the 7 bytes
+/// after its one-byte index), so the struct is 48 bytes instead of 56. The
+/// constructor takes (value, modified_at, writer), the order positional
+/// inits use, which differs from the member order.
 struct Attribute {
-  Value value;
-  MicroTime modified_at = 0;
+  Attribute() = default;
+  Attribute(Value v, MicroTime at, uint32_t w)
+      : value(std::move(v)), writer(w), modified_at(at) {}
+
+  UDR_NO_UNIQUE_ADDRESS Value value;
   uint32_t writer = 0;
+  MicroTime modified_at = 0;
 
   bool operator==(const Attribute& o) const {
     return ValueEquals(value, o.value) && modified_at == o.modified_at &&
@@ -103,6 +119,16 @@ struct PackedAttr {
     return name_id == o.name_id && attr == o.attr;
   }
 };
+
+static_assert(sizeof(Attribute) == 48, "writer must sit in Value's padding");
+static_assert(sizeof(PackedAttr) == 56, "4-byte id, 4 pad, 48-byte Attribute");
+
+/// Bytes the RAM model (Record::ApproxBytes, hence SE capacity and the PoA
+/// cache budget) charges per packed entry: the entry of a layout that keeps
+/// `writer` after `modified_at` (4-byte id, 4 pad, 40-byte Value, 8, 4, 4
+/// pad). The host entry is sizeof(PackedAttr), 8 bytes less; the model does
+/// not follow the host layout, so packing it tighter moves no modelled byte.
+inline constexpr int64_t kPackedAttrModelBytes = 64;
 
 /// Read-only view of a record's packed entries (sorted by interned name id).
 /// Valid until the record it came from is next written or destroyed.
@@ -188,6 +214,12 @@ class Record {
   /// charges entries, not capacity, so the model is unaffected.
   void Reserve(size_t n);
 
+  /// Hands each entry's name id and value to `fn(AttrId, Value)` in id
+  /// order, then leaves the record empty. The values move out of a payload
+  /// this record alone holds and are copied out of a shared one.
+  template <typename Fn>
+  void TakeValues(Fn&& fn) &&;
+
   /// Iterates attributes as (name, attribute) pairs, resolving names through
   /// the pool (for serialization layers).
   void ForEachAttribute(
@@ -210,8 +242,9 @@ class Record {
   MicroTime LastModified() const;
 
   /// Approximate RAM footprint in bytes of the packed layout (used for SE
-  /// capacity accounting). Interned names are charged to the shared pool,
-  /// not to individual records. O(1); equal to the entry-by-entry sum.
+  /// capacity accounting), at kPackedAttrModelBytes per entry. Interned
+  /// names are charged to the shared pool, not to individual records. O(1);
+  /// equal to the entry-by-entry sum.
   int64_t ApproxBytes() const;
 
   /// Bytes the PoA read-through cache charges for holding a copy of this
@@ -259,6 +292,22 @@ class Record {
   uint32_t size_ = 0;     ///< Constructed entries in the payload.
   uint32_t version_ = 0;  ///< Writes since creation; 2^32 is out of reach.
 };
+
+template <typename Fn>
+void Record::TakeValues(Fn&& fn) && {
+  if (payload_ == nullptr) return;
+  PackedAttr* e = payload_->entries();
+  const bool shared = payload_->refs > 1;
+  for (uint32_t i = 0; i < size_; ++i) {
+    if (shared) {
+      fn(e[i].name_id, e[i].attr.value);
+    } else {
+      fn(e[i].name_id, std::move(e[i].attr.value));
+    }
+  }
+  Release();
+  version_ = 0;
+}
 
 }  // namespace udr::storage
 

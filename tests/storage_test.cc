@@ -221,6 +221,32 @@ TEST(CommitLogTest, ReplayRangeAppliesInOrder) {
   EXPECT_TRUE(s.Contains(2));
 }
 
+TEST(CommitLogTest, OneRunEntriesCarryTheirKey) {
+  CommitLog log;
+  log.Append(1, 0, {Upsert(5, "a", int64_t{1}, 1), Upsert(5, "b", int64_t{2}, 1)});
+  log.Append(2, 0, {Upsert(5, "a", int64_t{3}, 2), Upsert(6, "a", int64_t{3}, 2)});
+  WriteOp remove;
+  remove.kind = WriteKind::kRemoveAttr;
+  remove.key = 5;
+  remove.attr_id = InternAttr("a");
+  log.Append(3, 0, {remove});
+  log.Append(4, 0, {});
+  log.Append(5, 0, {Upsert(6, "a", int64_t{4}, 5)});
+  EXPECT_TRUE(log.At(1).one_run);
+  EXPECT_EQ(log.At(1).run_key, 5u);
+  EXPECT_FALSE(log.At(2).one_run);  // Two keys.
+  EXPECT_FALSE(log.At(3).one_run);  // A remove.
+  EXPECT_FALSE(log.At(4).one_run);  // No ops.
+  EXPECT_TRUE(log.At(5).one_run);
+  EXPECT_EQ(log.At(5).run_key, 6u);
+  // The sequence is the position: it survives a truncation.
+  log.TruncateAfter(2);
+  EXPECT_EQ(log.LastSeq(), 2u);
+  EXPECT_EQ(log.Append(6, 0, {}), 3u);
+  EXPECT_EQ(log.SeqAtTime(5), 2u);
+  EXPECT_EQ(log.SeqAtTime(6), 3u);
+}
+
 TEST(CommitLogTest, TruncateAfterDiscardsSuffix) {
   CommitLog log;
   log.Append(10, 0, {});
@@ -672,13 +698,15 @@ TEST(PackedLayoutPropertyTest, RecordsSurviveMigrationStreamChunks) {
 // ---------------------------------------------------------------------------
 
 /// Record::ApproxBytes() re-summed entry by entry (record.cc's model: a
-/// 48-byte record overhead, then one 16-byte allocation header and the
-/// entry array when there are entries, plus each value's heap bytes).
+/// 48-byte record overhead, then one 16-byte allocation header and
+/// kPackedAttrModelBytes per entry when there are entries, plus each value's
+/// heap bytes). The model is not sizeof(PackedAttr): the host entry is
+/// smaller.
 int64_t ResummedBytes(const Record& r) {
   int64_t total = 48;
   if (r.attribute_count() != 0) {
-    total += 16 + static_cast<int64_t>(r.attribute_count() *
-                                       sizeof(PackedAttr));
+    total += 16 + static_cast<int64_t>(r.attribute_count()) *
+                      kPackedAttrModelBytes;
   }
   for (const PackedAttr& e : r.entries()) total += ValueHeapBytes(e.attr.value);
   return total;
@@ -702,6 +730,123 @@ TEST(RecordPayloadTest, RecordIsSixteenBytes) {
   EXPECT_EQ(empty.ApproxBytes(), ResummedBytes(empty));
   EXPECT_TRUE(empty.entries().empty());
   EXPECT_FALSE(empty.payload_shared());
+}
+
+TEST(RecordPayloadTest, ModelledBytesDoNotFollowTheHostLayout) {
+  // 48 record overhead + 16 allocation header + 4 entries x 64, plus the
+  // heap of the 32-char msisdn (33 + 16) and of the impu list (16 + 2 x 32
+  // string objects + 17 + 1 + 16 for the long element).
+  EXPECT_EQ(SampleRecord().ApproxBytes(), 483);
+  EXPECT_EQ(kPackedAttrModelBytes, 64);
+  EXPECT_LT(static_cast<int64_t>(sizeof(PackedAttr)), kPackedAttrModelBytes);
+}
+
+/// One stamped attribute of StampedRecord.
+struct Stamp {
+  const char* name;
+  Value value;
+  MicroTime at;
+  uint32_t writer;
+};
+
+/// Every Value alternative, each with its own time and a writer whose bytes
+/// are all set: `writer` shares the variant's padding, so a copy or move
+/// that wrote the whole variant would show there.
+std::vector<Stamp> Stamps() {
+  return {
+      {"stamp-int", Value(int64_t{-1}), 101, 0xA1A1A1A1u},
+      {"stamp-bool", Value(true), 102, 0xB2B2B2B2u},
+      {"stamp-short", Value(std::string("short")), 103, 0xC3C3C3C3u},
+      {"stamp-long", Value(std::string(40, 'l')), 104, 0xD4D4D4D4u},
+      {"stamp-list", Value(std::vector<std::string>{"a", std::string(30, 'b')}),
+       105, 0xE5E5E5E5u},
+  };
+}
+
+Record StampedRecord() {
+  Record r;
+  for (const Stamp& s : Stamps()) r.Set(s.name, s.value, s.at, s.writer);
+  return r;
+}
+
+/// `r` holds every stamp but `removed`, each with its value, time and writer.
+void ExpectStamps(const Record& r, const std::string& where,
+                  const char* removed = "") {
+  size_t held = 0;
+  for (const Stamp& s : Stamps()) {
+    const Attribute* a = r.Find(s.name);
+    if (std::string(s.name) == removed) {
+      EXPECT_EQ(a, nullptr) << where << " " << s.name;
+      continue;
+    }
+    ++held;
+    ASSERT_NE(a, nullptr) << where << " " << s.name;
+    EXPECT_TRUE(ValueEquals(a->value, s.value)) << where << " " << s.name;
+    EXPECT_EQ(a->modified_at, s.at) << where << " " << s.name;
+    EXPECT_EQ(a->writer, s.writer) << where << " " << s.name;
+  }
+  EXPECT_EQ(r.attribute_count(), held) << where;
+}
+
+TEST(RecordPayloadTest, WriterAndTimeSurviveCopiesSharesAndRelocations) {
+  // Interned first, so it sorts ahead of the stamps: inserting it shifts
+  // every entry (move construction and move assignment).
+  const AttrId front = InternAttr("stamp-0-front");
+  const Record original = StampedRecord();
+  ExpectStamps(original, "built");
+
+  Record copied(original);
+  ExpectStamps(copied, "deep copy");
+  Record assigned;
+  assigned = original;
+  ExpectStamps(assigned, "copy assignment");
+
+  const Record shared = original.Share();
+  ExpectStamps(shared, "share");
+
+  // Copy-on-write: the write clones the shared block (entries copied around
+  // the insert gap), and neither holder's stamps move.
+  Record cow = original.Share();
+  cow.SetById(front, std::string("front"), 200, 0x0F0F0F0Fu);
+  ExpectStamps(original, "original after copy-on-write");
+  ASSERT_EQ(cow.FindById(front)->writer, 0x0F0F0F0Fu);
+  EXPECT_EQ(cow.FindById(front)->modified_at, 200);
+  cow.RemoveById(front);
+  ExpectStamps(cow, "copy-on-write");
+
+  // An unshared block: Reserve relocates by move, then an insert with room
+  // shifts the tail in place.
+  Record moved = StampedRecord();
+  moved.Reserve(16);
+  ExpectStamps(moved, "relocate");
+  moved.SetById(front, int64_t{7}, 300, 0x12345678u);
+  EXPECT_EQ(moved.FindById(front)->writer, 0x12345678u);
+  moved.RemoveById(front);
+  ExpectStamps(moved, "in-place shift");
+
+  // RemoveById moves the later entries down over the removed one.
+  Record removed = StampedRecord();
+  EXPECT_LT(removed.RemoveById(InternAttr("stamp-bool")), 0);
+  ExpectStamps(removed, "remove", "stamp-bool");
+  const Record source = StampedRecord();
+  Record shared_remove = source.Share();
+  shared_remove.RemoveById(InternAttr("stamp-int"));
+  ExpectStamps(shared_remove, "shared remove", "stamp-int");
+  ExpectStamps(source, "source of shared remove");
+}
+
+TEST(AttributeTest, PositionalInitIsValueTimeWriter) {
+  const Attribute a{Value(std::string("x")), 123, 7};
+  EXPECT_EQ(a.modified_at, 123);
+  EXPECT_EQ(a.writer, 7u);
+  WriteOp op;
+  op.attribute = {Value(int64_t{5}), 456, 9};
+  EXPECT_EQ(op.attribute.modified_at, 456);
+  EXPECT_EQ(op.attribute.writer, 9u);
+  EXPECT_TRUE(ValueEquals(op.attribute.value, Value(int64_t{5})));
+  const Attribute defaulted;
+  EXPECT_EQ(defaulted.modified_at, 0);
+  EXPECT_EQ(defaulted.writer, 0u);
 }
 
 TEST(RecordPayloadTest, SharedPayloadIsReadableFromBothHolders) {
@@ -993,6 +1138,45 @@ TEST(CatchUpRangeTest, AdoptionLeavesWhatReplayLeaves) {
   // Both branches ran: adoptions and records the rule sent to replay.
   EXPECT_GT(adopted, 500);
   EXPECT_GT(replayed_creates, 500);
+}
+
+TEST(CatchUpRangeTest, SkipsOneKeyEntriesOfAnAdoptedRecordAndReplaysTheRest) {
+  CommitLog log;
+  // Key 8 is on the replica before the range, so its writes replay.
+  log.Append(1, 0, {Upsert(8, "a", int64_t{1}, 1), Upsert(8, "b", int64_t{1}, 1)});
+  // The range (1, 5]: a create of 7, a one-key modify of 7, a modify of 7
+  // and 8, and a remove on 8.
+  std::vector<WriteOp> create;
+  for (const char* name : {"a", "b", "c"}) {
+    create.push_back(Upsert(7, name, std::string(20, name[0]), 2));
+  }
+  log.Append(2, 0, std::move(create));
+  log.Append(3, 0, {Upsert(7, "a", int64_t{3}, 3)});
+  log.Append(4, 0, {Upsert(7, "b", int64_t{4}, 4), Upsert(8, "a", int64_t{4}, 4)});
+  WriteOp remove;
+  remove.kind = WriteKind::kRemoveAttr;
+  remove.key = 8;
+  remove.attr_id = InternAttr("b");
+  log.Append(5, 0, {remove});
+  ASSERT_TRUE(log.At(3).one_run);
+  ASSERT_FALSE(log.At(4).one_run);
+  ASSERT_FALSE(log.At(5).one_run);
+
+  RecordStore source;
+  log.ReplayRange(&source, 0, 5);
+  RecordStore replica;
+  log.ReplayRange(&replica, 0, 1);
+  RecordStore replayed = replica;
+  log.ReplayRange(&replayed, 1, 5);
+  CatchUpRange(log, 1, 5, &replica, &source);
+  ExpectSameStore(replica, replayed, "catch-up");
+  // 7 is adopted and its later runs are skipped: a replayed write would
+  // have cloned the shared payload.
+  EXPECT_TRUE(replica.Find(7)->SharesPayloadWith(*source.Find(7)));
+  // 8's runs in the multi-key entry and the remove entry replayed.
+  EXPECT_FALSE(replica.Find(8)->SharesPayloadWith(*source.Find(8)));
+  EXPECT_EQ(ValueToString(*replica.Find(8)->Get("a")), "4");
+  EXPECT_FALSE(replica.Find(8)->Has("b"));
 }
 
 TEST(CatchUpRangeTest, VersionGuardRejectsARecordChangedOutsideTheLog) {

@@ -566,11 +566,13 @@ TEST(CommitLogFootprintTest, EveryEntryIsExactSize) {
   int64_t entries = 0;
   int64_t slack = 0;
   for (uint32_t p = 0; p < bed.udr().partition_count(); ++p) {
+    storage::CommitSeq seq = 0;
     for (const storage::LogEntry& e : bed.udr().partition(p)->log().entries()) {
       ++entries;
+      ++seq;
       if (e.ops.capacity() != e.ops.size()) {
         ++slack;
-        ADD_FAILURE() << "partition " << p << " seq " << e.seq << ": "
+        ADD_FAILURE() << "partition " << p << " seq " << seq << ": "
                       << e.ops.size() << " ops in " << e.ops.capacity()
                       << " slots";
       }

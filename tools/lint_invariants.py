@@ -126,6 +126,15 @@ concurrency statically checkable — the ones a generic linter can't know:
                      refuse"; a second occurrence is a second admission
                      path that can drift from the first.
 
+  model-bytes        src/ may take sizeof( of storage::Attribute, PackedAttr,
+                     WriteOp or LogEntry only inside a static_assert and
+                     Record::Allocate (which sizes the host block). The RAM
+                     and wire models charge named constants
+                     (kPackedAttrModelBytes, WriteOpWireBytes), so SE
+                     capacity, the PoA cache budget and every modelled table
+                     stay put when the host layout packs tighter; a sizeof
+                     elsewhere ties a modelled number to the host layout.
+
   metric-name        every dotted metric-name string literal passed to
                      Add/Observe/RegisterCounter/RegisterHist in src/ must
                      appear (backticked) in the docs/METRICS.md table, and
@@ -234,6 +243,14 @@ FAILOVER_DUE_RE = re.compile(
     r"\bdown_since\s*\+\s*config_\s*\.\s*failover_detection\b")
 FAILOVER_DUE_MAX = 1
 
+# sizeof of a host-layout type whose bytes the models must not follow, and
+# the two places it may appear: a static_assert (from its line to the ";"
+# that ends it) and the body of Record::Allocate.
+MODEL_BYTES_RE = re.compile(
+    r"\bsizeof\s*\(\s*(?:\w+::)*(Attribute|PackedAttr|WriteOp|LogEntry)\s*\)")
+STATIC_ASSERT_RE = re.compile(r"\bstatic_assert\s*\(")
+ALLOCATE_DEF_RE = re.compile(r"\bRecord::Allocate\s*\(")
+
 # Metric registry call sites and the dotted-name shape they must use.
 METRIC_CALL_RE = re.compile(
     r"\b(?:Add|Observe|RegisterCounter|RegisterHist)\s*\(")
@@ -257,6 +274,8 @@ def lint_file(path: str, rel: str, allowlist_doc: str, violations: list,
     # line (so a multi-line justification comment covers the statement it
     # precedes); a marker on a code line covers that line.
     pending = set()
+    in_static_assert = False
+    in_allocate = False
     for lineno, line in enumerate(lines, 1):
         allows_here = set()
         for m in ALLOW_RE.finditer(line):
@@ -394,6 +413,24 @@ def lint_file(path: str, rel: str, allowlist_doc: str, violations: list,
                         f"open-addressing table in src/ is a user of "
                         f"udr::FlatTable (src/common/flat_table.h)")
                     break
+
+        in_static_assert = in_static_assert or bool(
+            STATIC_ASSERT_RE.search(code))
+        in_allocate = in_allocate or bool(ALLOCATE_DEF_RE.search(code))
+        if (not in_static_assert and not in_allocate
+                and "model-bytes" not in active):
+            m = MODEL_BYTES_RE.search(code)
+            if m:
+                violations.append(
+                    f"{rel}:{lineno}: [model-bytes] sizeof({m.group(1)}) "
+                    f"outside a static_assert and Record::Allocate — "
+                    f"modelled bytes charge named constants "
+                    f"(kPackedAttrModelBytes, WriteOpWireBytes), not the "
+                    f"host layout")
+        if in_static_assert and ";" in code:
+            in_static_assert = False
+        if in_allocate and code.rstrip() == "}":
+            in_allocate = False
 
         if "failover-due-once" not in active and FAILOVER_DUE_RE.search(code):
             failover_due.append(f"{rel}:{lineno}")
