@@ -2,7 +2,8 @@
 # CI entry point. Stages:
 #   invariant-lint     repo invariant linter (tools/lint_invariants.py)
 #   tier1-build/ctest  RelWithDebInfo build + full test suite (includes the
-#                      UDR_DEADLOCK_CHECK lock-order checker + its death test)
+#                      UDR_DEADLOCK_CHECK lock-order checker + its death test);
+#                      the build treats every compiler warning as an error
 #   thread-safety      clang -Wthread-safety -Werror build of the whole tree
 #                      (the annotated locking layer's compile-time gate)
 #   clang-tidy         bugprone/concurrency/performance checks over src/
@@ -101,7 +102,15 @@ pass_stage
 
 # ---- tier-1 -----------------------------------------------------------------
 begin_stage "tier1-build"
-cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
+# CMAKE_COMPILE_WARNING_AS_ERROR (CMake >= 3.24) adds -Werror to every
+# target; an older CMake would ignore it, so the stage refuses to run there.
+CMAKE_VERSION="$(cmake --version | head -n 1 | awk '{print $3}')"
+if ! printf '3.24\n%s\n' "${CMAKE_VERSION}" | sort -V -C; then
+  echo "tier1-build needs CMake >= 3.24 (found ${CMAKE_VERSION})" >&2
+  exit 1
+fi
+cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build build -j "${JOBS}"
 pass_stage
 

@@ -3,7 +3,7 @@
 // UDR_NO_UNIQUE_ADDRESS is C++20's [[no_unique_address]]. On a member that
 // is not empty it lets the next members of the enclosing class sit in the
 // member's tail padding: storage::Attribute puts its writer id after the
-// Value variant's one-byte index instead of after its 40 bytes. GCC accepts
+// Value variant's one-byte index instead of after its 24 bytes. GCC accepts
 // the attribute in C++17 mode without a diagnostic. Clang accepts it too but
 // warns that it is a C++20 extension, which the ci.sh clang stage's -Werror
 // would turn into an error, so under clang the macro silences that warning

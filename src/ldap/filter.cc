@@ -125,8 +125,8 @@ bool Filter::Matches(const storage::Record& record) const {
       const storage::Attribute* a = record.Find(attr_);
       if (a == nullptr) return false;
       // Multi-valued attributes match when any value matches.
-      if (const auto* xs = std::get_if<std::vector<std::string>>(&a->value)) {
-        for (const auto& x : *xs) {
+      if (const auto* xs = std::get_if<storage::StringList>(&a->value)) {
+        for (std::string_view x : *xs) {
           if (x == value_) return true;
         }
         return false;

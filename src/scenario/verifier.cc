@@ -32,8 +32,10 @@ void ScanOp(const storage::WriteOp& op, const ChannelIds& ids, StampMap* loc,
     stamp = std::get<int64_t>(op.attribute.value);
     map = loc;
   } else if (op.attr_id == ids.cfu) {
-    if (!std::holds_alternative<std::string>(op.attribute.value)) return;
-    stamp = CfuStampOf(std::get<std::string>(op.attribute.value));
+    const auto* cfu_number =
+        std::get_if<storage::CompactString>(&op.attribute.value);
+    if (cfu_number == nullptr) return;
+    stamp = CfuStampOf(*cfu_number);
     map = cfu;
   }
   if (map == nullptr || stamp == 0) return;
@@ -47,7 +49,7 @@ void ScanOp(const storage::WriteOp& op, const ChannelIds& ids, StampMap* loc,
 
 }  // namespace
 
-int64_t CfuStampOf(const std::string& number) {
+int64_t CfuStampOf(std::string_view number) {
   // Scenario stamps travel as "+00<digits>"; provisioning seeds and real
   // numbers use other prefixes and parse to 0 (not a stamp).
   if (number.size() < 4 || number.compare(0, 3, "+00") != 0) return 0;
@@ -100,9 +102,8 @@ int64_t Verifier::MasterStamp(uint64_t subscriber, Channel channel) {
                ? std::get<int64_t>(*read.value)
                : -1;
   }
-  return std::holds_alternative<std::string>(*read.value)
-             ? CfuStampOf(std::get<std::string>(*read.value))
-             : -1;
+  const auto* cfu_number = std::get_if<storage::CompactString>(&*read.value);
+  return cfu_number != nullptr ? CfuStampOf(*cfu_number) : -1;
 }
 
 AuditReport Verifier::Audit() {

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -125,7 +126,7 @@ class Verifier {
 
 /// Parses a stamp out of a call-forwarding number written by the scenario
 /// PS driver ("+00<stamp>"); 0 when the value is not a scenario stamp.
-int64_t CfuStampOf(const std::string& number);
+int64_t CfuStampOf(std::string_view number);
 /// Builds the call-forwarding number encoding `stamp`.
 std::string CfuNumberOf(int64_t stamp);
 

@@ -47,10 +47,10 @@ struct WriteOp {
 };
 // A host-memory bound: the log keeps every op of every live entry in RAM (18
 // per provisioned subscriber), so the one-byte kind and the id share the word
-// ahead of the key, and the 48-byte Attribute keeps its writer in the value's
-// padding: 1 + 3 pad + 4 + 8 + 48. The modelled size is WriteOpWireBytes,
+// ahead of the key, and the 32-byte Attribute keeps its writer in the value's
+// padding: 1 + 3 pad + 4 + 8 + 32. The modelled size is WriteOpWireBytes,
 // independent of sizeof.
-static_assert(sizeof(WriteOp) == 64, "WriteOp must stay one cache line");
+static_assert(sizeof(WriteOp) == 48, "kind + id, key, 32-byte Attribute");
 
 /// Approximate serialized size of one write op as shipped by the log-based
 /// replication and migration streams: key + kind + interned name id +

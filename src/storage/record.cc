@@ -1,7 +1,9 @@
 #include "storage/record.h"
 
 #include <algorithm>
+#include <cstring>
 #include <new>
+#include <ostream>
 
 namespace udr::storage {
 namespace {
@@ -18,7 +20,7 @@ constexpr int64_t kPackedRecordOverhead = 48;
 // node + unordered_map index slot + (partition, epoch) tag, alloc headers in.
 constexpr int64_t kCacheEntryOverhead = 96;
 
-int64_t StringHeapBytes(const std::string& s) {
+int64_t StringHeapBytes(std::string_view s) {
   return static_cast<int64_t>(s.size()) <= kStringSso
              ? 0
              : static_cast<int64_t>(s.size()) + 1 + kAllocHeader;
@@ -26,12 +28,53 @@ int64_t StringHeapBytes(const std::string& s) {
 
 }  // namespace
 
+CompactString::CompactString(std::string_view s) : rep_{} {
+  if (s.size() <= kInlineMax) {
+    if (!s.empty()) std::memcpy(rep_.bytes, s.data(), s.size());
+    rep_.bytes[15] = static_cast<char>(s.size());
+    return;
+  }
+  char* p = static_cast<char*>(::operator new(s.size()));
+  std::memcpy(p, s.data(), s.size());
+  const uint32_t n = static_cast<uint32_t>(s.size());
+  std::memcpy(rep_.bytes, &p, sizeof(p));
+  std::memcpy(rep_.bytes + sizeof(p), &n, sizeof(n));
+  rep_.bytes[15] = static_cast<char>(kHeapTag);
+}
+
+CompactString::CompactString(const CompactString& other) : rep_(other.rep_) {
+  if (other.on_heap()) {
+    const uint32_t n = other.heap_size();
+    char* p = static_cast<char*>(::operator new(n));
+    std::memcpy(p, other.heap_ptr(), n);
+    std::memcpy(rep_.bytes, &p, sizeof(p));
+  }
+}
+
+std::ostream& operator<<(std::ostream& os, const CompactString& s) {
+  return os << s.view();
+}
+
+StringList::StringList(const StringList& other)
+    : count_(other.count_), chars_(other.chars_) {
+  if (other.block_ == nullptr) return;
+  block_ = static_cast<char*>(::operator new(block_bytes()));
+  std::memcpy(block_, other.block_, block_bytes());
+}
+
+bool operator==(const StringList& a, const StringList& b) {
+  // Equal offsets and equal chars are equal strings, and the converse.
+  return a.count_ == b.count_ && a.chars_ == b.chars_ &&
+         (a.block_ == b.block_ ||
+          std::memcmp(a.block_, b.block_, a.block_bytes()) == 0);
+}
+
 std::string ValueToString(const Value& v) {
   struct Visitor {
     std::string operator()(int64_t x) const { return std::to_string(x); }
     std::string operator()(bool b) const { return b ? "true" : "false"; }
-    std::string operator()(const std::string& s) const { return s; }
-    std::string operator()(const std::vector<std::string>& xs) const {
+    std::string operator()(const CompactString& s) const { return s.str(); }
+    std::string operator()(const StringList& xs) const {
       std::string out = "[";
       for (size_t i = 0; i < xs.size(); ++i) {
         if (i != 0) out += ", ";
@@ -44,16 +87,20 @@ std::string ValueToString(const Value& v) {
   return std::visit(Visitor{}, v);
 }
 
+// The wire and RAM models below charge the std::string / std::vector layout
+// whatever the host holds: a list is a 24-byte vector of 16-byte-overhead
+// strings on the wire and, in RAM, a vector block of 32-byte string objects
+// plus a block per string longer than the short-string buffer.
 int64_t ValueBytes(const Value& v) {
   struct Visitor {
     int64_t operator()(int64_t) const { return 8; }
     int64_t operator()(bool) const { return 1; }
-    int64_t operator()(const std::string& s) const {
+    int64_t operator()(const CompactString& s) const {
       return static_cast<int64_t>(s.size()) + 16;
     }
-    int64_t operator()(const std::vector<std::string>& xs) const {
+    int64_t operator()(const StringList& xs) const {
       int64_t total = 24;
-      for (const auto& s : xs) total += static_cast<int64_t>(s.size()) + 16;
+      for (std::string_view s : xs) total += static_cast<int64_t>(s.size()) + 16;
       return total;
     }
   };
@@ -64,14 +111,14 @@ int64_t ValueHeapBytes(const Value& v) {
   struct Visitor {
     int64_t operator()(int64_t) const { return 0; }
     int64_t operator()(bool) const { return 0; }
-    int64_t operator()(const std::string& s) const {
+    int64_t operator()(const CompactString& s) const {
       return StringHeapBytes(s);
     }
-    int64_t operator()(const std::vector<std::string>& xs) const {
+    int64_t operator()(const StringList& xs) const {
       if (xs.empty()) return 0;
       int64_t total =
           kAllocHeader + static_cast<int64_t>(xs.size()) * kStringObject;
-      for (const auto& s : xs) total += StringHeapBytes(s);
+      for (std::string_view s : xs) total += StringHeapBytes(s);
       return total;
     }
   };
@@ -212,11 +259,13 @@ int64_t Record::SetById(AttrId id, Value value, MicroTime at,
   entry.attr.writer = writer;
   if (payload_ == nullptr || payload_->refs > 1 ||
       payload_->capacity == size) {
-    // A new block: the entries land around the insert position.
+    // A new block: the entries land around the insert position. A full
+    // block grows by a quarter, not by doubling: a provisioned record is
+    // built to exact size and most gain a few attributes at most.
     const size_t capacity =
         payload_ != nullptr && payload_->refs > 1 && payload_->capacity > size
             ? size + 1
-            : std::max<size_t>(1, 2 * size);
+            : size + 1 + size / 4;
     Relocate(capacity, pos);
     new (payload_->entries() + pos) PackedAttr(std::move(entry));
   } else {
@@ -312,6 +361,8 @@ int64_t Record::ApproxBytes() const {
 }
 
 bool Record::operator==(const Record& o) const {
+  // Holders of one payload (a share, an adopted catch-up) hold one content.
+  if (payload_ == o.payload_) return true;
   const PackedAttrSpan a = entries();
   const PackedAttrSpan b = o.entries();
   return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());

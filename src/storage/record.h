@@ -8,13 +8,16 @@
 // one heap block: a reference count, the capacity, the cached heap bytes of
 // the values, the birth tag (which commit-log entry created the record, see
 // birth()), then the (AttrId, Attribute) entries sorted by interned-name id —
-// not a std::map keyed by std::string. An entry is 56 bytes: the 4-byte id,
-// 4 bytes of padding and a 48-byte Attribute whose `writer` sits in the
-// Value variant's tail padding. Names are shared through the
-// process-wide AttrPool (they repeat across millions of subscribers), entries
-// are contiguous (one allocation per record instead of one red-black-tree
-// node per attribute), and lookups binary-search the entries after resolving
-// the name through the pool with zero per-call std::string construction.
+// not a std::map keyed by std::string. An entry is 40 bytes: the 4-byte id,
+// 4 bytes of padding and a 32-byte Attribute whose `writer` sits in the
+// 24-byte Value variant's tail padding. A string value keeps up to 15 chars
+// inline and a longer one in one exact-size block (CompactString); a list
+// keeps all of its strings in one block (StringList). Names are shared
+// through the process-wide AttrPool (they repeat across millions of
+// subscribers), entries are contiguous (one allocation per record instead of
+// one red-black-tree node per attribute), and lookups binary-search the
+// entries after resolving the name through the pool with zero per-call
+// std::string construction.
 //
 // Copy versus share: copying a Record is a deep copy (its own block, birth
 // tag 0), as a full-record read or a side store needs. Only Share() hands
@@ -38,19 +41,29 @@
 //
 // ApproxBytes() is O(1): the block caches the heap bytes of its values, and
 // the result equals the modelled footprint re-summed entry by entry. The
-// model charges kPackedAttrModelBytes (64) per entry, not the host's 56, so
-// modelled bytes (capacity, cache budget, every bench table) do not depend
-// on how tightly the host packs an entry.
+// model charges kPackedAttrModelBytes (64) per entry, not the host's 40, and
+// each value's heap bytes as a std::string or std::vector<std::string> would
+// hold them (ValueHeapBytes), so modelled bytes (capacity, cache budget,
+// every bench table) do not depend on how tightly the host packs an entry.
+//
+// Growth: an insert into a full block moves the record to one of
+// size + 1 + size/4 entries (records are built to exact size and most gain
+// a few attributes at most).
 
 #ifndef UDR_STORAGE_RECORD_H_
 #define UDR_STORAGE_RECORD_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
+#include <initializer_list>
+#include <iosfwd>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -66,10 +79,249 @@ namespace udr::storage {
 /// stable 64-bit key.
 using RecordKey = uint64_t;
 
+// GCC 12 reports -Wmaybe-uninitialized in the inlined special members of
+// the two string types below when a Value holding an int64_t or a bool is
+// moved or destroyed: it does not resolve the variant's index through the
+// visit table, so it walks the string alternatives' paths over bytes the
+// integer never wrote (std::string alternatives drew the same report). The
+// suppression covers these two definitions only.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+
+/// An immutable string in 16 bytes: up to kInlineMax (15) chars inline,
+/// else one heap block of exactly size() chars (no terminating NUL in either
+/// form). Byte 15 tags the form: the length when inline, kHeapTag when the
+/// first 8 bytes point at the block and the next 4 hold its size. Copies are
+/// deep, so a value may cross threads as freely as a std::string.
+class CompactString {
+ public:
+  static constexpr size_t kInlineMax = 15;
+
+  CompactString() noexcept : rep_{} {}
+  // Implicit, as std::string's are: Value("imsi-...") holds a string.
+  CompactString(std::string_view s);  // NOLINT(google-explicit-constructor)
+  CompactString(const char* s)        // NOLINT(google-explicit-constructor)
+      : CompactString(std::string_view(s)) {}
+  CompactString(const std::string& s)  // NOLINT(google-explicit-constructor)
+      : CompactString(std::string_view(s)) {}
+  CompactString(const CompactString& other);
+  CompactString(CompactString&& other) noexcept : rep_(other.rep_) {
+    other.rep_ = Rep{};
+  }
+  CompactString& operator=(const CompactString& other) {
+    if (this != &other) *this = CompactString(other);
+    return *this;
+  }
+  CompactString& operator=(CompactString&& other) noexcept {
+    if (this != &other) {
+      Free();
+      rep_ = other.rep_;
+      other.rep_ = Rep{};
+    }
+    return *this;
+  }
+  ~CompactString() { Free(); }
+
+  size_t size() const { return on_heap() ? heap_size() : tag(); }
+  bool empty() const { return size() == 0; }
+  const char* data() const { return on_heap() ? heap_ptr() : rep_.bytes; }
+  std::string_view view() const { return {data(), size()}; }
+  operator std::string_view() const { return view(); }  // NOLINT
+  std::string str() const { return std::string(view()); }
+  /// True when the chars live in a heap block (size() > kInlineMax).
+  bool on_heap() const { return tag() == kHeapTag; }
+
+  friend bool operator==(const CompactString& a, const CompactString& b) {
+    return a.view() == b.view();
+  }
+  friend bool operator!=(const CompactString& a, const CompactString& b) {
+    return !(a == b);
+  }
+  /// Against anything a std::string_view converts from (const char*,
+  /// std::string, std::string_view).
+  template <typename S, typename = std::enable_if_t<
+                            std::is_convertible_v<const S&, std::string_view>>>
+  friend bool operator==(const CompactString& a, const S& b) {
+    return a.view() == std::string_view(b);
+  }
+  template <typename S, typename = std::enable_if_t<
+                            std::is_convertible_v<const S&, std::string_view>>>
+  friend bool operator==(const S& a, const CompactString& b) {
+    return std::string_view(a) == b.view();
+  }
+  template <typename S, typename = std::enable_if_t<
+                            std::is_convertible_v<const S&, std::string_view>>>
+  friend bool operator!=(const CompactString& a, const S& b) {
+    return !(a == b);
+  }
+  template <typename S, typename = std::enable_if_t<
+                            std::is_convertible_v<const S&, std::string_view>>>
+  friend bool operator!=(const S& a, const CompactString& b) {
+    return !(a == b);
+  }
+
+ private:
+  static constexpr unsigned char kHeapTag = 0xFF;
+  struct alignas(char*) Rep {
+    char bytes[16];
+  };
+
+  unsigned char tag() const { return static_cast<unsigned char>(rep_.bytes[15]); }
+  char* heap_ptr() const {
+    char* p = nullptr;
+    std::memcpy(&p, rep_.bytes, sizeof(p));
+    return p;
+  }
+  uint32_t heap_size() const {
+    uint32_t n = 0;
+    std::memcpy(&n, rep_.bytes + sizeof(char*), sizeof(n));
+    return n;
+  }
+  void Free() {
+    if (on_heap()) ::operator delete(heap_ptr());
+  }
+
+  Rep rep_;
+};
+
+/// An immutable list of strings in 16 bytes and one heap block: the block
+/// holds size() 32-bit end offsets, then every string's chars back to back
+/// (an empty list holds no block). A copy is one allocation, however many
+/// strings the list has; copies are deep.
+class StringList {
+ public:
+  /// Iterates the strings as std::string_view.
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = std::string_view;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = std::string_view;
+
+    const_iterator(const StringList* list, size_t i) : list_(list), i_(i) {}
+    std::string_view operator*() const { return (*list_)[i_]; }
+    const_iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator before = *this;
+      ++i_;
+      return before;
+    }
+    bool operator==(const const_iterator& o) const { return i_ == o.i_; }
+    bool operator!=(const const_iterator& o) const { return i_ != o.i_; }
+
+   private:
+    const StringList* list_;
+    size_t i_;
+  };
+
+  StringList() noexcept = default;
+  StringList(std::initializer_list<std::string_view> items)
+      : StringList(items.begin(), items.end()) {}
+  explicit StringList(const std::vector<std::string>& items)
+      : StringList(items.begin(), items.end()) {}
+  StringList(const StringList& other);
+  StringList(StringList&& other) noexcept
+      : block_(other.block_), count_(other.count_), chars_(other.chars_) {
+    other.block_ = nullptr;
+    other.count_ = 0;
+    other.chars_ = 0;
+  }
+  StringList& operator=(const StringList& other) {
+    if (this != &other) *this = StringList(other);
+    return *this;
+  }
+  StringList& operator=(StringList&& other) noexcept {
+    if (this != &other) {
+      ::operator delete(block_);
+      block_ = other.block_;
+      count_ = other.count_;
+      chars_ = other.chars_;
+      other.block_ = nullptr;
+      other.count_ = 0;
+      other.chars_ = 0;
+    }
+    return *this;
+  }
+  ~StringList() { ::operator delete(block_); }
+
+  size_t size() const { return count_; }
+  bool empty() const { return count_ == 0; }
+  std::string_view operator[](size_t i) const {
+    const uint32_t begin = i == 0 ? 0 : End(i - 1);
+    return {chars() + begin, End(i) - begin};
+  }
+  const_iterator begin() const { return {this, 0}; }
+  const_iterator end() const { return {this, count_}; }
+
+  friend bool operator==(const StringList& a, const StringList& b);
+  friend bool operator!=(const StringList& a, const StringList& b) {
+    return !(a == b);
+  }
+
+ private:
+  /// From a range of things a std::string_view converts from.
+  template <typename It>
+  StringList(It first, It last);
+
+  size_t block_bytes() const { return count_ * sizeof(uint32_t) + chars_; }
+  uint32_t End(size_t i) const {
+    uint32_t end = 0;
+    std::memcpy(&end, block_ + i * sizeof(uint32_t), sizeof(end));
+    return end;
+  }
+  const char* chars() const { return block_ + count_ * sizeof(uint32_t); }
+
+  char* block_ = nullptr;
+  uint32_t count_ = 0;
+  uint32_t chars_ = 0;  ///< Sum of the strings' sizes.
+};
+
+template <typename It>
+StringList::StringList(It first, It last) {
+  size_t count = 0;
+  size_t chars = 0;
+  for (It it = first; it != last; ++it) {
+    ++count;
+    chars += std::string_view(*it).size();
+  }
+  if (count == 0) return;
+  count_ = static_cast<uint32_t>(count);
+  chars_ = static_cast<uint32_t>(chars);
+  block_ = static_cast<char*>(::operator new(block_bytes()));
+  char* ends = block_;
+  char* out = block_ + count * sizeof(uint32_t);
+  uint32_t end = 0;
+  for (It it = first; it != last; ++it) {
+    const std::string_view s(*it);
+    if (!s.empty()) std::memcpy(out + end, s.data(), s.size());
+    end += static_cast<uint32_t>(s.size());
+    std::memcpy(ends, &end, sizeof(end));
+    ends += sizeof(end);
+  }
+}
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
+/// Prints the chars (for test diagnostics).
+std::ostream& operator<<(std::ostream& os, const CompactString& s);
+
+static_assert(sizeof(CompactString) == 16, "pointer + size, or 15 chars + tag");
+static_assert(sizeof(StringList) == 16, "block pointer, count, char bytes");
+
 /// Attribute value: telecom subscriber profiles mix integers (flags,
 /// counters), strings (identities, addresses) and multi-valued strings
-/// (IMPU lists, service triggers).
-using Value = std::variant<int64_t, bool, std::string, std::vector<std::string>>;
+/// (IMPU lists, service triggers). 24 bytes: a 16-byte payload, then the
+/// one-byte index and 7 bytes of tail padding (see Attribute).
+using Value = std::variant<int64_t, bool, CompactString, StringList>;
+static_assert(sizeof(Value) == 24, "16-byte alternatives + index");
 
 /// Renders a value for logs and examples.
 std::string ValueToString(const Value& v);
@@ -78,9 +330,11 @@ std::string ValueToString(const Value& v);
 /// model, used by log shipping and capacity planning).
 int64_t ValueBytes(const Value& v);
 
-/// Heap bytes a value holds beyond its inline variant storage (0 for
-/// integers, booleans and small-string-optimized strings). The packed
-/// layout's RAM model = inline entry size + this.
+/// Heap bytes the RAM model charges a value beyond its inline storage: what
+/// a std::string (15-char short-string buffer) and a std::vector of them
+/// would hold, not what CompactString and StringList hold. 0 for integers,
+/// booleans and strings of up to 15 chars. The packed layout's RAM model =
+/// kPackedAttrModelBytes per entry + this.
 int64_t ValueHeapBytes(const Value& v);
 
 /// True when two values are equal (same alternative and payload).
@@ -91,7 +345,7 @@ bool ValueEquals(const Value& a, const Value& b);
 /// consistency restoration.
 ///
 /// Layout: `writer` sits in the Value variant's tail padding (the 7 bytes
-/// after its one-byte index), so the struct is 48 bytes instead of 56. The
+/// after its one-byte index), so the struct is 32 bytes instead of 40. The
 /// constructor takes (value, modified_at, writer), the order positional
 /// inits use, which differs from the member order.
 struct Attribute {
@@ -120,13 +374,14 @@ struct PackedAttr {
   }
 };
 
-static_assert(sizeof(Attribute) == 48, "writer must sit in Value's padding");
-static_assert(sizeof(PackedAttr) == 56, "4-byte id, 4 pad, 48-byte Attribute");
+static_assert(sizeof(Attribute) == 32, "writer must sit in Value's padding");
+static_assert(sizeof(PackedAttr) == 40, "4-byte id, 4 pad, 32-byte Attribute");
 
 /// Bytes the RAM model (Record::ApproxBytes, hence SE capacity and the PoA
 /// cache budget) charges per packed entry: the entry of a layout that keeps
-/// `writer` after `modified_at` (4-byte id, 4 pad, 40-byte Value, 8, 4, 4
-/// pad). The host entry is sizeof(PackedAttr), 8 bytes less; the model does
+/// `writer` after `modified_at` and a 40-byte Value of std::string and
+/// std::vector<std::string> alternatives (4-byte id, 4 pad, 40, 8, 4, 4
+/// pad). The host entry is sizeof(PackedAttr), 24 bytes less; the model does
 /// not follow the host layout, so packing it tighter moves no modelled byte.
 inline constexpr int64_t kPackedAttrModelBytes = 64;
 
@@ -210,7 +465,7 @@ class Record {
   size_t attribute_count() const { return size_; }
 
   /// Reserves room for `n` attributes. A record built by one write run gets
-  /// exact capacity instead of growing one doubling at a time; ApproxBytes()
+  /// exact capacity instead of growing a quarter at a time; ApproxBytes()
   /// charges entries, not capacity, so the model is unaffected.
   void Reserve(size_t n);
 

@@ -94,7 +94,7 @@ Subscriber SubscriberFactory::Make(uint64_t index) const {
   set(attr::kImsi, s.imsi);
   set(attr::kMsisdn, s.msisdn);
   set(attr::kImpi, s.impi);
-  set(attr::kImpu, s.impus);
+  set(attr::kImpu, storage::StringList(s.impus));
 
   // 128-bit authentication key (Ki), hex encoded.
   std::string ki;
@@ -112,9 +112,9 @@ Subscriber SubscriberFactory::Make(uint64_t index) const {
   set(attr::kRegistrationState, std::string("deregistered"));
   set(attr::kServingCscf, std::string());
   set(attr::kChargingProfile, static_cast<int64_t>(rng.Uniform(8)));
-  std::vector<std::string> ts = {"ts11", "ts21", "ts22"};
-  if (rng.Bernoulli(0.4)) ts.push_back("ts62");
-  set(attr::kTeleservices, ts);
+  set(attr::kTeleservices,
+      rng.Bernoulli(0.4) ? storage::StringList{"ts11", "ts21", "ts22", "ts62"}
+                         : storage::StringList{"ts11", "ts21", "ts22"});
   set(attr::kRoamingAllowed, !rng.Bernoulli(0.03));
   return s;
 }

@@ -462,19 +462,19 @@ std::vector<Identity> UdrNf::IdentitiesOfRecord(const Record& record) const {
   for (const char* attr : {"imsi", "msisdn", "impi"}) {
     auto v = record.Get(attr);
     if (v.has_value()) {
-      if (const auto* s = std::get_if<std::string>(&*v)) {
-        out.push_back(Identity{*IdentityTypeForAttr(attr), *s});
+      if (const auto* s = std::get_if<storage::CompactString>(&*v)) {
+        out.push_back(Identity{*IdentityTypeForAttr(attr), s->str()});
       }
     }
   }
   auto impus = record.Get("impu");
   if (impus.has_value()) {
-    if (const auto* xs = std::get_if<std::vector<std::string>>(&*impus)) {
-      for (const auto& x : *xs) {
-        out.push_back(Identity{IdentityType::kImpu, x});
+    if (const auto* xs = std::get_if<storage::StringList>(&*impus)) {
+      for (std::string_view x : *xs) {
+        out.push_back(Identity{IdentityType::kImpu, std::string(x)});
       }
-    } else if (const auto* s = std::get_if<std::string>(&*impus)) {
-      out.push_back(Identity{IdentityType::kImpu, *s});
+    } else if (const auto* s = std::get_if<storage::CompactString>(&*impus)) {
+      out.push_back(Identity{IdentityType::kImpu, s->str()});
     }
   }
   return out;

@@ -454,7 +454,9 @@ TEST(HandleTableTest, MatchesAMapOracle) {
       const auto it = oracle.find(probe);
       std::string* found = table.Find(probe);
       ASSERT_EQ(found != nullptr, it != oracle.end()) << "step " << step;
-      if (found != nullptr) ASSERT_EQ(*found, it->second) << "step " << step;
+      if (found != nullptr) {
+        ASSERT_EQ(*found, it->second) << "step " << step;
+      }
     }
     for (const auto& [handle, value] : oracle) {
       ASSERT_NE(table.Find(handle), nullptr);

@@ -422,7 +422,9 @@ TEST(FlatPoaCacheDifferentialTest, MatchesTheListCacheOnZipfStreams) {
         const storage::Record* a = flat.Lookup(key, partition, epoch);
         const storage::Record* b = oracle.Lookup(key, partition, epoch);
         ASSERT_EQ(a == nullptr, b == nullptr) << "op " << step;
-        if (a != nullptr) ASSERT_TRUE(*a == *b) << "op " << step;
+        if (a != nullptr) {
+          ASSERT_TRUE(*a == *b) << "op " << step;
+        }
       } else if (pick < 85) {
         const storage::Record& r = records[rng.Uniform(records.size())];
         flat.Insert(key, partition, epoch, r.Share());
@@ -727,7 +729,9 @@ TEST(CacheConsistencyPropertyTest, CacheNeverServesStaleUnderChurn) {
         for (const OpOutcome& out : r.outcomes) {
           EXPECT_FALSE(out.from_cache) << "cache resurrected a deleted "
                                           "record at iter " << iter;
-          if (out.ok()) EXPECT_TRUE(out.stale) << "iter " << iter;
+          if (out.ok()) {
+            EXPECT_TRUE(out.stale) << "iter " << iter;
+          }
         }
         continue;
       }

@@ -86,7 +86,7 @@ storage::Record MakeRecord() {
   r.Set("msisdn", std::string("+34600000001"), 0, 0);
   r.Set("barred", false, 0, 0);
   r.Set("charging-profile", int64_t{5}, 0, 0);
-  r.Set("impu", std::vector<std::string>{"sip:a@x", "tel:+34600000001"}, 0, 0);
+  r.Set("impu", storage::StringList{"sip:a@x", "tel:+34600000001"}, 0, 0);
   return r;
 }
 

@@ -40,14 +40,156 @@ TEST(ValueTest, ToStringRendersAllAlternatives) {
   EXPECT_EQ(ValueToString(Value(int64_t{42})), "42");
   EXPECT_EQ(ValueToString(Value(true)), "true");
   EXPECT_EQ(ValueToString(Value(std::string("x"))), "x");
-  EXPECT_EQ(ValueToString(Value(std::vector<std::string>{"a", "b"})), "[a, b]");
+  EXPECT_EQ(ValueToString(Value(StringList{"a", "b"})), "[a, b]");
 }
 
 TEST(ValueTest, BytesScaleWithContent) {
   EXPECT_EQ(ValueBytes(Value(int64_t{1})), 8);
   EXPECT_GT(ValueBytes(Value(std::string(100, 'x'))), 100);
-  EXPECT_GT(ValueBytes(Value(std::vector<std::string>{"aaa", "bbb"})),
-            ValueBytes(Value(std::vector<std::string>{"a"})));
+  EXPECT_GT(ValueBytes(Value(StringList{"aaa", "bbb"})),
+            ValueBytes(Value(StringList{"a"})));
+}
+
+// ---------------------------------------------------------------------------
+// CompactString / StringList: the 16-byte string alternatives of Value
+// ---------------------------------------------------------------------------
+
+TEST(CompactValueTest, SizesArePinned) {
+  EXPECT_EQ(sizeof(CompactString), 16u);
+  EXPECT_EQ(sizeof(StringList), 16u);
+  EXPECT_EQ(sizeof(Value), 24u);
+  EXPECT_EQ(sizeof(Attribute), 32u);
+  EXPECT_EQ(sizeof(PackedAttr), 40u);
+  EXPECT_EQ(sizeof(WriteOp), 48u);
+  EXPECT_EQ(sizeof(LogEntry), 48u);
+}
+
+TEST(CompactValueTest, StringsRoundTripAcrossTheInlineLimit) {
+  for (size_t n : {size_t{0}, size_t{1}, size_t{15}, size_t{16}, size_t{255}}) {
+    std::string text;
+    for (size_t i = 0; i < n; ++i) text.push_back(static_cast<char>('a' + i % 26));
+    const CompactString s(text);
+    EXPECT_EQ(s.size(), n);
+    EXPECT_EQ(s.empty(), n == 0);
+    EXPECT_EQ(s.on_heap(), n > CompactString::kInlineMax) << n;
+    EXPECT_EQ(s.view(), text);
+    EXPECT_EQ(s.str(), text);
+    EXPECT_EQ(s, text);
+    EXPECT_EQ(text, s);
+    CompactString copy(s);
+    EXPECT_EQ(copy, s);
+    if (s.on_heap()) {
+      EXPECT_NE(copy.data(), s.data()) << "copies are deep";
+    }
+    CompactString moved(std::move(copy));
+    EXPECT_EQ(moved, text);
+    EXPECT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move)
+    CompactString assigned("x");
+    assigned = moved;
+    EXPECT_EQ(assigned, text);
+    assigned = CompactString(std::string(40, 'q'));
+    EXPECT_EQ(assigned, std::string(40, 'q'));
+    // The bytes survive the original's destruction.
+    const Value v = [&] { return Value(CompactString(text)); }();
+    EXPECT_EQ(std::get<CompactString>(v), text);
+  }
+  const CompactString embedded(std::string_view("a\0b", 3));
+  EXPECT_EQ(embedded.size(), 3u);
+  EXPECT_EQ(embedded, std::string_view("a\0b", 3));
+  EXPECT_NE(embedded, "a");
+}
+
+TEST(CompactValueTest, ListsRoundTrip) {
+  const std::vector<std::vector<std::string>> cases = {
+      {},
+      {"ts11"},
+      {""},
+      {"", ""},
+      {"sip:+34600000001@ims.mnc005.mcc214.3gppnetwork.org", "",
+       "tel:+34600000001", std::string(15, 'f'), std::string(16, 's'),
+       std::string(255, 'l'), "x"},
+  };
+  for (const std::vector<std::string>& items : cases) {
+    const StringList list(items);
+    ASSERT_EQ(list.size(), items.size());
+    EXPECT_EQ(list.empty(), items.empty());
+    for (size_t i = 0; i < items.size(); ++i) EXPECT_EQ(list[i], items[i]);
+    EXPECT_EQ(std::vector<std::string>(list.begin(), list.end()), items);
+    const StringList copy(list);
+    EXPECT_EQ(copy, list);
+    StringList source(list);
+    StringList moved(std::move(source));
+    EXPECT_EQ(moved, list);
+    EXPECT_TRUE(source.empty());  // NOLINT(bugprone-use-after-move)
+    StringList assigned{"old"};
+    assigned = copy;
+    EXPECT_EQ(assigned, list);
+  }
+  // Equal content, different splits: not equal.
+  EXPECT_NE((StringList{"ab", "c"}), (StringList{"a", "bc"}));
+  EXPECT_NE((StringList{""}), StringList());
+  EXPECT_NE((StringList{"a"}), (StringList{"a", ""}));
+  EXPECT_EQ((StringList{"a", ""}), (StringList{"a", ""}));
+}
+
+TEST(CompactValueTest, ALiteralIsAStringNotABool) {
+  const Value v("literal");
+  ASSERT_TRUE(std::holds_alternative<CompactString>(v));
+  EXPECT_EQ(std::get<CompactString>(v), "literal");
+  EXPECT_TRUE(std::holds_alternative<CompactString>(Value(std::string("s"))));
+  EXPECT_TRUE(std::holds_alternative<CompactString>(Value(std::string_view("s"))));
+  EXPECT_TRUE(std::holds_alternative<bool>(Value(true)));
+  EXPECT_TRUE(std::holds_alternative<int64_t>(Value(int64_t{1})));
+}
+
+TEST(CompactValueTest, EqualityIsPerAlternative) {
+  EXPECT_TRUE(ValueEquals(Value("1"), Value(CompactString("1"))));
+  EXPECT_FALSE(ValueEquals(Value("1"), Value(int64_t{1})));
+  EXPECT_FALSE(ValueEquals(Value("true"), Value(true)));
+  EXPECT_FALSE(ValueEquals(Value(int64_t{1}), Value(true)));
+  EXPECT_FALSE(ValueEquals(Value("a"), Value(StringList{"a"})));
+  EXPECT_FALSE(ValueEquals(Value(""), Value(StringList())));
+  EXPECT_TRUE(ValueEquals(Value(StringList{"a", std::string(20, 'b')}),
+                          Value(StringList{"a", std::string(20, 'b')})));
+  EXPECT_FALSE(ValueEquals(Value(std::string(20, 'b')),
+                           Value(std::string(20, 'c'))));
+}
+
+TEST(CompactValueTest, ToStringRendersTheNewTypes) {
+  EXPECT_EQ(ValueToString(Value("")), "");
+  EXPECT_EQ(ValueToString(Value(std::string(20, 'z'))), std::string(20, 'z'));
+  EXPECT_EQ(ValueToString(Value(StringList())), "[]");
+  EXPECT_EQ(ValueToString(Value(StringList{""})), "[]");
+  EXPECT_EQ(ValueToString(Value(StringList{"a", "", "c"})), "[a, , c]");
+}
+
+TEST(CompactValueTest, ByteModelsChargeTheStdStringLayout) {
+  // ValueBytes and ValueHeapBytes of the std::string / std::vector layout:
+  // the numbers the model gave when Value held those types.
+  struct Row {
+    const char* name;
+    Value value;
+    int64_t wire;
+    int64_t heap;
+  };
+  const Row rows[] = {
+      {"int", Value(int64_t{-7}), 8, 0},
+      {"bool", Value(true), 1, 0},
+      {"empty string", Value(""), 16, 0},
+      {"15 chars", Value(std::string(15, 'x')), 31, 0},
+      {"16 chars", Value(std::string(16, 'x')), 32, 33},
+      {"255 chars", Value(std::string(255, 'x')), 271, 272},
+      {"empty list", Value(StringList()), 24, 0},
+      {"one empty string", Value(StringList{""}), 40, 48},
+      {"teleservices", Value(StringList{"ts11", "ts21", "ts22"}), 84, 112},
+      {"mixed list",
+       Value(StringList{"a", "", std::string(16, 'y'), std::string(40, 'z')}),
+       145, 234},
+  };
+  for (const Row& row : rows) {
+    EXPECT_EQ(ValueBytes(row.value), row.wire) << row.name;
+    EXPECT_EQ(ValueHeapBytes(row.value), row.heap) << row.name;
+  }
 }
 
 TEST(RecordTest, SetGetRemove) {
@@ -79,6 +221,20 @@ TEST(RecordTest, ApproxBytesGrowsWithAttributes) {
   int64_t empty = r.ApproxBytes();
   r.Set("authkey", std::string(32, 'f'), 0, 0);
   EXPECT_GT(r.ApproxBytes(), empty + 32);
+}
+
+TEST(RecordTest, SharedPayloadsCompareEqualUntilAWriteClones) {
+  Record a;
+  a.Set("msisdn", std::string("+34600000001"), 1, 0);
+  a.Set("impu", StringList{"sip:a@ims.example", "tel:+34"}, 2, 0);
+  const Record b = a.Share();
+  ASSERT_TRUE(a.SharesPayloadWith(b));
+  EXPECT_TRUE(a == b);
+  a.Set("msisdn", std::string("+34600000002"), 3, 0);
+  EXPECT_FALSE(a.SharesPayloadWith(b));
+  EXPECT_FALSE(a == b);
+  EXPECT_EQ(ValueToString(*b.Get("msisdn")), "+34600000001");
+  EXPECT_TRUE(Record() == Record());
 }
 
 TEST(RecordTest, ContentEqualityIgnoresVersion) {
@@ -557,7 +713,7 @@ Value RandomValue(Rng& rng) {
     default: {
       std::vector<std::string> items(rng.Uniform(4) + 1);
       for (auto& s : items) s.assign(rng.Uniform(30), 'x');
-      return Value(items);
+      return Value(StringList(items));
     }
   }
 }
@@ -717,8 +873,7 @@ Record SampleRecord() {
   Record r;
   r.Set("imsi", std::string("214010000000001"), 10, 0);
   r.Set("msisdn", std::string("+34600000000001-with-a-long-tail"), 11, 0);
-  r.Set("impu", std::vector<std::string>{"sip:a@ims.example", "tel:+34"}, 12,
-        0);
+  r.Set("impu", StringList{"sip:a@ims.example", "tel:+34"}, 12, 0);
   r.Set("sqn", int64_t{42}, 13, 0);
   r.set_version(4);
   return r;
@@ -758,7 +913,7 @@ std::vector<Stamp> Stamps() {
       {"stamp-bool", Value(true), 102, 0xB2B2B2B2u},
       {"stamp-short", Value(std::string("short")), 103, 0xC3C3C3C3u},
       {"stamp-long", Value(std::string(40, 'l')), 104, 0xD4D4D4D4u},
-      {"stamp-list", Value(std::vector<std::string>{"a", std::string(30, 'b')}),
+      {"stamp-list", Value(StringList{"a", std::string(30, 'b')}),
        105, 0xE5E5E5E5u},
   };
 }

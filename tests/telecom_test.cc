@@ -126,7 +126,7 @@ void ExpectIdentitiesMatchReference(const SubscriberFactory& f,
   ASSERT_EQ(s.impi, imsi + ref.Domain()) << index;
   ASSERT_EQ(s.impus, (std::vector<std::string>{impu, "tel:" + msisdn}))
       << index;
-  ASSERT_EQ(std::get<std::string>(*s.profile.Get(attr::kAuthKey)),
+  ASSERT_EQ(std::get<storage::CompactString>(*s.profile.Get(attr::kAuthKey)),
             ref.Ki(index))
       << index;
 }
@@ -164,7 +164,7 @@ TEST(SubscriberFactoryTest, ProfileHasServiceData) {
   // 32 hex chars of Ki.
   auto ki = s.profile.Get(attr::kAuthKey);
   ASSERT_TRUE(ki.has_value());
-  EXPECT_EQ(std::get<std::string>(*ki).size(), 32u);
+  EXPECT_EQ(std::get<storage::CompactString>(*ki).size(), 32u);
 }
 
 TEST(SubscriberFactoryTest, SpecCarriesAllIdentities) {

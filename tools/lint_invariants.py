@@ -126,14 +126,15 @@ concurrency statically checkable — the ones a generic linter can't know:
                      refuse"; a second occurrence is a second admission
                      path that can drift from the first.
 
-  model-bytes        src/ may take sizeof( of storage::Attribute, PackedAttr,
-                     WriteOp or LogEntry only inside a static_assert and
-                     Record::Allocate (which sizes the host block). The RAM
-                     and wire models charge named constants
-                     (kPackedAttrModelBytes, WriteOpWireBytes), so SE
-                     capacity, the PoA cache budget and every modelled table
-                     stay put when the host layout packs tighter; a sizeof
-                     elsewhere ties a modelled number to the host layout.
+  model-bytes        src/ may take sizeof( of storage::Value, CompactString,
+                     StringList, Attribute, PackedAttr, WriteOp or LogEntry
+                     only inside a static_assert and Record::Allocate (which
+                     sizes the host block). The RAM and wire models charge
+                     named constants (kPackedAttrModelBytes, ValueBytes,
+                     ValueHeapBytes, WriteOpWireBytes), so SE capacity, the
+                     PoA cache budget and every modelled table stay put when
+                     the host layout packs tighter; a sizeof elsewhere ties a
+                     modelled number to the host layout.
 
   metric-name        every dotted metric-name string literal passed to
                      Add/Observe/RegisterCounter/RegisterHist in src/ must
@@ -247,7 +248,9 @@ FAILOVER_DUE_MAX = 1
 # the two places it may appear: a static_assert (from its line to the ";"
 # that ends it) and the body of Record::Allocate.
 MODEL_BYTES_RE = re.compile(
-    r"\bsizeof\s*\(\s*(?:\w+::)*(Attribute|PackedAttr|WriteOp|LogEntry)\s*\)")
+    r"\bsizeof\s*\(\s*(?:\w+::)*"
+    r"(Value|CompactString|StringList|Attribute|PackedAttr|WriteOp|LogEntry)"
+    r"\s*\)")
 STATIC_ASSERT_RE = re.compile(r"\bstatic_assert\s*\(")
 ALLOCATE_DEF_RE = re.compile(r"\bRecord::Allocate\s*\(")
 
@@ -425,7 +428,8 @@ def lint_file(path: str, rel: str, allowlist_doc: str, violations: list,
                     f"{rel}:{lineno}: [model-bytes] sizeof({m.group(1)}) "
                     f"outside a static_assert and Record::Allocate — "
                     f"modelled bytes charge named constants "
-                    f"(kPackedAttrModelBytes, WriteOpWireBytes), not the "
+                    f"(kPackedAttrModelBytes, ValueHeapBytes, "
+                    f"WriteOpWireBytes), not the "
                     f"host layout")
         if in_static_assert and ";" in code:
             in_static_assert = False
