@@ -28,13 +28,19 @@ int64_t StringHeapBytes(std::string_view s) {
 
 }  // namespace
 
+char* value_block::Allocate(size_t bytes) {
+  char* block = static_cast<char*>(::operator new(kHeaderBytes + bytes));
+  new (block) uint32_t(1);
+  return block + kHeaderBytes;
+}
+
 CompactString::CompactString(std::string_view s) : rep_{} {
   if (s.size() <= kInlineMax) {
     if (!s.empty()) std::memcpy(rep_.bytes, s.data(), s.size());
     rep_.bytes[15] = static_cast<char>(s.size());
     return;
   }
-  char* p = static_cast<char*>(::operator new(s.size()));
+  char* p = value_block::Allocate(s.size());
   std::memcpy(p, s.data(), s.size());
   const uint32_t n = static_cast<uint32_t>(s.size());
   std::memcpy(rep_.bytes, &p, sizeof(p));
@@ -42,24 +48,8 @@ CompactString::CompactString(std::string_view s) : rep_{} {
   rep_.bytes[15] = static_cast<char>(kHeapTag);
 }
 
-CompactString::CompactString(const CompactString& other) : rep_(other.rep_) {
-  if (other.on_heap()) {
-    const uint32_t n = other.heap_size();
-    char* p = static_cast<char*>(::operator new(n));
-    std::memcpy(p, other.heap_ptr(), n);
-    std::memcpy(rep_.bytes, &p, sizeof(p));
-  }
-}
-
 std::ostream& operator<<(std::ostream& os, const CompactString& s) {
   return os << s.view();
-}
-
-StringList::StringList(const StringList& other)
-    : count_(other.count_), chars_(other.chars_) {
-  if (other.block_ == nullptr) return;
-  block_ = static_cast<char*>(::operator new(block_bytes()));
-  std::memcpy(block_, other.block_, block_bytes());
 }
 
 bool operator==(const StringList& a, const StringList& b) {

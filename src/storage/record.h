@@ -12,27 +12,46 @@
 // 4 bytes of padding and a 32-byte Attribute whose `writer` sits in the
 // 24-byte Value variant's tail padding. A string value keeps up to 15 chars
 // inline and a longer one in one exact-size block (CompactString); a list
-// keeps all of its strings in one block (StringList). Names are shared
+// keeps all of its strings in one block (StringList). Both blocks carry a
+// reference count, and a copy of a value shares its block. Names are shared
 // through the process-wide AttrPool (they repeat across millions of
 // subscribers), entries are contiguous (one allocation per record instead of
 // one red-black-tree node per attribute), and lookups binary-search the
 // entries after resolving the name through the pool with zero per-call
 // std::string construction.
 //
-// Copy versus share: copying a Record is a deep copy (its own block, birth
-// tag 0), as a full-record read or a side store needs. Only Share() hands
-// out a second holder of the same block. There are two kinds of sharer:
+// Copy versus share: copying a Record copies its entry block (its own
+// block, birth tag 0), as a full-record read or a side store needs; the
+// values in the copied entries share their blocks with the source's. Only
+// Share() hands out a second holder of the same entry block. There are two
+// kinds of sharer:
 //   * replica catch-up adopts the master's record instead of rebuilding it
 //     from the log (see storage::CatchUpRange);
-//   * a PoA cache holds a share of a read result (itself a deep copy the
+//   * a PoA cache holds a share of a read result (itself a copy the
 //     replica made) and hands out further shares on unprojected hits
 //     (routing::PoaCache). A cache-held payload never enters a
 //     RecordStore: the store side only adopts from another store.
 // A write to a shared block clones it first, so the other holders never see
 // the change; a write to an unshared block mutates it in place at the cost
-// of a std::vector of the same entries. Every holder of a block lives on the
-// thread that drives its UdrNf (one replica set's stores, one PoA's cache
-// and the results it serves), so the reference count is not atomic.
+// of a std::vector of the same entries.
+//
+// Value blocks: a long value is immutable, so every holder of it shares
+// one block — the create's commit-log op, the master's store entry, each
+// slave's (the synchronous apply and the log replay copy the op's value),
+// Projected() and ReadAttrOn results, full-record read copies, PoA cache
+// entries and WriteBuilder ops. A write replaces a value, never writes
+// through its block.
+//
+// Thread confinement: every holder of an entry block or a value block lives
+// on the thread that drives its UdrNf (one replica set's stores and log,
+// one PoA's cache and the results it serves), so neither reference count is
+// atomic. Nothing hands a value or a record to another thread while a
+// holder stays behind.
+//
+// Host bytes and modelled bytes differ only in layout: the model charges
+// every holder its own copy of a value (each SE of a deployment keeps one in
+// its own RAM), while the host, running every SE in one process, keeps one
+// block for all of them.
 //
 // Pointer lifetime: an Attribute pointer or an entries() view stays valid
 // until the record it came from is next written, moved or destroyed. A write
@@ -90,11 +109,46 @@ using RecordKey = uint64_t;
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #endif
 
+/// The heap block behind a long CompactString or a non-empty StringList: a
+/// 4-byte reference count, then the value's bytes. The holders pass around
+/// a pointer to the bytes; the count sits just before them. The count is not
+/// atomic (see CompactString for who may hold a block).
+namespace value_block {
+
+inline constexpr size_t kHeaderBytes = sizeof(uint32_t);
+
+/// A block with room for `bytes` bytes and one holder; returns the bytes.
+char* Allocate(size_t bytes);
+
+inline uint32_t& Count(char* bytes) {
+  return *reinterpret_cast<uint32_t*>(bytes - kHeaderBytes);
+}
+inline void Hold(char* bytes) { ++Count(bytes); }
+/// Drops one holder, freeing the block with the last.
+inline void Drop(char* bytes) {
+  if (--Count(bytes) == 0) ::operator delete(bytes - kHeaderBytes);
+}
+
+}  // namespace value_block
+
 /// An immutable string in 16 bytes: up to kInlineMax (15) chars inline,
-/// else one heap block of exactly size() chars (no terminating NUL in either
-/// form). Byte 15 tags the form: the length when inline, kHeapTag when the
-/// first 8 bytes point at the block and the next 4 hold its size. Copies are
-/// deep, so a value may cross threads as freely as a std::string.
+/// else a pointer to a shared heap block of exactly size() chars behind a
+/// reference count (no terminating NUL in either form). Byte 15 tags the
+/// form: the length when inline, kHeapTag when the first 8 bytes point at
+/// the chars and the next 4 hold their size.
+///
+/// A copy shares the block (count + 1) and never copies the chars, so one
+/// long value has one copy in RAM whoever holds it: the create's commit-log
+/// op, the master's and every slave's store entry (the log replay and the
+/// synchronous apply copy the op's value), a projected or whole-record read
+/// result and a PoA cache entry all hold the block the client's value was
+/// built into. The count is not atomic: like Record's payload count, it
+/// relies on every holder of a block living on the thread that drives its
+/// UdrNf. A value must not be copied or destroyed on two threads at once;
+/// one that crosses threads (an SPSC handoff) moves, or is copied only
+/// while no other thread holds its block. ValueHeapBytes still charges each
+/// holder a std::string's heap bytes: host and modelled bytes differ only in
+/// layout.
 class CompactString {
  public:
   static constexpr size_t kInlineMax = 15;
@@ -106,7 +160,9 @@ class CompactString {
       : CompactString(std::string_view(s)) {}
   CompactString(const std::string& s)  // NOLINT(google-explicit-constructor)
       : CompactString(std::string_view(s)) {}
-  CompactString(const CompactString& other);
+  CompactString(const CompactString& other) noexcept : rep_(other.rep_) {
+    if (on_heap()) value_block::Hold(heap_ptr());
+  }
   CompactString(CompactString&& other) noexcept : rep_(other.rep_) {
     other.rep_ = Rep{};
   }
@@ -180,7 +236,7 @@ class CompactString {
     return n;
   }
   void Free() {
-    if (on_heap()) ::operator delete(heap_ptr());
+    if (on_heap()) value_block::Drop(heap_ptr());
   }
 
   Rep rep_;
@@ -188,8 +244,8 @@ class CompactString {
 
 /// An immutable list of strings in 16 bytes and one heap block: the block
 /// holds size() 32-bit end offsets, then every string's chars back to back
-/// (an empty list holds no block). A copy is one allocation, however many
-/// strings the list has; copies are deep.
+/// (an empty list holds no block). A copy shares the block, as a
+/// CompactString's does, under the same thread-confinement contract.
 class StringList {
  public:
   /// Iterates the strings as std::string_view.
@@ -225,7 +281,10 @@ class StringList {
       : StringList(items.begin(), items.end()) {}
   explicit StringList(const std::vector<std::string>& items)
       : StringList(items.begin(), items.end()) {}
-  StringList(const StringList& other);
+  StringList(const StringList& other) noexcept
+      : block_(other.block_), count_(other.count_), chars_(other.chars_) {
+    if (block_ != nullptr) value_block::Hold(block_);
+  }
   StringList(StringList&& other) noexcept
       : block_(other.block_), count_(other.count_), chars_(other.chars_) {
     other.block_ = nullptr;
@@ -238,7 +297,7 @@ class StringList {
   }
   StringList& operator=(StringList&& other) noexcept {
     if (this != &other) {
-      ::operator delete(block_);
+      Free();
       block_ = other.block_;
       count_ = other.count_;
       chars_ = other.chars_;
@@ -248,7 +307,7 @@ class StringList {
     }
     return *this;
   }
-  ~StringList() { ::operator delete(block_); }
+  ~StringList() { Free(); }
 
   size_t size() const { return count_; }
   bool empty() const { return count_ == 0; }
@@ -276,8 +335,11 @@ class StringList {
     return end;
   }
   const char* chars() const { return block_ + count_ * sizeof(uint32_t); }
+  void Free() {
+    if (block_ != nullptr) value_block::Drop(block_);
+  }
 
-  char* block_ = nullptr;
+  char* block_ = nullptr;  ///< The offsets, after the block's count.
   uint32_t count_ = 0;
   uint32_t chars_ = 0;  ///< Sum of the strings' sizes.
 };
@@ -293,7 +355,7 @@ StringList::StringList(It first, It last) {
   if (count == 0) return;
   count_ = static_cast<uint32_t>(count);
   chars_ = static_cast<uint32_t>(chars);
-  block_ = static_cast<char*>(::operator new(block_bytes()));
+  block_ = value_block::Allocate(block_bytes());
   char* ends = block_;
   char* out = block_ + count * sizeof(uint32_t);
   uint32_t end = 0;

@@ -6,12 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <variant>
+#include <vector>
 
 #include "replica_set_fixture.h"
 #include "replication/replica_set.h"
 #include "replication/write_builder.h"
 #include "sim/network.h"
+#include "storage/attr_pool.h"
+#include "telecom/subscriber.h"
 
 namespace udr::replication {
 namespace {
@@ -350,6 +356,81 @@ TEST_F(ReplicaSetTest, DualSequenceSurvivesMasterCrashWithoutLoss) {
   auto report = rs().FailOver();
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->lost_transactions, 0);
+}
+
+/// The chars of a long value, wherever `attr` of `key` is held.
+const char* BytesOf(const storage::Value& v) {
+  if (const auto* s = std::get_if<storage::CompactString>(&v)) return s->data();
+  const auto& list = std::get<storage::StringList>(v);
+  return list.empty() ? nullptr : list[0].data();
+}
+
+const storage::Value& StoredValue(const ReplicaSet& rs, uint32_t replica,
+                                  storage::RecordKey key, const char* attr) {
+  const storage::Record* r = rs.replica_store(replica).Find(key);
+  EXPECT_NE(r, nullptr) << "replica " << replica;
+  const storage::Attribute* a = r->Find(attr);
+  EXPECT_NE(a, nullptr) << "replica " << replica << " " << attr;
+  return a->value;
+}
+
+/// A create's long values (the authKey, the IMPU list) are one heap block
+/// each, held by its commit-log op, the master's store and the synchronous
+/// slave's store: the apply paths copy the op's value, and a copy shares.
+/// A later Modify replaces the stores' values without touching the block
+/// the log still holds. Equal pointers fail here if a deep copy creeps back.
+TEST_F(ReplicaSetTest, ACreateHoldsOneCopyOfEachLongValue) {
+  ReplicaSetConfig cfg;
+  cfg.sync_mode = SyncMode::kDualSequence;
+  Build(cfg);
+  clock().AdvanceTo(Seconds(1));
+  constexpr storage::RecordKey kKey = 7;
+  WriteBuilder create;
+  create.PutRecord(kKey, telecom::SubscriberFactory(42).Make(0).profile);
+  const WriteResult w = rs().Write(0, std::move(create).Build());
+  ASSERT_TRUE(w.status.ok());
+  ASSERT_FALSE(w.degraded);
+  constexpr uint32_t kSyncSlave = 1;
+
+  const char* const kLong[] = {telecom::attr::kAuthKey, telecom::attr::kImpu};
+  const storage::LogEntry& entry = rs().log().At(w.seq);
+  std::vector<const storage::Value*> logged;
+  std::vector<std::string> texts;
+  for (const char* attr : kLong) {
+    const storage::AttrId id = storage::InternAttr(attr);
+    const auto op = std::find_if(
+        entry.ops.begin(), entry.ops.end(),
+        [&](const storage::WriteOp& o) { return o.attr_id == id; });
+    ASSERT_NE(op, entry.ops.end()) << attr;
+    const storage::Value& v = op->attribute.value;
+    logged.push_back(&v);
+    texts.push_back(ValueToString(v));
+    ASSERT_NE(BytesOf(v), nullptr) << attr;
+    if (const auto* s = std::get_if<storage::CompactString>(&v)) {
+      ASSERT_TRUE(s->on_heap()) << attr;
+    }
+    EXPECT_EQ(BytesOf(StoredValue(rs(), 0, kKey, attr)), BytesOf(v))
+        << attr << ": the master store copied the log op's bytes";
+    EXPECT_EQ(BytesOf(StoredValue(rs(), kSyncSlave, kKey, attr)), BytesOf(v))
+        << attr << ": the sync slave copied the log op's bytes";
+  }
+  std::vector<const char*> before;
+  for (const storage::Value* v : logged) before.push_back(BytesOf(*v));
+
+  WriteBuilder modify;
+  modify.Set(kKey, telecom::attr::kAuthKey, std::string(32, 'f'));
+  modify.Set(kKey, telecom::attr::kImpu,
+             storage::StringList{"sip:moved@ims.example", "tel:+34699"});
+  ASSERT_TRUE(rs().Write(0, std::move(modify).Build()).status.ok());
+  for (size_t i = 0; i < logged.size(); ++i) {
+    EXPECT_EQ(BytesOf(*logged[i]), before[i]) << kLong[i];
+    EXPECT_EQ(ValueToString(*logged[i]), texts[i]) << kLong[i];
+    for (uint32_t replica : {0u, kSyncSlave}) {
+      const storage::Value& now = StoredValue(rs(), replica, kKey, kLong[i]);
+      EXPECT_NE(ValueToString(now), texts[i]) << kLong[i] << " " << replica;
+      EXPECT_NE(BytesOf(now), before[i]) << kLong[i] << " " << replica;
+    }
+  }
 }
 
 TEST_F(ReplicaSetTest, QuorumRequiresMajority) {

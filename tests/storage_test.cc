@@ -78,9 +78,8 @@ TEST(CompactValueTest, StringsRoundTripAcrossTheInlineLimit) {
     EXPECT_EQ(text, s);
     CompactString copy(s);
     EXPECT_EQ(copy, s);
-    if (s.on_heap()) {
-      EXPECT_NE(copy.data(), s.data()) << "copies are deep";
-    }
+    // A heap copy shares the block; inline chars live in each holder.
+    EXPECT_EQ(copy.data() == s.data(), s.on_heap()) << n;
     CompactString moved(std::move(copy));
     EXPECT_EQ(moved, text);
     EXPECT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move)
@@ -130,6 +129,79 @@ TEST(CompactValueTest, ListsRoundTrip) {
   EXPECT_NE((StringList{""}), StringList());
   EXPECT_NE((StringList{"a"}), (StringList{"a", ""}));
   EXPECT_EQ((StringList{"a", ""}), (StringList{"a", ""}));
+}
+
+// A copy holds the same block, not a copy of its bytes; the block lives
+// while any holder does, and assigning over one holder drops only that
+// holder's share. The sanitizer stage checks the frees (no leak, no double
+// free).
+TEST(CompactValueTest, CopiesShareOneBlockUntilTheLastHolderGoes) {
+  const std::string text(40, 'k');
+  std::vector<CompactString> holders;
+  holders.emplace_back(text);
+  const char* bytes = holders[0].data();
+  for (int i = 0; i < 3; ++i) holders.push_back(holders[0]);
+  CompactString assigned("short");
+  assigned = holders[1];
+  for (const CompactString& h : holders) EXPECT_EQ(h.data(), bytes);
+  EXPECT_EQ(assigned.data(), bytes);
+
+  // Assigning over holders, by copy and by move, leaves the others intact.
+  const CompactString other(std::string(20, 'o'));
+  holders[1] = other;
+  holders[2] = CompactString(std::string(30, 'm'));
+  holders[3] = CompactString("inline");
+  EXPECT_EQ(holders[1].data(), other.data());
+  EXPECT_EQ(holders[2], std::string(30, 'm'));
+  EXPECT_EQ(holders[3], "inline");
+  EXPECT_EQ(holders[0], text);
+  EXPECT_EQ(assigned, text);
+  const CompactString& self = assigned;
+  assigned = self;  // Self-assignment keeps the one share.
+  EXPECT_EQ(assigned.data(), bytes);
+
+  // The bytes survive the destruction of every other holder.
+  holders.clear();
+  EXPECT_EQ(assigned, text);
+  EXPECT_EQ(assigned.data(), bytes);
+  EXPECT_EQ(other, std::string(20, 'o'));
+}
+
+TEST(CompactValueTest, ListCopiesShareOneBlockUntilTheLastHolderGoes) {
+  const std::vector<std::string> items = {"sip:+34600000001@ims.example",
+                                          "tel:+34600000001", "x"};
+  std::vector<StringList> holders;
+  holders.emplace_back(items);
+  const char* bytes = holders[0][0].data();
+  for (int i = 0; i < 3; ++i) holders.push_back(holders[0]);
+  StringList assigned{"old"};
+  assigned = holders[1];
+  for (const StringList& h : holders) EXPECT_EQ(h[0].data(), bytes);
+  EXPECT_EQ(assigned[0].data(), bytes);
+
+  const StringList other{"ts11", "ts21"};
+  holders[1] = other;
+  holders[2] = StringList{"moved"};
+  holders[3] = StringList();
+  EXPECT_EQ(holders[1][0].data(), other[0].data());
+  EXPECT_EQ(holders[2], (StringList{"moved"}));
+  EXPECT_TRUE(holders[3].empty());
+  EXPECT_EQ(std::vector<std::string>(holders[0].begin(), holders[0].end()),
+            items);
+  const StringList& self = assigned;
+  assigned = self;  // Self-assignment keeps the one share.
+  EXPECT_EQ(assigned[0].data(), bytes);
+
+  holders.clear();
+  EXPECT_EQ(std::vector<std::string>(assigned.begin(), assigned.end()), items);
+  EXPECT_EQ(assigned[0].data(), bytes);
+
+  // A Value copy shares too, so a record entry copied into a read result
+  // or a commit-log op holds the stored bytes.
+  const Value v(StringList{"a", std::string(30, 'b')});
+  const Value copy = v;
+  EXPECT_EQ(std::get<StringList>(copy)[1].data(),
+            std::get<StringList>(v)[1].data());
 }
 
 TEST(CompactValueTest, ALiteralIsAStringNotABool) {
