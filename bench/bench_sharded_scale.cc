@@ -14,7 +14,11 @@
 //       basis), ops/s/core. Every number is a host measurement.
 //   S2  correctness: zero per-key order violations; zero failed ops; zero
 //       end-state sequence mismatches.
-//   S3  scaling gate: wall speedup at 4 shards >= 0.7 x min(4, nproc).
+//   S3  scaling gate: the median wall speedup at 4 shards over
+//       kGatePairs interleaved 1-shard/4-shard runs >= 0.7 x min(4, nproc).
+//       One pair is one ratio of two single-shot wall rates, and either
+//       rate swings with whatever else the host runs; the median of
+//       interleaved pairs reads through a slow run on either side.
 //
 // Emits BENCH_sharded_scale.json (to $UDR_BENCH_SHARDED_SCALE_JSON, or
 // ./BENCH_sharded_scale.json).
@@ -45,6 +49,9 @@ struct ScaleRow {
   int64_t order_violations = 0;
   int64_t seq_mismatches = 0;
 };
+
+/// Interleaved 1-shard/4-shard pairs behind the S3 gate.
+constexpr int kGatePairs = 5;
 
 workload::TrafficOptions RunOptions(int shards) {
   workload::TrafficOptions opts;
@@ -157,17 +164,31 @@ int main() {
   t1.Print();
   std::printf("\n");
 
-  double speedup4 = 0.0, wall_speedup4 = 0.0;
+  double speedup4 = 0.0;
   int64_t violations = 0, failed = 0, mismatches = 0;
-  for (const ScaleRow& r : rows) {
-    if (r.shards == 4) {
-      speedup4 = r.aggregate_ops_per_sec / base.aggregate_ops_per_sec;
-      wall_speedup4 = r.wall_ops_per_sec / base.wall_ops_per_sec;
-    }
+  auto check = [&](const ScaleRow& r) {
     violations += r.order_violations;
     failed += r.failed;
     mismatches += r.seq_mismatches;
+  };
+  for (const ScaleRow& r : rows) {
+    if (r.shards == 4) {
+      speedup4 = r.aggregate_ops_per_sec / base.aggregate_ops_per_sec;
+    }
+    check(r);
   }
+  std::printf("bench_sharded_scale: %d interleaved 1/4-shard pairs...\n",
+              kGatePairs);
+  std::vector<double> pair_speedups;
+  for (int i = 0; i < kGatePairs; ++i) {
+    const ScaleRow one = RunOne(1);
+    const ScaleRow four = RunOne(4);
+    check(one);
+    check(four);
+    pair_speedups.push_back(four.wall_ops_per_sec / one.wall_ops_per_sec);
+  }
+  std::sort(pair_speedups.begin(), pair_speedups.end());
+  const double wall_speedup4 = pair_speedups[kGatePairs / 2];
 
   // Four shards cannot run faster than the cores they share.
   const int cores =
@@ -192,7 +213,11 @@ int main() {
 
   Table t3("S3: scaling gate (wall basis; any failed row breaks the CI smoke)",
            {"check", "value", "target", "verdict"});
-  t3.AddRow({"wall speedup @ 4 shards", Table::Dbl(wall_speedup4, 2) + "x",
+  t3.AddRow({"wall speedup @ 4 shards",
+             Table::Dbl(wall_speedup4, 2) + "x (median of " +
+                 std::to_string(kGatePairs) + ", " +
+                 Table::Dbl(pair_speedups.front(), 2) + "-" +
+                 Table::Dbl(pair_speedups.back(), 2) + "x)",
              ">= 0.7 x min(4, " + std::to_string(cores) + ") = " +
                  Table::Dbl(wall_target, 2) + "x",
              speedup_ok ? "PASS" : "FAIL"});

@@ -14,13 +14,26 @@ namespace {
 
 constexpr char kSeqAttr[] = "shard-seq";
 
+/// Jump consistent hash (Lamping & Veach, arXiv:1406.2294): the bucket in
+/// [0, buckets) that `key` lands in, each with an equal share of keys.
+int JumpHash(uint64_t key, int buckets) {
+  int64_t b = -1;
+  int64_t j = 0;
+  while (j < buckets) {
+    b = j;
+    key = key * 2862933555777941757ULL + 1;
+    j = static_cast<int64_t>(static_cast<double>(b + 1) *
+                             (static_cast<double>(1LL << 31) /
+                              static_cast<double>((key >> 33) + 1)));
+  }
+  return static_cast<int>(b);
+}
+
 }  // namespace
 
+// IMSIs are seed-independent, so any factory agrees with the workload's.
 ShardSlicer::ShardSlicer(int num_shards)
-    : num_shards_(num_shards < 1 ? 1 : num_shards), factory_(0) {
-  // IMSIs are seed-independent, so any factory agrees with the workload's.
-  ring_.AddNodes(0, static_cast<uint32_t>(num_shards_));
-}
+    : num_shards_(num_shards < 1 ? 1 : num_shards), factory_(0) {}
 
 ShardSlicer::ShardSlicer(const routing::PartitionMap* map, int num_shards)
     : num_shards_(num_shards < 1 ? 1 : num_shards), factory_(0), map_(map) {
@@ -47,7 +60,7 @@ int ShardSlicer::ShardOf(uint64_t subscriber) const {
     const int shard = ShardOfPartition(map_->PartitionOfIdentity(id));
     return shard >= 0 ? shard : 0;
   }
-  return static_cast<int>(ring_.NodeOfHash(location::HashIdentity(id)));
+  return JumpHash(location::HashIdentity(id), num_shards_);
 }
 
 int Shard::ShardOfSubscriber(uint64_t subscriber, int num_shards) {
@@ -99,7 +112,7 @@ void Shard::Provision() {
   for (uint64_t sub = 0; sub < opts_.total_subscribers; ++sub) {
     if (slicer_->ShardOf(sub) != index_) continue;
     auto spec = factory_.MakeSpec(sub);
-    auto outcome = udr_->CreateSubscriber(std::move(spec), 0);
+    auto outcome = udr_->CreateSubscriber(spec, 0);
     if (outcome.ok()) ++provisioned_;
   }
   // Let slave copies settle so nearest-preference reads see the profiles.
@@ -122,6 +135,7 @@ void Shard::Execute(const ShardBatch& batch) {
   }
   routing::BatchRequest req;
   req.trace = exec_span.context().active() ? exec_span.context() : batch.trace;
+  req.ops.reserve(batch.ops.size());
   for (const ShardOp& op : batch.ops) {
     // Per-key order check: the driver stamps per-subscriber monotonically
     // increasing sequence numbers; seeing a regression here means the

@@ -21,7 +21,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/hash_ring.h"
 #include "location/identity.h"
 #include "obs/trace.h"
 #include "routing/coalescer.h"
@@ -36,22 +35,21 @@ class PartitionMap;
 
 namespace udr::exec {
 
-/// Maps subscribers to shards the way the routing layer maps identities to
-/// partitions: shards occupy a consistent-hash ring (common::HashRing,
-/// vnodes per shard) and a subscriber lands on the shard owning the ring arc
-/// of its IMSI's identity hash — the same location::HashIdentity that keys
-/// records under hash placement. A shard's subscriber set is therefore a
-/// genuine PartitionMap-style ring slice (contiguous arcs, stable under
-/// shard-count changes the way ring membership changes are), not an
-/// unrelated splitmix64 of the raw index. IMSIs are seed-independent, so the
-/// slicer needs no workload seed to agree with every factory.
+/// Maps subscribers to shards. Hash mode: a subscriber lands on shard
+/// JumpHash(location::HashIdentity(imsi), num_shards), a stateless jump
+/// consistent hash (Lamping & Veach, arXiv:1406.2294) of the same identity
+/// hash that keys records under hash placement. The owner is a pure function
+/// of the key, every shard gets an equal share of the key space, and growing
+/// the shard count from n to n+1 moves only the ~1/(n+1) of subscribers that
+/// land on the new shard. IMSIs are seed-independent, so the slicer needs no
+/// workload seed to agree with every factory.
 ///
 /// Partition-aligned mode (the scenario-harness contract): constructed over a
 /// real routing::PartitionMap, the slicer resolves a subscriber to its actual
 /// partition and deals live partitions round-robin across shards, so a shard's
 /// slice is a union of whole partitions — every subscriber of one partition
 /// is owned by exactly one shard, matching the data path's own placement
-/// instead of an independent ring. ShardOf() is const and lock-free; a shared
+/// instead of an independent hash. ShardOf() is const and lock-free; a shared
 /// slicer is safe across worker threads as long as the map is not mutated
 /// (no commissioning / splits / retires) while a run is in flight.
 class ShardSlicer {
@@ -70,7 +68,6 @@ class ShardSlicer {
 
  private:
   int num_shards_;
-  HashRing ring_;
   telecom::SubscriberFactory factory_;
   const routing::PartitionMap* map_ = nullptr;
   std::vector<int> partition_shard_;  ///< Partition id -> owning shard.
@@ -128,7 +125,7 @@ struct ShardStats {
 
 class Shard {
  public:
-  /// Owning shard of a subscriber (ring-slice mapping; builds a throwaway
+  /// Owning shard of a subscriber (hash-mode mapping; builds a throwaway
   /// ShardSlicer — hot paths hold a long-lived slicer instead).
   static int ShardOfSubscriber(uint64_t subscriber, int num_shards);
 

@@ -3,9 +3,16 @@
 // through one SPSC handoff ring per shard. The driver thread is the single
 // producer for every ring; each worker is the single consumer of its own.
 //
+// Idle workers park: a worker whose ring stays empty through a bounded spin
+// sleeps on its shard's mutex and condition variable, and Submit/Finish wake
+// it only when its `sleeping` flag is set (a Dekker handshake, see Park), so
+// an idle shard gives its core back instead of polling it.
+//
 // Throughput accounting is explicit about cores: each worker measures its
-// busy CPU time (CLOCK_THREAD_CPUTIME_ID around Execute/Drain, excluding
-// idle polling), and the report derives
+// busy CPU time (CLOCK_THREAD_CPUTIME_ID read when the worker switches
+// between busy and idle: a busy run starts at the first successful pop after
+// idling and ends at the first empty poll, so spinning and parking are
+// excluded), and the report derives
 //   aggregate_ops_per_sec = sum_i(ops_i / busy_cpu_sec_i)
 // — the total service capacity the shards would sustain given a core each.
 // On a machine with fewer cores than shards the wall-clock rate
@@ -24,6 +31,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/mutex.h"
 #include "exec/shard.h"
 #include "exec/spsc_queue.h"
 #include "obs/trace.h"
@@ -34,7 +42,8 @@ struct ShardRuntimeOptions {
   int num_shards = 1;
   ShardOptions shard;
   /// Capacity of each shard's SPSC handoff ring (rounded up to a power of
-  /// two). A full ring back-pressures the driver (Submit spins with yield).
+  /// two). A full ring back-pressures the driver (Submit yields until the
+  /// worker frees a slot).
   size_t queue_capacity = 4096;
   /// When set, shard slices follow this real PartitionMap (partition-aligned
   /// ShardSlicer): a shard owns whole partitions, so the scenario harness can
@@ -53,6 +62,7 @@ struct ShardReport {
   int64_t order_violations = 0;
   int64_t provisioned = 0;
   int64_t busy_ns = 0;  ///< Worker CPU time spent executing (not idling).
+  int64_t parks = 0;    ///< Times the worker slept on an empty ring.
   double ops_per_busy_sec() const {
     return busy_ns > 0 ? ops * 1e9 / static_cast<double>(busy_ns) : 0.0;
   }
@@ -92,12 +102,13 @@ class ShardRuntime {
   /// every shard finished provisioning.
   void Start();
 
-  /// Routes one batch to shard `shard`'s handoff ring. Single-producer: call
-  /// only from the driver thread. Spins (with yield) while the ring is full.
+  /// Routes one batch to shard `shard`'s handoff ring and wakes the shard's
+  /// worker if it is parked. Single-producer: call only from the driver
+  /// thread. Yields while the ring is full.
   void Submit(ShardBatch batch, int shard);
 
   /// Owning shard of a subscriber under this runtime's shard count (served
-  /// by a long-lived ring slicer — the driver calls this per op).
+  /// by a long-lived slicer — the driver calls this per op).
   int ShardOf(uint64_t subscriber) const { return slicer_->ShardOf(subscriber); }
 
   /// Signals end-of-stream, joins the workers (each drains its ring and its
@@ -105,6 +116,12 @@ class ShardRuntime {
   const ShardRuntimeReport& Finish();
 
   const ShardRuntimeReport& report() const { return report_; }
+
+  /// Times shard `shard`'s worker has parked so far. Any thread, any time
+  /// (tests wait on it to know a worker is asleep).
+  int64_t parks(int shard) const {
+    return handoffs_[shard]->parks.load(std::memory_order_relaxed);
+  }
 
   /// The shards survive their workers for post-run verification (ReadSeq,
   /// metrics). Valid only after Finish().
@@ -118,13 +135,31 @@ class ShardRuntime {
   void MergeTracersInto(obs::Tracer* out) const;
 
  private:
-  void WorkerLoop(int index);
+  /// One shard's handoff: its ring and the spot its worker parks on.
+  struct Handoff {
+    explicit Handoff(size_t capacity) : queue(capacity) {}
+    SpscQueue<ShardBatch> queue;
+    common::Mutex mu{"exec.shard_runtime.park"};
+    common::CondVar wake;
+    /// Set by the worker before its last emptiness check, cleared by the
+    /// waker under `mu`.
+    std::atomic<bool> sleeping{false};
+    std::atomic<int64_t> parks{0};
+  };
 
-  // Concurrency contract (thread confinement, not locks — nothing here is
-  // GUARDED_BY because nothing is shared mutable while threads run):
-  //   * opts_, slicer_, queues_ are frozen before Start() spawns workers and
-  //     only read afterwards (the queue OBJECTS are shared; their internal
-  //     SPSC discipline is enforced in spsc_queue.h);
+  void WorkerLoop(int index);
+  /// Worker side: sleeps until woken unless the ring or done_ says there is
+  /// work.
+  void Park(Handoff& h);
+  /// Driver side, after publishing a push or done_: wakes a parked worker.
+  static void WakeIfParked(Handoff& h);
+
+  // Concurrency contract (thread confinement plus one parking lock per
+  // shard):
+  //   * opts_, slicer_, handoffs_ are frozen before Start() spawns workers
+  //     and only read afterwards (the Handoff OBJECTS are shared: the ring's
+  //     SPSC discipline is enforced in spsc_queue.h, `sleeping` and `parks`
+  //     are atomics, and `mu` only pairs with `wake`);
   //   * shards_[i] and busy_ns_[i] are written only by worker i, and read by
   //     the driver only after Finish() joined that worker (the join is the
   //     happens-before edge);
@@ -133,7 +168,7 @@ class ShardRuntime {
   //   * ready_ and done_ are the cross-thread signals, acquire/release.
   ShardRuntimeOptions opts_;
   std::unique_ptr<ShardSlicer> slicer_;  ///< Built once num_shards is final.
-  std::vector<std::unique_ptr<SpscQueue<ShardBatch>>> queues_;
+  std::vector<std::unique_ptr<Handoff>> handoffs_;
   std::vector<std::unique_ptr<Shard>> shards_;  ///< Slot i filled by worker i.
   std::vector<std::thread> workers_;
   std::vector<int64_t> busy_ns_;  ///< Per-worker, written before join.

@@ -18,6 +18,17 @@
 //     tail_ and the consumer's acquire load of it; head_ symmetrically
 //     returns slot ownership consumer->producer. SizeApprox() is a racy
 //     monitoring estimate, callable from anywhere.
+//   * Each side keeps a private copy of the other side's cursor (head_cache_
+//     on the producer, tail_cache_ on the consumer) and reloads the shared
+//     one only when the ring looks full or empty, so a push or pop touches
+//     the other side's cache line only then. A failed TryPush or TryPop has
+//     always read the other cursor afresh.
+//   * TryPop swaps the slot with `*out`: the consumer's previous value stays
+//     in the slot until the producer's next TryPush there move-assigns over
+//     it. So whatever the producer allocated is freed on the producer's
+//     thread, never on the consumer's (no cross-thread frees into the
+//     producer's allocator arena). The ring keeps up to capacity() such
+//     spent values alive.
 
 #ifndef UDR_EXEC_SPSC_QUEUE_H_
 #define UDR_EXEC_SPSC_QUEUE_H_
@@ -58,28 +69,37 @@ class SpscQueue {
     CheckOwner(&producer_tid_, "producer (TryPush)");
 #endif
     const uint64_t tail = tail_.load(std::memory_order_relaxed);
-    const uint64_t head = head_.load(std::memory_order_acquire);
-    if (tail - head > mask_) return false;
+    if (tail - head_cache_ > mask_) {
+      head_cache_ = head_.load(std::memory_order_acquire);
+      if (tail - head_cache_ > mask_) return false;
+    }
     slots_[tail & mask_] = std::move(value);
     tail_.store(tail + 1, std::memory_order_release);
     return true;
   }
 
-  /// Consumer side. Returns false when the ring is empty. Single consumer:
-  /// the first calling thread owns this side for the queue's lifetime.
+  /// Consumer side. Returns false when the ring is empty. On success `*out`
+  /// holds the popped value and the slot holds `*out`'s previous one (see
+  /// the swap contract above). Single consumer: the first calling thread
+  /// owns this side for the queue's lifetime.
   bool TryPop(T* out) {
 #if defined(UDR_DEADLOCK_CHECK)
     CheckOwner(&consumer_tid_, "consumer (TryPop)");
 #endif
     const uint64_t head = head_.load(std::memory_order_relaxed);
-    const uint64_t tail = tail_.load(std::memory_order_acquire);
-    if (head == tail) return false;
-    *out = std::move(slots_[head & mask_]);
+    if (head == tail_cache_) {
+      tail_cache_ = tail_.load(std::memory_order_acquire);
+      if (head == tail_cache_) return false;
+    }
+    using std::swap;
+    swap(*out, slots_[head & mask_]);
     head_.store(head + 1, std::memory_order_release);
     return true;
   }
 
-  /// Racy size estimate (monitoring only; any thread).
+  /// Racy size estimate, any thread. Both cursors are read afresh, so on
+  /// the consumer's thread 0 means the ring was empty when tail_ was read
+  /// (ShardRuntime decides to park on that).
   size_t SizeApprox() const {
     const uint64_t tail = tail_.load(std::memory_order_acquire);
     const uint64_t head = head_.load(std::memory_order_acquire);
@@ -116,8 +136,12 @@ class SpscQueue {
 
   std::vector<T> slots_;
   size_t mask_ = 0;
+  // One cache line per side: the side's own cursor and its copy of the
+  // other's.
   alignas(64) std::atomic<uint64_t> head_{0};  ///< Consumer cursor.
+  uint64_t tail_cache_ = 0;  ///< Consumer only: tail_ as last read.
   alignas(64) std::atomic<uint64_t> tail_{0};  ///< Producer cursor.
+  uint64_t head_cache_ = 0;  ///< Producer only: head_ as last read.
 #if defined(UDR_DEADLOCK_CHECK)
   std::atomic<uint64_t> producer_tid_{0};  ///< First TryPush caller.
   std::atomic<uint64_t> consumer_tid_{0};  ///< First TryPop caller.

@@ -65,16 +65,6 @@ class WriteBuilder {
     return *this;
   }
 
-  /// PutRecord that moves `record`'s values into the write set instead of
-  /// copying them (a create that owns its profile), leaving it empty.
-  WriteBuilder& PutRecord(storage::RecordKey key, storage::Record&& record) {
-    ops_.reserve(ops_.size() + record.attribute_count());
-    std::move(record).TakeValues([&](storage::AttrId id, storage::Value v) {
-      Set(key, id, std::move(v));
-    });
-    return *this;
-  }
-
   /// Reserves room for `n` ops (one allocation for a known-size write).
   WriteBuilder& Reserve(size_t n) {
     ops_.reserve(n);

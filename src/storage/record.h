@@ -531,12 +531,6 @@ class Record {
   /// charges entries, not capacity, so the model is unaffected.
   void Reserve(size_t n);
 
-  /// Hands each entry's name id and value to `fn(AttrId, Value)` in id
-  /// order, then leaves the record empty. The values move out of a payload
-  /// this record alone holds and are copied out of a shared one.
-  template <typename Fn>
-  void TakeValues(Fn&& fn) &&;
-
   /// Iterates attributes as (name, attribute) pairs, resolving names through
   /// the pool (for serialization layers).
   void ForEachAttribute(
@@ -609,22 +603,6 @@ class Record {
   uint32_t size_ = 0;     ///< Constructed entries in the payload.
   uint32_t version_ = 0;  ///< Writes since creation; 2^32 is out of reach.
 };
-
-template <typename Fn>
-void Record::TakeValues(Fn&& fn) && {
-  if (payload_ == nullptr) return;
-  PackedAttr* e = payload_->entries();
-  const bool shared = payload_->refs > 1;
-  for (uint32_t i = 0; i < size_; ++i) {
-    if (shared) {
-      fn(e[i].name_id, e[i].attr.value);
-    } else {
-      fn(e[i].name_id, std::move(e[i].attr.value));
-    }
-  }
-  Release();
-  version_ = 0;
-}
 
 }  // namespace udr::storage
 

@@ -580,17 +580,6 @@ StatusOr<int64_t> UdrNf::RehomeOne(const migration::MigrationTaskSpec& spec) {
 
 StatusOr<UdrNf::CreateOutcome> UdrNf::CreateSubscriber(const CreateSpec& spec,
                                                        sim::SiteId origin_site) {
-  return Create(spec, nullptr, origin_site);
-}
-
-StatusOr<UdrNf::CreateOutcome> UdrNf::CreateSubscriber(CreateSpec&& spec,
-                                                       sim::SiteId origin_site) {
-  return Create(spec, &spec.profile, origin_site);
-}
-
-StatusOr<UdrNf::CreateOutcome> UdrNf::Create(const CreateSpec& spec,
-                                             storage::Record* take,
-                                             sim::SiteId origin_site) {
   if (spec.identities.empty()) {
     return Status::InvalidArgument("subscription needs at least one identity");
   }
@@ -640,11 +629,7 @@ StatusOr<UdrNf::CreateOutcome> UdrNf::Create(const CreateSpec& spec,
   storage::RecordKey key =
       hash_keyed ? location::HashIdentity(*preq.identity) : next_key_++;
   WriteBuilder wb;
-  if (take != nullptr) {
-    wb.PutRecord(key, std::move(*take));
-  } else {
-    wb.PutRecord(key, spec.profile);
-  }
+  wb.PutRecord(key, spec.profile);
   replication::WriteResult write = rs->Write(origin_site, std::move(wb).Build());
   if (!write.status.ok()) {
     metrics_.Add("udr.create.rejected");
@@ -905,7 +890,7 @@ LdapResult UdrNf::DoAdd(const LdapRequest& request, uint32_t poa_site) {
       spec.home_site = static_cast<sim::SiteId>(*v);
     }
   }
-  auto outcome = CreateSubscriber(std::move(spec), poa_site);
+  auto outcome = CreateSubscriber(spec, poa_site);
   if (!outcome.ok()) {
     r.code = StatusToLdapCode(outcome.status());
     r.diagnostic = outcome.status().message();

@@ -383,10 +383,6 @@ class UdrNf {
   /// identity-location maps.
   StatusOr<CreateOutcome> CreateSubscriber(const CreateSpec& spec,
                                            sim::SiteId origin_site);
-  /// The same create, moving the profile's values into the write set
-  /// instead of copying them.
-  StatusOr<CreateOutcome> CreateSubscriber(CreateSpec&& spec,
-                                           sim::SiteId origin_site);
 
   /// Removes a subscription and all its identity bindings.
   Status DeleteSubscriber(const location::Identity& id, sim::SiteId origin_site);
@@ -544,11 +540,6 @@ class UdrNf {
   ldap::LdapResult FinishBatchedDelete(const location::Identity& id,
                                        const routing::OpOutcome& read,
                                        const routing::OpOutcome& write);
-
-  /// CreateSubscriber: writes `spec.profile`, or moves the values of
-  /// `*take`, which is then `spec.profile`, when it is not null.
-  StatusOr<CreateOutcome> Create(const CreateSpec& spec, storage::Record* take,
-                                 sim::SiteId origin_site);
 
   /// The bookkeeping of a committed delete of `record` (in `partition`,
   /// named by `id`): unbinds every identity it holds and `id` itself, which

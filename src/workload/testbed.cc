@@ -93,7 +93,7 @@ int64_t Testbed::ProvisionDirect(uint64_t first, int64_t count) {
     std::optional<sim::SiteId> home;
     if (opts_.pin_home_sites) home = HomeSiteOf(index);
     auto spec = factory_.MakeSpec(index, home);
-    auto outcome = udr_->CreateSubscriber(std::move(spec), home.value_or(0));
+    auto outcome = udr_->CreateSubscriber(spec, home.value_or(0));
     if (outcome.ok()) ++created;
   }
   return created;

@@ -55,8 +55,9 @@
 // storage::StringList it takes one for all of its strings, which brings the
 // spec to 20.07, the create to 10.12 and the moved create to 6.12. Since a
 // value copy shares its block, the copies the create's log op, master store
-// and profile hand each other allocate nothing: both creates make 2.12
-// allocations per call, so moving the spec no longer saves any.
+// and profile hand each other allocate nothing: both creates made 2.12
+// allocations per call, so the moving overload was deleted and every caller
+// takes the one const path.
 //
 // Record growth: the first write of a new attribute to a provisioned record
 // (exact-size block) moves it to a block a quarter larger, not twice as
@@ -369,42 +370,27 @@ TEST_F(CachedWindowAllocTest, DeferredHlrUpdateLocation) {
 }
 
 /// Mean allocations of 200 creates of home-pinned subscribers whose specs
-/// are built up front; `create` makes one create from a spec it may move.
-/// The spec build is counted apart and held to its own ceiling.
-template <typename Create>
-double CreateAllocations(Testbed& bed, const char* label, Create&& create) {
+/// are built up front. The spec build is counted apart and held to its own
+/// ceiling.
+TEST_F(AllocTest, CreateSubscriber) {
   constexpr int kCreates = 200;
   std::vector<udrnf::UdrNf::CreateSpec> specs;
   const int64_t before_specs = g_allocations.load(std::memory_order_relaxed);
   for (int i = 0; i < kCreates; ++i) {
-    specs.push_back(bed.factory().MakeSpec(kSubscribers + i, /*home_site=*/0));
+    specs.push_back(bed_.factory().MakeSpec(kSubscribers + i, /*home_site=*/0));
   }
   const int64_t before = g_allocations.load(std::memory_order_relaxed);
-  for (udrnf::UdrNf::CreateSpec& spec : specs) create(spec);
+  for (const udrnf::UdrNf::CreateSpec& spec : specs) {
+    ASSERT_TRUE(bed_.udr().CreateSubscriber(spec, /*origin_site=*/0).ok());
+  }
   const int64_t after = g_allocations.load(std::memory_order_relaxed);
   const double make = static_cast<double>(before - before_specs) / kCreates;
   const double mean = static_cast<double>(after - before) / kCreates;
   std::printf("%-28s %6.2f allocations/call\n", "SubscriberFactory::MakeSpec",
               make);
-  std::printf("%-28s %6.2f allocations/call\n", label, mean);
+  std::printf("%-28s %6.2f allocations/call\n", "UdrNf::CreateSubscriber",
+              mean);
   ExpectPinned(make, 20.07);
-  return mean;
-}
-
-TEST_F(AllocTest, CreateSubscriber) {
-  const double mean = CreateAllocations(
-      bed_, "UdrNf::CreateSubscriber", [&](const udrnf::UdrNf::CreateSpec& spec) {
-        ASSERT_TRUE(bed_.udr().CreateSubscriber(spec, /*origin_site=*/0).ok());
-      });
-  ExpectPinned(mean, 2.13);
-}
-
-TEST_F(AllocTest, CreateSubscriberFromMovedSpec) {
-  const double mean = CreateAllocations(
-      bed_, "CreateSubscriber(moved)", [&](udrnf::UdrNf::CreateSpec& spec) {
-        ASSERT_TRUE(
-            bed_.udr().CreateSubscriber(std::move(spec), /*origin_site=*/0).ok());
-      });
   ExpectPinned(mean, 2.13);
 }
 

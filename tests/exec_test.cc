@@ -134,19 +134,23 @@ TEST(MetricsConcurrencyTest, MergeFromWhileSourcesMutate) {
 // ---------------------------------------------------------------------------
 
 TEST(ShardTest, SubscriberShardingIsTotalAndBalanced) {
-  constexpr int kShards = 4;
-  constexpr uint64_t kSubs = 10000;
-  std::vector<int64_t> per_shard(kShards, 0);
-  for (uint64_t s = 0; s < kSubs; ++s) {
-    const int shard = Shard::ShardOfSubscriber(s, kShards);
-    ASSERT_GE(shard, 0);
-    ASSERT_LT(shard, kShards);
-    ++per_shard[shard];
-  }
-  for (int i = 0; i < kShards; ++i) {
-    // splitmix64 spreads sequential indices near-uniformly.
-    EXPECT_GT(per_shard[i], kSubs / kShards / 2) << "shard " << i;
-    EXPECT_LT(per_shard[i], kSubs * 2 / kShards) << "shard " << i;
+  // Every subscriber lands on exactly one shard, and every shard holds its
+  // fair share to within 5%: the busiest shard bounds the sharded run's
+  // throughput, so an uneven split wastes the other workers.
+  constexpr uint64_t kSubs = 20000;
+  for (const int shards : {2, 3, 4, 8}) {
+    std::vector<int64_t> per_shard(shards, 0);
+    for (uint64_t s = 0; s < kSubs; ++s) {
+      const int shard = Shard::ShardOfSubscriber(s, shards);
+      ASSERT_GE(shard, 0);
+      ASSERT_LT(shard, shards);
+      ++per_shard[shard];
+    }
+    const double fair = static_cast<double>(kSubs) / shards;
+    for (int i = 0; i < shards; ++i) {
+      EXPECT_NEAR(static_cast<double>(per_shard[i]), fair, 0.05 * fair)
+          << "shard " << i << " of " << shards;
+    }
   }
   EXPECT_EQ(Shard::ShardOfSubscriber(123, 1), 0);
 }
@@ -310,6 +314,55 @@ TEST(ShardRuntimeTest, BackpressureSurvivesTinyRings) {
   EXPECT_EQ(report.ops_done, 500);
   EXPECT_EQ(report.ops_failed, 0);
   EXPECT_EQ(report.order_violations, 0);
+}
+
+/// Spins until shard `shard`'s worker has parked more than `seen` times.
+void AwaitPark(const ShardRuntime& runtime, int shard, int64_t seen) {
+  while (runtime.parks(shard) <= seen) std::this_thread::yield();
+}
+
+TEST(ShardRuntimeTest, ParkedWorkersWakeForEverySubmitAndFinish) {
+  // Each single batch lands on a worker that is asleep, and the test then
+  // waits for that worker to park again, which it can only do after waking
+  // and draining its ring. The waits have no deadline on purpose: a lost
+  // wake-up hangs here (or in Finish's join) until ctest's TIMEOUT kills the
+  // test, so it cannot pass silently.
+  constexpr int kShards = 2;
+  constexpr int kCycles = 200;
+  constexpr int kBatchesPerCycle = 8;
+  constexpr uint64_t kSubs = 16;
+  for (int cycle = 0; cycle < kCycles; ++cycle) {
+    exec::ShardRuntimeOptions ro;
+    ro.num_shards = kShards;
+    ro.shard.total_subscribers = kSubs;
+    exec::ShardRuntime runtime(ro);
+    runtime.Start();
+    std::vector<int64_t> parks(kShards, 0);
+    for (int shard = 0; shard < kShards; ++shard) {
+      AwaitPark(runtime, shard, 0);
+      parks[shard] = runtime.parks(shard);
+    }
+    uint64_t seq = 0;
+    for (int i = 0; i < kBatchesPerCycle; ++i) {
+      ShardOp op;
+      op.subscriber = static_cast<uint64_t>(i) % kSubs;
+      op.seq = ++seq;
+      op.write = true;
+      const int shard = runtime.ShardOf(op.subscriber);
+      ShardBatch batch;
+      batch.ops.push_back(op);
+      runtime.Submit(std::move(batch), shard);
+      AwaitPark(runtime, shard, parks[shard]);
+      parks[shard] = runtime.parks(shard);
+    }
+    // Every worker is asleep again: Finish must wake each one to drain.
+    const auto& report = runtime.Finish();
+    EXPECT_EQ(report.ops_done, kBatchesPerCycle);
+    EXPECT_EQ(report.order_violations, 0);
+    int64_t reported_parks = 0;
+    for (const auto& shard : report.shards) reported_parks += shard.parks;
+    EXPECT_GE(reported_parks, kShards + kBatchesPerCycle);
+  }
 }
 
 }  // namespace
