@@ -174,8 +174,8 @@ class FlatTable {
 
 /// Map from 64-bit keys to 32-bit slot numbers, for structures that own
 /// their entries in a slot array of their own: the PoA cache's entries, the
-/// heat sketch's top-K slots and UdrNf's parked record keys (key ->
-/// cluster). Reserve() sizes it once for a known bound.
+/// heat sketch's top-K slots and the event pipeline's parked record keys
+/// (key -> cluster). Reserve() sizes it once for a known bound.
 class FlatKeyIndex {
  public:
   static constexpr uint32_t kNone = ~uint32_t{0};

@@ -1,6 +1,6 @@
 // HandleTable: a map from uint64 handles to values for the enqueue/take
-// path (the PoA dispatch window's outcomes and UdrNf's event ledger). Their
-// handles are issued in increasing order and mostly taken in
+// path (the PoA dispatch window's outcomes and the event pipeline's
+// ledger). Their handles are issued in increasing order and mostly taken in
 // about that order, so the entries live in one ring buffer sorted by
 // handle: a Put of a new largest handle appends, a Find of a dense run is
 // one subtraction, any other Find is a binary search, and an Erase at the

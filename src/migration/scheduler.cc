@@ -18,14 +18,12 @@ const char* TaskStateName(TaskState state) {
   return "unknown";
 }
 
-MigrationScheduler::MigrationScheduler(MigrationSchedulerConfig config,
-                                       routing::PartitionMap* map,
+MigrationScheduler::MigrationScheduler(routing::PartitionMap* map,
                                        routing::Router* router,
                                        const BandwidthModel* bandwidth,
                                        sim::Network* network, Metrics* metrics,
                                        obs::FlightRecorder* flight)
-    : config_(config),
-      map_(map),
+    : map_(map),
       router_(router),
       bandwidth_(bandwidth),
       network_(network),
@@ -95,7 +93,7 @@ int64_t MigrationScheduler::NextStepBytes() const {
 }
 
 int64_t MigrationScheduler::BurstCapBytes(int64_t rate) const {
-  int64_t window_bytes = rate * config_.window / 1'000'000;
+  int64_t window_bytes = rate * kBurstWindow / 1'000'000;
   return std::max(bandwidth_->chunk_bytes(), window_bytes);
 }
 
@@ -111,17 +109,6 @@ void MigrationScheduler::RefillTokens() {
   const double cap = static_cast<double>(BurstCapBytes(rate));
   if (tokens_ > cap) tokens_ = cap;
   last_refill_ = now;
-}
-
-void MigrationScheduler::OnForegroundOps(int64_t ops) {
-  if (config_.foreground_cost_bytes <= 0 || ops <= 0) return;
-  const int64_t rate = CurrentRateBps();
-  if (rate <= 0) return;  // Idle or unthrottled: nothing to displace.
-  tokens_ -= static_cast<double>(ops * config_.foreground_cost_bytes);
-  // Debt is bounded at one burst window so a foreground storm delays — not
-  // permanently starves — the next chunk.
-  const double cap = static_cast<double>(BurstCapBytes(rate));
-  if (tokens_ < -cap) tokens_ = -cap;
 }
 
 MicroTime MigrationScheduler::NextDeadline() const {

@@ -89,17 +89,6 @@ struct MigrationProgress {
   bool active = false;
 };
 
-/// Static configuration of the scheduler's pacing window.
-struct MigrationSchedulerConfig {
-  /// Token-bucket burst window: the bucket holds at most one window's worth
-  /// of bytes at the effective link rate (never less than one chunk).
-  MicroDuration window = Millis(1);
-  /// Priority knob: every foreground operation reported while migration is
-  /// in flight displaces this many bytes of migration budget from the
-  /// window (0 = foreground load does not shrink the budget).
-  int64_t foreground_cost_bytes = 0;
-};
-
 class MigrationScheduler {
  public:
   /// Ships one re-homed subscriber record and rebinds its identities;
@@ -107,12 +96,10 @@ class MigrationScheduler {
   using RehomeExecutor =
       std::function<StatusOr<int64_t>(const MigrationTaskSpec& spec)>;
 
-  MigrationScheduler(MigrationSchedulerConfig config,
-                     routing::PartitionMap* map, routing::Router* router,
+  MigrationScheduler(routing::PartitionMap* map, routing::Router* router,
                      const BandwidthModel* bandwidth, sim::Network* network,
                      Metrics* metrics, obs::FlightRecorder* flight);
 
-  const MigrationSchedulerConfig& config() const { return config_; }
   void set_rehome_executor(RehomeExecutor executor) {
     rehome_executor_ = std::move(executor);
   }
@@ -150,14 +137,15 @@ class MigrationScheduler {
   const std::deque<MigrationTask>& tasks() const { return tasks_; }
   std::vector<const MigrationTask*> TasksOfPlan(uint64_t plan) const;
 
-  /// Priority coupling: foreground operations displace migration budget.
-  void OnForegroundOps(int64_t ops);
-
   /// Installs the tracer chunk/cutover spans are recorded into (nullptr =
   /// off). Cutovers and failures are logged to the constructor's `flight`.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
  private:
+  /// Token-bucket burst window: the bucket holds at most one window's worth
+  /// of bytes at the effective link rate (never less than one chunk).
+  static constexpr MicroDuration kBurstWindow = Millis(1);
+
   MicroTime Now() const { return network_->Now(); }
 
   /// First non-terminal task, nullptr when the queue is drained.
@@ -185,7 +173,6 @@ class MigrationScheduler {
   void Fail(MigrationTask* task, Status error);
   void FinishTask(MigrationTask* task);
 
-  MigrationSchedulerConfig config_;
   routing::PartitionMap* map_;
   routing::Router* router_;
   const BandwidthModel* bandwidth_;

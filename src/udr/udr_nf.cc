@@ -56,13 +56,6 @@ routing::PartitionMapConfig MapConfigFrom(const UdrConfig& config) {
   return mc;
 }
 
-migration::MigrationSchedulerConfig SchedulerConfigFrom(
-    const UdrConfig& config) {
-  migration::MigrationSchedulerConfig sc;
-  sc.foreground_cost_bytes = config.migration_foreground_cost_bytes;
-  return sc;
-}
-
 }  // namespace
 
 UdrNf::UdrNf(UdrConfig config, sim::Network* network)
@@ -70,13 +63,10 @@ UdrNf::UdrNf(UdrConfig config, sim::Network* network)
       network_(network),
       batch_count_(metrics_.RegisterCounter("udr.batch.count")),
       batch_ops_(metrics_.RegisterCounter("udr.batch.ops")),
-      submit_ok_(metrics_.RegisterCounter("udr.submit.ok")),
-      submit_failed_(metrics_.RegisterCounter("udr.submit.failed")),
       search_ok_(metrics_.RegisterCounter("udr.search.ok")),
       modify_ok_(metrics_.RegisterCounter("udr.modify.ok")),
       modify_failed_(metrics_.RegisterCounter("udr.modify.failed")),
       create_ok_(metrics_.RegisterCounter("udr.create.ok")),
-      event_enqueued_(metrics_.RegisterCounter("udr.event.enqueued")),
       map_(MapConfigFrom(config_), network),
       router_(&map_, network, &metrics_, &flight_),
       placement_(routing::MakePlacementPolicy(config_.placement)),
@@ -85,14 +75,17 @@ UdrNf::UdrNf(UdrConfig config, sim::Network* network)
                                           config_.migration_chunk_bytes},
           &network->topology()),
       migration_(std::make_unique<migration::MigrationScheduler>(
-          SchedulerConfigFrom(config_), &map_, &router_, &bandwidth_model_,
-          network, &metrics_, &flight_)) {
+          &map_, &router_, &bandwidth_model_, network, &metrics_, &flight_)),
+      pipeline_(config_.coalesce_window_us, config_.coalesce_max_ops, &router_,
+                network, &metrics_,
+                [this](PendingEvent event, routing::EventOutcome& outcome) {
+                  return FinalizeEvent(std::move(event), outcome);
+                }) {
   migration_->set_rehome_executor(
       [this](const migration::MigrationTaskSpec& spec) {
         return RehomeOne(spec);
       });
-  if (config_.placement == routing::PlacementKind::kHash &&
-      config_.hash_routed_reads) {
+  if (config_.placement == routing::PlacementKind::kHash) {
     routing::HashBypassConfig bypass;
     bypass.enabled = true;
     bypass.lookup_cost = config_.location_model.hash_lookup;
@@ -194,16 +187,7 @@ StatusOr<BladeCluster*> UdrNf::AddCluster(sim::SiteId site) {
   // The PoA's cross-event dispatch window. With coalesce_window_us == 0 the
   // coalescer is a passthrough and the enqueue path short-circuits to
   // ProcessBatch, so deployments without the knob pay nothing.
-  routing::CoalescerConfig cc;
-  cc.window = config_.coalesce_window_us;
-  cc.max_ops = config_.coalesce_max_ops > 0
-                   ? static_cast<size_t>(config_.coalesce_max_ops)
-                   : 0;
-  cc.poa_site = site;
-  coalescers_.push_back(std::make_unique<routing::Coalescer>(
-      cc, &router_, network_->clock(), &metrics_));
-  window_events_.emplace_back();
-  window_write_keys_.emplace_back();
+  pipeline_.AddWindow(site);
 
   clusters_.push_back(std::move(cluster));
   return clusters_.back().get();
@@ -402,9 +386,7 @@ void UdrNf::PumpHeat() {
   // migration queue must be idle so a sibling still receiving its split
   // half-slice is never judged cold on arrival.
   if (config_.heat_merge_threshold > 0 && !migration_->HasWork()) {
-    const MicroDuration cooldown = config_.heat_split_cooldown_us > 0
-                                       ? config_.heat_split_cooldown_us
-                                       : 4 * config_.heat_halflife_us;
+    const MicroDuration cooldown = 4 * config_.heat_halflife_us;
     std::vector<uint32_t> cold;
     for (const HeatSibling& sib : heat_siblings_) {
       if (map_.partition_draining(sib.sibling) ||
@@ -700,14 +682,6 @@ StatusOr<MicroDuration> UdrNf::EnterPoa(sim::SiteId client_site, size_t ops,
   return (*server)->Charge(static_cast<int64_t>(ops));
 }
 
-template <typename Result>
-void UdrNf::AddClientLeg(sim::SiteId client_site, const BladeCluster& cluster,
-                         Result* result) {
-  result->latency += network_->topology().Rtt(client_site, cluster.site()) +
-                     network_->topology().HopOverhead();
-  (result->ok() ? submit_ok_ : submit_failed_).Add();
-}
-
 template <typename Result, typename ProcessFn>
 Result UdrNf::SubmitAtPoa(sim::SiteId client_site, size_t ops,
                           ProcessFn&& process) {
@@ -716,7 +690,7 @@ Result UdrNf::SubmitAtPoa(sim::SiteId client_site, size_t ops,
   if (cost.ok()) {
     Result result = process(cluster->site());
     result.latency += *cost;
-    AddClientLeg(client_site, *cluster, &result);
+    pipeline_.AddClientLeg(client_site, cluster->site(), &result);
     return result;
   }
   LdapResult refused;
@@ -732,7 +706,7 @@ Result UdrNf::SubmitAtPoa(sim::SiteId client_site, size_t ops,
     result.latency = network_->rpc_timeout();
     metrics_.Add("udr.submit.unavailable");
   } else {
-    AddClientLeg(client_site, *cluster, &result);
+    pipeline_.AddClientLeg(client_site, cluster->site(), &result);
   }
   return result;
 }
@@ -786,22 +760,10 @@ ReadPreference UdrNf::ReadPrefFor(const LdapRequest& request) const {
 }
 
 LdapResult UdrNf::Process(const LdapRequest& request, uint32_t poa_site) {
-  int64_t charged = 0;
-  ProcessRequests(&request, 1, poa_site, &charged, &process_result_);
-  // A per-op call is one foreground op even when it failed to translate.
-  if (charged == 0) migration_->OnForegroundOps(1);
+  ProcessRequests(&request, 1, poa_site, &process_result_);
   LdapResult result = std::move(process_result_.results.front());
   result.latency = process_result_.latency;
   return result;
-}
-
-LdapResult UdrNf::ProcessInline(const LdapRequest& request, uint32_t poa_site) {
-  migration_->OnForegroundOps(1);
-  if (request.op == ldap::LdapOp::kAdd) return DoAdd(request, poa_site);
-  LdapResult r;
-  r.code = LdapResultCode::kProtocolError;
-  r.diagnostic = "unsupported operation";
-  return r;
 }
 
 LdapResult UdrNf::SearchResultFor(const LdapRequest& request,
@@ -869,8 +831,13 @@ std::vector<storage::AttrId> UdrNf::SearchProjection(
   return ids;
 }
 
-LdapResult UdrNf::DoAdd(const LdapRequest& request, uint32_t poa_site) {
+LdapResult UdrNf::ProcessInline(const LdapRequest& request, uint32_t poa_site) {
   LdapResult r;
+  if (request.op != ldap::LdapOp::kAdd) {
+    r.code = LdapResultCode::kProtocolError;
+    r.diagnostic = "unsupported operation";
+    return r;
+  }
   if (request.dn.empty() || !IsIdentityAttr(request.dn.leaf().attr)) {
     r.code = LdapResultCode::kUnwillingToPerform;
     r.diagnostic = "Add must target an identity-keyed subscriber DN";
@@ -1019,10 +986,10 @@ ldap::LdapResult UdrNf::FinishBatchedDelete(const Identity& id,
   return r;
 }
 
-template <typename InlineExec>
-UdrNf::RequestSlot UdrNf::SlotFor(const LdapRequest& request,
-                                  routing::BatchRequest* batch,
-                                  InlineExec&& inline_exec) {
+template <typename BeforeInline>
+RequestSlot UdrNf::SlotFor(const LdapRequest& request, uint32_t poa_site,
+                           routing::BatchRequest* batch,
+                           BeforeInline&& before_inline) {
   RequestSlot slot;
   switch (request.op) {
     case ldap::LdapOp::kSearch:
@@ -1063,23 +1030,21 @@ UdrNf::RequestSlot UdrNf::SlotFor(const LdapRequest& request,
     }
     default:
       // Add (and anything unknown) carries placement side effects the
-      // pipeline does not model; the caller decides when it executes.
-      slot.inline_result = inline_exec(request);
+      // pipeline does not model.
+      before_inline();
+      slot.inline_result = ProcessInline(request, poa_site);
       return slot;
   }
 }
 
 LdapResult UdrNf::SlotResult(const LdapRequest& request, RequestSlot& slot,
-                             std::vector<routing::OpOutcome>& outcomes,
-                             int64_t* pipeline_requests) {
+                             std::vector<routing::OpOutcome>& outcomes) {
   switch (slot.kind) {
     case RequestSlot::Kind::kInline:
       return std::move(slot.inline_result);
     case RequestSlot::Kind::kPipeline:
-      ++*pipeline_requests;
       return ResultFromOutcome(request, outcomes[slot.op]);
     case RequestSlot::Kind::kDelete:
-      ++*pipeline_requests;
       return FinishBatchedDelete(slot.identity, outcomes[slot.op],
                                  outcomes[slot.write_op]);
   }
@@ -1095,14 +1060,13 @@ void UdrNf::CountBatch(const LdapBatchResult& out) {
 ldap::LdapBatchResult UdrNf::ProcessBatch(
     const std::vector<LdapRequest>& requests, uint32_t poa_site) {
   LdapBatchResult out;
-  ProcessRequests(requests.data(), requests.size(), poa_site, nullptr, &out);
+  ProcessRequests(requests.data(), requests.size(), poa_site, &out);
   CountBatch(out);
   return out;
 }
 
 void UdrNf::ProcessRequests(const LdapRequest* requests, size_t count,
-                            uint32_t poa_site, int64_t* foreground_ops,
-                            LdapBatchResult* result) {
+                            uint32_t poa_site, LdapBatchResult* result) {
   // The scratch members below assume one ProcessRequests at a time: an
   // inline Add places and binds, it never routes another request.
   assert(!processing_ && "ProcessRequests re-entered");
@@ -1122,20 +1086,15 @@ void UdrNf::ProcessRequests(const LdapRequest* requests, size_t count,
     event_span = tracer_->StartSpan("event", tracer_->StartTrace());
     batch.trace = event_span.context();
   }
-  // Pipeline requests (counted as flush maps them back) are charged to the
-  // migration scheduler below; inline ones charge themselves.
-  int64_t pipeline_requests = 0;
-  int64_t inline_requests = 0;
   auto flush = [&]() {
     if (batch.empty()) return;
-    if (parked_writes_.size() != 0) CloseWindowsWritingTo(batch);
+    pipeline_.CloseWindowsWritingTo(batch);
     router_.RouteBatch(batch, poa_site, &br);
     out.latency += br.latency;
     out.partition_groups += br.partition_groups;
     out.bypass_hits += br.bypass_hits;
     for (auto& [idx, slot] : slots) {
-      out.results[idx] =
-          SlotResult(requests[idx], slot, br.outcomes, &pipeline_requests);
+      out.results[idx] = SlotResult(requests[idx], slot, br.outcomes);
     }
     // The projections' id buffers go back to the pool for the next batch.
     for (std::vector<storage::AttrId>& ids : batch.projections) {
@@ -1146,20 +1105,9 @@ void UdrNf::ProcessRequests(const LdapRequest* requests, size_t count,
   };
 
   for (size_t i = 0; i < count; ++i) {
-    bool executed_inline = false;
-    RequestSlot slot = SlotFor(requests[i], &batch,
-                               [&](const LdapRequest& req) {
-                                 // Flush the pending run so per-key order
-                                 // holds, then execute in place.
-                                 flush();
-                                 executed_inline = true;
-                                 return ProcessInline(req, poa_site);
-                               });
+    RequestSlot slot = SlotFor(requests[i], poa_site, &batch, flush);
     if (slot.kind == RequestSlot::Kind::kInline) {
-      if (executed_inline) {
-        ++inline_requests;
-        out.latency += slot.inline_result.latency;
-      }
+      out.latency += slot.inline_result.latency;
       out.results[i] = std::move(slot.inline_result);
     } else {
       slots.emplace_back(i, std::move(slot));
@@ -1167,13 +1115,6 @@ void UdrNf::ProcessRequests(const LdapRequest* requests, size_t count,
   }
   flush();
   event_span.EndAt(event_start + out.latency);
-
-  // Priority coupling: foreground ops displace migration budget from the
-  // scheduler's pacing window (no-op unless the knob is configured).
-  migration_->OnForegroundOps(pipeline_requests);
-  if (foreground_ops != nullptr) {
-    *foreground_ops = pipeline_requests + inline_requests;
-  }
   processing_ = false;
 }
 
@@ -1190,31 +1131,11 @@ StatusOr<uint64_t> UdrNf::SubmitEvent(std::vector<LdapRequest> requests,
     metrics_.Add("udr.submit.unavailable");
     return cost.status();
   }
-  const uint64_t handle = next_event_handle_++;
-  events_.Put(handle,
-              EventEntry{{}, {}, false, client_site, cluster->id(), *cost});
+  const uint64_t handle = pipeline_.Open(client_site, cluster->id(), *cost);
   const uint32_t poa_site = cluster->site();
-  if (config_.coalesce_window_us <= 0) {
-    // Coalescing off: the enqueue path degenerates to the inline pipeline,
-    // byte-identical to ProcessBatch (the PR 2 behavior).
-    CompleteEvent(handle, ProcessBatch(requests, poa_site));
+  if (!pipeline_.Parks(cluster->id(), requests)) {
+    pipeline_.Complete(handle, ProcessBatch(requests, poa_site));
     return handle;
-  }
-
-  routing::Coalescer& window = *coalescers_[cluster->id()];
-  for (const LdapRequest& req : requests) {
-    if (req.op == ldap::LdapOp::kAdd) {
-      // An Add cannot wait in the window (its placement/binding side effects
-      // must not be reordered against parked ops on the same keys), and its
-      // event's internal order must hold too. Close the window — everything
-      // that arrived earlier dispatches first, preserving arrival order —
-      // then run the whole event inline, exactly as serial execution would.
-      window.FlushNow();
-      DrainCoalescer(cluster->id());
-      metrics_.Add("udr.event.inline_add");
-      CompleteEvent(handle, ProcessBatch(requests, poa_site));
-      return handle;
-    }
   }
 
   PendingEvent event;
@@ -1222,18 +1143,11 @@ StatusOr<uint64_t> UdrNf::SubmitEvent(std::vector<LdapRequest> requests,
   routing::BatchRequest batch;
   batch.ops.reserve(event.requests.size());
   event.slots.reserve(event.requests.size());
-  auto enqueue_inline = [&](const LdapRequest& r) {
-    // Unreachable for Add (handled above); anything else landing here is
-    // an unsupported verb whose error resolves at enqueue.
-    LdapResult res = ProcessInline(r, poa_site);
-    event.inline_latency += res.latency;
-    return res;
-  };
-  // Projections ride the window (the coalescer carries them into its
-  // aggregate batch), so a parked Search copies only what it asked for.
+  // Projections ride the window, so a parked Search copies only what it
+  // asked for. An Add never parks: what runs inline here is an unknown
+  // verb's error.
   for (const LdapRequest& req : event.requests) {
-    event.slots.push_back(
-        SlotFor(req, &batch, enqueue_inline));
+    event.slots.push_back(SlotFor(req, poa_site, &batch, [] {}));
   }
 
   if (batch.empty()) {
@@ -1243,153 +1157,45 @@ StatusOr<uint64_t> UdrNf::SubmitEvent(std::vector<LdapRequest> requests,
     for (RequestSlot& slot : event.slots) {
       out.results.push_back(std::move(slot.inline_result));
     }
-    out.latency = event.inline_latency;
-    CompleteEvent(handle, std::move(out));
+    pipeline_.Complete(handle, std::move(out));
     return handle;
-  }
-
-  // A write parks behind every earlier write to its record: one parked in
-  // another cluster's window dispatches now, before this one can.
-  for (const routing::Operation& op : batch.ops) {
-    const std::optional<storage::RecordKey> key = WriteKeyOf(op);
-    if (!key.has_value()) continue;
-    CloseWindowHolding(*key, cluster->id());
-    if (parked_writes_.Find(*key) == FlatKeyIndex::kNone) {
-      parked_writes_.Insert(*key, cluster->id());
-      window_write_keys_[cluster->id()].push_back(*key);
-    }
   }
 
   // A parked event carries its own trace into the window: the coalescer
   // records its park wait and hangs the shared flush's pipeline spans off
   // the first sampled trace of the window.
   if (tracer_ != nullptr) batch.trace = tracer_->StartTrace();
-  event.event = window.Submit(std::move(batch));
-  events_.Find(handle)->parked = std::move(event);
-  window_events_[cluster->id()].push_back(handle);
-  event_enqueued_.Add();
-  // Drain only when the submit itself closed the window (size cap hit) —
-  // the common parked submit leaves nothing to take.
-  if (!window.HasPending()) DrainCoalescer(cluster->id());
+  pipeline_.Park(handle, std::move(event), std::move(batch));
   return handle;
 }
 
-void UdrNf::CompleteEvent(uint64_t handle, ldap::LdapBatchResult result) {
-  EventEntry& entry = *events_.Find(handle);
-  entry.parked = PendingEvent();
-  entry.result = std::move(result);
-  entry.ready = true;
-  ++event_completions_;
-}
-
-ldap::LdapBatchResult UdrNf::FinalizeEvent(PendingEvent& event,
+ldap::LdapBatchResult UdrNf::FinalizeEvent(PendingEvent event,
                                            routing::EventOutcome& outcome) {
   LdapBatchResult out;
   out.results.resize(event.requests.size());
-  int64_t pipeline_requests = 0;
   for (size_t i = 0; i < event.slots.size(); ++i) {
-    out.results[i] = SlotResult(event.requests[i], event.slots[i],
-                                outcome.outcomes, &pipeline_requests);
+    out.results[i] =
+        SlotResult(event.requests[i], event.slots[i], outcome.outcomes);
   }
   // Latency split: time parked in the window is reported apart from the
-  // shared dispatch's service share (plus any enqueue-time inline work).
+  // shared dispatch's service share.
   out.queue_delay = outcome.queue_delay;
-  out.latency = event.inline_latency + outcome.queue_delay +
-                outcome.service_latency;
+  out.latency = outcome.queue_delay + outcome.service_latency;
   out.partition_groups = outcome.partition_groups;
   out.bypass_hits = outcome.bypass_hits;
   out.coalesced_events = outcome.coalesced_events;
   CountBatch(out);
-  migration_->OnForegroundOps(pipeline_requests);
   return out;
-}
-
-void UdrNf::DrainCoalescer(uint32_t cluster_id) {
-  routing::Coalescer& window = *coalescers_[cluster_id];
-  // Only this window's parked events, in arrival order: a flush completes
-  // all of them at once.
-  std::vector<uint64_t>& parked = window_events_[cluster_id];
-  size_t kept = 0;
-  for (uint64_t handle : parked) {
-    PendingEvent& event = events_.Find(handle)->parked;
-    auto outcome = window.Take(event.event);
-    if (!outcome.has_value()) {
-      parked[kept++] = handle;
-      continue;
-    }
-    CompleteEvent(handle, FinalizeEvent(event, *outcome));
-  }
-  parked.resize(kept);
-  // A flush takes the whole window, so its parked writes are gone too.
-  if (kept == 0) {
-    for (storage::RecordKey key : window_write_keys_[cluster_id]) {
-      parked_writes_.Erase(key);
-    }
-    window_write_keys_[cluster_id].clear();
-  }
-}
-
-void UdrNf::CloseWindowHolding(storage::RecordKey key, uint32_t keep) {
-  const uint32_t cluster_id = parked_writes_.Find(key);
-  if (cluster_id == FlatKeyIndex::kNone || cluster_id == keep) return;
-  metrics_.Add("udr.event.order_close");
-  coalescers_[cluster_id]->FlushNow();
-  DrainCoalescer(cluster_id);
-}
-
-void UdrNf::CloseWindowsWritingTo(const routing::BatchRequest& batch) {
-  for (const routing::Operation& op : batch.ops) {
-    if (const auto key = WriteKeyOf(op)) CloseWindowHolding(*key, kNoCluster);
-    if (parked_writes_.size() == 0) return;
-  }
-}
-
-std::optional<storage::RecordKey> UdrNf::WriteKeyOf(
-    const routing::Operation& op) const {
-  if (op.kind != routing::Operation::Kind::kWrite) return std::nullopt;
-  std::optional<location::LocationEntry> at =
-      router_.bindings().Find(op.identity);
-  if (!at.has_value()) return std::nullopt;
-  return at->key;
 }
 
 void UdrNf::PumpEvents() {
-  for (uint32_t c = 0; c < coalescers_.size(); ++c) {
-    if (coalescers_[c]->FlushIfDue()) DrainCoalescer(c);
-  }
   // One sim loop drives all the background primitives: the PoA dispatch
   // windows, the migration scheduler, the heat-tier control loop, and the
   // time-series sampler's tick.
+  pipeline_.Pump();
   PumpMigration();
   PumpHeat();
   if (sampler_ != nullptr) sampler_->MaybeSample();
-}
-
-void UdrNf::FlushEvents() {
-  for (uint32_t c = 0; c < coalescers_.size(); ++c) {
-    coalescers_[c]->FlushNow();
-    DrainCoalescer(c);
-  }
-}
-
-MicroTime UdrNf::NextEventDeadline() const {
-  MicroTime next = kTimeInfinity;
-  for (const auto& window : coalescers_) {
-    next = std::min(next, window->deadline());
-  }
-  return next;
-}
-
-std::optional<ldap::LdapBatchResult> UdrNf::TakeEvent(uint64_t handle) {
-  EventEntry* entry = events_.Find(handle);
-  if (entry == nullptr || !entry->ready) return std::nullopt;
-  LdapBatchResult out = std::move(entry->result);
-  // The owed protocol cost, then one client <-> PoA round trip for the
-  // whole event, as on SubmitBatch.
-  out.latency += entry->protocol_cost;
-  AddClientLeg(entry->client_site, *clusters_[entry->cluster], &out);
-  events_.Erase(handle);
-  return out;
 }
 
 }  // namespace udr::udrnf

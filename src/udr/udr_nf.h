@@ -12,7 +12,8 @@
 //     the owning replication::ReplicaSet;
 //   * the northbound LDAP interface (UDC-mandated): this class serves its
 //     PoAs directly, charging the picked LDAP server only its protocol
-//     cost, and maps the verbs onto the router.
+//     cost, and maps the verbs onto the router;
+//   * EventPipeline — the PoAs' dispatch windows, from enqueue to take.
 //
 // UdrNf itself is deployment orchestration (AddCluster / Rebalance /
 // maintenance fan-out) plus the LDAP verb adapter; all placement and
@@ -26,8 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "common/flat_table.h"
-#include "common/handle_table.h"
 #include "common/metrics.h"
 #include "common/status.h"
 #include "ldap/message.h"
@@ -40,12 +39,12 @@
 #include "obs/time_series.h"
 #include "obs/trace.h"
 #include "replication/replica_set.h"
-#include "routing/coalescer.h"
 #include "routing/partition_map.h"
 #include "routing/placement_policy.h"
 #include "routing/router.h"
 #include "sim/network.h"
 #include "udr/blade_cluster.h"
+#include "udr/event_pipeline.h"
 
 namespace udr::udrnf {
 
@@ -80,9 +79,6 @@ struct UdrConfig {
   /// selective wrapper (§3.5: hashing cannot honor a home site) and keys
   /// records by identity hash, enabling the router's location bypass.
   routing::PlacementKind placement = routing::PlacementKind::kLeastLoaded;
-  /// Under kHash placement: let reads skip the location stage via the
-  /// router's hash bypass (ROADMAP: hash-routed reads).
-  bool hash_routed_reads = true;
   /// Cross-event coalescing at the PoA: events enqueued via SubmitEvent are
   /// parked in a per-cluster dispatch window and flushed as ONE grouped
   /// pipeline batch when this window elapses on the sim clock (or the size
@@ -102,10 +98,6 @@ struct UdrConfig {
   /// Transfer unit of the background scheduler: a migration step ships at
   /// most this many bytes before yielding to foreground traffic.
   int64_t migration_chunk_bytes = 64 * 1024;
-  /// Priority knob: each foreground operation displaces this many bytes of
-  /// migration budget from the window, so foreground load shrinks
-  /// background throughput (0 = no displacement).
-  int64_t migration_foreground_cost_bytes = 0;
   /// Heat tier: sample every routed access into the router's per-partition
   /// EWMA rates and top-K hot-key sketch. Enabled implicitly by any heat
   /// consumer below (PoA cache, split threshold).
@@ -127,15 +119,11 @@ struct UdrConfig {
   /// (0 = never split). Requires hash placement.
   double heat_split_threshold = 0.0;
   /// Runtime merge trigger: a split sibling whose heat falls below this —
-  /// after the cooldown — drains back to its ring successors and retires
-  /// (0 = never merge).
+  /// once 4 half-lives old, as a fresh sibling starts at heat zero — drains
+  /// back to its ring successors and retires (0 = never merge).
   double heat_merge_threshold = 0.0;
   /// Cap on runtime splits per NF lifetime (bounds partition growth).
   int heat_max_splits = 4;
-  /// Minimum sibling age before it is merge-eligible: a fresh sibling starts
-  /// at heat zero and needs time to prove itself cold. 0 picks 4x the
-  /// half-life.
-  MicroDuration heat_split_cooldown_us = 0;
   // -- Observability (src/obs) -------------------------------------------------
   /// Fraction of signaling events traced end to end, in [0, 1]. The decision
   /// is a pure function of (trace_seed, trace id), so the same seed traces
@@ -326,33 +314,34 @@ class UdrNf {
   void PumpEvents();
 
   /// Closes all open windows now (end-of-run barrier).
-  void FlushEvents();
+  void FlushEvents() { pipeline_.Flush(); }
 
   /// Earliest close deadline over all open PoA windows (kTimeInfinity when
   /// none is open) — lets drivers advance the clock to exactly the flush.
-  MicroTime NextEventDeadline() const;
+  MicroTime NextEventDeadline() const { return pipeline_.NextDeadline(); }
 
   /// Claims a completed event's result (client RTT included); nullopt while
   /// the event is still parked in its window.
-  std::optional<ldap::LdapBatchResult> TakeEvent(uint64_t handle);
+  std::optional<ldap::LdapBatchResult> TakeEvent(uint64_t handle) {
+    return pipeline_.Take(handle);
+  }
 
   /// Enqueued events completed so far (a flush, or an enqueue that ran
   /// inline). A driver that collects parked events can skip its pass while
   /// this has not moved since the last one.
-  uint64_t event_completions() const { return event_completions_; }
+  uint64_t event_completions() const { return pipeline_.completions(); }
 
   /// The dispatch window of one cluster's PoA (introspection for tests and
   /// benches); nullptr for an unknown cluster.
   routing::Coalescer* coalescer(uint32_t cluster_id) {
-    return cluster_id < coalescers_.size() ? coalescers_[cluster_id].get()
-                                           : nullptr;
+    return pipeline_.coalescer(cluster_id);
   }
 
   // -- Request semantics (behind the PoA) ------------------------------------------
 
   /// Request semantics, entered at the PoA of `poa_site`: the ProcessBatch
   /// pipeline for one request (same PoA cache and spans). The result carries
-  /// the batch latency, transit included; it counts as one foreground op.
+  /// the batch latency, transit included.
   ldap::LdapResult Process(const ldap::LdapRequest& request, uint32_t poa_site);
 
   /// Multi-op request semantics: batchable verbs (search, compare, modify)
@@ -458,31 +447,18 @@ class UdrNf {
   Result SubmitAtPoa(sim::SiteId client_site, size_t ops,
                      ProcessFn&& process);
 
-  /// The client <-> PoA leg of one message (LAN when the client is
-  /// co-located, §3.3.2 measure 1), then the udr.submit.{ok,failed} count.
-  template <typename Result>
-  void AddClientLeg(sim::SiteId client_site, const BladeCluster& cluster,
-                    Result* result);
-
-  ldap::LdapResult DoAdd(const ldap::LdapRequest& request, uint32_t poa_site);
-
   /// The requests that never ride the pipeline: Add (placement side effects)
-  /// and the protocol-error reply of an unknown verb. Counts one foreground
-  /// op before executing, so a throttled migration sees the displacement
-  /// before an Add can enqueue re-home work.
+  /// and the protocol-error reply of an unknown verb.
   ldap::LdapResult ProcessInline(const ldap::LdapRequest& request,
                                  uint32_t poa_site);
 
   /// The one verb path behind Process and ProcessBatch, over `count`
   /// requests at `requests` (pointer + count, so the per-op path never
   /// copies its request), into `*result` (overwritten; its results vector
-  /// keeps its capacity). When non-null, `*foreground_ops` gets how many
-  /// requests were charged to the migration scheduler: pipeline ones and
-  /// inline-executed ones, not requests that failed to translate. Not
-  /// reentrant: it runs on the per-instance scratch below.
+  /// keeps its capacity). Not reentrant: it runs on the per-instance scratch
+  /// below.
   void ProcessRequests(const ldap::LdapRequest* requests, size_t count,
-                       uint32_t poa_site, int64_t* foreground_ops,
-                       ldap::LdapBatchResult* result);
+                       uint32_t poa_site, ldap::LdapBatchResult* result);
 
   /// Resolves the identity named by a request's DN (or filter) at the PoA.
   StatusOr<location::Identity> RequestIdentity(
@@ -521,20 +497,6 @@ class UdrNf {
   ldap::LdapResult ResultFromOutcome(const ldap::LdapRequest& request,
                                      routing::OpOutcome& outcome);
 
-  /// How one request of a multi-op event maps onto the pipeline batch.
-  struct RequestSlot {
-    enum class Kind {
-      kPipeline,  ///< One batchable op at index `op`.
-      kDelete,    ///< Master-only read at `op` + delete-record write at `write_op`.
-      kInline,    ///< Resolved without the pipeline; result already final.
-    };
-    Kind kind = Kind::kInline;
-    size_t op = 0;
-    size_t write_op = 0;
-    location::Identity identity;     ///< kDelete: DN identity to unbind.
-    ldap::LdapResult inline_result;  ///< kInline.
-  };
-
   /// Completes a pipeline-routed Delete from its two outcomes: maps failures
   /// per op and, on success, forgets the subscriber as DeleteSubscriber does.
   ldap::LdapResult FinishBatchedDelete(const location::Identity& id,
@@ -549,12 +511,10 @@ class UdrNf {
                         const storage::Record& record, uint32_t partition);
 
   /// The LDAP result of `request` from its slot: the inline result, or its
-  /// pipeline outcome(s) mapped back, which adds one to `*pipeline_requests`
-  /// (the migration scheduler's foreground charge).
+  /// pipeline outcome(s) mapped back.
   ldap::LdapResult SlotResult(const ldap::LdapRequest& request,
                               RequestSlot& slot,
-                              std::vector<routing::OpOutcome>& outcomes,
-                              int64_t* pipeline_requests);
+                              std::vector<routing::OpOutcome>& outcomes);
 
   /// Counts one processed multi-op request: udr.batch.{count,ops,failed_ops}.
   void CountBatch(const ldap::LdapBatchResult& out);
@@ -562,71 +522,28 @@ class UdrNf {
   /// Translates one request of an event into a slot, appending pipeline ops
   /// to `batch`. Batchable verbs map 1:1 (a Search with its projection);
   /// Delete maps to its read + write pair; a translation failure
-  /// resolves inline with its error; Add and unknown verbs go to
-  /// `inline_exec` — ProcessRequests uses it to flush-then-execute, the
-  /// enqueue path to execute immediately.
-  template <typename InlineExec>
-  RequestSlot SlotFor(const ldap::LdapRequest& request,
+  /// resolves inline with its error; Add and unknown verbs run through
+  /// ProcessInline right after `before_inline` (ProcessRequests flushes the
+  /// pending run there, so per-key order holds).
+  template <typename BeforeInline>
+  RequestSlot SlotFor(const ldap::LdapRequest& request, uint32_t poa_site,
                       routing::BatchRequest* batch,
-                      InlineExec&& inline_exec);
+                      BeforeInline&& before_inline);
 
-  /// One event parked in a cluster's dispatch window, waiting for its flush.
-  struct PendingEvent {
-    routing::EventId event = 0;
-    std::vector<ldap::LdapRequest> requests;
-    std::vector<RequestSlot> slots;    ///< 1:1 with `requests`.
-    MicroDuration inline_latency = 0;  ///< Latency of enqueue-time inline ops.
-  };
-
-  /// Builds the LdapBatchResult of a flushed event from its demuxed outcome.
-  ldap::LdapBatchResult FinalizeEvent(PendingEvent& event,
+  /// Builds the LdapBatchResult of a flushed event from its demuxed
+  /// outcome (EventPipeline's one call back into UdrNf).
+  ldap::LdapBatchResult FinalizeEvent(PendingEvent event,
                                       routing::EventOutcome& outcome);
-
-  /// Marks the enqueued event `handle` complete with `result`.
-  void CompleteEvent(uint64_t handle, ldap::LdapBatchResult result);
-
-  /// Completes every event of one cluster's window that its coalescer has
-  /// flushed, in arrival order.
-  void DrainCoalescer(uint32_t cluster_id);
-
-  /// Per-key order across the window boundary: closes the window holding a
-  /// parked write to `key` (unless it is cluster `keep`'s), so a write that
-  /// arrives later and dispatches elsewhere lands after it.
-  void CloseWindowHolding(storage::RecordKey key, uint32_t keep);
-  static constexpr uint32_t kNoCluster = ~0u;  ///< `keep`: close any window.
-
-  /// Before `batch` dispatches inline: closes every window holding a parked
-  /// write to a record one of its writes targets.
-  void CloseWindowsWritingTo(const routing::BatchRequest& batch);
-
-  /// The record a write op targets; nullopt for a read or an unbound
-  /// identity.
-  std::optional<storage::RecordKey> WriteKeyOf(
-      const routing::Operation& op) const;
-
-  /// One enqueued event: parked in a window until `ready`, then its result,
-  /// which TakeEvent charges the protocol cost and the client leg.
-  struct EventEntry {
-    PendingEvent parked;
-    ldap::LdapBatchResult result;
-    bool ready = false;
-    sim::SiteId client_site = 0;
-    uint32_t cluster = 0;  ///< The PoA's cluster, whose window parks it.
-    MicroDuration protocol_cost = 0;
-  };
 
   UdrConfig config_;
   sim::Network* network_;
   Metrics metrics_;
   Metrics::Counter batch_count_;     ///< udr.batch.count
   Metrics::Counter batch_ops_;       ///< udr.batch.ops
-  Metrics::Counter submit_ok_;       ///< udr.submit.ok
-  Metrics::Counter submit_failed_;   ///< udr.submit.failed
   Metrics::Counter search_ok_;       ///< udr.search.ok
   Metrics::Counter modify_ok_;       ///< udr.modify.ok
   Metrics::Counter modify_failed_;   ///< udr.modify.failed
   Metrics::Counter create_ok_;       ///< udr.create.ok
-  Metrics::Counter event_enqueued_;  ///< udr.event.enqueued
   std::unique_ptr<obs::Tracer> tracer_;
   obs::FlightRecorder flight_;
   std::unique_ptr<obs::TimeSeriesSampler> sampler_;
@@ -638,23 +555,7 @@ class UdrNf {
   std::unique_ptr<migration::MigrationScheduler> migration_;
 
   std::vector<std::unique_ptr<BladeCluster>> clusters_;
-  /// One cross-event dispatch window per cluster's PoA (1:1 with clusters_).
-  std::vector<std::unique_ptr<routing::Coalescer>> coalescers_;
-  /// Every enqueued event not yet taken, by enqueue handle.
-  HandleTable<EventEntry> events_;
-  uint64_t next_event_handle_ = 1;
-  /// Handles parked in each cluster's window, in arrival order (1:1 with
-  /// coalescers_).
-  std::vector<std::vector<uint64_t>> window_events_;
-  /// Records with a write parked in a window, over every cluster, each to
-  /// the one cluster whose window holds it (parking a write closes any
-  /// other window holding its record). Added at park time, removed when the
-  /// window's events demux.
-  FlatKeyIndex parked_writes_;
-  /// The keys each cluster's window entered in parked_writes_ (1:1 with
-  /// coalescers_).
-  std::vector<std::vector<storage::RecordKey>> window_write_keys_;
-  uint64_t event_completions_ = 0;
+  EventPipeline pipeline_;  ///< One dispatch window per cluster's PoA.
   storage::RecordKey next_key_ = 1;
   int64_t subscriber_count_ = 0;
   /// Live runtime splits, oldest first; StartMerge keeps the entry until the

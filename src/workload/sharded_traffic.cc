@@ -42,6 +42,7 @@ ShardedTrafficReport RunShardedTraffic(const TrafficOptions& opts,
     if (buf.ops.size() >= batch_ops) {
       runtime.Submit(std::move(buf), shard);
       buf = exec::ShardBatch{};
+      buf.ops.reserve(batch_ops);
     }
   }
   for (int shard = 0; shard < ro.num_shards; ++shard) {

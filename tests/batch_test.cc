@@ -266,17 +266,6 @@ TEST(HashBypassTest, OtherIdentityTypesStillUseTheLocationStage) {
   EXPECT_EQ(route.partition, loc->partition);
 }
 
-TEST(HashBypassTest, DisabledBypassFallsBackToLocationStage) {
-  workload::TestbedOptions o = HashOptions(10);
-  o.udr.hash_routed_reads = false;
-  workload::Testbed bed(o);
-  Identity id = bed.factory().Make(1).ImsiId();
-  RouteResult route = bed.udr().router().Route(id, 0, RouteIntent::kRead);
-  ASSERT_TRUE(route.status.ok());
-  EXPECT_FALSE(route.bypassed_location);
-  EXPECT_EQ(bed.udr().metrics().Get("router.bypass.hits"), 0);
-}
-
 TEST(HashBypassTest, BypassSurvivesScaleOutCommissioning) {
   workload::Testbed bed(HashOptions(60));
   auto& udr = bed.udr();

@@ -887,7 +887,6 @@ TEST(RuntimeSplitMergeTest, ControllerSplitsHotAndMergesCold) {
   o.udr.heat_halflife_us = Millis(5);
   o.udr.heat_split_threshold = 30.0;
   o.udr.heat_merge_threshold = 2.0;
-  o.udr.heat_split_cooldown_us = Millis(1);
   o.udr.heat_max_splits = 1;
   workload::Testbed bed(o);
   auto& udr = bed.udr();

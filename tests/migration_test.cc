@@ -389,34 +389,6 @@ TEST(BackgroundMigrationTest, DecommissionPlanDrainsOneStorageElement) {
 }
 
 // ---------------------------------------------------------------------------
-// Priority knob: foreground load displaces migration budget
-// ---------------------------------------------------------------------------
-
-TEST(BackgroundMigrationTest, ForegroundLoadDisplacesMigrationBudget) {
-  sim::SimClock clock;
-  sim::Network network(sim::Topology(4), &clock);
-  udrnf::UdrConfig cfg = ThrottledConfig(256 * 1024, 1024);
-  cfg.migration_foreground_cost_bytes = 4096;
-  udrnf::UdrNf udr(cfg, &network);
-  for (uint32_t s = 0; s < 3; ++s) ASSERT_TRUE(udr.AddCluster(s).ok());
-  udr.CommissionPartitions();
-  clock.AdvanceTo(Seconds(1));
-  telecom::SubscriberFactory factory(43);
-  Provision(udr, factory, 120);
-
-  clock.Advance(Seconds(5));
-  ASSERT_TRUE(udr.AddCluster(3).ok());
-  udr.StartMigration();
-  udr.PumpMigration();  // Spend the initial burst; deadlines now track tokens.
-  ASSERT_TRUE(udr.MigrationActive());
-
-  MicroTime before = udr.NextMigrationDeadline();
-  udr.migration_scheduler().OnForegroundOps(32);
-  MicroTime after = udr.NextMigrationDeadline();
-  EXPECT_GT(after, before) << "foreground ops did not displace budget";
-}
-
-// ---------------------------------------------------------------------------
 // Traffic driver coupling: procedures run concurrently with a migration
 // ---------------------------------------------------------------------------
 

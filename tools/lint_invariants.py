@@ -109,12 +109,13 @@ concurrency statically checkable — the ones a generic linter can't know:
                      ELECT_MAJORITY partition mode.
 
   handle-table-owner src/ may name HandleTable< only in src/routing/coalescer.h
-                     and src/udr/udr_nf.h. An in-flight event is tracked in
-                     two tables: the coalescer's outcomes while its window
-                     is open and UdrNf's event ledger until it is taken
-                     (client leg and owed protocol cost included). The LDAP
-                     servers and the balancer are stateless; a third table
-                     would be a layer remembering requests it only forwards.
+                     and src/udr/event_pipeline.h. An in-flight event is
+                     tracked in two tables: the coalescer's outcomes while
+                     its window is open and the event pipeline's ledger
+                     until it is taken (client leg and owed protocol cost
+                     included). UdrNf, the LDAP servers and the balancer
+                     keep no per-event state; a third table would be a
+                     layer remembering requests it only forwards.
 
   failover-due-once  the failover-due test (`down_since +
                      config_.failover_detection`) may appear at most once in
@@ -226,7 +227,7 @@ COMMIT_LOG_HOMES = ("src/storage/", "src/replication/replica_set.h",
 
 # The files that may hold an in-flight handle table.
 HANDLE_TABLE_RE = re.compile(r"\bHandleTable\s*<")
-HANDLE_TABLE_HOMES = ("src/routing/coalescer.h", "src/udr/udr_nf.h")
+HANDLE_TABLE_HOMES = ("src/routing/coalescer.h", "src/udr/event_pipeline.h")
 
 # The hashing and probing of an open-addressing table, and its one home.
 FLAT_TABLE_PATTERNS = [
@@ -403,9 +404,9 @@ def lint_file(path: str, rel: str, allowlist_doc: str, violations: list,
                 and HANDLE_TABLE_RE.search(code)):
             violations.append(
                 f"{rel}:{lineno}: [handle-table-owner] HandleTable outside "
-                f"src/routing/coalescer.h and src/udr/udr_nf.h — an "
-                f"in-flight event lives in the coalescer's outcomes and "
-                f"UdrNf's event ledger only; keep its state in the "
+                f"src/routing/coalescer.h and src/udr/event_pipeline.h — "
+                f"an in-flight event lives in the coalescer's outcomes and "
+                f"the event pipeline's ledger only; keep its state in the "
                 f"EventEntry")
 
         if rel != FLAT_TABLE_HOME and "flat-table" not in active:
