@@ -250,11 +250,11 @@ if [[ "${SKIP_SANITIZERS}" == 1 ]]; then
 else
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DUDR_TSAN=ON
   cmake --build build-tsan -j "${JOBS}"
-  # The dynamic checker runs over every layer the thread-safety annotations
-  # describe: the sharded execution mode (exec_test: SPSC handoff, lock-free
-  # AttrPool reads, metrics merging), the per-shard tracer handoff/merge
-  # (obs_test), plus the scenario/heat/migration layers whose structures now
-  # carry annotated guards.
+  # The dynamic checker runs over the concurrent surface: the sharded
+  # execution mode (exec_test: SPSC handoff, lock-free AttrPool reads, the
+  # post-join handoff and merge of per-shard metrics), the per-shard tracer
+  # handoff/merge (obs_test), plus the scenario/heat/migration layers whose
+  # per-shard structures are thread-confined (common::ThreadOwner).
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
       -R 'exec_test|obs_test|scenario_smoke|heat_test|migration_test' -LE slow

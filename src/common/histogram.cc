@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "common/time.h"
-
 namespace udr {
 
 Histogram::Histogram() : buckets_(kBuckets, 0) {}
@@ -86,17 +84,6 @@ std::string Histogram::Summary() const {
                 static_cast<long long>(count_), Mean(),
                 static_cast<long long>(P50()), static_cast<long long>(P95()),
                 static_cast<long long>(P99()), static_cast<long long>(max_));
-  return buf;
-}
-
-std::string Histogram::LatencySummary() const {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "n=%lld mean=%s p50=%s p95=%s p99=%s max=%s",
-                static_cast<long long>(count_),
-                FormatDuration(static_cast<MicroDuration>(Mean())).c_str(),
-                FormatDuration(P50()).c_str(), FormatDuration(P95()).c_str(),
-                FormatDuration(P99()).c_str(), FormatDuration(max_).c_str());
   return buf;
 }
 

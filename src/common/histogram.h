@@ -48,8 +48,6 @@ class Histogram {
 
   /// One-line summary "n=.. mean=.. p50=.. p95=.. p99=.. max=..".
   std::string Summary() const;
-  /// Same but with values formatted as durations (µs input).
-  std::string LatencySummary() const;
 
  private:
   static constexpr int kSubBucketBits = 4;  // 16 linear sub-buckets per octave.

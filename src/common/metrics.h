@@ -1,15 +1,12 @@
 // Lightweight named-counter / named-histogram registry used by the simulation
 // components to report what happened during a scenario run.
 //
-// Thread safety: counter and histogram mutation through Add() / Observe() /
-// Get() / MergeFrom() / Reset() / Dump() is guarded by mu_ (an annotated
-// common::Mutex — clang -Wthread-safety checks the discipline), so a
-// registry may be shared by the concurrent shard threads of the
-// multi-threaded execution mode (src/exec/). The reference-returning
-// accessors (Hist(), counters(), histograms()) exist for the single-threaded
-// simulation drivers and are NOT safe against concurrent mutators — shard
-// runtimes give each shard its own registry and merge them on read via
-// MergeFrom() instead of sharing references.
+// Thread confinement: a registry belongs to the thread that first uses it,
+// and every public call checks that, through the pre-registered handles too
+// (common::ThreadOwner, thread_owner.h); RebindToThisThread() hands it to
+// another thread after a join. The sharded runtime gives each shard its own
+// registry and merges them on the driver after the workers joined
+// (exec::ShardRuntime::MergeMetricsInto).
 
 #ifndef UDR_COMMON_METRICS_H_
 #define UDR_COMMON_METRICS_H_
@@ -18,9 +15,9 @@
 #include <map>
 #include <string>
 
+#include "common/attributes.h"
 #include "common/histogram.h"
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
+#include "common/thread_owner.h"
 
 namespace udr {
 
@@ -29,30 +26,31 @@ class Metrics {
  public:
   /// Pre-registered counter handle: the hot-path alternative to the string
   /// Add() API. RegisterCounter() resolves the name once; Add() through the
-  /// handle takes the registry lock but skips the string-map lookup. Slots
-  /// are std::map nodes, so handles stay valid for the registry's lifetime
-  /// (Reset() zeroes values in place rather than erasing nodes). A
-  /// default-constructed handle is a safe no-op.
+  /// handle skips the string-map lookup and checks the registry's owner
+  /// thread. Slots are std::map nodes, so handles stay valid for the
+  /// registry's lifetime (Reset() zeroes values in place rather than
+  /// erasing nodes). A default-constructed handle is a safe no-op.
   class Counter {
    public:
     Counter() = default;
 
     void Add(int64_t delta = 1) {
-      if (mu_ == nullptr) return;
-      common::MutexLock lock(*mu_);
+      if (slot_ == nullptr) return;
+      owner_.Check();
       *slot_ += delta;
     }
     int64_t value() const {
-      if (mu_ == nullptr) return 0;
-      common::MutexLock lock(*mu_);
+      if (slot_ == nullptr) return 0;
+      owner_.Check();
       return *slot_;
     }
 
    private:
     friend class Metrics;
-    Counter(common::Mutex* mu, int64_t* slot) : mu_(mu), slot_(slot) {}
+    Counter(const Metrics* registry, int64_t* slot)
+        : owner_(&registry->owner_), slot_(slot) {}
 
-    common::Mutex* mu_ = nullptr;
+    UDR_NO_UNIQUE_ADDRESS common::ThreadOwnerRef owner_;
     int64_t* slot_ = nullptr;
   };
 
@@ -62,16 +60,17 @@ class Metrics {
     HistHandle() = default;
 
     void Observe(int64_t value) {
-      if (mu_ == nullptr) return;
-      common::MutexLock lock(*mu_);
+      if (slot_ == nullptr) return;
+      owner_.Check();
       slot_->Record(value);
     }
 
    private:
     friend class Metrics;
-    HistHandle(common::Mutex* mu, Histogram* slot) : mu_(mu), slot_(slot) {}
+    HistHandle(const Metrics* registry, Histogram* slot)
+        : owner_(&registry->owner_), slot_(slot) {}
 
-    common::Mutex* mu_ = nullptr;
+    UDR_NO_UNIQUE_ADDRESS common::ThreadOwnerRef owner_;
     Histogram* slot_ = nullptr;
   };
 
@@ -79,100 +78,82 @@ class Metrics {
   Metrics(const Metrics&) = delete;
   Metrics& operator=(const Metrics&) = delete;
 
+  /// Hands the registry, and so every handle into it, to the calling
+  /// thread (after the previous owner's thread was joined).
+  void RebindToThisThread() { owner_.Rebind(); }
+
   /// Resolves a counter name to a stable handle (creating the counter at
   /// zero). Register at construction time, Add() on the hot path.
-  Counter RegisterCounter(const std::string& name) EXCLUDES(mu_) {
-    common::MutexLock lock(mu_);
-    return Counter(&mu_, &counters_[name]);
+  Counter RegisterCounter(const std::string& name) {
+    owner_.Check();
+    return Counter(this, &counters_[name]);
   }
 
   /// Resolves a histogram name to a stable handle (creating it empty).
-  HistHandle RegisterHist(const std::string& name) EXCLUDES(mu_) {
-    common::MutexLock lock(mu_);
-    return HistHandle(&mu_, &histograms_[name]);
+  HistHandle RegisterHist(const std::string& name) {
+    owner_.Check();
+    return HistHandle(this, &histograms_[name]);
   }
 
-  /// Adds `delta` to the named counter (creating it at zero). Thread-safe.
-  /// Cold-path API — hot call sites use RegisterCounter() handles.
-  void Add(const std::string& name, int64_t delta = 1) EXCLUDES(mu_) {
-    common::MutexLock lock(mu_);
+  /// Adds `delta` to the named counter (creating it at zero). Cold-path
+  /// API — hot call sites use RegisterCounter() handles.
+  void Add(const std::string& name, int64_t delta = 1) {
+    owner_.Check();
     counters_[name] += delta;
   }
 
-  /// Current value of the named counter (0 when absent). Thread-safe.
-  int64_t Get(const std::string& name) const EXCLUDES(mu_) {
-    common::MutexLock lock(mu_);
+  /// Current value of the named counter (0 when absent).
+  int64_t Get(const std::string& name) const {
+    owner_.Check();
     auto it = counters_.find(name);
     return it == counters_.end() ? 0 : it->second;
   }
 
-  /// Records a sample into the named histogram. Thread-safe.
-  void Observe(const std::string& name, int64_t value) EXCLUDES(mu_) {
-    common::MutexLock lock(mu_);
+  /// Records a sample into the named histogram.
+  void Observe(const std::string& name, int64_t value) {
+    owner_.Check();
     histograms_[name].Record(value);
   }
 
-  /// Access to a named histogram (created empty on first use). The returned
-  /// reference is only safe while no other thread mutates this registry.
-  Histogram& Hist(const std::string& name) EXCLUDES(mu_) {
-    common::MutexLock lock(mu_);
+  /// Access to a named histogram (created empty on first use).
+  Histogram& Hist(const std::string& name) {
+    owner_.Check();
     return histograms_[name];
   }
 
-  /// Read-only view of the named histogram; an empty one when absent. Same
-  /// single-threaded caveat as Hist().
-  const Histogram& HistOrEmpty(const std::string& name) const EXCLUDES(mu_) {
+  /// Read-only view of the named histogram; an empty one when absent.
+  const Histogram& HistOrEmpty(const std::string& name) const {
     static const Histogram kEmpty;
-    common::MutexLock lock(mu_);
+    owner_.Check();
     auto it = histograms_.find(name);
     return it == histograms_.end() ? kEmpty : it->second;
   }
 
-  /// Snapshot of every counter. Thread-safe (copies under the lock).
-  std::map<std::string, int64_t> CountersSnapshot() const EXCLUDES(mu_) {
-    common::MutexLock lock(mu_);
-    return counters_;
-  }
-
   /// Folds another registry into this one: counters add, histograms merge.
-  /// The per-shard pattern — each shard owns a registry, readers merge.
-  void MergeFrom(const Metrics& o) EXCLUDES(mu_) {
-    // Snapshot the source first so the two locks never nest (no lock-order
-    // deadlock between two registries merging into each other; both locks
-    // share the "metrics.registry" node in the lock-order graph, so nesting
-    // them would trip the UDR_DEADLOCK_CHECK self-cycle detection too).
-    std::map<std::string, int64_t> counters;
-    std::map<std::string, Histogram> histograms;
-    {
-      common::MutexLock lock(o.mu_);
-      counters = o.counters_;
-      histograms = o.histograms_;
-    }
-    common::MutexLock lock(mu_);
-    for (const auto& [k, v] : counters) counters_[k] += v;
-    for (const auto& [k, h] : histograms) histograms_[k].Merge(h);
+  /// The per-shard pattern — each shard owns a registry, the driver merges
+  /// them once it owns them all.
+  void MergeFrom(const Metrics& o) {
+    owner_.Check();
+    o.owner_.Check();
+    for (const auto& [k, v] : o.counters_) counters_[k] += v;
+    for (const auto& [k, h] : o.histograms_) histograms_[k].Merge(h);
   }
 
-  /// Reference views for single-threaded drivers (tests, sim reports). Not
-  /// safe against concurrent mutators — which is exactly why the analysis
-  /// cannot bless them: they hand out references to guarded state without
-  /// the lock. Contract: caller guarantees no concurrent mutator exists.
-  // Escape justified by the single-threaded-driver contract above.
-  const std::map<std::string, int64_t>& counters() const
-      NO_THREAD_SAFETY_ANALYSIS {
+  /// Reference views, for the owner thread like every other call.
+  const std::map<std::string, int64_t>& counters() const {
+    owner_.Check();
     return counters_;
   }
-  // Escape justified by the single-threaded-driver contract above.
-  const std::map<std::string, Histogram>& histograms() const
-      NO_THREAD_SAFETY_ANALYSIS {
+  const std::map<std::string, Histogram>& histograms() const {
+    owner_.Check();
     return histograms_;
   }
 
   /// Zeroes all counters and histograms. Values are reset in place — map
   /// nodes are never erased, so RegisterCounter()/RegisterHist() handles
-  /// survive a Reset(). Thread-safe.
-  void Reset() EXCLUDES(mu_) {
-    common::MutexLock lock(mu_);
+  /// survive a Reset().
+  void Reset() {
+    owner_.Check();
     for (auto& [k, v] : counters_) v = 0;
     for (auto& [k, h] : histograms_) h.Reset();
   }
@@ -181,8 +162,8 @@ class Metrics {
   /// ("name : count=N p50=X p99=Y"), each section in sorted name order and
   /// every histogram line carrying the same fields (empty ones included) —
   /// deterministic bytes for replay comparison.
-  std::string Dump() const EXCLUDES(mu_) {
-    common::MutexLock lock(mu_);
+  std::string Dump() const {
+    owner_.Check();
     std::string out;
     for (const auto& [k, v] : counters_) {
       out += k;
@@ -204,9 +185,9 @@ class Metrics {
   }
 
  private:
-  mutable common::Mutex mu_{"metrics.registry"};
-  std::map<std::string, int64_t> counters_ GUARDED_BY(mu_);
-  std::map<std::string, Histogram> histograms_ GUARDED_BY(mu_);
+  UDR_NO_UNIQUE_ADDRESS common::ThreadOwner owner_{"Metrics registry"};
+  std::map<std::string, int64_t> counters_;
+  std::map<std::string, Histogram> histograms_;
 };
 
 }  // namespace udr

@@ -1,7 +1,9 @@
-// The repo's annotated locking layer. Every lock in src/ outside this
-// directory must be a common::Mutex (the invariant linter bans raw
-// std::mutex elsewhere), because the wrapper is what carries the two
-// enforcement mechanisms:
+// The repo's annotated locking layer. Locks are the exception: per-shard
+// objects are thread-confined instead (thread_owner.h), and the invariant
+// linter allows a common::Mutex member only where threads really meet.
+// Every lock in src/ outside this directory must be a common::Mutex (the
+// linter bans raw std::mutex elsewhere), because the wrapper is what
+// carries the two enforcement mechanisms:
 //
 //   * Clang thread-safety attributes (thread_annotations.h): a Mutex is a
 //     CAPABILITY, MutexLock is a SCOPED_CAPABILITY, and every guarded member
@@ -17,7 +19,7 @@
 //     thread's held-lock stack AND the stack recorded when the conflicting
 //     edge was first established — instead of deadlocking some unlucky run.
 //     Locks are graphed by name, so two instances of the same class count as
-//     one node: nesting two Metrics registries in both orders is flagged
+//     one node: nesting two shards' park mutexes in both orders is flagged
 //     even though a given pair deadlocks only when interleaved. Acquisitions
 //     taken while no other lock is held skip the graph entirely (thread-local
 //     push only), so leaf locks — the common case on the data path — stay
@@ -133,7 +135,6 @@ class CondVar {
   }
 
   void NotifyOne() { cv_.notify_one(); }
-  void NotifyAll() { cv_.notify_all(); }
 
  private:
   std::condition_variable_any cv_;

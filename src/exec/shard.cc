@@ -63,18 +63,8 @@ int ShardSlicer::ShardOf(uint64_t subscriber) const {
   return JumpHash(location::HashIdentity(id), num_shards_);
 }
 
-int Shard::ShardOfSubscriber(uint64_t subscriber, int num_shards) {
-  return ShardSlicer(num_shards).ShardOf(subscriber);
-}
-
-Shard::Shard(int index, int num_shards, const ShardOptions& opts)
-    : index_(index), num_shards_(num_shards),
-      own_slicer_(std::make_unique<ShardSlicer>(num_shards)),
-      slicer_(own_slicer_.get()), opts_(opts), factory_(opts.seed) {}
-
 Shard::Shard(int index, const ShardSlicer* slicer, const ShardOptions& opts)
-    : index_(index), num_shards_(slicer->num_shards()), slicer_(slicer),
-      opts_(opts), factory_(opts.seed) {}
+    : index_(index), slicer_(slicer), opts_(opts), factory_(opts.seed) {}
 
 Shard::~Shard() = default;
 

@@ -3,7 +3,7 @@
 // sets, storage elements), its own PoA dispatch window (routing::Coalescer)
 // and its own sim clock/network — confined to a single worker thread.
 //
-// The subscriber space is split by hash: ShardOfSubscriber(i) names the only
+// The subscriber space is split by a ShardSlicer: ShardOf(i) names the only
 // shard that ever touches subscriber i's record, so shards share NOTHING
 // mutable except the thread-safe attribute intern pool and the SPSC handoff
 // queues in front of them (spsc_queue.h). Per-key operation order is
@@ -125,14 +125,8 @@ struct ShardStats {
 
 class Shard {
  public:
-  /// Owning shard of a subscriber (hash-mode mapping; builds a throwaway
-  /// ShardSlicer — hot paths hold a long-lived slicer instead).
-  static int ShardOfSubscriber(uint64_t subscriber, int num_shards);
-
-  Shard(int index, int num_shards, const ShardOptions& opts);
-  /// Shares an externally owned slicer (e.g. ShardRuntime's partition-aligned
-  /// one) so provisioning and routing agree on the slice boundary. `slicer`
-  /// must outlive the shard.
+  /// Shares the runtime's slicer so provisioning and routing agree on the
+  /// slice boundary. `slicer` must outlive the shard.
   Shard(int index, const ShardSlicer* slicer, const ShardOptions& opts);
   ~Shard();
 
@@ -155,7 +149,8 @@ class Shard {
 
   /// Master-copy read of the subscriber's stamped sequence ("shard-seq"
   /// attribute); nullopt when the subscriber is unknown here or never
-  /// written. Post-run verification hook (call after the worker joined).
+  /// written. Post-run verification hook: call after ShardRuntime::Finish()
+  /// joined the worker and handed the shard to the calling thread.
   std::optional<int64_t> ReadSeq(uint64_t subscriber);
 
  private:
@@ -163,8 +158,6 @@ class Shard {
   location::Identity IdentityOf(uint64_t subscriber) const;
 
   int index_;
-  int num_shards_;
-  std::unique_ptr<ShardSlicer> own_slicer_;  ///< Null when sharing one.
   const ShardSlicer* slicer_;
   ShardOptions opts_;
   sim::SimClock clock_;

@@ -177,6 +177,9 @@ const ShardRuntimeReport& ShardRuntime::Finish() {
   }
   const int64_t wall_ns = WallNowNs() - start_wall_ns_;
   finished_ = true;
+  // The joins are the happens-before edges: from here on the shards belong
+  // to this thread (post-run ReadSeq, MergeMetricsInto, report readers).
+  for (auto& shard : shards_) shard->udr().RebindToThisThread();
 
   report_ = ShardRuntimeReport{};
   report_.wall_ns = wall_ns;

@@ -112,7 +112,8 @@ class ShardRuntime {
   int ShardOf(uint64_t subscriber) const { return slicer_->ShardOf(subscriber); }
 
   /// Signals end-of-stream, joins the workers (each drains its ring and its
-  /// dispatch window first) and assembles the report. Idempotent.
+  /// dispatch window first), hands every shard's thread-confined objects to
+  /// the calling thread and assembles the report. Idempotent.
   const ShardRuntimeReport& Finish();
 
   const ShardRuntimeReport& report() const { return report_; }
@@ -124,7 +125,8 @@ class ShardRuntime {
   }
 
   /// The shards survive their workers for post-run verification (ReadSeq,
-  /// metrics). Valid only after Finish().
+  /// metrics). Valid only after Finish(), and only on the thread that
+  /// called it.
   Shard& shard(int i) { return *shards_[i]; }
 
   /// Every shard's UdrNf metrics merged into one registry (post-Finish).
@@ -162,7 +164,8 @@ class ShardRuntime {
   //     are atomics, and `mu` only pairs with `wake`);
   //   * shards_[i] and busy_ns_[i] are written only by worker i, and read by
   //     the driver only after Finish() joined that worker (the join is the
-  //     happens-before edge);
+  //     happens-before edge) and rebound the shard's confined objects to the
+  //     driver thread (common::ThreadOwner checks both sides);
   //   * submitted_, start_wall_ns_, finished_, report_ are driver-thread
   //     only (construct/Submit/Finish all happen on the driver);
   //   * ready_ and done_ are the cross-thread signals, acquire/release.

@@ -9,11 +9,11 @@
 // Concurrency contract (no mutex, so no GUARDED_BY — the discipline is
 // role-based and checked two ways):
 //   * TryPush() may only ever be called by ONE thread (the producer role),
-//     TryPop() only ever by ONE thread (the consumer role). The roles bind
-//     to the first thread that calls each side; under UDR_DEADLOCK_CHECK
-//     (debug/sanitizer builds) a call from any other thread aborts with a
-//     diagnostic — the static analog of the TSan race the violation would
-//     eventually cause.
+//     TryPop() only ever by ONE thread (the consumer role). Each side is a
+//     common::ThreadOwner (thread_owner.h): it binds to the first thread
+//     that calls it, and under UDR_DEADLOCK_CHECK (debug/sanitizer builds)
+//     a call from any other thread aborts with a diagnostic — the static
+//     analog of the TSan race the violation would eventually cause.
 //   * slots_[i] is published producer->consumer by the release store of
 //     tail_ and the consumer's acquire load of it; head_ symmetrically
 //     returns slot ownership consumer->producer. SizeApprox() is a racy
@@ -39,12 +39,8 @@
 #include <utility>
 #include <vector>
 
-#if defined(UDR_DEADLOCK_CHECK)
-#include <cstdio>
-#include <cstdlib>
-#include <functional>
-#include <thread>
-#endif
+#include "common/attributes.h"
+#include "common/thread_owner.h"
 
 namespace udr::exec {
 
@@ -65,9 +61,7 @@ class SpscQueue {
   /// Producer side. Returns false when the ring is full. Single producer:
   /// the first calling thread owns this side for the queue's lifetime.
   bool TryPush(T&& value) {
-#if defined(UDR_DEADLOCK_CHECK)
-    CheckOwner(&producer_tid_, "producer (TryPush)");
-#endif
+    producer_.Check();
     const uint64_t tail = tail_.load(std::memory_order_relaxed);
     if (tail - head_cache_ > mask_) {
       head_cache_ = head_.load(std::memory_order_acquire);
@@ -83,9 +77,7 @@ class SpscQueue {
   /// the swap contract above). Single consumer: the first calling thread
   /// owns this side for the queue's lifetime.
   bool TryPop(T* out) {
-#if defined(UDR_DEADLOCK_CHECK)
-    CheckOwner(&consumer_tid_, "consumer (TryPop)");
-#endif
+    consumer_.Check();
     const uint64_t head = head_.load(std::memory_order_relaxed);
     if (head == tail_cache_) {
       tail_cache_ = tail_.load(std::memory_order_acquire);
@@ -109,31 +101,6 @@ class SpscQueue {
   size_t capacity() const { return mask_ + 1; }
 
  private:
-#if defined(UDR_DEADLOCK_CHECK)
-  static uint64_t ThisThreadId() {
-    uint64_t id = static_cast<uint64_t>(
-        std::hash<std::thread::id>()(std::this_thread::get_id()));
-    return id == 0 ? 1 : id;  // 0 is the "unclaimed" sentinel.
-  }
-
-  /// Binds `owner` to the first calling thread; aborts on any other thread.
-  static void CheckOwner(std::atomic<uint64_t>* owner, const char* side) {
-    const uint64_t me = ThisThreadId();
-    uint64_t expected = 0;
-    if (owner->compare_exchange_strong(expected, me,
-                                       std::memory_order_relaxed) ||
-        expected == me) {
-      return;
-    }
-    std::fprintf(stderr,
-                 "[udr-spsc-check] SpscQueue %s side used from two threads "
-                 "— SPSC contract violation\n",
-                 side);
-    std::fflush(stderr);
-    std::abort();
-  }
-#endif
-
   std::vector<T> slots_;
   size_t mask_ = 0;
   // One cache line per side: the side's own cursor and its copy of the
@@ -142,10 +109,10 @@ class SpscQueue {
   uint64_t tail_cache_ = 0;  ///< Consumer only: tail_ as last read.
   alignas(64) std::atomic<uint64_t> tail_{0};  ///< Producer cursor.
   uint64_t head_cache_ = 0;  ///< Producer only: head_ as last read.
-#if defined(UDR_DEADLOCK_CHECK)
-  std::atomic<uint64_t> producer_tid_{0};  ///< First TryPush caller.
-  std::atomic<uint64_t> consumer_tid_{0};  ///< First TryPop caller.
-#endif
+  UDR_NO_UNIQUE_ADDRESS common::ThreadOwner producer_{
+      "SpscQueue producer (TryPush)"};
+  UDR_NO_UNIQUE_ADDRESS common::ThreadOwner consumer_{
+      "SpscQueue consumer (TryPop)"};
 };
 
 }  // namespace udr::exec

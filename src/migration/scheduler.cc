@@ -7,17 +7,6 @@ namespace udr::migration {
 
 using replication::ReplicaSet;
 
-const char* TaskStateName(TaskState state) {
-  switch (state) {
-    case TaskState::kPending: return "pending";
-    case TaskState::kCopying: return "copying";
-    case TaskState::kCatchUp: return "catch-up";
-    case TaskState::kDone: return "done";
-    case TaskState::kFailed: return "failed";
-  }
-  return "unknown";
-}
-
 MigrationScheduler::MigrationScheduler(routing::PartitionMap* map,
                                        routing::Router* router,
                                        const BandwidthModel* bandwidth,
@@ -376,15 +365,6 @@ MigrationProgress MigrationScheduler::Progress() const {
   }
   p.active = p.tasks_pending > 0;
   return p;
-}
-
-std::vector<const MigrationTask*> MigrationScheduler::TasksOfPlan(
-    uint64_t plan) const {
-  std::vector<const MigrationTask*> out;
-  for (const MigrationTask& task : tasks_) {
-    if (task.plan == plan) out.push_back(&task);
-  }
-  return out;
 }
 
 }  // namespace udr::migration

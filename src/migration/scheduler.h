@@ -54,8 +54,6 @@ enum class TaskState {
   kFailed,   ///< Aborted; the source stayed authoritative.
 };
 
-const char* TaskStateName(TaskState state);
-
 /// One task being executed (spec + live execution state).
 struct MigrationTask {
   uint64_t id = 0;
@@ -135,7 +133,6 @@ class MigrationScheduler {
 
   MigrationProgress Progress() const;
   const std::deque<MigrationTask>& tasks() const { return tasks_; }
-  std::vector<const MigrationTask*> TasksOfPlan(uint64_t plan) const;
 
   /// Installs the tracer chunk/cutover spans are recorded into (nullptr =
   /// off). Cutovers and failures are logged to the constructor's `flight`.

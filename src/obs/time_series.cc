@@ -106,16 +106,6 @@ std::vector<SamplePoint> TimeSeriesSampler::CounterSeries(
   return out;
 }
 
-std::vector<SamplePoint> TimeSeriesSampler::QuantileSeries(
-    const std::string& name, double percentile) const {
-  std::vector<SamplePoint> out;
-  auto it = quantiles_.find(QuantileKey{name, percentile});
-  if (it == quantiles_.end()) return out;
-  out.reserve(it->second.size());
-  for (size_t i = 0; i < it->second.size(); ++i) out.push_back(it->second.at(i));
-  return out;
-}
-
 std::string TimeSeriesSampler::Serialize() const {
   // Values are counters and bucketed percentiles — integers in doubles — so
   // %.6g prints them exactly and byte-stably (the scenario replay contract).

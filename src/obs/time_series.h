@@ -86,9 +86,6 @@ class TimeSeriesSampler {
   /// Points currently retained for a counter series (oldest first; empty
   /// when the name is untracked).
   std::vector<SamplePoint> CounterSeries(const std::string& name) const;
-  /// Points currently retained for a quantile series (oldest first).
-  std::vector<SamplePoint> QuantileSeries(const std::string& name,
-                                          double percentile) const;
 
   /// Deterministic text form, series sorted by name: one "series <name>"
   /// header plus "t:value" points per line. Byte-identical across replays.

@@ -23,7 +23,7 @@ double HeatTracker::Decay(MicroDuration dt) const {
 
 void HeatTracker::RecordAccess(uint32_t partition, storage::RecordKey key,
                                MicroTime now) {
-  common::MutexLock lock(mu_);
+  owner_.Check();
   ++total_;
 
   if (partitions_.size() <= partition) partitions_.resize(partition + 1);
@@ -89,24 +89,21 @@ void HeatTracker::SiftDown(size_t pos) {
 }
 
 double HeatTracker::PartitionHeat(uint32_t partition, MicroTime now) const {
-  common::MutexLock lock(mu_);
+  owner_.Check();
   if (partition >= partitions_.size()) return 0.0;
   const PartitionState& p = partitions_[partition];
   return p.heat * Decay(now - p.last);
 }
 
 int64_t HeatTracker::KeyCount(storage::RecordKey key) const {
-  common::MutexLock lock(mu_);
+  owner_.Check();
   const uint32_t slot = index_.Find(key);
   return slot == FlatKeyIndex::kNone ? 0 : sketch_[slot].count;
 }
 
 std::vector<HeatTracker::HotKey> HeatTracker::TopKeys(size_t n) const {
-  std::vector<HotKey> out;
-  {
-    common::MutexLock lock(mu_);
-    out = sketch_;
-  }
+  owner_.Check();
+  std::vector<HotKey> out = sketch_;
   std::sort(out.begin(), out.end(), [](const HotKey& a, const HotKey& b) {
     if (a.count != b.count) return a.count > b.count;
     return a.key < b.key;  // Deterministic tie-break.

@@ -17,10 +17,10 @@
 // of a scan of all K slots: the lowest-index slot among the minimum
 // counts. Nothing is allocated per access after construction.
 //
-// Thread safety: sketch + partition heat are guarded by mu_ (annotated
-// common::Mutex). Each router's tracker is shard-confined today, so the
-// lock is uncontended; the guard is what lets the upcoming multi-master
-// write routing sample heat from more than one thread without a rework.
+// Thread confinement: a tracker belongs to the thread that first uses it,
+// and every public call checks that (common::ThreadOwner,
+// thread_owner.h); RebindToThisThread() hands it to another thread after a
+// join.
 
 #ifndef UDR_ROUTING_HEAT_TRACKER_H_
 #define UDR_ROUTING_HEAT_TRACKER_H_
@@ -28,9 +28,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/attributes.h"
 #include "common/flat_table.h"
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
+#include "common/thread_owner.h"
 #include "common/time.h"
 #include "storage/record.h"
 
@@ -51,18 +51,17 @@ class HeatTracker {
   explicit HeatTracker(HeatTrackerConfig config = {});
 
   /// Samples one routed access. Called from the router's resolve stage on
-  /// every op of Route/RouteBatch — must stay cheap (one uncontended lock).
-  void RecordAccess(uint32_t partition, storage::RecordKey key, MicroTime now)
-      EXCLUDES(mu_);
+  /// every op of Route/RouteBatch — must stay cheap.
+  void RecordAccess(uint32_t partition, storage::RecordKey key, MicroTime now);
 
   /// Decayed access count of `partition` as of `now` (0 for partitions never
   /// seen). Does not mutate state.
-  double PartitionHeat(uint32_t partition, MicroTime now) const EXCLUDES(mu_);
+  double PartitionHeat(uint32_t partition, MicroTime now) const;
 
   /// Estimated access count of `key`; 0 when the sketch is not tracking it.
   /// The space-saving guarantee: any key with true count above the smallest
   /// tracked count is present.
-  int64_t KeyCount(storage::RecordKey key) const EXCLUDES(mu_);
+  int64_t KeyCount(storage::RecordKey key) const;
 
   struct HotKey {
     storage::RecordKey key = 0;
@@ -71,16 +70,13 @@ class HeatTracker {
   };
 
   /// Up to `n` hottest keys, descending by estimated count.
-  std::vector<HotKey> TopKeys(size_t n) const EXCLUDES(mu_);
+  std::vector<HotKey> TopKeys(size_t n) const;
 
-  int64_t total_accesses() const EXCLUDES(mu_) {
-    common::MutexLock lock(mu_);
-    return total_;
-  }
-  size_t tracked_keys() const EXCLUDES(mu_) {
-    common::MutexLock lock(mu_);
-    return sketch_.size();
-  }
+  /// Hands the tracker to the calling thread (after a join).
+  void RebindToThisThread() { owner_.Rebind(); }
+
+  int64_t total_accesses() const { owner_.Check(); return total_; }
+  size_t tracked_keys() const { owner_.Check(); return sketch_.size(); }
 
  private:
   struct PartitionState {
@@ -92,27 +88,27 @@ class HeatTracker {
   double Decay(MicroDuration dt) const;
 
   /// Heap order: fewer accesses first, then the lower slot index.
-  bool Colder(uint32_t a, uint32_t b) const REQUIRES(mu_) {
+  bool Colder(uint32_t a, uint32_t b) const {
     if (sketch_[a].count != sketch_[b].count) {
       return sketch_[a].count < sketch_[b].count;
     }
     return a < b;
   }
   /// Restores the heap after heap_[pos]'s slot got colder / hotter.
-  void SiftUp(size_t pos) REQUIRES(mu_);
-  void SiftDown(size_t pos) REQUIRES(mu_);
+  void SiftUp(size_t pos);
+  void SiftDown(size_t pos);
 
+  UDR_NO_UNIQUE_ADDRESS common::ThreadOwner owner_{"HeatTracker"};
   HeatTrackerConfig config_;  ///< Immutable after construction.
-  mutable common::Mutex mu_{"routing.heat_tracker"};
-  std::vector<PartitionState> partitions_ GUARDED_BY(mu_);
+  std::vector<PartitionState> partitions_;
   /// Slot array; at most config_.top_k entries, never reordered.
-  std::vector<HotKey> sketch_ GUARDED_BY(mu_);
-  FlatKeyIndex index_ GUARDED_BY(mu_);  ///< key -> slot.
+  std::vector<HotKey> sketch_;
+  FlatKeyIndex index_;  ///< key -> slot.
   /// Slot numbers as a min-heap under Colder(); heap_pos_[slot] is the
   /// slot's position in heap_.
-  std::vector<uint32_t> heap_ GUARDED_BY(mu_);
-  std::vector<uint32_t> heap_pos_ GUARDED_BY(mu_);
-  int64_t total_ GUARDED_BY(mu_) = 0;
+  std::vector<uint32_t> heap_;
+  std::vector<uint32_t> heap_pos_;
+  int64_t total_ = 0;
 };
 
 }  // namespace udr::routing

@@ -11,7 +11,7 @@ PoaCache::PoaCache(PoaCacheConfig config) : config_(config) {
 
 const storage::Record* PoaCache::Lookup(storage::RecordKey key,
                                         uint32_t partition, uint64_t epoch) {
-  common::MutexLock lock(mu_);
+  owner_.Check();
   const uint32_t i = index_.Find(key);
   if (i == kNil) {
     ++misses_;
@@ -36,7 +36,7 @@ const storage::Record* PoaCache::Lookup(storage::RecordKey key,
 
 void PoaCache::Insert(storage::RecordKey key, uint32_t partition,
                       uint64_t epoch, storage::Record record) {
-  common::MutexLock lock(mu_);
+  owner_.Check();
   const int64_t cost = record.CacheFootprintBytes();
   if (cost > config_.capacity_bytes) return;
 
@@ -68,7 +68,7 @@ void PoaCache::Insert(storage::RecordKey key, uint32_t partition,
 }
 
 bool PoaCache::Invalidate(storage::RecordKey key) {
-  common::MutexLock lock(mu_);
+  owner_.Check();
   const uint32_t i = index_.Find(key);
   if (i == kNil) return false;
   ++invalidations_;
@@ -77,7 +77,7 @@ bool PoaCache::Invalidate(storage::RecordKey key) {
 }
 
 void PoaCache::Clear() {
-  common::MutexLock lock(mu_);
+  owner_.Check();
   slots_.clear();
   index_.Clear();
   head_ = tail_ = free_ = kNil;
@@ -85,7 +85,7 @@ void PoaCache::Clear() {
 }
 
 std::vector<storage::RecordKey> PoaCache::KeysByRecency() const {
-  common::MutexLock lock(mu_);
+  owner_.Check();
   std::vector<storage::RecordKey> keys;
   keys.reserve(index_.size());
   for (uint32_t i = head_; i != kNil; i = slots_[i].next) {

@@ -31,11 +31,10 @@
 // invalidation allocates a node. An entry holds a share of the read
 // result's payload (Record::Share), not a deep copy; see record.h.
 //
-// Thread safety: all state is guarded by mu_ (annotated common::Mutex).
-// Today each PoA's cache is shard-confined so the lock is uncontended; the
-// guard makes the structure safe to share when the multi-master replication
-// path starts invalidating keys across threads. Lookup() hands out a pointer
-// into the cache — see its contract note.
+// Thread confinement: a cache belongs to the thread that first uses it, and
+// every public call checks that (common::ThreadOwner, thread_owner.h);
+// RebindToThisThread() hands it to another thread after a join. Lookup()
+// hands out a pointer into the cache — see its contract note.
 
 #ifndef UDR_ROUTING_POA_CACHE_H_
 #define UDR_ROUTING_POA_CACHE_H_
@@ -43,9 +42,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/attributes.h"
 #include "common/flat_table.h"
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
+#include "common/thread_owner.h"
 #include "common/time.h"
 #include "storage/record.h"
 
@@ -68,62 +67,43 @@ class PoaCache {
   /// from an older epoch or a different partition is silently dropped and
   /// the lookup misses. A hit refreshes LRU position. The pointer stays
   /// valid until the next mutating call — callers must consume it before
-  /// touching the cache again (the shard-confined dispatch stage does), and
-  /// a future cross-thread sharer must copy under its own coordination.
+  /// touching the cache again (the dispatch stage does).
   const storage::Record* Lookup(storage::RecordKey key, uint32_t partition,
-                                uint64_t epoch) EXCLUDES(mu_);
+                                uint64_t epoch);
 
   /// Inserts (or refreshes) `record` tagged (partition, epoch), evicting
   /// LRU entries until the byte budget holds. A record bigger than the whole
   /// budget is not admitted. The router passes a Share() of the read result,
   /// so the entry and the reader hold one payload.
   void Insert(storage::RecordKey key, uint32_t partition, uint64_t epoch,
-              storage::Record record) EXCLUDES(mu_);
+              storage::Record record);
 
   /// Drops `key`; returns true when an entry existed. The write path calls
   /// this synchronously for every committed write/delete.
-  bool Invalidate(storage::RecordKey key) EXCLUDES(mu_);
+  bool Invalidate(storage::RecordKey key);
 
-  void Clear() EXCLUDES(mu_);
+  void Clear();
 
   /// Cached keys, most recently used first (introspection for tests).
-  std::vector<storage::RecordKey> KeysByRecency() const EXCLUDES(mu_);
+  std::vector<storage::RecordKey> KeysByRecency() const;
 
-  int64_t bytes() const EXCLUDES(mu_) {
-    common::MutexLock lock(mu_);
-    return bytes_;
-  }
-  size_t size() const EXCLUDES(mu_) {
-    common::MutexLock lock(mu_);
-    return index_.size();
-  }
-  int64_t capacity_bytes() const { return config_.capacity_bytes; }
-  MicroDuration hit_cost() const { return config_.hit_cost; }
+  /// Hands the cache to the calling thread (after a join).
+  void RebindToThisThread() { owner_.Rebind(); }
 
-  int64_t hits() const EXCLUDES(mu_) {
-    common::MutexLock lock(mu_);
-    return hits_;
+  int64_t bytes() const { owner_.Check(); return bytes_; }
+  size_t size() const { owner_.Check(); return index_.size(); }
+  int64_t capacity_bytes() const {
+    owner_.Check();
+    return config_.capacity_bytes;
   }
-  int64_t misses() const EXCLUDES(mu_) {
-    common::MutexLock lock(mu_);
-    return misses_;
-  }
-  int64_t insertions() const EXCLUDES(mu_) {
-    common::MutexLock lock(mu_);
-    return insertions_;
-  }
-  int64_t invalidations() const EXCLUDES(mu_) {
-    common::MutexLock lock(mu_);
-    return invalidations_;
-  }
-  int64_t evictions() const EXCLUDES(mu_) {
-    common::MutexLock lock(mu_);
-    return evictions_;
-  }
-  int64_t epoch_drops() const EXCLUDES(mu_) {
-    common::MutexLock lock(mu_);
-    return epoch_drops_;
-  }
+  MicroDuration hit_cost() const { owner_.Check(); return config_.hit_cost; }
+
+  int64_t hits() const { owner_.Check(); return hits_; }
+  int64_t misses() const { owner_.Check(); return misses_; }
+  int64_t insertions() const { owner_.Check(); return insertions_; }
+  int64_t invalidations() const { owner_.Check(); return invalidations_; }
+  int64_t evictions() const { owner_.Check(); return evictions_; }
+  int64_t epoch_drops() const { owner_.Check(); return epoch_drops_; }
 
  private:
   static constexpr uint32_t kNil = FlatKeyIndex::kNone;
@@ -141,24 +121,24 @@ class PoaCache {
   };
 
   /// Drops the entry in slot `i` and frees the slot.
-  void Erase(uint32_t i) REQUIRES(mu_);
-  void Unlink(uint32_t i) REQUIRES(mu_);
-  void PushFront(uint32_t i) REQUIRES(mu_);
+  void Erase(uint32_t i);
+  void Unlink(uint32_t i);
+  void PushFront(uint32_t i);
 
+  UDR_NO_UNIQUE_ADDRESS common::ThreadOwner owner_{"PoaCache"};
   PoaCacheConfig config_;  ///< Immutable after construction.
-  mutable common::Mutex mu_{"routing.poa_cache"};
-  std::vector<Slot> slots_ GUARDED_BY(mu_);
-  uint32_t head_ GUARDED_BY(mu_) = kNil;  ///< Most recently used.
-  uint32_t tail_ GUARDED_BY(mu_) = kNil;  ///< Least recently used.
-  uint32_t free_ GUARDED_BY(mu_) = kNil;  ///< First free slot.
-  FlatKeyIndex index_ GUARDED_BY(mu_);    ///< key -> slot.
-  int64_t bytes_ GUARDED_BY(mu_) = 0;
-  int64_t hits_ GUARDED_BY(mu_) = 0;
-  int64_t misses_ GUARDED_BY(mu_) = 0;
-  int64_t insertions_ GUARDED_BY(mu_) = 0;
-  int64_t invalidations_ GUARDED_BY(mu_) = 0;
-  int64_t evictions_ GUARDED_BY(mu_) = 0;
-  int64_t epoch_drops_ GUARDED_BY(mu_) = 0;
+  std::vector<Slot> slots_;
+  uint32_t head_ = kNil;  ///< Most recently used.
+  uint32_t tail_ = kNil;  ///< Least recently used.
+  uint32_t free_ = kNil;  ///< First free slot.
+  FlatKeyIndex index_;    ///< key -> slot.
+  int64_t bytes_ = 0;
+  int64_t hits_ = 0;
+  int64_t misses_ = 0;
+  int64_t insertions_ = 0;
+  int64_t invalidations_ = 0;
+  int64_t evictions_ = 0;
+  int64_t epoch_drops_ = 0;
 };
 
 }  // namespace udr::routing

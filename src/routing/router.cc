@@ -70,6 +70,13 @@ PoaCache* Router::poa_cache_at(sim::SiteId site) {
   return nullptr;
 }
 
+void Router::RebindToThisThread() {
+  if (heat_tracker_ != nullptr) heat_tracker_->RebindToThisThread();
+  for (Poa& poa : poas_) {
+    if (poa.cache != nullptr) poa.cache->RebindToThisThread();
+  }
+}
+
 void Router::InvalidateCached(storage::RecordKey key) {
   for (Poa& poa : poas_) {
     if (poa.cache != nullptr && poa.cache->Invalidate(key)) {
@@ -130,13 +137,6 @@ void Router::SetPoaServing(uint32_t cluster_id, bool serving) {
   for (Poa& poa : poas_) {
     if (poa.cluster_id == cluster_id) poa.serving = serving;
   }
-}
-
-bool Router::PoaServing(uint32_t cluster_id) const {
-  for (const Poa& poa : poas_) {
-    if (poa.cluster_id == cluster_id) return poa.serving;
-  }
-  return false;
 }
 
 location::LocationStage* Router::StageAtSite(sim::SiteId site) const {

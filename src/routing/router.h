@@ -113,7 +113,6 @@ class Router {
   /// clients transparently fail over to the next-nearest PoA while the data
   /// path keeps resolving through surviving location-stage instances.
   void SetPoaServing(uint32_t cluster_id, bool serving);
-  bool PoaServing(uint32_t cluster_id) const;
 
   /// Location stage serving `site`; nullptr when no PoA is deployed there.
   location::LocationStage* StageAtSite(sim::SiteId site) const;
@@ -214,6 +213,10 @@ class Router {
 
   /// The read-through cache of the PoA at `site`; nullptr when uncached.
   PoaCache* poa_cache_at(sim::SiteId site);
+
+  /// Hands the heat tracker and every PoA cache to the calling thread
+  /// (after a join; see common::ThreadOwner).
+  void RebindToThisThread();
 
   /// Synchronously drops `key` from every PoA cache. Called by the batched
   /// write flush and by every direct-write site (create/delete/modify/

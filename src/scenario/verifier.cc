@@ -254,12 +254,4 @@ SloResult Verifier::Evaluate(const SloCheck& check) {
   return row;
 }
 
-bool Verifier::AllPassed() const {
-  if (results_.empty()) return false;
-  for (const SloResult& r : results_) {
-    if (!r.pass) return false;
-  }
-  return true;
-}
-
 }  // namespace udr::scenario

@@ -103,9 +103,6 @@ class Verifier {
   /// Rows evaluated so far, in evaluation order.
   const std::vector<SloResult>& results() const { return results_; }
 
-  /// True when every evaluated row passed (and at least one was evaluated).
-  bool AllPassed() const;
-
  private:
   /// Highest acked stamp per channel for one subscriber.
   struct Ledger {

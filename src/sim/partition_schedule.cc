@@ -130,10 +130,4 @@ MicroTime CrashSchedule::RecoveryTime(const std::string& node,
   return it->second.NextClear(t);
 }
 
-const IntervalSet& CrashSchedule::Outages(const std::string& node) const {
-  static const IntervalSet kEmpty;
-  auto it = nodes_.find(node);
-  return it == nodes_.end() ? kEmpty : it->second;
-}
-
 }  // namespace udr::sim

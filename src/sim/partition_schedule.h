@@ -99,9 +99,6 @@ class CrashSchedule {
   /// Earliest time >= t when the node is up again (kTimeInfinity if never).
   MicroTime RecoveryTime(const std::string& node, MicroTime t) const;
 
-  /// Outage intervals for the node (empty set when none).
-  const IntervalSet& Outages(const std::string& node) const;
-
  private:
   std::map<std::string, IntervalSet> nodes_;
 };

@@ -25,16 +25,10 @@ AttrId AttrPool::Intern(std::string_view name) {
   if (id != kInvalidAttrId) return id;
   id = static_cast<AttrId>(names_.size());
   names_.emplace_back(name);
-  pool_bytes_ += static_cast<int64_t>(sizeof(std::string) + name.size());
   const Snapshot* fresh = BuildSnapshot(names_);
   retired_.emplace_back(snapshot_.load(std::memory_order_relaxed));
   snapshot_.store(fresh, std::memory_order_release);
   return id;
-}
-
-int64_t AttrPool::PoolBytes() const {
-  common::MutexLock lock(write_mu_);
-  return pool_bytes_;
 }
 
 }  // namespace udr::storage

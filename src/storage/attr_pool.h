@@ -77,10 +77,6 @@ class AttrPool {
     return snapshot_.load(std::memory_order_acquire)->names.size();
   }
 
-  /// Bytes held by the shared name storage (amortized across every record
-  /// in the process; reported separately from per-record footprints).
-  int64_t PoolBytes() const EXCLUDES(write_mu_);
-
  private:
   /// One immutable snapshot: a table over the interned names plus the
   /// id -> name view. Readers acquire-load the pointer and probe; writers
@@ -116,7 +112,6 @@ class AttrPool {
   /// Superseded snapshots, parked until the pool dies (readers may still be
   /// probing them; the attr vocabulary is tiny, so this is bytes, not megs).
   std::vector<std::unique_ptr<const Snapshot>> retired_ GUARDED_BY(write_mu_);
-  int64_t pool_bytes_ GUARDED_BY(write_mu_) = 0;
 };
 
 /// Convenience wrappers over AttrPool::Global().

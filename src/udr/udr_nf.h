@@ -156,6 +156,15 @@ class UdrNf {
   routing::PartitionMap& partition_map() { return map_; }
   routing::Router& router() { return router_; }
 
+  /// Hands the NF's thread-confined objects (the metrics registry, the
+  /// router's heat tracker and PoA caches) to the calling thread. Only
+  /// after the previous owner's thread was joined; ShardRuntime::Finish
+  /// calls it for every shard.
+  void RebindToThisThread() {
+    metrics_.RebindToThisThread();
+    router_.RebindToThisThread();
+  }
+
   // -- Observability -----------------------------------------------------------
 
   /// The NF's tracer; nullptr when trace_sample_rate == 0.

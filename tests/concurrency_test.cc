@@ -1,19 +1,25 @@
-// Tests for the annotated locking layer (common/mutex.h): the
-// UDR_DEADLOCK_CHECK lock-order checker must fire on a seeded ABBA
+// Tests for the two concurrency mechanisms: the annotated locking layer
+// (common/mutex.h) and checked thread confinement (common/thread_owner.h).
+// The UDR_DEADLOCK_CHECK lock-order checker must fire on a seeded ABBA
 // inversion, MutexLock must release on every exit path (exceptions
 // included), CondVar must wake waiters through the checker's bookkeeping,
-// and the SpscQueue owner-thread asserts must catch SPSC contract
-// violations. The death tests are gated on UDR_DEADLOCK_CHECK (on by
-// default outside Release builds — see the top-level CMakeLists).
+// and the owner checks must catch a second thread on an SpscQueue side, a
+// PoaCache, a HeatTracker or a Metrics handle. The death tests are gated on
+// UDR_DEADLOCK_CHECK (on by default outside Release builds — see the
+// top-level CMakeLists).
 
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "common/mutex.h"
 #include "exec/spsc_queue.h"
+#include "routing/heat_tracker.h"
+#include "routing/poa_cache.h"
 
 namespace udr {
 namespace {
@@ -64,8 +70,7 @@ TEST(LockOrderCheckTest, AbbaInversionAborts) {
 
 TEST(LockOrderCheckTest, SameNameNestingIsFlagged) {
   // Two instances of the same named class nested = a self-cycle in the
-  // per-class order graph (the Metrics::MergeFrom pattern snapshots instead
-  // of nesting for exactly this reason).
+  // per-class order graph.
   EXPECT_DEATH(
       {
         Mutex first("lockorder.same.X");
@@ -165,7 +170,7 @@ TEST(CondVarTest, PredicateWaitHandshake) {
 }
 
 // ---------------------------------------------------------------------------
-// SpscQueue owner-thread asserts
+// SpscQueue owner-thread asserts (one common::ThreadOwner per side)
 // ---------------------------------------------------------------------------
 
 #if defined(UDR_DEADLOCK_CHECK)
@@ -218,6 +223,75 @@ TEST(SpscOwnerCheckTest, DistinctProducerAndConsumerThreadsAreFine) {
     }
   }
   producer.join();
+}
+
+// ---------------------------------------------------------------------------
+// Thread confinement of the per-shard objects (common::ThreadOwner)
+// ---------------------------------------------------------------------------
+
+TEST(ThreadOwnerCheckTest, PoaCacheUsedFromASecondThreadAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        routing::PoaCache cache(routing::PoaCacheConfig{});
+        (void)cache.Invalidate(1);  // Binds the cache to this thread.
+        std::thread intruder([&cache] { (void)cache.Lookup(1, 0, 0); });
+        intruder.join();
+      },
+      "PoaCache used from two threads: owned by thread [0-9]+, called from "
+      "thread [0-9]+");
+}
+
+TEST(ThreadOwnerCheckTest, HeatTrackerUsedFromASecondThreadAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        routing::HeatTracker tracker;
+        tracker.RecordAccess(0, 1, 0);  // Binds the tracker to this thread.
+        std::thread intruder([&tracker] { (void)tracker.KeyCount(1); });
+        intruder.join();
+      },
+      "HeatTracker used from two threads: owned by thread [0-9]+, called "
+      "from thread [0-9]+");
+}
+
+TEST(ThreadOwnerCheckTest, MetricsHandleUsedFromASecondThreadAborts) {
+  // The hot handle carries its registry's owner: a bump through it from a
+  // second thread aborts although it never touches the registry itself.
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Metrics metrics;
+        Metrics::Counter ops = metrics.RegisterCounter("test.ops");
+        ops.Add();
+        std::thread intruder([&ops] { ops.Add(); });
+        intruder.join();
+      },
+      "Metrics registry used from two threads: owned by thread [0-9]+, "
+      "called from thread [0-9]+");
+}
+
+TEST(ThreadOwnerCheckTest, RebindAfterJoinHandsTheObjectOver) {
+  // The ShardRuntime::Finish pattern: built and used on a worker, joined,
+  // then rebound to and used by the joining thread.
+  std::unique_ptr<Metrics> metrics;
+  Metrics::Counter ops;
+  std::thread worker([&] {
+    metrics = std::make_unique<Metrics>();
+    ops = metrics->RegisterCounter("test.ops");
+    ops.Add(2);
+  });
+  worker.join();
+  metrics->RebindToThisThread();
+  ops.Add();
+  EXPECT_EQ(metrics->Get("test.ops"), 3);
+}
+
+#else
+
+TEST(ThreadOwnerCheckTest, DisabledInThisBuild) {
+  GTEST_SKIP() << "UDR_DEADLOCK_CHECK is off (Release build?); the "
+                  "thread-owner checks need it compiled in.";
 }
 
 #endif  // UDR_DEADLOCK_CHECK

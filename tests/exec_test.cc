@@ -1,16 +1,17 @@
 // Tests for the sharded multi-threaded execution mode (src/exec/): SPSC ring
-// ordering under a real producer/consumer thread pair, Metrics registry
-// thread safety, shard confinement + per-key order through the runtime, and
-// sharded-vs-single-shard end-state equivalence, and wall-clock accounting
-// that leaves provisioning out. This file is the TSan
+// ordering under a real producer/consumer thread pair, shard confinement +
+// per-key order through the runtime, the post-join handoff of each shard's
+// metrics and data path to the driver, sharded-vs-single-shard end-state
+// equivalence, and wall-clock accounting that leaves provisioning out. This file is the TSan
 // target of ci.sh: every test here must be race-free under
 // -fsanitize=thread.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -77,59 +78,6 @@ TEST(SpscQueueTest, FifoAcrossThreadsUnderStress) {
 }
 
 // ---------------------------------------------------------------------------
-// Thread-safe metrics registry
-// ---------------------------------------------------------------------------
-
-TEST(MetricsConcurrencyTest, CountersAndHistogramsAreExactUnderContention) {
-  Metrics metrics;
-  constexpr int kThreads = 4;
-  constexpr int kIters = 20000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&metrics] {
-      for (int i = 0; i < kIters; ++i) {
-        metrics.Add("shared.counter");
-        metrics.Observe("shared.hist", i % 100);
-        if (i % 64 == 0) (void)metrics.Get("shared.counter");
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(metrics.Get("shared.counter"), kThreads * kIters);
-  EXPECT_EQ(metrics.HistOrEmpty("shared.hist").count(), kThreads * kIters);
-}
-
-TEST(MetricsConcurrencyTest, MergeFromWhileSourcesMutate) {
-  // The per-shard pattern: shard registries mutate on their own threads
-  // while a reader repeatedly merges them into a scratch registry.
-  constexpr int kShards = 3;
-  constexpr int kIters = 10000;
-  std::vector<std::unique_ptr<Metrics>> shards;
-  for (int i = 0; i < kShards; ++i) shards.push_back(std::make_unique<Metrics>());
-  std::atomic<bool> stop{false};
-  std::thread reader([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      Metrics merged;
-      for (auto& s : shards) merged.MergeFrom(*s);
-      // A snapshot mid-run can be anything <= total; just must not race.
-      EXPECT_LE(merged.Get("ops"), kShards * kIters);
-    }
-  });
-  std::vector<std::thread> writers;
-  for (int t = 0; t < kShards; ++t) {
-    writers.emplace_back([&shards, t] {
-      for (int i = 0; i < kIters; ++i) shards[t]->Add("ops");
-    });
-  }
-  for (auto& w : writers) w.join();
-  stop.store(true, std::memory_order_release);
-  reader.join();
-  Metrics merged;
-  for (auto& s : shards) merged.MergeFrom(*s);
-  EXPECT_EQ(merged.Get("ops"), kShards * kIters);
-}
-
-// ---------------------------------------------------------------------------
 // Shard hashing
 // ---------------------------------------------------------------------------
 
@@ -141,7 +89,7 @@ TEST(ShardTest, SubscriberShardingIsTotalAndBalanced) {
   for (const int shards : {2, 3, 4, 8}) {
     std::vector<int64_t> per_shard(shards, 0);
     for (uint64_t s = 0; s < kSubs; ++s) {
-      const int shard = Shard::ShardOfSubscriber(s, shards);
+      const int shard = ShardSlicer(shards).ShardOf(s);
       ASSERT_GE(shard, 0);
       ASSERT_LT(shard, shards);
       ++per_shard[shard];
@@ -152,7 +100,7 @@ TEST(ShardTest, SubscriberShardingIsTotalAndBalanced) {
           << "shard " << i << " of " << shards;
     }
   }
-  EXPECT_EQ(Shard::ShardOfSubscriber(123, 1), 0);
+  EXPECT_EQ(ShardSlicer(1).ShardOf(123), 0);
 }
 
 TEST(ShardSlicerTest, PartitionAlignedShardOwnsWholePartitions) {
@@ -272,6 +220,50 @@ TEST(ShardRuntimeTest, PartitionAlignedShardingRunsUnderScenarioMap) {
     provisioned += shard.provisioned;
   }
   EXPECT_EQ(provisioned, 200);
+}
+
+TEST(ShardRuntimeTest, FinishHandsEachShardToTheDriver) {
+  // Each shard's registry is confined to its worker until Finish() joins
+  // it; from then on the driver owns it. MergeMetricsInto must then equal
+  // the sum of the shards' own counters, and the driver's post-join
+  // ReadSeq (a routed read that bumps the router's counters) must pass
+  // the owner check that a use before the handoff would fail.
+  exec::ShardRuntimeOptions ro;
+  ro.num_shards = 3;
+  ro.shard.total_subscribers = 60;
+  exec::ShardRuntime runtime(ro);
+  runtime.Start();
+  std::vector<uint64_t> last_write(60, 0);
+  uint64_t seq = 0;
+  for (int i = 0; i < 600; ++i) {
+    ShardOp op;
+    op.subscriber = static_cast<uint64_t>(i * 7) % 60;
+    op.seq = ++seq;
+    op.write = (i % 2 == 0);
+    if (op.write) last_write[op.subscriber] = op.seq;
+    ShardBatch batch;
+    batch.ops.push_back(op);
+    runtime.Submit(std::move(batch), runtime.ShardOf(op.subscriber));
+  }
+  const auto& report = runtime.Finish();
+  ASSERT_EQ(report.ops_done, 600);
+
+  Metrics merged;
+  runtime.MergeMetricsInto(&merged);
+  std::map<std::string, int64_t> summed;
+  for (int i = 0; i < ro.num_shards; ++i) {
+    const Metrics& own = runtime.shard(i).udr().metrics();
+    for (const auto& [name, value] : own.counters()) summed[name] += value;
+  }
+  EXPECT_EQ(merged.counters(), summed);
+  EXPECT_GT(merged.Get("router.routed"), 0);
+
+  for (uint64_t sub = 0; sub < 60; ++sub) {
+    if (last_write[sub] == 0) continue;
+    EXPECT_EQ(runtime.shard(runtime.ShardOf(sub)).ReadSeq(sub),
+              static_cast<int64_t>(last_write[sub]))
+        << "subscriber " << sub;
+  }
 }
 
 TEST(ShardRuntimeTest, WallClockExcludesProvisioning) {

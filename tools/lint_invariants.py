@@ -27,6 +27,15 @@ concurrency statically checkable — the ones a generic linter can't know:
   tsa-escape         NO_THREAD_SAFETY_ANALYSIS requires an adjacent
                      justification comment (no blanket escape hatches).
 
+  mutex-holder       src/ may declare a common::Mutex member or local only
+                     under src/common/, in src/exec/shard_runtime.h (the
+                     park handoff between the driver and a worker) and in
+                     src/storage/attr_pool.h (the process-wide intern
+                     pool's writers): the two places where threads really
+                     meet. Every other per-shard object is confined to one
+                     thread and checked by common::ThreadOwner, so a lock
+                     there guards nothing and costs a lock pair per call.
+
   bench-coverage     every bench/bench_*.cc must appear in ci.sh's
                      REQUIRED_BENCHES list, so a bench falling out of the
                      build fails CI instead of being silently skipped.
@@ -183,6 +192,12 @@ RAW_MUTEX_PATTERNS = [
 
 TSA_ESCAPE_RE = re.compile(r"\bNO_THREAD_SAFETY_ANALYSIS\b")
 
+# A Mutex value declaration (member or local; MutexLock, references and
+# pointers do not match), and the files allowed to make one.
+MUTEX_DECL_RE = re.compile(r"\bMutex\s+[A-Za-z_]\w*\s*(?:[;={(\[]|$)")
+MUTEX_HOMES = ("src/common/", "src/exec/shard_runtime.h",
+               "src/storage/attr_pool.h")
+
 # A call of the method named exactly Make (member access or qualified name);
 # MakeSpec and the other Make* helpers do not match.
 SUBSCRIBER_MAKE_RE = re.compile(r"(?:\.|->|SubscriberFactory::)Make\s*\(")
@@ -325,6 +340,14 @@ def lint_file(path: str, rel: str, allowlist_doc: str, violations: list,
                 if pat.search(code):
                     violations.append(f"{rel}:{lineno}: [raw-mutex] {what}")
                     break
+
+        if (not rel.startswith(MUTEX_HOMES) and "mutex-holder" not in active
+                and MUTEX_DECL_RE.search(code)):
+            violations.append(
+                f"{rel}:{lineno}: [mutex-holder] common::Mutex declared "
+                f"outside src/common/, src/exec/shard_runtime.h and "
+                f"src/storage/attr_pool.h — a per-shard object is confined "
+                f"to its thread (common::ThreadOwner), not locked")
 
         if (rel != SUBSCRIBER_MAKE_HOME and "subscriber-make" not in active
                 and SUBSCRIBER_MAKE_RE.search(code)):
